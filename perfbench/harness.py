@@ -9,6 +9,8 @@ average length still fits in `--seconds` (the first always runs), so every
 query weighs the same. Set-up time is taken once per pass.
 
 Untraced (`--trace 0`), only a timer around the pipeline call is installed.
+It runs the host speed probe (`hostspeed.py`) before each query, outside the
+query's time, and the end-to-end timings are scaled to reference host speed.
 Traced (`--trace 1`), each chunk runs untraced and then traced, the traced
 pass records spans at every layer boundary, and the ratio of the two passes'
 throughput is the tracing overhead. The spans are written to
@@ -38,6 +40,7 @@ from gentrieval.docid import build_index  # noqa: E402
 from gentrieval.lm import sequence_logprob  # noqa: E402
 from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry  # noqa: E402
 
+import hostspeed  # noqa: E402
 import tracing  # noqa: E402
 from workloads import (BRANCHING, K, LEVELS, ROUND_BUDGET, SMOKE_SIZE,  # noqa: E402
                        WORKLOADS, Workload, input_properties, make_inputs)
@@ -47,14 +50,22 @@ SPANS_DIR = pathlib.Path(__file__).resolve().parent / "_spans"
 
 
 class Pass:
-    """Timings and captured outputs of one pass."""
+    """Timings and captured outputs of one pass.
+
+    `probes` holds the probe times: one before set-up, one before each
+    query and one after `run_experiment` returns, so every timed interval
+    has a probe on either side of it.
+    """
 
     def __init__(self, traced: bool):
         self.traced = traced
+        self.probes = [hostspeed.probe()]
         self.start = perf_counter()
+        self.setup_s: float | None = None
         self.first_query: float | None = None
         self.last_end: float | None = None
         self.query_s: list[float] = []
+        self.gap_s: list[float] = []  # runner's own time between queries
         self.outputs: list[tuple] = []   # (query, args, result)
         self.report: dict | None = None
         self.index = None
@@ -71,7 +82,15 @@ class Pass:
 
     def timer(self, fn, rec: tracing.Recorder | None):
         """The per-query timer around a pipeline function."""
+        span = rec.span if rec is not None else (lambda name: nullcontext())
+
         def pipeline(q, *args, **kwargs):
+            if self.last_end is None:
+                self.setup_s = perf_counter() - self.start
+            else:
+                self.gap_s.append(perf_counter() - self.last_end)
+            with span("host.probe"):
+                self.probes.append(hostspeed.probe())
             start = perf_counter()
             if self.first_query is None:
                 self.first_query = start
@@ -87,6 +106,20 @@ class Pass:
             self.outputs.append((q, args, result))
             return result
         return pipeline
+
+    def scaled_setup_s(self) -> float:
+        return hostspeed.scaled(self.setup_s, *self.probes[:2])
+
+    def scaled_query_s(self) -> list[float]:
+        return [hostspeed.scaled(s, *self.probes[i + 1:i + 3])
+                for i, s in enumerate(self.query_s)]
+
+    def scaled_window_s(self) -> float:
+        """From the first query's start to the last one's end, without the
+        probes: each query and the runner's time after it, scaled."""
+        work = [s + g for s, g in zip(self.query_s, self.gap_s + [0.0])]
+        return sum(hostspeed.scaled(w, *self.probes[i + 1:i + 3])
+                   for i, w in enumerate(work))
 
 
 def run_pass(wl: Workload, inputs: dict, chunk: int, seed: int,
@@ -121,6 +154,7 @@ def run_pass(wl: Workload, inputs: dict, chunk: int, seed: int,
             seed=seed, jobs=1)
         with span("evaluation.run_experiment"):
             p.report = evaluation.run_experiment(cfg)
+        p.probes.append(hostspeed.probe())
     except Exception:
         traceback.print_exc(file=sys.stderr)
     finally:
@@ -310,21 +344,28 @@ def main(argv: list[str] | None = None) -> int:
 
     ran = [p for p in passes if p.first_query is not None]
     timed = [p for p in ran if not p.traced]
-    query_ms = [1000 * s for p in timed for s in p.query_s]
+    query_ms = [1000 * s for p in timed for s in p.scaled_query_s()]
     if not query_ms:
         print("no query completed", file=sys.stderr)
         return 1
-    windows = sum(p.last_end - p.first_query for p in timed)
-    qps = len(query_ms) / windows
+    qps = len(query_ms) / sum(p.scaled_window_s() for p in timed)
     quality = [x for p in first_cycle for x in p.quality]
     e2e = {
-        "setup_s": statistics.median(p.first_query - p.start for p in timed),
+        "setup_s": statistics.median(p.scaled_setup_s() for p in timed),
         "qps": qps,
         "query_ms.p50": statistics.median(query_ms),
         "query_ms.p90": quantile(query_ms, 90),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    raw_ms = [1000 * s for p in timed for s in p.query_s]
     extra = {
+        "raw": {"setup_s": statistics.median(p.setup_s for p in timed),
+                "qps": len(raw_ms) / sum(sum(p.query_s) + sum(p.gap_s)
+                                         for p in timed),
+                "query_ms.p50": statistics.median(raw_ms),
+                "query_ms.p90": quantile(raw_ms, 90),
+                "probe_ms.p50": 1000 * statistics.median(
+                    x for p in timed for x in p.probes)},
         "hits_at_1": sum(h for h, _ in quality) / max(len(quality), 1),
         "mrr_at_10": sum(r for _, r in quality) / max(len(quality), 1),
         "failed_frac": failed / planned,
@@ -339,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         traced_passes = [p for p in ran if p.traced]
         layer = layer_metrics(rec, traced_passes, setups)
         tq = sum(len(p.query_s) for p in traced_passes)
-        tw = sum(p.last_end - p.first_query for p in traced_passes)
+        tw = sum(p.scaled_window_s() for p in traced_passes)
         layer["trace.qps_ratio"] = (tq / tw) / qps
         layer["evaluation.hits_at_1"] = extra["hits_at_1"]
         layer["evaluation.mrr_at_10"] = extra["mrr_at_10"]

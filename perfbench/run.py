@@ -2,8 +2,8 @@
 """gentrieval benchmark: batch retrieval through `evaluation.run_experiment`.
 
     python3 perfbench/run.py --workload standard-trie-2k --seed 1 \
-        --seconds 40 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 40
+        --seconds 35 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 35
     python3 perfbench/run.py --workload all --smoke --seconds 0
 
 Run from the repository root. Each workload runs in a child process of its
@@ -79,6 +79,8 @@ def describe(name: str, result: dict, summary: dict) -> list[str]:
                f"failed_frac={un['failed_frac']:.4f}; "
                f"{un['query_samples']} query samples over {un['passes']} "
                f"untraced passes")
+    raw = " ".join(f"{k}={v:.6g}" for k, v in un["raw"].items())
+    out.append(f"  unscaled (host speed as it came): {raw}")
     return out
 
 

@@ -1,5 +1,6 @@
 """The benchmark's own tests: smoke-mode schema and correctness, the span
-recorder's self time, and the reasoner's termination mix.
+recorder's self time, the host speed scaling and the reasoner's termination
+mix.
 
     python3 -m pytest -q perfbench/test_perfbench.py
 
@@ -99,6 +100,21 @@ def test_wrap_records_parent_and_query_and_restores_on_unpatch():
     name, start, end, parent, query = rec.spans[1]
     assert (name, parent, query) == ("thing.work", 0, "q7")
     assert start <= end
+
+
+def test_timings_are_scaled_by_the_probes_on_either_side():
+    import harness
+    import hostspeed
+
+    ref = hostspeed.REFERENCE_S
+    p = harness.Pass(traced=False)
+    # Probes before set-up, before each of two queries, after the last.
+    p.probes = [ref, 3 * ref, ref, 2 * ref]
+    p.setup_s, p.query_s, p.gap_s = 1.0, [0.4, 0.3], [0.1]
+    assert p.scaled_setup_s() == pytest.approx(0.5)
+    assert p.scaled_query_s() == pytest.approx([0.2, 0.2])
+    # The runner's time after query 0 is scaled with query 0.
+    assert p.scaled_window_s() == pytest.approx((0.4 + 0.1) / 2 + 0.3 / 1.5)
 
 
 def test_reasoner_classes_have_exact_shares():

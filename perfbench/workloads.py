@@ -45,10 +45,10 @@ WORKLOADS = {w.name: w for w in (
         docs=2000, queries=200, chunk=100, strategy="trie",
         pipeline="standard", exact_check=True),
     Workload(
-        "standard-fm-2k",
+        "standard-fm-1k",
         "FM-index allowed/complete dominate query time and the dense occ "
         "table dominates set-up and memory, so FM rebuilds show here",
-        docs=2000, queries=102, chunk=34, strategy="fm_index",
+        docs=1000, queries=120, chunk=40, strategy="fm_index",
         pipeline="standard"),
     Workload(
         "r4r-termset-400",
