@@ -9,26 +9,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .constraint import STRATEGIES, build as build_automaton
+from .constraint import build as build_automaton
 from .corpus import Query, load_corpus
 from .docid import (VIEW_NGRAM, VIEW_PSEUDO_QUERY, VIEW_TITLE, DocIdIndex,
                     build_index)
 from .errors import ConfigError, GentrievalError
-from .evaluation import ExperimentConfig, run_experiment, termination_stats
-from .lm import NgramModel, RemoteModel, ScriptedModel
-from .orchestrator import (ModelBundle, RefineConfig, default_beam_config,
-                           run_direct_cot, run_r4r, run_standard)
+from .evaluation import (ExperimentConfig, make_retrieve_model,
+                         run_experiment, run_pipeline, termination_stats)
+from .lm import RemoteModel
+from .orchestrator import ModelBundle, RefineConfig, default_beam_config
 from .reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 _STRATEGY_ALIASES = {"trie": "trie", "fm": "fm_index", "fm_index": "fm_index",
                      "termset": "term_set", "term_set": "term_set"}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed threaded through embedding and clustering")
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from {title,ngram,pseudo_query}")
     p.add_argument("--ngram-m", type=int, default=3)
     p.add_argument("--ngram-n", type=int, default=3)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed threaded through embedding and clustering")
 
     p = sub.add_parser("retrieve", help="rank docids for one query")
     p.add_argument("--index", required=True)
@@ -59,21 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-queries",
                    help="query JSONL used to train the n-gram model")
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--k", type=positive_int, default=20)
     p.add_argument("--pipeline", choices=["standard", "direct_cot", "r4r"],
                    default="standard")
-    p.add_argument("--t", type=int, default=3, help="verify depth")
-    p.add_argument("--T", type=int, default=3, help="round budget")
-    p.add_argument("--max-tokens", type=int, default=256)
+    p.add_argument("--t", type=positive_int, default=3, help="verify depth")
+    p.add_argument("--T", type=positive_int, default=3, help="round budget")
     p.add_argument("--prompts", help="prompt-override JSON path")
     p.add_argument("--remote-url",
-                   help="reasoning endpoint (env GENTRIEVAL_REMOTE_URL "
-                        "overrides)")
+                   help="reasoning endpoint; defaults to env "
+                        "GENTRIEVAL_REMOTE_URL, and the flag wins when both "
+                        "are set")
     p.add_argument("--merge-views", action="store_true")
     p.add_argument("--ablation", default="",
                    help="comma list from {no_context,no_explanation,"
                         "no_verification}")
-    _add_common(p)
 
     p = sub.add_parser("run", help="batch experiment over a query file")
     p.add_argument("--corpus", required=True)
@@ -88,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reason-model", help="scripted rules for the reason role")
     p.add_argument("--train-queries",
                    help="query JSONL used to train the n-gram model")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--T", type=int, default=3)
+    p.add_argument("--k", type=positive_int, default=20)
+    p.add_argument("--t", type=positive_int, default=3)
+    p.add_argument("--T", type=positive_int, default=3)
     p.add_argument("--sweep-t", default="", help="comma list of verify depths")
     p.add_argument("--sweep-T", default="", help="comma list of round budgets")
     p.add_argument("--ablation", default="")
@@ -102,11 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock latencies (breaks byte-level "
                         "reproducibility)")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed recorded in the report")
 
     p = sub.add_parser("stats", help="termination stats from a trace file")
     p.add_argument("--trace", required=True)
-    _add_common(p)
     return parser
 
 
@@ -142,53 +145,23 @@ def _cmd_build_index(args) -> int:
     return 0
 
 
-def _make_retrieve_model(args, index: DocIdIndex):
-    if args.model == "ngram":
-        if not args.train_queries:
-            raise ConfigError("--model ngram requires --train-queries")
-        from .corpus import load_queries
-        model = NgramModel(index.vocab)
-        reg = (PromptRegistry.from_file(args.prompts) if getattr(args, "prompts", None)
-               else PromptRegistry.default())
-        pr = reg.templates["P_r"]
-        for q in load_queries(args.train_queries):
-            for doc_key in sorted(q.relevant_keys):
-                recs = [r for r in index.by_doc.get(doc_key, [])
-                        if r.view == "path"]
-                if recs:
-                    model.train_pair(
-                        index.vocab.encode(pr + "\nQuery: " + q.text,
-                                           on_unknown="skip"),
-                        list(recs[0].tokens))
-        return model
-    return ScriptedModel.from_file(args.model, index.vocab)
-
-
 def _cmd_retrieve(args) -> int:
     index = DocIdIndex.load(args.index)
-    strategy = _STRATEGY_ALIASES[args.strategy]
-    automaton = build_automaton(strategy, index)
-    reg = (PromptRegistry.from_file(args.prompts) if args.prompts
-           else PromptRegistry.default())
-    retrieve_model = _make_retrieve_model(args, index)
-    reason_model = (RemoteModel(args.remote_url) if args.remote_url
-                    else retrieve_model)
-    bundle = ModelBundle(retrieve_model=retrieve_model,
-                         reason_model=reason_model)
-    beam_cfg = default_beam_config(index, k=args.k)
-    q = Query(query_id="cli", text=args.query)
-    if args.pipeline == "standard":
-        ranked = run_standard(q, retrieve_model, automaton, index, reg,
-                              beam_cfg, merge=args.merge_views)
-    elif args.pipeline == "direct_cot":
-        ranked = run_direct_cot(q, bundle, automaton, index, reg, beam_cfg,
-                                max_tokens=args.max_tokens,
-                                merge=args.merge_views)
-    else:
-        refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
-                                  ablation=_parse_ablation(args.ablation))
-        ranked = run_r4r(q, bundle, automaton, index, reg, beam_cfg,
-                         refine_cfg, merge=args.merge_views).ranked
+    automaton = build_automaton(_STRATEGY_ALIASES[args.strategy], index)
+    reg = PromptRegistry.load(args.prompts)
+    retrieve_model = make_retrieve_model(
+        index, reg, None if args.model == "ngram" else args.model,
+        args.train_queries)
+    remote_url = args.remote_url or os.environ.get("GENTRIEVAL_REMOTE_URL")
+    bundle = ModelBundle(
+        retrieve_model=retrieve_model,
+        reason_model=RemoteModel(remote_url) if remote_url else retrieve_model)
+    refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
+                              ablation=_parse_ablation(args.ablation))
+    ranked, _ = run_pipeline(
+        Query(query_id="cli", text=args.query), args.pipeline, bundle,
+        automaton, index, reg, default_beam_config(index, k=args.k),
+        refine_cfg, merge=args.merge_views)
     for cand in ranked:
         print(f"{cand.record.surface}\t{cand.score:.6f}\t{cand.doc_key}")
     return 0

@@ -92,7 +92,6 @@ class FmIndexAutomaton:
             joined.append(SEP)
         self.joined = joined
         self.fm = SequenceFMIndex(joined)
-        self.tokens = sorted(set(joined) - {SEP})
 
     def start(self) -> FmState:
         lo, hi = self.fm.start()

@@ -167,6 +167,10 @@ class Corpus:
         return key in self.by_key
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_corpus(path) -> Corpus:
     """Load a JSONL corpus: one object per line with id/text[/title/pseudo_queries]."""
     corpus = Corpus()
@@ -184,11 +188,17 @@ def load_corpus(path) -> Corpus:
                 raise MalformedRecord(line_no, "'id' and 'text' must be strings")
             if not obj["id"] or not obj["text"]:
                 raise MalformedRecord(line_no, "'id' and 'text' must be nonempty")
+            title = obj.get("title")
+            if title is not None and not isinstance(title, str):
+                raise MalformedRecord(line_no, "'title' must be a string")
+            pseudo_queries = obj.get("pseudo_queries", [])
+            if not _is_str_list(pseudo_queries):
+                raise MalformedRecord(line_no, "'pseudo_queries' must be a list of strings")
             corpus.append(Document(
                 doc_key=obj["id"],
                 text=obj["text"],
-                title=obj.get("title"),
-                pseudo_queries=tuple(obj.get("pseudo_queries", ())),
+                title=title,
+                pseudo_queries=tuple(pseudo_queries),
             ))
     return corpus
 
@@ -204,11 +214,16 @@ def load_queries(path) -> list[Query]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(line_no, str(exc)) from exc
-            if "qid" not in obj or "text" not in obj or not obj["text"]:
-                raise MalformedRecord(line_no, "missing 'qid' or nonempty 'text'")
+            if not isinstance(obj, dict) or "qid" not in obj or "text" not in obj:
+                raise MalformedRecord(line_no, "missing required field 'qid' or 'text'")
+            if not isinstance(obj["text"], str) or not obj["text"]:
+                raise MalformedRecord(line_no, "'text' must be a nonempty string")
+            relevant = obj.get("relevant", [])
+            if not _is_str_list(relevant):
+                raise MalformedRecord(line_no, "'relevant' must be a list of strings")
             queries.append(Query(
                 query_id=str(obj["qid"]),
                 text=obj["text"],
-                relevant_keys=frozenset(obj.get("relevant", ())),
+                relevant_keys=frozenset(relevant),
             ))
     return queries

@@ -33,10 +33,6 @@ class Hypothesis:
     score: float             # total sequence log-prob (raw sum)
     records: tuple[DocIdRecord, ...]
 
-    @property
-    def ranking_score(self) -> float:
-        return self.score
-
 
 @dataclass(frozen=True)
 class Candidate:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import END, Corpus, Document, Vocabulary, normalize, words_of
-from .errors import EmptyDocument, UnknownDoc
+from .errors import EmptyDocument, MalformedIndex, UnknownDoc
 
 STOPWORDS = frozenset("""
 a an and are as at be but by for from has have in is it its of on or that the
@@ -314,14 +314,8 @@ class DocIdIndex:
         self.vocab = vocab
         self.hierarchy = hierarchy
         self.by_doc: dict[str, list[DocIdRecord]] = {}
-        self.by_surface: dict[str, list[DocIdRecord]] = {}
         for r in records:
             self.by_doc.setdefault(r.doc_key, []).append(r)
-            self.by_surface.setdefault(r.surface, []).append(r)
-
-    @property
-    def views(self) -> frozenset[str]:
-        return frozenset(r.view for r in self.records)
 
     def to_json(self) -> str:
         def node_dict(node: RQNode) -> dict:
@@ -357,7 +351,17 @@ class DocIdIndex:
 
     @classmethod
     def from_json(cls, text: str) -> "DocIdIndex":
-        obj = json.loads(text)
+        """Parse an index written by `to_json`; input of any other shape
+        raises MalformedIndex."""
+        try:
+            return cls._from_obj(json.loads(text))
+        except (ValueError, KeyError, IndexError, TypeError,
+                AttributeError) as exc:
+            raise MalformedIndex(
+                f"malformed index: {type(exc).__name__}: {exc}") from exc
+
+    @classmethod
+    def _from_obj(cls, obj) -> "DocIdIndex":
         vocab = Vocabulary.from_dict(obj["vocab"])
         records = [DocIdRecord(r["doc_key"], tuple(r["tokens"]), r["surface"],
                                r["view"]) for r in obj["records"]]

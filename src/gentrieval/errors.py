@@ -31,7 +31,7 @@ class EmptyDocument(GentrievalError):
     pass
 
 
-class DegenerateInput(GentrievalError):
+class MalformedIndex(GentrievalError):
     pass
 
 
@@ -63,10 +63,6 @@ class RemoteUnavailable(GentrievalError):
 
 class RemoteTimeout(GentrievalError):
     pass
-
-
-class ModelFailure(GentrievalError):
-    """Transport-level failure of a reasoning/generation call."""
 
 
 # --- constraint -----------------------------------------------------------

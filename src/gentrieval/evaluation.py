@@ -19,7 +19,8 @@ from .decode import BeamConfig, RankedList
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns, NotSupported
 from .lm import NgramModel, ScriptedModel, sequence_logprob
-from .orchestrator import (ModelBundle, RefineConfig, collect_trace,
+from .orchestrator import (ModelBundle, R4RResult, RefineConfig,
+                           _retrieve_prompt, collect_trace,
                            default_beam_config, run_direct_cot, run_r4r,
                            run_standard)
 from .reasoning import PromptRegistry
@@ -146,7 +147,6 @@ class ExperimentConfig:
     T_sweep: tuple[int, ...] = ()
     ablation: frozenset[str] = frozenset()
     merge: bool = False
-    length_normalize: bool = False
     hits_ks: tuple[int, ...] = (1, 5, 20)
     mrr_ks: tuple[int, ...] = (10,)
     scripted_model_path: str | None = None
@@ -160,43 +160,42 @@ class ExperimentConfig:
     timing: bool = False
 
 
-def _make_models(cfg: ExperimentConfig, index: DocIdIndex) -> ModelBundle:
-    if cfg.scripted_model_path:
-        retrieve = ScriptedModel.from_file(cfg.scripted_model_path, index.vocab)
-    elif cfg.ngram_train_queries_path:
-        retrieve = NgramModel(index.vocab)
-        reg = (PromptRegistry.from_file(cfg.prompts_path) if cfg.prompts_path
-               else PromptRegistry.default())
-        pr = reg.templates["P_r"]
-        for q in load_queries(cfg.ngram_train_queries_path):
-            for doc_key in sorted(q.relevant_keys):
-                recs = [r for r in index.by_doc.get(doc_key, [])
-                        if r.view == "path"]
-                if not recs:
-                    continue
-                prompt = index.vocab.encode(pr + "\nQuery: " + q.text,
-                                            on_unknown="skip")
-                retrieve.train_pair(prompt, list(recs[0].tokens))
-    else:
+def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
+                        scripted_path: str | None,
+                        train_queries_path: str | None):
+    """The retrieval model: scripted rules from *scripted_path*, or an n-gram
+    model trained on the queries in *train_queries_path*, each paired with
+    the path docid of every relevant document. Training encodes the same
+    retrieval prompt that decoding does."""
+    if scripted_path:
+        return ScriptedModel.from_file(scripted_path, index.vocab)
+    if not train_queries_path:
         raise ConfigError("no model configured: need scripted rules or "
                           "n-gram training queries")
-    if cfg.reason_model_path:
-        reason = ScriptedModel.from_file(cfg.reason_model_path, index.vocab)
-        return ModelBundle(retrieve_model=retrieve, reason_model=reason)
-    return ModelBundle.single(retrieve)
+    model = NgramModel(index.vocab)
+    for q in load_queries(train_queries_path):
+        prompt = index.vocab.encode(_retrieve_prompt(reg, q),
+                                    on_unknown="skip")
+        for doc_key in sorted(q.relevant_keys):
+            recs = [r for r in index.by_doc.get(doc_key, [])
+                    if r.view == "path"]
+            if recs:
+                model.train_pair(prompt, list(recs[0].tokens))
+    return model
 
 
-def _run_one(q: Query, pipeline: str, bundle: ModelBundle, automaton,
-             index: DocIdIndex, reg: PromptRegistry, beam_cfg: BeamConfig,
-             refine_cfg: RefineConfig, merge: bool, timing: bool):
+def run_pipeline(q: Query, pipeline: str, bundle: ModelBundle, automaton,
+                 index: DocIdIndex, reg: PromptRegistry, beam_cfg: BeamConfig,
+                 refine_cfg: RefineConfig, merge: bool = False,
+                 timing: bool = False) -> tuple[RankedList, R4RResult | None]:
+    """Rank docids for one query through the named pipeline. The second
+    item is the refine-loop result, kept for its trace (r4r only)."""
     if pipeline == "standard":
-        ranked = run_standard(q, bundle.retrieve_model, automaton, index,
-                              reg, beam_cfg, merge=merge)
-        return ranked, None
+        return run_standard(q, bundle.retrieve_model, automaton, index, reg,
+                            beam_cfg, merge=merge), None
     if pipeline == "direct_cot":
-        ranked = run_direct_cot(q, bundle, automaton, index, reg, beam_cfg,
-                                merge=merge)
-        return ranked, None
+        return run_direct_cot(q, bundle, automaton, index, reg, beam_cfg,
+                              merge=merge), None
     if pipeline == "r4r":
         result = run_r4r(q, bundle, automaton, index, reg, beam_cfg,
                          refine_cfg, merge=merge, timing=timing)
@@ -212,12 +211,14 @@ def run_experiment(cfg: ExperimentConfig):
     index = DocIdIndex.load(cfg.index_path)
     if not queries:
         raise EmptyRuns("query file is empty")
-    reg = (PromptRegistry.from_file(cfg.prompts_path) if cfg.prompts_path
-           else PromptRegistry.default())
+    reg = PromptRegistry.load(cfg.prompts_path)
     automaton = build_automaton(cfg.strategy, index)
-    bundle = _make_models(cfg, index)
-    beam_cfg = default_beam_config(index, k=cfg.k,
-                                   length_normalize=cfg.length_normalize)
+    retrieve = make_retrieve_model(index, reg, cfg.scripted_model_path,
+                                   cfg.ngram_train_queries_path)
+    reason = (ScriptedModel.from_file(cfg.reason_model_path, index.vocab)
+              if cfg.reason_model_path else retrieve)
+    bundle = ModelBundle(retrieve_model=retrieve, reason_model=reason)
+    beam_cfg = default_beam_config(index, k=cfg.k)
 
     sweep_rows = []
     t_values = cfg.t_sweep or (cfg.verify_depth,)
@@ -229,9 +230,9 @@ def run_experiment(cfg: ExperimentConfig):
                                       ablation=cfg.ablation)
 
             def work(q: Query):
-                return _run_one(q, cfg.pipeline, bundle, automaton, index,
-                                reg, beam_cfg, refine_cfg, cfg.merge,
-                                cfg.timing)
+                return run_pipeline(q, cfg.pipeline, bundle, automaton,
+                                    index, reg, beam_cfg, refine_cfg,
+                                    cfg.merge, cfg.timing)
 
             if cfg.jobs > 1:
                 with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -287,6 +288,6 @@ def run_experiment(cfg: ExperimentConfig):
 
 __all__ = [
     "ExperimentConfig", "MetricReport", "NllReport", "TerminationStats",
-    "hits_at_k", "mrr_at_k", "nll_losses", "run_experiment",
-    "termination_stats",
+    "hits_at_k", "make_retrieve_model", "mrr_at_k", "nll_losses",
+    "run_experiment", "run_pipeline", "termination_stats",
 ]

@@ -43,9 +43,7 @@ class FMIndex:
         # Terminal sentinel sorts below every real symbol.
         self.seq = list(seq) + [SENTINEL]
         n = len(self.seq)
-        sa = suffix_array(self.seq)
-        self.sa = sa
-        bwt = [self.seq[i - 1] for i in sa]
+        bwt = [self.seq[i - 1] for i in suffix_array(self.seq)]
         self.n = n
         symbols = sorted(set(self.seq))
         # C[c]: number of symbols strictly smaller than c.

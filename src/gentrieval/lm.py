@@ -165,6 +165,8 @@ class RemoteModel:
                          ).rstrip("/")
         if not self.base_url:
             raise RemoteUnavailable("no remote endpoint configured")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.max_retries = max_retries
         self.timeout = timeout
         self.session = session or requests.Session()
@@ -186,8 +188,13 @@ class RemoteModel:
             if resp.status_code >= 500:
                 last_exc = RemoteUnavailable(f"HTTP {resp.status_code}")
                 continue
-            resp.raise_for_status()
-            return resp.json()
+            if resp.status_code >= 400:
+                raise RemoteUnavailable(f"HTTP {resp.status_code}")
+            try:
+                return resp.json()
+            except ValueError as exc:
+                raise RemoteUnavailable(
+                    f"{route} response is not JSON: {exc}") from exc
         raise last_exc
 
     def generate(self, req: GenerationRequest) -> str:
@@ -195,7 +202,11 @@ class RemoteModel:
             "prompt": req.prompt, "max_tokens": req.max_tokens,
             "stop": list(req.stop), "temperature": req.temperature,
         })
-        return obj["text"]
+        text = obj.get("text") if isinstance(obj, dict) else None
+        if not isinstance(text, str):
+            raise RemoteUnavailable("/generate response has no string "
+                                    "'text' field")
+        return text
 
     def next_token_distribution(self, ctx: list[int]) -> dict[int, float]:
         obj = self._post("/logprobs", {"context_ids": list(ctx)})

@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .constraint import build as build_automaton
 from .corpus import Query
 from .decode import (BeamConfig, RankedList, constrained_beam_search,
                      dedup_rank, hypotheses_to_candidates, merge_views)
@@ -83,11 +82,9 @@ def _retrieve_prompt(reg: PromptRegistry, q: Query,
     return prompt
 
 
-def default_beam_config(index: DocIdIndex, k: int = 20,
-                        length_normalize: bool = False) -> BeamConfig:
+def default_beam_config(index: DocIdIndex, k: int = 20) -> BeamConfig:
     max_len = max(len(r.tokens) for r in index.records) + 1
-    return BeamConfig(beam_width=k, max_len=max_len,
-                      length_normalize=length_normalize)
+    return BeamConfig(beam_width=k, max_len=max_len)
 
 
 def _decode(q: Query, model, automaton, index: DocIdIndex, reg: PromptRegistry,
@@ -206,7 +203,6 @@ __all__ = [
     "ABLATION_NO_CONTEXT", "ABLATION_NO_EXPLANATION",
     "ABLATION_NO_VERIFICATION", "REASON_ALL_RELEVANT",
     "REASON_PARSE_FAILURE", "REASON_BUDGET_EXHAUSTED", "ModelBundle",
-    "R4RResult", "RefineConfig", "RoundTrace", "build_automaton",
-    "collect_trace", "default_beam_config", "run_direct_cot", "run_r4r",
-    "run_standard",
+    "R4RResult", "RefineConfig", "RoundTrace", "collect_trace",
+    "default_beam_config", "run_direct_cot", "run_r4r", "run_standard",
 ]

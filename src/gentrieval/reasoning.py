@@ -77,6 +77,12 @@ class PromptRegistry:
         merged.update({k: v for k, v in overrides.items() if k in DEFAULT_PROMPTS})
         return cls(merged)
 
+    @classmethod
+    def load(cls, path=None) -> "PromptRegistry":
+        """The defaults with the overrides in *path*, or the defaults alone
+        when no path is given."""
+        return cls.from_file(path) if path else cls.default()
+
     def render(self, name: str, **slots: str) -> str:
         text = self.templates[name]
         for k in _SLOTS:

@@ -7,6 +7,7 @@ import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from gentrieval.corpus import END, Corpus, Document, Vocabulary
 from gentrieval.docid import DocIdIndex, DocIdRecord
@@ -24,6 +25,15 @@ def make_index(surfaces: dict[str, str],
         vocab.add(w)
     vocab.freeze()
     return DocIdIndex(records, vocab)
+
+
+# Any JSON document: the input space of the loaders' malformed-input tests.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8)
 
 
 TOY_SURFACES = {"d1": "food-apple", "d2": "tech-apple", "d3": "food-banana"}

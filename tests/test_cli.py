@@ -1,5 +1,6 @@
 import json
 import math
+import socket
 
 import pytest
 
@@ -98,6 +99,20 @@ class TestRetrieve:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split("\t")[2] == "d1"
+
+    def test_remote_url_from_environment(self, workspace, capsys,
+                                         monkeypatch):
+        with socket.socket() as sock:  # a local port with no listener
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        monkeypatch.setenv("GENTRIEVAL_REMOTE_URL", f"http://127.0.0.1:{port}")
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", workspace["model"],
+                   "--query", "which fruit calories", "--pipeline",
+                   "direct_cot"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_ngram_requires_training_queries(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
@@ -210,6 +225,21 @@ class TestExitCodes:
                    "--model", workspace["model"], "--query", "x"])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag,value",
+                             [("--k", "0"), ("--t", "0"), ("--T", "-1")])
+    @pytest.mark.parametrize("command", ["retrieve", "run"])
+    def test_non_positive_budget_is_2(self, workspace, capsys, command, flag,
+                                      value):
+        extra = (["--query", "which fruit"] if command == "retrieve" else
+                 ["--corpus", workspace["corpus"],
+                  "--queries", workspace["queries"],
+                  "--report", str(workspace["dir"] / "r.json")])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--index", workspace["index"],
+                  "--model", workspace["model"], *extra, flag, value])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_bad_ablation_flag_is_1(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],

@@ -1,11 +1,25 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
                                load_corpus, load_queries, normalize, words_of)
-from gentrieval.errors import DuplicateKey, MalformedRecord, VocabularyFrozen
+from gentrieval.errors import (DuplicateKey, GentrievalError, MalformedRecord,
+                               VocabularyFrozen)
+
+from conftest import JSON_VALUES
+
+# One line of a JSONL file: free text, any JSON value, or an object with
+# some of the fields either loader reads, each holding any JSON value.
+LINES = (st.text(st.characters(blacklist_categories=("Cs",),
+                               blacklist_characters="\r\n"), max_size=20)
+         | JSON_VALUES.map(json.dumps)
+         | st.fixed_dictionaries({}, optional={
+             field: JSON_VALUES | st.text(min_size=1, max_size=5)
+             | st.lists(st.text(max_size=3), max_size=2)
+             for field in ("id", "qid", "text", "title", "pseudo_queries",
+                           "relevant")}).map(json.dumps))
 
 
 def write_jsonl(path, rows):
@@ -80,6 +94,44 @@ class TestLoadQueries:
         write_jsonl(p, [{"qid": "q1"}])
         with pytest.raises(MalformedRecord):
             load_queries(p)
+
+    @pytest.mark.parametrize("row", [
+        5, {"qid": "q1", "text": 5},
+        {"qid": "q1", "text": "hello", "relevant": "d1"},
+        {"qid": "q1", "text": "hello", "relevant": [1]}])
+    def test_wrong_types_rejected(self, tmp_path, row):
+        p = tmp_path / "q.jsonl"
+        write_jsonl(p, [row])
+        with pytest.raises(MalformedRecord):
+            load_queries(p)
+
+
+class TestLoaderContract:
+    """Whatever a line holds, a loader returns or raises a toolkit error."""
+
+    @pytest.mark.parametrize("row", [
+        {"id": "d1", "text": "body", "title": 7},
+        {"id": "d1", "text": "body", "pseudo_queries": 5},
+        {"id": "d1", "text": "body", "pseudo_queries": [["q"]]}])
+    def test_corpus_wrong_types_rejected(self, tmp_path, row):
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [row])
+        with pytest.raises(MalformedRecord):
+            load_corpus(p)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(LINES, max_size=4))
+    @example(lines=["5"])
+    @example(lines=['{"qid": "q1", "text": "a", "relevant": 5}'])
+    @example(lines=['{"id": "d1", "text": "a", "pseudo_queries": 5}'])
+    def test_only_toolkit_errors_escape(self, tmp_path, lines):
+        p = tmp_path / "lines.jsonl"
+        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        for loader in (load_queries, load_corpus):
+            try:
+                loader(p)
+            except GentrievalError:
+                pass
 
 
 class TestTokenizer:

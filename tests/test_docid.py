@@ -1,16 +1,53 @@
 import random
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gentrieval.corpus import END, Corpus, Document, Vocabulary
 from gentrieval.docid import (DocIdIndex, NgramScorer, RQNode, ViewConfig,
                               assign_keywords, build_index, build_rq_hierarchy,
                               build_views, embed_document, path_docid,
                               reconstruction_error)
-from gentrieval.errors import EmptyDocument, UnknownDoc
+from gentrieval.errors import EmptyDocument, MalformedIndex, UnknownDoc
 
-from conftest import random_text_corpus
+from conftest import JSON_VALUES, random_text_corpus
+
+
+def _some_of(fields: dict) -> st.SearchStrategy:
+    """Objects with any subset of *fields*, each either of the expected
+    shape or any JSON value."""
+    return st.fixed_dictionaries({}, optional={
+        k: v | JSON_VALUES for k, v in fields.items()})
+
+
+_NODE_FIELDS = {
+    "label": st.text(max_size=3),
+    "centroid": st.lists(st.floats(-1, 1), max_size=3),
+    "doc_keys": st.lists(st.text(max_size=3), max_size=2),
+    "doc_labels": st.dictionaries(st.text(max_size=3), st.text(max_size=3),
+                                  max_size=2),
+}
+_NODES = st.recursive(
+    _some_of(_NODE_FIELDS),
+    lambda children: _some_of({**_NODE_FIELDS,
+                               "children": st.lists(children, max_size=2)}),
+    max_leaves=4)
+# Index documents of nearly the shape to_json writes.
+INDEX_TEXTS = st.text(max_size=20) | _some_of({
+    "vocab": st.dictionaries(st.integers(0, 5).map(str), st.text(max_size=3),
+                             max_size=3),
+    "records": st.lists(_some_of({
+        "doc_key": st.text(max_size=3), "view": st.just("path"),
+        "surface": st.text(max_size=3),
+        "tokens": st.lists(st.integers(0, 5), max_size=3)}), max_size=3),
+    "hierarchy": _some_of({"levels": st.integers(0, 3),
+                           "branching": st.integers(0, 3),
+                           "dim": st.integers(0, 3),
+                           "roots": st.lists(_NODES, max_size=2)}),
+}).map(json.dumps)
 
 
 class TestEmbedding:
@@ -253,6 +290,20 @@ class TestIndexBuild:
                [r.surface for r in index.records]
         assert loaded.to_json() == index.to_json()
         assert loaded.vocab.frozen
+
+    @pytest.mark.parametrize("text", ['{"vocab": {}}', "not json", "[]",
+                                      '{"vocab": {}, "records": [5]}'])
+    def test_malformed_index_rejected(self, text):
+        with pytest.raises(MalformedIndex):
+            DocIdIndex.from_json(text)
+
+    @given(text=INDEX_TEXTS)
+    @example(text='{"vocab": {}}')
+    def test_from_json_raises_only_malformed_index(self, text):
+        try:
+            DocIdIndex.from_json(text)
+        except MalformedIndex:
+            pass
 
     def test_every_doc_has_record(self):
         rng = random.Random(3)

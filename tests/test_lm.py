@@ -222,6 +222,7 @@ class TestSequenceLogprob:
 
 class _Handler(BaseHTTPRequestHandler):
     fail_5xx = False
+    reply: tuple[int, bytes] | None = None  # fixed (status, body) override
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -229,6 +230,11 @@ class _Handler(BaseHTTPRequestHandler):
         if self.fail_5xx:
             self.send_response(503)
             self.end_headers()
+            return
+        if self.reply is not None:
+            self.send_response(self.reply[0])
+            self.end_headers()
+            self.wfile.write(self.reply[1])
             return
         if self.path == "/generate":
             body = json.dumps({"text": "echo: " + payload.get("prompt", "")})
@@ -250,6 +256,7 @@ def http_endpoint():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.fail_5xx = False
+    _Handler.reply = None
     try:
         yield f"http://127.0.0.1:{server.server_port}"
     finally:
@@ -272,6 +279,19 @@ class TestRemote:
         m = RemoteModel(base_url=http_endpoint, max_retries=1)
         with pytest.raises(RemoteUnavailable):
             m.generate(GenerationRequest("hi"))
+
+    @pytest.mark.parametrize("reply", [
+        (200, b"not json"), (200, b'{"txt": "hi"}'), (200, b"[1]"),
+        (200, b'{"text": null}'), (400, b"")])
+    def test_malformed_response_is_typed(self, http_endpoint, reply):
+        _Handler.reply = reply
+        m = RemoteModel(base_url=http_endpoint, max_retries=0)
+        with pytest.raises(RemoteUnavailable):
+            m.generate(GenerationRequest("hi"))
+
+    def test_negative_retries_rejected(self, http_endpoint):
+        with pytest.raises(ValueError):
+            RemoteModel(base_url=http_endpoint, max_retries=-1)
 
     def test_no_endpoint_configured(self, monkeypatch):
         monkeypatch.delenv("GENTRIEVAL_REMOTE_URL", raising=False)
