@@ -27,11 +27,23 @@ _STRATEGY_ALIASES = {"trie": "trie", "fm": "fm_index", "fm_index": "fm_index",
                      "termset": "term_set", "term_set": "term_set"}
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(low: int):
+    """Argparse type: an int no smaller than *low*."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = f"int >= {low}"
+    return parse
+
+
+positive_int = int_at_least(1)
+
+
+def positive_ints(text: str) -> tuple[int, ...]:
+    """Argparse type: a comma list of positive ints (empty allowed)."""
+    return tuple(positive_int(x) for x in text.split(",") if x)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-index", help="build a DocIdIndex file")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--out", required=True, help="output index JSON path")
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--branching", type=int, default=8)
-    p.add_argument("--dim", type=int, default=64)
+    p.add_argument("--levels", type=positive_int, default=2)
+    p.add_argument("--branching", type=positive_int, default=8)
+    p.add_argument("--dim", type=int_at_least(2), default=64)
     p.add_argument("--views", default="",
                    help="comma list from {title,ngram,pseudo_query}")
     p.add_argument("--ngram-m", type=int, default=3)
@@ -94,8 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=positive_int, default=20)
     p.add_argument("--t", type=positive_int, default=3)
     p.add_argument("--T", type=positive_int, default=3)
-    p.add_argument("--sweep-t", default="", help="comma list of verify depths")
-    p.add_argument("--sweep-T", default="", help="comma list of round budgets")
+    p.add_argument("--sweep-t", type=positive_ints, default="",
+                   help="comma list of verify depths")
+    p.add_argument("--sweep-T", type=positive_ints, default="",
+                   help="comma list of round budgets")
     p.add_argument("--ablation", default="")
     p.add_argument("--merge-views", action="store_true")
     p.add_argument("--prompts")
@@ -168,15 +182,12 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    def ints(spec: str) -> tuple[int, ...]:
-        return tuple(int(x) for x in spec.split(",") if x)
-
     cfg = ExperimentConfig(
         corpus_path=args.corpus, queries_path=args.queries,
         index_path=args.index, strategy=_STRATEGY_ALIASES[args.strategy],
         pipeline=args.pipeline, k=args.k, verify_depth=args.t,
-        round_budget=args.T, t_sweep=ints(args.sweep_t),
-        T_sweep=ints(args.sweep_T), ablation=_parse_ablation(args.ablation),
+        round_budget=args.T, t_sweep=args.sweep_t,
+        T_sweep=args.sweep_T, ablation=_parse_ablation(args.ablation),
         merge=args.merge_views,
         scripted_model_path=None if args.model == "ngram" else args.model,
         reason_model_path=args.reason_model,
@@ -211,10 +222,7 @@ def main(argv: list[str] | None = None) -> int:
                 "run": _cmd_run, "stats": _cmd_stats}
     try:
         return handlers[args.command](args)
-    except GentrievalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GentrievalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,10 +85,12 @@ class FmIndexAutomaton:
     strategy = STRATEGY_FM
 
     def __init__(self, index: DocIdIndex):
-        self.records = list(index.records)
         joined: list[int] = [SEP]
-        for rec in self.records:
+        # record_before[p]: the record whose body ends just before SEP at p.
+        self.record_before: dict[int, DocIdRecord] = {}
+        for rec in index.records:
             joined.extend(_body(rec))
+            self.record_before[len(joined)] = rec
             joined.append(SEP)
         self.joined = joined
         self.fm = SequenceFMIndex(joined)
@@ -114,13 +116,10 @@ class FmIndexAutomaton:
         return FmState(lo, hi, state.emitted + (token,))
 
     def complete(self, state: FmState) -> list[DocIdRecord]:
-        _, end_allowed = self.allowed(state)
-        if not end_allowed:
+        rng = self.fm.extend((state.lo, state.hi), SEP)
+        if not state.emitted or self.fm.count(rng) <= 0:
             raise NotTerminal("window does not abut SEP")
-        out = [rec for rec in self.records
-               if _body(rec)[len(_body(rec)) - len(state.emitted):] == state.emitted
-               and len(_body(rec)) >= len(state.emitted)]
-        return out
+        return [self.record_before[p] for p in sorted(self.fm.locate(rng))]
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,6 @@ class TermSetAutomaton:
     def __init__(self, index: DocIdIndex):
         self.records = list(index.records)
         self.multisets = [Counter(_body(r)) for r in self.records]
-        self.postings: dict[int, set[int]] = {}
-        for ridx, ms in enumerate(self.multisets):
-            for term in ms:
-                self.postings.setdefault(term, set()).add(ridx)
 
     def start(self) -> TermSetState:
         return TermSetState((), frozenset(range(len(self.records))))

@@ -1,14 +1,21 @@
-"""FM-index over an integer token sequence.
+"""FM-index over an integer token sequence, grown one token to the right.
 
-Built with a prefix-doubling suffix array, the BWT, a C table, and full
-per-symbol cumulative occurrence arrays (desk scale, so no sampling). The
-index is constructed over the *reversed* sequence: a standard backward-search
-step then extends the matched window one token to the right of the original
-sequence, which is exactly the direction constrained decoding grows in.
+The index is built over the *reversed* sequence plus a sentinel, so one
+backward-search step extends the matched pattern one token to the right of
+the original sequence, which is the direction constrained decoding grows in.
+A window is a half-open range of suffix-array rows whose suffixes start with
+the reversed pattern; the BWT symbol of a row is the token that follows that
+occurrence in the original sequence.
+
+Memory is O(n): the suffix array, the BWT, the C table and, per symbol, the
+sorted BWT rows that hold it. Rank is a bisection over those rows, followers
+are the distinct symbols of the window's BWT slice (O(window), not O(sigma)),
+and locate reads where each occurrence ends off the suffix array.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice, zip_longest
 
 SENTINEL = -1
@@ -36,73 +43,38 @@ def suffix_array(seq: list[int]) -> list[int]:
     return sa
 
 
-class FMIndex:
-    """Occurrence counting and single-symbol extension over one sequence."""
+class SequenceFMIndex:
+    """Windows of pattern occurrences in a token sequence."""
 
     def __init__(self, seq: list[int]):
         # Terminal sentinel sorts below every real symbol.
-        self.seq = list(seq) + [SENTINEL]
-        n = len(self.seq)
-        bwt = [self.seq[i - 1] for i in suffix_array(self.seq)]
-        self.n = n
-        symbols = sorted(set(self.seq))
-        # C[c]: number of symbols strictly smaller than c.
-        counts = {c: 0 for c in symbols}
-        for c in self.seq:
-            counts[c] += 1
+        rev = list(reversed(seq)) + [SENTINEL]
+        self.n = len(seq)
+        self.sa = suffix_array(rev)
+        self.bwt = [rev[i - 1] for i in self.sa]
+        # rows[c]: the BWT rows holding c, ascending. C[c]: the first row
+        # whose suffix starts with c, i.e. the count of symbols below c.
+        self.rows: dict[int, list[int]] = {}
         self.c_table: dict[int, int] = {}
-        acc = 0
-        for c in symbols:
-            self.c_table[c] = acc
-            acc += counts[c]
-        # occ[c][i]: occurrences of c in bwt[:i].
-        self.occ: dict[int, list[int]] = {c: [0] * (n + 1) for c in symbols}
-        for i, b in enumerate(bwt):
-            for c in symbols:
-                self.occ[c][i + 1] = self.occ[c][i]
-            self.occ[b][i + 1] += 1
-
-    def whole_range(self) -> tuple[int, int]:
-        return (0, self.n)
-
-    def backward_step(self, rng: tuple[int, int], c: int) -> tuple[int, int]:
-        """Range of suffixes starting with c followed by the current match."""
-        if c not in self.c_table:
-            return (0, 0)
-        lo, hi = rng
-        return (self.c_table[c] + self.occ[c][lo],
-                self.c_table[c] + self.occ[c][hi])
-
-    def count_range(self, rng: tuple[int, int]) -> int:
-        return max(0, rng[1] - rng[0])
-
-    def match(self, pattern: list[int]) -> tuple[int, int]:
-        """Range for *pattern*, matched by feeding symbols right to left."""
-        rng = self.whole_range()
-        for c in reversed(pattern):
-            rng = self.backward_step(rng, c)
-            if rng[0] >= rng[1]:
-                break
-        return rng
-
-
-class SequenceFMIndex:
-    """Right-extension interface over an original (unreversed) token sequence."""
-
-    def __init__(self, seq: list[int]):
-        self.seq = list(seq)
-        self._fm = FMIndex(list(reversed(seq)))
-        self.symbols = sorted(set(seq))
+        for row, i in enumerate(self.sa):
+            self.rows.setdefault(rev[i - 1], []).append(row)
+            self.c_table.setdefault(rev[i], row)
 
     def start(self) -> tuple[int, int]:
-        return self._fm.whole_range()
+        """Window of the empty pattern."""
+        return (0, self.n + 1)
 
     def extend(self, rng: tuple[int, int], token: int) -> tuple[int, int]:
         """Window for the current pattern extended rightward by *token*."""
-        return self._fm.backward_step(rng, token)
+        rows = self.rows.get(token)
+        if rows is None:
+            return (0, 0)
+        base = self.c_table[token]
+        return (base + bisect_left(rows, rng[0]),
+                base + bisect_left(rows, rng[1]))
 
     def count(self, rng: tuple[int, int]) -> int:
-        return self._fm.count_range(rng)
+        return rng[1] - rng[0]
 
     def occurrences(self, pattern: list[int]) -> int:
         rng = self.start()
@@ -112,5 +84,8 @@ class SequenceFMIndex:
 
     def followers(self, rng: tuple[int, int]) -> set[int]:
         """Symbols that immediately follow (to the right) some occurrence."""
-        return {c for c in self.symbols
-                if self.count(self.extend(rng, c)) > 0}
+        return set(self.bwt[rng[0]:rng[1]]) - {SENTINEL}
+
+    def locate(self, rng: tuple[int, int]) -> list[int]:
+        """Sequence position of the last token of each occurrence, by row."""
+        return [self.n - 1 - self.sa[row] for row in range(*rng)]

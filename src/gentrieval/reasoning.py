@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 from .corpus import Query
 from .decode import Candidate
+from .errors import ConfigError
 from .lm import GenerationRequest
 
 DEFAULT_PROMPTS = {
@@ -71,10 +72,27 @@ class PromptRegistry:
 
     @classmethod
     def from_file(cls, path) -> "PromptRegistry":
+        """Defaults overridden by *path*, a JSON object of string templates
+        that use only their defaults' slots; unknown names are ignored."""
         with open(path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{path}: prompts file must hold a JSON object")
         merged = dict(DEFAULT_PROMPTS)
-        merged.update({k: v for k, v in overrides.items() if k in DEFAULT_PROMPTS})
+        for name, text in overrides.items():
+            if not isinstance(text, str):
+                raise ConfigError(f"{path}: template {name!r} is not a string")
+            if name not in DEFAULT_PROMPTS:
+                continue
+            for k in _SLOTS:
+                slot = "{" + k + "}"
+                if slot in text and slot not in DEFAULT_PROMPTS[name]:
+                    raise ConfigError(f"{path}: template {name} uses slot "
+                                      f"{slot}, which is never filled for it")
+            merged[name] = text
         return cls(merged)
 
     @classmethod

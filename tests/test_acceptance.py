@@ -61,6 +61,11 @@ def naive_followers(seq, pattern):
             if seq[i:i + len(pattern)] == pattern}
 
 
+def naive_ends(seq, pattern):
+    return [i + len(pattern) - 1 for i in range(len(seq) - len(pattern) + 1)
+            if seq[i:i + len(pattern)] == pattern]
+
+
 @verdict("acceptance 1 (fm-index oracle, 1000 corpora)")
 def test_acceptance_1_fm_index_oracle():
     rng = random.Random(101)
@@ -86,6 +91,7 @@ def test_acceptance_1_fm_index_oracle():
                 win = sfm.extend(win, t)
             if sfm.count(win) > 0:
                 assert sfm.followers(win) == naive_followers(joined, pattern)
+                assert sorted(sfm.locate(win)) == naive_ends(joined, pattern)
 
 
 # --------------------------------------------------------------------------

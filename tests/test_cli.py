@@ -241,6 +241,44 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("run", "--sweep-t", "0"), ("run", "--sweep-T", "a"),
+        ("build-index", "--levels", "0"), ("build-index", "--branching", "0"),
+        ("build-index", "--dim", "1")])
+    def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
+        extra = (["--index", workspace["index"], "--model", workspace["model"],
+                  "--queries", workspace["queries"],
+                  "--report", str(workspace["dir"] / "r.json")]
+                 if command == "run" else
+                 ["--out", str(workspace["dir"] / "i.json")])
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--corpus", workspace["corpus"], *extra,
+                  flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        "[1]", json.dumps({"P_r": "x {query}"})])
+    def test_bad_prompts_file_is_1(self, workspace, capsys, content):
+        prompts = workspace["dir"] / "prompts.json"
+        prompts.write_text(content)
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", workspace["model"], "--query", "which fruit",
+                   "--prompts", str(prompts)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_non_utf8_input_is_1(self, workspace, capsys):
+        train = workspace["dir"] / "train.jsonl"
+        train.write_bytes(b"\xff\xfe")
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", "ngram", "--train-queries", str(train),
+                   "--query", "which fruit"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_bad_ablation_flag_is_1(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
                    "--model", workspace["model"], "--query", "which fruit",

@@ -9,7 +9,7 @@ from gentrieval.corpus import END, SEP
 from gentrieval.docid import DocIdIndex
 from gentrieval.errors import (EmptyIndex, IllegalTransition, InvalidState,
                                NotTerminal)
-from gentrieval.fm_index import FMIndex, SequenceFMIndex, suffix_array
+from gentrieval.fm_index import SequenceFMIndex, suffix_array
 
 from conftest import (TOY_SURFACES, enumerate_accepted, make_index,
                       random_record_index)
@@ -39,11 +39,11 @@ class TestFMIndex:
 
     def test_match_counts(self):
         seq = [5, 2, 3, 2, 3, 2, 9]
-        fm = FMIndex(seq)
-        assert fm.count_range(fm.match([2, 3])) == 2
-        assert fm.count_range(fm.match([3, 2])) == 2
-        assert fm.count_range(fm.match([9, 9])) == 0
-        assert fm.count_range(fm.match([5])) == 1
+        sfm = SequenceFMIndex(seq)
+        assert sfm.occurrences([2, 3]) == 2
+        assert sfm.occurrences([3, 2]) == 2
+        assert sfm.occurrences([9, 9]) == 0
+        assert sfm.occurrences([5]) == 1
 
     def test_occurrences_match_naive(self):
         rng = random.Random(1)
@@ -158,9 +158,11 @@ class TestFmAutomaton:
 
     def test_language_is_record_suffixes(self):
         rng = random.Random(4)
-        for _ in range(15):
-            index = random_record_index(rng, rng.randint(2, 10), 5,
-                                        max_len=3)
+        indices = [random_record_index(rng, rng.randint(2, 10), 5, max_len=3)
+                   for _ in range(15)]
+        # Two records with one body: complete() lists both.
+        indices.append(make_index({"a": "x-y", "b": "y", "c": "x-y"}))
+        for index in indices:
             a = FmIndexAutomaton(index)
             accepted = enumerate_accepted(a, max_len=4)
             bodies = [r.tokens[:-1] for r in index.records]
@@ -169,10 +171,10 @@ class TestFmAutomaton:
             assert {seq for seq, _ in accepted} == expected
             for seq, docs in accepted:
                 suffix = seq[:-1]
-                oracle = sorted(r.doc_key for r in index.records
-                                if r.tokens[:-1][len(r.tokens) - 1 - len(suffix):]
-                                == suffix)
-                assert sorted(r.doc_key for r in docs) == oracle
+                oracle = [r for r in index.records
+                          if r.tokens[:-1][len(r.tokens) - 1 - len(suffix):]
+                          == suffix]
+                assert list(docs) == oracle
 
 
 class TestTermSet:

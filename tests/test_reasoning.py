@@ -5,6 +5,7 @@ import pytest
 from gentrieval.corpus import END, Query, Vocabulary
 from gentrieval.decode import Candidate
 from gentrieval.docid import DocIdRecord
+from gentrieval.errors import ConfigError
 from gentrieval.lm import ScriptedModel
 from gentrieval.reasoning import (DEFAULT_PROMPTS, FORMAT_REMINDER,
                                   PromptRegistry, direct_cot, parse_structured,
@@ -87,6 +88,24 @@ class TestRegistry:
         assert reg.render("P_v", query="a", docid="b") == "custom a b"
         assert reg.templates["P_r"] == DEFAULT_PROMPTS["P_r"]
         assert "P_x" not in reg.templates
+
+    @pytest.mark.parametrize("content", [
+        "[1]", '"P_v"', "not json", json.dumps({"P_v": 3}),
+        json.dumps({"P_x": ["a"]})])
+    def test_from_file_rejects_malformed(self, tmp_path, content):
+        p = tmp_path / "prompts.json"
+        p.write_text(content)
+        with pytest.raises(ConfigError):
+            PromptRegistry.from_file(p)
+
+    @pytest.mark.parametrize("name,text", [
+        ("P_r", "x {query}"), ("P_t", "{query} {docid}"),
+        ("P_d", "{explanation}")])
+    def test_from_file_rejects_slot_never_filled(self, tmp_path, name, text):
+        p = tmp_path / "prompts.json"
+        p.write_text(json.dumps({name: text}))
+        with pytest.raises(ConfigError, match=name):
+            PromptRegistry.from_file(p)
 
     def test_defaults_have_no_stray_braces(self):
         reg = PromptRegistry.default()
