@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int_at_least(2), default=64)
     p.add_argument("--views", default="",
                    help="comma list from {title,ngram,pseudo_query}")
-    p.add_argument("--ngram-m", type=int, default=3)
-    p.add_argument("--ngram-n", type=int, default=3)
+    p.add_argument("--ngram-m", type=positive_int, default=3)
+    p.add_argument("--ngram-n", type=positive_int, default=3)
     p.add_argument("--seed", type=int, default=0,
                    help="seed threaded through embedding and clustering")
 
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts")
     p.add_argument("--report", required=True, help="report JSON output path")
     p.add_argument("--trace", help="trace JSONL output path")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock latencies (breaks byte-level "
                         "reproducibility)")

@@ -1,8 +1,10 @@
 """Constrained beam search and ranked-list utilities.
 
-Scores are raw model log-probabilities (no renormalization after masking), so
-a finished hypothesis scores exactly sequence_logprob of its token sequence;
-that identity is what the exhaustive-oracle tests lean on.
+The automaton masks the model: each step asks next_token_distribution only
+for the allowed tokens (and END where a docid may end), and ranks before it
+steps. Scores are raw model log-probabilities (no renormalization after
+masking), so a finished hypothesis scores exactly sequence_logprob of its
+token sequence; that identity is what the exhaustive-oracle tests lean on.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 from .corpus import END
 from .docid import DocIdRecord
 from .errors import NoValidPath
-from .lm import FLOOR_LOGPROB
 
 
 @dataclass(frozen=True)
@@ -65,38 +66,45 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                             cfg: BeamConfig) -> list[Hypothesis]:
     """Beam search where each step only expands automaton-allowed tokens.
 
-    Finished hypotheses (END taken where the automaton permits it) are pooled
-    separately; the top beam_width finished hypotheses are returned, ordered
-    by score (divided by length when cfg.length_normalize), ties broken by
-    token sequence.
+    Each live state is scored once: the model is asked for its allowed
+    tokens, plus END where the automaton permits it. Expansions are ranked
+    by (score desc, token sequence) and cut to beam_width before the
+    automaton steps, so only the survivors are stepped, and each state's
+    allowed() runs once. Finished hypotheses (END taken where the automaton
+    permits it) are pooled separately; the top beam_width finished
+    hypotheses are returned, ordered by score (divided by length when
+    cfg.length_normalize), ties broken by token sequence.
     """
     start = automaton.start()
-    allowed, end_ok = automaton.allowed(start)
-    if not allowed and not end_ok:
+    start_moves = automaton.allowed(start)
+    if not start_moves[0] and not start_moves[1]:
         raise NoValidPath("automaton start state admits no token")
 
     def norm(score: float, length: int) -> float:
         return score / length if cfg.length_normalize else score
 
+    prompt = list(prompt_tokens)
     live: list[tuple[float, tuple[int, ...], object]] = [(0.0, (), start)]
     finished: list[Hypothesis] = []
     for _ in range(cfg.max_len):
         if not live:
             break
+        # Expansions carry their parent state; only survivors are stepped.
         expansions: list[tuple[float, tuple[int, ...], object]] = []
         for score, gen, state in live:
-            dist = model.next_token_distribution(list(prompt_tokens) + list(gen))
-            allowed, end_ok = automaton.allowed(state)
+            allowed, end_ok = automaton.allowed(state) if gen else start_moves
+            toks = sorted(allowed)
+            dist = model.next_token_distribution(
+                prompt + list(gen), toks + [END] if end_ok else toks)
             if end_ok:
-                end_score = score + dist.get(END, FLOOR_LOGPROB)
                 finished.append(Hypothesis(
-                    tokens=gen + (END,), score=end_score,
+                    tokens=gen + (END,), score=score + dist[END],
                     records=tuple(automaton.complete(state))))
-            for tok in sorted(allowed):
-                expansions.append((score + dist.get(tok, FLOOR_LOGPROB),
-                                   gen + (tok,), automaton.step(state, tok)))
+            for tok in toks:
+                expansions.append((score + dist[tok], gen + (tok,), state))
         expansions.sort(key=lambda e: (-e[0], e[1]))
-        live = expansions[:cfg.beam_width]
+        live = [(score, gen, automaton.step(parent, gen[-1]))
+                for score, gen, parent in expansions[:cfg.beam_width]]
     finished.sort(key=lambda h: (-norm(h.score, len(h.tokens)), h.tokens))
     return finished[:cfg.beam_width]
 

@@ -2,9 +2,12 @@
 
 ScriptedModel answers from a rule table (exact test scenarios), NgramModel is
 an order-3 add-one-smoothed model good enough to memorize a desk-scale corpus,
-and RemoteModel adapts an HTTP endpoint. Constrained decoding needs the full
-next-token distribution, so it only accepts local models; the remote adapter
-serves the free-form reasoning steps.
+and RemoteModel adapts an HTTP endpoint. Scoring is narrow:
+next_token_distribution(ctx, tokens) returns log-probabilities for exactly the
+requested tokens, each equal to its value in the full distribution, so
+constrained decoding pays only for the tokens the automaton allows. The remote
+adapter fetches the full distribution and filters it client-side; it serves
+the free-form reasoning steps.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import requests
@@ -21,6 +26,11 @@ from .errors import (MissingEnd, NotSupported, RemoteTimeout,
                      RemoteUnavailable, UnknownToken)
 
 FLOOR_LOGPROB = -1e9
+
+# RemoteModel sleeps between attempts: the base delay, doubled after each
+# failed retry, never more than the cap.
+RETRY_BASE_DELAY_S = 0.25
+RETRY_MAX_DELAY_S = 4.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,8 @@ class ScriptedModel:
             ids.append(tid)
         return ids
 
-    def next_token_distribution(self, ctx: list[int]) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
+                                ) -> dict[int, float]:
         v = len(self.vocab)
         for t in ctx:
             if not 0 <= t < v:
@@ -102,17 +113,16 @@ class ScriptedModel:
             pattern = self._rule_ids(rule["context"])
             if pattern and list(ctx[-len(pattern):]) != pattern:
                 continue
-            dist = {t: FLOOR_LOGPROB for t in range(v)}
+            dist = dict.fromkeys(tokens, FLOOR_LOGPROB)
             for w, p in rule["probs"].items():
                 tid = END if w == "<end>" else self.vocab.id_of(w)
                 if tid is None:
                     raise UnknownToken(-1)
-                dist[tid] = math.log(p)
+                if tid in dist:
+                    dist[tid] = math.log(p)
             return dist
-        p = 1.0 / (v - 1)  # uniform, SEP masked
-        dist = {t: math.log(p) for t in range(v)}
-        dist[SEP] = FLOOR_LOGPROB
-        return dist
+        lp = math.log(1.0 / (v - 1))  # uniform, SEP masked
+        return {t: FLOOR_LOGPROB if t == SEP else lp for t in tokens}
 
 
 class NgramModel:
@@ -131,7 +141,8 @@ class NgramModel:
             bucket = self.counts.setdefault(ctx, {})
             bucket[seq[i]] = bucket.get(seq[i], 0) + 1
 
-    def next_token_distribution(self, ctx: list[int]) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
+                                ) -> dict[int, float]:
         v = len(self.vocab)
         for t in ctx:
             if not 0 <= t < v:
@@ -139,13 +150,14 @@ class NgramModel:
         key = tuple(ctx[-(self.order - 1):])
         bucket = self.counts.get(key, {})
         total = sum(bucket.values()) + v
-        return {t: math.log((bucket.get(t, 0) + 1) / total) for t in range(v)}
+        return {t: math.log((bucket.get(t, 0) + 1) / total) for t in tokens}
 
     def generate(self, req: GenerationRequest) -> str:
         ctx = self.vocab.encode(req.prompt, on_unknown="skip")
         out: list[int] = []
         for _ in range(req.max_tokens):
-            dist = self.next_token_distribution(ctx + out)
+            dist = self.next_token_distribution(ctx + out,
+                                                range(len(self.vocab)))
             best = max(dist, key=lambda t: (dist[t], -t))
             if best == END:
                 break
@@ -157,7 +169,11 @@ class NgramModel:
 
 
 class RemoteModel:
-    """HTTP adapter: POST {url}/generate, and {url}/logprobs when available."""
+    """HTTP adapter: POST {url}/generate, and {url}/logprobs when available.
+
+    Timeouts, connection errors and 5xx responses are retried up to
+    max_retries times with exponential backoff between attempts.
+    """
 
     def __init__(self, base_url: str | None = None, max_retries: int = 2,
                  timeout: float = 30.0, session=None):
@@ -173,7 +189,10 @@ class RemoteModel:
 
     def _post(self, route: str, payload: dict):
         last_exc: Exception | None = None
-        for _ in range(self.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(min(RETRY_BASE_DELAY_S * 2 ** (attempt - 1),
+                               RETRY_MAX_DELAY_S))
             try:
                 resp = self.session.post(self.base_url + route, json=payload,
                                          timeout=self.timeout)
@@ -208,9 +227,11 @@ class RemoteModel:
                                     "'text' field")
         return text
 
-    def next_token_distribution(self, ctx: list[int]) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
+                                ) -> dict[int, float]:
         obj = self._post("/logprobs", {"context_ids": list(ctx)})
-        return {int(k): float(v) for k, v in obj["logprobs"].items()}
+        full = {int(k): float(v) for k, v in obj["logprobs"].items()}
+        return {t: full.get(t, FLOOR_LOGPROB) for t in tokens}
 
 
 def sequence_logprob(model, prompt: list[int], target: list[int]) -> float:
@@ -225,7 +246,6 @@ def sequence_logprob(model, prompt: list[int], target: list[int]) -> float:
     total = 0.0
     ctx = list(prompt)
     for t in target:
-        dist = model.next_token_distribution(ctx)
-        total += dist.get(t, FLOOR_LOGPROB)
+        total += model.next_token_distribution(ctx, (t,))[t]
         ctx.append(t)
     return total

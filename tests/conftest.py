@@ -62,18 +62,21 @@ class TableModel:
     """Deterministic pseudo-random full-vocabulary distribution per context.
 
     A stand-in for arbitrary scripted distributions in the oracle trials:
-    the distribution over the vocabulary is a fixed function of (seed, ctx).
+    the distribution over the vocabulary is a fixed function of (seed, ctx),
+    and a call returns only the requested tokens' entries, so a caller
+    cannot read a score it did not ask for.
     """
 
     def __init__(self, vocab_size: int, seed: int):
         self.vocab_size = vocab_size
         self.seed = seed
 
-    def next_token_distribution(self, ctx: list[int]) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int], tokens
+                                ) -> dict[int, float]:
         rng = random.Random((self.seed, tuple(ctx)).__hash__())
         weights = [rng.random() + 1e-3 for _ in range(self.vocab_size)]
         total = sum(weights)
-        return {t: math.log(w / total) for t, w in enumerate(weights)}
+        return {t: math.log(weights[t] / total) for t in tokens}
 
 
 def random_record_index(rng: random.Random, n_records: int, vocab_words: int,

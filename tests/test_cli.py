@@ -244,7 +244,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag,value", [
         ("run", "--sweep-t", "0"), ("run", "--sweep-T", "a"),
         ("build-index", "--levels", "0"), ("build-index", "--branching", "0"),
-        ("build-index", "--dim", "1")])
+        ("build-index", "--dim", "1"), ("build-index", "--ngram-m", "0"),
+        ("build-index", "--ngram-n", "0"), ("run", "--jobs", "0"),
+        ("run", "--jobs", "-3")])
     def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
         extra = (["--index", workspace["index"], "--model", workspace["model"],
                   "--queries", workspace["queries"],
@@ -255,7 +257,10 @@ class TestExitCodes:
             main([command, "--corpus", workspace["corpus"], *extra,
                   flag, value])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("usage:") == 1
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
 
     @pytest.mark.parametrize("content", [
         "[1]", json.dumps({"P_r": "x {query}"})])

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -148,6 +149,76 @@ class TestBeamSearch:
                     assert hyps[0].score >= prev_best - 1e-12
                 if hyps:
                     prev_best = hyps[0].score
+
+
+class RecordingAutomaton:
+    """Passes calls through to *inner*, recording allowed() and step()."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.allowed_states = []
+        self.steps = []  # (parent state, token, next state)
+
+    def start(self):
+        return self.inner.start()
+
+    def allowed(self, state):
+        self.allowed_states.append(state)
+        return self.inner.allowed(state)
+
+    def step(self, state, token):
+        nxt = self.inner.step(state, token)
+        self.steps.append((state, token, nxt))
+        return nxt
+
+    def complete(self, state):
+        return self.inner.complete(state)
+
+
+class RecordingModel:
+    """Passes calls through to *inner*, recording each (ctx, tokens)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+
+    def next_token_distribution(self, ctx, tokens):
+        tokens = list(tokens)
+        self.requests.append((list(ctx), tokens))
+        return self.inner.next_token_distribution(ctx, tokens)
+
+
+class TestPruneThenStep:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_steps_only_survivors(self, strategy):
+        rng = random.Random(29)
+        prompt = [0, 1]
+        width = 3
+        for trial in range(10):
+            index = random_record_index(rng, 30, 6, max_len=4)
+            inner = build(strategy, index)
+            automaton = RecordingAutomaton(inner)
+            model = RecordingModel(TableModel(len(index.vocab), seed=trial))
+            constrained_beam_search(model, prompt, automaton,
+                                    BeamConfig(beam_width=width, max_len=6))
+            # At most beam_width steps per depth.
+            depth = {automaton.start(): 0}
+            for parent, _, nxt in automaton.steps:
+                depth[nxt] = depth[parent] + 1
+            per_depth = Counter(depth[nxt] for _, _, nxt in automaton.steps)
+            assert max(per_depth.values()) <= width
+            # allowed() once per expanded state: the start state and every
+            # stepped state (max_len never binds here).
+            expanded = [automaton.start()] + [n for _, _, n in automaton.steps]
+            assert Counter(automaton.allowed_states) == Counter(expanded)
+            # The model is asked only for allowed tokens, and for END only
+            # where the automaton permits it.
+            for ctx, tokens in model.requests:
+                state = inner.start()
+                for tok in ctx[len(prompt):]:
+                    state = inner.step(state, tok)
+                allowed, end_ok = inner.allowed(state)
+                assert set(tokens) <= allowed | ({END} if end_ok else set())
 
 
 def rec(key, surface, view="path"):

@@ -4,11 +4,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
+from gentrieval import lm
 from gentrieval.corpus import END, SEP, Vocabulary
-from gentrieval.errors import (MissingEnd, NotSupported, RemoteUnavailable,
-                               UnknownToken)
+from gentrieval.errors import (MissingEnd, NotSupported, RemoteTimeout,
+                               RemoteUnavailable, UnknownToken)
 from gentrieval.lm import (FLOOR_LOGPROB, GenerationRequest, NgramModel,
                            RemoteModel, ScriptedModel, sequence_logprob)
 
@@ -75,7 +77,7 @@ class TestScriptedDistribution:
         food = index.vocab.id_of("food")
         apple = index.vocab.id_of("apple")
         banana = index.vocab.id_of("banana")
-        dist = m.next_token_distribution([food])
+        dist = m.next_token_distribution([food], range(len(index.vocab)))
         assert dist[apple] == pytest.approx(math.log(0.6))
         assert dist[banana] == pytest.approx(math.log(0.4))
         assert dist[food] == FLOOR_LOGPROB
@@ -83,7 +85,7 @@ class TestScriptedDistribution:
     def test_end_alias(self):
         m, index = toy_model()
         apple = index.vocab.id_of("apple")
-        dist = m.next_token_distribution([apple])
+        dist = m.next_token_distribution([apple], range(len(index.vocab)))
         assert dist[END] == pytest.approx(0.0)
 
     def test_suffix_match(self):
@@ -92,7 +94,8 @@ class TestScriptedDistribution:
         tech = index.vocab.id_of("tech")
         food = index.vocab.id_of("food")
         apple = index.vocab.id_of("apple")
-        dist = m.next_token_distribution([tech, food])
+        dist = m.next_token_distribution([tech, food],
+                                        range(len(index.vocab)))
         assert dist[apple] == pytest.approx(math.log(0.6))
 
     def test_empty_context_rule(self):
@@ -100,14 +103,14 @@ class TestScriptedDistribution:
         food = index.vocab.id_of("food")
         # "which" matches no specific rule; the [] rule catches it.
         which = index.vocab.id_of("which")
-        dist = m.next_token_distribution([which])
+        dist = m.next_token_distribution([which], range(len(index.vocab)))
         assert dist[food] == pytest.approx(math.log(0.7))
 
     def test_no_rule_uniform_minus_sep(self):
         index = make_index(TOY_SURFACES)
         m = ScriptedModel(index.vocab)
         v = len(index.vocab)
-        dist = m.next_token_distribution([])
+        dist = m.next_token_distribution([], range(v))
         assert dist[SEP] == FLOOR_LOGPROB
         probs = [math.exp(lp) for t, lp in dist.items() if t != SEP]
         assert len(probs) == v - 1
@@ -116,14 +119,15 @@ class TestScriptedDistribution:
     def test_unknown_context_token(self):
         m, index = toy_model()
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([len(index.vocab)])
+            m.next_token_distribution([len(index.vocab)],
+                                      range(len(index.vocab)))
 
     def test_unknown_rule_word(self):
         index = make_index(TOY_SURFACES)
         m = ScriptedModel(index.vocab,
                           dist_rules=[{"context": [], "probs": {"xyzzy": 1.0}}])
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([])
+            m.next_token_distribution([], range(len(index.vocab)))
 
 
 class TestNgram:
@@ -135,7 +139,7 @@ class TestNgram:
         food, apple = vocab.encode("food apple", on_unknown="grow")
         m = NgramModel(vocab, order=3)
         m.train_pair([food], [apple, END])
-        dist = m.next_token_distribution([food])
+        dist = m.next_token_distribution([food], range(len(vocab)))
         assert dist[apple] == pytest.approx(math.log(2 / 5))
         assert dist[food] == pytest.approx(math.log(1 / 5))
         assert dist[END] == pytest.approx(math.log(1 / 5))
@@ -144,7 +148,7 @@ class TestNgram:
         vocab = Vocabulary()
         vocab.encode("a b c", on_unknown="grow")
         m = NgramModel(vocab)
-        dist = m.next_token_distribution([])
+        dist = m.next_token_distribution([], range(len(vocab)))
         assert all(lp == pytest.approx(math.log(1 / 5)) for lp in dist.values())
 
     def test_memorizes_target(self):
@@ -162,7 +166,8 @@ class TestNgram:
         vocab = Vocabulary()
         vocab.encode("a", on_unknown="grow")
         with pytest.raises(UnknownToken):
-            NgramModel(vocab).next_token_distribution([99])
+            NgramModel(vocab).next_token_distribution([99],
+                                                      range(len(vocab)))
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=6),
            st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=1,
@@ -173,8 +178,59 @@ class TestNgram:
         m = NgramModel(vocab, order=3)
         for seq in training:
             m.train_pair(seq[:1], seq[1:] + [END])
-        dist = m.next_token_distribution(ctx)
+        dist = m.next_token_distribution(ctx, range(len(vocab)))
         assert sum(math.exp(lp) for lp in dist.values()) == pytest.approx(1.0)
+
+
+def trained_ngram():
+    vocab = Vocabulary()
+    prompt = vocab.encode("query apple calories", on_unknown="grow")
+    target = vocab.encode("food apple", on_unknown="grow") + [END]
+    vocab.encode("tech banana", on_unknown="grow")
+    m = NgramModel(vocab, order=3)
+    m.train_pair(prompt, target)
+    return m, prompt + target[:1]
+
+
+class TestNarrowRequest:
+    """next_token_distribution(ctx, tokens) holds exactly the requested
+    tokens, each equal to its value in the full-vocabulary distribution."""
+
+    @staticmethod
+    def assert_narrow(m, ctx, tokens):
+        full = m.next_token_distribution(ctx, range(len(m.vocab)))
+        dist = m.next_token_distribution(ctx, tokens)
+        assert set(dist) == set(tokens)
+        assert all(dist[t] == full[t] for t in tokens)
+
+    @given(st.sets(st.integers(min_value=0, max_value=12)))
+    def test_scripted_rule_hit(self, tokens):
+        m, index = toy_model()
+        self.assert_narrow(m, [index.vocab.id_of("food")], tokens)
+
+    @given(st.sets(st.integers(min_value=0, max_value=12)))
+    def test_scripted_end_in_rule(self, tokens):
+        m, index = toy_model()
+        self.assert_narrow(m, [index.vocab.id_of("apple")], tokens | {END})
+
+    @given(st.sets(st.integers(min_value=0, max_value=5)))
+    def test_scripted_uniform_fallback(self, tokens):
+        index = make_index(TOY_SURFACES)
+        self.assert_narrow(ScriptedModel(index.vocab), [], tokens | {SEP})
+
+    @given(st.sets(st.integers(min_value=0, max_value=7)))
+    def test_ngram(self, tokens):
+        m, ctx = trained_ngram()
+        self.assert_narrow(m, ctx, tokens)
+        self.assert_narrow(m, [], tokens)
+
+    def test_unknown_context_token_with_narrow_request(self):
+        m, index = toy_model()
+        with pytest.raises(UnknownToken):
+            m.next_token_distribution([len(index.vocab)], [])
+        ngram, _ = trained_ngram()
+        with pytest.raises(UnknownToken):
+            ngram.next_token_distribution([99], [END])
 
 
 class TestSequenceLogprob:
@@ -215,7 +271,7 @@ class TestSequenceLogprob:
         expected = 0.0
         ctx = [ids[0]]
         for t in target:
-            expected += m.next_token_distribution(ctx)[t]
+            expected += m.next_token_distribution(ctx, range(len(vocab)))[t]
             ctx.append(t)
         assert sequence_logprob(m, [ids[0]], target) == pytest.approx(expected)
 
@@ -272,13 +328,20 @@ class TestRemote:
     def test_logprobs_not_supported(self, http_endpoint):
         m = RemoteModel(base_url=http_endpoint)
         with pytest.raises(NotSupported):
-            m.next_token_distribution([1, 2])
+            m.next_token_distribution([1, 2], range(3))
 
     def test_server_errors_exhaust_retries(self, http_endpoint):
         _Handler.fail_5xx = True
         m = RemoteModel(base_url=http_endpoint, max_retries=1)
         with pytest.raises(RemoteUnavailable):
             m.generate(GenerationRequest("hi"))
+
+    def test_logprobs_filtered_client_side(self):
+        session = _Session(200, {"logprobs": {"0": -0.5, "3": -1.5}})
+        m = RemoteModel(base_url="http://remote.test", session=session)
+        assert m.next_token_distribution([1], [3, 0, 2]) == {
+            3: -1.5, 0: -0.5, 2: FLOOR_LOGPROB}
+        assert session.payloads == [{"context_ids": [1]}]
 
     @pytest.mark.parametrize("reply", [
         (200, b"not json"), (200, b'{"txt": "hi"}'), (200, b"[1]"),
@@ -302,3 +365,69 @@ class TestRemote:
         monkeypatch.setenv("GENTRIEVAL_REMOTE_URL", http_endpoint)
         m = RemoteModel()
         assert m.base_url == http_endpoint
+
+
+class _Reply:
+    def __init__(self, status, body):
+        self.status_code = status
+        self.body = body
+
+    def json(self):
+        return self.body
+
+
+class _Session:
+    """Stands in for requests.Session: every post gets the same status and
+    JSON body, or raises *failure*."""
+
+    def __init__(self, status=200, body=None, failure=None):
+        self.status = status
+        self.body = {"text": "ok"} if body is None else body
+        self.failure = failure
+        self.payloads = []
+
+    def post(self, url, json, timeout):
+        self.payloads.append(json)
+        if self.failure is not None:
+            raise self.failure
+        return _Reply(self.status, self.body)
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    delays = []
+    monkeypatch.setattr(lm.time, "sleep", delays.append)
+    return delays
+
+
+class TestRemoteBackoff:
+    @pytest.mark.parametrize("status,failure,error", [
+        (503, None, RemoteUnavailable),
+        (200, requests.Timeout("slow"), RemoteTimeout),
+        (200, requests.ConnectionError("refused"), RemoteUnavailable)])
+    def test_retries_sleep_with_growing_delays(self, sleeps, status, failure,
+                                               error):
+        session = _Session(status, failure=failure)
+        m = RemoteModel(base_url="http://remote.test", max_retries=6,
+                        session=session)
+        with pytest.raises(error):
+            m.generate(GenerationRequest("hi"))
+        assert len(session.payloads) == 7
+        assert sleeps == [min(lm.RETRY_BASE_DELAY_S * 2 ** i,
+                              lm.RETRY_MAX_DELAY_S) for i in range(6)]
+        assert 0 < sleeps[0] < sleeps[1] < sleeps[2]
+
+    @pytest.mark.parametrize("status,error", [
+        (200, None), (400, RemoteUnavailable), (404, NotSupported),
+        (405, NotSupported)])
+    def test_no_sleep_without_retry(self, sleeps, status, error):
+        session = _Session(status)
+        m = RemoteModel(base_url="http://remote.test", max_retries=3,
+                        session=session)
+        if error is None:
+            assert m.generate(GenerationRequest("hi")) == "ok"
+        else:
+            with pytest.raises(error):
+                m.generate(GenerationRequest("hi"))
+        assert len(session.payloads) == 1
+        assert sleeps == []
