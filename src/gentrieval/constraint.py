@@ -3,12 +3,13 @@
 Three strategies restrict beam search to valid docids: a prefix trie (whole
 identifier sequences), an FM-index over the SEP-joined identifier sequence
 (any contiguous span that runs to the end of some identifier is accepted), and
-a term-set automaton backed by an inverted index (any ordering of a record's
-term multiset is accepted).
+a term-set automaton over a lazily expanded, memoised DAG of sorted
+sub-multisets (any ordering of a record's term multiset is accepted).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -26,6 +27,12 @@ STRATEGIES = (STRATEGY_TRIE, STRATEGY_FM, STRATEGY_TERM_SET)
 def _body(record: DocIdRecord) -> tuple[int, ...]:
     """Record tokens without the trailing END."""
     return record.tokens[:-1]
+
+
+def _check_node(state: int, count: int, kind: str) -> None:
+    """Raise InvalidState unless *state* is one of *count* node ids."""
+    if not 0 <= state < count:
+        raise InvalidState(f"{kind} node {state}")
 
 
 class TrieAutomaton:
@@ -51,17 +58,18 @@ class TrieAutomaton:
         return 0
 
     def allowed(self, state: int) -> tuple[set[int], bool]:
-        if not 0 <= state < len(self.children):
-            raise InvalidState(f"trie node {state}")
+        _check_node(state, len(self.children), "trie")
         return set(self.children[state]), bool(self.terminal[state])
 
     def step(self, state: int, token: int) -> int:
+        _check_node(state, len(self.children), "trie")
         nxt = self.children[state].get(token)
         if nxt is None:
             raise IllegalTransition(f"token {token} from node {state}")
         return nxt
 
     def complete(self, state: int) -> list[DocIdRecord]:
+        _check_node(state, len(self.children), "trie")
         if not self.terminal[state]:
             raise NotTerminal(f"trie node {state}")
         return [self.records[i] for i in self.terminal[state]]
@@ -122,53 +130,102 @@ class FmIndexAutomaton:
         return [self.record_before[p] for p in sorted(self.fm.locate(rng))]
 
 
-@dataclass(frozen=True)
-class TermSetState:
-    generated: tuple[int, ...]  # sorted multiset of emitted tokens
-    live: frozenset[int]        # candidate record indices
+class _TermNode:
+    """A sorted sub-multiset of emitted tokens and the records containing it.
+
+    `children` (token -> node id) and `terminal` (the records whose multiset
+    is exactly `key`, in index order) stay unset until the node is expanded;
+    `children` is assigned last, so a node whose children are set is whole.
+    """
+
+    __slots__ = ("key", "live", "children", "terminal")
+
+    def __init__(self, key: tuple[int, ...], live):
+        self.key = key
+        self.live = live  # ascending record indices, until expanded
+        self.children: dict[int, int] | None = None
+        self.terminal: list[DocIdRecord] = []
 
 
 class TermSetAutomaton:
-    """Accepts any emission order of a record's term multiset."""
+    """Accepts any emission order of a record's term multiset.
+
+    States are node ids in a DAG of sorted sub-multisets, shared by every
+    search over the automaton: every emission order of one multiset reaches
+    the same node. A node is expanded the first time allowed, step or
+    complete touches it, in one pass over its live records that fills its
+    terminal records and its children's live records. Expansion is lazy
+    because a record with d distinct terms has 2^d sub-multisets, and it
+    runs under a lock because `run --jobs` shares one automaton across
+    threads.
+    """
 
     strategy = STRATEGY_TERM_SET
 
     def __init__(self, index: DocIdIndex):
         self.records = list(index.records)
-        self.multisets = [Counter(_body(r)) for r in self.records]
+        self.sizes = [len(_body(r)) for r in self.records]
+        # Per record, its (term, count) pairs.
+        self.multisets = [tuple(Counter(_body(r)).items())
+                          for r in self.records]
+        self.nodes = [_TermNode((), range(len(self.records)))]
+        self.node_of: dict[tuple[int, ...], int] = {(): 0}
+        self._lock = threading.Lock()
 
-    def start(self) -> TermSetState:
-        return TermSetState((), frozenset(range(len(self.records))))
+    def start(self) -> int:
+        return 0
 
-    def allowed(self, state: TermSetState) -> tuple[set[int], bool]:
-        gen = Counter(state.generated)
-        tokens: set[int] = set()
-        end_allowed = False
-        for ridx in state.live:
-            ms = self.multisets[ridx]
-            if ms == gen:
-                end_allowed = True
-            for term, cnt in ms.items():
-                if cnt > gen.get(term, 0):
-                    tokens.add(term)
-        return tokens, end_allowed
+    def _expanded(self, state: int) -> _TermNode:
+        _check_node(state, len(self.nodes), "term-set")
+        node = self.nodes[state]
+        if node.children is None:
+            with self._lock:
+                if node.children is None:
+                    self._expand(node)
+        return node
 
-    def step(self, state: TermSetState, token: int) -> TermSetState:
-        gen = Counter(state.generated)
-        need = gen.get(token, 0) + 1
-        live = frozenset(r for r in state.live
-                         if self.multisets[r].get(token, 0) >= need)
-        if not live:
+    def _expand(self, node: _TermNode) -> None:
+        held = Counter(node.key)
+        size = len(node.key)
+        terminal: list[DocIdRecord] = []
+        follow: dict[int, list[int]] = {}
+        for ridx in node.live:
+            # A live record contains the node's multiset; at equal size the
+            # two are equal and nothing is left to emit.
+            if self.sizes[ridx] == size:
+                terminal.append(self.records[ridx])
+                continue
+            for term, cnt in self.multisets[ridx]:
+                if cnt > held.get(term, 0):
+                    follow.setdefault(term, []).append(ridx)
+        children: dict[int, int] = {}
+        for term, live in follow.items():
+            key = tuple(sorted(node.key + (term,)))
+            child = self.node_of.get(key)
+            if child is None:
+                child = len(self.nodes)
+                self.nodes.append(_TermNode(key, live))
+                self.node_of[key] = child
+            children[term] = child
+        node.live = ()  # read only by this expansion
+        node.terminal = terminal
+        node.children = children
+
+    def allowed(self, state: int) -> tuple[set[int], bool]:
+        node = self._expanded(state)
+        return set(node.children), bool(node.terminal)
+
+    def step(self, state: int, token: int) -> int:
+        nxt = self._expanded(state).children.get(token)
+        if nxt is None:
             raise IllegalTransition(f"token {token} exhausts all candidates")
-        return TermSetState(tuple(sorted(state.generated + (token,))), live)
+        return nxt
 
-    def complete(self, state: TermSetState) -> list[DocIdRecord]:
-        gen = Counter(state.generated)
-        out = [self.records[r] for r in sorted(state.live)
-               if self.multisets[r] == gen]
-        if not out:
+    def complete(self, state: int) -> list[DocIdRecord]:
+        node = self._expanded(state)
+        if not node.terminal:
             raise NotTerminal("generated set matches no record")
-        return out
+        return list(node.terminal)
 
 
 def build(strategy: str, index: DocIdIndex):

@@ -132,6 +132,8 @@ class NgramModel:
         self.vocab = vocab
         self.order = order
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
+        # Per context, sum(self.counts[ctx].values()), kept by train_pair.
+        self.totals: dict[tuple[int, ...], int] = {}
 
     def train_pair(self, prompt: list[int], target: list[int]) -> None:
         """Count n-grams of prompt||target; target should end with END."""
@@ -140,6 +142,7 @@ class NgramModel:
             ctx = tuple(seq[max(0, i - (self.order - 1)):i])
             bucket = self.counts.setdefault(ctx, {})
             bucket[seq[i]] = bucket.get(seq[i], 0) + 1
+            self.totals[ctx] = self.totals.get(ctx, 0) + 1
 
     def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
                                 ) -> dict[int, float]:
@@ -149,7 +152,7 @@ class NgramModel:
                 raise UnknownToken(t)
         key = tuple(ctx[-(self.order - 1):])
         bucket = self.counts.get(key, {})
-        total = sum(bucket.values()) + v
+        total = self.totals.get(key, 0) + v
         return {t: math.log((bucket.get(t, 0) + 1) / total) for t in tokens}
 
     def generate(self, req: GenerationRequest) -> str:

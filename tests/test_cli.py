@@ -1,6 +1,9 @@
 import json
 import math
+import pathlib
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -177,6 +180,50 @@ class TestRun:
         obj = json.loads(report.read_text())
         assert [(r["t"], r["T"]) for r in obj["rows"]] == [
             (1, 1), (1, 3), (2, 1), (2, 3)]
+
+
+class TestTermSetJobs:
+    """`run --jobs 4` shares one lazily expanded term-set automaton across
+    the thread pool; its artifacts must equal `--jobs 1`."""
+
+    REJECTING_REASONER = [
+        {"match": "Irrelevant identifier: ",
+         "response": "<context>report summary</context>"
+                     "<explanation>a filler word</explanation>"},
+        {"match": "Candidate identifier: ", "response": "irrelevant"},
+        {"match": "Query: ",
+         "response": "<context>topic007 report</context>"
+                     "<explanation>the keyword</explanation>"},
+    ]
+
+    def test_jobs_byte_identical(self, tmp_path, capsys):
+        script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                  / "make_toy_data.py")
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path),
+                        "--docs", "400", "--queries", "12", "--seed", "5"],
+                       check=True, capture_output=True)
+        corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
+        index = tmp_path / "index.json"
+        assert main(["build-index", "--corpus", str(corpus),
+                     "--out", str(index)]) == 0
+        # Every candidate is rejected, so each query decodes three rounds.
+        reasoner = tmp_path / "reject.json"
+        reasoner.write_text(json.dumps(self.REJECTING_REASONER))
+        artifacts = []
+        for jobs in ("1", "4"):
+            report = tmp_path / f"report-{jobs}.json"
+            trace = tmp_path / f"trace-{jobs}.jsonl"
+            assert main(["run", "--corpus", str(corpus),
+                         "--queries", str(queries), "--index", str(index),
+                         "--strategy", "term_set", "--pipeline", "r4r",
+                         "--model", "ngram", "--train-queries", str(queries),
+                         "--reason-model", str(reasoner), "--k", "10",
+                         "--report", str(report), "--trace", str(trace),
+                         "--jobs", jobs]) == 0
+            artifacts.append((report.read_bytes(), trace.read_bytes()))
+        capsys.readouterr()
+        assert b'"rounds": 3' in artifacts[0][1]
+        assert artifacts[0] == artifacts[1]
 
 
 class TestStats:

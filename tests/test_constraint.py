@@ -1,18 +1,22 @@
 import itertools
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
 from gentrieval.constraint import (STRATEGIES, FmIndexAutomaton,
                                    TermSetAutomaton, TrieAutomaton, build)
 from gentrieval.corpus import END, SEP
+from gentrieval.decode import BeamConfig, constrained_beam_search
 from gentrieval.docid import DocIdIndex
 from gentrieval.errors import (EmptyIndex, IllegalTransition, InvalidState,
                                NotTerminal)
 from gentrieval.fm_index import SequenceFMIndex, suffix_array
 
-from conftest import (TOY_SURFACES, enumerate_accepted, make_index,
-                      random_record_index)
+from conftest import (TOY_SURFACES, TableModel, enumerate_accepted,
+                      make_index, random_record_index)
 
 
 def naive_suffix_array(seq):
@@ -243,6 +247,165 @@ class TestTermSet:
                 ms = tuple(sorted(seq[:-1]))
                 assert ms in record_multisets
                 assert docs
+
+
+def naive_term_set(index, emitted):
+    """The term-set automaton's answer after *emitted*, by a Counter scan
+    over every record: (allowed tokens, end_ok, complete() records)."""
+    gen = Counter(emitted)
+    allowed, done = set(), []
+    for rec in index.records:
+        ms = Counter(rec.tokens[:-1])
+        if any(ms[t] < c for t, c in gen.items()):
+            continue
+        if ms == gen:
+            done.append(rec)
+        allowed.update(t for t, c in ms.items() if c > gen[t])
+    return allowed, bool(done), done
+
+
+def multiset_index(rng):
+    """Random records over three words, so terms repeat, and some records
+    reorder an earlier record's words, so records share a multiset."""
+    surfaces = {}
+    for i in range(rng.randint(2, 8)):
+        words = [rng.choice("xyz") for _ in range(rng.randint(1, 4))]
+        surfaces[f"d{i}"] = "-".join(words)
+        if rng.random() < 0.4:
+            rng.shuffle(words)
+            surfaces[f"p{i}"] = "-".join(words)
+    return make_index(surfaces)
+
+
+class TestTermSetDag:
+    @pytest.mark.parametrize("first", ["allowed", "step", "complete"])
+    def test_matches_counter_oracle(self, first):
+        """Every emission order: allowed, end_ok and complete() equal the
+        Counter scan whichever call reaches a node first, and all orders of
+        one multiset share one node id."""
+        rng = random.Random(11)
+        for _ in range(25):
+            index = multiset_index(rng)
+            a = TermSetAutomaton(index)
+            vocab = range(len(index.vocab))
+            node_of = {}
+
+            def try_step(state, t):
+                try:
+                    return a.step(state, t)
+                except IllegalTransition:
+                    return None
+
+            def try_complete(state):
+                try:
+                    return a.complete(state)
+                except NotTerminal:
+                    return None
+
+            def walk(state, emitted):
+                ops = {"allowed": lambda: a.allowed(state),
+                       "step": lambda: {t: try_step(state, t) for t in vocab},
+                       "complete": lambda: try_complete(state)}
+                got = {op: ops[op]() for op in
+                       [first] + [op for op in ops if op != first]}
+                allowed, end_ok, done = naive_term_set(index, emitted)
+                assert got["allowed"] == (allowed, end_ok)
+                assert got["complete"] == (done or None)
+                children = {t: n for t, n in got["step"].items()
+                            if n is not None}
+                assert set(children) == allowed
+                assert node_of.setdefault(tuple(sorted(emitted)),
+                                          state) == state
+                for t in sorted(children):
+                    walk(children[t], emitted + (t,))
+
+            walk(a.start(), ())
+            assert len(set(node_of.values())) == len(node_of)
+            assert len(a.nodes) == len(a.node_of)
+
+    def test_second_search_adds_no_node(self):
+        rng = random.Random(12)
+        for trial in range(5):
+            index = random_record_index(rng, 30, 6, max_len=4)
+            a = TermSetAutomaton(index)
+            model = TableModel(len(index.vocab), seed=trial)
+            cfg = BeamConfig(beam_width=4, max_len=6)
+            first = constrained_beam_search(model, [0, 1], a, cfg)
+            nodes = len(a.nodes)
+            assert constrained_beam_search(model, [0, 1], a, cfg) == first
+            assert len(a.nodes) == nodes
+
+    def test_shared_across_threads(self):
+        """Eight threads walk one automaton at a short switch interval; a
+        lost or doubled expansion would give one multiset two node ids."""
+        rng = random.Random(13)
+        index = random_record_index(rng, 60, 5, max_len=4)
+        for _ in range(10):
+            a = TermSetAutomaton(index)
+            merged = self.walk_in_threads(a, n_threads=8, walks=50)
+            assert len(a.nodes) == len(a.node_of)
+            assert all(a.nodes[n].key == k for k, n in a.node_of.items())
+            for key, state in merged.items():
+                allowed, end_ok, _ = naive_term_set(index, key)
+                assert a.allowed(state) == (allowed, end_ok)
+
+    @staticmethod
+    def walk_in_threads(a, n_threads, walks):
+        """Random walks from the start state in *n_threads* threads; the
+        node id each thread reached per sorted multiset, merged."""
+        seen, errors = [], []
+
+        def walker(seed):
+            try:
+                r = random.Random(seed)
+                mine = {}
+                for _ in range(walks):
+                    state, emitted = a.start(), ()
+                    allowed, _ = a.allowed(state)
+                    while allowed:
+                        t = r.choice(sorted(allowed))
+                        state = a.step(state, t)
+                        emitted += (t,)
+                        assert mine.setdefault(tuple(sorted(emitted)),
+                                               state) == state
+                        allowed, _ = a.allowed(state)
+                seen.append(mine)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walker, args=(s,))
+                       for s in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(seen) == n_threads
+        merged = {}
+        for mine in seen:
+            for key, state in mine.items():
+                assert merged.setdefault(key, state) == state
+        return merged
+
+
+class TestInvalidNode:
+    @pytest.mark.parametrize("cls, table", [(TrieAutomaton, "children"),
+                                            (TermSetAutomaton, "nodes")])
+    def test_out_of_range(self, toy_index, cls, table):
+        a = cls(toy_index)
+        food = tok(toy_index, "food")
+        for state in (-1, len(getattr(a, table))):
+            with pytest.raises(InvalidState):
+                a.allowed(state)
+            with pytest.raises(InvalidState):
+                a.step(state, food)
+            with pytest.raises(InvalidState):
+                a.complete(state)
 
 
 class TestNoDeadEnds:

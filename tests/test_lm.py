@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -161,6 +162,18 @@ class TestNgram:
             m.train_pair(prompt_ids, target_ids)
         out = m.generate(GenerationRequest("query apple calories"))
         assert out == "food apple"
+
+    def test_context_totals_track_counts(self):
+        vocab = Vocabulary()
+        ids = vocab.encode("a b c d", on_unknown="grow")
+        rng = random.Random(8)
+        m = NgramModel(vocab, order=3)
+        for _ in range(12):
+            m.train_pair([rng.choice(ids) for _ in range(rng.randint(0, 4))],
+                         [rng.choice(ids) for _ in range(3)] + [END])
+            assert m.totals.keys() == m.counts.keys()
+            for ctx, bucket in m.counts.items():
+                assert m.totals[ctx] == sum(bucket.values())
 
     def test_unknown_context_token(self):
         vocab = Vocabulary()
