@@ -16,7 +16,7 @@ from .constraint import build as build_automaton
 from .corpus import Query, load_corpus
 from .docid import (VIEW_NGRAM, VIEW_PSEUDO_QUERY, VIEW_TITLE, DocIdIndex,
                     build_index)
-from .errors import ConfigError, GentrievalError
+from .errors import ConfigError, GentrievalError, MalformedRecord
 from .evaluation import (ExperimentConfig, make_retrieve_model,
                          run_experiment, run_pipeline, termination_stats)
 from .lm import RemoteModel
@@ -41,6 +41,14 @@ def int_at_least(low: int):
 positive_int = int_at_least(1)
 
 
+def embedding_seed(text: str) -> int:
+    """Argparse type: an int in [0, 2**64), the embedding hash's salt."""
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def positive_ints(text: str) -> tuple[int, ...]:
     """Argparse type: a comma list of positive ints (empty allowed)."""
     return tuple(positive_int(x) for x in text.split(",") if x)
@@ -63,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from {title,ngram,pseudo_query}")
     p.add_argument("--ngram-m", type=positive_int, default=3)
     p.add_argument("--ngram-n", type=positive_int, default=3)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=embedding_seed, default=0,
                    help="seed threaded through embedding and clustering")
 
     p = sub.add_parser("retrieve", help="rank docids for one query")
@@ -206,9 +214,12 @@ def _cmd_run(args) -> int:
 def _cmd_stats(args) -> int:
     traces = []
     with open(args.trace, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if line.strip():
-                traces.append(json.loads(line))
+                try:
+                    traces.append(json.loads(line))
+                except ValueError as exc:
+                    raise MalformedRecord(line_no, "not JSON") from exc
     stats = termination_stats(traces)
     for reason in ("all_relevant", "budget_exhausted", "parse_failure"):
         print(f"{reason}\t{stats.fractions[reason]:.4f}")

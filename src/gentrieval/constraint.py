@@ -102,6 +102,9 @@ class FmIndexAutomaton:
             joined.append(SEP)
         self.joined = joined
         self.fm = SequenceFMIndex(joined)
+        # The start window spans the whole sequence, so its followers are
+        # every token in it; every search asks for them, so keep them.
+        self._start_followers = self.fm.followers(self.fm.start())
 
     def start(self) -> FmState:
         lo, hi = self.fm.start()
@@ -111,7 +114,10 @@ class FmIndexAutomaton:
         rng = (state.lo, state.hi)
         if self.fm.count(rng) <= 0:
             raise InvalidState("empty FM window")
-        followers = self.fm.followers(rng)
+        # Only the empty pattern occurs at all n + 1 rows. A copy, so the
+        # caller cannot change the kept set.
+        followers = (set(self._start_followers) if rng == self.fm.start()
+                     else self.fm.followers(rng))
         end_allowed = SEP in followers and bool(state.emitted)
         return followers - {SEP}, end_allowed
 

@@ -1,10 +1,11 @@
 """Constrained beam search and ranked-list utilities.
 
-The automaton masks the model: each step asks next_token_distribution only
-for the allowed tokens (and END where a docid may end), and ranks before it
-steps. Scores are raw model log-probabilities (no renormalization after
-masking), so a finished hypothesis scores exactly sequence_logprob of its
-token sequence; that identity is what the exhaustive-oracle tests lean on.
+The automaton masks the model: each live state asks next_token_distribution
+once for the whole distribution in sparse form, (default, overrides), and
+ranks before it steps. Scores are raw model log-probabilities (no
+renormalization after masking), so a finished hypothesis scores exactly
+sequence_logprob of its token sequence; that identity is what the
+exhaustive-oracle tests lean on.
 """
 
 from __future__ import annotations
@@ -66,12 +67,15 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                             cfg: BeamConfig) -> list[Hypothesis]:
     """Beam search where each step only expands automaton-allowed tokens.
 
-    Each live state is scored once: the model is asked for its allowed
-    tokens, plus END where the automaton permits it. Expansions are ranked
-    by (score desc, token sequence) and cut to beam_width before the
-    automaton steps, so only the survivors are stepped, and each state's
-    allowed() runs once. Finished hypotheses (END taken where the automaton
-    permits it) are pooled separately; the top beam_width finished
+    Each live state is scored once, as (default, overrides). Expansions are
+    ranked by (score desc, token sequence), so of the allowed tokens that
+    score the default only the beam_width smallest can survive the cut from
+    one parent: every other one has beam_width better siblings. A parent
+    therefore expands its allowed overrides plus at most beam_width
+    default-scored tokens, and END where the automaton permits it.
+    Expansions are cut to beam_width before the automaton steps, so only the
+    survivors are stepped, and each state's allowed() runs once. Finished
+    hypotheses are pooled separately; the top beam_width finished
     hypotheses are returned, ordered by score (divided by length when
     cfg.length_normalize), ties broken by token sequence.
     """
@@ -83,6 +87,7 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     def norm(score: float, length: int) -> float:
         return score / length if cfg.length_normalize else score
 
+    width = cfg.beam_width
     prompt = list(prompt_tokens)
     live: list[tuple[float, tuple[int, ...], object]] = [(0.0, (), start)]
     finished: list[Hypothesis] = []
@@ -93,20 +98,28 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
         expansions: list[tuple[float, tuple[int, ...], object]] = []
         for score, gen, state in live:
             allowed, end_ok = automaton.allowed(state) if gen else start_moves
-            toks = sorted(allowed)
-            dist = model.next_token_distribution(
-                prompt + list(gen), toks + [END] if end_ok else toks)
+            default, overrides = model.next_token_distribution(
+                prompt + list(gen))
             if end_ok:
                 finished.append(Hypothesis(
-                    tokens=gen + (END,), score=score + dist[END],
+                    tokens=gen + (END,),
+                    score=score + overrides.get(END, default),
                     records=tuple(automaton.complete(state))))
-            for tok in toks:
-                expansions.append((score + dist[tok], gen + (tok,), state))
+            for tok, lp in overrides.items():
+                if tok in allowed:
+                    expansions.append((score + lp, gen + (tok,), state))
+            taken = 0
+            for tok in sorted(allowed):
+                if taken == width:
+                    break
+                if tok not in overrides:
+                    expansions.append((score + default, gen + (tok,), state))
+                    taken += 1
         expansions.sort(key=lambda e: (-e[0], e[1]))
         live = [(score, gen, automaton.step(parent, gen[-1]))
-                for score, gen, parent in expansions[:cfg.beam_width]]
+                for score, gen, parent in expansions[:width]]
     finished.sort(key=lambda h: (-norm(h.score, len(h.tokens)), h.tokens))
-    return finished[:cfg.beam_width]
+    return finished[:width]
 
 
 def dedup_rank(cands: list[Candidate], k: int) -> RankedList:

@@ -90,7 +90,9 @@ class NoValidPath(GentrievalError):
 
 
 class EmptyQuery(GentrievalError):
-    pass
+    def __init__(self, query_id: str):
+        self.query_id = query_id
+        super().__init__(f"query {query_id!r} has no text")
 
 
 # --- eval / cli -----------------------------------------------------------

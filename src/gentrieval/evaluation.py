@@ -125,8 +125,8 @@ def termination_stats(traces: list[dict]) -> TerminationStats:
         raise EmptyRuns("termination stats over zero traces")
     counts = {"all_relevant": 0, "budget_exhausted": 0, "parse_failure": 0}
     for t in traces:
-        reason = t["reason"] if isinstance(t, dict) else t
-        if reason not in counts:
+        reason = t.get("reason") if isinstance(t, dict) else t
+        if not isinstance(reason, str) or reason not in counts:
             raise ConfigError(f"unknown termination reason {reason!r}")
         counts[reason] += 1
     n = len(traces)

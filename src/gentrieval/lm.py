@@ -1,13 +1,16 @@
 """Language-model abstraction with three implementations.
 
 ScriptedModel answers from a rule table (exact test scenarios), NgramModel is
-an order-3 add-one-smoothed model good enough to memorize a desk-scale corpus,
-and RemoteModel adapts an HTTP endpoint. Scoring is narrow:
-next_token_distribution(ctx, tokens) returns log-probabilities for exactly the
-requested tokens, each equal to its value in the full distribution, so
-constrained decoding pays only for the tokens the automaton allows. The remote
-adapter fetches the full distribution and filters it client-side; it serves
-the free-form reasoning steps.
+an order-3 add-one-smoothed model trained on prompt||docid pairs, and
+RemoteModel adapts an HTTP text-generation endpoint for the free-form
+reasoning steps; it cannot score tokens.
+
+Scoring is sparse: next_token_distribution(ctx) returns the whole next-token
+distribution as (default, overrides), where overrides maps token ->
+log-probability and every other token scores default. Under add-one
+smoothing every token unseen in a context shares one score, so the pair is
+small, and constrained decoding can skip the default-scored tokens that
+cannot survive the beam cut.
 """
 
 from __future__ import annotations
@@ -16,16 +19,18 @@ import json
 import math
 import os
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import requests
 
 from .corpus import END, SEP, Vocabulary
-from .errors import (MissingEnd, NotSupported, RemoteTimeout,
+from .errors import (ConfigError, MissingEnd, NotSupported, RemoteTimeout,
                      RemoteUnavailable, UnknownToken)
 
 FLOOR_LOGPROB = -1e9
+
+# How a ScriptedModel generate rule's "match" is compared with the prompt.
+MATCH_TYPES = ("exact", "prefix", "contains")
 
 # RemoteModel sleeps between attempts: the base delay, doubled after each
 # failed retry, never more than the cap.
@@ -56,6 +61,36 @@ def _truncate(text: str, max_tokens: int, stop: tuple[str, ...]) -> str:
     return text
 
 
+def _generate_error(rule: dict) -> str | None:
+    """What is wrong with a generate rule, or None."""
+    if not isinstance(rule.get("match"), str):
+        return "'match' must be a string"
+    if not isinstance(rule.get("response"), str):
+        return "'response' must be a string"
+    if rule.get("match_type", "contains") not in MATCH_TYPES:
+        return f"'match_type' must be one of {', '.join(MATCH_TYPES)}"
+    return None
+
+
+def _dist_error(rule: dict) -> str | None:
+    """What is wrong with a distribution rule, or None."""
+    context, probs = rule.get("context"), rule.get("probs")
+    if not (isinstance(context, list)
+            and all(isinstance(w, str) for w in context)):
+        return "'context' must be a list of strings"
+    if not (isinstance(probs, dict) and all(
+            isinstance(p, (int, float)) and not isinstance(p, bool)
+            and 0 < p <= 1 for p in probs.values())):
+        return "'probs' must map words to numbers in (0, 1]"
+    return None
+
+
+def _check_ctx(ctx: list[int], v: int) -> None:
+    """Raise UnknownToken for the first id in *ctx* outside range(v)."""
+    if ctx and not (0 <= min(ctx) and max(ctx) < v):
+        raise UnknownToken(next(t for t in ctx if not 0 <= t < v))
+
+
 class ScriptedModel:
     """Deterministic test double driven by a rule table.
 
@@ -76,12 +111,30 @@ class ScriptedModel:
 
     @classmethod
     def from_file(cls, path, vocab: Vocabulary) -> "ScriptedModel":
+        """Rules from a JSON file: a bare list of generate rules, or an
+        object with "generate" and "distributions" lists. Raises ConfigError
+        for a rule of the wrong shape."""
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: not JSON: {exc}") from exc
         if isinstance(obj, list):  # bare list of generate rules
-            return cls(vocab, generate_rules=obj)
-        return cls(vocab, generate_rules=obj.get("generate", []),
-                   dist_rules=obj.get("distributions", []))
+            obj = {"generate": obj}
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: expected a list or an object")
+        generate = obj.get("generate", [])
+        dists = obj.get("distributions", [])
+        for section, rules, check in (("generate", generate, _generate_error),
+                                      ("distributions", dists, _dist_error)):
+            if not isinstance(rules, list):
+                raise ConfigError(f"{path}: {section!r} must be a list")
+            for i, rule in enumerate(rules):
+                problem = (check(rule) if isinstance(rule, dict)
+                           else "not an object")
+                if problem:
+                    raise ConfigError(f"{path}: {section} rule {i}: {problem}")
+        return cls(vocab, generate_rules=generate, dist_rules=dists)
 
     def generate(self, req: GenerationRequest) -> str:
         for rule in self.generate_rules:
@@ -103,26 +156,23 @@ class ScriptedModel:
             ids.append(tid)
         return ids
 
-    def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
-                                ) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int]
+                                ) -> tuple[float, dict[int, float]]:
         v = len(self.vocab)
-        for t in ctx:
-            if not 0 <= t < v:
-                raise UnknownToken(t)
+        _check_ctx(ctx, v)
         for rule in self.dist_rules:
             pattern = self._rule_ids(rule["context"])
             if pattern and list(ctx[-len(pattern):]) != pattern:
                 continue
-            dist = dict.fromkeys(tokens, FLOOR_LOGPROB)
+            overrides = {}
             for w, p in rule["probs"].items():
                 tid = END if w == "<end>" else self.vocab.id_of(w)
                 if tid is None:
                     raise UnknownToken(-1)
-                if tid in dist:
-                    dist[tid] = math.log(p)
-            return dist
-        lp = math.log(1.0 / (v - 1))  # uniform, SEP masked
-        return {t: FLOOR_LOGPROB if t == SEP else lp for t in tokens}
+                overrides[tid] = math.log(p)
+            return FLOOR_LOGPROB, overrides
+        # Uniform over the vocabulary with SEP masked.
+        return math.log(1.0 / (v - 1)), {SEP: FLOOR_LOGPROB}
 
 
 class NgramModel:
@@ -144,24 +194,29 @@ class NgramModel:
             bucket[seq[i]] = bucket.get(seq[i], 0) + 1
             self.totals[ctx] = self.totals.get(ctx, 0) + 1
 
-    def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
-                                ) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int]
+                                ) -> tuple[float, dict[int, float]]:
         v = len(self.vocab)
-        for t in ctx:
-            if not 0 <= t < v:
-                raise UnknownToken(t)
+        _check_ctx(ctx, v)
         key = tuple(ctx[-(self.order - 1):])
-        bucket = self.counts.get(key, {})
         total = self.totals.get(key, 0) + v
-        return {t: math.log((bucket.get(t, 0) + 1) / total) for t in tokens}
+        return math.log(1 / total), {
+            t: math.log((c + 1) / total)
+            for t, c in self.counts.get(key, {}).items()}
 
     def generate(self, req: GenerationRequest) -> str:
         ctx = self.vocab.encode(req.prompt, on_unknown="skip")
         out: list[int] = []
+        v = len(self.vocab)
         for _ in range(req.max_tokens):
-            dist = self.next_token_distribution(ctx + out,
-                                                range(len(self.vocab)))
-            best = max(dist, key=lambda t: (dist[t], -t))
+            default, overrides = self.next_token_distribution(ctx + out)
+            # Highest score, ties to the smallest id: of the default-scored
+            # tokens only the smallest can win.
+            scores = dict(overrides)
+            plain = next((t for t in range(v) if t not in overrides), None)
+            if plain is not None:
+                scores[plain] = default
+            best = max(scores, key=lambda t: (scores[t], -t))
             if best == END:
                 break
             out.append(best)
@@ -172,7 +227,7 @@ class NgramModel:
 
 
 class RemoteModel:
-    """HTTP adapter: POST {url}/generate, and {url}/logprobs when available.
+    """HTTP adapter for text generation: POST {url}/generate.
 
     Timeouts, connection errors and 5xx responses are retried up to
     max_retries times with exponential backoff between attempts.
@@ -230,12 +285,6 @@ class RemoteModel:
                                     "'text' field")
         return text
 
-    def next_token_distribution(self, ctx: list[int], tokens: Iterable[int]
-                                ) -> dict[int, float]:
-        obj = self._post("/logprobs", {"context_ids": list(ctx)})
-        full = {int(k): float(v) for k, v in obj["logprobs"].items()}
-        return {t: full.get(t, FLOOR_LOGPROB) for t in tokens}
-
 
 def sequence_logprob(model, prompt: list[int], target: list[int]) -> float:
     """Sum of per-step log-probabilities of *target* given *prompt*.
@@ -249,6 +298,7 @@ def sequence_logprob(model, prompt: list[int], target: list[int]) -> float:
     total = 0.0
     ctx = list(prompt)
     for t in target:
-        total += model.next_token_distribution(ctx, (t,))[t]
+        default, overrides = model.next_token_distribution(ctx)
+        total += overrides.get(t, default)
         ctx.append(t)
     return total

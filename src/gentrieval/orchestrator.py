@@ -40,8 +40,10 @@ class RefineConfig:
 
 @dataclass
 class ModelBundle:
-    """Retrieval model must be local (full distributions); the reasoning
-    model may be remote. One model may serve both roles."""
+    """The retrieval model scores tokens, so it must be local: its
+    next_token_distribution(ctx) returns the sparse (default, overrides)
+    distribution. The reasoning model only generates and may be remote.
+    One model may serve both roles."""
     retrieve_model: object
     reason_model: object
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gentrieval.corpus import END, Corpus, Document, Vocabulary
 from gentrieval.docid import DocIdIndex, DocIdRecord
+from gentrieval.lm import FLOOR_LOGPROB
 
 
 def make_index(surfaces: dict[str, str],
@@ -63,20 +64,44 @@ class TableModel:
 
     A stand-in for arbitrary scripted distributions in the oracle trials:
     the distribution over the vocabulary is a fixed function of (seed, ctx),
-    and a call returns only the requested tokens' entries, so a caller
-    cannot read a score it did not ask for.
+    and every token is an override, so no score rests on the default.
     """
 
     def __init__(self, vocab_size: int, seed: int):
         self.vocab_size = vocab_size
         self.seed = seed
 
-    def next_token_distribution(self, ctx: list[int], tokens
-                                ) -> dict[int, float]:
+    def next_token_distribution(self, ctx: list[int]
+                                ) -> tuple[float, dict[int, float]]:
         rng = random.Random((self.seed, tuple(ctx)).__hash__())
         weights = [rng.random() + 1e-3 for _ in range(self.vocab_size)]
         total = sum(weights)
-        return {t: math.log(weights[t] / total) for t in tokens}
+        return FLOOR_LOGPROB, {t: math.log(w / total)
+                               for t, w in enumerate(weights)}
+
+
+class SparseTableModel:
+    """Deterministic pseudo-random sparse distribution per context.
+
+    Per (seed, ctx), a random few tokens are overrides and the rest share
+    the default. Scores come from a small grid, so overrides land above,
+    below and on the default, and siblings and cousins tie. Nothing is
+    normalised: the beam never relies on it.
+    """
+
+    GRID = tuple(math.log(k / 8) for k in range(1, 9))
+
+    def __init__(self, vocab_size: int, seed: int):
+        self.vocab_size = vocab_size
+        self.seed = seed
+
+    def next_token_distribution(self, ctx: list[int]
+                                ) -> tuple[float, dict[int, float]]:
+        rng = random.Random((self.seed, tuple(ctx)).__hash__())
+        default = rng.choice(self.GRID)
+        n = rng.randint(0, self.vocab_size // 2)
+        return default, {t: rng.choice(self.GRID)
+                         for t in rng.sample(range(self.vocab_size), n)}
 
 
 def random_record_index(rng: random.Random, n_records: int, vocab_words: int,

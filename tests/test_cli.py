@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -6,8 +8,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gentrieval.cli import main
+from gentrieval.cli import build_parser, main
 from gentrieval.docid import DocIdIndex
 
 from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
@@ -292,7 +295,8 @@ class TestExitCodes:
         ("run", "--sweep-t", "0"), ("run", "--sweep-T", "a"),
         ("build-index", "--levels", "0"), ("build-index", "--branching", "0"),
         ("build-index", "--dim", "1"), ("build-index", "--ngram-m", "0"),
-        ("build-index", "--ngram-n", "0"), ("run", "--jobs", "0"),
+        ("build-index", "--ngram-n", "0"), ("build-index", "--seed", "-1"),
+        ("build-index", "--seed", str(2 ** 64)), ("run", "--jobs", "0"),
         ("run", "--jobs", "-3")])
     def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
         extra = (["--index", workspace["index"], "--model", workspace["model"],
@@ -337,3 +341,197 @@ class TestExitCodes:
                    "--pipeline", "r4r", "--ablation", "no_coffee"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """Malformed trace lines and scripted rule files end in one error line
+    and exit 1."""
+
+    @staticmethod
+    def assert_one_error(capsys, rc):
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("line", [
+        "not json", "[1]", '{"reason": ["x"]}', '{"rounds": 1}',
+        '"no_such_reason"'])
+    def test_bad_trace_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(json.dumps({"reason": "all_relevant"}) + "\n"
+                         + line + "\n")
+        self.assert_one_error(capsys, main(["stats", "--trace", str(trace)]))
+
+    @pytest.mark.parametrize("content", [
+        "{not json", "5", '"rules"', json.dumps({"generate": 5}),
+        json.dumps({"distributions": {"context": []}}),
+        json.dumps([1]),
+        json.dumps([{"match": 5, "response": "x"}]),
+        json.dumps({"generate": [{"match": "x", "response": None}]}),
+        json.dumps({"generate": [{"match": "x", "response": "y",
+                                  "match_type": "exaxt"}]}),
+        json.dumps({"distributions": [{"context": 5,
+                                       "probs": {"food": 1.0}}]}),
+        json.dumps({"distributions": [{"context": [1],
+                                       "probs": {"food": 1.0}}]}),
+        json.dumps({"distributions": [{"probs": {"food": 1.0}}]}),
+        json.dumps({"distributions": [{"context": [], "probs": ["food"]}]}),
+        json.dumps({"distributions": [{"context": [], "probs": {"food": 0}}]}),
+        json.dumps({"distributions": [{"context": [],
+                                       "probs": {"food": 1.5}}]}),
+        json.dumps({"distributions": [{"context": [],
+                                       "probs": {"food": True}}]}),
+        json.dumps({"distributions": [{"context": [],
+                                       "probs": {"food": "0.5"}}]})])
+    @pytest.mark.parametrize("role", ["--model", "--reason-model"])
+    def test_bad_rule_file(self, workspace, capsys, role, content):
+        rules = workspace["dir"] / "rules.json"
+        rules.write_text(content)
+        if role == "--model":
+            argv = ["retrieve", "--index", workspace["index"],
+                    "--model", str(rules), "--query", "which fruit"]
+        else:
+            argv = ["run", "--corpus", workspace["corpus"],
+                    "--queries", workspace["queries"],
+                    "--index", workspace["index"],
+                    "--model", workspace["model"],
+                    "--reason-model", str(rules), "--pipeline", "r4r",
+                    "--report", str(workspace["dir"] / "r.json")]
+        self.assert_one_error(capsys, main(argv))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Inputs for the CLI fuzz: a valid file per input flag, malformed files
+    and paths that do not exist, plus output paths that never overwrite an
+    input."""
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def put(name, content):
+        path = root / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        return str(path)
+
+    index = root / "index.json"
+    make_index(TOY_SURFACES, TOY_EXTRA_WORDS).save(index)
+    queries = put("queries.jsonl", "".join(json.dumps(r) + "\n" for r in [
+        {"qid": "q1", "text": "which fruit calories", "relevant": ["d1"]},
+        {"qid": "q2", "text": "company details", "relevant": ["d2"]}]))
+    model = put("model.json", json.dumps({
+        "generate": [{"match": "Candidate identifier: ",
+                      "response": "irrelevant"},
+                     {"match": "Irrelevant identifier:",
+                      "response": "<context>fruit</context>"
+                                  "<explanation>e</explanation>"}],
+        "distributions": TOY_DIST_RULES}))
+    valid = {
+        "--corpus": put("corpus.jsonl", "".join(
+            json.dumps(r) + "\n" for r in [
+                {"id": "d1", "text": "food apple calories fruit"},
+                {"id": "d2", "text": "tech apple company details",
+                 "title": "tech apple"},
+                {"id": "d3", "text": "food banana fruit"}])),
+        "--queries": queries, "--train-queries": queries,
+        "--index": str(index), "--model": model, "--reason-model": model,
+        "--prompts": put("prompts.json", json.dumps({"P_r": "Find documents."})),
+        "--trace": put("trace.jsonl",
+                       json.dumps({"reason": "all_relevant"}) + "\n")}
+    malformed = [put("not_json.json", "{not json"), put("list.json", "[1]"),
+                 put("number.json", "5"), put("empty.json", ""),
+                 put("binary.json", b"\xff\xfe\x00"),
+                 put("bad_line.jsonl", '{"reason": ["x"]}\n'),
+                 str(root / "missing.json"), str(root)]
+    outputs = [str(root / "out.json"), str(root / "out2.json"),
+               str(root / "missing_dir" / "x.json"), str(root)]
+    return valid, malformed, outputs
+
+
+def argv_strategy(fuzz_files):
+    """argv for one subcommand: each of its flags present or not, each
+    value mostly valid, else malformed or a missing file."""
+    valid, malformed, outputs = fuzz_files
+    inputs = sorted(set(valid.values())) + malformed
+
+    def mostly(good, bad):
+        """A good value four times in five."""
+        return st.tuples(st.integers(0, 4), st.sampled_from(good),
+                         st.sampled_from(bad)).map(
+            lambda t: t[1] if t[0] else t[2])
+
+    files = {flag: mostly([path], inputs) for flag, path in valid.items()}
+    files["--model"] = mostly([valid["--model"], "ngram"], inputs)
+    ints = mostly(["1", "2", "3"], ["0", "-1", "x", ""])
+    pools = {
+        **files, "--out": st.sampled_from(outputs),
+        "--report": st.sampled_from(outputs),
+        "--levels": ints, "--branching": ints, "--dim": ints,
+        "--ngram-m": ints, "--ngram-n": ints, "--k": ints, "--t": ints,
+        "--T": ints, "--jobs": mostly(["1", "2"], ["0", "x"]),
+        "--seed": mostly(["0", "7"], ["-3", str(2 ** 64), "x"]),
+        "--sweep-t": mostly(["", "1,2", "2"], ["0", "a"]),
+        "--sweep-T": mostly(["", "1,2", "3"], ["-1", "a"]),
+        "--views": mostly(["", "title", "title,ngram", "pseudo_query"],
+                          ["hologram"]),
+        "--ablation": mostly(["", "no_context",
+                              "no_explanation,no_verification"],
+                             ["no_coffee"]),
+        "--strategy": mostly(["trie", "fm", "fm_index", "termset",
+                              "term_set"], ["bogus"]),
+        "--pipeline": mostly(["standard", "direct_cot", "r4r"], ["bogus"]),
+        "--query": st.sampled_from(["which fruit calories", "", "zzz qqq"]),
+        # Empty, so the reasoner stays local (the environment is cleared).
+        "--remote-url": st.just(""),
+    }
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+
+    @st.composite
+    def draw(draw_):
+        command = draw_(st.sampled_from(sorted(subparsers)))
+        argv = [command]
+        for action in subparsers[command]._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            flag = action.option_strings[0]
+            if draw_(st.integers(0, 19)) >= (19 if action.required else 6):
+                continue
+            if action.nargs == 0:
+                argv.append(flag)
+            elif flag == "--trace" and command == "run":  # an output
+                argv += [flag, draw_(st.sampled_from(outputs))]
+            else:
+                argv += [flag, draw_(pools[flag])]
+        return argv
+
+    return draw()
+
+
+class TestCliContract:
+    """Any argv drawn from the subcommands' flags ends in exit 0, in exit 1
+    with exactly one `error:` line, or in argparse's exit 2; never in an
+    uncaught exception."""
+
+    def test_fuzz_main(self, fuzz_files, monkeypatch):
+        monkeypatch.delenv("GENTRIEVAL_REMOTE_URL", raising=False)
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(argv_strategy(fuzz_files))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    assert exc.code == 2, argv
+                    return
+            lines = err.getvalue().splitlines()
+            if rc == 0:
+                assert not any(line.startswith("error:") for line in lines)
+            else:
+                assert rc == 1, argv
+                assert len(lines) == 1 and lines[0].startswith("error:"), argv
+
+        check()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -11,11 +12,11 @@ from gentrieval.decode import (BeamConfig, Candidate, Hypothesis, RankedList,
                                hypotheses_to_candidates, merge_views)
 from gentrieval.docid import DocIdIndex, DocIdRecord
 from gentrieval.errors import NoValidPath
-from gentrieval.lm import ScriptedModel, sequence_logprob
+from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
-                      TableModel, enumerate_accepted, make_index,
-                      random_record_index)
+                      SparseTableModel, TableModel, enumerate_accepted,
+                      make_index, random_record_index)
 
 
 def toy_setup():
@@ -152,7 +153,12 @@ class TestBeamSearch:
 
 
 class RecordingAutomaton:
-    """Passes calls through to *inner*, recording allowed() and step()."""
+    """Passes calls through to *inner*, recording allowed() and step().
+
+    Its states are (inner state, emitted tokens), so each expanded state
+    names the tokens that led to it, even where the inner automaton
+    shares one state between several emission orders.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -160,32 +166,31 @@ class RecordingAutomaton:
         self.steps = []  # (parent state, token, next state)
 
     def start(self):
-        return self.inner.start()
+        return (self.inner.start(), ())
 
     def allowed(self, state):
         self.allowed_states.append(state)
-        return self.inner.allowed(state)
+        return self.inner.allowed(state[0])
 
     def step(self, state, token):
-        nxt = self.inner.step(state, token)
+        nxt = (self.inner.step(state[0], token), state[1] + (token,))
         self.steps.append((state, token, nxt))
         return nxt
 
     def complete(self, state):
-        return self.inner.complete(state)
+        return self.inner.complete(state[0])
 
 
 class RecordingModel:
-    """Passes calls through to *inner*, recording each (ctx, tokens)."""
+    """Passes calls through to *inner*, recording each ctx."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.requests = []
+        self.contexts = []
 
-    def next_token_distribution(self, ctx, tokens):
-        tokens = list(tokens)
-        self.requests.append((list(ctx), tokens))
-        return self.inner.next_token_distribution(ctx, tokens)
+    def next_token_distribution(self, ctx):
+        self.contexts.append(tuple(ctx))
+        return self.inner.next_token_distribution(ctx)
 
 
 class TestPruneThenStep:
@@ -196,29 +201,111 @@ class TestPruneThenStep:
         width = 3
         for trial in range(10):
             index = random_record_index(rng, 30, 6, max_len=4)
-            inner = build(strategy, index)
-            automaton = RecordingAutomaton(inner)
+            automaton = RecordingAutomaton(build(strategy, index))
             model = RecordingModel(TableModel(len(index.vocab), seed=trial))
             constrained_beam_search(model, prompt, automaton,
                                     BeamConfig(beam_width=width, max_len=6))
             # At most beam_width steps per depth.
-            depth = {automaton.start(): 0}
-            for parent, _, nxt in automaton.steps:
-                depth[nxt] = depth[parent] + 1
-            per_depth = Counter(depth[nxt] for _, _, nxt in automaton.steps)
+            per_depth = Counter(len(nxt[1]) for _, _, nxt in automaton.steps)
             assert max(per_depth.values()) <= width
             # allowed() once per expanded state: the start state and every
             # stepped state (max_len never binds here).
             expanded = [automaton.start()] + [n for _, _, n in automaton.steps]
             assert Counter(automaton.allowed_states) == Counter(expanded)
-            # The model is asked only for allowed tokens, and for END only
-            # where the automaton permits it.
-            for ctx, tokens in model.requests:
-                state = inner.start()
-                for tok in ctx[len(prompt):]:
-                    state = inner.step(state, tok)
-                allowed, end_ok = inner.allowed(state)
-                assert set(tokens) <= allowed | ({END} if end_ok else set())
+            # The model is called once per expanded state, with the prompt
+            # and that state's tokens as context.
+            assert Counter(model.contexts) == Counter(
+                tuple(prompt) + tokens for _, tokens in expanded)
+
+
+def dense_distribution(model, ctx, tokens):
+    """The sparse (default, overrides) form expanded over *tokens*."""
+    default, overrides = model.next_token_distribution(ctx)
+    return {t: overrides.get(t, default) for t in tokens}
+
+
+def dense_beam_search(model, prompt_tokens, automaton, cfg):
+    """The beam loop before the sparse cut, kept as its oracle: every
+    allowed token of every live state is scored and sorted."""
+    start = automaton.start()
+    start_moves = automaton.allowed(start)
+    if not start_moves[0] and not start_moves[1]:
+        raise NoValidPath("automaton start state admits no token")
+
+    def norm(score: float, length: int) -> float:
+        return score / length if cfg.length_normalize else score
+
+    prompt = list(prompt_tokens)
+    live = [(0.0, (), start)]
+    finished = []
+    for _ in range(cfg.max_len):
+        if not live:
+            break
+        expansions = []
+        for score, gen, state in live:
+            allowed, end_ok = automaton.allowed(state) if gen else start_moves
+            toks = sorted(allowed)
+            dist = dense_distribution(
+                model, prompt + list(gen), toks + [END] if end_ok else toks)
+            if end_ok:
+                finished.append(Hypothesis(
+                    tokens=gen + (END,), score=score + dist[END],
+                    records=tuple(automaton.complete(state))))
+            for tok in toks:
+                expansions.append((score + dist[tok], gen + (tok,), state))
+        expansions.sort(key=lambda e: (-e[0], e[1]))
+        live = [(score, gen, automaton.step(parent, gen[-1]))
+                for score, gen, parent in expansions[:cfg.beam_width]]
+    finished.sort(key=lambda h: (-norm(h.score, len(h.tokens)), h.tokens))
+    return finished[:cfg.beam_width]
+
+
+def trained_ngram(index, rng):
+    """An n-gram model over *index*'s vocabulary, trained on random
+    prompts paired with a few of its records."""
+    model = NgramModel(index.vocab)
+    words = range(2, len(index.vocab))
+    for rec in rng.sample(index.records, max(1, len(index.records) // 3)):
+        prompt = [rng.choice(words) for _ in range(rng.randint(0, 3))]
+        model.train_pair(prompt, list(rec.tokens))
+    return model
+
+
+class TestSparseMatchesDense:
+    """Expanding only the overrides and the beam_width smallest
+    default-scored tokens per parent returns exactly what scoring every
+    allowed token returns: tokens, scores (==) and records."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sparse_table_model(self, strategy):
+        rng = random.Random(41)
+        for trial in range(12):
+            index = random_record_index(rng, rng.randint(3, 25), 10,
+                                        max_len=4)
+            automaton = build(strategy, index)
+            model = SparseTableModel(len(index.vocab), seed=trial)
+            prompt = [rng.randrange(len(index.vocab)) for _ in range(2)]
+            for width in range(1, 9):
+                cfg = BeamConfig(beam_width=width, max_len=6)
+                assert constrained_beam_search(
+                    model, prompt, automaton, cfg) == dense_beam_search(
+                    model, prompt, automaton, cfg)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_trained_ngram(self, strategy):
+        rng = random.Random(43)
+        for trial in range(12):
+            index = random_record_index(rng, rng.randint(3, 25), 10,
+                                        max_len=4)
+            automaton = build(strategy, index)
+            model = trained_ngram(index, rng)
+            prompts = [[]] + [[rng.randrange(2, len(index.vocab))
+                               for _ in range(3)] for _ in range(2)]
+            for prompt, width in itertools.product(prompts, range(1, 9)):
+                cfg = BeamConfig(beam_width=width, max_len=6)
+                assert constrained_beam_search(
+                    model, prompt, automaton, cfg) == dense_beam_search(
+                    model, prompt, automaton, cfg)
 
 
 def rec(key, surface, view="path"):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -9,7 +10,8 @@ import requests
 from hypothesis import given, strategies as st
 
 from gentrieval import lm
-from gentrieval.corpus import END, SEP, Vocabulary
+from gentrieval.corpus import END, SEP, Corpus, Document, Vocabulary
+from gentrieval.evaluation import nll_losses
 from gentrieval.errors import (MissingEnd, NotSupported, RemoteTimeout,
                                RemoteUnavailable, UnknownToken)
 from gentrieval.lm import (FLOOR_LOGPROB, GenerationRequest, NgramModel,
@@ -21,6 +23,12 @@ from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
 def toy_model():
     index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
     return ScriptedModel(index.vocab, dist_rules=TOY_DIST_RULES), index
+
+
+def dense(m, ctx):
+    """The sparse (default, overrides) form expanded over the vocabulary."""
+    default, overrides = m.next_token_distribution(ctx)
+    return {t: overrides.get(t, default) for t in range(len(m.vocab))}
 
 
 class TestScriptedGenerate:
@@ -78,7 +86,7 @@ class TestScriptedDistribution:
         food = index.vocab.id_of("food")
         apple = index.vocab.id_of("apple")
         banana = index.vocab.id_of("banana")
-        dist = m.next_token_distribution([food], range(len(index.vocab)))
+        dist = dense(m, [food])
         assert dist[apple] == pytest.approx(math.log(0.6))
         assert dist[banana] == pytest.approx(math.log(0.4))
         assert dist[food] == FLOOR_LOGPROB
@@ -86,7 +94,7 @@ class TestScriptedDistribution:
     def test_end_alias(self):
         m, index = toy_model()
         apple = index.vocab.id_of("apple")
-        dist = m.next_token_distribution([apple], range(len(index.vocab)))
+        dist = dense(m, [apple])
         assert dist[END] == pytest.approx(0.0)
 
     def test_suffix_match(self):
@@ -95,8 +103,7 @@ class TestScriptedDistribution:
         tech = index.vocab.id_of("tech")
         food = index.vocab.id_of("food")
         apple = index.vocab.id_of("apple")
-        dist = m.next_token_distribution([tech, food],
-                                        range(len(index.vocab)))
+        dist = dense(m, [tech, food])
         assert dist[apple] == pytest.approx(math.log(0.6))
 
     def test_empty_context_rule(self):
@@ -104,14 +111,14 @@ class TestScriptedDistribution:
         food = index.vocab.id_of("food")
         # "which" matches no specific rule; the [] rule catches it.
         which = index.vocab.id_of("which")
-        dist = m.next_token_distribution([which], range(len(index.vocab)))
+        dist = dense(m, [which])
         assert dist[food] == pytest.approx(math.log(0.7))
 
     def test_no_rule_uniform_minus_sep(self):
         index = make_index(TOY_SURFACES)
         m = ScriptedModel(index.vocab)
         v = len(index.vocab)
-        dist = m.next_token_distribution([], range(v))
+        dist = dense(m, [])
         assert dist[SEP] == FLOOR_LOGPROB
         probs = [math.exp(lp) for t, lp in dist.items() if t != SEP]
         assert len(probs) == v - 1
@@ -120,15 +127,14 @@ class TestScriptedDistribution:
     def test_unknown_context_token(self):
         m, index = toy_model()
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([len(index.vocab)],
-                                      range(len(index.vocab)))
+            m.next_token_distribution([len(index.vocab)])
 
     def test_unknown_rule_word(self):
         index = make_index(TOY_SURFACES)
         m = ScriptedModel(index.vocab,
                           dist_rules=[{"context": [], "probs": {"xyzzy": 1.0}}])
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([], range(len(index.vocab)))
+            m.next_token_distribution([])
 
 
 class TestNgram:
@@ -140,7 +146,7 @@ class TestNgram:
         food, apple = vocab.encode("food apple", on_unknown="grow")
         m = NgramModel(vocab, order=3)
         m.train_pair([food], [apple, END])
-        dist = m.next_token_distribution([food], range(len(vocab)))
+        dist = dense(m, [food])
         assert dist[apple] == pytest.approx(math.log(2 / 5))
         assert dist[food] == pytest.approx(math.log(1 / 5))
         assert dist[END] == pytest.approx(math.log(1 / 5))
@@ -149,7 +155,7 @@ class TestNgram:
         vocab = Vocabulary()
         vocab.encode("a b c", on_unknown="grow")
         m = NgramModel(vocab)
-        dist = m.next_token_distribution([], range(len(vocab)))
+        dist = dense(m, [])
         assert all(lp == pytest.approx(math.log(1 / 5)) for lp in dist.values())
 
     def test_memorizes_target(self):
@@ -179,8 +185,7 @@ class TestNgram:
         vocab = Vocabulary()
         vocab.encode("a", on_unknown="grow")
         with pytest.raises(UnknownToken):
-            NgramModel(vocab).next_token_distribution([99],
-                                                      range(len(vocab)))
+            NgramModel(vocab).next_token_distribution([99])
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=6),
            st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=1,
@@ -191,59 +196,84 @@ class TestNgram:
         m = NgramModel(vocab, order=3)
         for seq in training:
             m.train_pair(seq[:1], seq[1:] + [END])
-        dist = m.next_token_distribution(ctx, range(len(vocab)))
+        dist = dense(m, ctx)
         assert sum(math.exp(lp) for lp in dist.values()) == pytest.approx(1.0)
 
 
-def trained_ngram():
-    vocab = Vocabulary()
-    prompt = vocab.encode("query apple calories", on_unknown="grow")
-    target = vocab.encode("food apple", on_unknown="grow") + [END]
-    vocab.encode("tech banana", on_unknown="grow")
-    m = NgramModel(vocab, order=3)
-    m.train_pair(prompt, target)
-    return m, prompt + target[:1]
+TOY_WORDS = sorted(set(TOY_EXTRA_WORDS) | {
+    w for surface in TOY_SURFACES.values() for w in surface.split("-")})
 
 
-class TestNarrowRequest:
-    """next_token_distribution(ctx, tokens) holds exactly the requested
-    tokens, each equal to its value in the full-vocabulary distribution."""
+class TestSparseForm:
+    """next_token_distribution(ctx) -> (default, overrides), expanded over
+    the vocabulary, equals the dense distribution computed by hand."""
 
     @staticmethod
-    def assert_narrow(m, ctx, tokens):
-        full = m.next_token_distribution(ctx, range(len(m.vocab)))
-        dist = m.next_token_distribution(ctx, tokens)
-        assert set(dist) == set(tokens)
-        assert all(dist[t] == full[t] for t in tokens)
+    def by_rule(m, words):
+        """The first toy rule whose context is a suffix of *words*: unlisted
+        tokens at the floor, listed ones at log p."""
+        for rule in TOY_DIST_RULES:
+            n = len(rule["context"])
+            if not n or words[-n:] == rule["context"]:
+                expected = dict.fromkeys(range(len(m.vocab)), FLOOR_LOGPROB)
+                for w, p in rule["probs"].items():
+                    tid = END if w == "<end>" else m.vocab.id_of(w)
+                    expected[tid] = math.log(p)
+                return expected
+        raise AssertionError("the [] rule matches every context")
 
-    @given(st.sets(st.integers(min_value=0, max_value=12)))
-    def test_scripted_rule_hit(self, tokens):
+    @given(st.lists(st.sampled_from(TOY_WORDS), max_size=4))
+    def test_scripted_rule_hit(self, words):
         m, index = toy_model()
-        self.assert_narrow(m, [index.vocab.id_of("food")], tokens)
+        ids = [index.vocab.id_of(w) for w in words]
+        assert dense(m, ids) == self.by_rule(m, words)
 
-    @given(st.sets(st.integers(min_value=0, max_value=12)))
-    def test_scripted_end_in_rule(self, tokens):
+    @given(st.lists(st.sampled_from(TOY_WORDS), max_size=3),
+           st.sampled_from(["apple", "banana"]))
+    def test_scripted_end_in_rule(self, words, last):
         m, index = toy_model()
-        self.assert_narrow(m, [index.vocab.id_of("apple")], tokens | {END})
+        ids = [index.vocab.id_of(w) for w in words + [last]]
+        expected = dict.fromkeys(range(len(index.vocab)), FLOOR_LOGPROB)
+        expected[END] = 0.0
+        assert dense(m, ids) == expected
 
-    @given(st.sets(st.integers(min_value=0, max_value=5)))
-    def test_scripted_uniform_fallback(self, tokens):
+    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=4))
+    def test_scripted_uniform_fallback(self, ctx):
         index = make_index(TOY_SURFACES)
-        self.assert_narrow(ScriptedModel(index.vocab), [], tokens | {SEP})
+        v = len(index.vocab)
+        expected = {t: math.log(1.0 / (v - 1)) for t in range(v)}
+        expected[SEP] = FLOOR_LOGPROB
+        assert dense(ScriptedModel(index.vocab), ctx) == expected
 
-    @given(st.sets(st.integers(min_value=0, max_value=7)))
-    def test_ngram(self, tokens):
-        m, ctx = trained_ngram()
-        self.assert_narrow(m, ctx, tokens)
-        self.assert_narrow(m, [], tokens)
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=6),
+                             max_size=6), max_size=5),
+           st.lists(st.integers(min_value=0, max_value=6), max_size=4))
+    def test_ngram(self, training, ctx):
+        # Add-one by hand: (count of (context, t) + 1) / (context total + V),
+        # the context being the two tokens before t in prompt||target.
+        vocab = Vocabulary()
+        vocab.encode("a b c d e", on_unknown="grow")  # ids 0..6 valid
+        v = len(vocab)
+        m = NgramModel(vocab, order=3)
+        pairs = Counter()
+        for seq in training:
+            m.train_pair(seq[:2], seq[2:] + [END])
+            full = seq + [END]
+            pairs.update((tuple(full[max(0, i - 2):i]), t)
+                         for i, t in enumerate(full))
+        key = tuple(ctx[-2:])
+        total = sum(c for (k, _), c in pairs.items() if k == key) + v
+        assert dense(m, ctx) == {
+            t: math.log((pairs[key, t] + 1) / total) for t in range(v)}
 
-    def test_unknown_context_token_with_narrow_request(self):
+    def test_unknown_context_token(self):
         m, index = toy_model()
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([len(index.vocab)], [])
-        ngram, _ = trained_ngram()
+            m.next_token_distribution([len(index.vocab)])
         with pytest.raises(UnknownToken):
-            ngram.next_token_distribution([99], [END])
+            ScriptedModel(index.vocab).next_token_distribution([-1])
+        with pytest.raises(UnknownToken):
+            NgramModel(index.vocab).next_token_distribution([99])
 
 
 class TestSequenceLogprob:
@@ -284,7 +314,7 @@ class TestSequenceLogprob:
         expected = 0.0
         ctx = [ids[0]]
         for t in target:
-            expected += m.next_token_distribution(ctx, range(len(vocab)))[t]
+            expected += dense(m, ctx)[t]
             ctx.append(t)
         assert sequence_logprob(m, [ids[0]], target) == pytest.approx(expected)
 
@@ -341,7 +371,7 @@ class TestRemote:
     def test_logprobs_not_supported(self, http_endpoint):
         m = RemoteModel(base_url=http_endpoint)
         with pytest.raises(NotSupported):
-            m.next_token_distribution([1, 2], range(3))
+            sequence_logprob(m, [1, 2], [END])
 
     def test_server_errors_exhaust_retries(self, http_endpoint):
         _Handler.fail_5xx = True
@@ -349,12 +379,14 @@ class TestRemote:
         with pytest.raises(RemoteUnavailable):
             m.generate(GenerationRequest("hi"))
 
-    def test_logprobs_filtered_client_side(self):
-        session = _Session(200, {"logprobs": {"0": -0.5, "3": -1.5}})
+    def test_nll_not_supported(self):
+        session = _Session()
         m = RemoteModel(base_url="http://remote.test", session=session)
-        assert m.next_token_distribution([1], [3, 0, 2]) == {
-            3: -1.5, 0: -0.5, 2: FLOOR_LOGPROB}
-        assert session.payloads == [{"context_ids": [1]}]
+        index = make_index(TOY_SURFACES)
+        corpus = Corpus([Document("d1", "food apple")])
+        with pytest.raises(NotSupported):
+            nll_losses(m, corpus, [], index)
+        assert session.payloads == []
 
     @pytest.mark.parametrize("reply", [
         (200, b"not json"), (200, b'{"txt": "hi"}'), (200, b"[1]"),

@@ -67,8 +67,8 @@ class CountingModel:
         self.generate_calls += 1
         return self.inner.generate(req)
 
-    def next_token_distribution(self, ctx, tokens):
-        return self.inner.next_token_distribution(ctx, tokens)
+    def next_token_distribution(self, ctx):
+        return self.inner.next_token_distribution(ctx)
 
 
 class TestStandard:
