@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .constraint import build as build_automaton
+from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Query, load_corpus
 from .docid import (VIEW_NGRAM, VIEW_PSEUDO_QUERY, VIEW_TITLE, DocIdIndex,
                     build_index)
@@ -22,9 +22,6 @@ from .evaluation import (ExperimentConfig, make_retrieve_model,
 from .lm import RemoteModel
 from .orchestrator import ModelBundle, RefineConfig, default_beam_config
 from .reasoning import DEFAULT_PROMPTS, PromptRegistry
-
-_STRATEGY_ALIASES = {"trie": "trie", "fm": "fm_index", "fm_index": "fm_index",
-                     "termset": "term_set", "term_set": "term_set"}
 
 
 def int_at_least(low: int):
@@ -74,56 +71,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=embedding_seed, default=0,
                    help="seed threaded through embedding and clustering")
 
-    p = sub.add_parser("retrieve", help="rank docids for one query")
-    p.add_argument("--index", required=True)
-    p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES),
-                   default="trie")
-    p.add_argument("--model", required=True,
-                   help="scripted-model JSON path, or 'ngram'")
-    p.add_argument("--train-queries",
-                   help="query JSONL used to train the n-gram model")
+    # Flags that retrieve and run share.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--index", required=True)
+    shared.add_argument("--strategy", choices=STRATEGIES, default="trie")
+    shared.add_argument("--pipeline", choices=["standard", "direct_cot", "r4r"],
+                        default="standard")
+    shared.add_argument("--model", required=True,
+                        help="scripted-model JSON path, or 'ngram'")
+    shared.add_argument("--train-queries",
+                        help="query JSONL used to train the n-gram model")
+    shared.add_argument("--k", type=positive_int, default=20)
+    shared.add_argument("--t", type=positive_int, default=3,
+                        help="verify depth")
+    shared.add_argument("--T", type=positive_int, default=3,
+                        help="round budget")
+    shared.add_argument("--ablation", default="",
+                        help="comma list from {no_context,no_explanation,"
+                             "no_verification}")
+    shared.add_argument("--merge-views", action="store_true")
+    shared.add_argument("--prompts", help="prompt-override JSON path")
+
+    p = sub.add_parser("retrieve", parents=[shared],
+                       help="rank docids for one query")
     p.add_argument("--query", required=True)
-    p.add_argument("--k", type=positive_int, default=20)
-    p.add_argument("--pipeline", choices=["standard", "direct_cot", "r4r"],
-                   default="standard")
-    p.add_argument("--t", type=positive_int, default=3, help="verify depth")
-    p.add_argument("--T", type=positive_int, default=3, help="round budget")
-    p.add_argument("--prompts", help="prompt-override JSON path")
     p.add_argument("--remote-url",
                    help="reasoning endpoint; defaults to env "
                         "GENTRIEVAL_REMOTE_URL, and the flag wins when both "
                         "are set")
-    p.add_argument("--merge-views", action="store_true")
-    p.add_argument("--ablation", default="",
-                   help="comma list from {no_context,no_explanation,"
-                        "no_verification}")
 
-    p = sub.add_parser("run", help="batch experiment over a query file")
+    p = sub.add_parser("run", parents=[shared],
+                       help="batch experiment over a query file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--strategy", choices=sorted(_STRATEGY_ALIASES),
-                   default="trie")
-    p.add_argument("--pipeline", choices=["standard", "direct_cot", "r4r"],
-                   default="standard")
-    p.add_argument("--model", required=True,
-                   help="scripted-model JSON path, or 'ngram'")
     p.add_argument("--reason-model", help="scripted rules for the reason role")
-    p.add_argument("--train-queries",
-                   help="query JSONL used to train the n-gram model")
-    p.add_argument("--k", type=positive_int, default=20)
-    p.add_argument("--t", type=positive_int, default=3)
-    p.add_argument("--T", type=positive_int, default=3)
     p.add_argument("--sweep-t", type=positive_ints, default="",
                    help="comma list of verify depths")
     p.add_argument("--sweep-T", type=positive_ints, default="",
                    help="comma list of round budgets")
-    p.add_argument("--ablation", default="")
-    p.add_argument("--merge-views", action="store_true")
-    p.add_argument("--prompts")
     p.add_argument("--report", required=True, help="report JSON output path")
     p.add_argument("--trace", help="trace JSONL output path")
-    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock latencies (breaks byte-level "
                         "reproducibility)")
@@ -169,7 +156,7 @@ def _cmd_build_index(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     index = DocIdIndex.load(args.index)
-    automaton = build_automaton(_STRATEGY_ALIASES[args.strategy], index)
+    automaton = build_automaton(args.strategy, index)
     reg = PromptRegistry.load(args.prompts)
     retrieve_model = make_retrieve_model(
         index, reg, None if args.model == "ngram" else args.model,
@@ -192,7 +179,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig(
         corpus_path=args.corpus, queries_path=args.queries,
-        index_path=args.index, strategy=_STRATEGY_ALIASES[args.strategy],
+        index_path=args.index, strategy=args.strategy,
         pipeline=args.pipeline, k=args.k, verify_depth=args.t,
         round_budget=args.T, t_sweep=args.sweep_t,
         T_sweep=args.sweep_T, ablation=_parse_ablation(args.ablation),
@@ -201,8 +188,7 @@ def _cmd_run(args) -> int:
         reason_model_path=args.reason_model,
         ngram_train_queries_path=args.train_queries,
         prompts_path=args.prompts, report_path=args.report,
-        trace_path=args.trace, seed=args.seed, jobs=args.jobs,
-        timing=args.timing)
+        trace_path=args.trace, seed=args.seed, timing=args.timing)
     report = run_experiment(cfg)
     for row in report["rows"]:
         hits = " ".join(f"hits@{k}={v:.4f}" for k, v in row["hits"].items())

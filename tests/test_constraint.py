@@ -1,7 +1,5 @@
 import itertools
 import random
-import sys
-import threading
 from collections import Counter
 
 import pytest
@@ -334,63 +332,6 @@ class TestTermSetDag:
             nodes = len(a.nodes)
             assert constrained_beam_search(model, [0, 1], a, cfg) == first
             assert len(a.nodes) == nodes
-
-    def test_shared_across_threads(self):
-        """Eight threads walk one automaton at a short switch interval; a
-        lost or doubled expansion would give one multiset two node ids."""
-        rng = random.Random(13)
-        index = random_record_index(rng, 60, 5, max_len=4)
-        for _ in range(10):
-            a = TermSetAutomaton(index)
-            merged = self.walk_in_threads(a, n_threads=8, walks=50)
-            assert len(a.nodes) == len(a.node_of)
-            assert all(a.nodes[n].key == k for k, n in a.node_of.items())
-            for key, state in merged.items():
-                allowed, end_ok, _ = naive_term_set(index, key)
-                assert a.allowed(state) == (allowed, end_ok)
-
-    @staticmethod
-    def walk_in_threads(a, n_threads, walks):
-        """Random walks from the start state in *n_threads* threads; the
-        node id each thread reached per sorted multiset, merged."""
-        seen, errors = [], []
-
-        def walker(seed):
-            try:
-                r = random.Random(seed)
-                mine = {}
-                for _ in range(walks):
-                    state, emitted = a.start(), ()
-                    allowed, _ = a.allowed(state)
-                    while allowed:
-                        t = r.choice(sorted(allowed))
-                        state = a.step(state, t)
-                        emitted += (t,)
-                        assert mine.setdefault(tuple(sorted(emitted)),
-                                               state) == state
-                        allowed, _ = a.allowed(state)
-                seen.append(mine)
-            except Exception as exc:  # reported by the main thread
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=walker, args=(s,))
-                       for s in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors and len(seen) == n_threads
-        merged = {}
-        for mine in seen:
-            for key, state in mine.items():
-                assert merged.setdefault(key, state) == state
-        return merged
 
 
 class TestInvalidNode:

@@ -90,28 +90,6 @@ class TestBeamSearch:
             model, [], TrieAutomaton(index), BeamConfig(beam_width=3, max_len=1))
         assert hyps == []
 
-    def test_length_normalize_prefers_better_per_token(self):
-        index = make_index({"d1": "food", "d2": "food-apple-banana-tech"})
-        rules = [
-            {"context": ["tech"], "probs": {"<end>": 1.0}},
-            {"context": ["food"], "probs": {"<end>": 0.5, "apple": 0.5}},
-            {"context": ["apple"], "probs": {"banana": 1.0}},
-            {"context": ["banana"], "probs": {"tech": 1.0}},
-            {"context": [], "probs": {"food": 1.0}},
-        ]
-        model = ScriptedModel(index.vocab, dist_rules=rules)
-        # Raw scores tie at log 0.5; on a raw tie the smaller token sequence
-        # (d1) leads. Normalization spreads the same cost over more tokens,
-        # so the longer identifier (d2) wins per-token.
-        raw = constrained_beam_search(
-            model, [], TrieAutomaton(index), BeamConfig(beam_width=2))
-        assert raw[0].score == pytest.approx(raw[1].score)
-        assert raw[0].records[0].doc_key == "d1"
-        normed = constrained_beam_search(
-            model, [], TrieAutomaton(index),
-            BeamConfig(beam_width=2, length_normalize=True))
-        assert normed[0].records[0].doc_key == "d2"
-
     @pytest.mark.parametrize("strategy", ["trie"])
     def test_full_width_is_exhaustive(self, strategy):
         # With beam width >= the number of live prefixes, beam search must
@@ -232,9 +210,6 @@ def dense_beam_search(model, prompt_tokens, automaton, cfg):
     if not start_moves[0] and not start_moves[1]:
         raise NoValidPath("automaton start state admits no token")
 
-    def norm(score: float, length: int) -> float:
-        return score / length if cfg.length_normalize else score
-
     prompt = list(prompt_tokens)
     live = [(0.0, (), start)]
     finished = []
@@ -256,7 +231,7 @@ def dense_beam_search(model, prompt_tokens, automaton, cfg):
         expansions.sort(key=lambda e: (-e[0], e[1]))
         live = [(score, gen, automaton.step(parent, gen[-1]))
                 for score, gen, parent in expansions[:cfg.beam_width]]
-    finished.sort(key=lambda h: (-norm(h.score, len(h.tokens)), h.tokens))
+    finished.sort(key=lambda h: (-h.score, h.tokens))
     return finished[:cfg.beam_width]
 
 

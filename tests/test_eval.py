@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from gentrieval.corpus import END, Corpus, Document, Query, Vocabulary
 from gentrieval.decode import Candidate, RankedList
 from gentrieval.docid import DocIdRecord
+from gentrieval import evaluation
 from gentrieval.errors import ConfigError, EmptyRuns, NotSupported
 from gentrieval.evaluation import (ExperimentConfig, hits_at_k, mrr_at_k,
                                    nll_losses, run_experiment,
@@ -265,21 +266,37 @@ class TestRunExperiment:
         assert all(rt["ms"] == 0.0 for rt in first["rounds_detail"])
 
     def test_rerun_byte_identical(self, experiment_files, tmp_path):
-        def go(tag, jobs):
+        def go(tag):
             cfg = ExperimentConfig(
                 corpus_path=experiment_files["corpus_path"],
                 queries_path=experiment_files["queries_path"],
                 index_path=experiment_files["index_path"],
                 scripted_model_path=experiment_files["scripted_model_path"],
                 reason_model_path=experiment_files["reason_model_path"],
-                pipeline="r4r", k=3, hits_ks=(1,), mrr_ks=(3,), jobs=jobs,
+                pipeline="r4r", k=3, hits_ks=(1,), mrr_ks=(3,),
                 report_path=str(tmp_path / f"report-{tag}.json"),
                 trace_path=str(tmp_path / f"trace-{tag}.jsonl"))
             run_experiment(cfg)
             return ((tmp_path / f"report-{tag}.json").read_bytes(),
                     (tmp_path / f"trace-{tag}.jsonl").read_bytes())
 
-        assert go("a", 1) == go("b", 1) == go("c", 4)
+        assert go("a") == go("b")
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_refused(self, experiment_files, jobs,
+                                         monkeypatch):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        cfg = ExperimentConfig(
+            corpus_path=experiment_files["corpus_path"],
+            queries_path=experiment_files["queries_path"],
+            index_path=experiment_files["index_path"],
+            scripted_model_path=experiment_files["scripted_model_path"],
+            jobs=jobs)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(cfg)
+        assert decoded == []
 
     def test_no_model_configured(self, experiment_files):
         cfg = ExperimentConfig(
