@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Write every CLI artifact of a fixed experiment matrix into one directory.
+
+The matrix is {trie, fm_index, term_set} strategies x {standard, direct_cot,
+r4r with an accepting reasoner, r4r with a reasoner that rejects for three
+rounds} x {merge, no merge} x {path-only index, `--views ngram` index}, over
+`make_toy_data.py --docs 400 --queries 12 --seed 5` data. For each cell it
+keeps the `run` report, trace and stdout, plus `retrieve` output for the
+first two queries. Two checkouts that rank identically give trees that
+`diff -r` finds equal, so an exactness claim is checked by running
+
+    python scripts/artifact_matrix.py --out /tmp/new
+
+here and, with --out /tmp/old, in a checkout of the parent commit that has
+this script copied in, then `diff -r /tmp/old /tmp/new`.
+
+The `gentrieval` package is imported from this checkout's `src/`. Paths in
+the artifacts are relative to --out, so the tree does not depend on where
+it was written.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from gentrieval.cli import main as cli_main  # noqa: E402
+
+STRATEGIES = ("trie", "fm_index", "term_set")
+INDEXES = {"path": (), "ngram": ("--views", "ngram")}
+# Reasoner rules per r4r variant; first match wins.
+REASONERS = {
+    "r4r-accept": [{"match": "Candidate identifier: ",
+                    "response": "relevant"}],
+    "r4r-reject": [{"match": "Candidate identifier: ",
+                    "response": "irrelevant"},
+                   {"match": "Irrelevant identifier: ",
+                    "response": "<context>report summary</context>"
+                                "<explanation>avoid the last docid"
+                                "</explanation>"}],
+}
+PIPELINES = {"standard": (), "direct_cot": (),
+             "r4r-accept": ("--T", "3"), "r4r-reject": ("--T", "3")}
+RETRIEVED_QUERIES = 2
+
+
+def cli(argv: list[str], out: pathlib.Path) -> None:
+    """Run one CLI command in this process and save its exit code, stdout
+    and stderr to *out*."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    out.write_text(f"exit {code}\n--- stdout\n{stdout.getvalue()}"
+                   f"--- stderr\n{stderr.getvalue()}", encoding="utf-8")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="output directory")
+    ap.add_argument("--docs", type=int, default=400,
+                    help="corpus size passed to make_toy_data.py")
+    args = ap.parse_args()
+
+    out = pathlib.Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    # The retrieve reasoner stays local.
+    os.environ.pop("GENTRIEVAL_REMOTE_URL", None)
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_toy_data.py"),
+                    "--out", "data", "--docs", str(args.docs),
+                    "--queries", "12", "--seed", "5"],
+                   check=True, capture_output=True)
+    for name, rules in REASONERS.items():
+        pathlib.Path("data", f"{name}.json").write_text(
+            json.dumps(rules, indent=2) + "\n", encoding="utf-8")
+    with open("data/queries.jsonl", encoding="utf-8") as fh:
+        texts = [json.loads(line)["text"] for line in fh][:RETRIEVED_QUERIES]
+
+    for index_name, view_args in INDEXES.items():
+        index = f"data/index-{index_name}.json"
+        cli(["build-index", "--corpus", "data/corpus.jsonl", "--out", index,
+             *view_args], pathlib.Path(f"data/build-{index_name}.txt"))
+        for strategy in STRATEGIES:
+            for pipeline, extra in PIPELINES.items():
+                for merge in (False, True):
+                    cell = pathlib.Path(index_name, strategy, pipeline
+                                        + ("-merge" if merge else ""))
+                    cell.mkdir(parents=True, exist_ok=True)
+                    common = ["--index", index, "--strategy", strategy,
+                              "--pipeline", pipeline.split("-")[0],
+                              "--model", "ngram",
+                              "--train-queries", "data/queries.jsonl",
+                              *extra, *(["--merge-views"] if merge else [])]
+                    reasoner = ([] if pipeline not in REASONERS else
+                                ["--reason-model", f"data/{pipeline}.json"])
+                    cli(["run", *common, *reasoner,
+                         "--corpus", "data/corpus.jsonl",
+                         "--queries", "data/queries.jsonl",
+                         "--report", str(cell / "report.json"),
+                         "--trace", str(cell / "trace.jsonl")],
+                        cell / "run.txt")
+                    # retrieve has no reasoner flag: its reasoner is the
+                    # retrieval model, so one r4r variant covers it.
+                    if pipeline == "r4r-reject":
+                        continue
+                    for i, text in enumerate(texts):
+                        cli(["retrieve", *common, "--query", text],
+                            cell / f"retrieve-{i}.txt")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,8 +1,10 @@
 """Constrained beam search and ranked-list utilities.
 
 The automaton masks the model: each live state asks next_token_distribution
-once for the whole distribution in sparse form, (default, overrides), and
-ranks before it steps. Scores are raw model log-probabilities (no
+once for the whole distribution in sparse form, (default, overrides). Each
+depth heap-selects its beam_width survivors before it steps them, and the
+finished pool keeps only the top beam_width, so losers are never built,
+sorted or completed. Scores are raw model log-probabilities (no
 renormalization after masking), so a finished hypothesis scores exactly
 sequence_logprob of its token sequence; that identity is what the
 exhaustive-oracle tests lean on.
@@ -10,8 +12,11 @@ exhaustive-oracle tests lean on.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from .corpus import END
 from .docid import DocIdRecord
@@ -62,20 +67,27 @@ class RankedList:
         return [c.doc_key for c in self.candidates]
 
 
+def _pool_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
+    return -h.score, h.tokens
+
+
 def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                             cfg: BeamConfig) -> list[Hypothesis]:
     """Beam search where each step only expands automaton-allowed tokens.
 
     Each live state is scored once, as (default, overrides). Expansions are
-    ranked by (score desc, token sequence), so of the allowed tokens that
-    score the default only the beam_width smallest can survive the cut from
-    one parent: every other one has beam_width better siblings. A parent
-    therefore expands its allowed overrides plus at most beam_width
-    default-scored tokens, and END where the automaton permits it.
-    Expansions are cut to beam_width before the automaton steps, so only the
-    survivors are stepped, and each state's allowed() runs once. Finished
-    hypotheses are pooled separately; the top beam_width finished
-    hypotheses are returned, ordered by score, ties broken by token sequence.
+    ranked by (score desc, token sequence). A parent offers its allowed
+    overrides as single entries and its default-scored allowed tokens as one
+    run, ascending, all at score + default: within a run only the head can
+    be the next best. One heap merges the entries and the run heads; it is
+    popped until beam_width survivors, pushing a run's next token when its
+    head is popped. Every live sequence has the same length, so (gen, token)
+    orders exactly as gen + (token,), and no sequence is built for a token
+    that cannot survive. Survivors are stepped in pop order, so only they
+    are stepped, and each state's allowed() runs once. Finished hypotheses
+    go to a pool bounded at the top beam_width by (-score, tokens), and
+    complete() runs only for one that enters it. The pool is returned best
+    first.
     """
     start = automaton.start()
     start_moves = automaton.allowed(start)
@@ -85,36 +97,44 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     width = cfg.beam_width
     prompt = list(prompt_tokens)
     live: list[tuple[float, tuple[int, ...], object]] = [(0.0, (), start)]
-    finished: list[Hypothesis] = []
+    pool: list[Hypothesis] = []  # finished, best first
     for _ in range(cfg.max_len):
         if not live:
             break
-        # Expansions carry their parent state; only survivors are stepped.
-        expansions: list[tuple[float, tuple[int, ...], object]] = []
+        # (-score, gen, token, parent state, rest of the run or None); the
+        # first three fields are unique, so the last two are never compared.
+        heap: list[tuple] = []
         for score, gen, state in live:
             allowed, end_ok = automaton.allowed(state) if gen else start_moves
             default, overrides = model.next_token_distribution(
                 prompt + list(gen))
             if end_ok:
-                finished.append(Hypothesis(
-                    tokens=gen + (END,),
-                    score=score + overrides.get(END, default),
-                    records=tuple(automaton.complete(state))))
+                end_score = score + overrides.get(END, default)
+                key = (-end_score, gen + (END,))
+                if len(pool) < width or key < _pool_key(pool[-1]):
+                    bisect.insort(pool, Hypothesis(
+                        tokens=key[1], score=end_score,
+                        records=tuple(automaton.complete(state))),
+                        key=_pool_key)
+                    del pool[width:]
             for tok, lp in overrides.items():
                 if tok in allowed:
-                    expansions.append((score + lp, gen + (tok,), state))
-            taken = 0
-            for tok in sorted(allowed):
-                if taken == width:
-                    break
-                if tok not in overrides:
-                    expansions.append((score + default, gen + (tok,), state))
-                    taken += 1
-        expansions.sort(key=lambda e: (-e[0], e[1]))
-        live = [(score, gen, automaton.step(parent, gen[-1]))
-                for score, gen, parent in expansions[:width]]
-    finished.sort(key=lambda h: (-h.score, h.tokens))
-    return finished[:width]
+                    heap.append((-(score + lp), gen, tok, state, None))
+            run = filterfalse(overrides.__contains__, sorted(allowed))
+            head = next(run, None)
+            if head is not None:
+                heap.append((-(score + default), gen, head, state, run))
+        heapq.heapify(heap)
+        live = []
+        while heap and len(live) < width:
+            neg, gen, tok, state, run = heap[0]
+            nxt = None if run is None else next(run, None)
+            if nxt is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (neg, gen, nxt, state, run))
+            live.append((-neg, gen + (tok,), automaton.step(state, tok)))
+    return pool
 
 
 def dedup_rank(cands: list[Candidate], k: int) -> RankedList:

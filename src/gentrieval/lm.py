@@ -10,7 +10,8 @@ distribution as (default, overrides), where overrides maps token ->
 log-probability and every other token scores default. Under add-one
 smoothing every token unseen in a context shares one score, so the pair is
 small, and constrained decoding can skip the default-scored tokens that
-cannot survive the beam cut.
+cannot survive the beam cut. NgramModel memoises the pair per trained
+context, since beam steps and refine rounds ask for the same contexts again.
 """
 
 from __future__ import annotations
@@ -176,17 +177,28 @@ class ScriptedModel:
 
 
 class NgramModel:
-    """Order-n model with add-one smoothing, trained on prompt||target pairs."""
+    """Order-n model with add-one smoothing, trained on prompt||target pairs.
+
+    Distributions are memoised per context key (the last order - 1 tokens)
+    for trained contexts only, so the memo never outgrows self.counts;
+    train_pair and a change in the vocabulary size clear it. Callers share
+    the memoised overrides dict and must not change it.
+    """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
         self.vocab = vocab
         self.order = order
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         # Per context, sum(self.counts[ctx].values()), kept by train_pair.
         self.totals: dict[tuple[int, ...], int] = {}
+        self._memo: dict[tuple[int, ...], tuple[float, dict[int, float]]] = {}
+        self._memo_vocab_size = len(vocab)
 
     def train_pair(self, prompt: list[int], target: list[int]) -> None:
         """Count n-grams of prompt||target; target should end with END."""
+        self._memo.clear()
         seq = list(prompt) + list(target)
         for i in range(len(seq)):
             ctx = tuple(seq[max(0, i - (self.order - 1)):i])
@@ -198,11 +210,21 @@ class NgramModel:
                                 ) -> tuple[float, dict[int, float]]:
         v = len(self.vocab)
         _check_ctx(ctx, v)
-        key = tuple(ctx[-(self.order - 1):])
-        total = self.totals.get(key, 0) + v
-        return math.log(1 / total), {
-            t: math.log((c + 1) / total)
-            for t, c in self.counts.get(key, {}).items()}
+        if v != self._memo_vocab_size:
+            self._memo.clear()
+            self._memo_vocab_size = v
+        key = tuple(ctx[max(0, len(ctx) - (self.order - 1)):])
+        dist = self._memo.get(key)
+        if dist is not None:
+            return dist
+        counts = self.counts.get(key)
+        if counts is None:
+            return math.log(1 / v), {}
+        total = self.totals[key] + v
+        dist = math.log(1 / total), {
+            t: math.log((c + 1) / total) for t, c in counts.items()}
+        self._memo[key] = dist
+        return dist
 
     def generate(self, req: GenerationRequest) -> str:
         ctx = self.vocab.encode(req.prompt, on_unknown="skip")

@@ -57,6 +57,7 @@ FORMAT_REMINDER = ("\nReminder: respond with exactly one "
 VERDICT_REMINDER = "\nAnswer with exactly one word: relevant or irrelevant."
 
 _SLOTS = ("query", "docid", "context", "explanation", "document")
+_SLOT_RE = re.compile(r"\{(" + "|".join(_SLOTS) + r")\}")
 
 _CONTEXT_RE = re.compile(r"<context>(.*?)</context>", re.DOTALL)
 _EXPLANATION_RE = re.compile(r"<explanation>(.*?)</explanation>", re.DOTALL)
@@ -102,14 +103,14 @@ class PromptRegistry:
         return cls.from_file(path) if path else cls.default()
 
     def render(self, name: str, **slots: str) -> str:
-        text = self.templates[name]
-        for k in _SLOTS:
-            if k in slots:
-                text = text.replace("{" + k + "}", slots[k])
-        for k in _SLOTS:
-            if "{" + k + "}" in text:
-                raise ValueError(f"unfilled slot {{{k}}} in template {name}")
-        return text
+        """Template *name* with its slots filled in one pass, so slot text
+        inside a value stays literal. Raises ValueError for a slot the
+        template uses but *slots* does not fill."""
+        def fill(m: re.Match) -> str:
+            if m[1] not in slots:
+                raise ValueError(f"unfilled slot {m[0]} in template {name}")
+            return slots[m[1]]
+        return _SLOT_RE.sub(fill, self.templates[name])
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,35 @@ class TestRetrieve:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split("\t")[2] == "d1"
 
+    def test_slot_text_in_query(self, workspace, capsys):
+        # Think, verify and reflect all render the query: its slot text
+        # must stay literal, not end in an unfilled-slot ValueError.
+        rules = workspace["dir"] / "reject.json"
+        rules.write_text(json.dumps({
+            "generate": [{"match": "Candidate identifier: ",
+                          "response": "irrelevant"},
+                         {"match": "Irrelevant identifier: ",
+                          "response": "<context>fruit {docid}</context>"
+                                      "<explanation>e</explanation>"}],
+            "distributions": TOY_DIST_RULES}))
+        queries = workspace["dir"] / "slots.jsonl"
+        write_jsonl(queries, [
+            {"qid": "q1", "text": "fruit {context}", "relevant": ["d1"]},
+            {"qid": "q2", "text": "{docid} {query} apple",
+             "relevant": ["d2"]}])
+        rc = main(["run", "--corpus", workspace["corpus"],
+                   "--queries", str(queries), "--index", workspace["index"],
+                   "--model", workspace["model"], "--reason-model", str(rules),
+                   "--pipeline", "r4r", "--T", "2",
+                   "--report", str(workspace["dir"] / "r.json")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", str(rules), "--pipeline", "r4r",
+                   "--query", "which {explanation} {context}"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_remote_url_from_environment(self, workspace, capsys,
                                          monkeypatch):
         with socket.socket() as sock:  # a local port with no listener
@@ -239,6 +268,29 @@ class TestToyScripts:
         for name in ("report-standard.json", "report-r4r.json"):
             assert json.loads((tmp_path / name).read_text())["rows"]
         assert (tmp_path / "trace-r4r.jsonl").read_text().strip()
+
+    def test_artifact_matrix_reproducible(self, tmp_path):
+        script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                  / "artifact_matrix.py")
+        trees = []
+        for name in ("a", "b"):
+            subprocess.run([sys.executable, str(script), "--out",
+                            str(tmp_path / name), "--docs", "40"],
+                           check=True, capture_output=True)
+            root = tmp_path / name
+            trees.append({str(p.relative_to(root)): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
+        assert trees[0] == trees[1]
+        files = trees[0]
+        # 2 indexes x 3 strategies x 4 pipelines x 2 merge settings.
+        assert sum(name.endswith("report.json") for name in files) == 48
+        assert sum("/retrieve-" in name for name in files) == 72
+        for name, content in files.items():
+            if name.endswith(".txt"):
+                assert content.startswith(b"exit 0\n"), name
+        reject = json.loads(
+            files["path/trie/r4r-reject/trace.jsonl"].splitlines()[0])
+        assert (reject["reason"], reject["rounds"]) == ("budget_exhausted", 3)
 
 
 class TestOptionInventory:

@@ -196,6 +196,57 @@ class TestPruneThenStep:
                 tuple(prompt) + tokens for _, tokens in expanded)
 
 
+class EndRecordingAutomaton(RecordingAutomaton):
+    """Also records, in call order, the emitted tokens of each state where
+    allowed() permits END, and of each state complete() is asked for."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.end_legal = []
+        self.completed = []
+
+    def allowed(self, state):
+        allowed, end_ok = super().allowed(state)
+        if end_ok:
+            self.end_legal.append(state[1])
+        return allowed, end_ok
+
+    def complete(self, state):
+        self.completed.append(state[1])
+        return super().complete(state)
+
+
+class TestBoundedPool:
+    def test_complete_only_for_pool_entrants(self):
+        # On FM indices END is legal after any suffix of a record, so it is
+        # offered at several depths and many offers miss the pool.
+        rng = random.Random(31)
+        missed = depths = 0
+        for trial in range(12):
+            index = random_record_index(rng, rng.randint(5, 25), 8, max_len=4)
+            automaton = EndRecordingAutomaton(build("fm_index", index))
+            model = SparseTableModel(len(index.vocab), seed=trial)
+            prompt = [rng.randrange(len(index.vocab)) for _ in range(2)]
+            width = rng.randint(1, 5)
+            cfg = BeamConfig(beam_width=width, max_len=6)
+            hyps = constrained_beam_search(model, prompt, automaton, cfg)
+            assert hyps == dense_beam_search(
+                model, prompt, build("fm_index", index), cfg)
+            # Replay the offers in order: one enters when it ranks among
+            # the top beam_width of the offers so far.
+            so_far, entrants = [], []
+            for gen in automaton.end_legal:
+                key = (-sequence_logprob(model, prompt, list(gen) + [END]),
+                       gen)
+                so_far.append(key)
+                if key in sorted(so_far)[:width]:
+                    entrants.append(gen)
+            assert automaton.completed == entrants
+            missed += len(automaton.end_legal) - len(entrants)
+            depths += len({len(gen) for gen in automaton.end_legal}) > 1
+        assert missed > 0 and depths > 0
+
+
 def dense_distribution(model, ctx, tokens):
     """The sparse (default, overrides) form expanded over *tokens*."""
     default, overrides = model.next_token_distribution(ctx)

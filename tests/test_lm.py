@@ -10,14 +10,17 @@ import requests
 from hypothesis import given, strategies as st
 
 from gentrieval import lm
+from gentrieval.constraint import STRATEGIES, build
 from gentrieval.corpus import END, SEP, Corpus, Document, Vocabulary
+from gentrieval.decode import BeamConfig, constrained_beam_search
 from gentrieval.evaluation import nll_losses
 from gentrieval.errors import (MissingEnd, NotSupported, RemoteTimeout,
                                RemoteUnavailable, UnknownToken)
 from gentrieval.lm import (FLOOR_LOGPROB, GenerationRequest, NgramModel,
                            RemoteModel, ScriptedModel, sequence_logprob)
 
-from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
+from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
+                      make_index, random_record_index)
 
 
 def toy_model():
@@ -198,6 +201,85 @@ class TestNgram:
             m.train_pair(seq[:1], seq[1:] + [END])
         dist = dense(m, ctx)
         assert sum(math.exp(lp) for lp in dist.values()) == pytest.approx(1.0)
+
+    def test_unigram_uses_its_training(self):
+        # Vocabulary: END, SEP, a, b (V = 4). An order-1 model keys every
+        # context on (), so any context sees the 3 training tokens.
+        vocab = Vocabulary()
+        a, b = vocab.encode("a b", on_unknown="grow")
+        m = NgramModel(vocab, order=1)
+        m.train_pair([a], [b, END])
+        for ctx in ([], [b], [a, b]):
+            default, overrides = m.next_token_distribution(ctx)
+            assert default == math.log(1 / 7)
+            assert overrides == {a: math.log(2 / 7), b: math.log(2 / 7),
+                                 END: math.log(2 / 7)}
+
+    def test_context_shorter_than_order(self):
+        vocab = Vocabulary()
+        a, b, c = vocab.encode("a b c", on_unknown="grow")
+        m = NgramModel(vocab, order=6)
+        m.train_pair([a, b, c], [END])
+        # The whole three-token context is the key, not its last tokens.
+        assert m.next_token_distribution([a, b, c])[1] == {
+            END: math.log(2 / 6)}
+        assert m.next_token_distribution([a, b])[1] == {c: math.log(2 / 6)}
+        assert m.next_token_distribution([b, c])[1] == {}
+
+    @pytest.mark.parametrize("order", [0, -1, -5])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="order"):
+            NgramModel(Vocabulary(), order=order)
+
+
+class TestNgramMemo:
+    def trained(self, vocab, pairs):
+        m = NgramModel(vocab)
+        for prompt, target in pairs:
+            m.train_pair(prompt, target)
+        return m
+
+    def test_training_after_scoring_matches_fresh_model(self):
+        vocab = Vocabulary()
+        a, b, c = vocab.encode("a b c", on_unknown="grow")
+        pairs = [([a], [b, END]), ([a, b], [c, END]), ([c], [a, b, END])]
+        ctxs = [[], [a], [a, b], [b, c], [c, a], [a, b, c]]
+        m = self.trained(vocab, pairs[:1])
+        for ctx in ctxs:
+            m.next_token_distribution(ctx)
+        for pair in pairs[1:]:
+            m.train_pair(*pair)
+        fresh = self.trained(vocab, pairs)
+        for ctx in ctxs:
+            assert m.next_token_distribution(ctx) == \
+                fresh.next_token_distribution(ctx)
+
+    def test_vocabulary_growth_changes_default(self):
+        vocab = Vocabulary()
+        a, b = vocab.encode("a b", on_unknown="grow")
+        m = self.trained(vocab, [([a], [b, END])])
+        before = m.next_token_distribution([a])
+        assert before == (math.log(1 / 5), {b: math.log(2 / 5)})
+        vocab.encode("c", on_unknown="grow")
+        assert m.next_token_distribution([a]) == (
+            math.log(1 / 6), {b: math.log(2 / 6)})
+        assert m.next_token_distribution([b]) == (math.log(1 / 5), {})
+
+    def test_memo_bounded_by_trained_contexts(self):
+        rng = random.Random(17)
+        index = random_record_index(rng, 30, 12, max_len=4)
+        m = NgramModel(index.vocab)
+        for rec in index.records[:10]:
+            prompt = [rng.randrange(2, len(index.vocab))]
+            m.train_pair(prompt, list(rec.tokens))
+        for strategy in STRATEGIES:
+            for _ in range(5):
+                prompt = [rng.randrange(2, len(index.vocab)) for _ in range(2)]
+                constrained_beam_search(m, prompt, build(strategy, index),
+                                        BeamConfig(beam_width=4, max_len=6))
+        assert m._memo
+        assert len(m._memo) <= len(m.counts)
+        assert m._memo.keys() <= m.counts.keys()
 
 
 TOY_WORDS = sorted(set(TOY_EXTRA_WORDS) | {

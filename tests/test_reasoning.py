@@ -80,6 +80,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             PromptRegistry.default().render("P_v", query="q")
 
+    @pytest.mark.parametrize("value", [
+        "{context}", "a {docid} b", "{query}{explanation}", "{document}",
+        r"\1 \g<0>"])
+    def test_slot_text_in_values_stays_literal(self, value):
+        reg = PromptRegistry.default()
+        assert reg.render("P_t", query=value) == \
+            DEFAULT_PROMPTS["P_t"].replace("{query}", value)
+        text = reg.render("P_v", query=value, docid="x-y")
+        assert f"Query: {value}\n" in text
+        assert text.endswith("Candidate identifier: x-y")
+        text = reg.render("P_f", query="q", docid=value, context=value,
+                          explanation="e")
+        assert f"Irrelevant identifier: {value}\n" in text
+        assert f"Current context: {value}\n" in text
+
     def test_from_file_merges(self, tmp_path):
         p = tmp_path / "prompts.json"
         p.write_text(json.dumps({"P_v": "custom {query} {docid}",
