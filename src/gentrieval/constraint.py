@@ -5,11 +5,18 @@ identifier sequences), an FM-index over the SEP-joined identifier sequence
 (any contiguous span that runs to the end of some identifier is accepted), and
 a term-set automaton over a lazily expanded, memoised DAG of sorted
 sub-multisets (any ordering of a record's term multiset is accepted).
+
+Each automaton has start(), allowed(state) -> (tokens, end_ok),
+step(state, token) and complete(state). `tokens` is a view the automaton
+keeps (the keys of a dict built in ascending token order): it iterates in
+ascending order, supports `in` and set comparison, and cannot be changed
+through it. Callers read it in place; it is never copied per call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import KeysView
 
 from .corpus import END, SEP
 from .docid import DocIdIndex, DocIdRecord
@@ -51,13 +58,16 @@ class TrieAutomaton:
                     self.terminal.append([])
                 node = nxt
             self.terminal[node].append(ridx)
+        # Ascending, so allowed() can hand out the keys as they are.
+        self.children = [dict(sorted(c.items())) if len(c) > 1 else c
+                         for c in self.children]
 
     def start(self) -> int:
         return 0
 
-    def allowed(self, state: int) -> tuple[set[int], bool]:
+    def allowed(self, state: int) -> tuple[KeysView[int], bool]:
         _check_node(state, len(self.children), "trie")
-        return set(self.children[state]), bool(self.terminal[state])
+        return self.children[state].keys(), bool(self.terminal[state])
 
     def step(self, state: int, token: int) -> int:
         _check_node(state, len(self.children), "trie")
@@ -81,7 +91,10 @@ class FmIndexAutomaton:
     exactly when the window abuts a SEP, i.e. the emitted sequence is a
     suffix of some record. Only the empty emission has the start window: a
     non-empty pattern occurs at most n times, the start window spans n + 1
-    rows.
+    rows. A window is valid when 0 <= lo < hi <= rows; any other raises
+    InvalidState. allowed() memoises its answer per window. The windows of
+    a sequence's patterns are the nodes of its suffix tree, so the memo
+    stays under twice the number of rows.
     """
 
     strategy = STRATEGY_FM
@@ -96,25 +109,35 @@ class FmIndexAutomaton:
             joined.append(SEP)
         self.joined = joined
         self.fm = SequenceFMIndex(joined)
-        # The start window spans the whole sequence, so its followers are
-        # every token in it; every search asks for them, so keep them.
-        self._start_followers = self.fm.followers(self.fm.start()) - {SEP}
+        # window -> (allowed view, end_ok), seeded with the start window:
+        # SEP follows the empty emission, but that emission is no record's
+        # suffix, so END is not allowed there.
+        start = self.fm.start()
+        followers = self.fm.followers(start) - {SEP}
+        self._allowed: dict[tuple[int, int], tuple[KeysView[int], bool]] = {
+            start: (dict.fromkeys(sorted(followers)).keys(), False)}
 
     def start(self) -> tuple[int, int]:
         return self.fm.start()
 
-    def allowed(self, state: tuple[int, int]) -> tuple[set[int], bool]:
-        if self.fm.count(state) <= 0:
-            raise InvalidState("empty FM window")
-        if state == self.fm.start():
-            # A copy, so the caller cannot change the kept set.
-            return set(self._start_followers), False
-        followers = self.fm.followers(state)
-        end_allowed = SEP in followers
-        followers.discard(SEP)
-        return followers, end_allowed
+    def _check_window(self, state: tuple[int, int]) -> None:
+        lo, hi = state
+        if not 0 <= lo < hi <= self.fm.n + 1:
+            raise InvalidState(f"FM window {state}")
+
+    def allowed(self, state: tuple[int, int]) -> tuple[KeysView[int], bool]:
+        moves = self._allowed.get(state)
+        if moves is None:
+            self._check_window(state)
+            followers = self.fm.followers(state)
+            end_allowed = SEP in followers
+            followers.discard(SEP)
+            moves = dict.fromkeys(sorted(followers)).keys(), end_allowed
+            self._allowed[state] = moves
+        return moves
 
     def step(self, state: tuple[int, int], token: int) -> tuple[int, int]:
+        self._check_window(state)
         if token == SEP or token == END:
             raise IllegalTransition("reserved token")
         rng = self.fm.extend(state, token)
@@ -123,6 +146,7 @@ class FmIndexAutomaton:
         return rng
 
     def complete(self, state: tuple[int, int]) -> list[DocIdRecord]:
+        self._check_window(state)
         rng = self.fm.extend(state, SEP)
         if state == self.fm.start() or self.fm.count(rng) <= 0:
             raise NotTerminal("window does not abut SEP")
@@ -132,8 +156,9 @@ class FmIndexAutomaton:
 class _TermNode:
     """A sorted sub-multiset of emitted tokens and the records containing it.
 
-    `children` (token -> node id) and `terminal` (the records whose multiset
-    is exactly `key`, in index order) stay unset until the node is expanded.
+    `children` (token -> node id, in ascending token order) and `terminal`
+    (the records whose multiset is exactly `key`, in index order) stay unset
+    until the node is expanded.
     """
 
     __slots__ = ("key", "live", "children", "terminal")
@@ -194,7 +219,7 @@ class TermSetAutomaton:
                 if cnt > held.get(term, 0):
                     follow.setdefault(term, []).append(ridx)
         children: dict[int, int] = {}
-        for term, live in follow.items():
+        for term, live in sorted(follow.items()):
             key = tuple(sorted(node.key + (term,)))
             child = self.node_of.get(key)
             if child is None:
@@ -206,9 +231,9 @@ class TermSetAutomaton:
         node.terminal = terminal
         node.children = children
 
-    def allowed(self, state: int) -> tuple[set[int], bool]:
+    def allowed(self, state: int) -> tuple[KeysView[int], bool]:
         node = self._expanded(state)
-        return set(node.children), bool(node.terminal)
+        return node.children.keys(), bool(node.terminal)
 
     def step(self, state: int, token: int) -> int:
         nxt = self._expanded(state).children.get(token)

@@ -8,6 +8,13 @@ sorted or completed. Scores are raw model log-probabilities (no
 renormalization after masking), so a finished hypothesis scores exactly
 sequence_logprob of its token sequence; that identity is what the
 exhaustive-oracle tests lean on.
+
+The model is called with the whole prompt once, at the root; after that
+each beam entry carries only the trailing `model.window` tokens of its
+context (all of it for a model without `window`). The automaton's
+allowed(state) returns (tokens, end_ok) where tokens is a kept, read-only
+set-like view that iterates in ascending order, so the beam reads it in
+place and never sorts or copies it.
 """
 
 from __future__ import annotations
@@ -88,6 +95,11 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     go to a pool bounded at the top beam_width by (-score, tokens), and
     complete() runs only for one that enters it. The pool is returned best
     first.
+
+    A model whose distribution reads only its last `window` context tokens
+    gets only those, cut from each entry's context as it is extended;
+    at least one, so emitted tokens are still checked against the
+    vocabulary.
     """
     start = automaton.start()
     start_moves = automaton.allowed(start)
@@ -95,19 +107,21 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
         raise NoValidPath("automaton start state admits no token")
 
     width = cfg.beam_width
-    prompt = list(prompt_tokens)
-    live: list[tuple[float, tuple[int, ...], object]] = [(0.0, (), start)]
+    window = getattr(model, "window", None)
+    cut = 0 if window is None else -max(window, 1)
+    # (score, gen, state, model context of the state)
+    live: list[tuple] = [(0.0, (), start, tuple(prompt_tokens))]
     pool: list[Hypothesis] = []  # finished, best first
     for _ in range(cfg.max_len):
         if not live:
             break
-        # (-score, gen, token, parent state, rest of the run or None); the
-        # first three fields are unique, so the last two are never compared.
+        # (-score, gen, token, parent state, parent context, rest of the run
+        # or None); the first three fields are unique, so the rest are never
+        # compared.
         heap: list[tuple] = []
-        for score, gen, state in live:
+        for score, gen, state, ctx in live:
             allowed, end_ok = automaton.allowed(state) if gen else start_moves
-            default, overrides = model.next_token_distribution(
-                prompt + list(gen))
+            default, overrides = model.next_token_distribution(ctx)
             if end_ok:
                 end_score = score + overrides.get(END, default)
                 key = (-end_score, gen + (END,))
@@ -119,21 +133,22 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                     del pool[width:]
             for tok, lp in overrides.items():
                 if tok in allowed:
-                    heap.append((-(score + lp), gen, tok, state, None))
-            run = filterfalse(overrides.__contains__, sorted(allowed))
+                    heap.append((-(score + lp), gen, tok, state, ctx, None))
+            run = filterfalse(overrides.__contains__, allowed)
             head = next(run, None)
             if head is not None:
-                heap.append((-(score + default), gen, head, state, run))
+                heap.append((-(score + default), gen, head, state, ctx, run))
         heapq.heapify(heap)
         live = []
         while heap and len(live) < width:
-            neg, gen, tok, state, run = heap[0]
+            neg, gen, tok, state, ctx, run = heap[0]
             nxt = None if run is None else next(run, None)
             if nxt is None:
                 heapq.heappop(heap)
             else:
-                heapq.heapreplace(heap, (neg, gen, nxt, state, run))
-            live.append((-neg, gen + (tok,), automaton.step(state, tok)))
+                heapq.heapreplace(heap, (neg, gen, nxt, state, ctx, run))
+            live.append((-neg, gen + (tok,), automaton.step(state, tok),
+                         (ctx + (tok,))[cut:]))
     return pool
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import END, Corpus, Document, Vocabulary, normalize, words_of
+from .corpus import (END, SEP, Corpus, Document, Vocabulary, normalize,
+                     words_of)
 from .errors import EmptyDocument, MalformedIndex, UnknownDoc
 
 STOPWORDS = frozenset("""
@@ -305,6 +306,19 @@ def build_views(doc: Document, config: ViewConfig,
     return records
 
 
+def _tokens_error(tokens: tuple, vocab_size: int) -> str | None:
+    """What is wrong with a record's token ids, or None: they must be ids
+    of the vocabulary, END last and neither END nor SEP before it."""
+    if not tokens or tokens[-1] != END:
+        return "tokens do not end with END"
+    for t in tokens:
+        if type(t) is not int or not 0 <= t < vocab_size:
+            return f"token {t!r} is not an id of the vocabulary"
+    if END in tokens[:-1] or SEP in tokens:
+        return "END or SEP inside the tokens"
+    return None
+
+
 class DocIdIndex:
     """All docid records over a corpus plus the shared frozen vocabulary."""
 
@@ -365,6 +379,11 @@ class DocIdIndex:
         vocab = Vocabulary.from_dict(obj["vocab"])
         records = [DocIdRecord(r["doc_key"], tuple(r["tokens"]), r["surface"],
                                r["view"]) for r in obj["records"]]
+        for i, rec in enumerate(records):
+            problem = _tokens_error(rec.tokens, len(vocab))
+            if problem:
+                raise MalformedIndex(f"malformed index: record {i} "
+                                     f"({rec.doc_key!r}): {problem}")
         hierarchy = None
         if "hierarchy" in obj:
             hobj = obj["hierarchy"]

@@ -48,9 +48,9 @@ class NotSupported(GentrievalError):
 
 
 class UnknownToken(GentrievalError):
-    def __init__(self, token: int):
+    def __init__(self, token: int, detail: str = ""):
         self.token = token
-        super().__init__(f"token id {token} outside the vocabulary")
+        super().__init__(detail or f"token id {token} outside the vocabulary")
 
 
 class MissingEnd(GentrievalError):

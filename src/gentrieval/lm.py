@@ -12,6 +12,12 @@ smoothing every token unseen in a context shares one score, so the pair is
 small, and constrained decoding can skip the default-scored tokens that
 cannot survive the beam cut. NgramModel memoises the pair per trained
 context, since beam steps and refine rounds ask for the same contexts again.
+
+A scoring model may declare `window`, the number of trailing context tokens
+its distribution depends on (order - 1 for NgramModel, the longest rule
+context for ScriptedModel). Constrained decoding then passes only that many
+trailing tokens after its first call, so the cost of a call does not grow
+with the prompt. A model without `window` is given its full context.
 """
 
 from __future__ import annotations
@@ -100,7 +106,9 @@ class ScriptedModel:
     [word, ...], "probs": {word: p, ...}}, matched when the context token
     words are a suffix of the running context ("<end>" names the END token);
     unlisted tokens sit at the floor log-probability. With no matching rule
-    the distribution is uniform over the vocabulary minus SEP.
+    the distribution is uniform over the vocabulary minus SEP. A rule reads
+    no more trailing tokens than its context holds, so `window` is the
+    longest rule context.
     """
 
     def __init__(self, vocab: Vocabulary,
@@ -109,6 +117,10 @@ class ScriptedModel:
         self.vocab = vocab
         self.generate_rules = generate_rules or []
         self.dist_rules = dist_rules or []
+
+    @property
+    def window(self) -> int:
+        return max((len(r["context"]) for r in self.dist_rules), default=0)
 
     @classmethod
     def from_file(cls, path, vocab: Vocabulary) -> "ScriptedModel":
@@ -148,30 +160,25 @@ class ScriptedModel:
                 return _truncate(rule["response"], req.max_tokens, req.stop)
         return ""
 
-    def _rule_ids(self, words: list[str]) -> list[int]:
-        ids = []
-        for w in words:
-            tid = END if w == "<end>" else SEP if w == "<sep>" else self.vocab.id_of(w)
-            if tid is None:
-                raise UnknownToken(-1)
-            ids.append(tid)
-        return ids
+    def _rule_id(self, word: str, rule: int) -> int:
+        tid = (END if word == "<end>" else SEP if word == "<sep>"
+               else self.vocab.id_of(word))
+        if tid is None:
+            raise UnknownToken(-1, f"distribution rule {rule} names {word!r}, "
+                                   "which is not in the vocabulary")
+        return tid
 
     def next_token_distribution(self, ctx: list[int]
                                 ) -> tuple[float, dict[int, float]]:
         v = len(self.vocab)
         _check_ctx(ctx, v)
-        for rule in self.dist_rules:
-            pattern = self._rule_ids(rule["context"])
+        for i, rule in enumerate(self.dist_rules):
+            pattern = [self._rule_id(w, i) for w in rule["context"]]
             if pattern and list(ctx[-len(pattern):]) != pattern:
                 continue
-            overrides = {}
-            for w, p in rule["probs"].items():
-                tid = END if w == "<end>" else self.vocab.id_of(w)
-                if tid is None:
-                    raise UnknownToken(-1)
-                overrides[tid] = math.log(p)
-            return FLOOR_LOGPROB, overrides
+            return FLOOR_LOGPROB, {
+                self._rule_id(w, i): math.log(p)
+                for w, p in rule["probs"].items()}
         # Uniform over the vocabulary with SEP masked.
         return math.log(1.0 / (v - 1)), {SEP: FLOOR_LOGPROB}
 
@@ -182,7 +189,8 @@ class NgramModel:
     Distributions are memoised per context key (the last order - 1 tokens)
     for trained contexts only, so the memo never outgrows self.counts;
     train_pair and a change in the vocabulary size clear it. Callers share
-    the memoised overrides dict and must not change it.
+    the memoised overrides dict and must not change it. The key is the
+    whole of what a distribution reads, so `window` is order - 1.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
@@ -195,6 +203,10 @@ class NgramModel:
         self.totals: dict[tuple[int, ...], int] = {}
         self._memo: dict[tuple[int, ...], tuple[float, dict[int, float]]] = {}
         self._memo_vocab_size = len(vocab)
+
+    @property
+    def window(self) -> int:
+        return self.order - 1
 
     def train_pair(self, prompt: list[int], target: list[int]) -> None:
         """Count n-grams of prompt||target; target should end with END."""

@@ -452,14 +452,29 @@ class TestExitCodes:
 
 
 class TestMalformedInputs:
-    """Malformed trace lines and scripted rule files end in one error line
-    and exit 1."""
+    """Malformed trace lines, scripted rule files and index records end in
+    one error line and exit 1."""
 
     @staticmethod
     def assert_one_error(capsys, rc):
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        return err[0]
+
+    @pytest.mark.parametrize("tokens", [[138, 0], [2, 3]])
+    @pytest.mark.parametrize("strategy", ["trie", "fm_index", "term_set"])
+    def test_bad_record_tokens(self, workspace, capsys, strategy, tokens):
+        # An id outside the vocabulary, or a record without END, is refused
+        # when the index loads, whatever the strategy.
+        index = json.loads(pathlib.Path(workspace["index"]).read_text())
+        index["records"][2]["tokens"] = tokens
+        bad = workspace["dir"] / "bad-index.json"
+        bad.write_text(json.dumps(index))
+        err = self.assert_one_error(capsys, main([
+            "retrieve", "--index", str(bad), "--model", workspace["model"],
+            "--strategy", strategy, "--query", "which fruit calories"]))
+        assert "record 2 ('d3')" in err
 
     @pytest.mark.parametrize("line", [
         "not json", "[1]", '{"reason": ["x"]}', '{"rounds": 1}',

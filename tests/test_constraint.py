@@ -1,5 +1,8 @@
 import itertools
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -347,6 +350,99 @@ class TestInvalidNode:
                 a.step(state, food)
             with pytest.raises(InvalidState):
                 a.complete(state)
+
+    def test_fm_window_out_of_range(self, toy_index):
+        a = FmIndexAutomaton(toy_index)
+        rows = a.fm.n + 1
+        food = tok(toy_index, "food")
+        memo = len(a._allowed)
+        for state in ((0, 10 ** 9), (-5, 3), (0, rows + 1), (2, 2), (3, 1),
+                      (-1, 0), (rows, rows + 1)):
+            with pytest.raises(InvalidState):
+                a.allowed(state)
+            with pytest.raises(InvalidState):
+                a.step(state, food)
+            with pytest.raises(InvalidState):
+                a.complete(state)
+        assert len(a._allowed) == memo  # no invalid window was kept
+
+
+def naive_allowed(strategy, index, emitted):
+    """The tokens allowed after *emitted*, by a scan over the record
+    bodies."""
+    n = len(emitted)
+    bodies = [r.tokens[:-1] for r in index.records]
+    if strategy == "trie":
+        return {b[n] for b in bodies if len(b) > n and b[:n] == emitted}
+    if strategy == "fm_index":
+        return {b[i + n] for b in bodies for i in range(len(b) - n)
+                if b[i:i + n] == emitted}
+    return naive_term_set(index, emitted)[0]
+
+
+class TestAllowedView:
+    """allowed() hands out a kept view: ascending, equal to a scan of the
+    records, and read-only."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_ascending_and_matches_oracle(self, strategy):
+        rng = random.Random(17)
+        for _ in range(10):
+            index = random_record_index(rng, rng.randint(2, 12), 8,
+                                        max_len=4)
+            a = build(strategy, index)
+            stack = [(a.start(), ())]
+            while stack:
+                state, emitted = stack.pop()
+                allowed, _ = a.allowed(state)
+                assert list(allowed) == sorted(allowed)
+                assert allowed == naive_allowed(strategy, index, emitted)
+                stack.extend((a.step(state, t), emitted + (t,))
+                             for t in allowed)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_read_only(self, toy_index, strategy):
+        a = build(strategy, toy_index)
+        state = a.start()
+        allowed, _ = a.allowed(state)
+        before = list(allowed)
+        for mutate in ("add", "discard", "remove", "clear", "update"):
+            assert not hasattr(allowed, mutate)
+        with pytest.raises(TypeError):
+            allowed[0] = 5
+        assert list(a.allowed(state)[0]) == before
+
+
+class TestFmMemo:
+    def test_bounded_after_toy_run(self, tmp_path, monkeypatch):
+        """Decoding every query of a toy run fills the per-window memo with
+        at most 2 (n + 1) entries, the suffix-tree node bound."""
+        from gentrieval import evaluation
+        from gentrieval.cli import main
+
+        script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                  / "make_toy_data.py")
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path),
+                        "--docs", "40", "--queries", "30", "--seed", "3"],
+                       check=True, capture_output=True)
+        index = str(tmp_path / "index.json")
+        assert main(["build-index", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--out", index, "--views", "ngram"]) == 0
+        built = []
+
+        def build_and_keep(strategy, idx):
+            built.append(build(strategy, idx))
+            return built[-1]
+
+        monkeypatch.setattr(evaluation, "build_automaton", build_and_keep)
+        queries = str(tmp_path / "queries.jsonl")
+        evaluation.run_experiment(evaluation.ExperimentConfig(
+            corpus_path=str(tmp_path / "corpus.jsonl"), queries_path=queries,
+            index_path=index, strategy="fm_index", pipeline="r4r",
+            reason_model_path=str(tmp_path / "reasoner.json"),
+            ngram_train_queries_path=queries))
+        [a] = built
+        assert 30 < len(a._allowed) <= 2 * (a.fm.n + 1)
 
 
 class TestNoDeadEnds:

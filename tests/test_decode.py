@@ -11,7 +11,7 @@ from gentrieval.decode import (BeamConfig, Candidate, Hypothesis, RankedList,
                                constrained_beam_search, dedup_rank,
                                hypotheses_to_candidates, merge_views)
 from gentrieval.docid import DocIdIndex, DocIdRecord
-from gentrieval.errors import NoValidPath
+from gentrieval.errors import NoValidPath, UnknownToken
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
@@ -286,10 +286,10 @@ def dense_beam_search(model, prompt_tokens, automaton, cfg):
     return finished[:cfg.beam_width]
 
 
-def trained_ngram(index, rng):
+def trained_ngram(index, rng, order=3):
     """An n-gram model over *index*'s vocabulary, trained on random
     prompts paired with a few of its records."""
-    model = NgramModel(index.vocab)
+    model = NgramModel(index.vocab, order=order)
     words = range(2, len(index.vocab))
     for rec in rng.sample(index.records, max(1, len(index.records) // 3)):
         prompt = [rng.choice(words) for _ in range(rng.randint(0, 3))]
@@ -332,6 +332,105 @@ class TestSparseMatchesDense:
                 assert constrained_beam_search(
                     model, prompt, automaton, cfg) == dense_beam_search(
                     model, prompt, automaton, cfg)
+
+
+class FullContext:
+    """Passes calls through to *inner* but hides its `window`, so the beam
+    gives it every context token."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_token_distribution(self, ctx):
+        return self.inner.next_token_distribution(ctx)
+
+
+class WindowRecorder(FullContext):
+    """Passes calls through to *inner*, keeping its `window`, and records
+    the length of each ctx."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.window = inner.window
+        self.lengths = []
+
+    def next_token_distribution(self, ctx):
+        self.lengths.append(len(ctx))
+        return super().next_token_distribution(ctx)
+
+
+def random_dist_rules(rng, vocab):
+    """Scripted distribution rules whose contexts are 0 to 3 tokens long,
+    most specific first, so rules of every length fire."""
+    words = [vocab.word_of(t) for t in range(2, len(vocab))] + ["<end>"]
+    rules = []
+    for length in (3, 2, 1, 1, 0):
+        for _ in range(4 if length else 1):
+            rules.append({
+                "context": [rng.choice(words[:-1]) for _ in range(length)],
+                "probs": {w: rng.choice((0.1, 0.25, 0.5, 1.0))
+                          for w in rng.sample(words, 3)}})
+    return rules
+
+
+class TestModelWindow:
+    """A model that declares `window` is given only its trailing `window`
+    context tokens after the root call, and the beam returns exactly what
+    it returns with the whole context."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_ngram_matches_full_context(self, strategy, order):
+        rng = random.Random(47 + order)
+        for trial in range(6):
+            index = random_record_index(rng, rng.randint(3, 25), 10,
+                                        max_len=4)
+            automaton = build(strategy, index)
+            model = trained_ngram(index, rng, order=order)
+            prompts = [[]] + [[rng.randrange(2, len(index.vocab))
+                               for _ in range(n)] for n in (1, 5)]
+            for prompt, width in itertools.product(prompts, range(1, 9)):
+                cfg = BeamConfig(beam_width=width, max_len=6)
+                windowed = WindowRecorder(model)
+                assert constrained_beam_search(
+                    windowed, prompt, automaton, cfg) == \
+                    constrained_beam_search(
+                        FullContext(model), prompt, automaton, cfg)
+                assert windowed.lengths[0] == len(prompt)
+                assert max(windowed.lengths[1:], default=1) <= max(order - 1,
+                                                                   1)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_scripted_rules_of_several_lengths(self, strategy):
+        rng = random.Random(53)
+        for trial in range(10):
+            index = random_record_index(rng, rng.randint(3, 25), 6,
+                                        max_len=4)
+            automaton = build(strategy, index)
+            model = ScriptedModel(index.vocab, dist_rules=random_dist_rules(
+                rng, index.vocab))
+            assert model.window == 3
+            prompts = [[], [rng.randrange(2, len(index.vocab))
+                            for _ in range(6)]]
+            for prompt, width in itertools.product(prompts, (1, 3, 8)):
+                cfg = BeamConfig(beam_width=width, max_len=6)
+                assert constrained_beam_search(
+                    model, prompt, automaton, cfg) == \
+                    constrained_beam_search(
+                        FullContext(model), prompt, automaton, cfg)
+
+    @pytest.mark.parametrize("make_model", [
+        lambda vocab: NgramModel(vocab),
+        lambda vocab: ScriptedModel(vocab, dist_rules=TOY_DIST_RULES)])
+    def test_unknown_prompt_token(self, make_model):
+        # The bad token sits far outside the model's window: the root call
+        # sees the whole prompt and rejects it.
+        index, _ = toy_setup()
+        model = make_model(index.vocab)
+        prompt = [len(index.vocab)] + [index.vocab.id_of("food")] * 5
+        with pytest.raises(UnknownToken):
+            constrained_beam_search(model, prompt, TrieAutomaton(index),
+                                    BeamConfig(beam_width=3))
 
 
 def rec(key, surface, view="path"):

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gentrieval.corpus import END, Corpus, Document, Vocabulary
+from gentrieval.corpus import END, SEP, Corpus, Document, Vocabulary
 from gentrieval.docid import (DocIdIndex, NgramScorer, RQNode, ViewConfig,
                               assign_keywords, build_index, build_rq_hierarchy,
                               build_views, embed_document, path_docid,
                               reconstruction_error)
 from gentrieval.errors import EmptyDocument, MalformedIndex, UnknownDoc
 
-from conftest import JSON_VALUES, random_text_corpus
+from conftest import (JSON_VALUES, TOY_SURFACES, make_index,
+                      random_text_corpus)
 
 
 def _some_of(fields: dict) -> st.SearchStrategy:
@@ -304,6 +305,31 @@ class TestIndexBuild:
             DocIdIndex.from_json(text)
         except MalformedIndex:
             pass
+
+    @pytest.mark.parametrize("tokens, problem", [
+        ([], "tokens do not end with END"),
+        ([2, 3], "tokens do not end with END"),
+        ([2, END, 3, END], "END or SEP inside"),
+        ([2, SEP, 3, END], "END or SEP inside"),
+        ([SEP, END], "END or SEP inside"),
+        ([2, 138, END], "token 138 is not an id"),
+        ([-1, END], "token -1 is not an id"),
+        (["a", END], "token 'a' is not an id"),
+        ([2.0, END], "token 2.0 is not an id"),
+        ([True, END], "token True is not an id")])
+    def test_bad_record_tokens_rejected(self, tokens, problem):
+        obj = json.loads(make_index(TOY_SURFACES).to_json())
+        obj["records"][1]["tokens"] = tokens
+        with pytest.raises(MalformedIndex, match="record 1 .'d2'.: "
+                           + problem):
+            DocIdIndex.from_json(json.dumps(obj))
+
+    def test_body_free_record_loads(self):
+        # END alone is a well-formed, if empty, identifier.
+        obj = json.loads(make_index(TOY_SURFACES).to_json())
+        obj["records"][0]["tokens"] = [END]
+        assert DocIdIndex.from_json(json.dumps(obj)).records[0].tokens == (
+            END,)
 
     def test_every_doc_has_record(self):
         rng = random.Random(3)

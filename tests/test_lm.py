@@ -139,6 +139,27 @@ class TestScriptedDistribution:
         with pytest.raises(UnknownToken):
             m.next_token_distribution([])
 
+    @pytest.mark.parametrize("rules, index", [
+        ([{"context": ["xyzzy"], "probs": {"food": 1.0}}], 0),
+        ([{"context": ["tech"], "probs": {"food": 1.0}},
+          {"context": [], "probs": {"plugh": 0.5}}], 1)])
+    def test_unknown_rule_word_names_word_and_rule(self, rules, index):
+        m = ScriptedModel(make_index(TOY_SURFACES).vocab, dist_rules=rules)
+        with pytest.raises(UnknownToken) as exc:
+            m.next_token_distribution([])
+        word = "xyzzy" if index == 0 else "plugh"
+        assert str(exc.value) == (f"distribution rule {index} names "
+                                  f"{word!r}, which is not in the vocabulary")
+
+    def test_window_is_longest_rule_context(self):
+        vocab = make_index(TOY_SURFACES).vocab
+        assert ScriptedModel(vocab).window == 0
+        assert ScriptedModel(vocab, dist_rules=TOY_DIST_RULES).window == 1
+        rules = [{"context": ["food", "apple", "<end>"], "probs": {}},
+                 {"context": [], "probs": {}},
+                 {"context": ["tech", "apple"], "probs": {}}]
+        assert ScriptedModel(vocab, dist_rules=rules).window == 3
+
 
 class TestNgram:
     def test_add_one_by_hand(self):
@@ -225,6 +246,12 @@ class TestNgram:
             END: math.log(2 / 6)}
         assert m.next_token_distribution([a, b])[1] == {c: math.log(2 / 6)}
         assert m.next_token_distribution([b, c])[1] == {}
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5])
+    def test_window_is_order_minus_one(self, order):
+        vocab = Vocabulary()
+        vocab.encode("a b c", on_unknown="grow")
+        assert NgramModel(vocab, order=order).window == order - 1
 
     @pytest.mark.parametrize("order", [0, -1, -5])
     def test_order_below_one_rejected(self, order):
