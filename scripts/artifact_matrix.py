@@ -3,11 +3,14 @@
 
 The matrix is {trie, fm_index, term_set} strategies x {standard, direct_cot,
 r4r with an accepting reasoner, r4r with a reasoner that rejects for three
-rounds} x {merge, no merge} x {path-only index, `--views ngram` index}, over
+rounds, and that rejecting r4r under each of the `no_context`,
+`no_explanation` and `no_verification` ablations and under all three} x
+{merge, no merge} x {path-only index, `--views ngram` index}, over
 `make_toy_data.py --docs 400 --queries 12 --seed 5` data. For each cell it
 keeps the `run` report, trace and stdout, plus `retrieve` output for the
-first two queries. Two checkouts that rank identically give trees that
-`diff -r` finds equal, so an exactness claim is checked by running
+first two queries where the retrieval model is also the reasoner. Two
+checkouts that rank identically give trees that `diff -r` finds equal, so
+an exactness claim is checked by running
 
     python scripts/artifact_matrix.py --out /tmp/new
 
@@ -35,11 +38,16 @@ from gentrieval.cli import main as cli_main  # noqa: E402
 
 STRATEGIES = ("trie", "fm_index", "term_set")
 INDEXES = {"path": (), "ngram": ("--views", "ngram")}
-# Reasoner rules per r4r variant; first match wins.
+# Reasoner rules per r4r variant; first match wins. The accepting one has
+# no think rule, so think falls back to the raw query; the rejecting one
+# thinks with two different channels, so that each ablation shows.
 REASONERS = {
     "r4r-accept": [{"match": "Candidate identifier: ",
                     "response": "relevant"}],
-    "r4r-reject": [{"match": "Candidate identifier: ",
+    "r4r-reject": [{"match": "naming what the query points to",
+                    "response": "<context>overview digest</context>"
+                                "<explanation>bulletin notes</explanation>"},
+                   {"match": "Candidate identifier: ",
                     "response": "irrelevant"},
                    {"match": "Irrelevant identifier: ",
                     "response": "<context>report summary</context>"
@@ -48,6 +56,13 @@ REASONERS = {
 }
 PIPELINES = {"standard": (), "direct_cot": (),
              "r4r-accept": ("--T", "3"), "r4r-reject": ("--T", "3")}
+# Ablation cells: the rejecting r4r with these --ablation flags.
+ABLATIONS = {"r4r-no_context": "no_context",
+             "r4r-no_explanation": "no_explanation",
+             "r4r-no_verification": "no_verification",
+             "r4r-ablate_all": "no_context,no_explanation,no_verification"}
+PIPELINES.update({cell: ("--T", "3", "--ablation", flags)
+                  for cell, flags in ABLATIONS.items()})
 RETRIEVED_QUERIES = 2
 
 
@@ -99,8 +114,10 @@ def main() -> int:
                               "--model", "ngram",
                               "--train-queries", "data/queries.jsonl",
                               *extra, *(["--merge-views"] if merge else [])]
-                    reasoner = ([] if pipeline not in REASONERS else
-                                ["--reason-model", f"data/{pipeline}.json"])
+                    rules = ("r4r-reject" if pipeline in ABLATIONS
+                             else pipeline)
+                    reasoner = ([] if rules not in REASONERS else
+                                ["--reason-model", f"data/{rules}.json"])
                     cli(["run", *common, *reasoner,
                          "--corpus", "data/corpus.jsonl",
                          "--queries", "data/queries.jsonl",
@@ -109,7 +126,7 @@ def main() -> int:
                         cell / "run.txt")
                     # retrieve has no reasoner flag: its reasoner is the
                     # retrieval model, so one r4r variant covers it.
-                    if pipeline == "r4r-reject":
+                    if rules == "r4r-reject":
                         continue
                     for i, text in enumerate(texts):
                         cli(["retrieve", *common, "--query", text],

@@ -208,7 +208,7 @@ def _cmd_stats(args) -> int:
                     raise MalformedRecord(line_no, "not JSON") from exc
     stats = termination_stats(traces)
     for reason in ("all_relevant", "budget_exhausted", "parse_failure"):
-        print(f"{reason}\t{stats.fractions[reason]:.4f}")
+        print(f"{reason}\t{stats[reason]:.4f}")
     return 0
 
 

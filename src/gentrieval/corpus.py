@@ -12,7 +12,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import DuplicateKey, MalformedRecord, VocabularyFrozen
+from .errors import (DuplicateKey, MalformedIndex, MalformedRecord,
+                     VocabularyFrozen)
 
 END = 0
 SEP = 1
@@ -110,12 +111,38 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "Vocabulary":
+        """The frozen vocabulary that `to_dict` wrote; raises MalformedIndex
+        for any other shape."""
+        problem = _vocab_error(d)
+        if problem:
+            raise MalformedIndex(f"malformed index: vocab {problem}")
         v = cls.__new__(cls)
-        items = sorted(((int(i), w) for i, w in d.items()))
-        v._id_to_word = [w for _, w in items]
-        v._word_to_id = {w: i for i, w in items}
+        v._id_to_word = [d[str(i)] for i in range(len(d))]
+        v._word_to_id = {w: i for i, w in enumerate(v._id_to_word)}
         v.frozen = True
         return v
+
+
+def _vocab_error(d) -> str | None:
+    """What keeps *d* from being a `to_dict` vocabulary, or None: its keys
+    must be exactly "0" .. "n-1", its words distinct strings, with END_WORD
+    at END and SEP_WORD at SEP."""
+    if not isinstance(d, dict):
+        return "is not an object"
+    ids = [str(i) for i in range(len(d))]
+    known = set(ids)
+    bad = [k for k in d if k not in known]
+    if bad:
+        return f"key {bad[0]!r} is not an id in 0 .. {len(d) - 1}"
+    first: dict[str, str] = {}
+    for i in ids:
+        if not isinstance(d[i], str):
+            return f"word of id {i} is not a string: {d[i]!r}"
+        if first.setdefault(d[i], i) != i:
+            return f"word {d[i]!r} has ids {first[d[i]]} and {i}"
+    if [d.get(str(END)), d.get(str(SEP))] != [END_WORD, SEP_WORD]:
+        return f"ids {END} and {SEP} must be {END_WORD!r} and {SEP_WORD!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -216,8 +243,8 @@ def load_queries(path) -> list[Query]:
                 raise MalformedRecord(line_no, str(exc)) from exc
             if not isinstance(obj, dict) or "qid" not in obj or "text" not in obj:
                 raise MalformedRecord(line_no, "missing required field 'qid' or 'text'")
-            if not isinstance(obj["text"], str) or not obj["text"]:
-                raise MalformedRecord(line_no, "'text' must be a nonempty string")
+            if not isinstance(obj["text"], str) or not obj["text"].strip():
+                raise MalformedRecord(line_no, "'text' must be a non-blank string")
             relevant = obj.get("relevant", [])
             if not _is_str_list(relevant):
                 raise MalformedRecord(line_no, "'relevant' must be a list of strings")

@@ -26,14 +26,6 @@ from .reasoning import PromptRegistry
 
 
 @dataclass
-class MetricReport:
-    hits: dict[int, float]
-    mrr: dict[int, float]
-    n_queries: int
-    mean_latency_ms: float = 0.0
-
-
-@dataclass
 class NllReport:
     indexing_loss: float
     retrieval_loss: float
@@ -42,11 +34,6 @@ class NllReport:
     @property
     def total(self) -> float:
         return self.indexing_loss + self.retrieval_loss
-
-
-@dataclass
-class TerminationStats:
-    fractions: dict[str, float]
 
 
 def _first_relevant_rank(ranked: RankedList, relevant: frozenset[str],
@@ -119,7 +106,9 @@ def nll_losses(model, corpus: Corpus, pairs: list[tuple[Query, str]],
     return NllReport(indexing_loss=indexing, retrieval_loss=retrieval, mode=mode)
 
 
-def termination_stats(traces: list[dict]) -> TerminationStats:
+def termination_stats(traces: list[dict]) -> dict[str, float]:
+    """Fraction of *traces* (records or bare reasons) per termination
+    reason."""
     if not traces:
         raise EmptyRuns("termination stats over zero traces")
     counts = {"all_relevant": 0, "budget_exhausted": 0, "parse_failure": 0}
@@ -129,7 +118,7 @@ def termination_stats(traces: list[dict]) -> TerminationStats:
             raise ConfigError(f"unknown termination reason {reason!r}")
         counts[reason] += 1
     n = len(traces)
-    return TerminationStats({k: v / n for k, v in counts.items()})
+    return {k: v / n for k, v in counts.items()}
 
 
 @dataclass
@@ -246,25 +235,19 @@ def run_experiment(cfg: ExperimentConfig):
                         for q in queries]
             runs = [(ranked, q.relevant_keys)
                     for (ranked, _), q in zip(outcomes, queries)]
-            report = MetricReport(
-                hits={k: hits_at_k(runs, k) for k in cfg.hits_ks},
-                mrr={k: mrr_at_k(runs, k) for k in cfg.mrr_ks},
-                n_queries=len(queries))
             traces = [collect_trace(res, q.query_id)
                       for (_, res), q in zip(outcomes, queries)
                       if res is not None]
-            if cfg.timing and traces:
-                latencies = [rt["ms"] for tr in traces
-                             for rt in tr["rounds_detail"]]
-                report.mean_latency_ms = (sum(latencies) / len(latencies)
-                                          if latencies else 0.0)
+            latencies = [rt["ms"] for tr in traces
+                         for rt in tr["rounds_detail"]]
             row = {"t": t, "T": T,
-                   "hits": {str(k): report.hits[k] for k in cfg.hits_ks},
-                   "mrr": {str(k): report.mrr[k] for k in cfg.mrr_ks},
-                   "n_queries": report.n_queries,
-                   "mean_latency_ms": report.mean_latency_ms}
+                   "hits": {str(k): hits_at_k(runs, k) for k in cfg.hits_ks},
+                   "mrr": {str(k): mrr_at_k(runs, k) for k in cfg.mrr_ks},
+                   "n_queries": len(queries),
+                   "mean_latency_ms": (sum(latencies) / len(latencies)
+                                       if cfg.timing and latencies else 0.0)}
             if traces:
-                row["termination"] = termination_stats(traces).fractions
+                row["termination"] = termination_stats(traces)
             sweep_rows.append(row)
             all_traces.extend(traces)
 
@@ -291,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 __all__ = [
-    "ExperimentConfig", "MetricReport", "NllReport", "TerminationStats",
+    "ExperimentConfig", "NllReport",
     "hits_at_k", "make_retrieve_model", "mrr_at_k", "nll_losses",
     "run_experiment", "run_pipeline", "termination_stats",
 ]

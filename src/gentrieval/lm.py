@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 
 import requests
 
@@ -43,29 +42,6 @@ MATCH_TYPES = ("exact", "prefix", "contains")
 # failed retry, never more than the cap.
 RETRY_BASE_DELAY_S = 0.25
 RETRY_MAX_DELAY_S = 4.0
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    prompt: str
-    max_tokens: int = 256
-    stop: tuple[str, ...] = ()
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-
-
-def _truncate(text: str, max_tokens: int, stop: tuple[str, ...]) -> str:
-    for s in stop:
-        idx = text.find(s)
-        if idx >= 0:
-            text = text[:idx]
-    words = text.split()
-    if len(words) > max_tokens:
-        text = " ".join(words[:max_tokens])
-    return text
 
 
 def _generate_error(rule: dict) -> str | None:
@@ -149,15 +125,17 @@ class ScriptedModel:
                     raise ConfigError(f"{path}: {section} rule {i}: {problem}")
         return cls(vocab, generate_rules=generate, dist_rules=dists)
 
-    def generate(self, req: GenerationRequest) -> str:
+    def generate(self, prompt: str, max_tokens: int) -> str:
         for rule in self.generate_rules:
             match = rule["match"]
             mode = rule.get("match_type", "contains")
-            hit = (req.prompt == match if mode == "exact"
-                   else req.prompt.startswith(match) if mode == "prefix"
-                   else match in req.prompt)
+            hit = (prompt == match if mode == "exact"
+                   else prompt.startswith(match) if mode == "prefix"
+                   else match in prompt)
             if hit:
-                return _truncate(rule["response"], req.max_tokens, req.stop)
+                words = rule["response"].split()
+                return (" ".join(words[:max_tokens])
+                        if len(words) > max_tokens else rule["response"])
         return ""
 
     def _rule_id(self, word: str, rule: int) -> int:
@@ -238,11 +216,11 @@ class NgramModel:
         self._memo[key] = dist
         return dist
 
-    def generate(self, req: GenerationRequest) -> str:
-        ctx = self.vocab.encode(req.prompt, on_unknown="skip")
+    def generate(self, prompt: str, max_tokens: int) -> str:
+        ctx = self.vocab.encode(prompt, on_unknown="skip")
         out: list[int] = []
         v = len(self.vocab)
-        for _ in range(req.max_tokens):
+        for _ in range(max_tokens):
             default, overrides = self.next_token_distribution(ctx + out)
             # Highest score, ties to the smallest id: of the default-scored
             # tokens only the smallest can win.
@@ -254,10 +232,7 @@ class NgramModel:
             if best == END:
                 break
             out.append(best)
-            text = self.vocab.decode(out)
-            if any(s in text for s in req.stop):
-                return _truncate(text, req.max_tokens, req.stop)
-        return _truncate(self.vocab.decode(out), req.max_tokens, req.stop)
+        return self.vocab.decode(out)
 
 
 class RemoteModel:
@@ -308,10 +283,10 @@ class RemoteModel:
                     f"{route} response is not JSON: {exc}") from exc
         raise last_exc
 
-    def generate(self, req: GenerationRequest) -> str:
+    def generate(self, prompt: str, max_tokens: int) -> str:
         obj = self._post("/generate", {
-            "prompt": req.prompt, "max_tokens": req.max_tokens,
-            "stop": list(req.stop), "temperature": req.temperature,
+            "prompt": prompt, "max_tokens": max_tokens,
+            "stop": [], "temperature": 0.0,
         })
         text = obj.get("text") if isinstance(obj, dict) else None
         if not isinstance(text, str):

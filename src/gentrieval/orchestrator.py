@@ -73,7 +73,6 @@ class R4RResult:
     rounds_used: int
     trace: list[RoundTrace] = field(default_factory=list)
     shared_model: bool = True
-    total_ms: float = 0.0
 
 
 def _retrieve_prompt(reg: PromptRegistry, q: Query,
@@ -89,9 +88,11 @@ def default_beam_config(index: DocIdIndex, k: int = 20) -> BeamConfig:
     return BeamConfig(beam_width=k, max_len=max_len)
 
 
-def _decode(q: Query, model, automaton, index: DocIdIndex, reg: PromptRegistry,
-            cfg: BeamConfig, auxiliary: str | None = None,
-            merge: bool = False) -> RankedList:
+def run_standard(q: Query, model, automaton, index: DocIdIndex,
+                 reg: PromptRegistry, cfg: BeamConfig, merge: bool = False,
+                 auxiliary: str | None = None) -> RankedList:
+    """One constrained decode on the retrieval prompt plus the raw query and,
+    when given, the auxiliary text (reasoning or refined context)."""
     if not q.text.strip():
         raise EmptyQuery(q.query_id)
     prompt = _retrieve_prompt(reg, q, auxiliary)
@@ -102,21 +103,14 @@ def _decode(q: Query, model, automaton, index: DocIdIndex, reg: PromptRegistry,
     return dedup_rank(hypotheses_to_candidates(hyps), cfg.beam_width)
 
 
-def run_standard(q: Query, model, automaton, index: DocIdIndex,
-                 reg: PromptRegistry, cfg: BeamConfig,
-                 merge: bool = False) -> RankedList:
-    """Single constrained decode on the retrieval prompt plus the raw query."""
-    return _decode(q, model, automaton, index, reg, cfg, merge=merge)
-
-
 def run_direct_cot(q: Query, bundle: ModelBundle, automaton,
                    index: DocIdIndex, reg: PromptRegistry, cfg: BeamConfig,
-                   max_tokens: int = 256, merge: bool = False) -> RankedList:
+                   merge: bool = False) -> RankedList:
     """Free-form reasoning first, then one constrained decode over
     query || reasoning."""
-    dc = direct_cot(bundle.reason_model, q, reg, max_tokens=max_tokens)
-    return _decode(q, bundle.retrieve_model, automaton, index, reg, cfg,
-                   auxiliary=dc.reasoning or None, merge=merge)
+    reasoning = direct_cot(bundle.reason_model, q, reg)
+    return run_standard(q, bundle.retrieve_model, automaton, index, reg, cfg,
+                        auxiliary=reasoning or None, merge=merge)
 
 
 def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
@@ -129,27 +123,27 @@ def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
     no_exp = ABLATION_NO_EXPLANATION in refine_cfg.ablation
     no_verify = ABLATION_NO_VERIFICATION in refine_cfg.ablation
 
-    t_start = time.monotonic()
     state = think(bundle.reason_model, q, reg)
     if no_exp:
-        state = ReasoningState(state.round_index, state.context, "")
+        state = ReasoningState(state.context, "")
 
     result = R4RResult(ranked=RankedList(), reason=REASON_BUDGET_EXHAUSTED,
                        rounds_used=0, shared_model=bundle.shared)
     for i in range(1, refine_cfg.round_budget + 1):
         r_start = time.monotonic()
         auxiliary = state.explanation if no_ctx else state.context
-        ranked = _decode(q, bundle.retrieve_model, automaton, index, reg,
-                         beam_cfg, auxiliary=auxiliary or None, merge=merge)
+        ranked = run_standard(q, bundle.retrieve_model, automaton, index,
+                              reg, beam_cfg, auxiliary=auxiliary or None,
+                              merge=merge)
         judgments: list[str] = []
         j_hat = 0
         if no_verify:
             j_hat = 1 if len(ranked) else 0
         else:
             for j, cand in enumerate(ranked[:refine_cfg.verify_depth], start=1):
-                judgment = verify(bundle.reason_model, q, cand, reg)
-                judgments.append(judgment.verdict)
-                if judgment.verdict == "irrelevant":
+                verdict = verify(bundle.reason_model, q, cand, reg)
+                judgments.append(verdict)
+                if verdict == "irrelevant":
                     j_hat = j
                     break
         rt = RoundTrace(
@@ -164,25 +158,19 @@ def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
         if j_hat == 0 and not no_verify:
             result.reason = REASON_ALL_RELEVANT
             break
-        if j_hat == 0:  # no_verification with an empty ranking
-            result.reason = REASON_BUDGET_EXHAUSTED
-            break
-        if i == refine_cfg.round_budget:
+        # j_hat == 0 here only under no_verification with an empty ranking.
+        if j_hat == 0 or i == refine_cfg.round_budget:
             result.reason = REASON_BUDGET_EXHAUSTED
             break
         new_state = reflect(bundle.reason_model, q, ranked[j_hat - 1], state,
-                            reg, update_context=not no_ctx,
-                            include_explanation=not no_exp)
+                            reg)
         if new_state is None:
             result.reason = REASON_PARSE_FAILURE
             break
-        if no_ctx:
-            # Retrieval reads the explanation in this ablation; reflect
-            # updated only the explanation channel.
-            new_state = ReasoningState(new_state.round_index,
-                                       state.context, new_state.explanation)
-        state = new_state
-    result.total_ms = (time.monotonic() - t_start) * 1000.0 if timing else 0.0
+        # Ablated channels keep what think gave them: under no_context
+        # retrieval reads the explanation, so only that channel moves.
+        state = ReasoningState(state.context if no_ctx else new_state.context,
+                               "" if no_exp else new_state.explanation)
     return result
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import Query
 from .decode import Candidate
 from .errors import ConfigError
-from .lm import GenerationRequest
 
 DEFAULT_PROMPTS = {
     "P_r": ("You are a retrieval assistant. \n"
@@ -56,7 +55,12 @@ FORMAT_REMINDER = ("\nReminder: respond with exactly one "
                    "<explanation>...</explanation> block.")
 VERDICT_REMINDER = "\nAnswer with exactly one word: relevant or irrelevant."
 
-_SLOTS = ("query", "docid", "context", "explanation", "document")
+# Generation caps, in tokens: free-form reasoning (think, reflect,
+# direct-CoT) and a one-word verdict (verify).
+REASONING_MAX_TOKENS = 256
+VERDICT_MAX_TOKENS = 16
+
+_SLOTS = ("query", "docid", "context", "explanation")
 _SLOT_RE = re.compile(r"\{(" + "|".join(_SLOTS) + r")\}")
 
 _CONTEXT_RE = re.compile(r"<context>(.*?)</context>", re.DOTALL)
@@ -115,20 +119,8 @@ class PromptRegistry:
 
 @dataclass(frozen=True)
 class ReasoningState:
-    round_index: int
     context: str
     explanation: str
-
-
-@dataclass(frozen=True)
-class RelevanceJudgment:
-    verdict: str  # "relevant" | "irrelevant"
-    raw: str
-
-
-@dataclass(frozen=True)
-class DirectCotOutput:
-    reasoning: str
 
 
 def parse_structured(text: str) -> tuple[str, str] | None:
@@ -143,22 +135,23 @@ def parse_structured(text: str) -> tuple[str, str] | None:
     return context, exp.group(1).strip()
 
 
-def _generate(model, prompt: str, max_tokens: int) -> str:
-    return model.generate(GenerationRequest(prompt=prompt, max_tokens=max_tokens))
+def _structured(model, prompt: str) -> tuple[str, str] | None:
+    """Parsed <context>/<explanation> answer to *prompt*, asking once more
+    with a format reminder; None when both answers fail to parse."""
+    parsed = parse_structured(model.generate(prompt, REASONING_MAX_TOKENS))
+    if parsed is None:
+        parsed = parse_structured(model.generate(prompt + FORMAT_REMINDER,
+                                                 REASONING_MAX_TOKENS))
+    return parsed
 
 
-def think(model, q: Query, reg: PromptRegistry,
-          max_tokens: int = 256) -> ReasoningState:
+def think(model, q: Query, reg: PromptRegistry) -> ReasoningState:
     """Initial structured reasoning; falls back to the raw query after a
     failed retry, so the result always has a nonempty context."""
-    prompt = reg.render("P_t", query=q.text)
-    parsed = parse_structured(_generate(model, prompt, max_tokens))
+    parsed = _structured(model, reg.render("P_t", query=q.text))
     if parsed is None:
-        parsed = parse_structured(
-            _generate(model, prompt + FORMAT_REMINDER, max_tokens))
-    if parsed is None:
-        return ReasoningState(round_index=0, context=q.text, explanation="")
-    return ReasoningState(round_index=0, context=parsed[0], explanation=parsed[1])
+        return ReasoningState(context=q.text, explanation="")
+    return ReasoningState(*parsed)
 
 
 def _parse_verdict(raw: str) -> str | None:
@@ -170,43 +163,29 @@ def _parse_verdict(raw: str) -> str | None:
     return None
 
 
-def verify(model, q: Query, candidate: Candidate, reg: PromptRegistry,
-           max_tokens: int = 16) -> RelevanceJudgment:
-    """Binary relevance judgment; an unparseable answer after one retry
-    defaults to relevant (terminating on ambiguity avoids reflection drift)."""
+def verify(model, q: Query, candidate: Candidate, reg: PromptRegistry) -> str:
+    """Binary relevance verdict, "relevant" or "irrelevant"; an unparseable
+    answer after one retry defaults to relevant (terminating on ambiguity
+    avoids reflection drift)."""
     prompt = reg.render("P_v", query=q.text, docid=candidate.record.surface)
-    raw = _generate(model, prompt, max_tokens)
-    verdict = _parse_verdict(raw)
+    verdict = _parse_verdict(model.generate(prompt, VERDICT_MAX_TOKENS))
     if verdict is None:
-        raw = _generate(model, prompt + VERDICT_REMINDER, max_tokens)
-        verdict = _parse_verdict(raw)
-    return RelevanceJudgment(verdict=verdict or "relevant", raw=raw)
+        verdict = _parse_verdict(model.generate(prompt + VERDICT_REMINDER,
+                                                VERDICT_MAX_TOKENS))
+    return verdict or "relevant"
 
 
 def reflect(model, q: Query, docid_f: Candidate, state: ReasoningState,
-            reg: PromptRegistry, max_tokens: int = 256,
-            update_context: bool = True,
-            include_explanation: bool = True) -> ReasoningState | None:
+            reg: PromptRegistry) -> ReasoningState | None:
     """Edit the reasoning given the first irrelevant docid; None on parse
     failure after the single retry (the caller terminates the loop)."""
-    prompt = reg.render("P_f", query=q.text, docid=docid_f.record.surface,
-                        context=state.context,
-                        explanation=state.explanation if include_explanation else "")
-    parsed = parse_structured(_generate(model, prompt, max_tokens))
-    if parsed is None:
-        parsed = parse_structured(
-            _generate(model, prompt + FORMAT_REMINDER, max_tokens))
-    if parsed is None:
-        return None
-    context, explanation = parsed
-    return replace(state,
-                   round_index=state.round_index + 1,
-                   context=context if update_context else state.context,
-                   explanation=explanation if include_explanation else "")
+    parsed = _structured(model, reg.render(
+        "P_f", query=q.text, docid=docid_f.record.surface,
+        context=state.context, explanation=state.explanation))
+    return None if parsed is None else ReasoningState(*parsed)
 
 
-def direct_cot(model, q: Query, reg: PromptRegistry,
-               max_tokens: int = 256) -> DirectCotOutput:
+def direct_cot(model, q: Query, reg: PromptRegistry) -> str:
     """Free-form reasoning ahead of a single constrained decode."""
-    prompt = reg.render("P_d") + "\nQuery: " + q.text
-    return DirectCotOutput(reasoning=_generate(model, prompt, max_tokens))
+    return model.generate(reg.render("P_d") + "\nQuery: " + q.text,
+                          REASONING_MAX_TOKENS)

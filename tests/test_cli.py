@@ -97,6 +97,15 @@ class TestRetrieve:
         assert (surface, doc) == ("food-apple", "d1")
         assert float(score) == pytest.approx(math.log(0.9 * 0.6), abs=1e-5)
 
+    @pytest.mark.parametrize("pipeline", ["standard", "r4r"])
+    def test_blank_query(self, workspace, capsys, pipeline):
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", workspace["model"], "--pipeline", pipeline,
+                   "--query", "  "])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: query 'cli' has no text"]
+
     def test_strategies_agree(self, workspace, capsys):
         outputs = []
         for strategy in ("trie", "fm_index", "term_set"):
@@ -228,6 +237,21 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error:")
         assert decoded == []
 
+    def test_blank_query_fails_before_decoding(self, workspace, capsys,
+                                               monkeypatch):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        write_jsonl(workspace["queries"], [
+            {"qid": "q1", "text": "which fruit calories", "relevant": ["d1"]},
+            {"qid": "blank", "text": "   ", "relevant": ["d2"]}])
+        _, _, argv = self.args(workspace, "b")
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: malformed record at line 2: 'text' must be "
+                       "a non-blank string"]
+        assert decoded == []
+
     def test_existing_output_kept_until_written(self, workspace, capsys,
                                                 monkeypatch):
         report, trace, argv = self.args(workspace, "k")
@@ -282,15 +306,19 @@ class TestToyScripts:
                           for p in sorted(root.rglob("*")) if p.is_file()})
         assert trees[0] == trees[1]
         files = trees[0]
-        # 2 indexes x 3 strategies x 4 pipelines x 2 merge settings.
-        assert sum(name.endswith("report.json") for name in files) == 48
+        # 2 indexes x 3 strategies x 8 pipelines x 2 merge settings.
+        assert sum(name.endswith("report.json") for name in files) == 96
+        # retrieve runs only for standard, direct_cot and r4r-accept.
         assert sum("/retrieve-" in name for name in files) == 72
         for name, content in files.items():
             if name.endswith(".txt"):
                 assert content.startswith(b"exit 0\n"), name
-        reject = json.loads(
-            files["path/trie/r4r-reject/trace.jsonl"].splitlines()[0])
-        assert (reject["reason"], reject["rounds"]) == ("budget_exhausted", 3)
+        reject = files["path/trie/r4r-reject/trace.jsonl"]
+        first = json.loads(reject.splitlines()[0])
+        assert (first["reason"], first["rounds"]) == ("budget_exhausted", 3)
+        for ablation in ("no_context", "no_explanation", "no_verification",
+                         "ablate_all"):
+            assert files[f"path/trie/r4r-{ablation}/trace.jsonl"] != reject
 
 
 class TestOptionInventory:
@@ -475,6 +503,20 @@ class TestMalformedInputs:
             "retrieve", "--index", str(bad), "--model", workspace["model"],
             "--strategy", strategy, "--query", "which fruit calories"]))
         assert "record 2 ('d3')" in err
+
+    @pytest.mark.parametrize("key", ["99", "05"])
+    def test_bad_vocab_ids(self, workspace, capsys, key):
+        # A vocabulary id with a gap, or one written "05", would shift every
+        # later token; the index is refused when it loads.
+        index = json.loads(pathlib.Path(workspace["index"]).read_text())
+        vocab = index["vocab"]
+        vocab[key] = vocab.pop(str(len(vocab) - 1 if key == "99" else 5))
+        bad = workspace["dir"] / "bad-index.json"
+        bad.write_text(json.dumps(index))
+        err = self.assert_one_error(capsys, main([
+            "retrieve", "--index", str(bad), "--model", workspace["model"],
+            "--query", "which fruit calories"]))
+        assert f"malformed index: vocab key {key!r}" in err
 
     @pytest.mark.parametrize("line", [
         "not json", "[1]", '{"reason": ["x"]}', '{"rounds": 1}',

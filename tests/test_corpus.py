@@ -95,6 +95,15 @@ class TestLoadQueries:
         with pytest.raises(MalformedRecord):
             load_queries(p)
 
+    @pytest.mark.parametrize("text", ["", "  \t ", "\n"])
+    def test_blank_text_rejected(self, tmp_path, text):
+        p = tmp_path / "q.jsonl"
+        write_jsonl(p, [{"qid": "q1", "text": "hello"},
+                        {"qid": "blank", "text": text}])
+        with pytest.raises(MalformedRecord, match="line 2: 'text' must be "
+                                                  "a non-blank string"):
+            load_queries(p)
+
     @pytest.mark.parametrize("row", [
         5, {"qid": "q1", "text": 5},
         {"qid": "q1", "text": "hello", "relevant": "d1"},

@@ -298,6 +298,25 @@ class TestIndexBuild:
         with pytest.raises(MalformedIndex):
             DocIdIndex.from_json(text)
 
+    @pytest.mark.parametrize("edit, problem", [
+        # A gap: the last id moved to 99.
+        (lambda v: v.update({"99": v.pop(str(len(v) - 1))}),
+         r"key '99' is not an id in 0 \.\. 5"),
+        # A zero-padded key that int() would read as 5.
+        (lambda v: v.update({"05": v.pop("5")}), r"key '05' is not an id"),
+        (lambda v: v.update({"3": v["2"]}), r"word '\w+' has ids 2 and 3"),
+        (lambda v: v.update({"2": 7}), r"word of id 2 is not a string: 7"),
+        (lambda v: v.update({"0": "<sep>", "1": "<end>"}),
+         r"ids 0 and 1 must be '<end>' and '<sep>'"),
+        (lambda v: v.update({"1": "apple!"}),
+         r"ids 0 and 1 must be '<end>' and '<sep>'")])
+    def test_bad_vocab_rejected(self, edit, problem):
+        obj = json.loads(make_index(TOY_SURFACES).to_json())
+        edit(obj["vocab"])
+        with pytest.raises(MalformedIndex,
+                           match=r"malformed index: vocab " + problem):
+            DocIdIndex.from_json(json.dumps(obj))
+
     @given(text=INDEX_TEXTS)
     @example(text='{"vocab": {}}')
     def test_from_json_raises_only_malformed_index(self, text):

@@ -149,7 +149,7 @@ class TestNll:
         index, _ = toy_nll_setup()
 
         class GenOnly:
-            def generate(self, req):
+            def generate(self, prompt, max_tokens):
                 return ""
 
         with pytest.raises(NotSupported):
@@ -172,14 +172,13 @@ class TestTerminationStats:
         traces = [{"reason": "all_relevant"}, {"reason": "all_relevant"},
                   {"reason": "budget_exhausted"}, {"reason": "parse_failure"}]
         stats = termination_stats(traces)
-        assert stats.fractions == {"all_relevant": 0.5,
-                                   "budget_exhausted": 0.25,
-                                   "parse_failure": 0.25}
-        assert sum(stats.fractions.values()) == pytest.approx(1.0)
+        assert stats == {"all_relevant": 0.5, "budget_exhausted": 0.25,
+                         "parse_failure": 0.25}
+        assert sum(stats.values()) == pytest.approx(1.0)
 
     def test_bare_strings(self):
         stats = termination_stats(["all_relevant", "parse_failure"])
-        assert stats.fractions["all_relevant"] == 0.5
+        assert stats["all_relevant"] == 0.5
 
     def test_unknown_reason(self):
         with pytest.raises(ConfigError):

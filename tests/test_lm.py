@@ -16,8 +16,8 @@ from gentrieval.decode import BeamConfig, constrained_beam_search
 from gentrieval.evaluation import nll_losses
 from gentrieval.errors import (MissingEnd, NotSupported, RemoteTimeout,
                                RemoteUnavailable, UnknownToken)
-from gentrieval.lm import (FLOOR_LOGPROB, GenerationRequest, NgramModel,
-                           RemoteModel, ScriptedModel, sequence_logprob)
+from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
+                           ScriptedModel, sequence_logprob)
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       make_index, random_record_index)
@@ -41,35 +41,35 @@ class TestScriptedGenerate:
     def test_exact(self):
         m = self.rules_model([{"match": "ping", "match_type": "exact",
                                "response": "pong"}])
-        assert m.generate(GenerationRequest("ping")) == "pong"
-        assert m.generate(GenerationRequest("ping!")) == ""
+        assert m.generate("ping", 256) == "pong"
+        assert m.generate("ping!", 256) == ""
 
     def test_prefix_and_contains(self):
         m = self.rules_model([
             {"match": "Q:", "match_type": "prefix", "response": "pre"},
             {"match": "needle", "match_type": "contains", "response": "found"},
         ])
-        assert m.generate(GenerationRequest("Q: anything")) == "pre"
-        assert m.generate(GenerationRequest("hay needle stack")) == "found"
-        assert m.generate(GenerationRequest("nothing here")) == ""
+        assert m.generate("Q: anything", 256) == "pre"
+        assert m.generate("hay needle stack", 256) == "found"
+        assert m.generate("nothing here", 256) == ""
 
     def test_first_match_wins(self):
         m = self.rules_model([
             {"match": "x", "response": "first"},
             {"match": "x", "response": "second"},
         ])
-        assert m.generate(GenerationRequest("axb")) == "first"
+        assert m.generate("axb", 256) == "first"
 
-    def test_stop_and_max_tokens(self):
+    def test_max_tokens(self):
         m = self.rules_model([{"match": "go", "response": "one two STOP three"}])
-        assert m.generate(GenerationRequest("go", stop=("STOP",))) == "one two "
-        assert m.generate(GenerationRequest("go", max_tokens=2)) == "one two"
+        assert m.generate("go", 2) == "one two"
+        assert m.generate("go", 4) == "one two STOP three"
 
     def test_from_file_bare_list(self, tmp_path):
         p = tmp_path / "rules.json"
         p.write_text(json.dumps([{"match": "a", "response": "b"}]))
         m = ScriptedModel.from_file(p, Vocabulary())
-        assert m.generate(GenerationRequest("a")) == "b"
+        assert m.generate("a", 256) == "b"
 
     def test_from_file_sections(self, tmp_path):
         p = tmp_path / "rules.json"
@@ -79,7 +79,7 @@ class TestScriptedGenerate:
         }))
         index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
         m = ScriptedModel.from_file(p, index.vocab)
-        assert m.generate(GenerationRequest("a")) == "b"
+        assert m.generate("a", 256) == "b"
         assert len(m.dist_rules) == len(TOY_DIST_RULES)
 
 
@@ -190,7 +190,7 @@ class TestNgram:
         m = NgramModel(vocab, order=3)
         for _ in range(3):
             m.train_pair(prompt_ids, target_ids)
-        out = m.generate(GenerationRequest("query apple calories"))
+        out = m.generate("query apple calories", 256)
         assert out == "food apple"
 
     def test_context_totals_track_counts(self):
@@ -409,7 +409,7 @@ class TestSequenceLogprob:
 
     def test_model_without_distributions(self):
         class GenOnly:
-            def generate(self, req):
+            def generate(self, prompt, max_tokens):
                 return ""
         with pytest.raises(NotSupported):
             sequence_logprob(GenOnly(), [], [END])
@@ -475,7 +475,17 @@ def http_endpoint():
 class TestRemote:
     def test_generate_round_trip(self, http_endpoint):
         m = RemoteModel(base_url=http_endpoint)
-        assert m.generate(GenerationRequest("hi")) == "echo: hi"
+        assert m.generate("hi", 256) == "echo: hi"
+
+    def test_generate_body(self):
+        session = _Session()
+        m = RemoteModel(base_url="http://remote.test/", session=session)
+        assert m.generate("hi there", 16) == "ok"
+        assert session.urls == ["http://remote.test/generate"]
+        # The exact JSON body: no stop strings, greedy decoding.
+        assert [json.dumps(p) for p in session.payloads] == [
+            '{"prompt": "hi there", "max_tokens": 16, "stop": [], '
+            '"temperature": 0.0}']
 
     def test_logprobs_not_supported(self, http_endpoint):
         m = RemoteModel(base_url=http_endpoint)
@@ -486,7 +496,7 @@ class TestRemote:
         _Handler.fail_5xx = True
         m = RemoteModel(base_url=http_endpoint, max_retries=1)
         with pytest.raises(RemoteUnavailable):
-            m.generate(GenerationRequest("hi"))
+            m.generate("hi", 256)
 
     def test_nll_not_supported(self):
         session = _Session()
@@ -504,7 +514,7 @@ class TestRemote:
         _Handler.reply = reply
         m = RemoteModel(base_url=http_endpoint, max_retries=0)
         with pytest.raises(RemoteUnavailable):
-            m.generate(GenerationRequest("hi"))
+            m.generate("hi", 256)
 
     def test_negative_retries_rejected(self, http_endpoint):
         with pytest.raises(ValueError):
@@ -538,9 +548,11 @@ class _Session:
         self.status = status
         self.body = {"text": "ok"} if body is None else body
         self.failure = failure
+        self.urls = []
         self.payloads = []
 
     def post(self, url, json, timeout):
+        self.urls.append(url)
         self.payloads.append(json)
         if self.failure is not None:
             raise self.failure
@@ -565,7 +577,7 @@ class TestRemoteBackoff:
         m = RemoteModel(base_url="http://remote.test", max_retries=6,
                         session=session)
         with pytest.raises(error):
-            m.generate(GenerationRequest("hi"))
+            m.generate("hi", 256)
         assert len(session.payloads) == 7
         assert sleeps == [min(lm.RETRY_BASE_DELAY_S * 2 ** i,
                               lm.RETRY_MAX_DELAY_S) for i in range(6)]
@@ -579,9 +591,9 @@ class TestRemoteBackoff:
         m = RemoteModel(base_url="http://remote.test", max_retries=3,
                         session=session)
         if error is None:
-            assert m.generate(GenerationRequest("hi")) == "ok"
+            assert m.generate("hi", 256) == "ok"
         else:
             with pytest.raises(error):
-                m.generate(GenerationRequest("hi"))
+                m.generate("hi", 256)
         assert len(session.payloads) == 1
         assert sleeps == []

@@ -8,7 +8,9 @@ from gentrieval.docid import DocIdRecord
 from gentrieval.errors import ConfigError
 from gentrieval.lm import ScriptedModel
 from gentrieval.reasoning import (DEFAULT_PROMPTS, FORMAT_REMINDER,
-                                  PromptRegistry, direct_cot, parse_structured,
+                                  REASONING_MAX_TOKENS, VERDICT_MAX_TOKENS,
+                                  VERDICT_REMINDER, PromptRegistry,
+                                  ReasoningState, direct_cot, parse_structured,
                                   reflect, think, verify)
 
 
@@ -19,11 +21,13 @@ class CountingModel:
         self.inner = ScriptedModel(Vocabulary(), generate_rules=rules)
         self.calls = 0
         self.prompts = []
+        self.caps = []
 
-    def generate(self, req):
+    def generate(self, prompt, max_tokens):
         self.calls += 1
-        self.prompts.append(req.prompt)
-        return self.inner.generate(req)
+        self.prompts.append(prompt)
+        self.caps.append(max_tokens)
+        return self.inner.generate(prompt, max_tokens)
 
 
 def cand(surface="food-apple", key="d1"):
@@ -140,8 +144,8 @@ class TestThink:
         state = think(m, QUERY, PromptRegistry.default())
         assert state.context == "fruit calories"
         assert state.explanation == "wants the minimum"
-        assert state.round_index == 0
         assert m.calls == 1
+        assert m.caps == [REASONING_MAX_TOKENS]
 
     def test_retry_with_reminder(self):
         m = CountingModel([
@@ -166,37 +170,36 @@ class TestVerify:
     def test_relevant(self):
         m = CountingModel([{"match": "Candidate identifier: food-apple",
                             "response": "relevant"}])
-        j = verify(m, QUERY, cand(), PromptRegistry.default())
-        assert j.verdict == "relevant"
+        assert verify(m, QUERY, cand(), PromptRegistry.default()) \
+            == "relevant"
         assert m.calls == 1
+        assert m.caps == [VERDICT_MAX_TOKENS]
 
     def test_irrelevant_wins_substring_race(self):
         # "irrelevant" contains "relevant"; the verdict must still be negative.
         m = CountingModel([{"match": "Candidate identifier:",
                             "response": "This looks irrelevant to me."}])
-        assert verify(m, QUERY, cand(), PromptRegistry.default()).verdict \
+        assert verify(m, QUERY, cand(), PromptRegistry.default()) \
             == "irrelevant"
 
     def test_retry_then_default_relevant(self):
         m = CountingModel([{"match": "Candidate identifier:",
                             "response": "hard to say"}])
-        j = verify(m, QUERY, cand(), PromptRegistry.default())
-        assert j.verdict == "relevant"
-        assert j.raw == "hard to say"
+        assert verify(m, QUERY, cand(), PromptRegistry.default()) \
+            == "relevant"
         assert m.calls == 2
+        assert m.prompts[1].endswith(VERDICT_REMINDER)
 
     def test_case_insensitive(self):
         m = CountingModel([{"match": "Candidate identifier:",
                             "response": "Irrelevant"}])
-        assert verify(m, QUERY, cand(), PromptRegistry.default()).verdict \
+        assert verify(m, QUERY, cand(), PromptRegistry.default()) \
             == "irrelevant"
 
 
 class TestReflect:
     def make_state(self):
-        from gentrieval.reasoning import ReasoningState
-        return ReasoningState(round_index=0, context="old ctx",
-                              explanation="old exp")
+        return ReasoningState(context="old ctx", explanation="old exp")
 
     def test_updates_state(self):
         m = CountingModel([{
@@ -207,7 +210,6 @@ class TestReflect:
                       PromptRegistry.default())
         assert out.context == "new ctx"
         assert out.explanation == "new exp"
-        assert out.round_index == 1
 
     def test_prompt_carries_current_state(self):
         m = CountingModel([{
@@ -224,27 +226,7 @@ class TestReflect:
                       PromptRegistry.default())
         assert out is None
         assert m.calls == 2
-
-    def test_frozen_context_ablation(self):
-        m = CountingModel([{
-            "match": "Irrelevant identifier:",
-            "response": "<context>new ctx</context>"
-                        "<explanation>new exp</explanation>"}])
-        out = reflect(m, QUERY, cand(), self.make_state(),
-                      PromptRegistry.default(), update_context=False)
-        assert out.context == "old ctx"
-        assert out.explanation == "new exp"
-
-    def test_no_explanation_ablation(self):
-        m = CountingModel([{
-            "match": "Irrelevant identifier:",
-            "response": "<context>new ctx</context>"
-                        "<explanation>new exp</explanation>"}])
-        out = reflect(m, QUERY, cand(), self.make_state(),
-                      PromptRegistry.default(), include_explanation=False)
-        assert out.explanation == ""
-        assert "Current explanation: \n" in m.prompts[0] \
-            or m.prompts[0].endswith("Current explanation: ")
+        assert m.prompts[1].endswith(FORMAT_REMINDER)
 
 
 class TestDirectCot:
@@ -252,8 +234,9 @@ class TestDirectCot:
         m = CountingModel([{"match": "Query: " + QUERY.text,
                             "response": "step by step reasoning"}])
         out = direct_cot(m, QUERY, PromptRegistry.default())
-        assert out.reasoning == "step by step reasoning"
+        assert out == "step by step reasoning"
         assert m.prompts[0].startswith(DEFAULT_PROMPTS["P_d"])
+        assert m.caps == [REASONING_MAX_TOKENS]
 
     def test_ngram_bounded_output(self):
         from gentrieval.lm import NgramModel
@@ -261,7 +244,7 @@ class TestDirectCot:
         ids = vocab.encode("think about fruit calories documents",
                            on_unknown="grow")
         m = NgramModel(vocab, order=2)
-        # A cycle without END: generation must still stop at max_tokens.
+        # A cycle without END: generation must still stop at the cap.
         m.train_pair([], [ids[0], ids[1], ids[0], ids[1]])
-        out = direct_cot(m, QUERY, PromptRegistry.default(), max_tokens=256)
-        assert len(out.reasoning.split()) <= 256
+        out = direct_cot(m, QUERY, PromptRegistry.default())
+        assert len(out.split()) <= REASONING_MAX_TOKENS
