@@ -4,7 +4,8 @@
 The matrix is {trie, fm_index, term_set} strategies x {standard, direct_cot,
 r4r with an accepting reasoner, r4r with a reasoner that rejects for three
 rounds, and that rejecting r4r under each of the `no_context`,
-`no_explanation` and `no_verification` ablations and under all three} x
+`no_explanation` and `no_verification` ablations and under all three, r4r
+with a reasoner whose rules use every match mode} x
 {merge, no merge} x {path-only index, `--views ngram` index}, over
 `make_toy_data.py --docs 400 --queries 12 --seed 5` data. For each cell it
 keeps the `run` report, trace and stdout, plus `retrieve` output for the
@@ -35,6 +36,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from gentrieval.cli import main as cli_main  # noqa: E402
+from gentrieval.reasoning import PromptRegistry  # noqa: E402
 
 STRATEGIES = ("trie", "fm_index", "term_set")
 INDEXES = {"path": (), "ngram": ("--views", "ngram")}
@@ -55,7 +57,8 @@ REASONERS = {
                                 "</explanation>"}],
 }
 PIPELINES = {"standard": (), "direct_cot": (),
-             "r4r-accept": ("--T", "3"), "r4r-reject": ("--T", "3")}
+             "r4r-accept": ("--T", "3"), "r4r-reject": ("--T", "3"),
+             "r4r-modes": ("--T", "3")}
 # Ablation cells: the rejecting r4r with these --ablation flags.
 ABLATIONS = {"r4r-no_context": "no_context",
              "r4r-no_explanation": "no_explanation",
@@ -64,6 +67,28 @@ ABLATIONS = {"r4r-no_context": "no_context",
 PIPELINES.update({cell: ("--T", "3", "--ablation", flags)
                   for cell, flags in ABLATIONS.items()})
 RETRIEVED_QUERIES = 2
+
+
+def modes_reasoner(texts: list[str]) -> list[dict]:
+    """Reasoner rules for the r4r-modes cell, which run every match mode
+    through the CLI: an exact think prompt for the first query, prefix
+    rules for the other think prompts and for the verdict, and contains
+    rules cut mid-word that accept the second query and reflect."""
+    think = PromptRegistry.default().render("P_t", query=texts[0])
+    return [{"match": think, "match_type": "exact",
+             "response": "<context>report summary</context>"
+                         "<explanation>bulletin notes</explanation>"},
+            {"match": "You are a retrieval assistant. Read the query",
+             "match_type": "prefix",
+             "response": "<context>overview digest</context>"
+                         "<explanation>bulletin notes</explanation>"},
+            {"match": f"Query: {texts[1]}\nCandidate identif",
+             "response": "relevant"},
+            {"match": "You are a retrieval assistant. Judge whether",
+             "match_type": "prefix", "response": "irrelevant"},
+            {"match": "udged irrelevant to the qu",
+             "response": "<context>report digest</context>"
+                         "<explanation>avoid the last docid</explanation>"}]
 
 
 def cli(argv: list[str], out: pathlib.Path) -> None:
@@ -93,11 +118,12 @@ def main() -> int:
                     "--out", "data", "--docs", str(args.docs),
                     "--queries", "12", "--seed", "5"],
                    check=True, capture_output=True)
-    for name, rules in REASONERS.items():
+    with open("data/queries.jsonl", encoding="utf-8") as fh:
+        texts = [json.loads(line)["text"] for line in fh]
+    reasoners = {**REASONERS, "r4r-modes": modes_reasoner(texts)}
+    for name, rules in reasoners.items():
         pathlib.Path("data", f"{name}.json").write_text(
             json.dumps(rules, indent=2) + "\n", encoding="utf-8")
-    with open("data/queries.jsonl", encoding="utf-8") as fh:
-        texts = [json.loads(line)["text"] for line in fh][:RETRIEVED_QUERIES]
 
     for index_name, view_args in INDEXES.items():
         index = f"data/index-{index_name}.json"
@@ -116,7 +142,7 @@ def main() -> int:
                               *extra, *(["--merge-views"] if merge else [])]
                     rules = ("r4r-reject" if pipeline in ABLATIONS
                              else pipeline)
-                    reasoner = ([] if rules not in REASONERS else
+                    reasoner = ([] if rules not in reasoners else
                                 ["--reason-model", f"data/{rules}.json"])
                     cli(["run", *common, *reasoner,
                          "--corpus", "data/corpus.jsonl",
@@ -126,9 +152,9 @@ def main() -> int:
                         cell / "run.txt")
                     # retrieve has no reasoner flag: its reasoner is the
                     # retrieval model, so one r4r variant covers it.
-                    if rules == "r4r-reject":
+                    if rules in ("r4r-reject", "r4r-modes"):
                         continue
-                    for i, text in enumerate(texts):
+                    for i, text in enumerate(texts[:RETRIEVED_QUERIES]):
                         cli(["retrieve", *common, "--query", text],
                             cell / f"retrieve-{i}.txt")
     return 0

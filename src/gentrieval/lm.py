@@ -26,6 +26,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 import requests
 
@@ -68,6 +69,19 @@ def _dist_error(rule: dict) -> str | None:
     return None
 
 
+def _interior_tokens(match: str) -> list[str]:
+    """The split() tokens of *match* with whitespace on both sides inside
+    it: a prompt that holds *match* anywhere holds each of them as one of
+    its own split() tokens. The first and last tokens may be cut mid-word
+    unless *match* starts or ends with whitespace."""
+    toks = match.split()
+    if toks and not match[0].isspace():
+        toks = toks[1:]
+    if toks and not match[-1].isspace():
+        toks = toks[:-1]
+    return toks
+
+
 def _check_ctx(ctx: list[int], v: int) -> None:
     """Raise UnknownToken for the first id in *ctx* outside range(v)."""
     if ctx and not (0 <= min(ctx) and max(ctx) < v):
@@ -78,13 +92,20 @@ class ScriptedModel:
     """Deterministic test double driven by a rule table.
 
     Generate rules: {"match": str, "match_type": exact|prefix|contains,
-    "response": str}, first match wins. Distribution rules: {"context":
-    [word, ...], "probs": {word: p, ...}}, matched when the context token
-    words are a suffix of the running context ("<end>" names the END token);
-    unlisted tokens sit at the floor log-probability. With no matching rule
-    the distribution is uniform over the vocabulary minus SEP. A rule reads
-    no more trailing tokens than its context holds, so `window` is the
-    longest rule context.
+    "response": str}, first match wins. A generate call tries only the
+    rules that can match: each rule is filed under the rarest of its
+    interior tokens (split() tokens with whitespace on both sides inside
+    the match), which every prompt holding the match under any mode has
+    among its own split() tokens. Rules with no interior token are tried
+    on every call. Candidates are tried in table order, so the first
+    match still wins. The index is built from the table at construction.
+
+    Distribution rules: {"context": [word, ...], "probs": {word: p, ...}},
+    matched when the context token words are a suffix of the running
+    context ("<end>" names the END token); unlisted tokens sit at the
+    floor log-probability. With no matching rule the distribution is
+    uniform over the vocabulary minus SEP. A rule reads no more trailing
+    tokens than its context holds, so `window` is the longest rule context.
     """
 
     def __init__(self, vocab: Vocabulary,
@@ -93,6 +114,17 @@ class ScriptedModel:
         self.vocab = vocab
         self.generate_rules = generate_rules or []
         self.dist_rules = dist_rules or []
+        interiors = [_interior_tokens(r["match"]) for r in self.generate_rules]
+        df = Counter(tok for toks in interiors for tok in set(toks))
+        # Rule ids per anchor token, and the ids tried on every call.
+        self._by_token: dict[str, list[int]] = {}
+        self._always: list[int] = []
+        for i, toks in enumerate(interiors):
+            if toks:
+                self._by_token.setdefault(min(toks, key=df.__getitem__),
+                                          []).append(i)
+            else:
+                self._always.append(i)
 
     @property
     def window(self) -> int:
@@ -126,7 +158,13 @@ class ScriptedModel:
         return cls(vocab, generate_rules=generate, dist_rules=dists)
 
     def generate(self, prompt: str, max_tokens: int) -> str:
-        for rule in self.generate_rules:
+        by_token = self._by_token
+        ids = list(self._always)
+        for tok in set(prompt.split()):
+            ids += by_token.get(tok, ())
+        ids.sort()
+        for i in ids:
+            rule = self.generate_rules[i]
             match = rule["match"]
             mode = rule.get("match_type", "contains")
             hit = (prompt == match if mode == "exact"
@@ -168,7 +206,8 @@ class NgramModel:
     for trained contexts only, so the memo never outgrows self.counts;
     train_pair and a change in the vocabulary size clear it. Callers share
     the memoised overrides dict and must not change it. The key is the
-    whole of what a distribution reads, so `window` is order - 1.
+    whole of what a distribution reads, so `window` is order - 1, and
+    generate carries only that many trailing tokens from step to step.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
@@ -217,11 +256,14 @@ class NgramModel:
         return dist
 
     def generate(self, prompt: str, max_tokens: int) -> str:
-        ctx = self.vocab.encode(prompt, on_unknown="skip")
+        # A distribution reads the last `window` tokens only; keep at least
+        # one, since del ctx[:-0] would keep everything.
+        w = max(self.window, 1)
+        ctx = self.vocab.encode(prompt, on_unknown="skip")[-w:]
         out: list[int] = []
         v = len(self.vocab)
         for _ in range(max_tokens):
-            default, overrides = self.next_token_distribution(ctx + out)
+            default, overrides = self.next_token_distribution(ctx)
             # Highest score, ties to the smallest id: of the default-scored
             # tokens only the smallest can win.
             scores = dict(overrides)
@@ -232,6 +274,8 @@ class NgramModel:
             if best == END:
                 break
             out.append(best)
+            ctx.append(best)
+            del ctx[:-w]
         return self.vocab.decode(out)
 
 

@@ -306,8 +306,8 @@ class TestToyScripts:
                           for p in sorted(root.rglob("*")) if p.is_file()})
         assert trees[0] == trees[1]
         files = trees[0]
-        # 2 indexes x 3 strategies x 8 pipelines x 2 merge settings.
-        assert sum(name.endswith("report.json") for name in files) == 96
+        # 2 indexes x 3 strategies x 9 pipelines x 2 merge settings.
+        assert sum(name.endswith("report.json") for name in files) == 108
         # retrieve runs only for standard, direct_cot and r4r-accept.
         assert sum("/retrieve-" in name for name in files) == 72
         for name, content in files.items():
@@ -319,6 +319,15 @@ class TestToyScripts:
         for ablation in ("no_context", "no_explanation", "no_verification",
                          "ablate_all"):
             assert files[f"path/trie/r4r-{ablation}/trace.jsonl"] != reject
+        # Each match mode fires: exact think for q000, prefix think and
+        # verdict, contains cut mid-word for q001's verdict and for reflect.
+        modes = [json.loads(line) for line in
+                 files["path/trie/r4r-modes/trace.jsonl"].splitlines()]
+        assert [[r["c"] for r in q["rounds_detail"]] for q in modes[:3]] == [
+            ["report summary", "report digest", "report digest"],
+            ["overview digest"],
+            ["overview digest", "report digest", "report digest"]]
+        assert modes[1]["reason"] == "all_relevant"
 
 
 class TestOptionInventory:

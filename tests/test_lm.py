@@ -18,6 +18,7 @@ from gentrieval.errors import (MissingEnd, NotSupported, RemoteTimeout,
                                RemoteUnavailable, UnknownToken)
 from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
                            ScriptedModel, sequence_logprob)
+from gentrieval.reasoning import PromptRegistry
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       make_index, random_record_index)
@@ -81,6 +82,156 @@ class TestScriptedGenerate:
         m = ScriptedModel.from_file(p, index.vocab)
         assert m.generate("a", 256) == "b"
         assert len(m.dist_rules) == len(TOY_DIST_RULES)
+
+
+def naive_generate(rules, prompt, max_tokens):
+    """Scan every rule in table order; the first match wins."""
+    for rule in rules:
+        match = rule["match"]
+        mode = rule.get("match_type", "contains")
+        hit = (prompt == match if mode == "exact"
+               else prompt.startswith(match) if mode == "prefix"
+               else match in prompt)
+        if hit:
+            words = rule["response"].split()
+            return (" ".join(words[:max_tokens])
+                    if len(words) > max_tokens else rule["response"])
+    return ""
+
+
+class ComparingPrompt(str):
+    """A prompt that counts the rule comparisons made against it."""
+
+    compares = 0
+
+    def __eq__(self, other):
+        self.compares += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+    def startswith(self, *args):
+        self.compares += 1
+        return str.startswith(self, *args)
+
+    def __contains__(self, other):
+        self.compares += 1
+        return str.__contains__(self, other)
+
+
+# Words that share letters, so that matches cut mid-word hit other words,
+# and every kind of whitespace str.split() splits on.
+INDEX_WORDS = ["a", "ab", "ba", "abc", "c", "Query:", "déjà", "x1"]
+INDEX_SPACES = [" ", "  ", "\t", "\n", "\x1f", "\u3000", " \n"]
+
+
+def random_text(rng, max_words=6):
+    """Words separated by whitespace, each end padded or not at random."""
+    words = [rng.choice(INDEX_WORDS) for _ in range(rng.randint(0, max_words))]
+    text = "".join(w + rng.choice(INDEX_SPACES) for w in words)
+    if rng.random() < 0.5:
+        text = rng.choice(INDEX_SPACES) + text
+    if rng.random() < 0.5:
+        text = text.rstrip()
+    return text
+
+
+def random_match(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return "".join(rng.choice(INDEX_SPACES)
+                       for _ in range(rng.randint(1, 3)))
+    text = random_text(rng)
+    if kind == 2 and text:  # cut at both ends, possibly mid-word
+        i = rng.randrange(len(text))
+        return text[i:rng.randint(i, len(text))]
+    return text
+
+
+def random_rules(rng, n):
+    return [{"match": random_match(rng),
+             "match_type": rng.choice(lm.MATCH_TYPES),
+             "response": f"r{i} w{i} x{i}"} for i in range(n)]
+
+
+def prompt_around(rng, rule):
+    """A prompt that holds *rule*'s match under its mode, with random text
+    glued on (possibly mid-word) where the mode allows it."""
+    mode, match = rule["match_type"], rule["match"]
+    before = "" if mode != "contains" else random_text(rng, 3)
+    after = "" if mode == "exact" else random_text(rng, 3)
+    return before + match + after
+
+
+class TestScriptedIndex:
+    """generate through the rule index equals a first-match scan of the
+    whole table."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_naive_scan(self, seed):
+        rng = random.Random(seed)
+        rules = random_rules(rng, rng.randint(1, 30))
+        m = ScriptedModel(Vocabulary(), generate_rules=rules)
+        prompts = [random_text(rng, 10) for _ in range(40)]
+        prompts += [prompt_around(rng, rng.choice(rules)) for _ in range(80)]
+        prompts += ["", " ", "\u3000", "Query:", "abc\x1fab"]
+        for prompt in prompts:
+            for cap in (1, 256):
+                assert m.generate(prompt, cap) == \
+                    naive_generate(rules, prompt, cap), (prompt, rules)
+
+    @pytest.mark.parametrize("match, prompt", [
+        ("ab c", "xab c"),       # first token cut mid-word
+        ("a bc", "a bcd"),       # last token cut mid-word
+        ("b\x1fa ", "ab\x1fa x"),  # starts mid-word, ends in whitespace
+        (" a\u3000b", "c a\u3000bb"),
+    ])
+    def test_match_cut_mid_word(self, match, prompt):
+        m = ScriptedModel(Vocabulary(), generate_rules=[
+            {"match": match, "response": "hit"}])
+        assert m.generate(prompt, 256) == "hit"
+
+    def test_first_match_among_indexed_and_unindexed(self):
+        rules = [{"match": " three ", "response": "indexed"},
+                 {"match": "two three four", "response": "indexed-late"},
+                 {"match": "one two three", "match_type": "prefix",
+                  "response": "prefix"},
+                 {"match": "", "response": "catch-all"}]
+        m = ScriptedModel(Vocabulary(), generate_rules=rules)
+        assert m.generate("one two three four", 256) == "indexed"
+        assert m.generate("one two three", 256) == "prefix"
+        assert m.generate("zero", 256) == "catch-all"
+
+    def test_query_anchored_table_compares_few_rules(self):
+        # Four rules per query, shaped like the benchmark's reasoner: verify,
+        # reflect, format-reminder and think anchors around the query text.
+        texts = [f"kw{i % 40} topic{i} tail{i % 7}" for i in range(500)]
+        rules = []
+        for text in texts:
+            rules += [
+                {"match": f"Query: {text}\nCandidate identifier: ",
+                 "response": "irrelevant"},
+                {"match": f"Current context: {text}\n",
+                 "response": "<context>c</context><explanation>e"
+                             "</explanation>"},
+                {"match": f"Query: {text}\nReminder: ",
+                 "response": "<context>r</context><explanation>e"
+                             "</explanation>"},
+                {"match": f"Query: {text}", "response": "think"}]
+        assert len(rules) == 2000
+        m = ScriptedModel(Vocabulary(), generate_rules=rules)
+        reg = PromptRegistry.default()
+        text = texts[321]
+        for prompt in (reg.render("P_t", query=text),
+                       reg.render("P_v", query=text, docid="kw1-tail2"),
+                       reg.render("P_f", query=text, docid="kw1-tail2",
+                                  context=text, explanation="none")):
+            counted = ComparingPrompt(prompt)
+            assert m.generate(counted, 256) == \
+                naive_generate(rules, prompt, 256)
+            assert 1 <= counted.compares <= 4
 
 
 class TestScriptedDistribution:
@@ -257,6 +408,44 @@ class TestNgram:
     def test_order_below_one_rejected(self, order):
         with pytest.raises(ValueError, match="order"):
             NgramModel(Vocabulary(), order=order)
+
+
+def full_context_generate(m, prompt, max_tokens):
+    """Greedy generation that passes the whole running context each step."""
+    ctx = m.vocab.encode(prompt, on_unknown="skip")
+    out = []
+    v = len(m.vocab)
+    for _ in range(max_tokens):
+        default, overrides = m.next_token_distribution(ctx + out)
+        scores = dict(overrides)
+        plain = next((t for t in range(v) if t not in overrides), None)
+        if plain is not None:
+            scores[plain] = default
+        best = max(scores, key=lambda t: (scores[t], -t))
+        if best == END:
+            break
+        out.append(best)
+    return m.vocab.decode(out)
+
+
+class TestNgramGenerate:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trailing_window_matches_full_context(self, order, seed):
+        rng = random.Random(seed * 10 + order)
+        vocab = Vocabulary()
+        ids = vocab.encode("a b c d e f g", on_unknown="grow")
+        m = NgramModel(vocab, order=order)
+        for _ in range(rng.randint(1, 8)):
+            m.train_pair([rng.choice(ids) for _ in range(rng.randint(0, 5))],
+                         [rng.choice(ids) for _ in range(rng.randint(1, 6))]
+                         + ([END] if rng.random() < 0.3 else []))
+        for _ in range(10):
+            prompt = " ".join(rng.choice("abcdefgxyz")
+                              for _ in range(rng.randint(0, 12)))
+            for cap in (0, 1, 5, 60):
+                assert m.generate(prompt, cap) == \
+                    full_context_generate(m, prompt, cap)
 
 
 class TestNgramMemo:

@@ -244,7 +244,8 @@ class TestDirectCot:
         ids = vocab.encode("think about fruit calories documents",
                            on_unknown="grow")
         m = NgramModel(vocab, order=2)
-        # A cycle without END: generation must still stop at the cap.
-        m.train_pair([], [ids[0], ids[1], ids[0], ids[1]])
+        # The prompt ends in "calories"; from there a cycle without END
+        # runs until generation stops at the cap.
+        m.train_pair([ids[3]], [ids[0], ids[1], ids[0], ids[1]])
         out = direct_cot(m, QUERY, PromptRegistry.default())
-        assert len(out.split()) <= REASONING_MAX_TOKENS
+        assert len(out.split()) == REASONING_MAX_TOKENS
