@@ -24,26 +24,25 @@ from .orchestrator import ModelBundle, RefineConfig, default_beam_config
 from .reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 
-def int_at_least(low: int):
-    """Argparse type: an int no smaller than *low*."""
+def bounded_int(low: int, high: int | None = None):
+    """Argparse type: an int no smaller than *low* and, if *high* is given,
+    no larger than it."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
-    parse.__name__ = f"int >= {low}"
+    parse.__name__ = (f"int >= {low}" if high is None
+                      else f"int in [{low}, {high}]")
     return parse
 
 
-positive_int = int_at_least(1)
-
-
-def embedding_seed(text: str) -> int:
-    """Argparse type: an int in [0, 2**64), the embedding hash's salt."""
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
+positive_int = bounded_int(1)
+# Embedding width cap: an index holds one float per dimension for each
+# document's vector while it is built, and for every centroid it stores.
+MAX_DIM = 4096
 
 
 def positive_ints(text: str) -> tuple[int, ...]:
@@ -63,13 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output index JSON path")
     p.add_argument("--levels", type=positive_int, default=2)
     p.add_argument("--branching", type=positive_int, default=8)
-    p.add_argument("--dim", type=int_at_least(2), default=64)
+    p.add_argument("--dim", type=bounded_int(2, MAX_DIM), default=64,
+                   help=f"embedding width, at most {MAX_DIM}")
     p.add_argument("--views", default="",
                    help="comma list from {title,ngram,pseudo_query}")
     p.add_argument("--ngram-m", type=positive_int, default=3)
     p.add_argument("--ngram-n", type=positive_int, default=3)
-    p.add_argument("--seed", type=embedding_seed, default=0,
-                   help="seed threaded through embedding and clustering")
+    p.add_argument("--seed", type=bounded_int(0, 2 ** 64 - 1), default=0,
+                   help="salt of the embedding hash; clustering is "
+                        "deterministic given the embeddings")
 
     # Flags that retrieve and run share.
     shared = argparse.ArgumentParser(add_help=False)

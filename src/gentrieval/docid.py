@@ -13,13 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .corpus import (END, SEP, Corpus, Document, Vocabulary, normalize,
                      words_of)
-from .errors import EmptyDocument, MalformedIndex, UnknownDoc
+from .errors import EmptyDocument, EmptyIndex, MalformedIndex, UnknownDoc
 
 STOPWORDS = frozenset("""
 a an and are as at be but by for from has have in is it its of on or that the
@@ -40,26 +42,42 @@ class DocIdRecord:
     view: str
 
 
-def embed_document(doc: Document, dim: int = 64, seed: int = 0) -> np.ndarray:
-    """Deterministic hashed bag-of-words embedding, L2-normalized."""
+def _embeddings(docs: list[tuple[str, list[str]]], dim: int,
+                seed: int) -> np.ndarray:
+    """Row i is the hashed bag-of-words embedding of the i-th (doc_key,
+    words) pair, L2-normalized. Each distinct word is hashed once; every
+    cell is a sum of +-1.0 in word order, so the rows are exact."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    words = words_of(doc.text)
-    if not words:
-        raise EmptyDocument(doc.doc_key)
-    vec = np.zeros(dim, dtype=np.float64)
-    for w in words:
-        h = hashlib.blake2b(w.encode("utf-8"), digest_size=8,
-                            salt=seed.to_bytes(8, "little")).digest()
-        val = int.from_bytes(h, "little")
-        bucket = val % dim
-        sign = 1.0 if (val >> 32) & 1 else -1.0
-        vec[bucket] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        vec[0] = 1.0
-        norm = 1.0
-    return vec / norm
+    salt = seed.to_bytes(8, "little")
+    codes: dict[str, tuple[int, float]] = {}  # word -> (bucket, sign)
+    cells: list[int] = []
+    signs: list[float] = []
+    for row, (doc_key, words) in enumerate(docs):
+        if not words:
+            raise EmptyDocument(doc_key)
+        base = row * dim
+        for w in words:
+            code = codes.get(w)
+            if code is None:
+                h = hashlib.blake2b(w.encode("utf-8"), digest_size=8,
+                                    salt=salt).digest()
+                val = int.from_bytes(h, "little")
+                code = codes[w] = (val % dim, 1.0 if (val >> 32) & 1 else -1.0)
+            cells.append(base + code[0])
+            signs.append(code[1])
+    vecs = np.bincount(cells, weights=signs,
+                       minlength=len(docs) * dim).reshape(len(docs), dim)
+    norms = np.linalg.norm(vecs, axis=1)
+    empty = norms == 0.0
+    vecs[empty, 0] = 1.0
+    norms[empty] = 1.0
+    return vecs / norms[:, None]
+
+
+def embed_document(doc: Document, dim: int = 64, seed: int = 0) -> np.ndarray:
+    """Deterministic hashed bag-of-words embedding, L2-normalized."""
+    return _embeddings([(doc.doc_key, words_of(doc.text))], dim, seed)[0]
 
 
 @dataclass
@@ -80,58 +98,55 @@ class RQHierarchy:
     branching: int
     dim: int
     roots: list[RQNode]
-    leaf_assignment: dict[str, RQNode]
-
-    def walk(self):
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
+    # Each document's nodes from root to leaf, recorded while the tree is
+    # built or loaded.
+    paths: dict[str, tuple[RQNode, ...]]
 
     def path_to(self, doc_key: str) -> list[RQNode]:
-        if doc_key not in self.leaf_assignment:
+        if doc_key not in self.paths:
             raise UnknownDoc(doc_key)
-        path: list[RQNode] = []
-        nodes = self.roots
-        for _ in range(self.levels):
-            for node in nodes:
-                if doc_key in node.doc_keys:
-                    path.append(node)
-                    nodes = node.children
-                    break
-            else:  # pragma: no cover - leaf_assignment guards this
-                raise UnknownDoc(doc_key)
-        return path
+        return list(self.paths[doc_key])
 
 
-def _kmeans(keys: list[str], points: np.ndarray, k: int):
-    """Deterministic k-means: farthest-point init from the lowest key,
-    nearest-centroid assignment with lowest-index tie-break, 25 iterations."""
-    n = len(keys)
+# Lloyd iterations before k-means stops without converging.
+KMEANS_MAX_ITERATIONS = 25
+
+
+def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic k-means: farthest-point init from the first point,
+    nearest-centroid assignment with lowest-index tie-break, at most
+    KMEANS_MAX_ITERATIONS iterations. Returns (centroids, assignment)."""
+    n = len(points)
     k = min(k, n)
-    centers = [points[0].copy()]
-    while len(centers) < k:
-        dists = np.min(
-            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
-        centers.append(points[int(np.argmax(dists))].copy())
-    centroids = np.stack(centers)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[0]
+    dists = np.full(n, np.inf)  # squared distance to the nearest chosen centre
+    for j in range(1, k):
+        dists = np.minimum(dists,
+                           ((points - centroids[j - 1]) ** 2).sum(axis=1))
+        centroids[j] = points[int(np.argmax(dists))]
 
+    d2 = np.empty((k, n))
+
+    # One centroid at a time, so no (n, k, d) temporary; each row still sums
+    # the same d contiguous squares, so distances match the broadcast form.
     def nearest():
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
+        for j in range(k):
+            d2[j] = ((points - centroids[j]) ** 2).sum(axis=1)
+        return np.argmin(d2, axis=0)  # argmin takes the lowest index on ties
 
     assign = None
-    for _ in range(25):
+    for _ in range(KMEANS_MAX_ITERATIONS):
         new_assign = nearest()
         if assign is not None and np.array_equal(new_assign, assign):
-            break
+            return centroids, assign
         assign = new_assign
         for j in range(k):
             members = points[assign == j]
             if len(members):
                 centroids[j] = members.mean(axis=0)
-    # Final pass keeps the invariant: every point sits with its nearest centroid.
+    # Not converged: the last update moved the centroids, so reassign to keep
+    # the invariant that every point sits with its nearest centroid.
     return centroids, nearest()
 
 
@@ -144,32 +159,37 @@ def build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
     keys = sorted(vectors)
     dim = len(next(iter(vectors.values())))
     next_id = [0]
-    leaf_assignment: dict[str, RQNode] = {}
+    paths: dict[str, tuple[RQNode, ...]] = {}
 
-    def split(group: list[str], residuals: dict[str, np.ndarray],
-              depth: int) -> list[RQNode]:
-        pts = np.stack([residuals[k] for k in group])
-        centroids, assign = _kmeans(group, pts, branching)
+    def split(group: list[str], residuals: np.ndarray, depth: int,
+              ancestors: tuple[RQNode, ...]) -> list[RQNode]:
+        centroids, assign = _kmeans(residuals, branching)
+        rows: list[list[int]] = [[] for _ in centroids]
+        for i, j in enumerate(assign.tolist()):
+            rows[j].append(i)
         nodes = []
-        for j in range(len(centroids)):
-            members = [group[i] for i in range(len(group)) if assign[i] == j]
+        for j, members in enumerate(rows):
             if not members:
                 continue
             node = RQNode(node_id=next_id[0], depth=depth,
-                          centroid=centroids[j].copy(), doc_keys=members)
+                          centroid=centroids[j].copy(),
+                          doc_keys=[group[i] for i in members])
             next_id[0] += 1
+            path = ancestors + (node,)
             if depth < levels:
-                child_res = {m: residuals[m] - centroids[j] for m in members}
-                node.children = split(members, child_res, depth + 1)
+                node.children = split(node.doc_keys,
+                                      residuals[members] - centroids[j],
+                                      depth + 1, path)
             else:
-                for m in members:
-                    leaf_assignment[m] = node
+                for key in node.doc_keys:
+                    paths[key] = path
             nodes.append(node)
         return nodes
 
-    roots = split(keys, {k: np.asarray(vectors[k], dtype=np.float64) for k in keys}, 1)
+    points = np.stack([np.asarray(vectors[k], dtype=np.float64) for k in keys])
+    roots = split(keys, points, 1, ())
     return RQHierarchy(levels=levels, branching=branching, dim=dim,
-                       roots=roots, leaf_assignment=leaf_assignment)
+                       roots=roots, paths=paths)
 
 
 def reconstruction_error(h: RQHierarchy, vectors: dict[str, np.ndarray]) -> float:
@@ -183,32 +203,29 @@ def reconstruction_error(h: RQHierarchy, vectors: dict[str, np.ndarray]) -> floa
     return total / len(vectors)
 
 
-def _doc_freq(corpus: Corpus) -> dict[str, int]:
-    df: dict[str, int] = {}
-    for doc in corpus:
-        for w in set(words_of(doc.text)):
-            df[w] = df.get(w, 0) + 1
-    return df
+class TermStats:
+    """Each document's non-stopword words and each term's corpus IDF,
+    computed once from the documents' words for every node to be labeled."""
+
+    def __init__(self, words: dict[str, list[str]]):
+        self.terms = {key: [w for w in ws if w not in STOPWORDS]
+                      for key, ws in words.items()}
+        df = Counter(chain.from_iterable(set(ts) for ts in self.terms.values()))
+        n = len(words)
+        self.idf = {w: math.log((1 + n) / (1 + d)) for w, d in df.items()}
+
+    def scored_terms(self, doc_keys: list[str]) -> list[str]:
+        """Terms of the documents ordered by TF-IDF (desc), then
+        lexicographically."""
+        tf = Counter(chain.from_iterable(self.terms[key] for key in doc_keys))
+        idf = self.idf
+        return [w for _, w in sorted((-(cnt * idf[w]), w)
+                                     for w, cnt in tf.items())]
 
 
-def _scored_terms(doc_keys: list[str], corpus: Corpus,
-                  df: dict[str, int]) -> list[str]:
-    """Terms under the node ordered by TF-IDF (desc), then lexicographically."""
-    tf: dict[str, int] = {}
-    for key in doc_keys:
-        for w in words_of(corpus[key].text):
-            if w not in STOPWORDS:
-                tf[w] = tf.get(w, 0) + 1
-    n = len(corpus)
-    scored = sorted(
-        ((-(cnt * math.log((1 + n) / (1 + df.get(w, 0)))), w) for w, cnt in tf.items()))
-    return [w for _, w in scored]
-
-
-def assign_keywords(h: RQHierarchy, corpus: Corpus) -> RQHierarchy:
+def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
     """Label every node with its best unused TF-IDF term; leaves holding more
     than one document additionally get per-document disambiguation labels."""
-    df = _doc_freq(corpus)
 
     def pick(candidates: list[str], used: set[str], ordinal: int) -> str:
         for term in candidates:
@@ -220,8 +237,8 @@ def assign_keywords(h: RQHierarchy, corpus: Corpus) -> RQHierarchy:
     def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
         taken: set[str] = set()
         for ordinal, node in enumerate(siblings):
-            terms = _scored_terms(node.doc_keys, corpus, df)
-            node.label = pick(terms, ancestors | taken, ordinal)
+            node.label = pick(terms.scored_terms(node.doc_keys),
+                              ancestors | taken, ordinal)
             taken.add(node.label)
         for node in siblings:
             if node.children:
@@ -229,8 +246,8 @@ def assign_keywords(h: RQHierarchy, corpus: Corpus) -> RQHierarchy:
             elif len(node.doc_keys) > 1:
                 sub_taken: set[str] = set()
                 for ordinal, key in enumerate(sorted(node.doc_keys)):
-                    terms = _scored_terms([key], corpus, df)
-                    lbl = pick(terms, ancestors | {node.label} | sub_taken, ordinal)
+                    lbl = pick(terms.scored_terms([key]),
+                               ancestors | {node.label} | sub_taken, ordinal)
                     node.doc_labels[key] = lbl
                     sub_taken.add(lbl)
 
@@ -388,26 +405,26 @@ class DocIdIndex:
         if "hierarchy" in obj:
             hobj = obj["hierarchy"]
             next_id = [0]
-            leaf_assignment: dict[str, RQNode] = {}
+            paths: dict[str, tuple[RQNode, ...]] = {}
 
-            def node_of(d: dict, depth: int) -> RQNode:
-                node = RQNode(node_id=next_id[0], depth=depth,
+            def node_of(d: dict, ancestors: tuple[RQNode, ...]) -> RQNode:
+                node = RQNode(node_id=next_id[0], depth=len(ancestors) + 1,
                               centroid=np.asarray(d["centroid"]),
                               doc_keys=list(d["doc_keys"]), label=d["label"],
                               doc_labels=dict(d.get("doc_labels", {})))
                 next_id[0] += 1
-                node.children = [node_of(c, depth + 1)
+                path = ancestors + (node,)
+                node.children = [node_of(c, path)
                                  for c in d.get("children", [])]
                 if not node.children:
                     for k in node.doc_keys:
-                        leaf_assignment[k] = node
+                        paths[k] = path
                 return node
 
-            roots = [node_of(n, 1) for n in hobj["roots"]]
+            roots = [node_of(n, ()) for n in hobj["roots"]]
             hierarchy = RQHierarchy(levels=hobj["levels"],
                                     branching=hobj["branching"],
-                                    dim=hobj["dim"], roots=roots,
-                                    leaf_assignment=leaf_assignment)
+                                    dim=hobj["dim"], roots=roots, paths=paths)
         return cls(records, vocab, hierarchy)
 
     @classmethod
@@ -428,10 +445,12 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     space.
     """
     if not len(corpus):
-        return DocIdIndex([], Vocabulary(), None)
+        raise EmptyIndex("cannot build an index over an empty corpus")
+    words = {doc.doc_key: words_of(doc.text) for doc in corpus}
     vocab = Vocabulary()
     for doc in corpus:
-        vocab.ingest(doc.text)
+        for w in words[doc.doc_key]:
+            vocab.add(w)
         if doc.title:
             vocab.ingest(doc.title)
         for pq in doc.pseudo_queries:
@@ -439,10 +458,10 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     for text in extra_vocab_texts or []:
         vocab.ingest(text)
 
-    vectors = {doc.doc_key: embed_document(doc, dim=dim, seed=seed)
-               for doc in corpus}
+    vectors = dict(zip(words, _embeddings(list(words.items()), dim, seed)))
     hierarchy = assign_keywords(
-        build_rq_hierarchy(vectors, levels=levels, branching=branching), corpus)
+        build_rq_hierarchy(vectors, levels=levels, branching=branching),
+        TermStats(words))
 
     records: list[DocIdRecord] = []
     seen_surfaces: set[str] = set()

@@ -28,7 +28,9 @@ class VocabularyFrozen(GentrievalError):
 # --- docid ----------------------------------------------------------------
 
 class EmptyDocument(GentrievalError):
-    pass
+    def __init__(self, doc_key: str):
+        self.doc_key = doc_key
+        super().__init__(f"document {doc_key!r} has no words to embed")
 
 
 class MalformedIndex(GentrievalError):

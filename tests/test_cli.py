@@ -84,6 +84,18 @@ class TestBuildIndex:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("rows, error", [
+        ([{"id": "d1", "text": "apple"}, {"id": "a", "text": "!!!"}],
+         "error: document 'a' has no words to embed"),
+        ([], "error: cannot build an index over an empty corpus")])
+    def test_unusable_corpus_is_1(self, tmp_path, capsys, rows, error):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out.json"
+        write_jsonl(corpus, rows)
+        rc = main(["build-index", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not out.exists()
+
 
 class TestRetrieve:
     def test_output_format_and_ranking(self, workspace, capsys):
@@ -440,7 +452,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,flag,value", [
         ("run", "--sweep-t", "0"), ("run", "--sweep-T", "a"),
         ("build-index", "--levels", "0"), ("build-index", "--branching", "0"),
-        ("build-index", "--dim", "1"), ("build-index", "--ngram-m", "0"),
+        ("build-index", "--dim", "1"),
+        ("build-index", "--dim", "100000000000"),
+        ("build-index", "--ngram-m", "0"),
         ("build-index", "--ngram-n", "0"), ("build-index", "--seed", "-1"),
         ("build-index", "--seed", str(2 ** 64)), ("run", "--jobs", "1")])
     def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
@@ -641,7 +655,8 @@ def argv_strategy(fuzz_files):
     pools = {
         **files, "--out": st.sampled_from(outputs),
         "--report": st.sampled_from(outputs),
-        "--levels": ints, "--branching": ints, "--dim": ints,
+        "--levels": ints, "--branching": ints,
+        "--dim": mostly(["2", "3"], ["1", "-1", "x", "", "100000000000"]),
         "--ngram-m": ints, "--ngram-n": ints, "--k": ints, "--t": ints,
         "--T": ints,
         "--seed": mostly(["0", "7"], ["-3", str(2 ** 64), "x"]),

@@ -1,17 +1,22 @@
-import random
-
+import hashlib
 import json
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gentrieval.corpus import END, SEP, Corpus, Document, Vocabulary
-from gentrieval.docid import (DocIdIndex, NgramScorer, RQNode, ViewConfig,
-                              assign_keywords, build_index, build_rq_hierarchy,
-                              build_views, embed_document, path_docid,
+from gentrieval import docid
+from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
+                               words_of)
+from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
+                              RQNode, TermStats, ViewConfig, assign_keywords,
+                              build_index, build_rq_hierarchy, build_views,
+                              embed_document, path_docid,
                               reconstruction_error)
-from gentrieval.errors import EmptyDocument, MalformedIndex, UnknownDoc
+from gentrieval.errors import (EmptyDocument, EmptyIndex, MalformedIndex,
+                               UnknownDoc)
 
 from conftest import (JSON_VALUES, TOY_SURFACES, make_index,
                       random_text_corpus)
@@ -62,7 +67,8 @@ class TestEmbedding:
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_empty_document(self):
-        with pytest.raises(EmptyDocument):
+        with pytest.raises(EmptyDocument,
+                           match="document 'a' has no words to embed"):
             embed_document(Document("a", "!!!"), dim=16)
 
     def test_disjoint_words_mostly_dissimilar(self):
@@ -110,7 +116,7 @@ class TestRQHierarchy:
         rng = np.random.default_rng(3)
         vectors = {f"d{i}": rng.normal(size=8) for i in range(30)}
         h = build_rq_hierarchy(vectors, levels=2, branching=3)
-        assert set(h.leaf_assignment) == set(vectors)
+        assert set(h.paths) == set(vectors)
 
     def test_assignment_is_nearest_centroid(self):
         rng = np.random.default_rng(11)
@@ -142,22 +148,25 @@ class TestRQHierarchy:
         vectors = {f"d{i}": rng.normal(size=4) for i in range(20)}
         h1 = build_rq_hierarchy(vectors, levels=2, branching=3)
         h2 = build_rq_hierarchy(vectors, levels=2, branching=3)
-        a1 = {k: v.node_id for k, v in h1.leaf_assignment.items()}
-        a2 = {k: v.node_id for k, v in h2.leaf_assignment.items()}
+        a1 = {k: v[-1].node_id for k, v in h1.paths.items()}
+        a2 = {k: v[-1].node_id for k, v in h2.paths.items()}
         assert a1 == a2
 
 
-def two_sibling_hierarchy(groups: list[list[str]]) -> "RQHierarchy":
-    from gentrieval.docid import RQHierarchy
+def two_sibling_hierarchy(groups: list[list[str]]) -> RQHierarchy:
     roots = []
-    leaf = {}
+    paths = {}
     for i, g in enumerate(groups):
         node = RQNode(node_id=i, depth=1, centroid=np.zeros(2), doc_keys=list(g))
         for k in g:
-            leaf[k] = node
+            paths[k] = (node,)
         roots.append(node)
     return RQHierarchy(levels=1, branching=len(groups), dim=2, roots=roots,
-                       leaf_assignment=leaf)
+                       paths=paths)
+
+
+def terms_of(corpus: Corpus) -> TermStats:
+    return TermStats({doc.doc_key: words_of(doc.text) for doc in corpus})
 
 
 class TestKeywords:
@@ -169,7 +178,8 @@ class TestKeywords:
             Document("d2", "banana fruit recipes"),
             Document("d3", "tech gadget apple banana"),
         ])
-        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]), corpus)
+        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]),
+                            terms_of(corpus))
         assert h.roots[0].label == "fruit"
 
     def test_sibling_collision_next_best(self):
@@ -179,20 +189,22 @@ class TestKeywords:
             Document("d3", "filler words"),
         ])
         h = assign_keywords(
-            two_sibling_hierarchy([["d1"], ["d2"], ["d3"]]), corpus)
+            two_sibling_hierarchy([["d1"], ["d2"], ["d3"]]), terms_of(corpus))
         assert h.roots[0].label == "zebra"
         assert h.roots[1].label != "zebra"
         assert h.roots[1].label == "banana"
 
     def test_exhaustion_fallback(self):
         corpus = Corpus([Document("d1", "apple"), Document("d2", "apple")])
-        h = assign_keywords(two_sibling_hierarchy([["d1"], ["d2"]]), corpus)
+        h = assign_keywords(two_sibling_hierarchy([["d1"], ["d2"]]),
+                            terms_of(corpus))
         assert h.roots[0].label == "apple"
         assert h.roots[1].label == "apple-2"
 
     def test_stopwords_excluded(self):
         corpus = Corpus([Document("d1", "the the the orchard")])
-        h = assign_keywords(two_sibling_hierarchy([["d1"]]), corpus)
+        h = assign_keywords(two_sibling_hierarchy([["d1"]]),
+                            terms_of(corpus))
         assert h.roots[0].label == "orchard"
 
 
@@ -203,7 +215,8 @@ class TestPathDocid:
             Document("d2", "banana fruit recipes"),
             Document("d3", "tech gadget apple banana"),
         ])
-        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]), corpus)
+        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]),
+                            terms_of(corpus))
         vocab = Vocabulary()
         rec = path_docid("d3", h, vocab)
         assert rec.surface == h.roots[1].label
@@ -212,7 +225,8 @@ class TestPathDocid:
 
     def test_shared_leaf_disambiguated(self):
         corpus = Corpus([Document("d1", "apple pie"), Document("d2", "apple tart")])
-        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"]]), corpus)
+        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"]]),
+                            terms_of(corpus))
         vocab = Vocabulary()
         r1 = path_docid("d1", h, vocab)
         r2 = path_docid("d2", h, vocab)
@@ -350,8 +364,268 @@ class TestIndexBuild:
         assert DocIdIndex.from_json(json.dumps(obj)).records[0].tokens == (
             END,)
 
+    def test_empty_corpus_refused(self):
+        with pytest.raises(EmptyIndex, match="empty corpus"):
+            build_index(Corpus([]))
+
     def test_every_doc_has_record(self):
         rng = random.Random(3)
         corpus = random_text_corpus(rng, 12)
         index = build_index(corpus, levels=1, branching=4, dim=8)
         assert set(index.by_doc) == set(c.doc_key for c in corpus)
+
+
+# --------------------------------------------------------------------------
+# Reference implementations: the straightforward forms of the build steps,
+# kept here as oracles that the one-pass build must match exactly.
+
+def ref_embed_document(doc: Document, dim: int, seed: int) -> np.ndarray:
+    """Hash every word occurrence and add it into a fresh vector."""
+    words = words_of(doc.text)
+    if not words:
+        raise EmptyDocument(doc.doc_key)
+    vec = np.zeros(dim, dtype=np.float64)
+    for w in words:
+        h = hashlib.blake2b(w.encode("utf-8"), digest_size=8,
+                            salt=seed.to_bytes(8, "little")).digest()
+        val = int.from_bytes(h, "little")
+        vec[val % dim] += 1.0 if (val >> 32) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def ref_kmeans(points: np.ndarray, k: int, max_iterations: int):
+    """Farthest-point init recomputing every centre's distances, (n, k, d)
+    broadcast assignment, and a nearest() after the loop on every exit."""
+    n = len(points)
+    k = min(k, n)
+    centers = [points[0].copy()]
+    while len(centers) < k:
+        dists = np.min(
+            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+        centers.append(points[int(np.argmax(dists))].copy())
+    centroids = np.stack(centers)
+
+    def nearest():
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        return np.argmin(d2, axis=1)
+
+    assign = None
+    for _ in range(max_iterations):
+        new_assign = nearest()
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = points[assign == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+    return centroids, nearest()
+
+
+def ref_build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
+                           branching: int) -> RQHierarchy:
+    """Split each group by scanning the assignment once per cluster, keeping
+    residuals per document. The hierarchy records no paths."""
+    keys = sorted(vectors)
+    next_id = [0]
+
+    def split(group, residuals, depth):
+        pts = np.stack([residuals[k] for k in group])
+        centroids, assign = docid._kmeans(pts, branching)
+        nodes = []
+        for j in range(len(centroids)):
+            members = [group[i] for i in range(len(group)) if assign[i] == j]
+            if not members:
+                continue
+            node = RQNode(node_id=next_id[0], depth=depth,
+                          centroid=centroids[j].copy(), doc_keys=members)
+            next_id[0] += 1
+            if depth < levels:
+                child_res = {m: residuals[m] - centroids[j] for m in members}
+                node.children = split(members, child_res, depth + 1)
+            nodes.append(node)
+        return nodes
+
+    roots = split(keys, {k: np.asarray(vectors[k], dtype=np.float64)
+                         for k in keys}, 1)
+    return RQHierarchy(levels=levels, branching=branching,
+                       dim=len(vectors[keys[0]]), roots=roots, paths={})
+
+
+def ref_path_to(h: RQHierarchy, doc_key: str) -> list[RQNode]:
+    """Descend level by level to the first node listing the document."""
+    path: list[RQNode] = []
+    nodes = h.roots
+    for _ in range(h.levels):
+        for node in nodes:
+            if doc_key in node.doc_keys:
+                path.append(node)
+                nodes = node.children
+                break
+        else:
+            raise UnknownDoc(doc_key)
+    return path
+
+
+def ref_scored_terms(doc_keys: list[str], corpus: Corpus) -> list[str]:
+    """Re-tokenize the corpus for document frequencies and every document
+    under the node for term counts, computing each IDF where it is used."""
+    df: dict[str, int] = {}
+    for doc in corpus:
+        for w in set(words_of(doc.text)):
+            df[w] = df.get(w, 0) + 1
+    tf: dict[str, int] = {}
+    for key in doc_keys:
+        for w in words_of(corpus[key].text):
+            if w not in STOPWORDS:
+                tf[w] = tf.get(w, 0) + 1
+    n = len(corpus)
+    scored = sorted((-(cnt * math.log((1 + n) / (1 + df.get(w, 0)))), w)
+                    for w, cnt in tf.items())
+    return [w for _, w in scored]
+
+
+def random_points(rng: np.random.Generator) -> np.ndarray:
+    """Points with many exact duplicates (a few distinct rows repeated),
+    so the init repeats centres and some clusters come out empty."""
+    n = int(rng.integers(1, 40))
+    dim = int(rng.integers(1, 6))
+    if rng.integers(2):
+        pool = rng.normal(size=(int(rng.integers(1, 4)), dim))
+        return pool[rng.integers(len(pool), size=n)]
+    return rng.normal(size=(n, dim))
+
+
+def hierarchy_json(h: RQHierarchy) -> str:
+    return DocIdIndex([], Vocabulary(), h).to_json()
+
+
+def build_with_references(monkeypatch, build, corpus=None):
+    """Run *build* with embedding, clustering, path lookup and term scoring
+    swapped for the reference implementations."""
+    cap = docid.KMEANS_MAX_ITERATIONS
+
+    def embeddings(docs, dim, seed):
+        return np.stack([ref_embed_document(Document(key, " ".join(words)),
+                                            dim, seed)
+                         for key, words in docs])
+
+    with monkeypatch.context() as m:
+        m.setattr(docid, "_embeddings", embeddings)
+        m.setattr(docid, "_kmeans", lambda pts, k: ref_kmeans(pts, k, cap))
+        m.setattr(docid, "build_rq_hierarchy", ref_build_rq_hierarchy)
+        m.setattr(RQHierarchy, "path_to", ref_path_to)
+        if corpus is not None:
+            m.setattr(TermStats, "scored_terms",
+                      lambda self, keys: ref_scored_terms(keys, corpus))
+        return build()
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("cap", [1, 2, 3, 25])
+    def test_kmeans(self, monkeypatch, cap):
+        monkeypatch.setattr(docid, "KMEANS_MAX_ITERATIONS", cap)
+        rng = np.random.default_rng(cap)
+        for _ in range(150):
+            points = random_points(rng)
+            k = int(rng.integers(1, 8))
+            got_c, got_a = docid._kmeans(points, k)
+            want_c, want_a = ref_kmeans(points, k, cap)
+            assert np.array_equal(got_c, want_c)
+            assert np.array_equal(got_a, want_a)
+
+    def test_kmeans_cap_reached_reassigns(self, monkeypatch):
+        # Init picks 0 and 20; 9 joins centre 0 and the 11s centre 1. The
+        # one update moves the centres to 4.5 and 13.25, and 9 is then
+        # nearer centre 1: the returned assignment must say so.
+        monkeypatch.setattr(docid, "KMEANS_MAX_ITERATIONS", 1)
+        points = np.array([[0.0], [9.0], [11.0], [11.0], [11.0], [20.0]])
+        centroids, assign = docid._kmeans(points, 2)
+        assert centroids.tolist() == [[4.5], [13.25]]
+        assert assign.tolist() == [0, 1, 1, 1, 1, 1]
+
+    def test_embeddings(self):
+        rng = random.Random(4)
+        for trial in range(30):
+            corpus = random_text_corpus(rng, rng.randint(1, 20),
+                                        vocab_words=rng.randint(1, 30),
+                                        words_per_doc=rng.randint(1, 6))
+            dim, seed = rng.choice([2, 3, 16, 64]), rng.choice([0, 1, 2**63])
+            rows = docid._embeddings(
+                [(d.doc_key, words_of(d.text)) for d in corpus], dim, seed)
+            for doc, row in zip(corpus, rows):
+                assert np.array_equal(row, ref_embed_document(doc, dim, seed))
+
+    def test_hierarchy_json_and_paths(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(8)
+        for cap in (1, 25):
+            monkeypatch.setattr(docid, "KMEANS_MAX_ITERATIONS", cap)
+            for trial in range(40):
+                points = random_points(rng)
+                vectors = {f"d{i:02d}": p for i, p in enumerate(points)}
+                levels = int(rng.integers(1, 4))
+                # Above the group size as often as not.
+                branching = int(rng.integers(1, 2 * len(points) + 2))
+
+                got = build_rq_hierarchy(vectors, levels, branching)
+                want = build_with_references(
+                    monkeypatch,
+                    lambda: docid.build_rq_hierarchy(vectors, levels,
+                                                     branching))
+                assert hierarchy_json(got) == hierarchy_json(want)
+                path = tmp_path / "h.json"
+                DocIdIndex([], Vocabulary(), got).save(path)
+                loaded = DocIdIndex.load(path).hierarchy
+                for h in (got, loaded):
+                    for key in [*vectors, "nope"]:
+                        self.assert_same_path(h, key)
+
+    @staticmethod
+    def assert_same_path(h: RQHierarchy, key: str) -> None:
+        try:
+            want = [n.node_id for n in ref_path_to(h, key)]
+        except UnknownDoc:
+            with pytest.raises(UnknownDoc):
+                h.path_to(key)
+            return
+        assert [n.node_id for n in h.path_to(key)] == want
+
+    def test_scored_terms(self):
+        rng = random.Random(6)
+        for trial in range(10):
+            corpus = random_text_corpus(rng, rng.randint(2, 30),
+                                        vocab_words=rng.randint(3, 40))
+            corpus.append(Document("stop", "the and of " + corpus["d000"].text))
+            h = build_index(corpus, levels=2, branching=3, dim=8).hierarchy
+            terms = terms_of(corpus)
+            groups = [[k] for k in corpus.by_key]
+            groups += [n.doc_keys for n in h.roots]
+            groups += [c.doc_keys for n in h.roots for c in n.children]
+            for keys in groups:
+                assert terms.scored_terms(keys) == ref_scored_terms(keys,
+                                                                    corpus)
+
+    def test_index_json(self, monkeypatch, tmp_path):
+        rng = random.Random(9)
+        for trial in range(25):
+            corpus = random_text_corpus(rng, rng.randint(1, 40),
+                                        vocab_words=rng.randint(2, 40),
+                                        words_per_doc=rng.randint(1, 12))
+            kwargs = dict(levels=rng.randint(1, 3),
+                          branching=rng.randint(1, 12),
+                          dim=rng.choice([2, 8, 16]), seed=rng.randint(0, 3),
+                          views=rng.choice([frozenset(),
+                                            frozenset({"ngram"})]))
+
+            def build():
+                return build_index(corpus, **kwargs)
+            got = build()
+            assert got.to_json() == build_with_references(
+                monkeypatch, build, corpus).to_json()
+            got.save(tmp_path / "i.json")
+            assert DocIdIndex.load(tmp_path / "i.json").to_json() == \
+                got.to_json()
