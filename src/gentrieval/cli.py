@@ -220,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
                 "run": _cmd_run, "stats": _cmd_stats}
     try:
         return handlers[args.command](args)
-    except (GentrievalError, OSError, UnicodeDecodeError) as exc:
+    except (GentrievalError, OSError, UnicodeDecodeError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

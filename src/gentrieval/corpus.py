@@ -93,13 +93,10 @@ class Vocabulary:
             out.append(tid)
         return out
 
-    def decode(self, tokens: list[int], skip_reserved: bool = True) -> str:
-        words = []
-        for t in tokens:
-            if skip_reserved and t in (END, SEP):
-                continue
-            words.append(self._id_to_word[t])
-        return " ".join(words)
+    def decode(self, tokens: list[int]) -> str:
+        """The words of *tokens*, space-joined; END and SEP are skipped."""
+        return " ".join(self._id_to_word[t] for t in tokens
+                        if t not in (END, SEP))
 
     def ingest(self, text: str) -> None:
         """Grow the vocabulary from *text* without returning ids."""

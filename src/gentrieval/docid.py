@@ -6,6 +6,10 @@ residual left by ancestor centroids, every node is labeled with its most
 TF-IDF-distinctive unused term, and a document's identifier is the hyphen-join
 of the labels from root to leaf. Title, distinctive-ngram, and pseudo-query
 views are available for multi-view retrieval.
+
+The tree is built in memory only, to make the path docids. An index file
+holds the vocabulary and the docid records; older files that also carry a
+"hierarchy" key still load, as the key is not read.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ def embed_document(doc: Document, dim: int = 64, seed: int = 0) -> np.ndarray:
 @dataclass
 class RQNode:
     node_id: int
-    depth: int  # 1-based; root is virtual and not represented
     centroid: np.ndarray
     doc_keys: list[str]
     label: str | None = None
@@ -95,11 +98,9 @@ class RQNode:
 @dataclass
 class RQHierarchy:
     levels: int
-    branching: int
-    dim: int
     roots: list[RQNode]
     # Each document's nodes from root to leaf, recorded while the tree is
-    # built or loaded.
+    # built.
     paths: dict[str, tuple[RQNode, ...]]
 
     def path_to(self, doc_key: str) -> list[RQNode]:
@@ -157,7 +158,6 @@ def build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
     if levels < 1 or branching < 1 or not vectors:
         raise ValueError("levels >= 1, branching >= 1, and >= 1 vector required")
     keys = sorted(vectors)
-    dim = len(next(iter(vectors.values())))
     next_id = [0]
     paths: dict[str, tuple[RQNode, ...]] = {}
 
@@ -171,8 +171,7 @@ def build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
         for j, members in enumerate(rows):
             if not members:
                 continue
-            node = RQNode(node_id=next_id[0], depth=depth,
-                          centroid=centroids[j].copy(),
+            node = RQNode(node_id=next_id[0], centroid=centroids[j].copy(),
                           doc_keys=[group[i] for i in members])
             next_id[0] += 1
             path = ancestors + (node,)
@@ -188,8 +187,7 @@ def build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
 
     points = np.stack([np.asarray(vectors[k], dtype=np.float64) for k in keys])
     roots = split(keys, points, 1, ())
-    return RQHierarchy(levels=levels, branching=branching, dim=dim,
-                       roots=roots, paths=paths)
+    return RQHierarchy(levels=levels, roots=roots, paths=paths)
 
 
 def reconstruction_error(h: RQHierarchy, vectors: dict[str, np.ndarray]) -> float:
@@ -339,40 +337,20 @@ def _tokens_error(tokens: tuple, vocab_size: int) -> str | None:
 class DocIdIndex:
     """All docid records over a corpus plus the shared frozen vocabulary."""
 
-    def __init__(self, records: list[DocIdRecord], vocab: Vocabulary,
-                 hierarchy: RQHierarchy | None = None):
+    def __init__(self, records: list[DocIdRecord], vocab: Vocabulary):
         self.records = records
         self.vocab = vocab
-        self.hierarchy = hierarchy
         self.by_doc: dict[str, list[DocIdRecord]] = {}
         for r in records:
             self.by_doc.setdefault(r.doc_key, []).append(r)
 
     def to_json(self) -> str:
-        def node_dict(node: RQNode) -> dict:
-            d = {"label": node.label,
-                 "centroid": [float(x) for x in node.centroid],
-                 "doc_keys": list(node.doc_keys)}
-            if node.doc_labels:
-                d["doc_labels"] = {k: node.doc_labels[k]
-                                   for k in sorted(node.doc_labels)}
-            if node.children:
-                d["children"] = [node_dict(c) for c in node.children]
-            return d
-
         obj = {
             "vocab": self.vocab.to_dict(),
             "records": [{"doc_key": r.doc_key, "view": r.view,
                          "surface": r.surface, "tokens": list(r.tokens)}
                         for r in self.records],
         }
-        if self.hierarchy is not None:
-            obj["hierarchy"] = {
-                "levels": self.hierarchy.levels,
-                "branching": self.hierarchy.branching,
-                "dim": self.hierarchy.dim,
-                "roots": [node_dict(n) for n in self.hierarchy.roots],
-            }
         return json.dumps(obj, indent=None, separators=(",", ":"))
 
     def save(self, path) -> None:
@@ -401,31 +379,7 @@ class DocIdIndex:
             if problem:
                 raise MalformedIndex(f"malformed index: record {i} "
                                      f"({rec.doc_key!r}): {problem}")
-        hierarchy = None
-        if "hierarchy" in obj:
-            hobj = obj["hierarchy"]
-            next_id = [0]
-            paths: dict[str, tuple[RQNode, ...]] = {}
-
-            def node_of(d: dict, ancestors: tuple[RQNode, ...]) -> RQNode:
-                node = RQNode(node_id=next_id[0], depth=len(ancestors) + 1,
-                              centroid=np.asarray(d["centroid"]),
-                              doc_keys=list(d["doc_keys"]), label=d["label"],
-                              doc_labels=dict(d.get("doc_labels", {})))
-                next_id[0] += 1
-                path = ancestors + (node,)
-                node.children = [node_of(c, path)
-                                 for c in d.get("children", [])]
-                if not node.children:
-                    for k in node.doc_keys:
-                        paths[k] = path
-                return node
-
-            roots = [node_of(n, ()) for n in hobj["roots"]]
-            hierarchy = RQHierarchy(levels=hobj["levels"],
-                                    branching=hobj["branching"],
-                                    dim=hobj["dim"], roots=roots, paths=paths)
-        return cls(records, vocab, hierarchy)
+        return cls(records, vocab)
 
     @classmethod
     def load(cls, path) -> "DocIdIndex":
@@ -488,4 +442,4 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
             records.extend(build_views(doc, cfg, vocab))
 
     vocab.freeze()
-    return DocIdIndex(records, vocab, hierarchy)
+    return DocIdIndex(records, vocab)

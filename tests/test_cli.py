@@ -587,6 +587,35 @@ class TestMalformedInputs:
                     "--report", str(workspace["dir"] / "r.json")]
         self.assert_one_error(capsys, main(argv))
 
+    @pytest.mark.parametrize("flag", ["--index", "--corpus", "--train-queries",
+                                      "--model", "--prompts", "--trace",
+                                      "--levels"])
+    def test_recursion_limit(self, workspace, capsys, flag):
+        # JSON nested past the interpreter's recursion limit, as any JSON
+        # input, and a tree deeper than that limit both end in one line.
+        deep = workspace["dir"] / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000 + "\n")
+        retrieve = {"--index": workspace["index"], "--model": workspace["model"],
+                    "--query": "which fruit calories"}
+        out = str(workspace["dir"] / "out.json")
+        if flag == "--corpus":
+            argv = ["build-index", "--corpus", str(deep), "--out", out]
+        elif flag == "--trace":
+            argv = ["stats", "--trace", str(deep)]
+        elif flag == "--levels":
+            corpus = workspace["dir"] / "two.jsonl"
+            write_jsonl(corpus, [{"id": "a", "text": "apple pie"},
+                                 {"id": "b", "text": "banana bread"}])
+            argv = ["build-index", "--corpus", str(corpus), "--out", out,
+                    "--levels", "1200"]
+        else:
+            if flag == "--train-queries":
+                retrieve["--model"] = "ngram"
+            retrieve[flag] = str(deep)
+            argv = ["retrieve", *(x for kv in retrieve.items() for x in kv)]
+        self.assert_one_error(capsys, main(argv))
+        assert not os.path.exists(out)
+
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):

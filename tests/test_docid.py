@@ -29,18 +29,6 @@ def _some_of(fields: dict) -> st.SearchStrategy:
         k: v | JSON_VALUES for k, v in fields.items()})
 
 
-_NODE_FIELDS = {
-    "label": st.text(max_size=3),
-    "centroid": st.lists(st.floats(-1, 1), max_size=3),
-    "doc_keys": st.lists(st.text(max_size=3), max_size=2),
-    "doc_labels": st.dictionaries(st.text(max_size=3), st.text(max_size=3),
-                                  max_size=2),
-}
-_NODES = st.recursive(
-    _some_of(_NODE_FIELDS),
-    lambda children: _some_of({**_NODE_FIELDS,
-                               "children": st.lists(children, max_size=2)}),
-    max_leaves=4)
 # Index documents of nearly the shape to_json writes.
 INDEX_TEXTS = st.text(max_size=20) | _some_of({
     "vocab": st.dictionaries(st.integers(0, 5).map(str), st.text(max_size=3),
@@ -49,10 +37,8 @@ INDEX_TEXTS = st.text(max_size=20) | _some_of({
         "doc_key": st.text(max_size=3), "view": st.just("path"),
         "surface": st.text(max_size=3),
         "tokens": st.lists(st.integers(0, 5), max_size=3)}), max_size=3),
-    "hierarchy": _some_of({"levels": st.integers(0, 3),
-                           "branching": st.integers(0, 3),
-                           "dim": st.integers(0, 3),
-                           "roots": st.lists(_NODES, max_size=2)}),
+    # Written by older builds; ignored on load.
+    "hierarchy": JSON_VALUES,
 }).map(json.dumps)
 
 
@@ -157,12 +143,11 @@ def two_sibling_hierarchy(groups: list[list[str]]) -> RQHierarchy:
     roots = []
     paths = {}
     for i, g in enumerate(groups):
-        node = RQNode(node_id=i, depth=1, centroid=np.zeros(2), doc_keys=list(g))
+        node = RQNode(node_id=i, centroid=np.zeros(2), doc_keys=list(g))
         for k in g:
             paths[k] = (node,)
         roots.append(node)
-    return RQHierarchy(levels=1, branching=len(groups), dim=2, roots=roots,
-                       paths=paths)
+    return RQHierarchy(levels=1, roots=roots, paths=paths)
 
 
 def terms_of(corpus: Corpus) -> TermStats:
@@ -305,6 +290,19 @@ class TestIndexBuild:
                [r.surface for r in index.records]
         assert loaded.to_json() == index.to_json()
         assert loaded.vocab.frozen
+        assert list(json.loads(index.to_json())) == ["vocab", "records"]
+
+    def test_file_with_hierarchy_loads(self):
+        # Older builds also wrote the RQ tree under "hierarchy"; such a file
+        # loads to the same index as one without the key.
+        text = make_index(TOY_SURFACES).to_json()
+        obj = json.loads(text)
+        obj["hierarchy"] = {"levels": 1, "branching": 2, "dim": 2, "roots": [
+            {"label": "food", "centroid": [0.5, -0.5],
+             "doc_keys": ["d1", "d3"],
+             "doc_labels": {"d1": "apple", "d3": "banana"}},
+            {"label": "tech", "centroid": [-0.5, 0.5], "doc_keys": ["d2"]}]}
+        assert DocIdIndex.from_json(json.dumps(obj)).to_json() == text
 
     @pytest.mark.parametrize("text", ['{"vocab": {}}', "not json", "[]",
                                       '{"vocab": {}, "records": [5]}'])
@@ -441,8 +439,8 @@ def ref_build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
             members = [group[i] for i in range(len(group)) if assign[i] == j]
             if not members:
                 continue
-            node = RQNode(node_id=next_id[0], depth=depth,
-                          centroid=centroids[j].copy(), doc_keys=members)
+            node = RQNode(node_id=next_id[0], centroid=centroids[j].copy(),
+                          doc_keys=members)
             next_id[0] += 1
             if depth < levels:
                 child_res = {m: residuals[m] - centroids[j] for m in members}
@@ -452,8 +450,7 @@ def ref_build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
 
     roots = split(keys, {k: np.asarray(vectors[k], dtype=np.float64)
                          for k in keys}, 1)
-    return RQHierarchy(levels=levels, branching=branching,
-                       dim=len(vectors[keys[0]]), roots=roots, paths={})
+    return RQHierarchy(levels=levels, roots=roots, paths={})
 
 
 def ref_path_to(h: RQHierarchy, doc_key: str) -> list[RQNode]:
@@ -500,8 +497,14 @@ def random_points(rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(n, dim))
 
 
-def hierarchy_json(h: RQHierarchy) -> str:
-    return DocIdIndex([], Vocabulary(), h).to_json()
+def tree_of(h: RQHierarchy) -> list:
+    """Every node's label, centroid (as exact float hex), doc keys, doc
+    labels and children, nested as the tree is."""
+    def walk(node: RQNode) -> tuple:
+        return (node.label, [x.hex() for x in node.centroid.tolist()],
+                node.doc_keys, node.doc_labels,
+                [walk(c) for c in node.children])
+    return [walk(n) for n in h.roots]
 
 
 def build_with_references(monkeypatch, build, corpus=None):
@@ -560,7 +563,7 @@ class TestMatchesReference:
             for doc, row in zip(corpus, rows):
                 assert np.array_equal(row, ref_embed_document(doc, dim, seed))
 
-    def test_hierarchy_json_and_paths(self, monkeypatch, tmp_path):
+    def test_hierarchy_and_paths(self, monkeypatch):
         rng = np.random.default_rng(8)
         for cap in (1, 25):
             monkeypatch.setattr(docid, "KMEANS_MAX_ITERATIONS", cap)
@@ -576,13 +579,10 @@ class TestMatchesReference:
                     monkeypatch,
                     lambda: docid.build_rq_hierarchy(vectors, levels,
                                                      branching))
-                assert hierarchy_json(got) == hierarchy_json(want)
-                path = tmp_path / "h.json"
-                DocIdIndex([], Vocabulary(), got).save(path)
-                loaded = DocIdIndex.load(path).hierarchy
-                for h in (got, loaded):
-                    for key in [*vectors, "nope"]:
-                        self.assert_same_path(h, key)
+                assert got.levels == want.levels
+                assert tree_of(got) == tree_of(want)
+                for key in [*vectors, "nope"]:
+                    self.assert_same_path(got, key)
 
     @staticmethod
     def assert_same_path(h: RQHierarchy, key: str) -> None:
@@ -600,8 +600,10 @@ class TestMatchesReference:
             corpus = random_text_corpus(rng, rng.randint(2, 30),
                                         vocab_words=rng.randint(3, 40))
             corpus.append(Document("stop", "the and of " + corpus["d000"].text))
-            h = build_index(corpus, levels=2, branching=3, dim=8).hierarchy
             terms = terms_of(corpus)
+            h = assign_keywords(build_rq_hierarchy(
+                {d.doc_key: embed_document(d, dim=8) for d in corpus},
+                levels=2, branching=3), terms)
             groups = [[k] for k in corpus.by_key]
             groups += [n.doc_keys for n in h.roots]
             groups += [c.doc_keys for n in h.roots for c in n.children]
