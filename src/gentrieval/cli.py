@@ -43,6 +43,9 @@ positive_int = bounded_int(1)
 # Embedding width cap: an index holds one float per dimension for each
 # document's vector while it is built, and for every centroid it stores.
 MAX_DIM = 4096
+# Tree depth cap: a path docid holds one label per level, and the tree is
+# built and labeled one recursive call per level.
+MAX_LEVELS = 64
 
 
 def positive_ints(text: str) -> tuple[int, ...]:
@@ -60,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-index", help="build a DocIdIndex file")
     p.add_argument("--corpus", required=True, help="corpus JSONL path")
     p.add_argument("--out", required=True, help="output index JSON path")
-    p.add_argument("--levels", type=positive_int, default=2)
+    p.add_argument("--levels", type=bounded_int(1, MAX_LEVELS), default=2,
+                   help=f"depth of the docid tree, at most {MAX_LEVELS}")
     p.add_argument("--branching", type=positive_int, default=8)
     p.add_argument("--dim", type=bounded_int(2, MAX_DIM), default=64,
                    help=f"embedding width, at most {MAX_DIM}")
@@ -205,7 +209,7 @@ def _cmd_stats(args) -> int:
             if line.strip():
                 try:
                     traces.append(json.loads(line))
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise MalformedRecord(line_no, "not JSON") from exc
     stats = termination_stats(traces)
     for reason in ("all_relevant", "budget_exhausted", "parse_failure"):
@@ -220,8 +224,7 @@ def main(argv: list[str] | None = None) -> int:
                 "run": _cmd_run, "stats": _cmd_stats}
     try:
         return handlers[args.command](args)
-    except (GentrievalError, OSError, UnicodeDecodeError,
-            RecursionError) as exc:
+    except (GentrievalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -196,7 +196,8 @@ def _is_str_list(value) -> bool:
 
 
 def load_corpus(path) -> Corpus:
-    """Load a JSONL corpus: one object per line with id/text[/title/pseudo_queries]."""
+    """Load a JSONL corpus: one object per line with
+    id/text[/title/pseudo_queries]. A malformed line raises MalformedRecord."""
     corpus = Corpus()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -204,7 +205,7 @@ def load_corpus(path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedRecord(line_no, str(exc)) from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise MalformedRecord(line_no, "missing required field 'id' or 'text'")
@@ -228,7 +229,8 @@ def load_corpus(path) -> Corpus:
 
 
 def load_queries(path) -> list[Query]:
-    """Load a JSONL query file: objects with qid/text[/relevant]."""
+    """Load a JSONL query file: objects with qid/text[/relevant]. A
+    malformed line raises MalformedRecord."""
     queries: list[Query] = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -236,7 +238,7 @@ def load_queries(path) -> list[Query]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise MalformedRecord(line_no, str(exc)) from exc
             if not isinstance(obj, dict) or "qid" not in obj or "text" not in obj:
                 raise MalformedRecord(line_no, "missing required field 'qid' or 'text'")

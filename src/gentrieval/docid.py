@@ -113,6 +113,58 @@ class RQHierarchy:
 KMEANS_MAX_ITERATIONS = 25
 
 
+def _exact_nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid by the exact form: the sum of the d
+    squared differences, lowest index on ties. One centroid at a time, so
+    no (n, k, d) temporary; each row still sums the same d contiguous
+    squares, so distances match the broadcast form."""
+    d2 = np.empty((len(centroids), len(points)))
+    for j, c in enumerate(centroids):
+        d2[j] = ((points - c) ** 2).sum(axis=1)
+    return np.argmin(d2, axis=0)
+
+
+def _expanded_distances(points: np.ndarray, sq_norms: np.ndarray,
+                        centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out (k, n) with |p|^2 - 2 p.c + |c|^2 from one matrix product,
+    given each point's computed |p|^2, and return per point i a bound B
+    with |out[j, i] - x[j, i]| <= B for every centroid j, where x is the
+    distance `_exact_nearest` computes.
+
+    With u = 2**-53 and g_m = m u / (1 - m u), a sum or dot product of m
+    terms, in any order and with or without fused multiply-adds, is within
+    g_m * sum|terms| of its value (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1), whatever order the BLAS picks. Let
+    S = |p|^2 + |c|^2; the true distance D = |p - c|^2 is at most 2S.
+    - x: each square of a rounded difference carries 3 roundings and the
+      sum d - 1 more, over terms >= 0: |x - D| <= g_{d+2} D <= 2 g_{d+2} S.
+    - out: |p|^2 and |c|^2 are within g_d of theirs, 2 p.c within
+      2 g_d |p||c| <= g_d S (the scaling by -2 is exact), and each of the
+      two additions rounds a value of size at most 2S: |out - D| <=
+      2 g_d S + 4 u S.
+    Together 2 g_{d+2} + 2 g_d + 4u <= 4 g_{d+3}. B takes 5 g_{d+3} times
+    the computed |p|^2 + max |c|^2: the fifth g_{d+3} S exceeds the O(u^2) S
+    left out above, the computed norms being up to g_d low, and the
+    rounding of B. Under gradual underflow each of the at most 5d products
+    also loses up to half the smallest subnormal, hence the 5d subnormals
+    added. No value above overflows while S < 2**1020; a point with a
+    larger S gets an infinite B. A caller's gap test needs no room of its
+    own: 2B is exact, and a difference of two floats rounds to more than
+    2B only if it is.
+    """
+    np.matmul(centroids, points.T, out=out)
+    out *= -2.0
+    out += sq_norms
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    out += c_sq[:, None]
+    d = points.shape[1]
+    u = 2.0 ** -53
+    gamma = (d + 3) * u / (1 - (d + 3) * u)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    s = sq_norms + c_sq.max()
+    return np.where(s < 2.0 ** 1020, 5 * gamma * s + 5 * d * tiny, np.inf)
+
+
 def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic k-means: farthest-point init from the first point,
     nearest-centroid assignment with lowest-index tie-break, at most
@@ -127,14 +179,25 @@ def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
                            ((points - centroids[j - 1]) ** 2).sum(axis=1))
         centroids[j] = points[int(np.argmax(dists))]
 
-    d2 = np.empty((k, n))
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    # Centroid-major: min and argmin over the centroids then combine whole
+    # contiguous rows instead of reducing n short k-wide rows.
+    expanded = np.empty((k, n))
+    cols = np.arange(n)
 
-    # One centroid at a time, so no (n, k, d) temporary; each row still sums
-    # the same d contiguous squares, so distances match the broadcast form.
+    # The expanded form settles a point when its runner-up is more than
+    # twice the bound away, as then the exact distances order the two the
+    # same way; the exact form decides the rest (ties, duplicates, near
+    # ties, and non-finite values, for which the test is false).
     def nearest():
-        for j in range(k):
-            d2[j] = ((points - centroids[j]) ** 2).sum(axis=1)
-        return np.argmin(d2, axis=0)  # argmin takes the lowest index on ties
+        bound = _expanded_distances(points, sq_norms, centroids, expanded)
+        best = expanded.argmin(axis=0)
+        best_d = expanded.min(axis=0)
+        expanded[best, cols] = np.inf
+        unsure = np.flatnonzero(~(expanded.min(axis=0) - best_d > 2 * bound))
+        if len(unsure):
+            best[unsure] = _exact_nearest(points[unsure], centroids)
+        return best
 
     assign = None
     for _ in range(KMEANS_MAX_ITERATIONS):
@@ -365,7 +428,7 @@ class DocIdIndex:
         try:
             return cls._from_obj(json.loads(text))
         except (ValueError, KeyError, IndexError, TypeError,
-                AttributeError) as exc:
+                AttributeError, RecursionError) as exc:
             raise MalformedIndex(
                 f"malformed index: {type(exc).__name__}: {exc}") from exc
 

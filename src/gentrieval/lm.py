@@ -134,11 +134,11 @@ class ScriptedModel:
     def from_file(cls, path, vocab: Vocabulary) -> "ScriptedModel":
         """Rules from a JSON file: a bare list of generate rules, or an
         object with "generate" and "distributions" lists. Raises ConfigError
-        for a rule of the wrong shape."""
+        for a file that is not JSON and for a rule of the wrong shape."""
         with open(path, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}: not JSON: {exc}") from exc
         if isinstance(obj, list):  # bare list of generate rules
             obj = {"generate": obj}
@@ -322,7 +322,7 @@ class RemoteModel:
                 raise RemoteUnavailable(f"HTTP {resp.status_code}")
             try:
                 return resp.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise RemoteUnavailable(
                     f"{route} response is not JSON: {exc}") from exc
         raise last_exc

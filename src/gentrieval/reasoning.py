@@ -82,7 +82,7 @@ class PromptRegistry:
         with open(path, encoding="utf-8") as fh:
             try:
                 overrides = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ConfigError(f"{path}: not JSON: {exc}") from None
         if not isinstance(overrides, dict):
             raise ConfigError(f"{path}: prompts file must hold a JSON object")

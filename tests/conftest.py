@@ -37,6 +37,9 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
+# JSON nested past the interpreter's recursion limit.
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
 TOY_SURFACES = {"d1": "food-apple", "d2": "tech-apple", "d3": "food-banana"}
 
 # Extra vocabulary for scripted reasoning scenarios.

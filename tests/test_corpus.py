@@ -8,7 +8,7 @@ from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
 from gentrieval.errors import (DuplicateKey, GentrievalError, MalformedRecord,
                                VocabularyFrozen)
 
-from conftest import JSON_VALUES
+from conftest import DEEP_JSON, JSON_VALUES
 
 # One line of a JSONL file: free text, any JSON value, or an object with
 # some of the fields either loader reads, each holding any JSON value.
@@ -58,6 +58,12 @@ class TestLoadCorpus:
             load_corpus(p)
         assert exc.value.line_no == 2
 
+    def test_nested_too_deep(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "d1", "text": "ok"}\n' + DEEP_JSON + "\n")
+        with pytest.raises(MalformedRecord, match="line 2: maximum recursion"):
+            load_corpus(p)
+
     def test_missing_field(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"id": "d1"}])
@@ -93,6 +99,12 @@ class TestLoadQueries:
         p = tmp_path / "q.jsonl"
         write_jsonl(p, [{"qid": "q1"}])
         with pytest.raises(MalformedRecord):
+            load_queries(p)
+
+    def test_nested_too_deep(self, tmp_path):
+        p = tmp_path / "q.jsonl"
+        p.write_text(DEEP_JSON + "\n")
+        with pytest.raises(MalformedRecord, match="line 1: maximum recursion"):
             load_queries(p)
 
     @pytest.mark.parametrize("text", ["", "  \t ", "\n"])

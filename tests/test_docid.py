@@ -18,7 +18,7 @@ from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
 from gentrieval.errors import (EmptyDocument, EmptyIndex, MalformedIndex,
                                UnknownDoc)
 
-from conftest import (JSON_VALUES, TOY_SURFACES, make_index,
+from conftest import (DEEP_JSON, JSON_VALUES, TOY_SURFACES, make_index,
                       random_text_corpus)
 
 
@@ -337,6 +337,10 @@ class TestIndexBuild:
         except MalformedIndex:
             pass
 
+    def test_from_json_nested_too_deep(self):
+        with pytest.raises(MalformedIndex, match="RecursionError"):
+            DocIdIndex.from_json(DEEP_JSON)
+
     @pytest.mark.parametrize("tokens, problem", [
         ([], "tokens do not end with END"),
         ([2, 3], "tokens do not end with END"),
@@ -497,6 +501,48 @@ def random_points(rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(n, dim))
 
 
+def wide_points(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Points of width *dim* at a random scale, plus near ties (midpoints
+    of pairs of rows) and exact duplicates, shuffled."""
+    n = int(rng.integers(2, 40))
+    pts = rng.normal(size=(n, dim)) * 10.0 ** int(rng.integers(-3, 4))
+    pairs = rng.integers(n, size=(int(rng.integers(0, n)), 2))
+    mids = (pts[pairs[:, 0]] + pts[pairs[:, 1]]) / 2
+    dups = pts[rng.integers(n, size=int(rng.integers(0, n)))]
+    return rng.permutation(np.concatenate([pts, mids, dups]))
+
+
+def tie_points() -> list[tuple[np.ndarray, int]]:
+    """(points, k) cases with exact ties. Coordinates are small integers,
+    so both distance forms are exact and tied distances compare equal."""
+    v = np.arange(1.0, 9.0)
+    cross = np.concatenate([2 * np.eye(8), -2 * np.eye(8), np.zeros((1, 8))])
+    return [
+        # The midpoint of the two init centres ties between them.
+        (np.stack([0 * v, 2 * v, v]), 2),
+        (np.stack([0 * v, 2 * v, v, v, 3 * v]), 3),
+        # Duplicated rows: the init repeats the first point as a centre.
+        (np.stack([v] * 4 + [-v] * 2), 4),
+        (np.stack([v] * 3 + [-v] * 3 + [0 * v] * 2), 8),
+        # The cross's 16 points are the centres; the origin is as near to
+        # each.
+        (cross, 16),
+        (np.concatenate([cross, cross]), 16),
+    ]
+
+
+def count_exact_calls(monkeypatch) -> list[int]:
+    """Count the rows that k-means hands to the exact form."""
+    rows = [0]
+    exact = docid._exact_nearest
+
+    def counted(points, centroids):
+        rows[0] += len(points)
+        return exact(points, centroids)
+    monkeypatch.setattr(docid, "_exact_nearest", counted)
+    return rows
+
+
 def tree_of(h: RQHierarchy) -> list:
     """Every node's label, centroid (as exact float hex), doc keys, doc
     labels and children, nested as the tree is."""
@@ -550,6 +596,82 @@ class TestMatchesReference:
         centroids, assign = docid._kmeans(points, 2)
         assert centroids.tolist() == [[4.5], [13.25]]
         assert assign.tolist() == [0, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("cap", [2, 25])
+    def test_kmeans_wide(self, monkeypatch, cap):
+        monkeypatch.setattr(docid, "KMEANS_MAX_ITERATIONS", cap)
+        exact_rows = count_exact_calls(monkeypatch)
+        rng = np.random.default_rng(100 + cap)
+        for dim in (8, 9, 16, 31, 64):
+            for _ in range(20):
+                points = wide_points(rng, dim)
+                k = int(rng.integers(1, 17))
+                got_c, got_a = docid._kmeans(points, k)
+                want_c, want_a = ref_kmeans(points, k, cap)
+                assert np.array_equal(got_c, want_c)
+                assert np.array_equal(got_a, want_a)
+        assert exact_rows[0] > 0
+
+    def test_kmeans_widest(self):
+        # The --dim cap.
+        rng = np.random.default_rng(4096)
+        points = wide_points(rng, 4096)
+        got_c, got_a = docid._kmeans(points, 16)
+        want_c, want_a = ref_kmeans(points, 16, docid.KMEANS_MAX_ITERATIONS)
+        assert np.array_equal(got_c, want_c)
+        assert np.array_equal(got_a, want_a)
+
+    @pytest.mark.parametrize("case", range(len(tie_points())))
+    def test_kmeans_exact_ties(self, monkeypatch, case):
+        exact_rows = count_exact_calls(monkeypatch)
+        points, k = tie_points()[case]
+        got_c, got_a = docid._kmeans(points, k)
+        want_c, want_a = ref_kmeans(points, k, docid.KMEANS_MAX_ITERATIONS)
+        assert np.array_equal(got_c, want_c)
+        assert np.array_equal(got_a, want_a)
+        assert exact_rows[0] > 0
+
+    def test_kmeans_huge_values(self, monkeypatch):
+        # |p|^2 + max |c|^2 past 2**1020, where the expanded form could
+        # overflow: the exact form assigns every point, at least at first.
+        exact_rows = count_exact_calls(monkeypatch)
+        points = np.random.default_rng(5).normal(size=(20, 8)) * 1e153
+        got_c, got_a = docid._kmeans(points, 3)
+        want_c, want_a = ref_kmeans(points, 3, docid.KMEANS_MAX_ITERATIONS)
+        assert np.array_equal(got_c, want_c)
+        assert np.array_equal(got_a, want_a)
+        assert exact_rows[0] >= len(points)
+
+    @pytest.mark.parametrize("adversarial", [False, True])
+    def test_kmeans_within_bound(self, monkeypatch, adversarial):
+        # Any expanded distances within the returned bound of the exact
+        # ones give the exact assignment: here the exact distances are
+        # moved by up to the bound, or by all of it against the winner.
+        rng = np.random.default_rng(7)
+        expanded = docid._expanded_distances
+
+        def perturbed(points, sq_norms, centroids, out):
+            bound = expanded(points, sq_norms, centroids, out)
+            exact = np.stack([((points - c) ** 2).sum(axis=1)
+                              for c in centroids])
+            if adversarial:
+                shift = np.full(out.shape, -1.0)
+                shift[exact.argmin(axis=0), np.arange(len(points))] = 1.0
+            else:
+                shift = rng.uniform(-1.0, 1.0, size=out.shape)
+            # One step back toward the exact value undoes the rounding of
+            # the sum, so the move stays within the bound.
+            out[:] = np.nextafter(exact + shift * bound, exact)
+            assert np.all(np.abs(out - exact) <= bound)
+            return bound
+        monkeypatch.setattr(docid, "_expanded_distances", perturbed)
+        cases = tie_points() + [(wide_points(rng, dim), int(rng.integers(2, 17)))
+                                for dim in (8, 16, 64) for _ in range(10)]
+        for points, k in cases:
+            got_c, got_a = docid._kmeans(points, k)
+            want_c, want_a = ref_kmeans(points, k, docid.KMEANS_MAX_ITERATIONS)
+            assert np.array_equal(got_c, want_c)
+            assert np.array_equal(got_a, want_a)
 
     def test_embeddings(self):
         rng = random.Random(4)

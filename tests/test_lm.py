@@ -14,14 +14,14 @@ from gentrieval.constraint import STRATEGIES, build
 from gentrieval.corpus import END, SEP, Corpus, Document, Vocabulary
 from gentrieval.decode import BeamConfig, constrained_beam_search
 from gentrieval.evaluation import nll_losses
-from gentrieval.errors import (MissingEnd, NotSupported, RemoteTimeout,
-                               RemoteUnavailable, UnknownToken)
+from gentrieval.errors import (ConfigError, MissingEnd, NotSupported,
+                               RemoteTimeout, RemoteUnavailable, UnknownToken)
 from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
                            ScriptedModel, sequence_logprob)
 from gentrieval.reasoning import PromptRegistry
 
-from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
-                      make_index, random_record_index)
+from conftest import (DEEP_JSON, TOY_DIST_RULES, TOY_EXTRA_WORDS,
+                      TOY_SURFACES, make_index, random_record_index)
 
 
 def toy_model():
@@ -71,6 +71,12 @@ class TestScriptedGenerate:
         p.write_text(json.dumps([{"match": "a", "response": "b"}]))
         m = ScriptedModel.from_file(p, Vocabulary())
         assert m.generate("a", 256) == "b"
+
+    def test_from_file_nested_too_deep(self, tmp_path):
+        p = tmp_path / "rules.json"
+        p.write_text(DEEP_JSON)
+        with pytest.raises(ConfigError, match="not JSON"):
+            ScriptedModel.from_file(p, Vocabulary())
 
     def test_from_file_sections(self, tmp_path):
         p = tmp_path / "rules.json"
@@ -698,7 +704,7 @@ class TestRemote:
 
     @pytest.mark.parametrize("reply", [
         (200, b"not json"), (200, b'{"txt": "hi"}'), (200, b"[1]"),
-        (200, b'{"text": null}'), (400, b"")])
+        (200, b'{"text": null}'), (400, b""), (200, DEEP_JSON.encode())])
     def test_malformed_response_is_typed(self, http_endpoint, reply):
         _Handler.reply = reply
         m = RemoteModel(base_url=http_endpoint, max_retries=0)

@@ -13,6 +13,8 @@ from gentrieval.reasoning import (DEFAULT_PROMPTS, FORMAT_REMINDER,
                                   ReasoningState, direct_cot, parse_structured,
                                   reflect, think, verify)
 
+from conftest import DEEP_JSON
+
 
 class CountingModel:
     """Wraps a ScriptedModel and counts generate calls."""
@@ -110,7 +112,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("content", [
         "[1]", '"P_v"', "not json", json.dumps({"P_v": 3}),
-        json.dumps({"P_x": ["a"]})])
+        json.dumps({"P_x": ["a"]}),
+        pytest.param(DEEP_JSON, id="nested-too-deep")])
     def test_from_file_rejects_malformed(self, tmp_path, content):
         p = tmp_path / "prompts.json"
         p.write_text(content)
