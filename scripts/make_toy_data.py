@@ -9,6 +9,12 @@ memorize query -> docid mappings. The emitted files plug straight into the
     python scripts/make_toy_data.py --out data/
     gentrieval build-index --corpus data/corpus.jsonl --out data/index.json \
         --levels 1 --branching 40
+    gentrieval run --index data/index.json --corpus data/corpus.jsonl \
+        --queries data/queries.jsonl --model ngram \
+        --train-queries data/queries.jsonl --pipeline r4r \
+        --reason-model data/reasoner.json --report data/report.json \
+        --trace data/trace.jsonl
+    gentrieval stats --trace data/trace.jsonl
 """
 
 import argparse

@@ -14,7 +14,6 @@ holds the vocabulary and the docid records; older files that also carry a
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -26,6 +25,11 @@ import numpy as np
 from .corpus import (END, SEP, Corpus, Document, Vocabulary, normalize,
                      words_of)
 from .errors import EmptyDocument, EmptyIndex, MalformedIndex, UnknownDoc
+
+try:  # hashlib would also load _hashlib and libcrypto for the same function
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 STOPWORDS = frozenset("""
 a an and are as at be but by for from has have in is it its of on or that the
@@ -64,8 +68,8 @@ def _embeddings(docs: list[tuple[str, list[str]]], dim: int,
         for w in words:
             code = codes.get(w)
             if code is None:
-                h = hashlib.blake2b(w.encode("utf-8"), digest_size=8,
-                                    salt=salt).digest()
+                h = blake2b(w.encode("utf-8"), digest_size=8,
+                            salt=salt).digest()
                 val = int.from_bytes(h, "little")
                 code = codes[w] = (val % dim, 1.0 if (val >> 32) & 1 else -1.0)
             cells.append(base + code[0])

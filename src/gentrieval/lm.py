@@ -3,7 +3,9 @@
 ScriptedModel answers from a rule table (exact test scenarios), NgramModel is
 an order-3 add-one-smoothed model trained on prompt||docid pairs, and
 RemoteModel adapts an HTTP text-generation endpoint for the free-form
-reasoning steps; it cannot score tokens.
+reasoning steps; it cannot score tokens. It is the only user of `requests`
+and imports it where it is used, so local runs never load the HTTP and TLS
+stacks.
 
 Scoring is sparse: next_token_distribution(ctx) returns the whole next-token
 distribution as (default, overrides), where overrides maps token ->
@@ -27,8 +29,6 @@ import math
 import os
 import time
 from collections import Counter
-
-import requests
 
 from .corpus import END, SEP, Vocabulary
 from .errors import (ConfigError, MissingEnd, NotSupported, RemoteTimeout,
@@ -296,9 +296,13 @@ class RemoteModel:
             raise ValueError("max_retries must be >= 0")
         self.max_retries = max_retries
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+            session = requests.Session()
+        self.session = session
 
     def _post(self, route: str, payload: dict):
+        import requests
         last_exc: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:

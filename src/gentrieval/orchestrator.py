@@ -2,7 +2,8 @@
 Think / Retrieve / Refine loop with verification-driven reflection.
 
 One loop run is sequential by construction; traces capture per-round context,
-explanation, candidates, judgments, the first-irrelevant rank, and latency.
+explanation, candidates, judgments, the first-irrelevant rank, and, only
+when timing is enabled, latency.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def run_direct_cot(q: Query, bundle: ModelBundle, automaton,
 def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
             reg: PromptRegistry, beam_cfg: BeamConfig,
             refine_cfg: RefineConfig, merge: bool = False,
-            timing: bool = True) -> R4RResult:
+            timing: bool = False) -> R4RResult:
     """Think once, then alternate Retrieve and Refine until the top verify
     slots are all relevant, reflection parsing fails, or the budget runs out."""
     no_ctx = ABLATION_NO_CONTEXT in refine_cfg.ablation

@@ -154,9 +154,14 @@ def think(model, q: Query, reg: PromptRegistry) -> ReasoningState:
     return ReasoningState(*parsed)
 
 
+# "irrelevant", "not relevant", "non-relevant", "isn't relevant": a negated
+# "relevant" is a rejection, so it must be tested before the bare word.
+_IRRELEVANT_RE = re.compile(r"irrelevant|(?:\bnot|\bnon|n't)[\s-]*relevant")
+
+
 def _parse_verdict(raw: str) -> str | None:
     low = raw.lower()
-    if "irrelevant" in low:
+    if _IRRELEVANT_RE.search(low):
         return "irrelevant"
     if "relevant" in low:
         return "relevant"

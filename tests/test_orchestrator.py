@@ -167,6 +167,17 @@ class TestRefineLoop:
         # The reflected context still improves the final list.
         assert result.ranked.doc_keys() == ["d1", "d3", "d2"]
 
+    def test_negated_verdict_triggers_reflection(self):
+        # "Not relevant." rejects tech-apple exactly as "irrelevant" does.
+        rules = [WALKTHROUGH_RULES[0],
+                 {"match": "Candidate identifier: tech-apple",
+                  "response": "Not relevant."}] + WALKTHROUGH_RULES[2:]
+        result = self.run(rules)
+        assert result.reason == REASON_ALL_RELEVANT
+        assert result.rounds_used == 2
+        assert result.trace[0].judgments == ["irrelevant"]
+        assert result.ranked.doc_keys() == ["d1", "d3", "d2"]
+
     def test_immediate_all_relevant_single_round(self):
         rules = [
             THINK_RULE,
@@ -211,6 +222,13 @@ class TestRefineLoop:
         assert all(rt.ms == 0.0 for rt in result.trace)
         timed = self.run(WALKTHROUGH_RULES, timing=True)
         assert all(rt.ms > 0.0 for rt in timed.trace)
+
+    def test_untimed_by_default(self):
+        # A library caller's trace is byte-reproducible unless it asks for
+        # wall-clock fields.
+        result = self.run(WALKTHROUGH_RULES)
+        assert len(result.trace) == 2
+        assert all(rt.ms == 0.0 for rt in result.trace)
 
 
 class TestAblations:

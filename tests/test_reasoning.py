@@ -10,8 +10,8 @@ from gentrieval.lm import ScriptedModel
 from gentrieval.reasoning import (DEFAULT_PROMPTS, FORMAT_REMINDER,
                                   REASONING_MAX_TOKENS, VERDICT_MAX_TOKENS,
                                   VERDICT_REMINDER, PromptRegistry,
-                                  ReasoningState, direct_cot, parse_structured,
-                                  reflect, think, verify)
+                                  ReasoningState, _parse_verdict, direct_cot,
+                                  parse_structured, reflect, think, verify)
 
 from conftest import DEEP_JSON
 
@@ -192,6 +192,26 @@ class TestVerify:
             == "relevant"
         assert m.calls == 2
         assert m.prompts[1].endswith(VERDICT_REMINDER)
+
+    @pytest.mark.parametrize("answer,verdict", [
+        ("irrelevant", "irrelevant"),
+        ("Irrelevant.", "irrelevant"),
+        ("relevant", "relevant"),
+        ("Relevant: it names the fruit.", "relevant"),
+        ("Not relevant.", "irrelevant"),
+        ("not  relevant", "irrelevant"),
+        ("non-relevant", "irrelevant"),
+        ("Nonrelevant", "irrelevant"),
+        ("It is not relevant to the query", "irrelevant"),
+        ("That isn't relevant.", "irrelevant"),
+        ("Relevant, not off-topic.", "relevant"),
+    ])
+    def test_parse_verdict(self, answer, verdict):
+        assert _parse_verdict(answer) == verdict
+
+    @pytest.mark.parametrize("answer", ["", "hard to say", "yes", "nothing"])
+    def test_parse_verdict_unparseable(self, answer):
+        assert _parse_verdict(answer) is None
 
     def test_case_insensitive(self):
         m = CountingModel([{"match": "Candidate identifier:",
