@@ -156,17 +156,19 @@ class FmIndexAutomaton:
 class _TermNode:
     """A sorted sub-multiset of emitted tokens and the records containing it.
 
-    `children` (token -> node id, in ascending token order) and `terminal`
-    (the records whose multiset is exactly `key`, in index order) stay unset
-    until the node is expanded.
+    `follow` (token -> the live records of the child it leads to, in
+    ascending token order) and `terminal` (the records whose multiset is
+    exactly `key`, in index order) stay unset until the node is expanded.
+    `children` (token -> node id) holds the followers stepped into so far.
     """
 
-    __slots__ = ("key", "live", "children", "terminal")
+    __slots__ = ("key", "live", "follow", "children", "terminal")
 
     def __init__(self, key: tuple[int, ...], live):
         self.key = key
         self.live = live  # ascending record indices, until expanded
-        self.children: dict[int, int] | None = None
+        self.follow: dict[int, list[int]] | None = None
+        self.children: dict[int, int] = {}
         self.terminal: list[DocIdRecord] = []
 
 
@@ -177,10 +179,11 @@ class TermSetAutomaton:
     search over the automaton: every emission order of one multiset reaches
     the same node. A node is expanded the first time allowed, step or
     complete touches it, in one pass over its live records that fills its
-    terminal records and its children's live records. Expansion is lazy
-    because a record with d distinct terms has 2^d sub-multisets. Expansion
-    mutates the shared DAG unguarded, so one automaton serves one search at
-    a time.
+    terminal records and each follower's live records; a child node is made
+    only when step enters it. Both are lazy because a record with d distinct
+    terms has 2^d sub-multisets, and a search enters few of the followers
+    it is offered. Expansion mutates the shared DAG unguarded, so one
+    automaton serves one search at a time.
     """
 
     strategy = STRATEGY_TERM_SET
@@ -200,7 +203,7 @@ class TermSetAutomaton:
     def _expanded(self, state: int) -> _TermNode:
         _check_node(state, len(self.nodes), "term-set")
         node = self.nodes[state]
-        if node.children is None:
+        if node.follow is None:
             self._expand(node)
         return node
 
@@ -218,27 +221,28 @@ class TermSetAutomaton:
             for term, cnt in self.multisets[ridx]:
                 if cnt > held.get(term, 0):
                     follow.setdefault(term, []).append(ridx)
-        children: dict[int, int] = {}
-        for term, live in sorted(follow.items()):
-            key = tuple(sorted(node.key + (term,)))
-            child = self.node_of.get(key)
-            if child is None:
-                child = len(self.nodes)
-                self.nodes.append(_TermNode(key, live))
-                self.node_of[key] = child
-            children[term] = child
         node.live = ()  # read only by this expansion
         node.terminal = terminal
-        node.children = children
+        node.follow = dict(sorted(follow.items()))
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
         node = self._expanded(state)
-        return node.children.keys(), bool(node.terminal)
+        return node.follow.keys(), bool(node.terminal)
 
     def step(self, state: int, token: int) -> int:
-        nxt = self._expanded(state).children.get(token)
+        node = self._expanded(state)
+        nxt = node.children.get(token)
         if nxt is None:
-            raise IllegalTransition(f"token {token} exhausts all candidates")
+            live = node.follow.get(token)
+            if live is None:
+                raise IllegalTransition(
+                    f"token {token} exhausts all candidates")
+            key = tuple(sorted(node.key + (token,)))
+            nxt = self.node_of.get(key)
+            if nxt is None:
+                nxt = self.node_of[key] = len(self.nodes)
+                self.nodes.append(_TermNode(key, live))
+            node.children[token] = nxt
         return nxt
 
     def complete(self, state: int) -> list[DocIdRecord]:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -50,20 +52,19 @@ class DocIdRecord:
     view: str
 
 
-def _embeddings(docs: list[tuple[str, list[str]]], dim: int,
-                seed: int) -> np.ndarray:
-    """Row i is the hashed bag-of-words embedding of the i-th (doc_key,
-    words) pair, L2-normalized. Each distinct word is hashed once; every
-    cell is a sum of +-1.0 in word order, so the rows are exact."""
+def _embeddings(docs: list[list[str]], dim: int, seed: int) -> np.ndarray:
+    """Row i is the hashed bag-of-words embedding of the words docs[i],
+    L2-normalized; a row whose signs cancel to zero becomes (1, 0, ..., 0).
+    Each distinct word is hashed once. Every cell is a sum of +-1.0, so the
+    cells, their squares and every partial sum of those are exact integers,
+    and the norms do not depend on the order they are summed in."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     salt = seed.to_bytes(8, "little")
     codes: dict[str, tuple[int, float]] = {}  # word -> (bucket, sign)
-    cells: list[int] = []
-    signs: list[float] = []
-    for row, (doc_key, words) in enumerate(docs):
-        if not words:
-            raise EmptyDocument(doc_key)
+    cells = array("q")
+    signs = array("d")
+    for row, words in enumerate(docs):
         base = row * dim
         for w in words:
             code = codes.get(w)
@@ -76,16 +77,20 @@ def _embeddings(docs: list[tuple[str, list[str]]], dim: int,
             signs.append(code[1])
     vecs = np.bincount(cells, weights=signs,
                        minlength=len(docs) * dim).reshape(len(docs), dim)
-    norms = np.linalg.norm(vecs, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
     empty = norms == 0.0
     vecs[empty, 0] = 1.0
     norms[empty] = 1.0
-    return vecs / norms[:, None]
+    vecs /= norms[:, None]
+    return vecs
 
 
 def embed_document(doc: Document, dim: int = 64, seed: int = 0) -> np.ndarray:
     """Deterministic hashed bag-of-words embedding, L2-normalized."""
-    return _embeddings([(doc.doc_key, words_of(doc.text))], dim, seed)[0]
+    words = words_of(doc.text)
+    if not words:
+        raise EmptyDocument(doc.doc_key)
+    return _embeddings([words], dim, seed)[0]
 
 
 @dataclass
@@ -169,20 +174,29 @@ def _expanded_distances(points: np.ndarray, sq_norms: np.ndarray,
     return np.where(s < 2.0 ** 1020, 5 * gamma * s + 5 * d * tiny, np.inf)
 
 
+def _farthest_first(points: np.ndarray, k: int) -> np.ndarray:
+    """k initial centres: the first point, then each time the first point
+    farthest from its nearest chosen centre. Every pick writes its squared
+    differences into one (n, d) buffer, which is freed on return."""
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[0]
+    dists = np.full(len(points), np.inf)  # to the nearest chosen centre
+    diff = np.empty_like(points)
+    for j in range(1, k):
+        np.subtract(points, centroids[j - 1], out=diff)
+        np.square(diff, out=diff)
+        np.minimum(dists, diff.sum(axis=1), out=dists)
+        centroids[j] = points[int(np.argmax(dists))]
+    return centroids
+
+
 def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic k-means: farthest-point init from the first point,
     nearest-centroid assignment with lowest-index tie-break, at most
     KMEANS_MAX_ITERATIONS iterations. Returns (centroids, assignment)."""
     n = len(points)
     k = min(k, n)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[0]
-    dists = np.full(n, np.inf)  # squared distance to the nearest chosen centre
-    for j in range(1, k):
-        dists = np.minimum(dists,
-                           ((points - centroids[j - 1]) ** 2).sum(axis=1))
-        centroids[j] = points[int(np.argmax(dists))]
-
+    centroids = _farthest_first(points, k)
     sq_norms = np.einsum("ij,ij->i", points, points)
     # Centroid-major: min and argmin over the centroids then combine whole
     # contiguous rows instead of reducing n short k-wide rows.
@@ -218,13 +232,13 @@ def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return centroids, nearest()
 
 
-def build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
+def build_rq_hierarchy(keys: list[str], points: np.ndarray, levels: int,
                        branching: int) -> RQHierarchy:
-    """Cluster vectors level by level on residuals (vector minus the sum of
-    ancestor centroids); branching is clamped to the group size."""
-    if levels < 1 or branching < 1 or not vectors:
+    """Cluster the rows of *points*, row i being keys[i]'s vector, level by
+    level on residuals (vector minus the sum of ancestor centroids), in the
+    order given; branching is clamped to the group size."""
+    if levels < 1 or branching < 1 or not keys:
         raise ValueError("levels >= 1, branching >= 1, and >= 1 vector required")
-    keys = sorted(vectors)
     next_id = [0]
     paths: dict[str, tuple[RQNode, ...]] = {}
 
@@ -252,20 +266,21 @@ def build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
             nodes.append(node)
         return nodes
 
-    points = np.stack([np.asarray(vectors[k], dtype=np.float64) for k in keys])
-    roots = split(keys, points, 1, ())
+    roots = split(keys, np.asarray(points, dtype=np.float64), 1, ())
     return RQHierarchy(levels=levels, roots=roots, paths=paths)
 
 
-def reconstruction_error(h: RQHierarchy, vectors: dict[str, np.ndarray]) -> float:
-    """Mean squared residual after quantizing each vector by its path centroids."""
+def reconstruction_error(h: RQHierarchy, keys: list[str],
+                         points: np.ndarray) -> float:
+    """Mean squared residual after quantizing each row of *points* (row i
+    being keys[i]'s vector) by its path centroids."""
     total = 0.0
-    for key, vec in vectors.items():
-        approx = np.zeros_like(np.asarray(vec, dtype=np.float64))
+    for key, vec in zip(keys, np.asarray(points, dtype=np.float64)):
+        approx = np.zeros_like(vec)
         for node in h.path_to(key):
             approx += node.centroid
-        total += float(np.sum((np.asarray(vec) - approx) ** 2))
-    return total / len(vectors)
+        total += float(np.sum((vec - approx) ** 2))
+    return total / len(keys)
 
 
 class TermStats:
@@ -411,18 +426,25 @@ class DocIdIndex:
         for r in records:
             self.by_doc.setdefault(r.doc_key, []).append(r)
 
+    def _json_chunks(self):
+        """The index as compact JSON, a piece at a time: the vocabulary,
+        then one record per piece. Strings are escaped as json.dumps
+        escapes them, and token ids are ints."""
+        yield ('{"vocab":' + json.dumps(self.vocab.to_dict(),
+                                        separators=(",", ":"))
+               + ',"records":[')
+        for i, r in enumerate(self.records):
+            yield '%s{"doc_key":%s,"view":%s,"surface":%s,"tokens":[%s]}' % (
+                "," if i else "", _json_str(r.doc_key), _json_str(r.view),
+                _json_str(r.surface), ",".join(map(str, r.tokens)))
+        yield "]}"
+
     def to_json(self) -> str:
-        obj = {
-            "vocab": self.vocab.to_dict(),
-            "records": [{"doc_key": r.doc_key, "view": r.view,
-                         "surface": r.surface, "tokens": list(r.tokens)}
-                        for r in self.records],
-        }
-        return json.dumps(obj, indent=None, separators=(",", ":"))
+        return "".join(self._json_chunks())
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.writelines(self._json_chunks())
             fh.write("\n")
 
     @classmethod
@@ -467,11 +489,15 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     """
     if not len(corpus):
         raise EmptyIndex("cannot build an index over an empty corpus")
-    words = {doc.doc_key: words_of(doc.text) for doc in corpus}
     vocab = Vocabulary()
+    # Each distinct word is held once, as the vocabulary's string: the word
+    # lists, the term statistics and the labels all refer to it.
+    words: dict[str, list[str]] = {}
     for doc in corpus:
-        for w in words[doc.doc_key]:
-            vocab.add(w)
+        ws = words[doc.doc_key] = [vocab.word_of(vocab.add(w))
+                                   for w in words_of(doc.text)]
+        if not ws:
+            raise EmptyDocument(doc.doc_key)
         if doc.title:
             vocab.ingest(doc.title)
         for pq in doc.pseudo_queries:
@@ -479,9 +505,11 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     for text in extra_vocab_texts or []:
         vocab.ingest(text)
 
-    vectors = dict(zip(words, _embeddings(list(words.items()), dim, seed)))
+    keys = sorted(words)
     hierarchy = assign_keywords(
-        build_rq_hierarchy(vectors, levels=levels, branching=branching),
+        build_rq_hierarchy(keys, _embeddings([words[k] for k in keys], dim,
+                                             seed),
+                           levels=levels, branching=branching),
         TermStats(words))
 
     records: list[DocIdRecord] = []

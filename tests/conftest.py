@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -105,6 +106,16 @@ class SparseTableModel:
         n = rng.randint(0, self.vocab_size // 2)
         return default, {t: rng.choice(self.GRID)
                          for t in rng.sample(range(self.vocab_size), n)}
+
+
+def sorted_rows(vectors: dict[str, np.ndarray]
+                ) -> tuple[list[str], np.ndarray]:
+    """*vectors* as `build_rq_hierarchy` takes them, in sorted-key order as
+    `build_index` hands them over: the keys, and the vectors as the rows of
+    one matrix."""
+    keys = sorted(vectors)
+    return keys, np.stack([np.asarray(vectors[k], dtype=np.float64)
+                           for k in keys])
 
 
 def random_record_index(rng: random.Random, n_records: int, vocab_words: int,

@@ -31,7 +31,7 @@ from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       TableModel, enumerate_accepted, make_index,
-                      random_record_index, random_text_corpus)
+                      random_record_index, random_text_corpus, sorted_rows)
 
 
 def verdict(label):
@@ -141,7 +141,8 @@ def test_acceptance_3_rq_oracle():
         vectors = {f"d{i:02d}": rng.normal(size=dim) for i in range(n)}
         levels = int(rng.integers(1, 4))
         branching = int(rng.integers(2, 5))
-        h = build_rq_hierarchy(vectors, levels=levels, branching=branching)
+        h = build_rq_hierarchy(*sorted_rows(vectors), levels=levels,
+                               branching=branching)
         for key, vec in vectors.items():
             residual = np.asarray(vec, dtype=float)
             siblings = h.roots
@@ -152,9 +153,10 @@ def test_acceptance_3_rq_oracle():
                 residual = residual - node.centroid
                 siblings = node.children
         if trial % 5 == 0:
+            rows = sorted_rows(vectors)
             errs = [reconstruction_error(
-                build_rq_hierarchy(vectors, levels=lv, branching=branching),
-                vectors) for lv in (1, 2, 3)]
+                build_rq_hierarchy(*rows, levels=lv, branching=branching),
+                *rows) for lv in (1, 2, 3)]
             assert errs[0] >= errs[1] - 1e-9 >= errs[2] - 2e-9
 
 

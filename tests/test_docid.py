@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import pathlib
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from gentrieval import docid
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
-                               words_of)
+                               load_corpus, words_of)
 from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
                               RQNode, TermStats, ViewConfig, assign_keywords,
                               build_index, build_rq_hierarchy, build_views,
@@ -19,7 +23,7 @@ from gentrieval.errors import (EmptyDocument, EmptyIndex, MalformedIndex,
                                UnknownDoc)
 
 from conftest import (DEEP_JSON, JSON_VALUES, TOY_SURFACES, make_index,
-                      random_text_corpus)
+                      random_text_corpus, sorted_rows)
 
 
 def _some_of(fields: dict) -> st.SearchStrategy:
@@ -40,6 +44,33 @@ INDEX_TEXTS = st.text(max_size=20) | _some_of({
     # Written by older builds; ignored on load.
     "hierarchy": JSON_VALUES,
 }).map(json.dumps)
+
+
+# sha256 of build_index(corpus).to_json() with the default build settings,
+# for `make_toy_data.py --docs N --seed 0`.
+TOY_INDEX_SHA256 = {
+    400: "c6939fce9dc7e1f89bf280a2248a639a7a29f2684eb4d0741321f145b4cdb953",
+    2000: "2e20a3767f8f0df2143fbc90eea0f1258db2dde016546b99a1cce6f3fe7f126d",
+}
+
+
+@pytest.fixture(scope="module")
+def toy_corpus(tmp_path_factory):
+    """The `make_toy_data.py --docs N --seed 0` corpus, generated once per
+    N."""
+    script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+              / "make_toy_data.py")
+    made: dict[int, Corpus] = {}
+
+    def get(docs: int) -> Corpus:
+        if docs not in made:
+            out = tmp_path_factory.mktemp(f"toy{docs}")
+            subprocess.run([sys.executable, str(script), "--out", str(out),
+                            "--docs", str(docs), "--seed", "0"],
+                           check=True, capture_output=True)
+            made[docs] = load_corpus(out / "corpus.jsonl")
+        return made[docs]
+    return get
 
 
 class TestEmbedding:
@@ -81,7 +112,7 @@ class TestRQHierarchy:
         # unique k-means optimum: centroids 0.5 and 10.5.
         vectors = {"d1": np.array([0.0]), "d2": np.array([1.0]),
                    "d3": np.array([10.0]), "d4": np.array([11.0])}
-        h = build_rq_hierarchy(vectors, levels=1, branching=2)
+        h = build_rq_hierarchy(*sorted_rows(vectors), levels=1, branching=2)
         groups = sorted(sorted(n.doc_keys) for n in h.roots)
         assert groups == [["d1", "d2"], ["d3", "d4"]]
         centroids = sorted(float(n.centroid[0]) for n in h.roots)
@@ -89,25 +120,25 @@ class TestRQHierarchy:
 
     def test_single_cluster_mean(self):
         vectors = {"d1": np.array([1.0, 0.0]), "d2": np.array([3.0, 2.0])}
-        h = build_rq_hierarchy(vectors, levels=1, branching=1)
+        h = build_rq_hierarchy(*sorted_rows(vectors), levels=1, branching=1)
         assert len(h.roots) == 1
         assert h.roots[0].centroid == pytest.approx([2.0, 1.0])
 
     def test_branching_clamped(self):
         vectors = {"d1": np.array([0.0]), "d2": np.array([5.0])}
-        h = build_rq_hierarchy(vectors, levels=1, branching=8)
+        h = build_rq_hierarchy(*sorted_rows(vectors), levels=1, branching=8)
         assert len(h.roots) == 2
 
     def test_every_doc_assigned_once(self):
         rng = np.random.default_rng(3)
         vectors = {f"d{i}": rng.normal(size=8) for i in range(30)}
-        h = build_rq_hierarchy(vectors, levels=2, branching=3)
+        h = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=3)
         assert set(h.paths) == set(vectors)
 
     def test_assignment_is_nearest_centroid(self):
         rng = np.random.default_rng(11)
         vectors = {f"d{i:02d}": rng.normal(size=4) for i in range(40)}
-        h = build_rq_hierarchy(vectors, levels=2, branching=4)
+        h = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=4)
         for key, vec in vectors.items():
             residual = np.asarray(vec, dtype=float)
             siblings = h.roots
@@ -123,8 +154,9 @@ class TestRQHierarchy:
         for trial in range(10):
             vectors = {f"d{i:02d}": rng.normal(size=6)
                        for i in range(rng.integers(8, 40))}
+            rows = sorted_rows(vectors)
             errs = [reconstruction_error(
-                build_rq_hierarchy(vectors, levels=lv, branching=3), vectors)
+                build_rq_hierarchy(*rows, levels=lv, branching=3), *rows)
                 for lv in (1, 2, 3)]
             assert errs[0] >= errs[1] - 1e-9
             assert errs[1] >= errs[2] - 1e-9
@@ -132,8 +164,8 @@ class TestRQHierarchy:
     def test_deterministic_rebuild(self):
         rng = np.random.default_rng(9)
         vectors = {f"d{i}": rng.normal(size=4) for i in range(20)}
-        h1 = build_rq_hierarchy(vectors, levels=2, branching=3)
-        h2 = build_rq_hierarchy(vectors, levels=2, branching=3)
+        h1 = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=3)
+        h2 = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=3)
         a1 = {k: v[-1].node_id for k, v in h1.paths.items()}
         a2 = {k: v[-1].node_id for k, v in h2.paths.items()}
         assert a1 == a2
@@ -366,6 +398,54 @@ class TestIndexBuild:
         assert DocIdIndex.from_json(json.dumps(obj)).records[0].tokens == (
             END,)
 
+    @pytest.mark.parametrize("docs", sorted(TOY_INDEX_SHA256))
+    def test_toy_index_bytes_pinned(self, toy_corpus, docs):
+        text = build_index(toy_corpus(docs)).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            TOY_INDEX_SHA256[docs]
+
+    @pytest.mark.parametrize("records", ["built", "none", "escaped"])
+    def test_save_writes_to_json_and_newline(self, tmp_path, records):
+        if records == "escaped":
+            index = make_index({'d"\\é': "café-naïve", "\u2028\t": "x"})
+        else:
+            index = build_index(random_text_corpus(random.Random(5), 20),
+                                views=frozenset({"ngram"}))
+            if records == "none":
+                index = DocIdIndex([], index.vocab)
+        text = index.to_json()
+        # The whole index in one json.dumps call writes the same bytes.
+        assert text == json.dumps(
+            {"vocab": index.vocab.to_dict(),
+             "records": [{"doc_key": r.doc_key, "view": r.view,
+                          "surface": r.surface, "tokens": list(r.tokens)}
+                         for r in index.records]}, separators=(",", ":"))
+        index.save(tmp_path / "i.json")
+        assert (tmp_path / "i.json").read_bytes() == \
+            (text + "\n").encode("utf-8")
+
+    def test_build_peak_memory(self, toy_corpus):
+        # Three embedding matrices' worth: the matrix itself, k-means' init
+        # buffer, and room for the rest. A second matrix held while the
+        # tree is built, or a string per word occurrence, exceeds it.
+        corpus, dim = toy_corpus(2000), 64
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            build_index(corpus, dim=dim)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(corpus) * dim * 8
+
+    def test_empty_document_named_in_corpus_order(self):
+        corpus = Corpus([Document("d1", "apple pie"), Document("zz", "!!!"),
+                         Document("aa", "?"), Document("d2", "banana")])
+        with pytest.raises(EmptyDocument,
+                           match="document 'zz' has no words to embed"):
+            build_index(corpus)
+
     def test_empty_corpus_refused(self):
         with pytest.raises(EmptyIndex, match="empty corpus"):
             build_index(Corpus([]))
@@ -428,10 +508,12 @@ def ref_kmeans(points: np.ndarray, k: int, max_iterations: int):
     return centroids, nearest()
 
 
-def ref_build_rq_hierarchy(vectors: dict[str, np.ndarray], levels: int,
+def ref_build_rq_hierarchy(keys: list[str], points: np.ndarray, levels: int,
                            branching: int) -> RQHierarchy:
     """Split each group by scanning the assignment once per cluster, keeping
-    residuals per document. The hierarchy records no paths."""
+    residuals per document, from the documents in sorted-key order whatever
+    order the rows come in. The hierarchy records no paths."""
+    vectors = dict(zip(keys, points))
     keys = sorted(vectors)
     next_id = [0]
 
@@ -559,9 +641,9 @@ def build_with_references(monkeypatch, build, corpus=None):
     cap = docid.KMEANS_MAX_ITERATIONS
 
     def embeddings(docs, dim, seed):
-        return np.stack([ref_embed_document(Document(key, " ".join(words)),
+        return np.stack([ref_embed_document(Document("-", " ".join(words)),
                                             dim, seed)
-                         for key, words in docs])
+                         for words in docs])
 
     with monkeypatch.context() as m:
         m.setattr(docid, "_embeddings", embeddings)
@@ -680,8 +762,8 @@ class TestMatchesReference:
                                         vocab_words=rng.randint(1, 30),
                                         words_per_doc=rng.randint(1, 6))
             dim, seed = rng.choice([2, 3, 16, 64]), rng.choice([0, 1, 2**63])
-            rows = docid._embeddings(
-                [(d.doc_key, words_of(d.text)) for d in corpus], dim, seed)
+            rows = docid._embeddings([words_of(d.text) for d in corpus],
+                                     dim, seed)
             for doc, row in zip(corpus, rows):
                 assert np.array_equal(row, ref_embed_document(doc, dim, seed))
 
@@ -691,19 +773,19 @@ class TestMatchesReference:
             monkeypatch.setattr(docid, "KMEANS_MAX_ITERATIONS", cap)
             for trial in range(40):
                 points = random_points(rng)
-                vectors = {f"d{i:02d}": p for i, p in enumerate(points)}
+                keys = [f"d{i:02d}" for i in range(len(points))]
                 levels = int(rng.integers(1, 4))
                 # Above the group size as often as not.
                 branching = int(rng.integers(1, 2 * len(points) + 2))
 
-                got = build_rq_hierarchy(vectors, levels, branching)
+                got = build_rq_hierarchy(keys, points, levels, branching)
                 want = build_with_references(
                     monkeypatch,
-                    lambda: docid.build_rq_hierarchy(vectors, levels,
+                    lambda: docid.build_rq_hierarchy(keys, points, levels,
                                                      branching))
                 assert got.levels == want.levels
                 assert tree_of(got) == tree_of(want)
-                for key in [*vectors, "nope"]:
+                for key in [*keys, "nope"]:
                     self.assert_same_path(got, key)
 
     @staticmethod
@@ -724,7 +806,8 @@ class TestMatchesReference:
             corpus.append(Document("stop", "the and of " + corpus["d000"].text))
             terms = terms_of(corpus)
             h = assign_keywords(build_rq_hierarchy(
-                {d.doc_key: embed_document(d, dim=8) for d in corpus},
+                *sorted_rows({d.doc_key: embed_document(d, dim=8)
+                              for d in corpus}),
                 levels=2, branching=3), terms)
             groups = [[k] for k in corpus.by_key]
             groups += [n.doc_keys for n in h.roots]
@@ -736,9 +819,12 @@ class TestMatchesReference:
     def test_index_json(self, monkeypatch, tmp_path):
         rng = random.Random(9)
         for trial in range(25):
-            corpus = random_text_corpus(rng, rng.randint(1, 40),
-                                        vocab_words=rng.randint(2, 40),
-                                        words_per_doc=rng.randint(1, 12))
+            docs = list(random_text_corpus(rng, rng.randint(1, 40),
+                                           vocab_words=rng.randint(2, 40),
+                                           words_per_doc=rng.randint(1, 12)))
+            # Corpus order apart from sorted-key order.
+            rng.shuffle(docs)
+            corpus = Corpus(docs)
             kwargs = dict(levels=rng.randint(1, 3),
                           branching=rng.randint(1, 12),
                           dim=rng.choice([2, 8, 16]), seed=rng.randint(0, 3),
