@@ -8,10 +8,9 @@ refine loop (with a verify-depth / round-budget sweep).
 """
 
 import argparse
-import json
 import pathlib
 
-from gentrieval.corpus import load_corpus
+from gentrieval.corpus import load_corpus, load_queries
 from gentrieval.docid import build_index
 from gentrieval.evaluation import ExperimentConfig, run_experiment
 from gentrieval.reasoning import DEFAULT_PROMPTS
@@ -30,8 +29,7 @@ def main() -> int:
     data = pathlib.Path(args.data)
     corpus = load_corpus(data / "corpus.jsonl")
     queries_path = data / "queries.jsonl"
-    query_texts = [json.loads(line)["text"]
-                   for line in open(queries_path, encoding="utf-8")]
+    query_texts = [q.text for q in load_queries(queries_path)]
 
     index = build_index(
         corpus, levels=1, branching=len(corpus), dim=64, seed=args.seed,

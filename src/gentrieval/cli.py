@@ -8,15 +8,14 @@ threaded from --seed for byte-reproducible artifacts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .constraint import STRATEGIES, build as build_automaton
-from .corpus import Query, load_corpus
+from .corpus import Query, load_corpus, read_jsonl
 from .docid import (VIEW_NGRAM, VIEW_PSEUDO_QUERY, VIEW_TITLE, DocIdIndex,
                     build_index)
-from .errors import ConfigError, GentrievalError, MalformedRecord
+from .errors import ConfigError, GentrievalError
 from .evaluation import (ExperimentConfig, make_retrieve_model,
                          run_experiment, run_pipeline, termination_stats)
 from .lm import RemoteModel
@@ -203,15 +202,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    traces = []
-    with open(args.trace, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    traces.append(json.loads(line))
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedRecord(line_no, "not JSON") from exc
-    stats = termination_stats(traces)
+    stats = termination_stats([tr for _, tr in read_jsonl(args.trace)])
     for reason in ("all_relevant", "budget_exhausted", "parse_failure"):
         print(f"{reason}\t{stats[reason]:.4f}")
     return 0
@@ -224,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
                 "run": _cmd_run, "stats": _cmd_stats}
     try:
         return handlers[args.command](args)
-    except (GentrievalError, OSError, UnicodeDecodeError) as exc:
+    except (GentrievalError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,8 +12,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .errors import (DuplicateKey, MalformedIndex, MalformedRecord,
-                     VocabularyFrozen)
+from .errors import (ConfigError, DuplicateKey, MalformedIndex,
+                     MalformedRecord, VocabularyFrozen)
 
 END = 0
 SEP = 1
@@ -195,36 +195,52 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def read_json(path):
+    """The JSON value in the file at *path*. A file that does not parse,
+    including one nested past the recursion limit or holding an integer
+    too long to convert, raises ConfigError("<path>: not JSON: ...")."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path}: not JSON: {exc}") from exc
+
+
+def read_jsonl(path):
+    """Yield ``(line_no, value)`` for each non-blank line of the JSONL file
+    at *path*; a line that does not parse raises MalformedRecord."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    yield line_no, json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedRecord(line_no, str(exc)) from exc
+
+
 def load_corpus(path) -> Corpus:
     """Load a JSONL corpus: one object per line with
     id/text[/title/pseudo_queries]. A malformed line raises MalformedRecord."""
     corpus = Corpus()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise MalformedRecord(line_no, str(exc)) from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise MalformedRecord(line_no, "missing required field 'id' or 'text'")
-            if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-                raise MalformedRecord(line_no, "'id' and 'text' must be strings")
-            if not obj["id"] or not obj["text"]:
-                raise MalformedRecord(line_no, "'id' and 'text' must be nonempty")
-            title = obj.get("title")
-            if title is not None and not isinstance(title, str):
-                raise MalformedRecord(line_no, "'title' must be a string")
-            pseudo_queries = obj.get("pseudo_queries", [])
-            if not _is_str_list(pseudo_queries):
-                raise MalformedRecord(line_no, "'pseudo_queries' must be a list of strings")
-            corpus.append(Document(
-                doc_key=obj["id"],
-                text=obj["text"],
-                title=title,
-                pseudo_queries=tuple(pseudo_queries),
-            ))
+    for line_no, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise MalformedRecord(line_no, "missing required field 'id' or 'text'")
+        if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
+            raise MalformedRecord(line_no, "'id' and 'text' must be strings")
+        if not obj["id"] or not obj["text"]:
+            raise MalformedRecord(line_no, "'id' and 'text' must be nonempty")
+        title = obj.get("title")
+        if title is not None and not isinstance(title, str):
+            raise MalformedRecord(line_no, "'title' must be a string")
+        pseudo_queries = obj.get("pseudo_queries", [])
+        if not _is_str_list(pseudo_queries):
+            raise MalformedRecord(line_no, "'pseudo_queries' must be a list of strings")
+        corpus.append(Document(
+            doc_key=obj["id"],
+            text=obj["text"],
+            title=title,
+            pseudo_queries=tuple(pseudo_queries),
+        ))
     return corpus
 
 
@@ -232,24 +248,17 @@ def load_queries(path) -> list[Query]:
     """Load a JSONL query file: objects with qid/text[/relevant]. A
     malformed line raises MalformedRecord."""
     queries: list[Query] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise MalformedRecord(line_no, str(exc)) from exc
-            if not isinstance(obj, dict) or "qid" not in obj or "text" not in obj:
-                raise MalformedRecord(line_no, "missing required field 'qid' or 'text'")
-            if not isinstance(obj["text"], str) or not obj["text"].strip():
-                raise MalformedRecord(line_no, "'text' must be a non-blank string")
-            relevant = obj.get("relevant", [])
-            if not _is_str_list(relevant):
-                raise MalformedRecord(line_no, "'relevant' must be a list of strings")
-            queries.append(Query(
-                query_id=str(obj["qid"]),
-                text=obj["text"],
-                relevant_keys=frozenset(relevant),
-            ))
+    for line_no, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or "qid" not in obj or "text" not in obj:
+            raise MalformedRecord(line_no, "missing required field 'qid' or 'text'")
+        if not isinstance(obj["text"], str) or not obj["text"].strip():
+            raise MalformedRecord(line_no, "'text' must be a non-blank string")
+        relevant = obj.get("relevant", [])
+        if not _is_str_list(relevant):
+            raise MalformedRecord(line_no, "'relevant' must be a list of strings")
+        queries.append(Query(
+            query_id=str(obj["qid"]),
+            text=obj["text"],
+            relevant_keys=frozenset(relevant),
+        ))
     return queries

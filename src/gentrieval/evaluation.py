@@ -10,6 +10,7 @@ is explicitly enabled.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 from .constraint import build as build_automaton
@@ -192,11 +193,14 @@ def run_pipeline(q: Query, pipeline: str, bundle: ModelBundle, automaton,
 
 
 def _check_writable(path: str | None) -> None:
-    """Raise OSError unless *path* can be opened for writing; an existing
-    file is left as it is."""
+    """Raise OSError unless *path* can be opened for writing. The path is
+    left as it was: an existing file keeps its bytes, and a file the check
+    creates is removed again."""
     if path:
-        with open(path, "a", encoding="utf-8"):
-            pass
+        existed = os.path.exists(path)
+        open(path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(path)
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -24,13 +24,12 @@ with the prompt. A model without `window` is given its full context.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from collections import Counter
 
-from .corpus import END, SEP, Vocabulary
+from .corpus import END, SEP, Vocabulary, read_json
 from .errors import (ConfigError, MissingEnd, NotSupported, RemoteTimeout,
                      RemoteUnavailable, UnknownToken)
 
@@ -135,11 +134,7 @@ class ScriptedModel:
         """Rules from a JSON file: a bare list of generate rules, or an
         object with "generate" and "distributions" lists. Raises ConfigError
         for a file that is not JSON and for a rule of the wrong shape."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise ConfigError(f"{path}: not JSON: {exc}") from exc
+        obj = read_json(path)
         if isinstance(obj, list):  # bare list of generate rules
             obj = {"generate": obj}
         if not isinstance(obj, dict):

@@ -8,11 +8,10 @@ a format reminder); Think can always fall back to the raw query.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
-from .corpus import Query
+from .corpus import Query, read_json
 from .decode import Candidate
 from .errors import ConfigError
 
@@ -79,11 +78,7 @@ class PromptRegistry:
     def from_file(cls, path) -> "PromptRegistry":
         """Defaults overridden by *path*, a JSON object of string templates
         that use only their defaults' slots; unknown names are ignored."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                overrides = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ConfigError(f"{path}: not JSON: {exc}") from None
+        overrides = read_json(path)
         if not isinstance(overrides, dict):
             raise ConfigError(f"{path}: prompts file must hold a JSON object")
         merged = dict(DEFAULT_PROMPTS)

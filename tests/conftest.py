@@ -40,6 +40,13 @@ JSON_VALUES = st.recursive(
 
 # JSON nested past the interpreter's recursion limit.
 DEEP_JSON = "[" * 100000 + "]" * 100000
+# JSON holding an integer longer than the interpreter converts (4300 digits
+# by default), which the parser refuses with a plain ValueError.
+LONG_INT_JSON = '{"n": ' + "1" * 5000 + "}"
+# Each JSON document past a parser limit, with the start of its error.
+PARSER_LIMITS = [
+    pytest.param(DEEP_JSON, "maximum recursion", id="nested-too-deep"),
+    pytest.param(LONG_INT_JSON, "Exceeds the limit", id="long-int")]
 
 TOY_SURFACES = {"d1": "food-apple", "d2": "tech-apple", "d3": "food-banana"}
 

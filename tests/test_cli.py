@@ -19,7 +19,8 @@ from gentrieval.docid import DocIdIndex
 from gentrieval.errors import ConfigError
 from gentrieval.evaluation import ExperimentConfig
 
-from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
+from conftest import (PARSER_LIMITS, TOY_DIST_RULES, TOY_EXTRA_WORDS,
+                      TOY_SURFACES, make_index)
 
 
 def write_jsonl(path, rows):
@@ -180,6 +181,22 @@ class TestRetrieve:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_unprintable_doc_key_is_1(self, workspace, capsys):
+        # A lone surrogate is valid JSON in a corpus id, but no output
+        # encoding can print it.
+        corpus, index = (workspace["dir"] / name
+                         for name in ("lone.jsonl", "lone-index.json"))
+        write_jsonl(corpus, [{"id": "d\ud800", "text": "which fruit"}])
+        assert main(["build-index", "--corpus", str(corpus), "--out",
+                     str(index), "--levels", "1", "--branching", "2"]) == 0
+        capsys.readouterr()
+        rc = main(["retrieve", "--index", str(index), "--model", "ngram",
+                   "--train-queries", workspace["queries"],
+                   "--query", "which fruit"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_ngram_requires_training_queries(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
                    "--model", "ngram", "--query", "which fruit"])
@@ -264,16 +281,24 @@ class TestRun:
                        "a non-blank string"]
         assert decoded == []
 
-    def test_existing_output_kept_until_written(self, workspace, capsys,
-                                                monkeypatch):
+    @pytest.mark.parametrize("old", [("report", "trace"), ("report",),
+                                     ("trace",)], ids="+".join)
+    def test_failed_run_leaves_outputs_as_they_were(self, workspace, capsys,
+                                                    monkeypatch, old):
+        # A run that fails while decoding keeps an existing output file's
+        # bytes, and leaves no file at an output path that did not exist.
         report, trace, argv = self.args(workspace, "k")
-        report.write_text("old report")
-        trace.write_text("old trace")
+        outputs = {"report": report, "trace": trace}
+        for name in old:
+            outputs[name].write_text(f"old {name}")
         monkeypatch.setattr(evaluation, "run_pipeline", _refuse)
         assert main(argv) == 1
         capsys.readouterr()
-        assert report.read_text() == "old report"
-        assert trace.read_text() == "old trace"
+        for name, path in outputs.items():
+            if name in old:
+                assert path.read_text() == f"old {name}"
+            else:
+                assert not path.exists()
 
     def test_sweep(self, workspace, capsys):
         report, _, argv = self.args(workspace, "s",
@@ -589,26 +614,33 @@ class TestMalformedInputs:
                     "--report", str(workspace["dir"] / "r.json")]
         self.assert_one_error(capsys, main(argv))
 
+    @pytest.mark.parametrize("content, error", PARSER_LIMITS)
     @pytest.mark.parametrize("flag", ["--index", "--corpus", "--train-queries",
-                                      "--model", "--prompts", "--trace"])
-    def test_recursion_limit(self, workspace, capsys, flag):
-        # JSON nested past the interpreter's recursion limit, as any JSON
-        # input, ends in one line.
-        deep = workspace["dir"] / "deep.json"
-        deep.write_text("[" * 100000 + "]" * 100000 + "\n")
+                                      "--model", "--prompts", "--trace",
+                                      "--queries"])
+    def test_past_parser_limit(self, workspace, capsys, flag, content, error):
+        # JSON nested past the interpreter's recursion limit, or holding an
+        # integer too long to convert, as any JSON input, ends in one line
+        # that names the parser's reason.
+        bad = workspace["dir"] / "bad.json"
+        bad.write_text(content + "\n")
         retrieve = {"--index": workspace["index"], "--model": workspace["model"],
                     "--query": "which fruit calories"}
         out = str(workspace["dir"] / "out.json")
         if flag == "--corpus":
-            argv = ["build-index", "--corpus", str(deep), "--out", out]
+            argv = ["build-index", "--corpus", str(bad), "--out", out]
         elif flag == "--trace":
-            argv = ["stats", "--trace", str(deep)]
+            argv = ["stats", "--trace", str(bad)]
+        elif flag == "--queries":
+            argv = ["run", "--corpus", workspace["corpus"], "--queries",
+                    str(bad), "--index", workspace["index"],
+                    "--model", workspace["model"], "--report", out]
         else:
             if flag == "--train-queries":
                 retrieve["--model"] = "ngram"
-            retrieve[flag] = str(deep)
+            retrieve[flag] = str(bad)
             argv = ["retrieve", *(x for kv in retrieve.items() for x in kv)]
-        self.assert_one_error(capsys, main(argv))
+        assert error in self.assert_one_error(capsys, main(argv))
         assert not os.path.exists(out)
 
 

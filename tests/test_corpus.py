@@ -8,7 +8,7 @@ from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
 from gentrieval.errors import (DuplicateKey, GentrievalError, MalformedRecord,
                                VocabularyFrozen)
 
-from conftest import DEEP_JSON, JSON_VALUES
+from conftest import JSON_VALUES, PARSER_LIMITS
 
 # One line of a JSONL file: free text, any JSON value, or an object with
 # some of the fields either loader reads, each holding any JSON value.
@@ -58,10 +58,11 @@ class TestLoadCorpus:
             load_corpus(p)
         assert exc.value.line_no == 2
 
-    def test_nested_too_deep(self, tmp_path):
+    @pytest.mark.parametrize("content, error", PARSER_LIMITS)
+    def test_past_parser_limit(self, tmp_path, content, error):
         p = tmp_path / "c.jsonl"
-        p.write_text('{"id": "d1", "text": "ok"}\n' + DEEP_JSON + "\n")
-        with pytest.raises(MalformedRecord, match="line 2: maximum recursion"):
+        p.write_text('{"id": "d1", "text": "ok"}\n' + content + "\n")
+        with pytest.raises(MalformedRecord, match=f"line 2: {error}"):
             load_corpus(p)
 
     def test_missing_field(self, tmp_path):
@@ -101,10 +102,11 @@ class TestLoadQueries:
         with pytest.raises(MalformedRecord):
             load_queries(p)
 
-    def test_nested_too_deep(self, tmp_path):
+    @pytest.mark.parametrize("content, error", PARSER_LIMITS)
+    def test_past_parser_limit(self, tmp_path, content, error):
         p = tmp_path / "q.jsonl"
-        p.write_text(DEEP_JSON + "\n")
-        with pytest.raises(MalformedRecord, match="line 1: maximum recursion"):
+        p.write_text(content + "\n")
+        with pytest.raises(MalformedRecord, match=f"line 1: {error}"):
             load_queries(p)
 
     @pytest.mark.parametrize("text", ["", "  \t ", "\n"])

@@ -20,8 +20,9 @@ from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
                            ScriptedModel, sequence_logprob)
 from gentrieval.reasoning import PromptRegistry
 
-from conftest import (DEEP_JSON, TOY_DIST_RULES, TOY_EXTRA_WORDS,
-                      TOY_SURFACES, make_index, random_record_index)
+from conftest import (DEEP_JSON, PARSER_LIMITS, TOY_DIST_RULES,
+                      TOY_EXTRA_WORDS, TOY_SURFACES, make_index,
+                      random_record_index)
 
 
 def toy_model():
@@ -72,10 +73,11 @@ class TestScriptedGenerate:
         m = ScriptedModel.from_file(p, Vocabulary())
         assert m.generate("a", 256) == "b"
 
-    def test_from_file_nested_too_deep(self, tmp_path):
+    @pytest.mark.parametrize("content, error", PARSER_LIMITS)
+    def test_from_file_past_parser_limit(self, tmp_path, content, error):
         p = tmp_path / "rules.json"
-        p.write_text(DEEP_JSON)
-        with pytest.raises(ConfigError, match="not JSON"):
+        p.write_text(content)
+        with pytest.raises(ConfigError, match=f"not JSON: {error}"):
             ScriptedModel.from_file(p, Vocabulary())
 
     def test_from_file_sections(self, tmp_path):

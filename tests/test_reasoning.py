@@ -13,7 +13,7 @@ from gentrieval.reasoning import (DEFAULT_PROMPTS, FORMAT_REMINDER,
                                   ReasoningState, _parse_verdict, direct_cot,
                                   parse_structured, reflect, think, verify)
 
-from conftest import DEEP_JSON
+from conftest import DEEP_JSON, LONG_INT_JSON
 
 
 class CountingModel:
@@ -113,7 +113,8 @@ class TestRegistry:
     @pytest.mark.parametrize("content", [
         "[1]", '"P_v"', "not json", json.dumps({"P_v": 3}),
         json.dumps({"P_x": ["a"]}),
-        pytest.param(DEEP_JSON, id="nested-too-deep")])
+        pytest.param(DEEP_JSON, id="nested-too-deep"),
+        pytest.param(LONG_INT_JSON, id="long-int")])
     def test_from_file_rejects_malformed(self, tmp_path, content):
         p = tmp_path / "prompts.json"
         p.write_text(content)
