@@ -208,14 +208,18 @@ def read_json(path):
 
 def read_jsonl(path):
     """Yield ``(line_no, value)`` for each non-blank line of the JSONL file
-    at *path*; a line that does not parse raises MalformedRecord."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    yield line_no, json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise MalformedRecord(line_no, str(exc)) from exc
+    at *path*, lines ending at each newline byte; a line that is not UTF-8
+    or does not parse raises MalformedRecord."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                value = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedRecord(line_no, str(exc)) from exc
+            yield line_no, value
 
 
 def load_corpus(path) -> Corpus:
@@ -229,6 +233,10 @@ def load_corpus(path) -> Corpus:
             raise MalformedRecord(line_no, "'id' and 'text' must be strings")
         if not obj["id"] or not obj["text"]:
             raise MalformedRecord(line_no, "'id' and 'text' must be nonempty")
+        try:  # a lone surrogate parses, but no output can write it
+            obj["id"].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecord(line_no, f"'id' is not UTF-8: {exc}") from exc
         title = obj.get("title")
         if title is not None and not isinstance(title, str):
             raise MalformedRecord(line_no, "'title' must be a string")

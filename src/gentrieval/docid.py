@@ -270,19 +270,6 @@ def build_rq_hierarchy(keys: list[str], points: np.ndarray, levels: int,
     return RQHierarchy(levels=levels, roots=roots, paths=paths)
 
 
-def reconstruction_error(h: RQHierarchy, keys: list[str],
-                         points: np.ndarray) -> float:
-    """Mean squared residual after quantizing each row of *points* (row i
-    being keys[i]'s vector) by its path centroids."""
-    total = 0.0
-    for key, vec in zip(keys, np.asarray(points, dtype=np.float64)):
-        approx = np.zeros_like(vec)
-        for node in h.path_to(key):
-            approx += node.centroid
-        total += float(np.sum((vec - approx) ** 2))
-    return total / len(keys)
-
-
 class TermStats:
     """Each document's non-stopword words and each term's corpus IDF,
     computed once from the documents' words for every node to be labeled."""
@@ -297,7 +284,13 @@ class TermStats:
     def scored_terms(self, doc_keys: list[str]) -> list[str]:
         """Terms of the documents ordered by TF-IDF (desc), then
         lexicographically."""
-        tf = Counter(chain.from_iterable(self.terms[key] for key in doc_keys))
+        if len(doc_keys) == 1:  # each leaf document's own label
+            tf: dict[str, int] = {}
+            for w in self.terms[doc_keys[0]]:
+                tf[w] = tf.get(w, 0) + 1
+        else:
+            tf = Counter(chain.from_iterable(self.terms[key]
+                                             for key in doc_keys))
         idf = self.idf
         return [w for _, w in sorted((-(cnt * idf[w]), w)
                                      for w, cnt in tf.items())]
@@ -315,21 +308,20 @@ def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
         return f"{base}-{ordinal + 1}"
 
     def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
-        taken: set[str] = set()
+        taken = set(ancestors)
         for ordinal, node in enumerate(siblings):
-            node.label = pick(terms.scored_terms(node.doc_keys),
-                              ancestors | taken, ordinal)
+            node.label = pick(terms.scored_terms(node.doc_keys), taken,
+                              ordinal)
             taken.add(node.label)
         for node in siblings:
             if node.children:
                 label_siblings(node.children, ancestors | {node.label})
             elif len(node.doc_keys) > 1:
-                sub_taken: set[str] = set()
+                used = ancestors | {node.label}
                 for ordinal, key in enumerate(sorted(node.doc_keys)):
-                    lbl = pick(terms.scored_terms([key]),
-                               ancestors | {node.label} | sub_taken, ordinal)
+                    lbl = pick(terms.scored_terms([key]), used, ordinal)
                     node.doc_labels[key] = lbl
-                    sub_taken.add(lbl)
+                    used.add(lbl)
 
     label_siblings(h.roots, set())
     return h
@@ -342,7 +334,13 @@ def path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary) -> DocIdRecord:
     if doc_key in leaf.doc_labels:
         labels.append(leaf.doc_labels[doc_key])
     surface = "-".join(labels)
-    tokens = tuple(vocab.encode(surface, on_unknown="grow")) + (END,)
+    # A label that is one vocabulary word is spelled by its id; a fallback
+    # label such as "x-2" or "doc-1" is not, and then the tokenizer spells
+    # the whole surface.
+    ids = [vocab.id_of(label) for label in labels]
+    if None in ids:
+        ids = vocab.encode(surface, on_unknown="grow")
+    tokens = tuple(ids) + (END,)
     return DocIdRecord(doc_key=doc_key, tokens=tokens, surface=surface,
                        view=VIEW_PATH)
 
@@ -473,7 +471,12 @@ class DocIdIndex:
     @classmethod
     def load(cls, path) -> "DocIdIndex":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise MalformedIndex(
+                    f"malformed index: {type(exc).__name__}: {exc}") from exc
+        return cls.from_json(text)
 
 
 def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,

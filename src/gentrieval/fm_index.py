@@ -16,31 +16,40 @@ and locate reads where each occurrence ends off the suffix array.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice, zip_longest
+from itertools import islice
 
 SENTINEL = -1
 
 
 def suffix_array(seq: list[int]) -> list[int]:
-    """Suffix array by prefix doubling (O(n log^2 n))."""
+    """Suffix array by prefix doubling (Manber & Myers, O(n log^2 n)).
+
+    rank[i] is the dense rank of seq[i:i + k]. A round sorts the previous
+    order by one int per suffix that compares as the pair (rank[i],
+    rank[i + k]), a missing second half lowest, and re-ranks along it."""
     n = len(seq)
     if n == 0:
         return []
-    order = sorted(set(seq))
-    rank_of = {v: i for i, v in enumerate(order)}
-    line = [rank_of[v] for v in seq]
+    rank_of = {v: i for i, v in enumerate(sorted(set(seq)))}
+    rank = [rank_of[v] for v in seq]
+    order = sorted(range(n), key=rank.__getitem__)
+    top = len(rank_of) - 1
+    width = n + 1
     k = 1
-    while max(line) < n - 1:
-        pairs = [(a, b) for a, b in
-                 zip_longest(line, islice(line, k, None), fillvalue=-1)]
-        uniq = sorted(set(pairs))
-        rank_of = {v: i for i, v in enumerate(uniq)}
-        line = [rank_of[p] for p in pairs]
+    while top < n - 1:
+        key = [a * width + b + 1 for a, b in zip(rank, islice(rank, k, None))]
+        key += [a * width for a in islice(rank, n - k, None)]
+        order.sort(key=key.__getitem__)
+        top = 0
+        prev = key[order[0]]
+        for i in order:
+            v = key[i]
+            if v != prev:
+                top += 1
+                prev = v
+            rank[i] = top
         k <<= 1
-    sa = [0] * n
-    for i, r in enumerate(line):
-        sa[r] = i
-    return sa
+    return order
 
 
 class SequenceFMIndex:

@@ -1,17 +1,20 @@
-"""Shared fixtures: the three-record toy index, scripted rule tables, and
-random-corpus helpers used by the oracle tests."""
+"""Shared fixtures: the three-record toy index, the generated toy corpora,
+scripted rule tables, and random-corpus helpers used by the oracle tests."""
 
 from __future__ import annotations
 
 import math
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gentrieval.corpus import END, Corpus, Document, Vocabulary
-from gentrieval.docid import DocIdIndex, DocIdRecord
+from gentrieval.corpus import END, Corpus, Document, Vocabulary, load_corpus
+from gentrieval.docid import DocIdIndex, DocIdRecord, RQHierarchy
 from gentrieval.lm import FLOOR_LOGPROB
 
 
@@ -70,6 +73,25 @@ def toy_index() -> DocIdIndex:
     return make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
 
 
+@pytest.fixture(scope="session")
+def toy_corpus(tmp_path_factory):
+    """The `make_toy_data.py --docs N --seed 0` corpus, generated once per
+    N."""
+    script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+              / "make_toy_data.py")
+    made: dict[int, Corpus] = {}
+
+    def get(docs: int) -> Corpus:
+        if docs not in made:
+            out = tmp_path_factory.mktemp(f"toy{docs}")
+            subprocess.run([sys.executable, str(script), "--out", str(out),
+                            "--docs", str(docs), "--seed", "0"],
+                           check=True, capture_output=True)
+            made[docs] = load_corpus(out / "corpus.jsonl")
+        return made[docs]
+    return get
+
+
 class TableModel:
     """Deterministic pseudo-random full-vocabulary distribution per context.
 
@@ -123,6 +145,19 @@ def sorted_rows(vectors: dict[str, np.ndarray]
     keys = sorted(vectors)
     return keys, np.stack([np.asarray(vectors[k], dtype=np.float64)
                            for k in keys])
+
+
+def reconstruction_error(h: RQHierarchy, keys: list[str],
+                         points: np.ndarray) -> float:
+    """Mean squared residual after quantizing each row of *points* (row i
+    being keys[i]'s vector) by its path centroids."""
+    total = 0.0
+    for key, vec in zip(keys, np.asarray(points, dtype=np.float64)):
+        approx = np.zeros_like(vec)
+        for node in h.path_to(key):
+            approx += node.centroid
+        total += float(np.sum((vec - approx) ** 2))
+    return total / len(keys)
 
 
 def random_record_index(rng: random.Random, n_records: int, vocab_words: int,

@@ -17,8 +17,7 @@ from gentrieval.constraint import (STRATEGIES, FmIndexAutomaton,
 from gentrieval.corpus import END, Corpus, Document, Query, load_queries
 from gentrieval.decode import BeamConfig, constrained_beam_search, dedup_rank, \
     hypotheses_to_candidates
-from gentrieval.docid import build_index, build_rq_hierarchy, \
-    reconstruction_error
+from gentrieval.docid import build_index, build_rq_hierarchy
 from gentrieval.evaluation import hits_at_k, mrr_at_k, nll_losses
 from gentrieval.fm_index import SequenceFMIndex
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
@@ -31,7 +30,8 @@ from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       TableModel, enumerate_accepted, make_index,
-                      random_record_index, random_text_corpus, sorted_rows)
+                      random_record_index, random_text_corpus,
+                      reconstruction_error, sorted_rows)
 
 
 def verdict(label):

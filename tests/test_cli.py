@@ -182,14 +182,11 @@ class TestRetrieve:
         assert len(err) == 1 and err[0].startswith("error:")
 
     def test_unprintable_doc_key_is_1(self, workspace, capsys):
-        # A lone surrogate is valid JSON in a corpus id, but no output
-        # encoding can print it.
-        corpus, index = (workspace["dir"] / name
-                         for name in ("lone.jsonl", "lone-index.json"))
-        write_jsonl(corpus, [{"id": "d\ud800", "text": "which fruit"}])
-        assert main(["build-index", "--corpus", str(corpus), "--out",
-                     str(index), "--levels", "1", "--branching", "2"]) == 0
-        capsys.readouterr()
+        # A lone surrogate is valid JSON in an index's doc_key, but no
+        # output encoding can print it. build-index refuses such an id, so
+        # the index is written by hand.
+        index = workspace["dir"] / "lone-index.json"
+        make_index({"d\ud800": "which-fruit"}).save(index)
         rc = main(["retrieve", "--index", str(index), "--model", "ngram",
                    "--train-queries", workspace["queries"],
                    "--query", "which fruit"])
@@ -642,6 +639,53 @@ class TestMalformedInputs:
             argv = ["retrieve", *(x for kv in retrieve.items() for x in kv)]
         assert error in self.assert_one_error(capsys, main(argv))
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--queries",
+                                      "--train-queries", "--trace",
+                                      "--index"])
+    def test_non_utf8_line(self, workspace, capsys, flag):
+        # Bytes that are not UTF-8 are a malformed line of a JSONL input,
+        # named by its number, or a malformed index.
+        first = {"--corpus": {"id": "d1", "text": "food apple"},
+                 "--queries": {"qid": "q1", "text": "which fruit"},
+                 "--train-queries": {"qid": "q1", "text": "which fruit"},
+                 "--trace": {"reason": "all_relevant"}}.get(flag)
+        error = ("malformed index: UnicodeDecodeError" if flag == "--index"
+                 else "malformed record at line 2: 'utf-8' codec can't "
+                      "decode byte 0xff")
+        bad = workspace["dir"] / "bad.jsonl"
+        head = json.dumps(first).encode("utf-8") + b"\n" if first else b""
+        bad.write_bytes(head + b"\xff\xfe\n")
+        out = str(workspace["dir"] / "out.json")
+        if flag == "--corpus":
+            argv = ["build-index", "--corpus", str(bad), "--out", out]
+        elif flag == "--trace":
+            argv = ["stats", "--trace", str(bad)]
+        elif flag == "--queries":
+            argv = ["run", "--corpus", workspace["corpus"], "--queries",
+                    str(bad), "--index", workspace["index"],
+                    "--model", workspace["model"], "--report", out]
+        elif flag == "--train-queries":
+            argv = ["retrieve", "--index", workspace["index"], "--model",
+                    "ngram", "--train-queries", str(bad),
+                    "--query", "which fruit"]
+        else:
+            argv = ["retrieve", "--index", str(bad), "--model",
+                    workspace["model"], "--query", "which fruit"]
+        assert error in self.assert_one_error(capsys, main(argv))
+        assert not os.path.exists(out)
+
+    def test_unencodable_corpus_id(self, tmp_path, capsys):
+        # A lone surrogate is valid JSON in an id, but no output can write
+        # it: build-index refuses the line rather than save the index.
+        corpus, out = tmp_path / "lone.jsonl", tmp_path / "out.json"
+        write_jsonl(corpus, [{"id": "d1", "text": "food apple"},
+                             {"id": "d\ud800", "text": "which fruit"}])
+        err = self.assert_one_error(capsys, main([
+            "build-index", "--corpus", str(corpus), "--out", str(out)]))
+        assert err.startswith("error: malformed record at line 2: 'id' is "
+                              "not UTF-8")
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

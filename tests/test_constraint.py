@@ -11,10 +11,10 @@ from gentrieval.constraint import (STRATEGIES, FmIndexAutomaton,
                                    TermSetAutomaton, TrieAutomaton, build)
 from gentrieval.corpus import END, SEP
 from gentrieval.decode import BeamConfig, constrained_beam_search
-from gentrieval.docid import DocIdIndex
+from gentrieval.docid import DocIdIndex, build_index
 from gentrieval.errors import (EmptyIndex, IllegalTransition, InvalidState,
                                NotTerminal)
-from gentrieval.fm_index import SequenceFMIndex, suffix_array
+from gentrieval.fm_index import SENTINEL, SequenceFMIndex, suffix_array
 
 from conftest import (TOY_SURFACES, TableModel, enumerate_accepted,
                       make_index, random_record_index)
@@ -32,10 +32,23 @@ def naive_occurrences(seq, pattern):
 
 
 class TestFMIndex:
-    def test_suffix_array_matches_naive(self):
+    def test_suffix_array_matches_naive(self, toy_corpus):
         rng = random.Random(0)
+        # Empty, one symbol, and periodic runs whose suffixes share
+        # prefixes almost their own length: 9 and 7 doubling rounds.
+        seqs = [[], [7], [SENTINEL], [1, 2] * 200, [3] * 65]
         for _ in range(50):
-            seq = [rng.randint(0, 5) for _ in range(rng.randint(1, 40))]
+            seqs.append([rng.randint(0, 5) for _ in range(rng.randint(1, 40))])
+        for _ in range(50):  # as SequenceFMIndex sorts them
+            seq = [rng.randint(0, 3) for _ in range(rng.randint(0, 40))]
+            seqs.append(seq[::-1] + [SENTINEL])
+        for _ in range(10):
+            joined = FmIndexAutomaton(random_record_index(
+                rng, rng.randint(1, 30), rng.randint(1, 6))).joined
+            seqs.append(joined[::-1] + [SENTINEL])
+        joined = FmIndexAutomaton(build_index(toy_corpus(400))).joined
+        seqs.append(joined[::-1] + [SENTINEL])
+        for seq in seqs:
             assert suffix_array(seq) == naive_suffix_array(seq)
 
     def test_repeated_symbol_sequence(self):

@@ -65,6 +65,14 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRecord, match=f"line 2: {error}"):
             load_corpus(p)
 
+    def test_unencodable_id_refused(self, tmp_path):
+        # A lone surrogate parses, but no output encoding can write it.
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [{"id": "d1", "text": "ok"},
+                        {"id": "d\ud800", "text": "ok"}])
+        with pytest.raises(MalformedRecord, match="line 2: 'id' is not UTF-8"):
+            load_corpus(p)
+
     def test_missing_field(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"id": "d1"}])
@@ -155,6 +163,22 @@ class TestLoaderContract:
                 loader(p)
             except GentrievalError:
                 pass
+
+
+    @pytest.mark.parametrize("loader", [load_corpus, load_queries])
+    def test_non_utf8_line_number(self, tmp_path, loader):
+        p = tmp_path / "lines.jsonl"
+        p.write_bytes(b"\n\n\xff\xfe\n")
+        with pytest.raises(MalformedRecord,
+                           match="line 3: 'utf-8' codec can't decode"):
+            loader(p)
+
+    @pytest.mark.parametrize("loader", [load_corpus, load_queries])
+    def test_crlf_lines(self, tmp_path, loader):
+        p = tmp_path / "lines.jsonl"
+        p.write_bytes(b'{"id": "d1", "qid": "q1", "text": "a"}\r\n\r\n'
+                      b'{"id": "d2", "qid": "q2", "text": "b"}\r\n')
+        assert len(loader(p)) == 2
 
 
 class TestTokenizer:

@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import pathlib
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -13,17 +10,16 @@ from hypothesis import example, given, strategies as st
 
 from gentrieval import docid
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
-                               load_corpus, words_of)
+                               words_of)
 from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
                               RQNode, TermStats, ViewConfig, assign_keywords,
                               build_index, build_rq_hierarchy, build_views,
-                              embed_document, path_docid,
-                              reconstruction_error)
+                              embed_document, path_docid)
 from gentrieval.errors import (EmptyDocument, EmptyIndex, MalformedIndex,
                                UnknownDoc)
 
 from conftest import (DEEP_JSON, JSON_VALUES, TOY_SURFACES, make_index,
-                      random_text_corpus, sorted_rows)
+                      random_text_corpus, reconstruction_error, sorted_rows)
 
 
 def _some_of(fields: dict) -> st.SearchStrategy:
@@ -52,25 +48,6 @@ TOY_INDEX_SHA256 = {
     400: "c6939fce9dc7e1f89bf280a2248a639a7a29f2684eb4d0741321f145b4cdb953",
     2000: "2e20a3767f8f0df2143fbc90eea0f1258db2dde016546b99a1cce6f3fe7f126d",
 }
-
-
-@pytest.fixture(scope="module")
-def toy_corpus(tmp_path_factory):
-    """The `make_toy_data.py --docs N --seed 0` corpus, generated once per
-    N."""
-    script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
-              / "make_toy_data.py")
-    made: dict[int, Corpus] = {}
-
-    def get(docs: int) -> Corpus:
-        if docs not in made:
-            out = tmp_path_factory.mktemp(f"toy{docs}")
-            subprocess.run([sys.executable, str(script), "--out", str(out),
-                            "--docs", str(docs), "--seed", "0"],
-                           check=True, capture_output=True)
-            made[docs] = load_corpus(out / "corpus.jsonl")
-        return made[docs]
-    return get
 
 
 class TestEmbedding:
@@ -254,6 +231,26 @@ class TestPathDocid:
         h = two_sibling_hierarchy([["d1"]])
         with pytest.raises(UnknownDoc):
             path_docid("nope", h, Vocabulary())
+
+    def test_tokens_spell_surface(self):
+        # Labels that are vocabulary words are spelled by their ids, the
+        # rest by the tokenizer: either way the tokens are the surface's.
+        rng = random.Random(12)
+        fallbacks = 0
+        for trial in range(40):
+            corpus = random_text_corpus(rng, rng.randint(1, 40),
+                                        vocab_words=rng.randint(1, 8),
+                                        words_per_doc=rng.randint(1, 4))
+            index = build_index(corpus, levels=rng.randint(1, 3),
+                                branching=rng.randint(1, 6))
+            for rec in index.records:
+                assert rec.tokens == tuple(index.vocab.encode(
+                    rec.surface, on_unknown="grow")) + (END,)
+                # A number before the last word is a fallback label's
+                # ("t3-2", "doc-1"), not a collision suffix.
+                words = words_of(rec.surface)
+                fallbacks += any(w.isdigit() for w in words[:-1])
+        assert fallbacks
 
 
 class TestViews:
