@@ -208,18 +208,18 @@ def read_json(path):
 
 def read_jsonl(path):
     """Yield ``(line_no, value)`` for each non-blank line of the JSONL file
-    at *path*, lines ending at each newline byte; a line that is not UTF-8
-    or does not parse raises MalformedRecord."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedRecord(line_no, str(exc)) from exc
-            yield line_no, value
+    at *path*; a line that is not UTF-8 or does not parse raises
+    MalformedRecord."""
+    # Bytes that are not UTF-8 are read as lone surrogates, so that the
+    # strict decode below fails at their own line.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    yield line_no, json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedRecord(line_no, str(exc)) from exc
 
 
 def load_corpus(path) -> Corpus:

@@ -284,13 +284,7 @@ class TermStats:
     def scored_terms(self, doc_keys: list[str]) -> list[str]:
         """Terms of the documents ordered by TF-IDF (desc), then
         lexicographically."""
-        if len(doc_keys) == 1:  # each leaf document's own label
-            tf: dict[str, int] = {}
-            for w in self.terms[doc_keys[0]]:
-                tf[w] = tf.get(w, 0) + 1
-        else:
-            tf = Counter(chain.from_iterable(self.terms[key]
-                                             for key in doc_keys))
+        tf = Counter(chain.from_iterable(self.terms[key] for key in doc_keys))
         idf = self.idf
         return [w for _, w in sorted((-(cnt * idf[w]), w)
                                      for w, cnt in tf.items())]
@@ -334,13 +328,7 @@ def path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary) -> DocIdRecord:
     if doc_key in leaf.doc_labels:
         labels.append(leaf.doc_labels[doc_key])
     surface = "-".join(labels)
-    # A label that is one vocabulary word is spelled by its id; a fallback
-    # label such as "x-2" or "doc-1" is not, and then the tokenizer spells
-    # the whole surface.
-    ids = [vocab.id_of(label) for label in labels]
-    if None in ids:
-        ids = vocab.encode(surface, on_unknown="grow")
-    tokens = tuple(ids) + (END,)
+    tokens = tuple(vocab.encode(surface, on_unknown="grow")) + (END,)
     return DocIdRecord(doc_key=doc_key, tokens=tokens, surface=surface,
                        view=VIEW_PATH)
 
@@ -446,10 +434,12 @@ class DocIdIndex:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, text: str) -> "DocIdIndex":
-        """Parse an index written by `to_json`; input of any other shape
-        raises MalformedIndex."""
+    def from_json(cls, text: str | bytes) -> "DocIdIndex":
+        """Parse an index written by `to_json` (as str or UTF-8 bytes);
+        input of any other shape raises MalformedIndex."""
         try:
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
             return cls._from_obj(json.loads(text))
         except (ValueError, KeyError, IndexError, TypeError,
                 AttributeError, RecursionError) as exc:
@@ -470,13 +460,8 @@ class DocIdIndex:
 
     @classmethod
     def load(cls, path) -> "DocIdIndex":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise MalformedIndex(
-                    f"malformed index: {type(exc).__name__}: {exc}") from exc
-        return cls.from_json(text)
+        with open(path, "rb") as fh:
+            return cls.from_json(fh.read())
 
 
 def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,

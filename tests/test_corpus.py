@@ -174,10 +174,11 @@ class TestLoaderContract:
             loader(p)
 
     @pytest.mark.parametrize("loader", [load_corpus, load_queries])
-    def test_crlf_lines(self, tmp_path, loader):
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_endings(self, tmp_path, loader, eol):
         p = tmp_path / "lines.jsonl"
-        p.write_bytes(b'{"id": "d1", "qid": "q1", "text": "a"}\r\n\r\n'
-                      b'{"id": "d2", "qid": "q2", "text": "b"}\r\n')
+        p.write_bytes(b'{"id": "d1", "qid": "q1", "text": "a"}' + eol + eol
+                      + b'{"id": "d2", "qid": "q2", "text": "b"}' + eol)
         assert len(loader(p)) == 2
 
 

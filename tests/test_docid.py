@@ -233,8 +233,8 @@ class TestPathDocid:
             path_docid("nope", h, Vocabulary())
 
     def test_tokens_spell_surface(self):
-        # Labels that are vocabulary words are spelled by their ids, the
-        # rest by the tokenizer: either way the tokens are the surface's.
+        # Every record's tokens are its surface's words, fallback labels
+        # ("t3-2", "doc-1") and collision suffixes included.
         rng = random.Random(12)
         fallbacks = 0
         for trial in range(40):
