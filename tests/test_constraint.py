@@ -228,6 +228,29 @@ class TestTermSet:
         assert end_ok
         assert [r.doc_key for r in a.complete(s)] == ["d1"]
 
+    def test_term_held_two_and_three_times(self):
+        """A node that holds a term two or three times offers it only to
+        the records that hold it more often."""
+        index = make_index({"d3": "x-x-x-y", "d2": "x-x-y", "d1": "x-y"})
+        a = TermSetAutomaton(index)
+        x, y = tok(index, "x"), tok(index, "y")
+        # Emitted tokens -> (allowed, completed records).
+        expected = {(x,): ({x, y}, []), (x, x): ({x, y}, []),
+                    (x, x, x): ({y}, []), (y, x): ({x}, ["d1"]),
+                    (x, y, x): ({x}, ["d2"]), (x, x, y, x): (set(), ["d3"])}
+        for emitted, (allowed, done) in expected.items():
+            s = a.start()
+            for t in emitted:
+                s = a.step(s, t)
+            assert a.allowed(s) == (allowed, bool(done))
+            if done:
+                assert [r.doc_key for r in a.complete(s)] == done
+            else:
+                with pytest.raises(NotTerminal):
+                    a.complete(s)
+            assert (allowed, bool(done)) == \
+                naive_term_set(index, emitted)[:2]
+
     def test_exhausted_token_illegal(self, toy_index):
         a = TermSetAutomaton(toy_index)
         apple = tok(toy_index, "apple")
@@ -378,6 +401,14 @@ class TestInvalidNode:
             with pytest.raises(InvalidState):
                 a.complete(state)
         assert len(a._allowed) == memo  # no invalid window was kept
+        # Nor a reserved token or one with no occurrence, twice over.
+        food_window = a.step(a.start(), food)
+        for state in (a.start(), food_window):
+            for token in (SEP, END, len(toy_index.vocab), 10 ** 9):
+                for _ in range(2):
+                    with pytest.raises(IllegalTransition):
+                        a.step(state, token)
+        assert list(a._step) == [(a.start(), food)]
 
 
 def naive_allowed(strategy, index, emitted):
@@ -427,6 +458,28 @@ class TestAllowedView:
 
 
 class TestFmMemo:
+    def test_step_memo_holds_only_followers(self):
+        """After an exhaustive walk, each step memo key (W, t) has t among
+        W's followers and maps to W extended by t; a second identical
+        search adds no entry."""
+        rng = random.Random(19)
+        for trial in range(10):
+            index = random_record_index(rng, rng.randint(2, 20), 6,
+                                        max_len=4)
+            a = FmIndexAutomaton(index)
+            enumerate_accepted(a, max_len=4)
+            assert a._step
+            for (window, t), nxt in a._step.items():
+                assert t in a.fm.followers(window) - {SEP}
+                assert nxt == a.fm.extend(window, t)
+            model = TableModel(len(index.vocab), seed=trial)
+            cfg = BeamConfig(beam_width=4, max_len=6)
+            a = FmIndexAutomaton(index)
+            first = constrained_beam_search(model, [0, 1], a, cfg)
+            memo = dict(a._step)
+            assert constrained_beam_search(model, [0, 1], a, cfg) == first
+            assert a._step == memo
+
     def test_bounded_after_toy_run(self, tmp_path, monkeypatch):
         """Decoding every query of a toy run fills the per-window memo with
         at most 2 (n + 1) entries, the suffix-tree node bound."""

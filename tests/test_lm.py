@@ -489,6 +489,41 @@ class TestNgramMemo:
             math.log(1 / 6), {b: math.log(2 / 6)})
         assert m.next_token_distribution([b]) == (math.log(1 / 5), {})
 
+    def test_unknown_token_before_memoised_tail(self):
+        vocab = Vocabulary()
+        a, b = vocab.encode("a b", on_unknown="grow")
+        m = self.trained(vocab, [([a], [b, END])])
+        hit = m.next_token_distribution([a, b])
+        assert m._memo and m.next_token_distribution([a, b]) is hit
+        for bad in (99, -1):
+            with pytest.raises(UnknownToken):  # longer than the window
+                m.next_token_distribution([bad, a, b])
+            with pytest.raises(UnknownToken):  # no longer than the window
+                m.next_token_distribution([bad, a])
+            with pytest.raises(UnknownToken):
+                m.next_token_distribution([bad])
+
+    def test_memo_hits_match_fresh_model(self):
+        """Short contexts served from the memo read the same as a fresh
+        model's after training and after the vocabulary grows."""
+        vocab = Vocabulary()
+        a, b, c = vocab.encode("a b c", on_unknown="grow")
+        pairs = [([a], [b, END]), ([a, b], [c, END]), ([c], [a, b, END])]
+        ctxs = [(), (a,), (b,), (a, b), (b, c), (c, a), (END, a)]
+        m = self.trained(vocab, pairs[:1])
+        for step in ("train", "grow"):
+            for ctx in ctxs * 2:
+                m.next_token_distribution(ctx)
+            if step == "train":
+                for pair in pairs[1:]:
+                    m.train_pair(*pair)
+            else:
+                vocab.encode("d", on_unknown="grow")
+            fresh = self.trained(vocab, pairs)
+            for ctx in ctxs * 2:
+                assert m.next_token_distribution(ctx) == \
+                    fresh.next_token_distribution(ctx)
+
     def test_memo_bounded_by_trained_contexts(self):
         rng = random.Random(17)
         index = random_record_index(rng, 30, 12, max_len=4)
