@@ -94,9 +94,7 @@ class FmIndexAutomaton:
     rows. A window is valid when 0 <= lo < hi <= rows; any other raises
     InvalidState. allowed() memoises its answer per window. The windows of
     a sequence's patterns are the nodes of its suffix tree, so the memo
-    stays under twice the number of rows. step() memoises (window, token)
-    -> window once its checks pass, so each key's token is one of the
-    window's allowed tokens.
+    stays under twice the number of rows.
     """
 
     strategy = STRATEGY_FM
@@ -118,7 +116,6 @@ class FmIndexAutomaton:
         followers = self.fm.followers(start) - {SEP}
         self._allowed: dict[tuple[int, int], tuple[KeysView[int], bool]] = {
             start: (dict.fromkeys(sorted(followers)).keys(), False)}
-        self._step: dict[tuple[tuple[int, int], int], tuple[int, int]] = {}
 
     def start(self) -> tuple[int, int]:
         return self.fm.start()
@@ -140,15 +137,12 @@ class FmIndexAutomaton:
         return moves
 
     def step(self, state: tuple[int, int], token: int) -> tuple[int, int]:
-        rng = self._step.get((state, token))
-        if rng is None:
-            self._check_window(state)
-            if token == SEP or token == END:
-                raise IllegalTransition("reserved token")
-            rng = self.fm.extend(state, token)
-            if self.fm.count(rng) <= 0:
-                raise IllegalTransition(f"token {token} has no occurrence")
-            self._step[state, token] = rng
+        self._check_window(state)
+        if token == SEP or token == END:
+            raise IllegalTransition("reserved token")
+        rng = self.fm.extend(state, token)
+        if self.fm.count(rng) <= 0:
+            raise IllegalTransition(f"token {token} has no occurrence")
         return rng
 
     def complete(self, state: tuple[int, int]) -> list[DocIdRecord]:
@@ -206,6 +200,13 @@ class TermSetAutomaton:
     def start(self) -> int:
         return 0
 
+    def _expanded(self, state: int) -> _TermNode:
+        _check_node(state, len(self.nodes), "term-set")
+        node = self.nodes[state]
+        if node.follow is None:
+            self._expand(node)
+        return node
+
     def _expand(self, node: _TermNode) -> None:
         key = node.key
         size = len(key)
@@ -220,26 +221,17 @@ class TermSetAutomaton:
             # A key is at most one docid long, so count() on it is cheap.
             for term, cnt in self.multisets[ridx]:
                 if cnt > key.count(term):
-                    live = follow.get(term)
-                    if live is None:
-                        follow[term] = [ridx]
-                    else:
-                        live.append(ridx)
+                    follow.setdefault(term, []).append(ridx)
         node.live = ()  # read only by this expansion
         node.terminal = terminal
         node.follow = dict(sorted(follow.items()))
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"term-set node {state}")
-        node = self.nodes[state]
-        if node.follow is None:
-            self._expand(node)
+        node = self._expanded(state)
         return node.follow.keys(), bool(node.terminal)
 
     def step(self, state: int, token: int) -> int:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"term-set node {state}")
+        _check_node(state, len(self.nodes), "term-set")
         node = self.nodes[state]
         nxt = node.children.get(token)
         if nxt is not None:
@@ -258,11 +250,7 @@ class TermSetAutomaton:
         return nxt
 
     def complete(self, state: int) -> list[DocIdRecord]:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"term-set node {state}")
-        node = self.nodes[state]
-        if node.follow is None:
-            self._expand(node)
+        node = self._expanded(state)
         if not node.terminal:
             raise NotTerminal("generated set matches no record")
         return list(node.terminal)

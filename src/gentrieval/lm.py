@@ -83,8 +83,9 @@ def _interior_tokens(match: str) -> list[str]:
 
 def _check_ctx(ctx: list[int], v: int) -> None:
     """Raise UnknownToken for the first id in *ctx* outside range(v)."""
-    if ctx and not (0 <= min(ctx) and max(ctx) < v):
-        raise UnknownToken(next(t for t in ctx if not 0 <= t < v))
+    for t in ctx:
+        if not 0 <= t < v:
+            raise UnknownToken(t)
 
 
 class ScriptedModel:
@@ -199,13 +200,10 @@ class NgramModel:
 
     Distributions are memoised per context key (the last order - 1 tokens)
     for trained contexts only, so the memo never outgrows self.counts;
-    train_pair and a change in the vocabulary size clear it. A memo hit
-    for a context no longer than order - 1 skips the vocabulary check,
-    which the key passed at the same vocabulary size when it was stored;
-    every other context is checked. Callers share the memoised overrides
-    dict and must not change it. The key is the whole of what a
-    distribution reads, so `window` is order - 1, and generate carries
-    only that many trailing tokens from step to step.
+    train_pair and a change in the vocabulary size clear it. Callers share
+    the memoised overrides dict and must not change it. The key is the
+    whole of what a distribution reads, so `window` is order - 1, and
+    generate carries only that many trailing tokens from step to step.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
@@ -236,14 +234,12 @@ class NgramModel:
     def next_token_distribution(self, ctx: list[int]
                                 ) -> tuple[float, dict[int, float]]:
         v = len(self.vocab)
+        _check_ctx(ctx, v)
         if v != self._memo_vocab_size:
             self._memo.clear()
             self._memo_vocab_size = v
         key = tuple(ctx[max(0, len(ctx) - (self.order - 1)):])
         dist = self._memo.get(key)
-        if dist is not None and len(key) == len(ctx):
-            return dist
-        _check_ctx(ctx, v)
         if dist is not None:
             return dist
         counts = self.counts.get(key)

@@ -401,14 +401,6 @@ class TestInvalidNode:
             with pytest.raises(InvalidState):
                 a.complete(state)
         assert len(a._allowed) == memo  # no invalid window was kept
-        # Nor a reserved token or one with no occurrence, twice over.
-        food_window = a.step(a.start(), food)
-        for state in (a.start(), food_window):
-            for token in (SEP, END, len(toy_index.vocab), 10 ** 9):
-                for _ in range(2):
-                    with pytest.raises(IllegalTransition):
-                        a.step(state, token)
-        assert list(a._step) == [(a.start(), food)]
 
 
 def naive_allowed(strategy, index, emitted):
@@ -458,28 +450,6 @@ class TestAllowedView:
 
 
 class TestFmMemo:
-    def test_step_memo_holds_only_followers(self):
-        """After an exhaustive walk, each step memo key (W, t) has t among
-        W's followers and maps to W extended by t; a second identical
-        search adds no entry."""
-        rng = random.Random(19)
-        for trial in range(10):
-            index = random_record_index(rng, rng.randint(2, 20), 6,
-                                        max_len=4)
-            a = FmIndexAutomaton(index)
-            enumerate_accepted(a, max_len=4)
-            assert a._step
-            for (window, t), nxt in a._step.items():
-                assert t in a.fm.followers(window) - {SEP}
-                assert nxt == a.fm.extend(window, t)
-            model = TableModel(len(index.vocab), seed=trial)
-            cfg = BeamConfig(beam_width=4, max_len=6)
-            a = FmIndexAutomaton(index)
-            first = constrained_beam_search(model, [0, 1], a, cfg)
-            memo = dict(a._step)
-            assert constrained_beam_search(model, [0, 1], a, cfg) == first
-            assert a._step == memo
-
     def test_bounded_after_toy_run(self, tmp_path, monkeypatch):
         """Decoding every query of a toy run fills the per-window memo with
         at most 2 (n + 1) entries, the suffix-tree node bound."""

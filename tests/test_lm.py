@@ -503,27 +503,6 @@ class TestNgramMemo:
             with pytest.raises(UnknownToken):
                 m.next_token_distribution([bad])
 
-    def test_memo_hits_match_fresh_model(self):
-        """Short contexts served from the memo read the same as a fresh
-        model's after training and after the vocabulary grows."""
-        vocab = Vocabulary()
-        a, b, c = vocab.encode("a b c", on_unknown="grow")
-        pairs = [([a], [b, END]), ([a, b], [c, END]), ([c], [a, b, END])]
-        ctxs = [(), (a,), (b,), (a, b), (b, c), (c, a), (END, a)]
-        m = self.trained(vocab, pairs[:1])
-        for step in ("train", "grow"):
-            for ctx in ctxs * 2:
-                m.next_token_distribution(ctx)
-            if step == "train":
-                for pair in pairs[1:]:
-                    m.train_pair(*pair)
-            else:
-                vocab.encode("d", on_unknown="grow")
-            fresh = self.trained(vocab, pairs)
-            for ctx in ctxs * 2:
-                assert m.next_token_distribution(ctx) == \
-                    fresh.next_token_distribution(ctx)
-
     def test_memo_bounded_by_trained_contexts(self):
         rng = random.Random(17)
         index = random_record_index(rng, 30, 12, max_len=4)
