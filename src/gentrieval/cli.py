@@ -126,29 +126,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_views(spec: str) -> frozenset[str]:
-    valid = {VIEW_TITLE, VIEW_NGRAM, VIEW_PSEUDO_QUERY}
-    views = frozenset(v for v in spec.split(",") if v)
-    bad = views - valid
-    if bad:
-        raise ConfigError(f"unknown views: {', '.join(sorted(bad))}")
-    return views
+VIEWS = {VIEW_TITLE, VIEW_NGRAM, VIEW_PSEUDO_QUERY}
+ABLATIONS = {"no_context", "no_explanation", "no_verification"}
 
 
-def _parse_ablation(spec: str) -> frozenset[str]:
-    valid = {"no_context", "no_explanation", "no_verification"}
-    flags = frozenset(v for v in spec.split(",") if v)
-    bad = flags - valid
+def _parse_names(spec: str, valid: set[str], what: str) -> frozenset[str]:
+    """The names in the comma list *spec*; one outside *valid* is a
+    ConfigError that calls them *what*."""
+    names = frozenset(v for v in spec.split(",") if v)
+    bad = names - valid
     if bad:
-        raise ConfigError(f"unknown ablation flags: {', '.join(sorted(bad))}")
-    return flags
+        raise ConfigError(f"unknown {what}: {', '.join(sorted(bad))}")
+    return names
 
 
 def _cmd_build_index(args) -> int:
     corpus = load_corpus(args.corpus)
     index = build_index(
         corpus, levels=args.levels, branching=args.branching, dim=args.dim,
-        seed=args.seed, views=_parse_views(args.views),
+        seed=args.seed, views=_parse_names(args.views, VIEWS, "views"),
         ngram_m=args.ngram_m, ngram_n=args.ngram_n,
         extra_vocab_texts=list(DEFAULT_PROMPTS.values()))
     index.save(args.out)
@@ -169,8 +165,9 @@ def _cmd_retrieve(args) -> int:
     bundle = ModelBundle(
         retrieve_model=retrieve_model,
         reason_model=RemoteModel(remote_url) if remote_url else retrieve_model)
+    ablation = _parse_names(args.ablation, ABLATIONS, "ablation flags")
     refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
-                              ablation=_parse_ablation(args.ablation))
+                              ablation=ablation)
     ranked, _ = run_pipeline(
         Query(query_id="cli", text=args.query), args.pipeline, bundle,
         automaton, index, reg, default_beam_config(index, k=args.k),
@@ -186,7 +183,8 @@ def _cmd_run(args) -> int:
         index_path=args.index, strategy=args.strategy,
         pipeline=args.pipeline, k=args.k, verify_depth=args.t,
         round_budget=args.T, t_sweep=args.sweep_t,
-        T_sweep=args.sweep_T, ablation=_parse_ablation(args.ablation),
+        T_sweep=args.sweep_T,
+        ablation=_parse_names(args.ablation, ABLATIONS, "ablation flags"),
         merge=args.merge_views,
         scripted_model_path=None if args.model == "ngram" else args.model,
         reason_model_path=args.reason_model,

@@ -39,8 +39,8 @@ class Vocabulary:
     """Append-only word<->id map, frozen after index build.
 
     Ids END (0) and SEP (1) are reserved. While unfrozen, unseen words get
-    fresh ids in first-seen order; once frozen, `on_unknown` selects between
-    raising VocabularyFrozen ("error") and dropping the word ("skip").
+    fresh ids in first-seen order; once frozen, adding one raises
+    VocabularyFrozen.
     """
 
     def __init__(self) -> None:
@@ -74,22 +74,19 @@ class Vocabulary:
     def word_of(self, tid: int) -> str:
         return self._id_to_word[tid]
 
-    def encode(self, text: str, on_unknown: str = "error") -> list[int]:
+    def encode(self, text: str, on_unknown: str) -> list[int]:
         """Tokenize *text* into ids.
 
-        on_unknown: "grow" appends unseen words (build time), "error" raises
-        VocabularyFrozen, "skip" silently drops unseen words (query time).
+        on_unknown: "grow" adds unseen words (build time; VocabularyFrozen
+        once frozen), "skip" silently drops them (query time).
         """
         out: list[int] = []
         for w in words_of(text):
             tid = self._word_to_id.get(w)
             if tid is None:
-                if on_unknown == "grow" and not self.frozen:
-                    tid = self.add(w)
-                elif on_unknown == "skip":
+                if on_unknown == "skip":
                     continue
-                else:
-                    raise VocabularyFrozen(w)
+                tid = self.add(w)
             out.append(tid)
         return out
 

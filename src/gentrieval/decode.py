@@ -170,8 +170,8 @@ def hypotheses_to_candidates(hyps: list[Hypothesis]) -> list[Candidate]:
     return [Candidate(record=r, score=h.score) for h in hyps for r in h.records]
 
 
-def merge_views(hyps: list[Hypothesis], k: int | None = None) -> RankedList:
-    """Per-document log-sum-exp aggregation across view hypotheses.
+def merge_views(hyps: list[Hypothesis], k: int) -> RankedList:
+    """Per-document log-sum-exp aggregation across view hypotheses, top k.
 
     Each document's aggregate is log sum_h exp(score_h) over its hypotheses in
     the beam; the representative record is the best-scoring one. Ties order by
@@ -189,6 +189,4 @@ def merge_views(hyps: list[Hypothesis], k: int | None = None) -> RankedList:
         best_rec = min(entries, key=lambda e: (-e[0], e[1].surface))[1]
         ranked.append(Candidate(record=best_rec, score=agg))
     ranked.sort(key=lambda c: (-c.score, c.doc_key))
-    if k is not None:
-        ranked = ranked[:k]
-    return RankedList(ranked)
+    return RankedList(ranked[:k])

@@ -85,14 +85,6 @@ def _embeddings(docs: list[list[str]], dim: int, seed: int) -> np.ndarray:
     return vecs
 
 
-def embed_document(doc: Document, dim: int = 64, seed: int = 0) -> np.ndarray:
-    """Deterministic hashed bag-of-words embedding, L2-normalized."""
-    words = words_of(doc.text)
-    if not words:
-        raise EmptyDocument(doc.doc_key)
-    return _embeddings([words], dim, seed)[0]
-
-
 @dataclass
 class RQNode:
     node_id: int

@@ -50,9 +50,9 @@ class NotSupported(GentrievalError):
 
 
 class UnknownToken(GentrievalError):
-    def __init__(self, token: int, detail: str = ""):
+    def __init__(self, token: int):
         self.token = token
-        super().__init__(detail or f"token id {token} outside the vocabulary")
+        super().__init__(f"token id {token} outside the vocabulary")
 
 
 class MissingEnd(GentrievalError):

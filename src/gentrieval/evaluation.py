@@ -17,7 +17,7 @@ from .constraint import build as build_automaton
 from .corpus import Corpus, Query, load_corpus, load_queries
 from .decode import BeamConfig, RankedList
 from .docid import DocIdIndex
-from .errors import ConfigError, EmptyRuns, NotSupported
+from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, ScriptedModel, sequence_logprob
 from .orchestrator import (ModelBundle, R4RResult, RefineConfig,
                            _retrieve_prompt, collect_trace,
@@ -75,9 +75,8 @@ def nll_losses(model, corpus: Corpus, pairs: list[tuple[Query, str]],
                reg: PromptRegistry | None = None) -> NllReport:
     """Summed negative log-likelihood of gold path docids: indexing term over
     every document, retrieval term over the (query, doc) pairs. Diagnostic
-    only; nothing is trained here."""
-    if not hasattr(model, "next_token_distribution"):
-        raise NotSupported("nll diagnostics need a local model")
+    only; nothing is trained here. A model that cannot score tokens raises
+    NotSupported at the first sequence scored."""
     if mode not in ("standard", "instruction"):
         raise ConfigError(f"unknown nll mode {mode!r}")
     reg = reg or PromptRegistry.default()
@@ -209,6 +208,9 @@ def run_experiment(cfg: ExperimentConfig):
     paths are checked before the first query is decoded."""
     if cfg.jobs != 1:
         raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
+    if (cfg.report_path and cfg.trace_path and os.path.realpath(
+            cfg.report_path) == os.path.realpath(cfg.trace_path)):
+        raise ConfigError(f"report and trace are one file: {cfg.trace_path}")
     load_corpus(cfg.corpus_path)  # validates the referenced corpus file
     queries = load_queries(cfg.queries_path)
     index = DocIdIndex.load(cfg.index_path)

@@ -15,6 +15,12 @@ small, and constrained decoding can skip the default-scored tokens that
 cannot survive the beam cut. NgramModel memoises the pair per trained
 context, since beam steps and refine rounds ask for the same contexts again.
 
+A scoring model reads its vocabulary once, when it is built: NgramModel
+takes the vocabulary size then, and ScriptedModel resolves its rule words to
+ids then, so an unknown rule word fails at load. The vocabulary must not
+grow under a built model; an id added afterwards raises UnknownToken. Both
+models hand out shared distributions, which callers must not change.
+
 A scoring model may declare `window`, the number of trailing context tokens
 its distribution depends on (order - 1 for NgramModel, the longest rule
 context for ScriptedModel). Constrained decoding then passes only that many
@@ -25,7 +31,6 @@ with the prompt. A model without `window` is given its full context.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import Counter
 
@@ -106,6 +111,8 @@ class ScriptedModel:
     floor log-probability. With no matching rule the distribution is
     uniform over the vocabulary minus SEP. A rule reads no more trailing
     tokens than its context holds, so `window` is the longest rule context.
+    Rule words are resolved to ids at construction, and one that is not in
+    the vocabulary raises ConfigError.
     """
 
     def __init__(self, vocab: Vocabulary,
@@ -113,7 +120,24 @@ class ScriptedModel:
                  dist_rules: list[dict] | None = None):
         self.vocab = vocab
         self.generate_rules = generate_rules or []
-        self.dist_rules = dist_rules or []
+        self._v = len(vocab)
+
+        def tid(word: str, rule: int) -> int:
+            t = vocab.id_of(word)
+            if t is None:
+                raise ConfigError(f"distributions rule {rule}: {word!r} is "
+                                  "not in the vocabulary")
+            return t
+
+        # Per distribution rule: its context ids and its distribution.
+        self._dists = [
+            ([tid(w, i) for w in r["context"]],
+             (FLOOR_LOGPROB, {tid(w, i): math.log(p)
+                              for w, p in r["probs"].items()}))
+            for i, r in enumerate(dist_rules or [])]
+        self.window = max((len(c) for c, _ in self._dists), default=0)
+        # Uniform over the vocabulary with SEP masked.
+        self._uniform = math.log(1.0 / (self._v - 1)), {SEP: FLOOR_LOGPROB}
         interiors = [_interior_tokens(r["match"]) for r in self.generate_rules]
         df = Counter(tok for toks in interiors for tok in set(toks))
         # Rule ids per anchor token, and the ids tried on every call.
@@ -126,15 +150,12 @@ class ScriptedModel:
             else:
                 self._always.append(i)
 
-    @property
-    def window(self) -> int:
-        return max((len(r["context"]) for r in self.dist_rules), default=0)
-
     @classmethod
     def from_file(cls, path, vocab: Vocabulary) -> "ScriptedModel":
         """Rules from a JSON file: a bare list of generate rules, or an
         object with "generate" and "distributions" lists. Raises ConfigError
-        for a file that is not JSON and for a rule of the wrong shape."""
+        for a file that is not JSON, for a rule of the wrong shape and for a
+        rule word outside *vocab*."""
         obj = read_json(path)
         if isinstance(obj, list):  # bare list of generate rules
             obj = {"generate": obj}
@@ -151,7 +172,10 @@ class ScriptedModel:
                            else "not an object")
                 if problem:
                     raise ConfigError(f"{path}: {section} rule {i}: {problem}")
-        return cls(vocab, generate_rules=generate, dist_rules=dists)
+        try:
+            return cls(vocab, generate_rules=generate, dist_rules=dists)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def generate(self, prompt: str, max_tokens: int) -> str:
         by_token = self._by_token
@@ -172,38 +196,26 @@ class ScriptedModel:
                         if len(words) > max_tokens else rule["response"])
         return ""
 
-    def _rule_id(self, word: str, rule: int) -> int:
-        tid = (END if word == "<end>" else SEP if word == "<sep>"
-               else self.vocab.id_of(word))
-        if tid is None:
-            raise UnknownToken(-1, f"distribution rule {rule} names {word!r}, "
-                                   "which is not in the vocabulary")
-        return tid
-
     def next_token_distribution(self, ctx: list[int]
                                 ) -> tuple[float, dict[int, float]]:
-        v = len(self.vocab)
-        _check_ctx(ctx, v)
-        for i, rule in enumerate(self.dist_rules):
-            pattern = [self._rule_id(w, i) for w in rule["context"]]
-            if pattern and list(ctx[-len(pattern):]) != pattern:
-                continue
-            return FLOOR_LOGPROB, {
-                self._rule_id(w, i): math.log(p)
-                for w, p in rule["probs"].items()}
-        # Uniform over the vocabulary with SEP masked.
-        return math.log(1.0 / (v - 1)), {SEP: FLOOR_LOGPROB}
+        _check_ctx(ctx, self._v)
+        for pattern, dist in self._dists:
+            if not pattern or list(ctx[-len(pattern):]) == pattern:
+                return dist
+        return self._uniform
 
 
 class NgramModel:
     """Order-n model with add-one smoothing, trained on prompt||target pairs.
 
-    Distributions are memoised per context key (the last order - 1 tokens)
-    for trained contexts only, so the memo never outgrows self.counts;
-    train_pair and a change in the vocabulary size clear it. Callers share
-    the memoised overrides dict and must not change it. The key is the
-    whole of what a distribution reads, so `window` is order - 1, and
-    generate carries only that many trailing tokens from step to step.
+    The vocabulary size is read once, at construction. Distributions are
+    memoised per context key (the last order - 1 tokens) for trained
+    contexts only, so the memo never outgrows self.counts; train_pair
+    clears it. Every untrained context gets one prebuilt uniform pair.
+    Callers share the returned overrides dicts and must not change them.
+    The key is the whole of what a distribution reads, so `window` is
+    order - 1, and generate carries only that many trailing tokens from
+    step to step.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
@@ -215,7 +227,8 @@ class NgramModel:
         # Per context, sum(self.counts[ctx].values()), kept by train_pair.
         self.totals: dict[tuple[int, ...], int] = {}
         self._memo: dict[tuple[int, ...], tuple[float, dict[int, float]]] = {}
-        self._memo_vocab_size = len(vocab)
+        self._v = len(vocab)
+        self._unseen = math.log(1 / self._v), {}
 
     @property
     def window(self) -> int:
@@ -233,19 +246,15 @@ class NgramModel:
 
     def next_token_distribution(self, ctx: list[int]
                                 ) -> tuple[float, dict[int, float]]:
-        v = len(self.vocab)
-        _check_ctx(ctx, v)
-        if v != self._memo_vocab_size:
-            self._memo.clear()
-            self._memo_vocab_size = v
+        _check_ctx(ctx, self._v)
         key = tuple(ctx[max(0, len(ctx) - (self.order - 1)):])
         dist = self._memo.get(key)
         if dist is not None:
             return dist
         counts = self.counts.get(key)
         if counts is None:
-            return math.log(1 / v), {}
-        total = self.totals[key] + v
+            return self._unseen
+        total = self.totals[key] + self._v
         dist = math.log(1 / total), {
             t: math.log((c + 1) / total) for t, c in counts.items()}
         self._memo[key] = dist
@@ -257,7 +266,7 @@ class NgramModel:
         w = max(self.window, 1)
         ctx = self.vocab.encode(prompt, on_unknown="skip")[-w:]
         out: list[int] = []
-        v = len(self.vocab)
+        v = self._v
         for _ in range(max_tokens):
             default, overrides = self.next_token_distribution(ctx)
             # Highest score, ties to the smallest id: of the default-scored
@@ -276,18 +285,16 @@ class NgramModel:
 
 
 class RemoteModel:
-    """HTTP adapter for text generation: POST {url}/generate.
+    """HTTP adapter for text generation: POST {base_url}/generate.
 
-    Timeouts, connection errors and 5xx responses are retried up to
-    max_retries times with exponential backoff between attempts.
+    The caller supplies the endpoint. Timeouts, connection errors and 5xx
+    responses are retried up to max_retries times with exponential backoff
+    between attempts.
     """
 
-    def __init__(self, base_url: str | None = None, max_retries: int = 2,
+    def __init__(self, base_url: str, max_retries: int = 2,
                  timeout: float = 30.0, session=None):
-        self.base_url = (base_url or os.environ.get("GENTRIEVAL_REMOTE_URL", "")
-                         ).rstrip("/")
-        if not self.base_url:
-            raise RemoteUnavailable("no remote endpoint configured")
+        self.base_url = base_url.rstrip("/")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.max_retries = max_retries

@@ -48,10 +48,6 @@ class ModelBundle:
     retrieve_model: object
     reason_model: object
 
-    @classmethod
-    def single(cls, model) -> "ModelBundle":
-        return cls(retrieve_model=model, reason_model=model)
-
     @property
     def shared(self) -> bool:
         return self.retrieve_model is self.reason_model

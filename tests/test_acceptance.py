@@ -197,7 +197,7 @@ def run_scripted_loop(rules, verify_depth=2, round_budget=3):
     index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
     model = ScriptedModel(index.vocab, generate_rules=rules,
                           dist_rules=TOY_DIST_RULES)
-    return run_r4r(QUERY, ModelBundle.single(model), TrieAutomaton(index),
+    return run_r4r(QUERY, ModelBundle(model, model), TrieAutomaton(index),
                    index, PromptRegistry.default(),
                    BeamConfig(beam_width=3, max_len=4),
                    RefineConfig(verify_depth=verify_depth,
@@ -352,7 +352,7 @@ def test_acceptance_7_refinement_gain():
     retriever = NgramModel(index.vocab)
 
     def teach(prompt, surface):
-        target = index.vocab.encode(surface) + [END]
+        target = index.vocab.encode(surface, on_unknown="grow") + [END]
         for _ in range(3):
             retriever.train_pair(
                 index.vocab.encode(prompt, on_unknown="skip"), target)

@@ -98,6 +98,16 @@ class TestBuildIndex:
         assert not out.exists()
 
 
+def unknown_word_rules(workspace) -> str:
+    """A rule file whose first distribution rule matches every context and
+    whose second names a word the toy index lacks."""
+    rules = workspace["dir"] / "unknown-word.json"
+    rules.write_text(json.dumps({"distributions": [
+        {"context": [], "probs": {"food": 1.0}},
+        {"context": ["food"], "probs": {"plugh": 1.0}}]}))
+    return str(rules)
+
+
 class TestRetrieve:
     def test_output_format_and_ranking(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
@@ -200,6 +210,20 @@ class TestRetrieve:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unknown_rule_word_fails_before_decoding(self, workspace, capsys,
+                                                     monkeypatch):
+        decoded = []
+        monkeypatch.setattr("gentrieval.cli.run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        rules = unknown_word_rules(workspace)
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", rules, "--query", "which fruit calories"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {rules}: distributions rule 1: 'plugh' is not in the "
+            "vocabulary"]
+        assert decoded == []
+
     def test_ngram_model(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
                    "--model", "ngram", "--train-queries",
@@ -262,6 +286,41 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert decoded == []
+
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_report_and_trace_one_file(self, workspace, capsys, monkeypatch,
+                                       spelling):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        report, _, argv = self.args(workspace, "same")
+        trace = {"same": report,
+                 "dot": workspace["dir"] / "." / report.name,
+                 "symlink": workspace["dir"] / "link.json"}[spelling]
+        if spelling == "symlink":
+            trace.symlink_to(report)
+        argv[argv.index("--trace") + 1] = str(trace)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: report and trace are one file: {trace}"]
+        assert decoded == []
+        assert not report.exists()
+
+    def test_unknown_rule_word_fails_before_decoding(self, workspace, capsys,
+                                                     monkeypatch):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        rules = unknown_word_rules(workspace)
+        for flag in ("--model", "--reason-model"):
+            report, trace, argv = self.args(workspace, "w")
+            argv[argv.index(flag) + 1] = rules
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {rules}: distributions rule 1: 'plugh' is not in "
+                "the vocabulary"]
+            assert decoded == []
+            assert not report.exists() and not trace.exists()
 
     def test_blank_query_fails_before_decoding(self, workspace, capsys,
                                                monkeypatch):

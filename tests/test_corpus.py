@@ -206,9 +206,9 @@ class TestTokenizer:
         v = Vocabulary()
         v.encode("known", on_unknown="grow")
         v.freeze()
-        assert v.encode("known") == [2]
+        assert v.encode("known", on_unknown="grow") == [2]
         with pytest.raises(VocabularyFrozen):
-            v.encode("unknown")
+            v.encode("unknown", on_unknown="grow")
 
     def test_skip_mode(self):
         v = Vocabulary()
@@ -226,7 +226,8 @@ class TestTokenizer:
         v = Vocabulary()
         v.encode("alpha beta gamma", on_unknown="grow")
         v2 = Vocabulary.from_dict(v.to_dict())
-        assert v2.encode("beta") == v.encode("beta", on_unknown="grow")
+        assert v2.encode("beta", on_unknown="grow") == \
+            v.encode("beta", on_unknown="grow")
         assert len(v2) == len(v)
 
     @given(st.text(max_size=200))

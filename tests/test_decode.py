@@ -471,7 +471,7 @@ class TestMergeViews:
             Hypothesis((END,), math.log(0.25), (rec("A", "a2", "title"),)),
             Hypothesis((END,), math.log(0.45), (rec("B", "b1", "path"),)),
         ]
-        ranked = merge_views(hyps)
+        ranked = merge_views(hyps, k=10)
         assert ranked.doc_keys() == ["A", "B"]
         assert ranked[0].score == pytest.approx(math.log(0.5))
         assert ranked[1].score == pytest.approx(math.log(0.45))
@@ -481,7 +481,7 @@ class TestMergeViews:
             Hypothesis((END,), math.log(0.1), (rec("A", "weak", "title"),)),
             Hypothesis((END,), math.log(0.3), (rec("A", "strong", "path"),)),
         ]
-        ranked = merge_views(hyps)
+        ranked = merge_views(hyps, k=10)
         assert ranked[0].record.surface == "strong"
 
     def test_k_truncation_and_tie_order(self):
@@ -498,7 +498,7 @@ class TestMergeViews:
             Hypothesis((END,), -0.2, (rec("d1", "x"),)),
             Hypothesis((END,), -0.9, (rec("d2", "y"),)),
         ]
-        merged = merge_views(hyps)
+        merged = merge_views(hyps, k=10)
         deduped = dedup_rank(hypotheses_to_candidates(hyps), k=10)
         assert merged.doc_keys() == deduped.doc_keys()
         for m, d in zip(merged, deduped):

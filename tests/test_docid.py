@@ -14,7 +14,7 @@ from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
 from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
                               RQNode, TermStats, ViewConfig, assign_keywords,
                               build_index, build_rq_hierarchy, build_views,
-                              embed_document, path_docid)
+                              path_docid)
 from gentrieval.errors import (EmptyDocument, EmptyIndex, MalformedIndex,
                                UnknownDoc)
 
@@ -50,20 +50,20 @@ TOY_INDEX_SHA256 = {
 }
 
 
+def embed(text: str, dim: int = 64, seed: int = 0) -> np.ndarray:
+    """The build's embedding of one document's text."""
+    return docid._embeddings([words_of(text)], dim, seed)[0]
+
+
 class TestEmbedding:
     def test_identical_text_identical_vector(self):
-        a = embed_document(Document("a", "apple pie recipe"), dim=16)
-        b = embed_document(Document("b", "apple pie recipe"), dim=16)
+        a = embed("apple pie recipe", dim=16)
+        b = embed("apple pie recipe", dim=16)
         assert np.array_equal(a, b)
 
     def test_normalized(self):
-        v = embed_document(Document("a", "some words here"), dim=32)
+        v = embed("some words here", dim=32)
         assert np.linalg.norm(v) == pytest.approx(1.0)
-
-    def test_empty_document(self):
-        with pytest.raises(EmptyDocument,
-                           match="document 'a' has no words to embed"):
-            embed_document(Document("a", "!!!"), dim=16)
 
     def test_disjoint_words_mostly_dissimilar(self):
         rng = random.Random(7)
@@ -71,16 +71,15 @@ class TestEmbedding:
         for _ in range(100):
             wa = [f"a{rng.randint(0, 5000)}" for _ in range(10)]
             wb = [f"b{rng.randint(0, 5000)}" for _ in range(10)]
-            va = embed_document(Document("a", " ".join(wa)), dim=64)
-            vb = embed_document(Document("b", " ".join(wb)), dim=64)
+            va = embed(" ".join(wa), dim=64)
+            vb = embed(" ".join(wb), dim=64)
             if abs(float(va @ vb)) < 0.5:
                 below += 1
         assert below >= 95
 
     def test_seed_changes_embedding(self):
-        doc = Document("a", "apple pie recipe")
-        assert not np.array_equal(embed_document(doc, seed=0),
-                                  embed_document(doc, seed=1))
+        assert not np.array_equal(embed("apple pie recipe", seed=0),
+                                  embed("apple pie recipe", seed=1))
 
 
 class TestRQHierarchy:
@@ -803,7 +802,7 @@ class TestMatchesReference:
             corpus.append(Document("stop", "the and of " + corpus["d000"].text))
             terms = terms_of(corpus)
             h = assign_keywords(build_rq_hierarchy(
-                *sorted_rows({d.doc_key: embed_document(d, dim=8)
+                *sorted_rows({d.doc_key: embed(d.text, dim=8)
                               for d in corpus}),
                 levels=2, branching=3), terms)
             groups = [[k] for k in corpus.by_key]

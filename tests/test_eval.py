@@ -147,13 +147,14 @@ class TestNll:
 
     def test_requires_local_model(self):
         index, _ = toy_nll_setup()
+        q = Query("q1", "which fruit", frozenset({"d1"}))
 
         class GenOnly:
             def generate(self, prompt, max_tokens):
                 return ""
 
         with pytest.raises(NotSupported):
-            nll_losses(GenOnly(), Corpus([]), [], index)
+            nll_losses(GenOnly(), Corpus([]), [(q, "d1")], index)
 
     def test_unknown_mode(self):
         index, model = toy_nll_setup()

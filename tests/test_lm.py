@@ -89,7 +89,11 @@ class TestScriptedGenerate:
         index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
         m = ScriptedModel.from_file(p, index.vocab)
         assert m.generate("a", 256) == "b"
-        assert len(m.dist_rules) == len(TOY_DIST_RULES)
+        toy, _ = toy_model()
+        for word in TOY_EXTRA_WORDS + ["food", "apple", "tech", "banana"]:
+            ctx = [index.vocab.id_of(word)]
+            assert m.next_token_distribution(ctx) == \
+                toy.next_token_distribution(ctx)
 
 
 def naive_generate(rules, prompt, max_tokens):
@@ -291,27 +295,34 @@ class TestScriptedDistribution:
         with pytest.raises(UnknownToken):
             m.next_token_distribution([len(index.vocab)])
 
-    def test_unknown_rule_word(self):
-        index = make_index(TOY_SURFACES)
-        m = ScriptedModel(index.vocab,
-                          dist_rules=[{"context": [], "probs": {"xyzzy": 1.0}}])
-        with pytest.raises(UnknownToken):
-            m.next_token_distribution([])
-
-    @pytest.mark.parametrize("rules, index", [
-        ([{"context": ["xyzzy"], "probs": {"food": 1.0}}], 0),
+    @pytest.mark.parametrize("rules, index, word", [
+        ([{"context": [], "probs": {"xyzzy": 1.0}}], 0, "xyzzy"),
+        ([{"context": ["xyzzy"], "probs": {"food": 1.0}}], 0, "xyzzy"),
         ([{"context": ["tech"], "probs": {"food": 1.0}},
-          {"context": [], "probs": {"plugh": 0.5}}], 1)])
-    def test_unknown_rule_word_names_word_and_rule(self, rules, index):
-        m = ScriptedModel(make_index(TOY_SURFACES).vocab, dist_rules=rules)
-        with pytest.raises(UnknownToken) as exc:
-            m.next_token_distribution([])
-        word = "xyzzy" if index == 0 else "plugh"
-        assert str(exc.value) == (f"distribution rule {index} names "
-                                  f"{word!r}, which is not in the vocabulary")
+          {"context": [], "probs": {"plugh": 0.5}}], 1, "plugh"),
+        # An earlier rule matches every context, so the later rule is never
+        # reached; its word still fails at construction.
+        ([{"context": [], "probs": {"food": 1.0}},
+          {"context": ["plugh"], "probs": {"food": 1.0}}], 1, "plugh")])
+    def test_unknown_rule_word_fails_at_construction(self, rules, index,
+                                                     word):
+        with pytest.raises(ConfigError) as exc:
+            ScriptedModel(make_index(TOY_SURFACES).vocab, dist_rules=rules)
+        assert str(exc.value) == (f"distributions rule {index}: {word!r} is "
+                                  "not in the vocabulary")
+
+    def test_reserved_words_name_end_and_sep(self):
+        vocab = make_index(TOY_SURFACES).vocab
+        m = ScriptedModel(vocab, dist_rules=[
+            {"context": ["<sep>"], "probs": {"<end>": 1.0}},
+            {"context": [], "probs": {"<sep>": 0.5}}])
+        assert m.next_token_distribution([SEP]) == (FLOOR_LOGPROB,
+                                                    {END: 0.0})
+        assert m.next_token_distribution([END]) == (
+            FLOOR_LOGPROB, {SEP: math.log(0.5)})
 
     def test_window_is_longest_rule_context(self):
-        vocab = make_index(TOY_SURFACES).vocab
+        vocab = make_index(TOY_SURFACES, TOY_EXTRA_WORDS).vocab
         assert ScriptedModel(vocab).window == 0
         assert ScriptedModel(vocab, dist_rules=TOY_DIST_RULES).window == 1
         rules = [{"context": ["food", "apple", "<end>"], "probs": {}},
@@ -478,16 +489,30 @@ class TestNgramMemo:
             assert m.next_token_distribution(ctx) == \
                 fresh.next_token_distribution(ctx)
 
-    def test_vocabulary_growth_changes_default(self):
+    def test_untrained_context_is_one_prebuilt_pair(self):
+        vocab = Vocabulary()
+        a, b, c = vocab.encode("a b c", on_unknown="grow")
+        m = self.trained(vocab, [([a], [b, END])])
+        first = m.next_token_distribution([c])
+        assert first == (math.log(1 / len(vocab)), {})
+        for ctx in ([c], [b], [b, c], [END, a, c]):
+            assert m.next_token_distribution(ctx) is first
+        assert not m._memo.keys() & {(c,), (b,), (b, c), (a, c)}
+
+    @pytest.mark.parametrize("make", [
+        lambda vocab: NgramModel(vocab),
+        lambda vocab: ScriptedModel(vocab, dist_rules=[
+            {"context": [], "probs": {"a": 1.0}}])], ids=["ngram", "scripted"])
+    def test_id_added_after_build_is_unknown(self, make):
         vocab = Vocabulary()
         a, b = vocab.encode("a b", on_unknown="grow")
-        m = self.trained(vocab, [([a], [b, END])])
-        before = m.next_token_distribution([a])
-        assert before == (math.log(1 / 5), {b: math.log(2 / 5)})
-        vocab.encode("c", on_unknown="grow")
-        assert m.next_token_distribution([a]) == (
-            math.log(1 / 6), {b: math.log(2 / 6)})
-        assert m.next_token_distribution([b]) == (math.log(1 / 5), {})
+        m = make(vocab)
+        m.next_token_distribution([a, b])
+        [c] = vocab.encode("c", on_unknown="grow")
+        with pytest.raises(UnknownToken):
+            m.next_token_distribution([c])
+        with pytest.raises(UnknownToken):
+            m.next_token_distribution([a, c])
 
     def test_unknown_token_before_memoised_tail(self):
         vocab = Vocabulary()
@@ -731,15 +756,9 @@ class TestRemote:
         with pytest.raises(ValueError):
             RemoteModel(base_url=http_endpoint, max_retries=-1)
 
-    def test_no_endpoint_configured(self, monkeypatch):
-        monkeypatch.delenv("GENTRIEVAL_REMOTE_URL", raising=False)
-        with pytest.raises(RemoteUnavailable):
-            RemoteModel()
-
-    def test_env_fallback(self, http_endpoint, monkeypatch):
-        monkeypatch.setenv("GENTRIEVAL_REMOTE_URL", http_endpoint)
-        m = RemoteModel()
-        assert m.base_url == http_endpoint
+    def test_endpoint_is_the_callers(self, http_endpoint, monkeypatch):
+        monkeypatch.setenv("GENTRIEVAL_REMOTE_URL", "http://elsewhere.test")
+        assert RemoteModel(http_endpoint + "/").base_url == http_endpoint
 
 
 class _Reply:

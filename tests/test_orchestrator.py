@@ -101,7 +101,7 @@ class TestDirectCot:
         rules = [{"match": "think step by step",
                   "response": "the answer involves company details"}]
         index, model, automaton, cfg = setup(rules)
-        ranked = run_direct_cot(QUERY, ModelBundle.single(model), automaton,
+        ranked = run_direct_cot(QUERY, ModelBundle(model, model), automaton,
                                 index, PromptRegistry.default(), cfg)
         # Reasoning text ends in "details" -> tech branch first.
         assert ranked.doc_keys() == ["d2", "d1", "d3"]
@@ -109,7 +109,7 @@ class TestDirectCot:
     def test_empty_reasoning_degrades_to_standard(self):
         index, model, automaton, cfg = setup([])
         reg = PromptRegistry.default()
-        ranked = run_direct_cot(QUERY, ModelBundle.single(model), automaton,
+        ranked = run_direct_cot(QUERY, ModelBundle(model, model), automaton,
                                 index, reg, cfg)
         std = run_standard(QUERY, model, automaton, index, reg, cfg)
         assert ranked.doc_keys() == std.doc_keys()
@@ -119,7 +119,7 @@ class TestRefineLoop:
     def run(self, rules, refine=None, **kw):
         index, model, automaton, cfg = setup(rules)
         refine = refine or RefineConfig(verify_depth=2, round_budget=3)
-        return run_r4r(QUERY, ModelBundle.single(model), automaton, index,
+        return run_r4r(QUERY, ModelBundle(model, model), automaton, index,
                        PromptRegistry.default(), cfg, refine, **kw)
 
     def test_all_relevant_walkthrough(self):
@@ -212,7 +212,7 @@ class TestRefineLoop:
         counting = CountingModel(model)
         t, big_t = 2, 3
         refine = RefineConfig(verify_depth=t, round_budget=big_t)
-        run_r4r(QUERY, ModelBundle.single(counting), automaton, index,
+        run_r4r(QUERY, ModelBundle(counting, counting), automaton, index,
                 PromptRegistry.default(), cfg, refine)
         # think (<=2) + per round: verify (<=2t) + reflect (<=2)
         assert counting.generate_calls <= 2 + big_t * (2 * t + 2)
@@ -243,7 +243,7 @@ class TestAblations:
         index, model, automaton, cfg = setup(rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_VERIFICATION}))
-        result = run_r4r(QUERY, ModelBundle.single(model), automaton, index,
+        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
                          PromptRegistry.default(), cfg, refine)
         assert result.reason == REASON_BUDGET_EXHAUSTED
         assert result.rounds_used == 3
@@ -261,7 +261,7 @@ class TestAblations:
         index, model, automaton, cfg = setup(rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_CONTEXT}))
-        result = run_r4r(QUERY, ModelBundle.single(model), automaton, index,
+        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
                          PromptRegistry.default(), cfg, refine)
         assert result.ranked.doc_keys()[0] == "d1"
 
@@ -273,7 +273,7 @@ class TestAblations:
         index, model, automaton, cfg = setup(result_rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_EXPLANATION}))
-        result = run_r4r(QUERY, ModelBundle.single(model), automaton, index,
+        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
                          PromptRegistry.default(), cfg, refine)
         assert all(rt.explanation == "" for rt in result.trace)
 
@@ -289,7 +289,7 @@ class TestAblations:
         counting = CountingModel(model)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset(ablation))
-        result = run_r4r(QUERY, ModelBundle.single(counting), automaton,
+        result = run_r4r(QUERY, ModelBundle(counting, counting), automaton,
                          index, PromptRegistry.default(), cfg, refine)
         assert result.reason == REASON_BUDGET_EXHAUSTED
         return collect_trace(result, QUERY.query_id), counting.prompts
@@ -327,7 +327,7 @@ class TestTrace:
     def test_schema(self):
         index, model, automaton, cfg = setup(WALKTHROUGH_RULES)
         refine = RefineConfig(verify_depth=2, round_budget=3)
-        result = run_r4r(QUERY, ModelBundle.single(model), automaton, index,
+        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
                          PromptRegistry.default(), cfg, refine, timing=False)
         rec = collect_trace(result, QUERY.query_id)
         assert rec["qid"] == "q1"
