@@ -112,8 +112,6 @@ def main() -> int:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    # The retrieve reasoner stays local.
-    os.environ.pop("GENTRIEVAL_REMOTE_URL", None)
     subprocess.run([sys.executable, str(ROOT / "scripts" / "make_toy_data.py"),
                     "--out", "data", "--docs", str(args.docs),
                     "--queries", "12", "--seed", "5"],

@@ -2,19 +2,24 @@
 """Generate a small synthetic corpus, query file, and scripted reasoner.
 
 Each document is dominated by one distinctive keyword, so the residual-
-quantization path docids are predictable and the n-gram retriever can
-memorize query -> docid mappings. The emitted files plug straight into the
-`gentrieval` CLI:
+quantization path docids are predictable. The emitted files plug straight
+into the `gentrieval` CLI; the README's toy experiment is this sequence,
+which compares the standard pipeline with the refine loop over a t/T
+sweep::
 
     python scripts/make_toy_data.py --out data/
     gentrieval build-index --corpus data/corpus.jsonl --out data/index.json \
         --levels 1 --branching 40
     gentrieval run --index data/index.json --corpus data/corpus.jsonl \
         --queries data/queries.jsonl --model ngram \
+        --train-queries data/queries.jsonl --pipeline standard \
+        --report data/report-standard.json
+    gentrieval run --index data/index.json --corpus data/corpus.jsonl \
+        --queries data/queries.jsonl --model ngram \
         --train-queries data/queries.jsonl --pipeline r4r \
-        --reason-model data/reasoner.json --report data/report.json \
-        --trace data/trace.jsonl
-    gentrieval stats --trace data/trace.jsonl
+        --reason-model data/reasoner.json --sweep-t 1,3 --sweep-T 1,3 \
+        --report data/report-r4r.json --trace data/trace-r4r.jsonl
+    gentrieval stats --trace data/trace-r4r.jsonl
 """
 
 import argparse

@@ -8,18 +8,17 @@ threaded from --seed for byte-reproducible artifacts.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Query, load_corpus, read_jsonl
-from .docid import (VIEW_NGRAM, VIEW_PSEUDO_QUERY, VIEW_TITLE, DocIdIndex,
-                    build_index)
-from .errors import ConfigError, GentrievalError
+from .docid import VIEWS, DocIdIndex, build_index
+from .errors import GentrievalError
 from .evaluation import (ExperimentConfig, make_retrieve_model,
                          run_experiment, run_pipeline, termination_stats)
 from .lm import RemoteModel
-from .orchestrator import ModelBundle, RefineConfig, default_beam_config
+from .orchestrator import (ABLATIONS, PIPELINES, ModelBundle, RefineConfig,
+                           default_beam_config)
 from .reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 
@@ -52,6 +51,11 @@ def positive_ints(text: str) -> tuple[int, ...]:
     return tuple(positive_int(x) for x in text.split(",") if x)
 
 
+def names(text: str) -> frozenset[str]:
+    """Argparse type: a comma list of names, checked where they are used."""
+    return frozenset(x for x in text.split(",") if x)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gentrieval",
@@ -67,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=positive_int, default=8)
     p.add_argument("--dim", type=bounded_int(2, MAX_DIM), default=64,
                    help=f"embedding width, at most {MAX_DIM}")
-    p.add_argument("--views", default="",
-                   help="comma list from {title,ngram,pseudo_query}")
+    p.add_argument("--views", type=names, default="",
+                   help=f"comma list from {{{','.join(VIEWS)}}}")
     p.add_argument("--ngram-m", type=positive_int, default=3)
     p.add_argument("--ngram-n", type=positive_int, default=3)
     p.add_argument("--seed", type=bounded_int(0, 2 ** 64 - 1), default=0,
@@ -79,8 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--index", required=True)
     shared.add_argument("--strategy", choices=STRATEGIES, default="trie")
-    shared.add_argument("--pipeline", choices=["standard", "direct_cot", "r4r"],
-                        default="standard")
+    shared.add_argument("--pipeline", choices=PIPELINES, default="standard")
     shared.add_argument("--model", required=True,
                         help="scripted-model JSON path, or 'ngram'")
     shared.add_argument("--train-queries",
@@ -90,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="verify depth")
     shared.add_argument("--T", type=positive_int, default=3,
                         help="round budget")
-    shared.add_argument("--ablation", default="",
-                        help="comma list from {no_context,no_explanation,"
-                             "no_verification}")
+    shared.add_argument("--ablation", type=names, default="",
+                        help=f"comma list from {{{','.join(ABLATIONS)}}}")
     shared.add_argument("--merge-views", action="store_true")
     shared.add_argument("--prompts", help="prompt-override JSON path")
 
@@ -100,9 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rank docids for one query")
     p.add_argument("--query", required=True)
     p.add_argument("--remote-url",
-                   help="reasoning endpoint; defaults to env "
-                        "GENTRIEVAL_REMOTE_URL, and the flag wins when both "
-                        "are set")
+                   help="reasoning endpoint; without it the retrieval model "
+                        "also reasons")
 
     p = sub.add_parser("run", parents=[shared],
                        help="batch experiment over a query file")
@@ -116,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="report JSON output path")
     p.add_argument("--trace", help="trace JSONL output path")
     p.add_argument("--timing", action="store_true",
-                   help="record wall-clock latencies (breaks byte-level "
-                        "reproducibility)")
+                   help="record wall-clock time: mean_latency_ms per query "
+                        "in the report, ms per r4r round in the trace "
+                        "(breaks byte-level reproducibility)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed recorded in the report")
 
@@ -126,25 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-VIEWS = {VIEW_TITLE, VIEW_NGRAM, VIEW_PSEUDO_QUERY}
-ABLATIONS = {"no_context", "no_explanation", "no_verification"}
-
-
-def _parse_names(spec: str, valid: set[str], what: str) -> frozenset[str]:
-    """The names in the comma list *spec*; one outside *valid* is a
-    ConfigError that calls them *what*."""
-    names = frozenset(v for v in spec.split(",") if v)
-    bad = names - valid
-    if bad:
-        raise ConfigError(f"unknown {what}: {', '.join(sorted(bad))}")
-    return names
-
-
 def _cmd_build_index(args) -> int:
     corpus = load_corpus(args.corpus)
     index = build_index(
         corpus, levels=args.levels, branching=args.branching, dim=args.dim,
-        seed=args.seed, views=_parse_names(args.views, VIEWS, "views"),
+        seed=args.seed, views=args.views,
         ngram_m=args.ngram_m, ngram_n=args.ngram_n,
         extra_vocab_texts=list(DEFAULT_PROMPTS.values()))
     index.save(args.out)
@@ -155,19 +143,18 @@ def _cmd_build_index(args) -> int:
 
 
 def _cmd_retrieve(args) -> int:
+    refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
+                              ablation=args.ablation)
     index = DocIdIndex.load(args.index)
     automaton = build_automaton(args.strategy, index)
     reg = PromptRegistry.load(args.prompts)
     retrieve_model = make_retrieve_model(
         index, reg, None if args.model == "ngram" else args.model,
         args.train_queries)
-    remote_url = args.remote_url or os.environ.get("GENTRIEVAL_REMOTE_URL")
     bundle = ModelBundle(
         retrieve_model=retrieve_model,
-        reason_model=RemoteModel(remote_url) if remote_url else retrieve_model)
-    ablation = _parse_names(args.ablation, ABLATIONS, "ablation flags")
-    refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
-                              ablation=ablation)
+        reason_model=(RemoteModel(args.remote_url) if args.remote_url
+                      else retrieve_model))
     ranked, _ = run_pipeline(
         Query(query_id="cli", text=args.query), args.pipeline, bundle,
         automaton, index, reg, default_beam_config(index, k=args.k),
@@ -184,8 +171,7 @@ def _cmd_run(args) -> int:
         pipeline=args.pipeline, k=args.k, verify_depth=args.t,
         round_budget=args.T, t_sweep=args.sweep_t,
         T_sweep=args.sweep_T,
-        ablation=_parse_names(args.ablation, ABLATIONS, "ablation flags"),
-        merge=args.merge_views,
+        ablation=args.ablation, merge=args.merge_views,
         scripted_model_path=None if args.model == "ngram" else args.model,
         reason_model_path=args.reason_model,
         ngram_train_queries_path=args.train_queries,
@@ -201,8 +187,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_stats(args) -> int:
     stats = termination_stats([tr for _, tr in read_jsonl(args.trace)])
-    for reason in ("all_relevant", "budget_exhausted", "parse_failure"):
-        print(f"{reason}\t{stats[reason]:.4f}")
+    for reason, share in stats.items():
+        print(f"{reason}\t{share:.4f}")
     return 0
 
 

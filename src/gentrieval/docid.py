@@ -26,7 +26,8 @@ import numpy as np
 
 from .corpus import (END, SEP, Corpus, Document, Vocabulary, normalize,
                      words_of)
-from .errors import EmptyDocument, EmptyIndex, MalformedIndex, UnknownDoc
+from .errors import (ConfigError, EmptyDocument, EmptyIndex, MalformedIndex,
+                     UnknownDoc)
 
 try:  # hashlib would also load _hashlib and libcrypto for the same function
     from _blake2 import blake2b
@@ -42,6 +43,8 @@ VIEW_PATH = "path"
 VIEW_TITLE = "title"
 VIEW_NGRAM = "ngram"
 VIEW_PSEUDO_QUERY = "pseudo_query"
+# The views `build_index` can add to the path docids.
+VIEWS = (VIEW_TITLE, VIEW_NGRAM, VIEW_PSEUDO_QUERY)
 
 
 @dataclass(frozen=True)
@@ -467,6 +470,9 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     templates) before freezing, so decoding and local models share one id
     space.
     """
+    bad = sorted(v for v in views if v not in VIEWS)
+    if bad:
+        raise ConfigError(f"unknown views: {', '.join(bad)}")
     if not len(corpus):
         raise EmptyIndex("cannot build an index over an empty corpus")
     vocab = Vocabulary()

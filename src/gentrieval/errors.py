@@ -51,7 +51,6 @@ class NotSupported(GentrievalError):
 
 class UnknownToken(GentrievalError):
     def __init__(self, token: int):
-        self.token = token
         super().__init__(f"token id {token} outside the vocabulary")
 
 

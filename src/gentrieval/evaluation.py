@@ -4,13 +4,15 @@ The runner evaluates a query file through one of the three pipelines (with
 optional sweeps over verify depth and round budget), writing a JSON report
 and a JSONL trace. With local models and a fixed seed the artifacts are
 byte-identical across runs; wall-clock fields are recorded only when timing
-is explicitly enabled.
+is explicitly enabled: then a report row's `mean_latency_ms` is the
+wall-clock time of its pipeline calls per query, whatever the pipeline.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 
 from .constraint import build as build_automaton
@@ -19,7 +21,7 @@ from .decode import BeamConfig, RankedList
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, ScriptedModel, sequence_logprob
-from .orchestrator import (ModelBundle, R4RResult, RefineConfig,
+from .orchestrator import (REASONS, ModelBundle, R4RResult, RefineConfig,
                            _retrieve_prompt, collect_trace,
                            default_beam_config, run_direct_cot, run_r4r,
                            run_standard)
@@ -111,7 +113,7 @@ def termination_stats(traces: list[dict]) -> dict[str, float]:
     reason."""
     if not traces:
         raise EmptyRuns("termination stats over zero traces")
-    counts = {"all_relevant": 0, "budget_exhausted": 0, "parse_failure": 0}
+    counts = dict.fromkeys(REASONS, 0)
     for t in traces:
         reason = t.get("reason") if isinstance(t, dict) else t
         if not isinstance(reason, str) or reason not in counts:
@@ -205,12 +207,18 @@ def _check_writable(path: str | None) -> None:
 def run_experiment(cfg: ExperimentConfig):
     """Run all queries, in order, through the configured pipeline (sweeping
     t/T when requested) and write the report and trace artifacts. The output
-    paths are checked before the first query is decoded."""
+    paths are checked before the first query is decoded, and the refine
+    configs are built before any file is read."""
     if cfg.jobs != 1:
         raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
     if (cfg.report_path and cfg.trace_path and os.path.realpath(
             cfg.report_path) == os.path.realpath(cfg.trace_path)):
         raise ConfigError(f"report and trace are one file: {cfg.trace_path}")
+    t_values = cfg.t_sweep or (cfg.verify_depth,)
+    T_values = cfg.T_sweep or (cfg.round_budget,)
+    refine_cfgs = [RefineConfig(verify_depth=t, round_budget=T,
+                                ablation=cfg.ablation)
+                   for t in t_values for T in T_values]
     load_corpus(cfg.corpus_path)  # validates the referenced corpus file
     queries = load_queries(cfg.queries_path)
     index = DocIdIndex.load(cfg.index_path)
@@ -228,34 +236,29 @@ def run_experiment(cfg: ExperimentConfig):
     _check_writable(cfg.trace_path)
 
     sweep_rows = []
-    t_values = cfg.t_sweep or (cfg.verify_depth,)
-    T_values = cfg.T_sweep or (cfg.round_budget,)
     all_traces: list[dict] = []
-    for t in t_values:
-        for T in T_values:
-            refine_cfg = RefineConfig(verify_depth=t, round_budget=T,
-                                      ablation=cfg.ablation)
-            outcomes = [run_pipeline(q, cfg.pipeline, bundle, automaton,
-                                     index, reg, beam_cfg, refine_cfg,
-                                     cfg.merge, cfg.timing)
-                        for q in queries]
-            runs = [(ranked, q.relevant_keys)
-                    for (ranked, _), q in zip(outcomes, queries)]
-            traces = [collect_trace(res, q.query_id)
-                      for (_, res), q in zip(outcomes, queries)
-                      if res is not None]
-            latencies = [rt["ms"] for tr in traces
-                         for rt in tr["rounds_detail"]]
-            row = {"t": t, "T": T,
-                   "hits": {str(k): hits_at_k(runs, k) for k in cfg.hits_ks},
-                   "mrr": {str(k): mrr_at_k(runs, k) for k in cfg.mrr_ks},
-                   "n_queries": len(queries),
-                   "mean_latency_ms": (sum(latencies) / len(latencies)
-                                       if cfg.timing and latencies else 0.0)}
-            if traces:
-                row["termination"] = termination_stats(traces)
-            sweep_rows.append(row)
-            all_traces.extend(traces)
+    for refine_cfg in refine_cfgs:
+        start = time.perf_counter()
+        outcomes = [run_pipeline(q, cfg.pipeline, bundle, automaton, index,
+                                 reg, beam_cfg, refine_cfg, cfg.merge,
+                                 cfg.timing)
+                    for q in queries]
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        runs = [(ranked, q.relevant_keys)
+                for (ranked, _), q in zip(outcomes, queries)]
+        traces = [collect_trace(res, q.query_id)
+                  for (_, res), q in zip(outcomes, queries)
+                  if res is not None]
+        row = {"t": refine_cfg.verify_depth, "T": refine_cfg.round_budget,
+               "hits": {str(k): hits_at_k(runs, k) for k in cfg.hits_ks},
+               "mrr": {str(k): mrr_at_k(runs, k) for k in cfg.mrr_ks},
+               "n_queries": len(queries),
+               "mean_latency_ms": (elapsed_ms / len(queries)
+                                   if cfg.timing else 0.0)}
+        if traces:
+            row["termination"] = termination_stats(traces)
+        sweep_rows.append(row)
+        all_traces.extend(traces)
 
     report_obj = {
         "config": {

@@ -3,7 +3,9 @@ Think / Retrieve / Refine loop with verification-driven reflection.
 
 One loop run is sequential by construction; traces capture per-round context,
 explanation, candidates, judgments, the first-irrelevant rank, and, only
-when timing is enabled, latency.
+when timing is enabled, the round's wall-clock ms; `--timing`'s per-query
+latency, for every pipeline, is timed by `evaluation.run_experiment`. The
+module owns its choices' names: `PIPELINES`, `ABLATIONS`, `REASONS`.
 """
 
 from __future__ import annotations
@@ -15,17 +17,24 @@ from .corpus import Query
 from .decode import (BeamConfig, RankedList, constrained_beam_search,
                      dedup_rank, hypotheses_to_candidates, merge_views)
 from .docid import DocIdIndex
-from .errors import EmptyQuery
+from .errors import ConfigError, EmptyQuery
 from .reasoning import (PromptRegistry, ReasoningState, direct_cot, reflect,
                         think, verify)
 
 ABLATION_NO_CONTEXT = "no_context"
 ABLATION_NO_EXPLANATION = "no_explanation"
 ABLATION_NO_VERIFICATION = "no_verification"
+ABLATIONS = (ABLATION_NO_CONTEXT, ABLATION_NO_EXPLANATION,
+             ABLATION_NO_VERIFICATION)
 
 REASON_ALL_RELEVANT = "all_relevant"
 REASON_PARSE_FAILURE = "parse_failure"
 REASON_BUDGET_EXHAUSTED = "budget_exhausted"
+# Reports and `gentrieval stats` list the reasons in this order.
+REASONS = (REASON_ALL_RELEVANT, REASON_BUDGET_EXHAUSTED, REASON_PARSE_FAILURE)
+
+# Pipeline *name* runs through `run_<name>`.
+PIPELINES = ("standard", "direct_cot", "r4r")
 
 
 @dataclass(frozen=True)
@@ -37,6 +46,9 @@ class RefineConfig:
     def __post_init__(self):
         if self.verify_depth < 1 or self.round_budget < 1:
             raise ValueError("verify_depth and round_budget must be >= 1")
+        bad = sorted(a for a in self.ablation if a not in ABLATIONS)
+        if bad:
+            raise ConfigError(f"unknown ablation flags: {', '.join(bad)}")
 
 
 @dataclass
@@ -187,8 +199,8 @@ def collect_trace(result: R4RResult, qid: str) -> dict:
 
 
 __all__ = [
-    "ABLATION_NO_CONTEXT", "ABLATION_NO_EXPLANATION",
-    "ABLATION_NO_VERIFICATION", "REASON_ALL_RELEVANT",
+    "ABLATIONS", "ABLATION_NO_CONTEXT", "ABLATION_NO_EXPLANATION",
+    "ABLATION_NO_VERIFICATION", "PIPELINES", "REASONS", "REASON_ALL_RELEVANT",
     "REASON_PARSE_FAILURE", "REASON_BUDGET_EXHAUSTED", "ModelBundle",
     "R4RResult", "RefineConfig", "RoundTrace", "collect_trace",
     "default_beam_config", "run_direct_cot", "run_r4r", "run_standard",

@@ -5,18 +5,16 @@ Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
 
 import functools
 import json
-import math
 import random
 
 import numpy as np
 import pytest
 
 from gentrieval.cli import main as cli_main
-from gentrieval.constraint import (STRATEGIES, FmIndexAutomaton,
-                                   TermSetAutomaton, TrieAutomaton, build)
-from gentrieval.corpus import END, Corpus, Document, Query, load_queries
-from gentrieval.decode import BeamConfig, constrained_beam_search, dedup_rank, \
-    hypotheses_to_candidates
+from gentrieval.constraint import (FmIndexAutomaton, TermSetAutomaton,
+                                   TrieAutomaton)
+from gentrieval.corpus import END, Corpus, Document, Query
+from gentrieval.decode import BeamConfig, constrained_beam_search
 from gentrieval.docid import build_index, build_rq_hierarchy
 from gentrieval.evaluation import hits_at_k, mrr_at_k, nll_losses
 from gentrieval.fm_index import SequenceFMIndex

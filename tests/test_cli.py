@@ -5,7 +5,7 @@ import json
 import math
 import os
 import pathlib
-import socket
+import shlex
 import subprocess
 import sys
 
@@ -18,6 +18,7 @@ from gentrieval.decode import BeamConfig
 from gentrieval.docid import DocIdIndex
 from gentrieval.errors import ConfigError
 from gentrieval.evaluation import ExperimentConfig
+from gentrieval.orchestrator import PIPELINES
 
 from conftest import (PARSER_LIMITS, TOY_DIST_RULES, TOY_EXTRA_WORDS,
                       TOY_SURFACES, make_index)
@@ -79,11 +80,13 @@ class TestBuildIndex:
         assert outs[0] == outs[1]
 
     def test_unknown_view_rejected(self, workspace, capsys):
+        out = workspace["dir"] / "x.json"
         rc = main(["build-index", "--corpus", workspace["corpus"],
-                   "--out", str(workspace["dir"] / "x.json"),
-                   "--views", "hologram"])
+                   "--out", str(out), "--views", "title,titel,hologram"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown views: hologram, titel"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("rows, error", [
         ([{"id": "d1", "text": "apple"}, {"id": "a", "text": "!!!"}],
@@ -177,20 +180,6 @@ class TestRetrieve:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
-    def test_remote_url_from_environment(self, workspace, capsys,
-                                         monkeypatch):
-        with socket.socket() as sock:  # a local port with no listener
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        monkeypatch.setenv("GENTRIEVAL_REMOTE_URL", f"http://127.0.0.1:{port}")
-        rc = main(["retrieve", "--index", workspace["index"],
-                   "--model", workspace["model"],
-                   "--query", "which fruit calories", "--pipeline",
-                   "direct_cot"])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-
     def test_unprintable_doc_key_is_1(self, workspace, capsys):
         # A lone surrogate is valid JSON in an index's doc_key, but no
         # output encoding can print it. build-index refuses such an id, so
@@ -272,6 +261,32 @@ class TestRun:
         capsys.readouterr()
         obj = json.loads(report.read_text())
         assert obj["rows"][0]["mean_latency_ms"] > 0.0
+
+    @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
+    def test_timing_is_per_query_for_every_pipeline(self, workspace, capsys,
+                                                    pipeline):
+        report, _, argv = self.args(workspace, pipeline,
+                                    ("--timing", "--sweep-T", "1,2"))
+        argv[argv.index("--pipeline") + 1] = pipeline
+        assert main(argv) == 0
+        capsys.readouterr()
+        rows = json.loads(report.read_text())["rows"]
+        assert len(rows) == 2
+        assert all(row["mean_latency_ms"] > 0.0 for row in rows)
+
+    def test_unknown_ablation_fails_before_loading(self, workspace, capsys,
+                                                   monkeypatch):
+        loaded = []
+        monkeypatch.setattr(evaluation, "load_corpus", loaded.append)
+        monkeypatch.setattr(evaluation, "make_retrieve_model",
+                            lambda *args: loaded.append(args))
+        report, trace, argv = self.args(workspace, "a",
+                                        ("--ablation", "no_context,no_contxt"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown ablation flags: no_contxt"]
+        assert loaded == []
+        assert not report.exists() and not trace.exists()
 
     @pytest.mark.parametrize("flag", ["--report", "--trace"])
     def test_bad_output_path_fails_before_decoding(self, workspace, capsys,
@@ -366,25 +381,48 @@ class TestRun:
             (1, 1), (1, 3), (2, 1), (2, 3)]
 
 
+def commands(block: str) -> list[str]:
+    """The shell commands in *block*, continuation lines joined and
+    whitespace collapsed."""
+    return [" ".join(line.split())
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
 class TestToyScripts:
-    def test_run_toy_experiment(self, tmp_path):
-        scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(scripts.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, str(scripts / "make_toy_data.py"),
-                        "--out", str(tmp_path), "--docs", "40"],
-                       check=True, capture_output=True, env=env)
-        proc = subprocess.run(
-            [sys.executable, str(scripts / "run_toy_experiment.py"),
-             "--data", str(tmp_path)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        rows = [line for line in proc.stdout.splitlines()
-                if "hits@1=" in line]
-        assert len(rows) == 5  # standard, then r4r over t, T in {1, 3}
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+    def readme_toy_commands(self) -> list[str]:
+        text = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Toy experiment", 1)[1]
+        return commands(block.split("```sh\n", 1)[1].split("```", 1)[0])
+
+    def test_readme_toy_sequence(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for command in self.readme_toy_commands():
+            argv = shlex.split(command)
+            if argv[0] == "python":
+                subprocess.run([sys.executable, str(self.ROOT / argv[1]),
+                                *argv[2:]], check=True, capture_output=True)
+            else:
+                assert argv[0] == "gentrieval"
+                assert main(argv[1:]) == 0, command
+        out = capsys.readouterr().out
+        # standard once, then r4r over t, T in {1, 3}
+        assert len([ln for ln in out.splitlines() if "hits@1=" in ln]) == 5
+        assert "all_relevant\t1.0000" in out
         for name in ("report-standard.json", "report-r4r.json"):
-            assert json.loads((tmp_path / name).read_text())["rows"]
-        assert (tmp_path / "trace-r4r.jsonl").read_text().strip()
+            assert json.loads((tmp_path / "data" / name).read_text())["rows"]
+
+    def test_toy_sequence_is_documented_and_checked_once(self):
+        readme = self.readme_toy_commands()
+        script = (self.ROOT / "scripts" / "make_toy_data.py").read_text(
+            encoding="utf-8")
+        assert commands(script.split('"""', 2)[1].split("::\n", 1)[1]) == \
+            readme
+        workflow = self.ROOT / ".github" / "workflows" / "tests.yml"
+        assert set(readme) <= set(commands(
+            workflow.read_text(encoding="utf-8")))
 
     def test_artifact_matrix_reproducible(self, tmp_path):
         script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -455,6 +493,13 @@ class TestOptionInventory:
             [action] = [a for a in subparsers[command]._actions
                         if a.dest == "strategy"]
             assert tuple(action.choices) == ("trie", "fm_index", "term_set")
+
+    def test_pipeline_choices(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for command in ("retrieve", "run"):
+            [action] = [a for a in subparsers[command]._actions
+                        if a.dest == "pipeline"]
+            assert tuple(action.choices) == PIPELINES
 
     def test_config_fields(self):
         assert [f.name for f in dataclasses.fields(BeamConfig)] == [
@@ -582,7 +627,8 @@ class TestExitCodes:
                    "--model", workspace["model"], "--query", "which fruit",
                    "--pipeline", "r4r", "--ablation", "no_coffee"])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown ablation flags: no_coffee"]
 
 
 class TestMalformedInputs:
@@ -830,7 +876,7 @@ def argv_strategy(fuzz_files):
                              ["bogus", "fm", "termset"]),
         "--pipeline": mostly(["standard", "direct_cot", "r4r"], ["bogus"]),
         "--query": st.sampled_from(["which fruit calories", "", "zzz qqq"]),
-        # Empty, so the reasoner stays local (the environment is cleared).
+        # Empty, so the reasoner stays local.
         "--remote-url": st.just(""),
     }
     subparsers = build_parser()._subparsers._group_actions[0].choices
@@ -861,9 +907,7 @@ class TestCliContract:
     with exactly one `error:` line, or in argparse's exit 2; never in an
     uncaught exception."""
 
-    def test_fuzz_main(self, fuzz_files, monkeypatch):
-        monkeypatch.delenv("GENTRIEVAL_REMOTE_URL", raising=False)
-
+    def test_fuzz_main(self, fuzz_files):
         @settings(max_examples=300, deadline=None, derandomize=True)
         @given(argv_strategy(fuzz_files))
         def check(argv):

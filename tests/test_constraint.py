@@ -16,8 +16,8 @@ from gentrieval.errors import (EmptyIndex, IllegalTransition, InvalidState,
                                NotTerminal)
 from gentrieval.fm_index import SENTINEL, SequenceFMIndex, suffix_array
 
-from conftest import (TOY_SURFACES, TableModel, enumerate_accepted,
-                      make_index, random_record_index)
+from conftest import (TableModel, enumerate_accepted, make_index,
+                      random_record_index)
 
 
 def naive_suffix_array(seq):

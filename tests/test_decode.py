@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from gentrieval.constraint import STRATEGIES, TrieAutomaton, build
-from gentrieval.corpus import END, Vocabulary
-from gentrieval.decode import (BeamConfig, Candidate, Hypothesis, RankedList,
+from gentrieval.corpus import END
+from gentrieval.decode import (BeamConfig, Candidate, Hypothesis,
                                constrained_beam_search, dedup_rank,
                                hypotheses_to_candidates, merge_views)
-from gentrieval.docid import DocIdIndex, DocIdRecord
+from gentrieval.docid import DocIdRecord
 from gentrieval.errors import NoValidPath, UnknownToken
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 

@@ -15,8 +15,8 @@ from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
                               RQNode, TermStats, ViewConfig, assign_keywords,
                               build_index, build_rq_hierarchy, build_views,
                               path_docid)
-from gentrieval.errors import (EmptyDocument, EmptyIndex, MalformedIndex,
-                               UnknownDoc)
+from gentrieval.errors import (ConfigError, EmptyDocument, EmptyIndex,
+                               MalformedIndex, UnknownDoc)
 
 from conftest import (DEEP_JSON, JSON_VALUES, TOY_SURFACES, make_index,
                       random_text_corpus, reconstruction_error, sorted_rows)
@@ -445,6 +445,14 @@ class TestIndexBuild:
     def test_empty_corpus_refused(self):
         with pytest.raises(EmptyIndex, match="empty corpus"):
             build_index(Corpus([]))
+
+    @pytest.mark.parametrize("corpus", [
+        Corpus([Document("d1", "apple fruit")]), Corpus([])])
+    def test_unknown_view_refused(self, corpus):
+        # Checked before the corpus is: the empty corpus names the view too.
+        with pytest.raises(ConfigError) as exc:
+            build_index(corpus, views=frozenset({"titel", "title"}))
+        assert str(exc.value) == "unknown views: titel"
 
     def test_every_doc_has_record(self):
         rng = random.Random(3)

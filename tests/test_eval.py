@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from gentrieval.corpus import END, Corpus, Document, Query, Vocabulary
+from gentrieval.corpus import END, Corpus, Document, Query
 from gentrieval.decode import Candidate, RankedList
 from gentrieval.docid import DocIdRecord
 from gentrieval import evaluation
@@ -13,6 +13,7 @@ from gentrieval.evaluation import (ExperimentConfig, hits_at_k, mrr_at_k,
                                    nll_losses, run_experiment,
                                    termination_stats)
 from gentrieval.lm import NgramModel, ScriptedModel
+from gentrieval.orchestrator import REASONS
 from gentrieval.reasoning import DEFAULT_PROMPTS
 
 from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
@@ -189,6 +190,9 @@ class TestTerminationStats:
         with pytest.raises(EmptyRuns):
             termination_stats([])
 
+    def test_keys_are_the_reasons_in_order(self):
+        assert tuple(termination_stats(["parse_failure"])) == REASONS
+
 
 def write_jsonl(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
@@ -305,6 +309,18 @@ class TestRunExperiment:
             index_path=experiment_files["index_path"])
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    def test_unknown_ablation_fails_before_any_file_is_read(self, tmp_path):
+        missing = str(tmp_path / "missing")
+        cfg = ExperimentConfig(
+            corpus_path=missing, queries_path=missing, index_path=missing,
+            ngram_train_queries_path=missing, pipeline="r4r",
+            t_sweep=(1, 2), ablation=frozenset({"no_contxt"}),
+            report_path=str(tmp_path / "report.json"))
+        with pytest.raises(ConfigError,
+                           match="^unknown ablation flags: no_contxt$"):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_pipeline(self, experiment_files):
         cfg = ExperimentConfig(

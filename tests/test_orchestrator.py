@@ -3,14 +3,14 @@ import math
 import pytest
 
 from gentrieval.constraint import TrieAutomaton
-from gentrieval.corpus import Query, Vocabulary
+from gentrieval.corpus import Query
 from gentrieval.decode import BeamConfig
-from gentrieval.errors import EmptyQuery
+from gentrieval.errors import ConfigError, EmptyQuery
 from gentrieval.lm import ScriptedModel
 from gentrieval.orchestrator import (ABLATION_NO_CONTEXT,
                                      ABLATION_NO_EXPLANATION,
-                                     ABLATION_NO_VERIFICATION,
-                                     REASON_ALL_RELEVANT,
+                                     ABLATION_NO_VERIFICATION, ABLATIONS,
+                                     PIPELINES, REASONS, REASON_ALL_RELEVANT,
                                      REASON_BUDGET_EXHAUSTED,
                                      REASON_PARSE_FAILURE, ModelBundle,
                                      RefineConfig, collect_trace,
@@ -361,3 +361,16 @@ class TestConfigValidation:
             RefineConfig(verify_depth=0)
         with pytest.raises(ValueError):
             RefineConfig(round_budget=0)
+
+    def test_rejects_unknown_ablation(self):
+        with pytest.raises(ConfigError) as exc:
+            RefineConfig(ablation=frozenset({"no_contxt", "no_context",
+                                             "all"}))
+        assert str(exc.value) == "unknown ablation flags: all, no_contxt"
+
+    def test_name_sets(self):
+        assert ABLATIONS == (ABLATION_NO_CONTEXT, ABLATION_NO_EXPLANATION,
+                             ABLATION_NO_VERIFICATION)
+        assert REASONS == (REASON_ALL_RELEVANT, REASON_BUDGET_EXHAUSTED,
+                           REASON_PARSE_FAILURE)
+        assert PIPELINES == ("standard", "direct_cot", "r4r")
