@@ -7,10 +7,15 @@ a term-set automaton over a lazily expanded, memoised DAG of sorted
 sub-multisets (any ordering of a record's term multiset is accepted).
 
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
-step(state, token) and complete(state). `tokens` is a view the automaton
-keeps (the keys of a dict built in ascending token order): it iterates in
-ascending order, supports `in` and set comparison, and cannot be changed
-through it. Callers read it in place; it is never copied per call.
+step(state, token) and complete(state). States are int node ids, and an id
+outside the automaton's node table raises InvalidState. The trie is built
+whole; the FM and term-set nodes are made when step() first reaches them
+and keep their answers, so each node's allowed(), each of its step tokens
+and its complete() are worked out once per automaton, whatever the number
+of searches over it. complete() hands out a new list. `tokens` is a view
+the automaton keeps (the keys of a dict built in ascending token order): it
+iterates in ascending order, supports `in` and set comparison, and cannot be
+changed through it. Callers read it in place; it is never copied per call.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from collections.abc import KeysView
 
 from .corpus import END, SEP
 from .docid import DocIdIndex, DocIdRecord
-from .errors import EmptyIndex, IllegalTransition, InvalidState, NotTerminal
+from .errors import (ConfigError, EmptyIndex, IllegalTransition, InvalidState,
+                     NotTerminal)
 from .fm_index import SequenceFMIndex
 
 STRATEGY_TRIE = "trie"
@@ -83,18 +89,41 @@ class TrieAutomaton:
         return [self.records[i] for i in self.terminal[state]]
 
 
-class FmIndexAutomaton:
-    """Window over the sequence SEP || body_1 || SEP || ... || body_n || SEP.
+class _FmNode:
+    """One FM window and the answers read off it so far.
 
-    A state is the FM window (lo, hi) of the emitted token sequence; emission
-    may start at any position inside an identifier, and END becomes legal
-    exactly when the window abuts a SEP, i.e. the emitted sequence is a
-    suffix of some record. Only the empty emission has the start window: a
-    non-empty pattern occurs at most n times, the start window spans n + 1
-    rows. A window is valid when 0 <= lo < hi <= rows; any other raises
-    InvalidState. allowed() memoises its answer per window. The windows of
-    a sequence's patterns are the nodes of its suffix tree, so the memo
-    stays under twice the number of rows.
+    `moves` (the allowed view and end_ok) is made on the first allowed(),
+    `records` (the records the window ends, in sequence order; empty when
+    it abuts no SEP) on the first complete(). `children` (token -> node id)
+    holds the tokens stepped so far.
+    """
+
+    __slots__ = ("window", "moves", "children", "records")
+
+    def __init__(self, window: tuple[int, int]):
+        self.window = window
+        self.moves: tuple[KeysView[int], bool] | None = None
+        self.children: dict[int, int] = {}
+        self.records: list[DocIdRecord] | None = None
+
+
+class FmIndexAutomaton:
+    """Windows over the sequence SEP || body_1 || SEP || ... || body_n || SEP.
+
+    States are node ids; node 0 is the start window, and `node_of` maps
+    each window reached so far to its node. A node's window is the FM window
+    (lo, hi) of the emitted token sequence; emission may start at any
+    position inside an identifier, and END becomes legal exactly when the
+    window abuts a SEP, i.e. the emitted sequence is a suffix of some
+    record. Only the empty emission has the start window: a non-empty
+    pattern occurs at most n times, the start window spans n + 1 rows.
+
+    A node is made when step() first reaches its window, and allowed(),
+    each step token and complete() are answered once per node, for every
+    search over the automaton. The windows of a sequence's patterns are the
+    nodes of its suffix tree, so there are fewer than 2 (n + 1) nodes.
+    Answers fill the shared table unguarded, so one automaton serves one
+    search at a time.
     """
 
     strategy = STRATEGY_FM
@@ -109,48 +138,59 @@ class FmIndexAutomaton:
             joined.append(SEP)
         self.joined = joined
         self.fm = SequenceFMIndex(joined)
-        # window -> (allowed view, end_ok), seeded with the start window:
-        # SEP follows the empty emission, but that emission is no record's
-        # suffix, so END is not allowed there.
         start = self.fm.start()
+        self.nodes = [_FmNode(start)]
+        self.node_of: dict[tuple[int, int], int] = {start: 0}
+        # SEP follows the empty emission, but that emission is no record's
+        # suffix: END is not allowed there, and it completes nothing.
         followers = self.fm.followers(start) - {SEP}
-        self._allowed: dict[tuple[int, int], tuple[KeysView[int], bool]] = {
-            start: (dict.fromkeys(sorted(followers)).keys(), False)}
+        self.nodes[0].moves = dict.fromkeys(sorted(followers)).keys(), False
+        self.nodes[0].records = []
 
-    def start(self) -> tuple[int, int]:
-        return self.fm.start()
+    def start(self) -> int:
+        return 0
 
-    def _check_window(self, state: tuple[int, int]) -> None:
-        lo, hi = state
-        if not 0 <= lo < hi <= self.fm.n + 1:
-            raise InvalidState(f"FM window {state}")
-
-    def allowed(self, state: tuple[int, int]) -> tuple[KeysView[int], bool]:
-        moves = self._allowed.get(state)
+    def allowed(self, state: int) -> tuple[KeysView[int], bool]:
+        _check_node(state, len(self.nodes), "FM")
+        node = self.nodes[state]
+        moves = node.moves
         if moves is None:
-            self._check_window(state)
-            followers = self.fm.followers(state)
+            followers = self.fm.followers(node.window)
             end_allowed = SEP in followers
             followers.discard(SEP)
-            moves = dict.fromkeys(sorted(followers)).keys(), end_allowed
-            self._allowed[state] = moves
+            moves = node.moves = (dict.fromkeys(sorted(followers)).keys(),
+                                  end_allowed)
         return moves
 
-    def step(self, state: tuple[int, int], token: int) -> tuple[int, int]:
-        self._check_window(state)
+    def step(self, state: int, token: int) -> int:
+        _check_node(state, len(self.nodes), "FM")
+        node = self.nodes[state]
+        nxt = node.children.get(token)
+        if nxt is not None:
+            return nxt
         if token == SEP or token == END:
             raise IllegalTransition("reserved token")
-        rng = self.fm.extend(state, token)
+        rng = self.fm.extend(node.window, token)
         if self.fm.count(rng) <= 0:
             raise IllegalTransition(f"token {token} has no occurrence")
-        return rng
+        nxt = self.node_of.get(rng)
+        if nxt is None:
+            nxt = self.node_of[rng] = len(self.nodes)
+            self.nodes.append(_FmNode(rng))
+        node.children[token] = nxt
+        return nxt
 
-    def complete(self, state: tuple[int, int]) -> list[DocIdRecord]:
-        self._check_window(state)
-        rng = self.fm.extend(state, SEP)
-        if state == self.fm.start() or self.fm.count(rng) <= 0:
+    def complete(self, state: int) -> list[DocIdRecord]:
+        _check_node(state, len(self.nodes), "FM")
+        node = self.nodes[state]
+        records = node.records
+        if records is None:
+            rng = self.fm.extend(node.window, SEP)
+            records = node.records = [self.record_before[p] for p in
+                                      sorted(self.fm.locate(rng))]
+        if not records:
             raise NotTerminal("window does not abut SEP")
-        return [self.record_before[p] for p in sorted(self.fm.locate(rng))]
+        return list(records)
 
 
 class _TermNode:
@@ -265,4 +305,4 @@ def build(strategy: str, index: DocIdIndex):
         return FmIndexAutomaton(index)
     if strategy == STRATEGY_TERM_SET:
         return TermSetAutomaton(index)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise ConfigError(f"unknown strategy {strategy!r}")

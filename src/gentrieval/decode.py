@@ -15,6 +15,10 @@ context (all of it for a model without `window`). The automaton's
 allowed(state) returns (tokens, end_ok) where tokens is a kept, read-only
 set-like view that iterates in ascending order, so the beam reads it in
 place and never sorts or copies it.
+
+dedup_rank reads the finished hypotheses directly: it keeps the best
+(score, record) per document and makes a Candidate only for each of the k
+it returns.
 """
 
 from __future__ import annotations
@@ -152,22 +156,23 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     return pool
 
 
-def dedup_rank(cands: list[Candidate], k: int) -> RankedList:
-    """Best-scoring candidate per doc_key, ordered (score desc, surface asc),
-    truncated to k."""
-    best: dict[str, Candidate] = {}
-    for c in cands:
-        cur = best.get(c.doc_key)
-        if cur is None or c.score > cur.score or (
-                c.score == cur.score and c.record.surface < cur.record.surface):
-            best[c.doc_key] = c
-    ranked = sorted(best.values(),
-                    key=lambda c: (-c.score, c.record.surface, c.doc_key))
-    return RankedList(ranked[:k])
-
-
-def hypotheses_to_candidates(hyps: list[Hypothesis]) -> list[Candidate]:
-    return [Candidate(record=r, score=h.score) for h in hyps for r in h.records]
+def dedup_rank(hyps: list[Hypothesis], k: int) -> RankedList:
+    """Best-scoring record per doc_key over the hypotheses' records, ordered
+    (score desc, surface asc), truncated to k. At equal score the smaller
+    surface represents its document. Candidates are made only for the k
+    returned."""
+    best: dict[str, tuple[float, DocIdRecord]] = {}
+    for h in hyps:
+        score = h.score
+        for rec in h.records:
+            cur = best.get(rec.doc_key)
+            if cur is None or score > cur[0] or (
+                    score == cur[0] and rec.surface < cur[1].surface):
+                best[rec.doc_key] = score, rec
+    ranked = sorted(best.items(),
+                    key=lambda e: (-e[1][0], e[1][1].surface, e[0]))
+    return RankedList([Candidate(record=rec, score=score)
+                       for _, (score, rec) in ranked[:k]])
 
 
 def merge_views(hyps: list[Hypothesis], k: int) -> RankedList:

@@ -15,14 +15,14 @@ import os
 import time
 from dataclasses import dataclass
 
-from .constraint import build as build_automaton
+from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Corpus, Query, load_corpus, load_queries
 from .decode import BeamConfig, RankedList
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, ScriptedModel, sequence_logprob
-from .orchestrator import (REASONS, ModelBundle, R4RResult, RefineConfig,
-                           _retrieve_prompt, collect_trace,
+from .orchestrator import (PIPELINES, REASONS, ModelBundle, R4RResult,
+                           RefineConfig, _retrieve_prompt, collect_trace,
                            default_beam_config, run_direct_cot, run_r4r,
                            run_standard)
 from .reasoning import PromptRegistry
@@ -207,10 +207,15 @@ def _check_writable(path: str | None) -> None:
 def run_experiment(cfg: ExperimentConfig):
     """Run all queries, in order, through the configured pipeline (sweeping
     t/T when requested) and write the report and trace artifacts. The output
-    paths are checked before the first query is decoded, and the refine
-    configs are built before any file is read."""
+    paths are checked before the first query is decoded; the pipeline and
+    strategy names are checked, and the refine configs built, before any
+    file is read."""
     if cfg.jobs != 1:
         raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
+    if cfg.pipeline not in PIPELINES:
+        raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
+    if cfg.strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {cfg.strategy!r}")
     if (cfg.report_path and cfg.trace_path and os.path.realpath(
             cfg.report_path) == os.path.realpath(cfg.trace_path)):
         raise ConfigError(f"report and trace are one file: {cfg.trace_path}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Query
 from .decode import (BeamConfig, RankedList, constrained_beam_search,
-                     dedup_rank, hypotheses_to_candidates, merge_views)
+                     dedup_rank, merge_views)
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyQuery
 from .reasoning import (PromptRegistry, ReasoningState, direct_cot, reflect,
@@ -45,7 +45,7 @@ class RefineConfig:
 
     def __post_init__(self):
         if self.verify_depth < 1 or self.round_budget < 1:
-            raise ValueError("verify_depth and round_budget must be >= 1")
+            raise ConfigError("verify_depth and round_budget must be >= 1")
         bad = sorted(a for a in self.ablation if a not in ABLATIONS)
         if bad:
             raise ConfigError(f"unknown ablation flags: {', '.join(bad)}")
@@ -109,7 +109,7 @@ def run_standard(q: Query, model, automaton, index: DocIdIndex,
     hyps = constrained_beam_search(model, tokens, automaton, cfg)
     if merge:
         return merge_views(hyps, k=cfg.beam_width)
-    return dedup_rank(hypotheses_to_candidates(hyps), cfg.beam_width)
+    return dedup_rank(hyps, cfg.beam_width)
 
 
 def run_direct_cot(q: Query, bundle: ModelBundle, automaton,

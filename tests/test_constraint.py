@@ -12,8 +12,8 @@ from gentrieval.constraint import (STRATEGIES, FmIndexAutomaton,
 from gentrieval.corpus import END, SEP
 from gentrieval.decode import BeamConfig, constrained_beam_search
 from gentrieval.docid import DocIdIndex, build_index
-from gentrieval.errors import (EmptyIndex, IllegalTransition, InvalidState,
-                               NotTerminal)
+from gentrieval.errors import (ConfigError, EmptyIndex, IllegalTransition,
+                               InvalidState, NotTerminal)
 from gentrieval.fm_index import SENTINEL, SequenceFMIndex, suffix_array
 
 from conftest import (TableModel, enumerate_accepted, make_index,
@@ -144,7 +144,25 @@ class TestTrie:
                 assert sorted(r.doc_key for r in docs) == expected
 
 
+def check_second_search_adds_no_node(cls):
+    """A second search over one automaton makes no node and finds what the
+    first found."""
+    rng = random.Random(12)
+    for trial in range(5):
+        index = random_record_index(rng, 30, 6, max_len=4)
+        a = cls(index)
+        model = TableModel(len(index.vocab), seed=trial)
+        cfg = BeamConfig(beam_width=4, max_len=6)
+        first = constrained_beam_search(model, [0, 1], a, cfg)
+        nodes = len(a.nodes)
+        assert constrained_beam_search(model, [0, 1], a, cfg) == first
+        assert len(a.nodes) == nodes
+
+
 class TestFmAutomaton:
+    def test_second_search_adds_no_node(self):
+        check_second_search_adds_no_node(FmIndexAutomaton)
+
     def test_suffix_entry(self, toy_index):
         # "apple" alone is a valid suffix of two identifiers.
         a = FmIndexAutomaton(toy_index)
@@ -167,12 +185,50 @@ class TestFmAutomaton:
         a = FmIndexAutomaton(toy_index)
         _, end_ok = a.allowed(a.start())
         assert not end_ok
+        with pytest.raises(NotTerminal):
+            a.complete(a.start())
 
     def test_reserved_tokens_rejected(self, toy_index):
         a = FmIndexAutomaton(toy_index)
         for t in (SEP, END):
             with pytest.raises(IllegalTransition):
                 a.step(a.start(), t)
+
+    def test_refused_calls_make_no_node(self, toy_index):
+        a = FmIndexAutomaton(toy_index)
+        food = a.step(a.start(), tok(toy_index, "food"))
+        nodes = len(a.nodes)
+        # "food" never follows itself; SEP and END are reserved.
+        for t in (SEP, END, tok(toy_index, "food")):
+            with pytest.raises(IllegalTransition):
+                a.step(food, t)
+        for _ in range(2):  # a refused window is refused again
+            with pytest.raises(NotTerminal):
+                a.complete(food)
+        assert len(a.nodes) == nodes == len(a.node_of)
+        assert a.nodes[food].children == {}
+
+    def test_states_are_window_nodes(self, toy_index):
+        """Two emissions with one window share a node; node 0 is the start
+        window."""
+        a = FmIndexAutomaton(toy_index)
+        assert a.start() == 0 and a.node_of[a.fm.start()] == 0
+        state = 0
+        while state < len(a.nodes):  # every window the automaton reaches
+            for t in a.allowed(state)[0]:
+                a.step(state, t)
+            state += 1
+        assert len(a.nodes) > 1
+        assert {a.nodes[i].window: i for i in range(len(a.nodes))} == a.node_of
+
+    def test_complete_hands_out_a_new_list(self, toy_index):
+        a = FmIndexAutomaton(toy_index)
+        s = a.step(a.start(), tok(toy_index, "apple"))
+        first = a.complete(s)
+        expected = list(first)
+        first.clear()
+        assert a.complete(s) == expected
+        assert a.complete(s) is not a.complete(s)
 
     def test_language_is_record_suffixes(self):
         rng = random.Random(4)
@@ -361,46 +417,26 @@ class TestTermSetDag:
             assert len(a.nodes) == len(a.node_of)
 
     def test_second_search_adds_no_node(self):
-        rng = random.Random(12)
-        for trial in range(5):
-            index = random_record_index(rng, 30, 6, max_len=4)
-            a = TermSetAutomaton(index)
-            model = TableModel(len(index.vocab), seed=trial)
-            cfg = BeamConfig(beam_width=4, max_len=6)
-            first = constrained_beam_search(model, [0, 1], a, cfg)
-            nodes = len(a.nodes)
-            assert constrained_beam_search(model, [0, 1], a, cfg) == first
-            assert len(a.nodes) == nodes
+        check_second_search_adds_no_node(TermSetAutomaton)
 
 
 class TestInvalidNode:
     @pytest.mark.parametrize("cls, table", [(TrieAutomaton, "children"),
+                                            (FmIndexAutomaton, "nodes"),
                                             (TermSetAutomaton, "nodes")])
     def test_out_of_range(self, toy_index, cls, table):
         a = cls(toy_index)
         food = tok(toy_index, "food")
-        for state in (-1, len(getattr(a, table))):
+        a.step(a.start(), food)
+        nodes = len(getattr(a, table))
+        for state in (-1, nodes):
             with pytest.raises(InvalidState):
                 a.allowed(state)
             with pytest.raises(InvalidState):
                 a.step(state, food)
             with pytest.raises(InvalidState):
                 a.complete(state)
-
-    def test_fm_window_out_of_range(self, toy_index):
-        a = FmIndexAutomaton(toy_index)
-        rows = a.fm.n + 1
-        food = tok(toy_index, "food")
-        memo = len(a._allowed)
-        for state in ((0, 10 ** 9), (-5, 3), (0, rows + 1), (2, 2), (3, 1),
-                      (-1, 0), (rows, rows + 1)):
-            with pytest.raises(InvalidState):
-                a.allowed(state)
-            with pytest.raises(InvalidState):
-                a.step(state, food)
-            with pytest.raises(InvalidState):
-                a.complete(state)
-        assert len(a._allowed) == memo  # no invalid window was kept
+        assert len(getattr(a, table)) == nodes
 
 
 def naive_allowed(strategy, index, emitted):
@@ -451,8 +487,8 @@ class TestAllowedView:
 
 class TestFmMemo:
     def test_bounded_after_toy_run(self, tmp_path, monkeypatch):
-        """Decoding every query of a toy run fills the per-window memo with
-        at most 2 (n + 1) entries, the suffix-tree node bound."""
+        """Decoding every query of a toy run makes at most 2 (n + 1) window
+        nodes, the suffix-tree node bound."""
         from gentrieval import evaluation
         from gentrieval.cli import main
 
@@ -478,7 +514,7 @@ class TestFmMemo:
             reason_model_path=str(tmp_path / "reasoner.json"),
             ngram_train_queries_path=queries))
         [a] = built
-        assert 30 < len(a._allowed) <= 2 * (a.fm.n + 1)
+        assert 30 < len(a.nodes) <= 2 * (a.fm.n + 1)
 
 
 class TestNoDeadEnds:
@@ -523,5 +559,6 @@ class TestBuild:
             build("trie", DocIdIndex([], Vocabulary()))
 
     def test_unknown_strategy(self, toy_index):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as exc:
             build("suffix-tree", toy_index)
+        assert str(exc.value) == "unknown strategy 'suffix-tree'"

@@ -8,8 +8,8 @@ import pytest
 from gentrieval.constraint import STRATEGIES, TrieAutomaton, build
 from gentrieval.corpus import END
 from gentrieval.decode import (BeamConfig, Candidate, Hypothesis,
-                               constrained_beam_search, dedup_rank,
-                               hypotheses_to_candidates, merge_views)
+                               RankedList, constrained_beam_search,
+                               dedup_rank, merge_views)
 from gentrieval.docid import DocIdRecord
 from gentrieval.errors import NoValidPath, UnknownToken
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
@@ -437,29 +437,63 @@ def rec(key, surface, view="path"):
     return DocIdRecord(key, (END,), surface, view)
 
 
+def hyp(score, *records):
+    return Hypothesis((END,), score, records)
+
+
+def two_step_dedup(hyps, k):
+    """One Candidate per record, then the best per doc_key (higher score,
+    then smaller surface), then sorted."""
+    cands = [Candidate(record=r, score=h.score) for h in hyps
+             for r in h.records]
+    best = {}
+    for c in cands:
+        cur = best.get(c.doc_key)
+        if cur is None or c.score > cur.score or (
+                c.score == cur.score and c.record.surface < cur.record.surface):
+            best[c.doc_key] = c
+    ranked = sorted(best.values(),
+                    key=lambda c: (-c.score, c.record.surface, c.doc_key))
+    return RankedList(ranked[:k])
+
+
 class TestDedupRank:
     def test_best_per_doc(self):
-        cands = [Candidate(rec("d1", "a"), -1.0),
-                 Candidate(rec("d1", "b"), -0.5),
-                 Candidate(rec("d2", "c"), -0.7)]
-        ranked = dedup_rank(cands, k=5)
+        hyps = [hyp(-1.0, rec("d1", "a")),
+                hyp(-0.5, rec("d1", "b")),
+                hyp(-0.7, rec("d2", "c"))]
+        ranked = dedup_rank(hyps, k=5)
         assert ranked.doc_keys() == ["d1", "d2"]
         assert ranked[0].score == -0.5
         assert ranked[0].record.surface == "b"
 
     def test_truncation(self):
-        cands = [Candidate(rec(f"d{i}", f"s{i}"), -float(i)) for i in range(5)]
-        assert dedup_rank(cands, k=2).doc_keys() == ["d0", "d1"]
+        hyps = [hyp(-float(i), rec(f"d{i}", f"s{i}")) for i in range(5)]
+        assert dedup_rank(hyps, k=2).doc_keys() == ["d0", "d1"]
 
     def test_tie_breaks_on_surface_then_key(self):
-        cands = [Candidate(rec("d2", "beta"), -1.0),
-                 Candidate(rec("d1", "alpha"), -1.0)]
-        assert dedup_rank(cands, k=5).doc_keys() == ["d1", "d2"]
+        hyps = [hyp(-1.0, rec("d2", "beta")),
+                hyp(-1.0, rec("d1", "alpha"))]
+        assert dedup_rank(hyps, k=5).doc_keys() == ["d1", "d2"]
 
     def test_equal_score_prefers_smaller_surface_within_doc(self):
-        cands = [Candidate(rec("d1", "zz"), -1.0),
-                 Candidate(rec("d1", "aa"), -1.0)]
-        assert dedup_rank(cands, k=1)[0].record.surface == "aa"
+        # Within one hypothesis and across two.
+        for hyps in ([hyp(-1.0, rec("d1", "zz"), rec("d1", "aa"))],
+                     [hyp(-1.0, rec("d1", "zz")), hyp(-1.0, rec("d1", "aa"))]):
+            assert dedup_rank(hyps, k=1)[0].record.surface == "aa"
+
+    def test_matches_two_step_oracle(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            # Few scores, keys and surfaces, so ties within and across
+            # documents are common.
+            hyps = [hyp(rng.choice([-0.5, -1.0, -1.5, -3.0]),
+                        *(rec(f"d{rng.randint(0, 6)}",
+                              rng.choice(["a", "b", "c", "a-b"]))
+                          for _ in range(rng.randint(0, 4))))
+                    for _ in range(rng.randint(0, 12))]
+            k = rng.randint(1, 8)
+            assert dedup_rank(hyps, k) == two_step_dedup(hyps, k)
 
 
 class TestMergeViews:
@@ -499,18 +533,10 @@ class TestMergeViews:
             Hypothesis((END,), -0.9, (rec("d2", "y"),)),
         ]
         merged = merge_views(hyps, k=10)
-        deduped = dedup_rank(hypotheses_to_candidates(hyps), k=10)
+        deduped = dedup_rank(hyps, k=10)
         assert merged.doc_keys() == deduped.doc_keys()
         for m, d in zip(merged, deduped):
             assert m.score == pytest.approx(d.score)
-
-
-class TestHypothesesToCandidates:
-    def test_fanout(self):
-        h = Hypothesis((END,), -0.3, (rec("d1", "s"), rec("d2", "s")))
-        cands = hypotheses_to_candidates([h])
-        assert [c.doc_key for c in cands] == ["d1", "d2"]
-        assert all(c.score == -0.3 for c in cands)
 
 
 class TestConfig:

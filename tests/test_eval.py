@@ -332,6 +332,34 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("pipeline", "mystery", "unknown pipeline 'mystery'"),
+        ("strategy", "tri", "unknown strategy 'tri'")])
+    def test_unknown_name_fails_before_any_load(self, experiment_files,
+                                                monkeypatch, field, value,
+                                                message):
+        calls = []
+
+        def never(name):
+            def called(*args, **kwargs):
+                calls.append(name)
+            return called
+
+        for name in ("load_corpus", "load_queries", "make_retrieve_model",
+                     "build_automaton"):
+            monkeypatch.setattr(evaluation, name, never(name))
+        monkeypatch.setattr(evaluation.DocIdIndex, "load", never("load"))
+        cfg = ExperimentConfig(
+            corpus_path=experiment_files["corpus_path"],
+            queries_path=experiment_files["queries_path"],
+            index_path=experiment_files["index_path"],
+            ngram_train_queries_path=experiment_files["queries_path"],
+            **{field: value})
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == message
+        assert calls == []
+
     def test_ngram_pipeline_learns_training_queries(self, experiment_files,
                                                     tmp_path):
         cfg = ExperimentConfig(

@@ -357,10 +357,11 @@ class TestTrace:
 
 class TestConfigValidation:
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            RefineConfig(verify_depth=0)
-        with pytest.raises(ValueError):
-            RefineConfig(round_budget=0)
+        for bad in ({"verify_depth": 0}, {"round_budget": 0}):
+            with pytest.raises(ConfigError) as exc:
+                RefineConfig(**bad)
+            assert str(exc.value) == \
+                "verify_depth and round_budget must be >= 1"
 
     def test_rejects_unknown_ablation(self):
         with pytest.raises(ConfigError) as exc:
