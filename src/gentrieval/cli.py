@@ -1,8 +1,9 @@
 """Command-line entry point: build-index, retrieve, run, stats.
 
 Every failure exits nonzero with a single `error: ...` diagnostic line;
-usage errors print help and exit 2 (argparse default). All randomness is
-threaded from --seed for byte-reproducible artifacts.
+usage errors print help and exit 2 (argparse default). Nothing is random:
+`build-index --seed` salts the embedding hash, and `run --seed` is only
+recorded in the report, so artifacts are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from .errors import GentrievalError
 from .evaluation import (ExperimentConfig, make_retrieve_model,
                          run_experiment, run_pipeline, termination_stats)
 from .lm import RemoteModel
-from .orchestrator import (ABLATIONS, PIPELINES, ModelBundle, RefineConfig,
-                           default_beam_config)
+from .orchestrator import ABLATIONS, PIPELINES, ModelBundle, RefineConfig
 from .reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 
@@ -157,8 +157,7 @@ def _cmd_retrieve(args) -> int:
                       else retrieve_model))
     ranked, _ = run_pipeline(
         Query(query_id="cli", text=args.query), args.pipeline, bundle,
-        automaton, index, reg, default_beam_config(index, k=args.k),
-        refine_cfg, merge=args.merge_views)
+        automaton, index, reg, args.k, refine_cfg, merge=args.merge_views)
     for cand in ranked:
         print(f"{cand.record.surface}\t{cand.score:.6f}\t{cand.doc_key}")
     return 0

@@ -2,12 +2,14 @@
 
 The automaton masks the model: each live state asks next_token_distribution
 once for the whole distribution in sparse form, (default, overrides). Each
-depth heap-selects its beam_width survivors before it steps them, and the
-finished pool keeps only the top beam_width, so losers are never built,
-sorted or completed. Scores are raw model log-probabilities (no
-renormalization after masking), so a finished hypothesis scores exactly
-sequence_logprob of its token sequence; that identity is what the
-exhaustive-oracle tests lean on.
+depth heap-selects its width (the ranked list's k) survivors before it
+steps them, and the finished pool keeps only the top width, so losers are
+never built, sorted or completed. No length cap: the search stops when no
+state is live, as no automaton accepts a sequence longer than one record
+(an FM emission spans one body, since SEP is never allowed). Scores are
+raw model log-probabilities (no renormalization after masking), so a
+finished hypothesis scores exactly sequence_logprob of its token
+sequence; that identity is what the exhaustive-oracle tests lean on.
 
 The model is called with the whole prompt once, at the root; after that
 each beam entry carries only the trailing `model.window` tokens of its
@@ -31,17 +33,7 @@ from itertools import filterfalse
 
 from .corpus import END
 from .docid import DocIdRecord
-from .errors import NoValidPath
-
-
-@dataclass(frozen=True)
-class BeamConfig:
-    beam_width: int = 20
-    max_len: int = 64
-
-    def __post_init__(self):
-        if self.beam_width < 1 or self.max_len < 1:
-            raise ValueError("beam_width and max_len must be >= 1")
+from .errors import ConfigError, NoValidPath
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ def _pool_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
 
 
 def constrained_beam_search(model, prompt_tokens: list[int], automaton,
-                            cfg: BeamConfig) -> list[Hypothesis]:
+                            width: int) -> list[Hypothesis]:
     """Beam search where each step only expands automaton-allowed tokens.
 
     Each live state is scored once, as (default, overrides). Expansions are
@@ -91,12 +83,12 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     overrides as single entries and its default-scored allowed tokens as one
     run, ascending, all at score + default: within a run only the head can
     be the next best. One heap merges the entries and the run heads; it is
-    popped until beam_width survivors, pushing a run's next token when its
+    popped until width survivors, pushing a run's next token when its
     head is popped. Every live sequence has the same length, so (gen, token)
     orders exactly as gen + (token,), and no sequence is built for a token
     that cannot survive. Survivors are stepped in pop order, so only they
     are stepped, and each state's allowed() runs once. Finished hypotheses
-    go to a pool bounded at the top beam_width by (-score, tokens), and
+    go to a pool bounded at the top width by (-score, tokens), and
     complete() runs only for one that enters it. The pool is returned best
     first.
 
@@ -105,20 +97,19 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     at least one, so emitted tokens are still checked against the
     vocabulary.
     """
+    if width < 1:
+        raise ConfigError(f"beam width must be >= 1, got {width}")
     start = automaton.start()
     start_moves = automaton.allowed(start)
     if not start_moves[0] and not start_moves[1]:
         raise NoValidPath("automaton start state admits no token")
 
-    width = cfg.beam_width
     window = getattr(model, "window", None)
     cut = 0 if window is None else -max(window, 1)
     # (score, gen, state, model context of the state)
     live: list[tuple] = [(0.0, (), start, tuple(prompt_tokens))]
     pool: list[Hypothesis] = []  # finished, best first
-    for _ in range(cfg.max_len):
-        if not live:
-            break
+    while live:
         # (-score, gen, token, parent state, parent context, rest of the run
         # or None); the first three fields are unique, so the rest are never
         # compared.

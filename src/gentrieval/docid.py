@@ -5,7 +5,8 @@ documents are embedded (hashed bag-of-words), clustered level by level on the
 residual left by ancestor centroids, every node is labeled with its most
 TF-IDF-distinctive unused term, and a document's identifier is the hyphen-join
 of the labels from root to leaf. Title, distinctive-ngram, and pseudo-query
-views are available for multi-view retrieval.
+views are available for multi-view retrieval; `build_index` takes the
+n-grams from the word lists the embeddings and labels read.
 
 The tree is built in memory only, to make the path docids. An index file
 holds the vocabulary and the docid records; older files that also carry a
@@ -24,8 +25,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .corpus import (END, SEP, Corpus, Document, Vocabulary, normalize,
-                     words_of)
+from .corpus import END, SEP, Corpus, Vocabulary, normalize, words_of
 from .errors import (ConfigError, EmptyDocument, EmptyIndex, MalformedIndex,
                      UnknownDoc)
 
@@ -328,71 +328,35 @@ def path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary) -> DocIdRecord:
                        view=VIEW_PATH)
 
 
-class NgramScorer:
-    """Corpus-level document frequencies of word n-grams, for the ngram view."""
+def _top_ngrams(words: dict[str, list[str]], n: int,
+                m: int) -> dict[str, list[str]]:
+    """Each document's m word n-grams of highest TF-IDF, ordered (TF-IDF
+    desc, gram), space-joined. A gram's DF counts the documents holding
+    it."""
+    grams = {key: [tuple(ws[i:i + n]) for i in range(len(ws) - n + 1)]
+             for key, ws in words.items()}
+    df = Counter(chain.from_iterable(set(gs) for gs in grams.values()))
+    idf = {g: math.log((1 + len(words)) / (1 + d)) for g, d in df.items()}
 
-    def __init__(self, corpus: Corpus, n: int = 3):
-        self.n = n
-        self.n_docs = len(corpus)
-        self.df: dict[tuple[str, ...], int] = {}
-        for doc in corpus:
-            for g in set(self._grams(doc.text)):
-                self.df[g] = self.df.get(g, 0) + 1
-
-    def _grams(self, text: str) -> list[tuple[str, ...]]:
-        ws = words_of(text)
-        return [tuple(ws[i:i + self.n]) for i in range(len(ws) - self.n + 1)]
-
-    def top_ngrams(self, text: str, m: int) -> list[str]:
-        tf: dict[tuple[str, ...], int] = {}
-        for g in self._grams(text):
-            tf[g] = tf.get(g, 0) + 1
-        scored = sorted(
-            ((-(cnt * math.log((1 + self.n_docs) / (1 + self.df.get(g, 0)))), g)
-             for g, cnt in tf.items()))
+    def top(gs):
+        scored = sorted((-(cnt * idf[g]), g) for g, cnt in Counter(gs).items())
         return [" ".join(g) for _, g in scored[:m]]
+    return {key: top(gs) for key, gs in grams.items()}
 
 
-@dataclass
-class ViewConfig:
-    views: frozenset[str] = frozenset()
-    ngram_m: int = 3
-    ngram_n: int = 3
-    scorer: NgramScorer | None = None
-
-
-def build_views(doc: Document, config: ViewConfig,
-                vocab: Vocabulary) -> list[DocIdRecord]:
-    """Title / ngram / pseudo-query records for one document; missing sources
-    yield no record."""
-    records: list[DocIdRecord] = []
-
-    def make(surface: str, view: str):
-        toks = vocab.encode(surface, on_unknown="grow")
-        if toks:
-            records.append(DocIdRecord(doc.doc_key, tuple(toks) + (END,),
-                                       normalize(surface), view))
-
-    if VIEW_TITLE in config.views and doc.title:
-        make(doc.title, VIEW_TITLE)
-    if VIEW_NGRAM in config.views and config.scorer is not None:
-        for g in config.scorer.top_ngrams(doc.text, config.ngram_m):
-            make(g, VIEW_NGRAM)
-    if VIEW_PSEUDO_QUERY in config.views:
-        for pq in doc.pseudo_queries:
-            make(pq, VIEW_PSEUDO_QUERY)
-    return records
-
-
-def _tokens_error(tokens: tuple, vocab_size: int) -> str | None:
-    """What is wrong with a record's token ids, or None: they must be ids
-    of the vocabulary, END last and neither END nor SEP before it."""
-    if not tokens or tokens[-1] != END:
+def _record_error(rec: DocIdRecord, vocab_size: int) -> str | None:
+    """What is wrong with a read record, or None: its doc_key, surface and
+    view must be strings, and its tokens ids of the vocabulary, END last
+    and neither END nor SEP before it."""
+    for name in ("doc_key", "surface", "view"):
+        if not isinstance(getattr(rec, name), str):
+            return f"{name} is not a string"
+    if not rec.tokens or rec.tokens[-1] != END:
         return "tokens do not end with END"
-    for t in tokens:
+    for t in rec.tokens:
         if type(t) is not int or not 0 <= t < vocab_size:
             return f"token {t!r} is not an id of the vocabulary"
-    if END in tokens[:-1] or SEP in tokens:
+    if END in rec.tokens[:-1] or SEP in rec.tokens:
         return "END or SEP inside the tokens"
     return None
 
@@ -447,7 +411,7 @@ class DocIdIndex:
         records = [DocIdRecord(r["doc_key"], tuple(r["tokens"]), r["surface"],
                                r["view"]) for r in obj["records"]]
         for i, rec in enumerate(records):
-            problem = _tokens_error(rec.tokens, len(vocab))
+            problem = _record_error(rec, len(vocab))
             if problem:
                 raise MalformedIndex(f"malformed index: record {i} "
                                      f"({rec.doc_key!r}): {problem}")
@@ -516,11 +480,20 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
         records.append(rec)
 
     if views:
-        scorer = NgramScorer(corpus, n=ngram_n) if VIEW_NGRAM in views else None
-        cfg = ViewConfig(views=views, ngram_m=ngram_m, ngram_n=ngram_n,
-                         scorer=scorer)
+        ngrams = (_top_ngrams(words, ngram_n, ngram_m)
+                  if VIEW_NGRAM in views else {})
+        # Per document, in VIEWS order; a text without words makes no record.
         for doc in corpus:
-            records.extend(build_views(doc, cfg, vocab))
+            texts = {VIEW_TITLE: [doc.title or ""],
+                     VIEW_NGRAM: ngrams.get(doc.doc_key, ()),
+                     VIEW_PSEUDO_QUERY: doc.pseudo_queries}
+            for view in (v for v in VIEWS if v in views):
+                for text in texts[view]:
+                    toks = vocab.encode(text, on_unknown="grow")
+                    if toks:
+                        records.append(DocIdRecord(
+                            doc.doc_key, tuple(toks) + (END,),
+                            normalize(text), view))
 
     vocab.freeze()
     return DocIdIndex(records, vocab)

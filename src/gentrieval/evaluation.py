@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Corpus, Query, load_corpus, load_queries
-from .decode import BeamConfig, RankedList
+from .decode import RankedList
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, ScriptedModel, sequence_logprob
 from .orchestrator import (PIPELINES, REASONS, ModelBundle, R4RResult,
                            RefineConfig, _retrieve_prompt, collect_trace,
-                           default_beam_config, run_direct_cot, run_r4r,
-                           run_standard)
+                           run_direct_cot, run_r4r, run_standard)
 from .reasoning import PromptRegistry
 
 
@@ -52,7 +51,7 @@ def hits_at_k(runs: list[tuple[RankedList, frozenset[str]]], k: int) -> float:
     if not runs:
         raise EmptyRuns("hits@k over zero queries")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError(f"hits@k needs k >= 1, got {k}")
     hit = sum(1 for ranked, rel in runs
               if _first_relevant_rank(ranked, rel, k) is not None)
     return hit / len(runs)
@@ -63,7 +62,7 @@ def mrr_at_k(runs: list[tuple[RankedList, frozenset[str]]], k: int) -> float:
     if not runs:
         raise EmptyRuns("mrr@k over zero queries")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ConfigError(f"mrr@k needs k >= 1, got {k}")
     total = 0.0
     for ranked, rel in runs:
         rank = _first_relevant_rank(ranked, rel, k)
@@ -109,13 +108,14 @@ def nll_losses(model, corpus: Corpus, pairs: list[tuple[Query, str]],
 
 
 def termination_stats(traces: list[dict]) -> dict[str, float]:
-    """Fraction of *traces* (records or bare reasons) per termination
-    reason."""
+    """Fraction of the trace records *traces* per termination reason."""
     if not traces:
         raise EmptyRuns("termination stats over zero traces")
     counts = dict.fromkeys(REASONS, 0)
     for t in traces:
-        reason = t.get("reason") if isinstance(t, dict) else t
+        if not isinstance(t, dict):
+            raise ConfigError(f"trace record is not an object: {t!r}")
+        reason = t.get("reason")
         if not isinstance(reason, str) or reason not in counts:
             raise ConfigError(f"unknown termination reason {reason!r}")
         counts[reason] += 1
@@ -175,20 +175,20 @@ def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
 
 
 def run_pipeline(q: Query, pipeline: str, bundle: ModelBundle, automaton,
-                 index: DocIdIndex, reg: PromptRegistry, beam_cfg: BeamConfig,
+                 index: DocIdIndex, reg: PromptRegistry, k: int,
                  refine_cfg: RefineConfig, merge: bool = False,
                  timing: bool = False) -> tuple[RankedList, R4RResult | None]:
-    """Rank docids for one query through the named pipeline. The second
-    item is the refine-loop result, kept for its trace (r4r only)."""
+    """Rank the top k docids for one query through the named pipeline. The
+    second item is the refine-loop result, kept for its trace (r4r only)."""
     if pipeline == "standard":
         return run_standard(q, bundle.retrieve_model, automaton, index, reg,
-                            beam_cfg, merge=merge), None
+                            k, merge=merge), None
     if pipeline == "direct_cot":
-        return run_direct_cot(q, bundle, automaton, index, reg, beam_cfg,
+        return run_direct_cot(q, bundle, automaton, index, reg, k,
                               merge=merge), None
     if pipeline == "r4r":
-        result = run_r4r(q, bundle, automaton, index, reg, beam_cfg,
-                         refine_cfg, merge=merge, timing=timing)
+        result = run_r4r(q, bundle, automaton, index, reg, k, refine_cfg,
+                         merge=merge, timing=timing)
         return result.ranked, result
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
@@ -208,10 +208,14 @@ def run_experiment(cfg: ExperimentConfig):
     """Run all queries, in order, through the configured pipeline (sweeping
     t/T when requested) and write the report and trace artifacts. The output
     paths are checked before the first query is decoded; the pipeline and
-    strategy names are checked, and the refine configs built, before any
-    file is read."""
+    strategy names and k and the metric cutoffs are checked, and the refine
+    configs built, before any file is read."""
     if cfg.jobs != 1:
         raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
+    for name, values in (("k", (cfg.k,)), ("hits_ks", cfg.hits_ks),
+                         ("mrr_ks", cfg.mrr_ks)):
+        if min(values, default=1) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {min(values)}")
     if cfg.pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
     if cfg.strategy not in STRATEGIES:
@@ -236,7 +240,6 @@ def run_experiment(cfg: ExperimentConfig):
     reason = (ScriptedModel.from_file(cfg.reason_model_path, index.vocab)
               if cfg.reason_model_path else retrieve)
     bundle = ModelBundle(retrieve_model=retrieve, reason_model=reason)
-    beam_cfg = default_beam_config(index, k=cfg.k)
     _check_writable(cfg.report_path)
     _check_writable(cfg.trace_path)
 
@@ -245,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig):
     for refine_cfg in refine_cfgs:
         start = time.perf_counter()
         outcomes = [run_pipeline(q, cfg.pipeline, bundle, automaton, index,
-                                 reg, beam_cfg, refine_cfg, cfg.merge,
+                                 reg, cfg.k, refine_cfg, cfg.merge,
                                  cfg.timing)
                     for q in queries]
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from .corpus import Query
-from .decode import (BeamConfig, RankedList, constrained_beam_search,
-                     dedup_rank, merge_views)
+from .decode import (RankedList, constrained_beam_search, dedup_rank,
+                     merge_views)
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyQuery
 from .reasoning import (PromptRegistry, ReasoningState, direct_cot, reflect,
@@ -92,40 +92,34 @@ def _retrieve_prompt(reg: PromptRegistry, q: Query,
     return prompt
 
 
-def default_beam_config(index: DocIdIndex, k: int = 20) -> BeamConfig:
-    max_len = max(len(r.tokens) for r in index.records) + 1
-    return BeamConfig(beam_width=k, max_len=max_len)
-
-
 def run_standard(q: Query, model, automaton, index: DocIdIndex,
-                 reg: PromptRegistry, cfg: BeamConfig, merge: bool = False,
+                 reg: PromptRegistry, k: int, merge: bool = False,
                  auxiliary: str | None = None) -> RankedList:
-    """One constrained decode on the retrieval prompt plus the raw query and,
-    when given, the auxiliary text (reasoning or refined context)."""
+    """A k-wide constrained decode on the retrieval prompt plus the raw query
+    and, when given, the auxiliary text (reasoning or refined context)."""
     if not q.text.strip():
         raise EmptyQuery(q.query_id)
     prompt = _retrieve_prompt(reg, q, auxiliary)
     tokens = index.vocab.encode(prompt, on_unknown="skip")
-    hyps = constrained_beam_search(model, tokens, automaton, cfg)
+    hyps = constrained_beam_search(model, tokens, automaton, k)
     if merge:
-        return merge_views(hyps, k=cfg.beam_width)
-    return dedup_rank(hyps, cfg.beam_width)
+        return merge_views(hyps, k)
+    return dedup_rank(hyps, k)
 
 
 def run_direct_cot(q: Query, bundle: ModelBundle, automaton,
-                   index: DocIdIndex, reg: PromptRegistry, cfg: BeamConfig,
+                   index: DocIdIndex, reg: PromptRegistry, k: int,
                    merge: bool = False) -> RankedList:
     """Free-form reasoning first, then one constrained decode over
     query || reasoning."""
     reasoning = direct_cot(bundle.reason_model, q, reg)
-    return run_standard(q, bundle.retrieve_model, automaton, index, reg, cfg,
+    return run_standard(q, bundle.retrieve_model, automaton, index, reg, k,
                         auxiliary=reasoning or None, merge=merge)
 
 
 def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
-            reg: PromptRegistry, beam_cfg: BeamConfig,
-            refine_cfg: RefineConfig, merge: bool = False,
-            timing: bool = False) -> R4RResult:
+            reg: PromptRegistry, k: int, refine_cfg: RefineConfig,
+            merge: bool = False, timing: bool = False) -> R4RResult:
     """Think once, then alternate Retrieve and Refine until the top verify
     slots are all relevant, reflection parsing fails, or the budget runs out."""
     no_ctx = ABLATION_NO_CONTEXT in refine_cfg.ablation
@@ -142,7 +136,7 @@ def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
         r_start = time.monotonic()
         auxiliary = state.explanation if no_ctx else state.context
         ranked = run_standard(q, bundle.retrieve_model, automaton, index,
-                              reg, beam_cfg, auxiliary=auxiliary or None,
+                              reg, k, auxiliary=auxiliary or None,
                               merge=merge)
         judgments: list[str] = []
         j_hat = 0
@@ -203,5 +197,5 @@ __all__ = [
     "ABLATION_NO_VERIFICATION", "PIPELINES", "REASONS", "REASON_ALL_RELEVANT",
     "REASON_PARSE_FAILURE", "REASON_BUDGET_EXHAUSTED", "ModelBundle",
     "R4RResult", "RefineConfig", "RoundTrace", "collect_trace",
-    "default_beam_config", "run_direct_cot", "run_r4r", "run_standard",
+    "run_direct_cot", "run_r4r", "run_standard",
 ]

@@ -14,7 +14,7 @@ from gentrieval.cli import main as cli_main
 from gentrieval.constraint import (FmIndexAutomaton, TermSetAutomaton,
                                    TrieAutomaton)
 from gentrieval.corpus import END, Corpus, Document, Query
-from gentrieval.decode import BeamConfig, constrained_beam_search
+from gentrieval.decode import constrained_beam_search
 from gentrieval.docid import build_index, build_rq_hierarchy
 from gentrieval.evaluation import hits_at_k, mrr_at_k, nll_losses
 from gentrieval.fm_index import SequenceFMIndex
@@ -22,8 +22,7 @@ from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 from gentrieval.orchestrator import (REASON_ALL_RELEVANT,
                                      REASON_BUDGET_EXHAUSTED,
                                      REASON_PARSE_FAILURE, ModelBundle,
-                                     RefineConfig, default_beam_config,
-                                     run_r4r, run_standard)
+                                     RefineConfig, run_r4r, run_standard)
 from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
@@ -101,9 +100,7 @@ def test_acceptance_2_beam_exactness():
 
     def check(index, automaton, width, max_len):
         model = TableModel(len(index.vocab), seed=rng.randint(0, 10 ** 9))
-        hyps = constrained_beam_search(
-            model, [], automaton, BeamConfig(beam_width=width,
-                                             max_len=max_len + 1))
+        hyps = constrained_beam_search(model, [], automaton, width)
         oracle = sorted(
             ((sequence_logprob(model, [], list(seq)), seq)
              for seq, _ in enumerate_accepted(automaton, max_len)),
@@ -197,7 +194,7 @@ def run_scripted_loop(rules, verify_depth=2, round_budget=3):
                           dist_rules=TOY_DIST_RULES)
     return run_r4r(QUERY, ModelBundle(model, model), TrieAutomaton(index),
                    index, PromptRegistry.default(),
-                   BeamConfig(beam_width=3, max_len=4),
+                   3,
                    RefineConfig(verify_depth=verify_depth,
                                 round_budget=round_budget))
 
@@ -380,16 +377,15 @@ def test_acceptance_7_refinement_gain():
     reasoner = ScriptedModel(index.vocab, generate_rules=rules)
 
     automaton = TrieAutomaton(index)
-    beam_cfg = default_beam_config(index, k=20)
     bundle = ModelBundle(retrieve_model=retriever, reason_model=reasoner)
     refine_cfg = RefineConfig(verify_depth=1, round_budget=3)
 
     std_runs, r4r_runs = [], []
     for q in queries:
         std_runs.append((run_standard(q, retriever, automaton, index, reg,
-                                      beam_cfg), q.relevant_keys))
-        result = run_r4r(q, bundle, automaton, index, reg, beam_cfg,
-                         refine_cfg, timing=False)
+                                      20), q.relevant_keys))
+        result = run_r4r(q, bundle, automaton, index, reg, 20, refine_cfg,
+                         timing=False)
         assert result.reason == REASON_ALL_RELEVANT
         assert result.rounds_used == 2
         r4r_runs.append((result.ranked, q.relevant_keys))

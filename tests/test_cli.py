@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from gentrieval import evaluation
 from gentrieval.cli import build_parser, main
-from gentrieval.decode import BeamConfig
 from gentrieval.docid import DocIdIndex
 from gentrieval.errors import ConfigError
 from gentrieval.evaluation import ExperimentConfig
@@ -502,8 +501,6 @@ class TestOptionInventory:
             assert tuple(action.choices) == PIPELINES
 
     def test_config_fields(self):
-        assert [f.name for f in dataclasses.fields(BeamConfig)] == [
-            "beam_width", "max_len"]
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
             "corpus_path", "queries_path", "index_path", "strategy",
             "pipeline", "k", "verify_depth", "round_budget", "t_sweep",
@@ -656,6 +653,25 @@ class TestMalformedInputs:
             "--strategy", strategy, "--query", "which fruit calories"]))
         assert "record 2 ('d3')" in err
 
+    @pytest.mark.parametrize("field", ["doc_key", "surface", "view"])
+    def test_non_string_record_field(self, tmp_path, capsys, field):
+        # Two records tie on every query; a number among their surfaces or
+        # doc keys would reach the ranking's sort.
+        records = [{"doc_key": f"d{i}", "view": "path", "surface": "which",
+                    "tokens": [2, 0]} for i in (1, 2)]
+        records[1][field] = 5
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps({
+            "vocab": {"0": "<end>", "1": "<sep>", "2": "which"},
+            "records": records}))
+        queries = tmp_path / "queries.jsonl"
+        write_jsonl(queries, [{"qid": "q1", "text": "which"}])
+        err = self.assert_one_error(capsys, main([
+            "retrieve", "--index", str(index), "--model", "ngram",
+            "--train-queries", str(queries), "--query", "which"]))
+        key = 5 if field == "doc_key" else "d2"
+        assert err.endswith(f"record 1 ({key!r}): {field} is not a string")
+
     @pytest.mark.parametrize("key", ["99", "05"])
     def test_bad_vocab_ids(self, workspace, capsys, key):
         # A vocabulary id with a gap, or one written "05", would shift every
@@ -672,7 +688,7 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("line", [
         "not json", "[1]", '{"reason": ["x"]}', '{"rounds": 1}',
-        '"no_such_reason"'])
+        '"no_such_reason"', '"all_relevant"'])
     def test_bad_trace_line(self, tmp_path, capsys, line):
         trace = tmp_path / "trace.jsonl"
         trace.write_text(json.dumps({"reason": "all_relevant"}) + "\n"

@@ -10,7 +10,7 @@ import pytest
 from gentrieval.constraint import (STRATEGIES, FmIndexAutomaton,
                                    TermSetAutomaton, TrieAutomaton, build)
 from gentrieval.corpus import END, SEP
-from gentrieval.decode import BeamConfig, constrained_beam_search
+from gentrieval.decode import constrained_beam_search
 from gentrieval.docid import DocIdIndex, build_index
 from gentrieval.errors import (ConfigError, EmptyIndex, IllegalTransition,
                                InvalidState, NotTerminal)
@@ -152,10 +152,9 @@ def check_second_search_adds_no_node(cls):
         index = random_record_index(rng, 30, 6, max_len=4)
         a = cls(index)
         model = TableModel(len(index.vocab), seed=trial)
-        cfg = BeamConfig(beam_width=4, max_len=6)
-        first = constrained_beam_search(model, [0, 1], a, cfg)
+        first = constrained_beam_search(model, [0, 1], a, 4)
         nodes = len(a.nodes)
-        assert constrained_beam_search(model, [0, 1], a, cfg) == first
+        assert constrained_beam_search(model, [0, 1], a, 4) == first
         assert len(a.nodes) == nodes
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from gentrieval.constraint import STRATEGIES, TrieAutomaton, build
 from gentrieval.corpus import END
-from gentrieval.decode import (BeamConfig, Candidate, Hypothesis,
-                               RankedList, constrained_beam_search,
-                               dedup_rank, merge_views)
+from gentrieval.decode import (Candidate, Hypothesis, RankedList,
+                               constrained_beam_search, dedup_rank,
+                               merge_views)
 from gentrieval.docid import DocIdRecord
-from gentrieval.errors import NoValidPath, UnknownToken
+from gentrieval.errors import ConfigError, NoValidPath, UnknownToken
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
@@ -32,8 +32,7 @@ class TestBeamSearch:
         #   tech-apple  0.3 * 1.0 = 0.30
         #   food-banana 0.7 * 0.4 = 0.28
         index, model = toy_setup()
-        hyps = constrained_beam_search(
-            model, [], TrieAutomaton(index), BeamConfig(beam_width=3))
+        hyps = constrained_beam_search(model, [], TrieAutomaton(index), 3)
         assert [h.records[0].doc_key for h in hyps] == ["d1", "d2", "d3"]
         assert [h.score for h in hyps] == pytest.approx(
             [math.log(0.42), math.log(0.30), math.log(0.28)])
@@ -42,7 +41,7 @@ class TestBeamSearch:
         index, model = toy_setup()
         for strategy in STRATEGIES:
             hyps = constrained_beam_search(
-                model, [], build(strategy, index), BeamConfig(beam_width=8))
+                model, [], build(strategy, index), 8)
             by_doc = {}
             for h in hyps:
                 for r in h.records:
@@ -52,8 +51,7 @@ class TestBeamSearch:
 
     def test_width_one_greedy(self):
         index, model = toy_setup()
-        hyps = constrained_beam_search(
-            model, [], TrieAutomaton(index), BeamConfig(beam_width=1))
+        hyps = constrained_beam_search(model, [], TrieAutomaton(index), 1)
         assert len(hyps) == 1
         assert hyps[0].records[0].doc_key == "d1"
 
@@ -61,14 +59,13 @@ class TestBeamSearch:
         index, model = toy_setup()
         calories = index.vocab.id_of("calories")
         hyps = constrained_beam_search(
-            model, [calories], TrieAutomaton(index), BeamConfig(beam_width=3))
+            model, [calories], TrieAutomaton(index), 3)
         assert hyps[0].records[0].doc_key == "d1"
         assert hyps[0].score == pytest.approx(math.log(0.9 * 0.6))
 
     def test_scores_equal_sequence_logprob(self):
         index, model = toy_setup()
-        for hyp in constrained_beam_search(
-                model, [], TrieAutomaton(index), BeamConfig(beam_width=3)):
+        for hyp in constrained_beam_search(model, [], TrieAutomaton(index), 3):
             assert hyp.score == pytest.approx(
                 sequence_logprob(model, [], list(hyp.tokens)))
 
@@ -82,13 +79,13 @@ class TestBeamSearch:
 
         index, model = toy_setup()
         with pytest.raises(NoValidPath):
-            constrained_beam_search(model, [], Dead(), BeamConfig())
+            constrained_beam_search(model, [], Dead(), 20)
 
-    def test_max_len_cuts_generation(self):
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_rejects_width_below_one(self, width):
         index, model = toy_setup()
-        hyps = constrained_beam_search(
-            model, [], TrieAutomaton(index), BeamConfig(beam_width=3, max_len=1))
-        assert hyps == []
+        with pytest.raises(ConfigError, match="beam width must be >= 1"):
+            constrained_beam_search(model, [], TrieAutomaton(index), width)
 
     @pytest.mark.parametrize("strategy", ["trie"])
     def test_full_width_is_exhaustive(self, strategy):
@@ -100,8 +97,7 @@ class TestBeamSearch:
             automaton = build(strategy, index)
             model = TableModel(len(index.vocab), seed=trial)
             width = 200
-            hyps = constrained_beam_search(
-                model, [], automaton, BeamConfig(beam_width=width, max_len=6))
+            hyps = constrained_beam_search(model, [], automaton, width)
             oracle = []
             for seq, _ in enumerate_accepted(automaton, max_len=4):
                 oracle.append((sequence_logprob(model, [], list(seq)), seq))
@@ -119,9 +115,7 @@ class TestBeamSearch:
             model = TableModel(len(index.vocab), seed=100 + trial)
             prev_best = None
             for width in (1, 4, 50):
-                hyps = constrained_beam_search(
-                    model, [], automaton,
-                    BeamConfig(beam_width=width, max_len=6))
+                hyps = constrained_beam_search(model, [], automaton, width)
                 scores = [h.score for h in hyps]
                 assert scores == sorted(scores, reverse=True)
                 if prev_best is not None and hyps:
@@ -181,13 +175,12 @@ class TestPruneThenStep:
             index = random_record_index(rng, 30, 6, max_len=4)
             automaton = RecordingAutomaton(build(strategy, index))
             model = RecordingModel(TableModel(len(index.vocab), seed=trial))
-            constrained_beam_search(model, prompt, automaton,
-                                    BeamConfig(beam_width=width, max_len=6))
-            # At most beam_width steps per depth.
+            constrained_beam_search(model, prompt, automaton, width)
+            # At most width steps per depth.
             per_depth = Counter(len(nxt[1]) for _, _, nxt in automaton.steps)
             assert max(per_depth.values()) <= width
             # allowed() once per expanded state: the start state and every
-            # stepped state (max_len never binds here).
+            # stepped state.
             expanded = [automaton.start()] + [n for _, _, n in automaton.steps]
             assert Counter(automaton.allowed_states) == Counter(expanded)
             # The model is called once per expanded state, with the prompt
@@ -228,12 +221,11 @@ class TestBoundedPool:
             model = SparseTableModel(len(index.vocab), seed=trial)
             prompt = [rng.randrange(len(index.vocab)) for _ in range(2)]
             width = rng.randint(1, 5)
-            cfg = BeamConfig(beam_width=width, max_len=6)
-            hyps = constrained_beam_search(model, prompt, automaton, cfg)
+            hyps = constrained_beam_search(model, prompt, automaton, width)
             assert hyps == dense_beam_search(
-                model, prompt, build("fm_index", index), cfg)
+                model, prompt, build("fm_index", index), width)
             # Replay the offers in order: one enters when it ranks among
-            # the top beam_width of the offers so far.
+            # the top width of the offers so far.
             so_far, entrants = [], []
             for gen in automaton.end_legal:
                 key = (-sequence_logprob(model, prompt, list(gen) + [END]),
@@ -253,9 +245,12 @@ def dense_distribution(model, ctx, tokens):
     return {t: overrides.get(t, default) for t in tokens}
 
 
-def dense_beam_search(model, prompt_tokens, automaton, cfg):
+def dense_beam_search(model, prompt_tokens, automaton, width, max_len=6):
     """The beam loop before the sparse cut, kept as its oracle: every
-    allowed token of every live state is scored and sorted."""
+    allowed token of every live state is scored and sorted. It stops after
+    *max_len* depths, more than any record of the tests' indices needs, so
+    equality also shows that the beam, which has no length bound, finds
+    nothing deeper."""
     start = automaton.start()
     start_moves = automaton.allowed(start)
     if not start_moves[0] and not start_moves[1]:
@@ -264,7 +259,7 @@ def dense_beam_search(model, prompt_tokens, automaton, cfg):
     prompt = list(prompt_tokens)
     live = [(0.0, (), start)]
     finished = []
-    for _ in range(cfg.max_len):
+    for _ in range(max_len):
         if not live:
             break
         expansions = []
@@ -281,9 +276,9 @@ def dense_beam_search(model, prompt_tokens, automaton, cfg):
                 expansions.append((score + dist[tok], gen + (tok,), state))
         expansions.sort(key=lambda e: (-e[0], e[1]))
         live = [(score, gen, automaton.step(parent, gen[-1]))
-                for score, gen, parent in expansions[:cfg.beam_width]]
+                for score, gen, parent in expansions[:width]]
     finished.sort(key=lambda h: (-h.score, h.tokens))
-    return finished[:cfg.beam_width]
+    return finished[:width]
 
 
 def trained_ngram(index, rng, order=3):
@@ -298,7 +293,7 @@ def trained_ngram(index, rng, order=3):
 
 
 class TestSparseMatchesDense:
-    """Expanding only the overrides and the beam_width smallest
+    """Expanding only the overrides and the width smallest
     default-scored tokens per parent returns exactly what scoring every
     allowed token returns: tokens, scores (==) and records."""
 
@@ -312,10 +307,9 @@ class TestSparseMatchesDense:
             model = SparseTableModel(len(index.vocab), seed=trial)
             prompt = [rng.randrange(len(index.vocab)) for _ in range(2)]
             for width in range(1, 9):
-                cfg = BeamConfig(beam_width=width, max_len=6)
                 assert constrained_beam_search(
-                    model, prompt, automaton, cfg) == dense_beam_search(
-                    model, prompt, automaton, cfg)
+                    model, prompt, automaton, width) == dense_beam_search(
+                    model, prompt, automaton, width)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_trained_ngram(self, strategy):
@@ -328,10 +322,9 @@ class TestSparseMatchesDense:
             prompts = [[]] + [[rng.randrange(2, len(index.vocab))
                                for _ in range(3)] for _ in range(2)]
             for prompt, width in itertools.product(prompts, range(1, 9)):
-                cfg = BeamConfig(beam_width=width, max_len=6)
                 assert constrained_beam_search(
-                    model, prompt, automaton, cfg) == dense_beam_search(
-                    model, prompt, automaton, cfg)
+                    model, prompt, automaton, width) == dense_beam_search(
+                    model, prompt, automaton, width)
 
 
 class FullContext:
@@ -390,12 +383,11 @@ class TestModelWindow:
             prompts = [[]] + [[rng.randrange(2, len(index.vocab))
                                for _ in range(n)] for n in (1, 5)]
             for prompt, width in itertools.product(prompts, range(1, 9)):
-                cfg = BeamConfig(beam_width=width, max_len=6)
                 windowed = WindowRecorder(model)
                 assert constrained_beam_search(
-                    windowed, prompt, automaton, cfg) == \
+                    windowed, prompt, automaton, width) == \
                     constrained_beam_search(
-                        FullContext(model), prompt, automaton, cfg)
+                        FullContext(model), prompt, automaton, width)
                 assert windowed.lengths[0] == len(prompt)
                 assert max(windowed.lengths[1:], default=1) <= max(order - 1,
                                                                    1)
@@ -413,11 +405,10 @@ class TestModelWindow:
             prompts = [[], [rng.randrange(2, len(index.vocab))
                             for _ in range(6)]]
             for prompt, width in itertools.product(prompts, (1, 3, 8)):
-                cfg = BeamConfig(beam_width=width, max_len=6)
                 assert constrained_beam_search(
-                    model, prompt, automaton, cfg) == \
+                    model, prompt, automaton, width) == \
                     constrained_beam_search(
-                        FullContext(model), prompt, automaton, cfg)
+                        FullContext(model), prompt, automaton, width)
 
     @pytest.mark.parametrize("make_model", [
         lambda vocab: NgramModel(vocab),
@@ -430,7 +421,7 @@ class TestModelWindow:
         prompt = [len(index.vocab)] + [index.vocab.id_of("food")] * 5
         with pytest.raises(UnknownToken):
             constrained_beam_search(model, prompt, TrieAutomaton(index),
-                                    BeamConfig(beam_width=3))
+                                    3)
 
 
 def rec(key, surface, view="path"):
@@ -537,11 +528,3 @@ class TestMergeViews:
         assert merged.doc_keys() == deduped.doc_keys()
         for m, d in zip(merged, deduped):
             assert m.score == pytest.approx(d.score)
-
-
-class TestConfig:
-    def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            BeamConfig(beam_width=0)
-        with pytest.raises(ValueError):
-            BeamConfig(max_len=0)

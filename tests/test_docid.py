@@ -11,10 +11,9 @@ from hypothesis import example, given, strategies as st
 from gentrieval import docid
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
                                words_of)
-from gentrieval.docid import (STOPWORDS, DocIdIndex, NgramScorer, RQHierarchy,
-                              RQNode, TermStats, ViewConfig, assign_keywords,
-                              build_index, build_rq_hierarchy, build_views,
-                              path_docid)
+from gentrieval.docid import (STOPWORDS, VIEWS, DocIdIndex, DocIdRecord,
+                              RQHierarchy, RQNode, TermStats, assign_keywords,
+                              build_index, build_rq_hierarchy, path_docid)
 from gentrieval.errors import (ConfigError, EmptyDocument, EmptyIndex,
                                MalformedIndex, UnknownDoc)
 
@@ -257,36 +256,114 @@ class TestViews:
         return Corpus([
             Document("d1", "apple fruit nutrition facts", title="Apple Inc.",
                      pseudo_queries=("how many calories", "is apple healthy")),
-            Document("d2", "apple fruit recipes"),
+            Document("d2", "apple fruit recipes", title="?!"),
             Document("d3", "tech phone specs"),
         ])
 
+    def views_of(self, views, **kwargs):
+        index = build_index(self.make_corpus(), views=frozenset(views),
+                            **kwargs)
+        return [(r.doc_key, r.view, r.surface) for r in index.records
+                if r.view != "path"]
+
     def test_title_view(self):
-        corpus = self.make_corpus()
-        cfg = ViewConfig(views=frozenset({"title"}))
-        recs = build_views(corpus["d1"], cfg, Vocabulary())
-        assert len(recs) == 1
-        assert recs[0].view == "title"
-        assert recs[0].surface == "apple inc"
+        # d2's title has no words and d3 has none: neither makes a record.
+        assert self.views_of({"title"}) == [("d1", "title", "apple inc")]
 
-    def test_missing_title_no_record(self):
-        cfg = ViewConfig(views=frozenset({"title"}))
-        assert build_views(Document("d", "x y"), cfg, Vocabulary()) == []
-
-    def test_pseudo_query_count(self):
-        corpus = self.make_corpus()
-        cfg = ViewConfig(views=frozenset({"pseudo_query"}))
-        recs = build_views(corpus["d1"], cfg, Vocabulary())
-        assert len(recs) == 2
+    def test_pseudo_query_view(self):
+        assert self.views_of({"pseudo_query"}) == [
+            ("d1", "pseudo_query", "how many calories"),
+            ("d1", "pseudo_query", "is apple healthy")]
 
     def test_top_bigram(self):
         # (fruit, nutrition) and (nutrition, facts) tie on TF-IDF; the
         # lexicographically smaller bigram wins.
-        corpus = self.make_corpus()
-        cfg = ViewConfig(views=frozenset({"ngram"}), ngram_m=1, ngram_n=2,
-                         scorer=NgramScorer(corpus, n=2))
-        recs = build_views(corpus["d1"], cfg, Vocabulary())
-        assert [r.surface for r in recs] == ["fruit nutrition"]
+        got = self.views_of({"ngram"}, ngram_m=1, ngram_n=2)
+        assert got[0] == ("d1", "ngram", "fruit nutrition")
+
+    def test_order_within_a_document(self):
+        # Per document: title, then n-grams, then pseudo-queries.
+        got = self.views_of(VIEWS, ngram_m=1, ngram_n=3)
+        assert [v for key, v, _ in got if key == "d1"] == [
+            "title", "ngram", "pseudo_query", "pseudo_query"]
+        assert [key for key, _, _ in got] == ["d1"] * 4 + ["d2", "d3"]
+
+    @pytest.mark.parametrize("views", [(), ("title",), ("pseudo_query",)])
+    def test_no_ngram_pass_without_ngram_view(self, monkeypatch, views):
+        def refuse(*args):
+            raise AssertionError("n-gram pass without the ngram view")
+        monkeypatch.setattr(docid, "_top_ngrams", refuse)
+        build_index(self.make_corpus(), views=frozenset(views))
+
+    def test_ngram_records_match_reference(self):
+        rng = random.Random(17)
+        for trial in range(40):
+            corpus = random_view_corpus(rng, rng.randint(1, 25))
+            n, m = rng.randint(1, 4), rng.randint(1, 5)
+            views = frozenset(rng.sample(VIEWS, rng.randint(1, len(VIEWS))))
+            index = build_index(corpus, levels=1, branching=4, dim=8,
+                                views=views, ngram_n=n, ngram_m=m)
+            got = [r for r in index.records if r.view != "path"]
+            assert got == ref_view_records(corpus, views, n, m, index.vocab)
+
+
+def random_view_corpus(rng: random.Random, n_docs: int) -> Corpus:
+    """Documents of few, mixed-case words with punctuation, so n-grams
+    repeat within and across documents and some documents are shorter
+    than n; titles and pseudo-queries are at times missing or wordless."""
+    pool = ["Apple", "apple", "fruit", "x", "the", "Nutrition", "B2", "phone"]
+
+    def text(lo, hi):
+        return rng.choice([" ", ", ", "-", "! "]).join(
+            rng.choice(pool) for _ in range(rng.randint(lo, hi)))
+    return Corpus([
+        Document(f"d{i}", text(1, 10),
+                 title=rng.choice([None, "", "?!", text(1, 3)]),
+                 pseudo_queries=tuple(rng.choice(["...", text(1, 4)])
+                                      for _ in range(rng.randint(0, 2))))
+        for i in range(n_docs)])
+
+
+def ref_top_ngrams(corpus: Corpus, n: int, text: str, m: int) -> list[str]:
+    """The top-m n-grams of *text* by TF-IDF over *corpus*, as the ngram
+    view first scored them: one df pass over every document's own word
+    list, then a tf pass over *text*."""
+    def grams(t):
+        ws = words_of(t)
+        return [tuple(ws[i:i + n]) for i in range(len(ws) - n + 1)]
+    df = {}
+    for doc in corpus:
+        for g in set(grams(doc.text)):
+            df[g] = df.get(g, 0) + 1
+    tf = {}
+    for g in grams(text):
+        tf[g] = tf.get(g, 0) + 1
+    scored = sorted(
+        (-(cnt * math.log((1 + len(corpus)) / (1 + df.get(g, 0)))), g)
+        for g, cnt in tf.items())
+    return [" ".join(g) for _, g in scored[:m]]
+
+
+def ref_view_records(corpus: Corpus, views, n: int, m: int,
+                     vocab: Vocabulary) -> list[DocIdRecord]:
+    """Per document in corpus order: its title, top n-gram and
+    pseudo-query records, each only if its source has words."""
+    out = []
+    for doc in corpus:
+        texts = []
+        if "title" in views and doc.title:
+            texts.append(("title", doc.title))
+        if "ngram" in views:
+            texts += [("ngram", g)
+                      for g in ref_top_ngrams(corpus, n, doc.text, m)]
+        if "pseudo_query" in views:
+            texts += [("pseudo_query", pq) for pq in doc.pseudo_queries]
+        for view, t in texts:
+            toks = vocab.encode(t, on_unknown="skip")
+            if toks:
+                out.append(DocIdRecord(doc.doc_key, tuple(toks) + (END,),
+                                       " ".join(words_of(t)), view))
+    return out
 
 
 class TestIndexBuild:
@@ -385,6 +462,17 @@ class TestIndexBuild:
         obj["records"][1]["tokens"] = tokens
         with pytest.raises(MalformedIndex, match="record 1 .'d2'.: "
                            + problem):
+            DocIdIndex.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("field", ["doc_key", "surface", "view"])
+    @pytest.mark.parametrize("value", [5, None, ["d2"]])
+    def test_non_string_field_rejected(self, field, value):
+        # Such a field would reach dedup_rank's sort, which compares
+        # surfaces and doc keys.
+        obj = json.loads(make_index(TOY_SURFACES).to_json())
+        obj["records"][1][field] = value
+        with pytest.raises(MalformedIndex,
+                           match=rf"record 1 \(.*\): {field} is not a string"):
             DocIdIndex.from_json(json.dumps(obj))
 
     def test_body_free_record_loads(self):

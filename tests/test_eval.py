@@ -58,10 +58,10 @@ class TestMetrics:
             mrr_at_k([], 1)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^hits@k needs k >= 1, got 0$"):
             hits_at_k(THREE_RUNS, 0)
-        with pytest.raises(ValueError):
-            mrr_at_k(THREE_RUNS, 0)
+        with pytest.raises(ConfigError, match=r"^mrr@k needs k >= 1, got -1$"):
+            mrr_at_k(THREE_RUNS, -1)
 
     @st.composite
     def runs(draw):
@@ -178,9 +178,15 @@ class TestTerminationStats:
                          "parse_failure": 0.25}
         assert sum(stats.values()) == pytest.approx(1.0)
 
-    def test_bare_strings(self):
-        stats = termination_stats(["all_relevant", "parse_failure"])
+    def test_two_records(self):
+        stats = termination_stats([{"reason": "all_relevant"},
+                                   {"reason": "parse_failure"}])
         assert stats["all_relevant"] == 0.5
+
+    @pytest.mark.parametrize("trace", ["all_relevant", ["all_relevant"], 5])
+    def test_non_record_refused(self, trace):
+        with pytest.raises(ConfigError, match="trace record is not an object"):
+            termination_stats([{"reason": "all_relevant"}, trace])
 
     def test_unknown_reason(self):
         with pytest.raises(ConfigError):
@@ -191,7 +197,8 @@ class TestTerminationStats:
             termination_stats([])
 
     def test_keys_are_the_reasons_in_order(self):
-        assert tuple(termination_stats(["parse_failure"])) == REASONS
+        assert tuple(termination_stats([{"reason": "parse_failure"}])) == \
+            REASONS
 
 
 def write_jsonl(path, rows):
@@ -334,7 +341,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, value, message", [
         ("pipeline", "mystery", "unknown pipeline 'mystery'"),
-        ("strategy", "tri", "unknown strategy 'tri'")])
+        ("strategy", "tri", "unknown strategy 'tri'"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("k", -3, "k must be >= 1, got -3"),
+        ("hits_ks", (0,), "hits_ks must be >= 1, got 0"),
+        ("hits_ks", (1, 5, -1), "hits_ks must be >= 1, got -1"),
+        ("mrr_ks", (0,), "mrr_ks must be >= 1, got 0"),
+        ("mrr_ks", (10, 0), "mrr_ks must be >= 1, got 0")])
     def test_unknown_name_fails_before_any_load(self, experiment_files,
                                                 monkeypatch, field, value,
                                                 message):
@@ -346,7 +359,7 @@ class TestRunExperiment:
             return called
 
         for name in ("load_corpus", "load_queries", "make_retrieve_model",
-                     "build_automaton"):
+                     "build_automaton", "run_pipeline"):
             monkeypatch.setattr(evaluation, name, never(name))
         monkeypatch.setattr(evaluation.DocIdIndex, "load", never("load"))
         cfg = ExperimentConfig(

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from gentrieval import lm
 from gentrieval.constraint import STRATEGIES, build
 from gentrieval.corpus import END, SEP, Corpus, Document, Vocabulary
-from gentrieval.decode import BeamConfig, constrained_beam_search
+from gentrieval.decode import constrained_beam_search
 from gentrieval.evaluation import nll_losses
 from gentrieval.errors import (ConfigError, MissingEnd, NotSupported,
                                RemoteTimeout, RemoteUnavailable, UnknownToken)
@@ -538,8 +538,7 @@ class TestNgramMemo:
         for strategy in STRATEGIES:
             for _ in range(5):
                 prompt = [rng.randrange(2, len(index.vocab)) for _ in range(2)]
-                constrained_beam_search(m, prompt, build(strategy, index),
-                                        BeamConfig(beam_width=4, max_len=6))
+                constrained_beam_search(m, prompt, build(strategy, index), 4)
         assert m._memo
         assert len(m._memo) <= len(m.counts)
         assert m._memo.keys() <= m.counts.keys()

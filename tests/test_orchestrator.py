@@ -4,7 +4,6 @@ import pytest
 
 from gentrieval.constraint import TrieAutomaton
 from gentrieval.corpus import Query
-from gentrieval.decode import BeamConfig
 from gentrieval.errors import ConfigError, EmptyQuery
 from gentrieval.lm import ScriptedModel
 from gentrieval.orchestrator import (ABLATION_NO_CONTEXT,
@@ -14,8 +13,7 @@ from gentrieval.orchestrator import (ABLATION_NO_CONTEXT,
                                      REASON_BUDGET_EXHAUSTED,
                                      REASON_PARSE_FAILURE, ModelBundle,
                                      RefineConfig, collect_trace,
-                                     default_beam_config, run_direct_cot,
-                                     run_r4r, run_standard)
+                                     run_direct_cot, run_r4r, run_standard)
 from gentrieval.reasoning import PromptRegistry
 
 from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
@@ -54,8 +52,7 @@ def setup(generate_rules):
     model = ScriptedModel(index.vocab, generate_rules=generate_rules,
                           dist_rules=TOY_DIST_RULES)
     automaton = TrieAutomaton(index)
-    cfg = BeamConfig(beam_width=3, max_len=4)
-    return index, model, automaton, cfg
+    return index, model, automaton, 3
 
 
 class CountingModel:
@@ -75,52 +72,52 @@ class CountingModel:
 
 class TestStandard:
     def test_toy_ranking(self):
-        index, model, automaton, cfg = setup([])
+        index, model, automaton, k = setup([])
         ranked = run_standard(QUERY, model, automaton, index,
-                              PromptRegistry.default(), cfg)
+                              PromptRegistry.default(), k)
         # Prompt ends in "calories", so the food branch gets 0.9.
         assert ranked.doc_keys() == ["d1", "d3", "d2"]
         assert ranked[0].score == pytest.approx(math.log(0.9 * 0.6))
 
     def test_empty_query(self):
-        index, model, automaton, cfg = setup([])
+        index, model, automaton, k = setup([])
         q = Query(query_id="q", text="   ", relevant_keys=frozenset())
         with pytest.raises(EmptyQuery):
             run_standard(q, model, automaton, index,
-                         PromptRegistry.default(), cfg)
+                         PromptRegistry.default(), k)
 
-    def test_default_beam_config(self):
-        index, *_ = setup([])
-        cfg = default_beam_config(index, k=7)
-        assert cfg.beam_width == 7
-        assert cfg.max_len == 4  # longest record is 3 tokens incl. END
+    def test_k_bounds_the_list(self):
+        index, model, automaton, _ = setup([])
+        ranked = run_standard(QUERY, model, automaton, index,
+                              PromptRegistry.default(), 2)
+        assert ranked.doc_keys() == ["d1", "d3"]
 
 
 class TestDirectCot:
     def test_reasoning_feeds_decode(self):
         rules = [{"match": "think step by step",
                   "response": "the answer involves company details"}]
-        index, model, automaton, cfg = setup(rules)
+        index, model, automaton, k = setup(rules)
         ranked = run_direct_cot(QUERY, ModelBundle(model, model), automaton,
-                                index, PromptRegistry.default(), cfg)
+                                index, PromptRegistry.default(), k)
         # Reasoning text ends in "details" -> tech branch first.
         assert ranked.doc_keys() == ["d2", "d1", "d3"]
 
     def test_empty_reasoning_degrades_to_standard(self):
-        index, model, automaton, cfg = setup([])
+        index, model, automaton, k = setup([])
         reg = PromptRegistry.default()
         ranked = run_direct_cot(QUERY, ModelBundle(model, model), automaton,
-                                index, reg, cfg)
-        std = run_standard(QUERY, model, automaton, index, reg, cfg)
+                                index, reg, k)
+        std = run_standard(QUERY, model, automaton, index, reg, k)
         assert ranked.doc_keys() == std.doc_keys()
 
 
 class TestRefineLoop:
     def run(self, rules, refine=None, **kw):
-        index, model, automaton, cfg = setup(rules)
+        index, model, automaton, k = setup(rules)
         refine = refine or RefineConfig(verify_depth=2, round_budget=3)
         return run_r4r(QUERY, ModelBundle(model, model), automaton, index,
-                       PromptRegistry.default(), cfg, refine, **kw)
+                       PromptRegistry.default(), k, refine, **kw)
 
     def test_all_relevant_walkthrough(self):
         result = self.run(WALKTHROUGH_RULES)
@@ -202,7 +199,7 @@ class TestRefineLoop:
         assert gold_rank < first_rank
 
     def test_generate_call_budget(self):
-        index, model, automaton, cfg = setup([
+        index, model, automaton, k = setup([
             THINK_RULE,
             {"match": "Candidate identifier: ", "response": "irrelevant"},
             {"match": "Irrelevant identifier:",
@@ -213,7 +210,7 @@ class TestRefineLoop:
         t, big_t = 2, 3
         refine = RefineConfig(verify_depth=t, round_budget=big_t)
         run_r4r(QUERY, ModelBundle(counting, counting), automaton, index,
-                PromptRegistry.default(), cfg, refine)
+                PromptRegistry.default(), k, refine)
         # think (<=2) + per round: verify (<=2t) + reflect (<=2)
         assert counting.generate_calls <= 2 + big_t * (2 * t + 2)
 
@@ -240,11 +237,11 @@ class TestAblations:
              "response": "<context>fruit calories</context>"
                          "<explanation>e</explanation>"},
         ]
-        index, model, automaton, cfg = setup(rules)
+        index, model, automaton, k = setup(rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_VERIFICATION}))
         result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
-                         PromptRegistry.default(), cfg, refine)
+                         PromptRegistry.default(), k, refine)
         assert result.reason == REASON_BUDGET_EXHAUSTED
         assert result.rounds_used == 3
         assert all(rt.judgments == [] and rt.j_hat == 1 for rt in result.trace)
@@ -258,11 +255,11 @@ class TestAblations:
                          "<explanation>fruit calories</explanation>"},
             {"match": "Candidate identifier: ", "response": "relevant"},
         ]
-        index, model, automaton, cfg = setup(rules)
+        index, model, automaton, k = setup(rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_CONTEXT}))
         result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
-                         PromptRegistry.default(), cfg, refine)
+                         PromptRegistry.default(), k, refine)
         assert result.ranked.doc_keys()[0] == "d1"
 
     def test_no_explanation_blanks_channel(self):
@@ -270,18 +267,18 @@ class TestAblations:
             THINK_RULE,
             {"match": "Candidate identifier: ", "response": "relevant"},
         ]
-        index, model, automaton, cfg = setup(result_rules)
+        index, model, automaton, k = setup(result_rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_EXPLANATION}))
         result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
-                         PromptRegistry.default(), cfg, refine)
+                         PromptRegistry.default(), k, refine)
         assert all(rt.explanation == "" for rt in result.trace)
 
     def run_rejecting(self, ablation, reflect_rules):
         """Three rounds in which every verified docid is irrelevant, so
         reflect runs after rounds 1 and 2; returns the trace record and
         the prompts the reasoner saw."""
-        index, model, automaton, cfg = setup([
+        index, model, automaton, k = setup([
             THINK_RULE,
             {"match": "Candidate identifier: ", "response": "irrelevant"},
             *reflect_rules,
@@ -290,7 +287,7 @@ class TestAblations:
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset(ablation))
         result = run_r4r(QUERY, ModelBundle(counting, counting), automaton,
-                         index, PromptRegistry.default(), cfg, refine)
+                         index, PromptRegistry.default(), k, refine)
         assert result.reason == REASON_BUDGET_EXHAUSTED
         return collect_trace(result, QUERY.query_id), counting.prompts
 
@@ -325,10 +322,10 @@ class TestAblations:
 
 class TestTrace:
     def test_schema(self):
-        index, model, automaton, cfg = setup(WALKTHROUGH_RULES)
+        index, model, automaton, k = setup(WALKTHROUGH_RULES)
         refine = RefineConfig(verify_depth=2, round_budget=3)
         result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
-                         PromptRegistry.default(), cfg, refine, timing=False)
+                         PromptRegistry.default(), k, refine, timing=False)
         rec = collect_trace(result, QUERY.query_id)
         assert rec["qid"] == "q1"
         assert rec["reason"] == REASON_ALL_RELEVANT
@@ -344,13 +341,13 @@ class TestTrace:
         }
 
     def test_separate_models_flagged(self):
-        index, model, automaton, cfg = setup(WALKTHROUGH_RULES)
+        index, model, automaton, k = setup(WALKTHROUGH_RULES)
         reason = ScriptedModel(index.vocab, generate_rules=WALKTHROUGH_RULES)
         bundle = ModelBundle(retrieve_model=model, reason_model=reason)
         assert not bundle.shared
         refine = RefineConfig(verify_depth=2, round_budget=3)
         result = run_r4r(QUERY, bundle, automaton, index,
-                         PromptRegistry.default(), cfg, refine)
+                         PromptRegistry.default(), k, refine)
         assert result.shared_model is False
         assert result.reason == REASON_ALL_RELEVANT
 
