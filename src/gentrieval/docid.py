@@ -437,6 +437,9 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     bad = sorted(v for v in views if v not in VIEWS)
     if bad:
         raise ConfigError(f"unknown views: {', '.join(bad)}")
+    for name, value in (("ngram_n", ngram_n), ("ngram_m", ngram_m)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     if not len(corpus):
         raise EmptyIndex("cannot build an index over an empty corpus")
     vocab = Vocabulary()

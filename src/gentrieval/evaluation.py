@@ -22,7 +22,7 @@ from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, ScriptedModel, sequence_logprob
 from .orchestrator import (PIPELINES, REASONS, ModelBundle, R4RResult,
-                           RefineConfig, _retrieve_prompt, collect_trace,
+                           RefineConfig, collect_trace, retrieve_prompt_ids,
                            run_direct_cot, run_r4r, run_standard)
 from .reasoning import PromptRegistry
 
@@ -162,15 +162,16 @@ def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
     if not train_queries_path:
         raise ConfigError("no model configured: need scripted rules or "
                           "n-gram training queries")
-    model = NgramModel(index.vocab)
+    pairs = []
     for q in load_queries(train_queries_path):
-        prompt = index.vocab.encode(_retrieve_prompt(reg, q),
-                                    on_unknown="skip")
+        prompt = retrieve_prompt_ids(reg, index.vocab, q.text)
         for doc_key in sorted(q.relevant_keys):
             recs = [r for r in index.by_doc.get(doc_key, [])
                     if r.view == "path"]
             if recs:
-                model.train_pair(prompt, list(recs[0].tokens))
+                pairs.append((prompt, recs[0].tokens))
+    model = NgramModel(index.vocab)
+    model.train(pairs)
     return model
 
 

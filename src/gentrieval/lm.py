@@ -14,6 +14,9 @@ smoothing every token unseen in a context shares one score, so the pair is
 small, and constrained decoding can skip the default-scored tokens that
 cannot survive the beam cut. NgramModel memoises the pair per trained
 context, since beam steps and refine rounds ask for the same contexts again.
+NgramModel.train counts a batch of pairs in one pass: the positions every
+sequence shares from its start (the fixed retrieval template) are counted
+once, weighted by the number of pairs.
 
 A scoring model reads its vocabulary once, when it is built: NgramModel
 takes the vocabulary size then, and ScriptedModel resolves its rule words to
@@ -210,8 +213,9 @@ class NgramModel:
 
     The vocabulary size is read once, at construction. Distributions are
     memoised per context key (the last order - 1 tokens) for trained
-    contexts only, so the memo never outgrows self.counts; train_pair
-    clears it. Every untrained context gets one prebuilt uniform pair.
+    contexts only, so the memo never outgrows self.counts; a context's
+    count total is summed when its distribution is memoised, and train
+    clears the memo. Every untrained context gets one prebuilt uniform pair.
     Callers share the returned overrides dicts and must not change them.
     The key is the whole of what a distribution reads, so `window` is
     order - 1, and generate carries only that many trailing tokens from
@@ -224,8 +228,6 @@ class NgramModel:
         self.vocab = vocab
         self.order = order
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
-        # Per context, sum(self.counts[ctx].values()), kept by train_pair.
-        self.totals: dict[tuple[int, ...], int] = {}
         self._memo: dict[tuple[int, ...], tuple[float, dict[int, float]]] = {}
         self._v = len(vocab)
         self._unseen = math.log(1 / self._v), {}
@@ -234,15 +236,31 @@ class NgramModel:
     def window(self) -> int:
         return self.order - 1
 
+    def train(self, pairs: list[tuple[list[int], list[int]]]) -> None:
+        """Count the n-grams of prompt||target for each pair in *pairs*; each
+        target should end with END. A position that every sequence shares
+        from its start has the same context and token in each, so it is
+        counted once, len(pairs) times over; the first sequence counts it,
+        and the others start after it."""
+        seqs = [list(prompt) + list(target) for prompt, target in pairs]
+        if not seqs:
+            return
+        self._memo.clear()
+        # Every sequence lies between the least and the greatest, so all of
+        # them share exactly the prefix those two share.
+        lo, hi = min(seqs), max(seqs)
+        shared = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b),
+                      len(lo))
+        n, w, counts = len(seqs), self.order - 1, self.counts
+        for j, seq in enumerate(seqs):
+            for i in range(shared if j else 0, len(seq)):
+                bucket = counts.setdefault(tuple(seq[max(0, i - w):i]), {})
+                bucket[seq[i]] = bucket.get(seq[i], 0) + (
+                    n if i < shared else 1)
+
     def train_pair(self, prompt: list[int], target: list[int]) -> None:
         """Count n-grams of prompt||target; target should end with END."""
-        self._memo.clear()
-        seq = list(prompt) + list(target)
-        for i in range(len(seq)):
-            ctx = tuple(seq[max(0, i - (self.order - 1)):i])
-            bucket = self.counts.setdefault(ctx, {})
-            bucket[seq[i]] = bucket.get(seq[i], 0) + 1
-            self.totals[ctx] = self.totals.get(ctx, 0) + 1
+        self.train([(prompt, target)])
 
     def next_token_distribution(self, ctx: list[int]
                                 ) -> tuple[float, dict[int, float]]:
@@ -254,7 +272,7 @@ class NgramModel:
         counts = self.counts.get(key)
         if counts is None:
             return self._unseen
-        total = self.totals[key] + self._v
+        total = sum(counts.values()) + self._v
         dist = math.log(1 / total), {
             t: math.log((c + 1) / total) for t, c in counts.items()}
         self._memo[key] = dist

@@ -6,6 +6,10 @@ explanation, candidates, judgments, the first-irrelevant rank, and, only
 when timing is enabled, the round's wall-clock ms; `--timing`'s per-query
 latency, for every pipeline, is timed by `evaluation.run_experiment`. The
 module owns its choices' names: `PIPELINES`, `ABLATIONS`, `REASONS`.
+
+Training and decoding build the retrieval prompt's ids with
+`retrieve_prompt_ids`: the fixed template is encoded once per registry and
+vocabulary, so each decode encodes only the query's own text and context.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .corpus import Query
+from .corpus import Query, Vocabulary
 from .decode import (RankedList, constrained_beam_search, dedup_rank,
                      merge_views)
 from .docid import DocIdIndex
@@ -84,12 +88,21 @@ class R4RResult:
     shared_model: bool = True
 
 
-def _retrieve_prompt(reg: PromptRegistry, q: Query,
-                     auxiliary: str | None = None) -> str:
-    prompt = reg.render("P_r") + "\nQuery: " + q.text
+def retrieve_prompt_ids(reg: PromptRegistry, vocab: Vocabulary, text: str,
+                        auxiliary: str | None = None) -> list[int]:
+    """Ids of the retrieval prompt, P_r + "\nQuery: " + *text*, with
+    "\nContext: " + *auxiliary* when given, unknown words skipped. The
+    template part ends in a space, where no word can continue, so its ids are
+    encoded apart: once per vocabulary and size, kept in *reg*. An id added
+    to the vocabulary since then changes its size, so the ids are encoded
+    again."""
+    hit = reg.encoded.get(vocab)
+    if hit is None or hit[0] != len(vocab):
+        hit = reg.encoded[vocab] = len(vocab), vocab.encode(
+            reg.render("P_r") + "\nQuery: ", on_unknown="skip")
     if auxiliary:
-        prompt += "\nContext: " + auxiliary
-    return prompt
+        text += "\nContext: " + auxiliary
+    return hit[1] + vocab.encode(text, on_unknown="skip")
 
 
 def run_standard(q: Query, model, automaton, index: DocIdIndex,
@@ -99,8 +112,7 @@ def run_standard(q: Query, model, automaton, index: DocIdIndex,
     and, when given, the auxiliary text (reasoning or refined context)."""
     if not q.text.strip():
         raise EmptyQuery(q.query_id)
-    prompt = _retrieve_prompt(reg, q, auxiliary)
-    tokens = index.vocab.encode(prompt, on_unknown="skip")
+    tokens = retrieve_prompt_ids(reg, index.vocab, q.text, auxiliary)
     hyps = constrained_beam_search(model, tokens, automaton, k)
     if merge:
         return merge_views(hyps, k)
@@ -197,5 +209,5 @@ __all__ = [
     "ABLATION_NO_VERIFICATION", "PIPELINES", "REASONS", "REASON_ALL_RELEVANT",
     "REASON_PARSE_FAILURE", "REASON_BUDGET_EXHAUSTED", "ModelBundle",
     "R4RResult", "RefineConfig", "RoundTrace", "collect_trace",
-    "run_direct_cot", "run_r4r", "run_standard",
+    "retrieve_prompt_ids", "run_direct_cot", "run_r4r", "run_standard",
 ]

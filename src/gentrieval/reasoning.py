@@ -9,7 +9,7 @@ a format reminder); Think can always fall back to the raw query.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import Query, read_json
 from .decode import Candidate
@@ -69,6 +69,9 @@ _EXPLANATION_RE = re.compile(r"<explanation>(.*?)</explanation>", re.DOTALL)
 @dataclass(frozen=True)
 class PromptRegistry:
     templates: dict
+    # Per vocabulary, (its size, the ids of the fixed retrieval template),
+    # filled by orchestrator.retrieve_prompt_ids.
+    encoded: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def default(cls) -> "PromptRegistry":

@@ -92,6 +92,28 @@ def toy_corpus(tmp_path_factory):
     return get
 
 
+def ref_train_pair(m, prompt, target):
+    """Count every position of prompt||target with its own context: the
+    pair-by-pair loop that batched training must match."""
+    m._memo.clear()
+    seq = list(prompt) + list(target)
+    for i in range(len(seq)):
+        ctx = tuple(seq[max(0, i - (m.order - 1)):i])
+        bucket = m.counts.setdefault(ctx, {})
+        bucket[seq[i]] = bucket.get(seq[i], 0) + 1
+
+
+def assert_same_model(batched, ref):
+    """Equal counts, in the same insertion order, and equal distributions
+    for every trained context."""
+    assert batched.counts == ref.counts
+    assert list(batched.counts) == list(ref.counts)
+    for ctx, bucket in ref.counts.items():
+        assert list(batched.counts[ctx]) == list(bucket)
+        assert batched.next_token_distribution(list(ctx)) == \
+            ref.next_token_distribution(list(ctx))
+
+
 class TableModel:
     """Deterministic pseudo-random full-vocabulary distribution per context.
 

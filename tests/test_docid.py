@@ -542,6 +542,18 @@ class TestIndexBuild:
             build_index(corpus, views=frozenset({"titel", "title"}))
         assert str(exc.value) == "unknown views: titel"
 
+    @pytest.mark.parametrize("corpus", [
+        Corpus([Document("d1", "alpha beta gamma delta"),
+                Document("d2", "beta gamma")]), Corpus([])])
+    @pytest.mark.parametrize("name, value", [
+        ("ngram_n", 0), ("ngram_n", -1), ("ngram_m", 0), ("ngram_m", -1)])
+    def test_ngram_sizes_below_one_refused(self, corpus, name, value):
+        # Checked before the corpus is, with or without the ngram view.
+        for views in (frozenset({"ngram"}), frozenset()):
+            with pytest.raises(ConfigError) as exc:
+                build_index(corpus, views=views, **{name: value})
+            assert str(exc.value) == f"{name} must be >= 1, got {value}"
+
     def test_every_doc_has_record(self):
         rng = random.Random(3)
         corpus = random_text_corpus(rng, 12)

@@ -1,22 +1,28 @@
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gentrieval.corpus import END, Corpus, Document, Query
+from gentrieval.corpus import (END, Corpus, Document, Query, load_corpus,
+                               load_queries)
 from gentrieval.decode import Candidate, RankedList
-from gentrieval.docid import DocIdRecord
+from gentrieval.docid import DocIdRecord, build_index
 from gentrieval import evaluation
 from gentrieval.errors import ConfigError, EmptyRuns, NotSupported
-from gentrieval.evaluation import (ExperimentConfig, hits_at_k, mrr_at_k,
+from gentrieval.evaluation import (ExperimentConfig, hits_at_k,
+                                   make_retrieve_model, mrr_at_k,
                                    nll_losses, run_experiment,
                                    termination_stats)
 from gentrieval.lm import NgramModel, ScriptedModel
 from gentrieval.orchestrator import REASONS
-from gentrieval.reasoning import DEFAULT_PROMPTS
+from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 
-from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
+from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
+                      assert_same_model, make_index, ref_train_pair)
 
 
 def ranked(*keys):
@@ -233,6 +239,46 @@ def experiment_files(tmp_path):
             "index_path": str(index_path),
             "scripted_model_path": str(model_path),
             "reason_model_path": str(reason_path)}
+
+
+class TestMakeRetrieveModel:
+    @pytest.mark.parametrize("p_r", [None, "Rank the documen"])
+    def test_matches_pair_by_pair_on_toy_data(self, tmp_path, p_r):
+        # The toy queries, plus one with two relevant documents and one
+        # whose document is not in the corpus; under a P_r override that
+        # ends mid-word, or the default.
+        script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                  / "make_toy_data.py")
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path),
+                        "--docs", "40", "--queries", "30", "--seed", "0"],
+                       check=True, capture_output=True)
+        queries_path = tmp_path / "queries.jsonl"
+        with open(queries_path, "a", encoding="utf-8") as fh:
+            for row in ({"qid": "two", "text": "topic001 topic002 plugh",
+                         "relevant": ["d002", "d001"]},
+                        {"qid": "gone", "text": "topic003",
+                         "relevant": ["d999"]}):
+                fh.write(json.dumps(row) + "\n")
+        index = build_index(load_corpus(tmp_path / "corpus.jsonl"),
+                            levels=1, branching=8,
+                            extra_vocab_texts=list(DEFAULT_PROMPTS.values()))
+        reg = PromptRegistry.default()
+        if p_r is not None:
+            prompts = tmp_path / "prompts.json"
+            prompts.write_text(json.dumps({"P_r": p_r}))
+            reg = PromptRegistry.load(str(prompts))
+        model = make_retrieve_model(index, reg, None, str(queries_path))
+        ref = NgramModel(index.vocab)
+        for q in load_queries(queries_path):
+            prompt = index.vocab.encode(
+                reg.render("P_r") + "\nQuery: " + q.text, on_unknown="skip")
+            for doc_key in sorted(q.relevant_keys):
+                recs = [r for r in index.by_doc.get(doc_key, [])
+                        if r.view == "path"]
+                if recs:
+                    ref_train_pair(ref, prompt, list(recs[0].tokens))
+        assert ref.counts
+        assert_same_model(model, ref)
 
 
 class TestRunExperiment:

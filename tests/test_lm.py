@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gentrieval import lm
 from gentrieval.constraint import STRATEGIES, build
@@ -21,8 +21,8 @@ from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
 from gentrieval.reasoning import PromptRegistry
 
 from conftest import (DEEP_JSON, PARSER_LIMITS, TOY_DIST_RULES,
-                      TOY_EXTRA_WORDS, TOY_SURFACES, make_index,
-                      random_record_index)
+                      TOY_EXTRA_WORDS, TOY_SURFACES, assert_same_model,
+                      make_index, random_record_index, ref_train_pair)
 
 
 def toy_model():
@@ -363,18 +363,6 @@ class TestNgram:
         out = m.generate("query apple calories", 256)
         assert out == "food apple"
 
-    def test_context_totals_track_counts(self):
-        vocab = Vocabulary()
-        ids = vocab.encode("a b c d", on_unknown="grow")
-        rng = random.Random(8)
-        m = NgramModel(vocab, order=3)
-        for _ in range(12):
-            m.train_pair([rng.choice(ids) for _ in range(rng.randint(0, 4))],
-                         [rng.choice(ids) for _ in range(3)] + [END])
-            assert m.totals.keys() == m.counts.keys()
-            for ctx, bucket in m.counts.items():
-                assert m.totals[ctx] == sum(bucket.values())
-
     def test_unknown_context_token(self):
         vocab = Vocabulary()
         vocab.encode("a", on_unknown="grow")
@@ -427,6 +415,69 @@ class TestNgram:
     def test_order_below_one_rejected(self, order):
         with pytest.raises(ValueError, match="order"):
             NgramModel(Vocabulary(), order=order)
+
+
+_TOK = st.integers(min_value=0, max_value=5)
+
+
+@st.composite
+def pair_batches(draw):
+    """Training pairs whose prompts start with a cut of one common prefix:
+    all, part or none of it, so the pairs share all, part or none of their
+    start. Some pairs may repeat."""
+    prefix = draw(st.lists(_TOK, max_size=8))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        cut = draw(st.integers(min_value=0, max_value=len(prefix)))
+        pairs.append((prefix[:cut] + draw(st.lists(_TOK, max_size=3)),
+                      draw(st.lists(_TOK, max_size=3)) + [END]))
+    if pairs and draw(st.booleans()):
+        pairs += draw(st.lists(st.sampled_from(pairs), min_size=1,
+                               max_size=4))
+    return pairs
+
+
+class TestBatchTraining:
+    def vocab(self):
+        vocab = Vocabulary()
+        vocab.encode("a b c d", on_unknown="grow")  # ids 0..5
+        return vocab
+
+    @given(st.integers(min_value=1, max_value=4), pair_batches())
+    @example(2, [])
+    @example(3, [([2, 3, 4], [5, END])])
+    @example(3, [([2, 3, 4], [5, END])] * 3)
+    @example(4, [([2], [3, END]), ([2], [4, END])])
+    @example(3, [([2, 3], [4, END]), ([3, 2], [4, END])])
+    @example(1, [([2, 3, 4, 5], [END]), ([2, 3, 4, 5], [2, END])])
+    def test_matches_pair_by_pair(self, order, pairs):
+        vocab = self.vocab()
+        batched, ref = NgramModel(vocab, order), NgramModel(vocab, order)
+        batched.train(pairs)
+        for prompt, target in pairs:
+            ref_train_pair(ref, prompt, target)
+        assert_same_model(batched, ref)
+
+    def test_batches_add_up(self):
+        # Two batches, the second after scoring, count as one would.
+        vocab = self.vocab()
+        pairs = [([2, 3, 4], [5, END]), ([2, 3, 5], [4, END]),
+                 ([2, 3, 4], [5, END])]
+        m, ref = NgramModel(vocab), NgramModel(vocab)
+        m.train(pairs[:2])
+        for ctx in m.counts:
+            m.next_token_distribution(list(ctx))
+        m.train(pairs[2:])
+        for prompt, target in pairs:
+            ref_train_pair(ref, prompt, target)
+        assert_same_model(m, ref)
+
+    def test_shared_prefix_weighted_by_pair_count(self):
+        vocab = self.vocab()
+        m = NgramModel(vocab, order=2)
+        m.train([([2, 3], [4, END]), ([2, 3], [5, END]), ([2, 3], [4, END])])
+        assert m.counts == {(): {2: 3}, (2,): {3: 3}, (3,): {4: 2, 5: 1},
+                            (4,): {END: 2}, (5,): {END: 1}}
 
 
 def full_context_generate(m, prompt, max_tokens):

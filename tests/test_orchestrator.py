@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gentrieval.constraint import TrieAutomaton
-from gentrieval.corpus import Query
+from gentrieval.corpus import Query, Vocabulary
 from gentrieval.errors import ConfigError, EmptyQuery
 from gentrieval.lm import ScriptedModel
 from gentrieval.orchestrator import (ABLATION_NO_CONTEXT,
@@ -13,8 +14,9 @@ from gentrieval.orchestrator import (ABLATION_NO_CONTEXT,
                                      REASON_BUDGET_EXHAUSTED,
                                      REASON_PARSE_FAILURE, ModelBundle,
                                      RefineConfig, collect_trace,
-                                     run_direct_cot, run_r4r, run_standard)
-from gentrieval.reasoning import PromptRegistry
+                                     retrieve_prompt_ids, run_direct_cot,
+                                     run_r4r, run_standard)
+from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 from conftest import TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES, make_index
 
@@ -91,6 +93,78 @@ class TestStandard:
         ranked = run_standard(QUERY, model, automaton, index,
                               PromptRegistry.default(), 2)
         assert ranked.doc_keys() == ["d1", "d3"]
+
+
+def full_prompt_ids(reg, vocab, text, auxiliary=None):
+    """The retrieval prompt encoded in one piece."""
+    prompt = reg.render("P_r") + "\nQuery: " + text
+    if auxiliary:
+        prompt += "\nContext: " + auxiliary
+    return vocab.encode(prompt, on_unknown="skip")
+
+
+def registry(p_r):
+    return PromptRegistry({**DEFAULT_PROMPTS, "P_r": p_r})
+
+
+# Letters whose lowercase depends on their neighbours (Σ ends a word as ς)
+# or spans two code points (İ), next to word boundaries of every kind.
+SPLIT_ALPHABET = "abΣσςİi0_- .:'\n"
+
+
+class TestRetrievePromptIds:
+    @pytest.mark.parametrize("p_r, text, auxiliary", [
+        (None, "which fruit calories", None),
+        (None, "which fruit calories", ""),
+        (None, "which fruit calories", "company details"),
+        (None, "plugh which", "xyzzy fruit"),
+        (None, "-which", None),
+        (None, " which", None),
+        (None, "Σ which", None),
+        ("ΑΣ which", "ΣΑΣ which", "ΑΣ"),
+        ("Rank the documen", "documents fruit", None),
+        ("which fruit calori", "es details", "calori"),
+    ])
+    def test_matches_one_piece_encoding(self, p_r, text, auxiliary):
+        index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS + [
+            "σ", "ας", "σας", "documen", "calori", "rank", "the"])
+        reg = PromptRegistry.default() if p_r is None else registry(p_r)
+        for _ in range(2):  # encodes the template, then reuses it
+            assert retrieve_prompt_ids(reg, index.vocab, text, auxiliary) == \
+                full_prompt_ids(reg, index.vocab, text, auxiliary)
+
+    @given(st.text(SPLIT_ALPHABET, max_size=12),
+           st.text(SPLIT_ALPHABET, max_size=12),
+           st.none() | st.text(SPLIT_ALPHABET, max_size=8),
+           st.text(SPLIT_ALPHABET, max_size=40))
+    def test_matches_one_piece_encoding_property(self, p_r, text, auxiliary,
+                                                 known):
+        vocab = Vocabulary()
+        vocab.ingest(known + " query context")
+        reg = registry(p_r)
+        for _ in range(2):
+            assert retrieve_prompt_ids(reg, vocab, text, auxiliary) == \
+                full_prompt_ids(reg, vocab, text, auxiliary)
+
+    def test_growing_vocabulary_reencodes_template(self):
+        vocab = Vocabulary()
+        vocab.ingest("which query fruit")
+        reg = registry("plugh which")
+        assert retrieve_prompt_ids(reg, vocab, "fruit") == \
+            full_prompt_ids(reg, vocab, "fruit")
+        plugh = vocab.add("plugh")
+        ids = retrieve_prompt_ids(reg, vocab, "fruit")
+        assert ids == full_prompt_ids(reg, vocab, "fruit")
+        assert ids[0] == plugh
+
+    def test_one_registry_many_vocabularies(self):
+        reg = registry("plugh which")
+        small, big = Vocabulary(), Vocabulary()
+        small.ingest("query fruit")
+        big.ingest("plugh which query fruit")
+        for vocab in (small, big, small):
+            assert retrieve_prompt_ids(reg, vocab, "fruit") == \
+                full_prompt_ids(reg, vocab, "fruit")
 
 
 class TestDirectCot:
