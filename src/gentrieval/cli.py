@@ -15,10 +15,11 @@ from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Query, load_corpus, read_jsonl
 from .docid import VIEWS, DocIdIndex, build_index
 from .errors import GentrievalError
-from .evaluation import (ExperimentConfig, make_retrieve_model,
-                         run_experiment, run_pipeline, termination_stats)
+from .evaluation import (ExperimentConfig, check_r4r_only,
+                         make_retrieve_model, run_experiment, run_pipeline,
+                         termination_stats)
 from .lm import RemoteModel
-from .orchestrator import ABLATIONS, PIPELINES, ModelBundle, RefineConfig
+from .orchestrator import ABLATIONS, PIPELINES, RefineConfig
 from .reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 
@@ -145,19 +146,19 @@ def _cmd_build_index(args) -> int:
 def _cmd_retrieve(args) -> int:
     refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
                               ablation=args.ablation)
+    check_r4r_only(args.pipeline, ablation=args.ablation)
     index = DocIdIndex.load(args.index)
     automaton = build_automaton(args.strategy, index)
     reg = PromptRegistry.load(args.prompts)
     retrieve_model = make_retrieve_model(
         index, reg, None if args.model == "ngram" else args.model,
         args.train_queries)
-    bundle = ModelBundle(
-        retrieve_model=retrieve_model,
-        reason_model=(RemoteModel(args.remote_url) if args.remote_url
-                      else retrieve_model))
+    reason_model = (RemoteModel(args.remote_url) if args.remote_url
+                    else retrieve_model)
     ranked, _ = run_pipeline(
-        Query(query_id="cli", text=args.query), args.pipeline, bundle,
-        automaton, index, reg, args.k, refine_cfg, merge=args.merge_views)
+        Query(query_id="cli", text=args.query), args.pipeline, retrieve_model,
+        reason_model, automaton, index, reg, args.k, refine_cfg,
+        merge=args.merge_views)
     for cand in ranked:
         print(f"{cand.record.surface}\t{cand.score:.6f}\t{cand.doc_key}")
     return 0

@@ -29,12 +29,6 @@ from .errors import (ConfigError, EmptyIndex, IllegalTransition, InvalidState,
                      NotTerminal)
 from .fm_index import SequenceFMIndex
 
-STRATEGY_TRIE = "trie"
-STRATEGY_FM = "fm_index"
-STRATEGY_TERM_SET = "term_set"
-STRATEGIES = (STRATEGY_TRIE, STRATEGY_FM, STRATEGY_TERM_SET)
-
-
 def _body(record: DocIdRecord) -> tuple[int, ...]:
     """Record tokens without the trailing END."""
     return record.tokens[:-1]
@@ -47,8 +41,6 @@ def _check_node(state: int, count: int, kind: str) -> None:
 
 
 class TrieAutomaton:
-    strategy = STRATEGY_TRIE
-
     def __init__(self, index: DocIdIndex):
         self.records = list(index.records)
         self.children: list[dict[int, int]] = [{}]
@@ -125,8 +117,6 @@ class FmIndexAutomaton:
     Answers fill the shared table unguarded, so one automaton serves one
     search at a time.
     """
-
-    strategy = STRATEGY_FM
 
     def __init__(self, index: DocIdIndex):
         joined: list[int] = [SEP]
@@ -226,8 +216,6 @@ class TermSetAutomaton:
     automaton serves one search at a time.
     """
 
-    strategy = STRATEGY_TERM_SET
-
     def __init__(self, index: DocIdIndex):
         self.records = list(index.records)
         self.sizes = [len(_body(r)) for r in self.records]
@@ -296,13 +284,15 @@ class TermSetAutomaton:
         return list(node.terminal)
 
 
+AUTOMATA = {"trie": TrieAutomaton, "fm_index": FmIndexAutomaton,
+            "term_set": TermSetAutomaton}
+STRATEGIES = tuple(AUTOMATA)
+
+
 def build(strategy: str, index: DocIdIndex):
     if not index.records:
         raise EmptyIndex("cannot build a constraint over an empty index")
-    if strategy == STRATEGY_TRIE:
-        return TrieAutomaton(index)
-    if strategy == STRATEGY_FM:
-        return FmIndexAutomaton(index)
-    if strategy == STRATEGY_TERM_SET:
-        return TermSetAutomaton(index)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    automaton = AUTOMATA.get(strategy)
+    if automaton is None:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    return automaton(index)

@@ -51,9 +51,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_word)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._word_to_id
-
     def freeze(self) -> None:
         self.frozen = True
 

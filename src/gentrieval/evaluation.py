@@ -21,9 +21,9 @@ from .decode import RankedList
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, ScriptedModel, sequence_logprob
-from .orchestrator import (PIPELINES, REASONS, ModelBundle, R4RResult,
-                           RefineConfig, collect_trace, retrieve_prompt_ids,
-                           run_direct_cot, run_r4r, run_standard)
+from .orchestrator import (PIPELINES, REASONS, R4RResult, RefineConfig,
+                           retrieve_prompt_ids, run_direct_cot, run_r4r,
+                           run_standard)
 from .reasoning import PromptRegistry
 
 
@@ -175,21 +175,35 @@ def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
     return model
 
 
-def run_pipeline(q: Query, pipeline: str, bundle: ModelBundle, automaton,
+def check_r4r_only(pipeline: str, **settings) -> None:
+    """Raise ConfigError if one of *settings* is set but *pipeline* is not
+    r4r: only the refine loop reads them."""
+    used = [name for name, value in settings.items() if value]
+    if used and pipeline != "r4r":
+        raise ConfigError(f"{used[0]} applies only to the r4r pipeline, "
+                          f"not {pipeline!r}")
+
+
+def run_pipeline(q: Query, pipeline: str, model, reason_model, automaton,
                  index: DocIdIndex, reg: PromptRegistry, k: int,
                  refine_cfg: RefineConfig, merge: bool = False,
                  timing: bool = False) -> tuple[RankedList, R4RResult | None]:
     """Rank the top k docids for one query through the named pipeline. The
-    second item is the refine-loop result, kept for its trace (r4r only)."""
+    second item is the refine-loop result, kept for its trace (r4r only).
+
+    *model* retrieves: it scores tokens, so it must be local, and its
+    next_token_distribution(ctx) returns the sparse (default, overrides)
+    distribution. *reason_model* only generates, so it may be remote; the
+    standard pipeline does not read it. One model may serve both roles."""
     if pipeline == "standard":
-        return run_standard(q, bundle.retrieve_model, automaton, index, reg,
-                            k, merge=merge), None
+        return run_standard(q, model, automaton, index, reg, k,
+                            merge=merge), None
     if pipeline == "direct_cot":
-        return run_direct_cot(q, bundle, automaton, index, reg, k,
-                              merge=merge), None
+        return run_direct_cot(q, model, reason_model, automaton, index, reg,
+                              k, merge=merge), None
     if pipeline == "r4r":
-        result = run_r4r(q, bundle, automaton, index, reg, k, refine_cfg,
-                         merge=merge, timing=timing)
+        result = run_r4r(q, model, reason_model, automaton, index, reg, k,
+                         refine_cfg, merge=merge, timing=timing)
         return result.ranked, result
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
@@ -209,8 +223,9 @@ def run_experiment(cfg: ExperimentConfig):
     """Run all queries, in order, through the configured pipeline (sweeping
     t/T when requested) and write the report and trace artifacts. The output
     paths are checked before the first query is decoded; the pipeline and
-    strategy names and k and the metric cutoffs are checked, and the refine
-    configs built, before any file is read."""
+    strategy names and k and the metric cutoffs are checked, the refine
+    configs built, and an ablation or sweep on a pipeline other than r4r
+    refused, before any file is read."""
     if cfg.jobs != 1:
         raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
     for name, values in (("k", (cfg.k,)), ("hits_ks", cfg.hits_ks),
@@ -229,6 +244,8 @@ def run_experiment(cfg: ExperimentConfig):
     refine_cfgs = [RefineConfig(verify_depth=t, round_budget=T,
                                 ablation=cfg.ablation)
                    for t in t_values for T in T_values]
+    check_r4r_only(cfg.pipeline, ablation=cfg.ablation, t_sweep=cfg.t_sweep,
+                   T_sweep=cfg.T_sweep)
     load_corpus(cfg.corpus_path)  # validates the referenced corpus file
     queries = load_queries(cfg.queries_path)
     index = DocIdIndex.load(cfg.index_path)
@@ -240,7 +257,6 @@ def run_experiment(cfg: ExperimentConfig):
                                    cfg.ngram_train_queries_path)
     reason = (ScriptedModel.from_file(cfg.reason_model_path, index.vocab)
               if cfg.reason_model_path else retrieve)
-    bundle = ModelBundle(retrieve_model=retrieve, reason_model=reason)
     _check_writable(cfg.report_path)
     _check_writable(cfg.trace_path)
 
@@ -248,14 +264,17 @@ def run_experiment(cfg: ExperimentConfig):
     all_traces: list[dict] = []
     for refine_cfg in refine_cfgs:
         start = time.perf_counter()
-        outcomes = [run_pipeline(q, cfg.pipeline, bundle, automaton, index,
-                                 reg, cfg.k, refine_cfg, cfg.merge,
-                                 cfg.timing)
+        outcomes = [run_pipeline(q, cfg.pipeline, retrieve, reason,
+                                 automaton, index, reg, cfg.k, refine_cfg,
+                                 cfg.merge, cfg.timing)
                     for q in queries]
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         runs = [(ranked, q.relevant_keys)
                 for (ranked, _), q in zip(outcomes, queries)]
-        traces = [collect_trace(res, q.query_id)
+        traces = [{"qid": q.query_id, "reason": res.reason,
+                   "rounds": res.rounds_used,
+                   "shared_model": reason is retrieve,
+                   "rounds_detail": res.trace}
                   for (_, res), q in zip(outcomes, queries)
                   if res is not None]
         row = {"t": refine_cfg.verify_depth, "T": refine_cfg.round_budget,
@@ -292,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 __all__ = [
-    "ExperimentConfig", "NllReport",
+    "ExperimentConfig", "NllReport", "check_r4r_only",
     "hits_at_k", "make_retrieve_model", "mrr_at_k", "nll_losses",
     "run_experiment", "run_pipeline", "termination_stats",
 ]

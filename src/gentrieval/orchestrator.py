@@ -1,9 +1,10 @@
 """Retrieval pipelines: standard, direct-CoT, and the iterative
 Think / Retrieve / Refine loop with verification-driven reflection.
 
-One loop run is sequential by construction; traces capture per-round context,
-explanation, candidates, judgments, the first-irrelevant rank, and, only
-when timing is enabled, the round's wall-clock ms; `--timing`'s per-query
+One loop run is sequential by construction. Each round is recorded once, as
+the trace file writes it: context `c`, explanation `e`, candidates `topk`,
+`judgments`, the first-irrelevant rank `j_hat`, and `ms`, the round's
+wall-clock time when timing is enabled (else 0.0); `--timing`'s per-query
 latency, for every pipeline, is timed by `evaluation.run_experiment`. The
 module owns its choices' names: `PIPELINES`, `ABLATIONS`, `REASONS`.
 
@@ -56,36 +57,11 @@ class RefineConfig:
 
 
 @dataclass
-class ModelBundle:
-    """The retrieval model scores tokens, so it must be local: its
-    next_token_distribution(ctx) returns the sparse (default, overrides)
-    distribution. The reasoning model only generates and may be remote.
-    One model may serve both roles."""
-    retrieve_model: object
-    reason_model: object
-
-    @property
-    def shared(self) -> bool:
-        return self.retrieve_model is self.reason_model
-
-
-@dataclass
-class RoundTrace:
-    context: str
-    explanation: str
-    topk: list[dict]
-    judgments: list[str]
-    j_hat: int
-    ms: float
-
-
-@dataclass
 class R4RResult:
     ranked: RankedList
     reason: str
     rounds_used: int
-    trace: list[RoundTrace] = field(default_factory=list)
-    shared_model: bool = True
+    trace: list[dict] = field(default_factory=list)
 
 
 def retrieve_prompt_ids(reg: PromptRegistry, vocab: Vocabulary, text: str,
@@ -119,17 +95,17 @@ def run_standard(q: Query, model, automaton, index: DocIdIndex,
     return dedup_rank(hyps, k)
 
 
-def run_direct_cot(q: Query, bundle: ModelBundle, automaton,
+def run_direct_cot(q: Query, model, reason_model, automaton,
                    index: DocIdIndex, reg: PromptRegistry, k: int,
                    merge: bool = False) -> RankedList:
     """Free-form reasoning first, then one constrained decode over
     query || reasoning."""
-    reasoning = direct_cot(bundle.reason_model, q, reg)
-    return run_standard(q, bundle.retrieve_model, automaton, index, reg, k,
+    reasoning = direct_cot(reason_model, q, reg)
+    return run_standard(q, model, automaton, index, reg, k,
                         auxiliary=reasoning or None, merge=merge)
 
 
-def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
+def run_r4r(q: Query, model, reason_model, automaton, index: DocIdIndex,
             reg: PromptRegistry, k: int, refine_cfg: RefineConfig,
             merge: bool = False, timing: bool = False) -> R4RResult:
     """Think once, then alternate Retrieve and Refine until the top verify
@@ -138,36 +114,34 @@ def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
     no_exp = ABLATION_NO_EXPLANATION in refine_cfg.ablation
     no_verify = ABLATION_NO_VERIFICATION in refine_cfg.ablation
 
-    state = think(bundle.reason_model, q, reg)
+    state = think(reason_model, q, reg)
     if no_exp:
         state = ReasoningState(state.context, "")
 
     result = R4RResult(ranked=RankedList(), reason=REASON_BUDGET_EXHAUSTED,
-                       rounds_used=0, shared_model=bundle.shared)
+                       rounds_used=0)
     for i in range(1, refine_cfg.round_budget + 1):
         r_start = time.monotonic()
         auxiliary = state.explanation if no_ctx else state.context
-        ranked = run_standard(q, bundle.retrieve_model, automaton, index,
-                              reg, k, auxiliary=auxiliary or None,
-                              merge=merge)
+        ranked = run_standard(q, model, automaton, index, reg, k,
+                              auxiliary=auxiliary or None, merge=merge)
         judgments: list[str] = []
         j_hat = 0
         if no_verify:
             j_hat = 1 if len(ranked) else 0
         else:
             for j, cand in enumerate(ranked[:refine_cfg.verify_depth], start=1):
-                verdict = verify(bundle.reason_model, q, cand, reg)
+                verdict = verify(reason_model, q, cand, reg)
                 judgments.append(verdict)
                 if verdict == "irrelevant":
                     j_hat = j
                     break
-        rt = RoundTrace(
-            context=state.context, explanation=state.explanation,
-            topk=[{"surface": c.record.surface, "score": c.score,
-                   "doc": c.doc_key} for c in ranked],
-            judgments=judgments, j_hat=j_hat,
-            ms=(time.monotonic() - r_start) * 1000.0 if timing else 0.0)
-        result.trace.append(rt)
+        result.trace.append({
+            "c": state.context, "e": state.explanation,
+            "topk": [{"surface": c.record.surface, "score": c.score,
+                      "doc": c.doc_key} for c in ranked],
+            "judgments": judgments, "j_hat": j_hat,
+            "ms": (time.monotonic() - r_start) * 1000.0 if timing else 0.0})
         result.ranked = ranked
         result.rounds_used = i
         if j_hat == 0 and not no_verify:
@@ -177,8 +151,7 @@ def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
         if j_hat == 0 or i == refine_cfg.round_budget:
             result.reason = REASON_BUDGET_EXHAUSTED
             break
-        new_state = reflect(bundle.reason_model, q, ranked[j_hat - 1], state,
-                            reg)
+        new_state = reflect(reason_model, q, ranked[j_hat - 1], state, reg)
         if new_state is None:
             result.reason = REASON_PARSE_FAILURE
             break
@@ -189,25 +162,10 @@ def run_r4r(q: Query, bundle: ModelBundle, automaton, index: DocIdIndex,
     return result
 
 
-def collect_trace(result: R4RResult, qid: str) -> dict:
-    """Serializable per-query trace record."""
-    return {
-        "qid": qid,
-        "reason": result.reason,
-        "rounds": result.rounds_used,
-        "shared_model": result.shared_model,
-        "rounds_detail": [
-            {"c": rt.context, "e": rt.explanation, "topk": rt.topk,
-             "judgments": rt.judgments, "j_hat": rt.j_hat, "ms": rt.ms}
-            for rt in result.trace
-        ],
-    }
-
-
 __all__ = [
     "ABLATIONS", "ABLATION_NO_CONTEXT", "ABLATION_NO_EXPLANATION",
     "ABLATION_NO_VERIFICATION", "PIPELINES", "REASONS", "REASON_ALL_RELEVANT",
-    "REASON_PARSE_FAILURE", "REASON_BUDGET_EXHAUSTED", "ModelBundle",
-    "R4RResult", "RefineConfig", "RoundTrace", "collect_trace",
-    "retrieve_prompt_ids", "run_direct_cot", "run_r4r", "run_standard",
+    "REASON_PARSE_FAILURE", "REASON_BUDGET_EXHAUSTED", "R4RResult",
+    "RefineConfig", "retrieve_prompt_ids", "run_direct_cot", "run_r4r",
+    "run_standard",
 ]

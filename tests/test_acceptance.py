@@ -21,8 +21,8 @@ from gentrieval.fm_index import SequenceFMIndex
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 from gentrieval.orchestrator import (REASON_ALL_RELEVANT,
                                      REASON_BUDGET_EXHAUSTED,
-                                     REASON_PARSE_FAILURE, ModelBundle,
-                                     RefineConfig, run_r4r, run_standard)
+                                     REASON_PARSE_FAILURE, RefineConfig,
+                                     run_r4r, run_standard)
 from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
@@ -192,7 +192,7 @@ def run_scripted_loop(rules, verify_depth=2, round_budget=3):
     index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
     model = ScriptedModel(index.vocab, generate_rules=rules,
                           dist_rules=TOY_DIST_RULES)
-    return run_r4r(QUERY, ModelBundle(model, model), TrieAutomaton(index),
+    return run_r4r(QUERY, model, model, TrieAutomaton(index),
                    index, PromptRegistry.default(),
                    3,
                    RefineConfig(verify_depth=verify_depth,
@@ -212,11 +212,11 @@ def test_acceptance_5_loop_conformance():
     assert result.reason == REASON_ALL_RELEVANT
     assert result.rounds_used == 2
     assert result.ranked.doc_keys() == ["d1", "d3", "d2"]
-    assert [e["doc"] for e in result.trace[0].topk] == ["d2", "d1", "d3"]
-    assert result.trace[0].judgments == ["irrelevant"]  # short-circuit at 1
-    assert result.trace[0].j_hat == 1
-    assert result.trace[1].judgments == ["relevant", "relevant"]
-    assert result.trace[1].j_hat == 0
+    assert [e["doc"] for e in result.trace[0]["topk"]] == ["d2", "d1", "d3"]
+    assert result.trace[0]["judgments"] == ["irrelevant"]  # short-circuit at 1
+    assert result.trace[0]["j_hat"] == 1
+    assert result.trace[1]["judgments"] == ["relevant", "relevant"]
+    assert result.trace[1]["j_hat"] == 0
 
     # parse_failure: reflection never yields tagged blocks.
     result = run_scripted_loop([
@@ -240,7 +240,7 @@ def test_acceptance_5_loop_conformance():
     ])
     assert result.reason == REASON_BUDGET_EXHAUSTED
     assert result.rounds_used == 3
-    assert all(rt.judgments == ["irrelevant"] and rt.j_hat == 1
+    assert all(rt["judgments"] == ["irrelevant"] and rt["j_hat"] == 1
                for rt in result.trace)
 
 
@@ -377,15 +377,14 @@ def test_acceptance_7_refinement_gain():
     reasoner = ScriptedModel(index.vocab, generate_rules=rules)
 
     automaton = TrieAutomaton(index)
-    bundle = ModelBundle(retrieve_model=retriever, reason_model=reasoner)
     refine_cfg = RefineConfig(verify_depth=1, round_budget=3)
 
     std_runs, r4r_runs = [], []
     for q in queries:
         std_runs.append((run_standard(q, retriever, automaton, index, reg,
                                       20), q.relevant_keys))
-        result = run_r4r(q, bundle, automaton, index, reg, 20, refine_cfg,
-                         timing=False)
+        result = run_r4r(q, retriever, reasoner, automaton, index, reg, 20,
+                         refine_cfg, timing=False)
         assert result.reason == REASON_ALL_RELEVANT
         assert result.rounds_used == 2
         r4r_runs.append((result.ranked, q.relevant_keys))

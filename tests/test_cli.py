@@ -212,6 +212,20 @@ class TestRetrieve:
             "vocabulary"]
         assert decoded == []
 
+    @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
+    def test_ablation_refused_before_index_loads(self, workspace, capsys,
+                                                 monkeypatch, pipeline):
+        loaded = []
+        monkeypatch.setattr(DocIdIndex, "load", loaded.append)
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", workspace["model"], "--pipeline", pipeline,
+                   "--ablation", "no_context", "--query", "which fruit"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ablation applies only to the r4r pipeline, "
+            f"not {pipeline!r}"]
+        assert loaded == []
+
     def test_ngram_model(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
                    "--model", "ngram", "--train-queries",
@@ -264,14 +278,27 @@ class TestRun:
     @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
     def test_timing_is_per_query_for_every_pipeline(self, workspace, capsys,
                                                     pipeline):
-        report, _, argv = self.args(workspace, pipeline,
-                                    ("--timing", "--sweep-T", "1,2"))
+        report, _, argv = self.args(workspace, pipeline, ("--timing",))
         argv[argv.index("--pipeline") + 1] = pipeline
         assert main(argv) == 0
         capsys.readouterr()
         rows = json.loads(report.read_text())["rows"]
-        assert len(rows) == 2
-        assert all(row["mean_latency_ms"] > 0.0 for row in rows)
+        assert len(rows) == 1
+        assert rows[0]["mean_latency_ms"] > 0.0
+
+    @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
+    @pytest.mark.parametrize("flags, field", [
+        (("--ablation", "no_context,no_verification"), "ablation"),
+        (("--sweep-t", "1,2"), "t_sweep"), (("--sweep-T", "1,2,3"), "T_sweep")])
+    def test_r4r_settings_refused_on_other_pipelines(self, workspace, capsys,
+                                                     pipeline, flags, field):
+        report, trace, argv = self.args(workspace, "x", flags)
+        argv[argv.index("--pipeline") + 1] = pipeline
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {field} applies only to the r4r pipeline, "
+            f"not {pipeline!r}"]
+        assert not report.exists() and not trace.exists()
 
     def test_unknown_ablation_fails_before_loading(self, workspace, capsys,
                                                    monkeypatch):

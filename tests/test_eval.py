@@ -322,6 +322,48 @@ class TestRunExperiment:
         assert first["rounds"] == 1
         assert all(rt["ms"] == 0.0 for rt in first["rounds_detail"])
 
+    @pytest.mark.parametrize("separate", [False, True])
+    def test_trace_line_format(self, experiment_files, tmp_path, separate):
+        # Without a reason model the retrieval model reasons too.
+        trace_path = tmp_path / "trace.jsonl"
+        cfg = ExperimentConfig(
+            corpus_path=experiment_files["corpus_path"],
+            queries_path=experiment_files["queries_path"],
+            index_path=experiment_files["index_path"],
+            scripted_model_path=experiment_files["scripted_model_path"],
+            reason_model_path=(experiment_files["reason_model_path"]
+                               if separate else None),
+            pipeline="r4r", k=3, trace_path=str(trace_path))
+        run_experiment(cfg)
+        records = [json.loads(line)
+                   for line in trace_path.read_text().splitlines()]
+        assert [r["qid"] for r in records] == ["q1", "q2"]
+        for rec in records:
+            assert list(rec) == ["qid", "reason", "rounds", "shared_model",
+                                 "rounds_detail"]
+            assert rec["shared_model"] is not separate
+            assert len(rec["rounds_detail"]) == rec["rounds"] >= 1
+            for rnd in rec["rounds_detail"]:
+                assert list(rnd) == ["c", "e", "topk", "judgments", "j_hat",
+                                     "ms"]
+
+    @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
+    @pytest.mark.parametrize("field, value", [
+        ("ablation", frozenset({"no_context"})), ("t_sweep", (1, 2)),
+        ("T_sweep", (3,))])
+    def test_r4r_settings_refused_on_other_pipelines(self, tmp_path,
+                                                     pipeline, field, value):
+        missing = str(tmp_path / "missing")
+        cfg = ExperimentConfig(
+            corpus_path=missing, queries_path=missing, index_path=missing,
+            ngram_train_queries_path=missing, pipeline=pipeline,
+            report_path=str(tmp_path / "report.json"), **{field: value})
+        with pytest.raises(ConfigError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == (f"{field} applies only to the r4r "
+                                  f"pipeline, not {pipeline!r}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_byte_identical(self, experiment_files, tmp_path):
         def go(tag):
             cfg = ExperimentConfig(

@@ -12,8 +12,7 @@ from gentrieval.orchestrator import (ABLATION_NO_CONTEXT,
                                      ABLATION_NO_VERIFICATION, ABLATIONS,
                                      PIPELINES, REASONS, REASON_ALL_RELEVANT,
                                      REASON_BUDGET_EXHAUSTED,
-                                     REASON_PARSE_FAILURE, ModelBundle,
-                                     RefineConfig, collect_trace,
+                                     REASON_PARSE_FAILURE, RefineConfig,
                                      retrieve_prompt_ids, run_direct_cot,
                                      run_r4r, run_standard)
 from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
@@ -172,7 +171,7 @@ class TestDirectCot:
         rules = [{"match": "think step by step",
                   "response": "the answer involves company details"}]
         index, model, automaton, k = setup(rules)
-        ranked = run_direct_cot(QUERY, ModelBundle(model, model), automaton,
+        ranked = run_direct_cot(QUERY, model, model, automaton,
                                 index, PromptRegistry.default(), k)
         # Reasoning text ends in "details" -> tech branch first.
         assert ranked.doc_keys() == ["d2", "d1", "d3"]
@@ -180,7 +179,7 @@ class TestDirectCot:
     def test_empty_reasoning_degrades_to_standard(self):
         index, model, automaton, k = setup([])
         reg = PromptRegistry.default()
-        ranked = run_direct_cot(QUERY, ModelBundle(model, model), automaton,
+        ranked = run_direct_cot(QUERY, model, model, automaton,
                                 index, reg, k)
         std = run_standard(QUERY, model, automaton, index, reg, k)
         assert ranked.doc_keys() == std.doc_keys()
@@ -190,7 +189,7 @@ class TestRefineLoop:
     def run(self, rules, refine=None, **kw):
         index, model, automaton, k = setup(rules)
         refine = refine or RefineConfig(verify_depth=2, round_budget=3)
-        return run_r4r(QUERY, ModelBundle(model, model), automaton, index,
+        return run_r4r(QUERY, model, model, automaton, index,
                        PromptRegistry.default(), k, refine, **kw)
 
     def test_all_relevant_walkthrough(self):
@@ -199,15 +198,15 @@ class TestRefineLoop:
         assert result.rounds_used == 2
         assert result.ranked.doc_keys() == ["d1", "d3", "d2"]
         r1, r2 = result.trace
-        assert r1.context == "company details"
-        assert [e["doc"] for e in r1.topk] == ["d2", "d1", "d3"]
-        assert r1.topk[0]["score"] == pytest.approx(math.log(0.7))
-        assert r1.judgments == ["irrelevant"]
-        assert r1.j_hat == 1
-        assert r2.context == "fruit calories"
-        assert r2.topk[0]["score"] == pytest.approx(math.log(0.54))
-        assert r2.judgments == ["relevant", "relevant"]
-        assert r2.j_hat == 0
+        assert r1["c"] == "company details"
+        assert [e["doc"] for e in r1["topk"]] == ["d2", "d1", "d3"]
+        assert r1["topk"][0]["score"] == pytest.approx(math.log(0.7))
+        assert r1["judgments"] == ["irrelevant"]
+        assert r1["j_hat"] == 1
+        assert r2["c"] == "fruit calories"
+        assert r2["topk"][0]["score"] == pytest.approx(math.log(0.54))
+        assert r2["judgments"] == ["relevant", "relevant"]
+        assert r2["j_hat"] == 0
 
     def test_parse_failure_keeps_last_ranking(self):
         rules = [
@@ -234,7 +233,7 @@ class TestRefineLoop:
         result = self.run(rules)
         assert result.reason == REASON_BUDGET_EXHAUSTED
         assert result.rounds_used == 3
-        assert all(rt.j_hat == 1 for rt in result.trace)
+        assert all(rt["j_hat"] == 1 for rt in result.trace)
         # The reflected context still improves the final list.
         assert result.ranked.doc_keys() == ["d1", "d3", "d2"]
 
@@ -246,7 +245,7 @@ class TestRefineLoop:
         result = self.run(rules)
         assert result.reason == REASON_ALL_RELEVANT
         assert result.rounds_used == 2
-        assert result.trace[0].judgments == ["irrelevant"]
+        assert result.trace[0]["judgments"] == ["irrelevant"]
         assert result.ranked.doc_keys() == ["d1", "d3", "d2"]
 
     def test_immediate_all_relevant_single_round(self):
@@ -268,7 +267,7 @@ class TestRefineLoop:
         ]
         result = self.run(rules)
         gold_rank = result.ranked.doc_keys().index("d1") + 1
-        first_rank = [e["doc"] for e in result.trace[0].topk].index("d1") + 1
+        first_rank = [e["doc"] for e in result.trace[0]["topk"]].index("d1") + 1
         assert gold_rank == 1
         assert gold_rank < first_rank
 
@@ -283,23 +282,23 @@ class TestRefineLoop:
         counting = CountingModel(model)
         t, big_t = 2, 3
         refine = RefineConfig(verify_depth=t, round_budget=big_t)
-        run_r4r(QUERY, ModelBundle(counting, counting), automaton, index,
+        run_r4r(QUERY, counting, counting, automaton, index,
                 PromptRegistry.default(), k, refine)
         # think (<=2) + per round: verify (<=2t) + reflect (<=2)
         assert counting.generate_calls <= 2 + big_t * (2 * t + 2)
 
     def test_timing_flag(self):
         result = self.run(WALKTHROUGH_RULES, timing=False)
-        assert all(rt.ms == 0.0 for rt in result.trace)
+        assert all(rt["ms"] == 0.0 for rt in result.trace)
         timed = self.run(WALKTHROUGH_RULES, timing=True)
-        assert all(rt.ms > 0.0 for rt in timed.trace)
+        assert all(rt["ms"] > 0.0 for rt in timed.trace)
 
     def test_untimed_by_default(self):
         # A library caller's trace is byte-reproducible unless it asks for
         # wall-clock fields.
         result = self.run(WALKTHROUGH_RULES)
         assert len(result.trace) == 2
-        assert all(rt.ms == 0.0 for rt in result.trace)
+        assert all(rt["ms"] == 0.0 for rt in result.trace)
 
 
 class TestAblations:
@@ -314,11 +313,12 @@ class TestAblations:
         index, model, automaton, k = setup(rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_VERIFICATION}))
-        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
+        result = run_r4r(QUERY, model, model, automaton, index,
                          PromptRegistry.default(), k, refine)
         assert result.reason == REASON_BUDGET_EXHAUSTED
         assert result.rounds_used == 3
-        assert all(rt.judgments == [] and rt.j_hat == 1 for rt in result.trace)
+        assert all(rt["judgments"] == [] and rt["j_hat"] == 1
+                   for rt in result.trace)
 
     def test_no_context_retrieves_on_explanation(self):
         # Think emits an explanation ending in "calories"; with the context
@@ -332,7 +332,7 @@ class TestAblations:
         index, model, automaton, k = setup(rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_CONTEXT}))
-        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
+        result = run_r4r(QUERY, model, model, automaton, index,
                          PromptRegistry.default(), k, refine)
         assert result.ranked.doc_keys()[0] == "d1"
 
@@ -344,13 +344,13 @@ class TestAblations:
         index, model, automaton, k = setup(result_rules)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset({ABLATION_NO_EXPLANATION}))
-        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
+        result = run_r4r(QUERY, model, model, automaton, index,
                          PromptRegistry.default(), k, refine)
-        assert all(rt.explanation == "" for rt in result.trace)
+        assert all(rt["e"] == "" for rt in result.trace)
 
     def run_rejecting(self, ablation, reflect_rules):
         """Three rounds in which every verified docid is irrelevant, so
-        reflect runs after rounds 1 and 2; returns the trace record and
+        reflect runs after rounds 1 and 2; returns the rounds' trace and
         the prompts the reasoner saw."""
         index, model, automaton, k = setup([
             THINK_RULE,
@@ -360,13 +360,13 @@ class TestAblations:
         counting = CountingModel(model)
         refine = RefineConfig(verify_depth=2, round_budget=3,
                               ablation=frozenset(ablation))
-        result = run_r4r(QUERY, ModelBundle(counting, counting), automaton,
+        result = run_r4r(QUERY, counting, counting, automaton,
                          index, PromptRegistry.default(), k, refine)
         assert result.reason == REASON_BUDGET_EXHAUSTED
-        return collect_trace(result, QUERY.query_id), counting.prompts
+        return result.trace, counting.prompts
 
     def test_no_context_keeps_think_context(self):
-        rec, _ = self.run_rejecting({ABLATION_NO_CONTEXT}, [
+        rounds, _ = self.run_rejecting({ABLATION_NO_CONTEXT}, [
             {"match": "Current explanation: sounds corporate",
              "response": "<context>fruit calories</context>"
                          "<explanation>fruit apple</explanation>"},
@@ -374,13 +374,12 @@ class TestAblations:
              "response": "<context>tech details</context>"
                          "<explanation>calorie count</explanation>"},
         ])
-        rounds = rec["rounds_detail"]
         assert [r["c"] for r in rounds] == ["company details"] * 3
         assert [r["e"] for r in rounds] == [
             "sounds corporate", "fruit apple", "calorie count"]
 
     def test_no_explanation_blanks_reflect_prompt(self):
-        rec, prompts = self.run_rejecting({ABLATION_NO_EXPLANATION}, [
+        rounds, prompts = self.run_rejecting({ABLATION_NO_EXPLANATION}, [
             {"match": "Irrelevant identifier: ",
              "response": "<context>fruit calories</context>"
                          "<explanation>calorie question</explanation>"},
@@ -389,24 +388,21 @@ class TestAblations:
         assert len(reflect_prompts) == 2
         assert all(p.endswith("\nCurrent explanation: ")
                    for p in reflect_prompts)
-        assert [r["c"] for r in rec["rounds_detail"]] == [
+        assert [r["c"] for r in rounds] == [
             "company details", "fruit calories", "fruit calories"]
-        assert all(r["e"] == "" for r in rec["rounds_detail"])
+        assert all(r["e"] == "" for r in rounds)
 
 
 class TestTrace:
     def test_schema(self):
         index, model, automaton, k = setup(WALKTHROUGH_RULES)
         refine = RefineConfig(verify_depth=2, round_budget=3)
-        result = run_r4r(QUERY, ModelBundle(model, model), automaton, index,
+        result = run_r4r(QUERY, model, model, automaton, index,
                          PromptRegistry.default(), k, refine, timing=False)
-        rec = collect_trace(result, QUERY.query_id)
-        assert rec["qid"] == "q1"
-        assert rec["reason"] == REASON_ALL_RELEVANT
-        assert rec["rounds"] == 2
-        assert rec["shared_model"] is True
-        assert len(rec["rounds_detail"]) == 2
-        detail = rec["rounds_detail"][0]
+        assert result.reason == REASON_ALL_RELEVANT
+        assert result.rounds_used == 2
+        assert len(result.trace) == 2
+        detail = result.trace[0]
         assert set(detail) == {"c", "e", "topk", "judgments", "j_hat", "ms"}
         assert detail["topk"][0] == {
             "surface": "tech-apple",
@@ -415,15 +411,15 @@ class TestTrace:
         }
 
     def test_separate_models_flagged(self):
-        index, model, automaton, k = setup(WALKTHROUGH_RULES)
+        # The retrieval model has no generate rules, so the walkthrough
+        # finishes only if every reasoning call goes to the reason model.
+        index, model, automaton, k = setup([])
         reason = ScriptedModel(index.vocab, generate_rules=WALKTHROUGH_RULES)
-        bundle = ModelBundle(retrieve_model=model, reason_model=reason)
-        assert not bundle.shared
         refine = RefineConfig(verify_depth=2, round_budget=3)
-        result = run_r4r(QUERY, bundle, automaton, index,
+        result = run_r4r(QUERY, model, reason, automaton, index,
                          PromptRegistry.default(), k, refine)
-        assert result.shared_model is False
         assert result.reason == REASON_ALL_RELEVANT
+        assert result.rounds_used == 2
 
 
 class TestConfigValidation:
