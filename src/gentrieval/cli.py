@@ -90,10 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--train-queries",
                         help="query JSONL used to train the n-gram model")
     shared.add_argument("--k", type=positive_int, default=20)
-    shared.add_argument("--t", type=positive_int, default=3,
-                        help="verify depth")
-    shared.add_argument("--T", type=positive_int, default=3,
-                        help="round budget")
+    shared.add_argument("--t", type=positive_int,
+                        help="verify depth (r4r only; default "
+                             f"{RefineConfig.verify_depth})")
+    shared.add_argument("--T", type=positive_int,
+                        help="round budget (r4r only; default "
+                             f"{RefineConfig.round_budget})")
     shared.add_argument("--ablation", type=names, default="",
                         help=f"comma list from {{{','.join(ABLATIONS)}}}")
     shared.add_argument("--merge-views", action="store_true")
@@ -143,8 +145,19 @@ def _cmd_build_index(args) -> int:
     return 0
 
 
+def _refine_settings(args) -> dict:
+    """verify_depth and round_budget as --t and --T set them; an unset one
+    keeps its config default. Either one set is refused unless the
+    pipeline is r4r."""
+    settings = {name: value for name, value in (("verify_depth", args.t),
+                                                ("round_budget", args.T))
+                if value is not None}
+    check_r4r_only(args.pipeline, **settings)
+    return settings
+
+
 def _cmd_retrieve(args) -> int:
-    refine_cfg = RefineConfig(verify_depth=args.t, round_budget=args.T,
+    refine_cfg = RefineConfig(**_refine_settings(args),
                               ablation=args.ablation)
     check_r4r_only(args.pipeline, ablation=args.ablation)
     index = DocIdIndex.load(args.index)
@@ -168,9 +181,8 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig(
         corpus_path=args.corpus, queries_path=args.queries,
         index_path=args.index, strategy=args.strategy,
-        pipeline=args.pipeline, k=args.k, verify_depth=args.t,
-        round_budget=args.T, t_sweep=args.sweep_t,
-        T_sweep=args.sweep_T,
+        pipeline=args.pipeline, k=args.k, **_refine_settings(args),
+        t_sweep=args.sweep_t, T_sweep=args.sweep_T,
         ablation=args.ablation, merge=args.merge_views,
         scripted_model_path=None if args.model == "ngram" else args.model,
         reason_model_path=args.reason_model,

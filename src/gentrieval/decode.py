@@ -11,9 +11,10 @@ raw model log-probabilities (no renormalization after masking), so a
 finished hypothesis scores exactly sequence_logprob of its token
 sequence; that identity is what the exhaustive-oracle tests lean on.
 
-The model is called with the whole prompt once, at the root; after that
-each beam entry carries only the trailing `model.window` tokens of its
-context (all of it for a model without `window`). The automaton's
+The model is read like the automaton: model.start(prompt) gives the root's
+model state, model.step(state, token) a child's, and
+next_token_distribution(state) reads one, so each beam entry carries an
+automaton state and a model state side by side. The automaton's
 allowed(state) returns (tokens, end_ok) where tokens is a kept, read-only
 set-like view that iterates in ascending order, so the beam reads it in
 place and never sorts or copies it.
@@ -90,12 +91,7 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     are stepped, and each state's allowed() runs once. Finished hypotheses
     go to a pool bounded at the top width by (-score, tokens), and
     complete() runs only for one that enters it. The pool is returned best
-    first.
-
-    A model whose distribution reads only its last `window` context tokens
-    gets only those, cut from each entry's context as it is extended;
-    at least one, so emitted tokens are still checked against the
-    vocabulary.
+    first. A survivor's model state is stepped with it.
     """
     if width < 1:
         raise ConfigError(f"beam width must be >= 1, got {width}")
@@ -104,19 +100,17 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     if not start_moves[0] and not start_moves[1]:
         raise NoValidPath("automaton start state admits no token")
 
-    window = getattr(model, "window", None)
-    cut = 0 if window is None else -max(window, 1)
-    # (score, gen, state, model context of the state)
-    live: list[tuple] = [(0.0, (), start, tuple(prompt_tokens))]
+    # (score, gen, automaton state, model state)
+    live: list[tuple] = [(0.0, (), start, model.start(prompt_tokens))]
     pool: list[Hypothesis] = []  # finished, best first
     while live:
-        # (-score, gen, token, parent state, parent context, rest of the run
-        # or None); the first three fields are unique, so the rest are never
-        # compared.
+        # (-score, gen, token, parent state, parent model state, rest of the
+        # run or None); the first three fields are unique, so the rest are
+        # never compared.
         heap: list[tuple] = []
-        for score, gen, state, ctx in live:
+        for score, gen, state, mstate in live:
             allowed, end_ok = automaton.allowed(state) if gen else start_moves
-            default, overrides = model.next_token_distribution(ctx)
+            default, overrides = model.next_token_distribution(mstate)
             if end_ok:
                 end_score = score + overrides.get(END, default)
                 key = (-end_score, gen + (END,))
@@ -128,22 +122,23 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                     del pool[width:]
             for tok, lp in overrides.items():
                 if tok in allowed:
-                    heap.append((-(score + lp), gen, tok, state, ctx, None))
+                    heap.append((-(score + lp), gen, tok, state, mstate, None))
             run = filterfalse(overrides.__contains__, allowed)
             head = next(run, None)
             if head is not None:
-                heap.append((-(score + default), gen, head, state, ctx, run))
+                heap.append((-(score + default), gen, head, state, mstate,
+                             run))
         heapq.heapify(heap)
         live = []
         while heap and len(live) < width:
-            neg, gen, tok, state, ctx, run = heap[0]
+            neg, gen, tok, state, mstate, run = heap[0]
             nxt = None if run is None else next(run, None)
             if nxt is None:
                 heapq.heappop(heap)
             else:
-                heapq.heapreplace(heap, (neg, gen, nxt, state, ctx, run))
+                heapq.heapreplace(heap, (neg, gen, nxt, state, mstate, run))
             live.append((-neg, gen + (tok,), automaton.step(state, tok),
-                         (ctx + (tok,))[cut:]))
+                         model.step(mstate, tok)))
     return pool
 
 

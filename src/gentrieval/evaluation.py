@@ -131,8 +131,8 @@ class ExperimentConfig:
     strategy: str = "trie"
     pipeline: str = "standard"  # standard | direct_cot | r4r
     k: int = 20
-    verify_depth: int = 3
-    round_budget: int = 3
+    verify_depth: int = RefineConfig.verify_depth
+    round_budget: int = RefineConfig.round_budget
     t_sweep: tuple[int, ...] = ()
     T_sweep: tuple[int, ...] = ()
     ablation: frozenset[str] = frozenset()
@@ -191,10 +191,12 @@ def run_pipeline(q: Query, pipeline: str, model, reason_model, automaton,
     """Rank the top k docids for one query through the named pipeline. The
     second item is the refine-loop result, kept for its trace (r4r only).
 
-    *model* retrieves: it scores tokens, so it must be local, and its
-    next_token_distribution(ctx) returns the sparse (default, overrides)
-    distribution. *reason_model* only generates, so it may be remote; the
-    standard pipeline does not read it. One model may serve both roles."""
+    *model* retrieves: it scores tokens, so it must be local. It is read
+    like the automaton: start(prompt_ids) and step(state, token) give its
+    states, and next_token_distribution(state) the sparse (default,
+    overrides) distribution a state reads. *reason_model* only generates,
+    so it may be remote; the standard pipeline does not read it. One model
+    may serve both roles."""
     if pipeline == "standard":
         return run_standard(q, model, automaton, index, reg, k,
                             merge=merge), None

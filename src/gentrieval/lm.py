@@ -7,13 +7,21 @@ reasoning steps; it cannot score tokens. It is the only user of `requests`
 and imports it where it is used, so local runs never load the HTTP and TLS
 stacks.
 
-Scoring is sparse: next_token_distribution(ctx) returns the whole next-token
-distribution as (default, overrides), where overrides maps token ->
-log-probability and every other token scores default. Under add-one
+A scoring model is read like a docid automaton: start(prompt_ids) returns a
+state, step(state, token) the state after one more token, and
+next_token_distribution(state) the next-token distribution the state reads.
+A state is the tuple of trailing context tokens the distribution depends on
+(at most order - 1 for NgramModel, the longest rule context for
+ScriptedModel), so no call's cost grows with the prompt. start checks every
+prompt id and step each token, so a state holds only known ids.
+
+Scoring is sparse: next_token_distribution(state) returns the whole
+next-token distribution as (default, overrides), where overrides maps token
+-> log-probability and every other token scores default. Under add-one
 smoothing every token unseen in a context shares one score, so the pair is
 small, and constrained decoding can skip the default-scored tokens that
-cannot survive the beam cut. NgramModel memoises the pair per trained
-context, since beam steps and refine rounds ask for the same contexts again.
+cannot survive the beam's width. NgramModel memoises the pair per trained
+state, since beam steps and refine rounds ask for the same states again.
 NgramModel.train counts a batch of pairs in one pass: the positions every
 sequence shares from its start (the fixed retrieval template) are counted
 once, weighted by the number of pairs.
@@ -23,12 +31,6 @@ takes the vocabulary size then, and ScriptedModel resolves its rule words to
 ids then, so an unknown rule word fails at load. The vocabulary must not
 grow under a built model; an id added afterwards raises UnknownToken. Both
 models hand out shared distributions, which callers must not change.
-
-A scoring model may declare `window`, the number of trailing context tokens
-its distribution depends on (order - 1 for NgramModel, the longest rule
-context for ScriptedModel). Constrained decoding then passes only that many
-trailing tokens after its first call, so the cost of a call does not grow
-with the prompt. A model without `window` is given its full context.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _dist_error(rule: dict) -> str | None:
 def _interior_tokens(match: str) -> list[str]:
     """The split() tokens of *match* with whitespace on both sides inside
     it: a prompt that holds *match* anywhere holds each of them as one of
-    its own split() tokens. The first and last tokens may be cut mid-word
+    its own split() tokens. The first and last tokens may be partial words
     unless *match* starts or ends with whitespace."""
     toks = match.split()
     if toks and not match[0].isspace():
@@ -89,14 +91,30 @@ def _interior_tokens(match: str) -> list[str]:
     return toks
 
 
-def _check_ctx(ctx: list[int], v: int) -> None:
-    """Raise UnknownToken for the first id in *ctx* outside range(v)."""
-    for t in ctx:
-        if not 0 <= t < v:
-            raise UnknownToken(t)
+class _TrailingTokens:
+    """start and step for a scoring model over *v* token ids whose
+    distribution reads at most the last *keep* tokens of a context: a state
+    is the tuple of those tokens. Either call raises UnknownToken for an id
+    outside range(v)."""
+
+    def __init__(self, v: int, keep: int):
+        self._v = v
+        self._tail = slice(-keep, None) if keep else slice(0)
+
+    def start(self, prompt_ids) -> tuple[int, ...]:
+        v = self._v
+        for t in prompt_ids:
+            if not 0 <= t < v:
+                raise UnknownToken(t)
+        return tuple(prompt_ids[self._tail])
+
+    def step(self, state: tuple[int, ...], token: int) -> tuple[int, ...]:
+        if not 0 <= token < self._v:
+            raise UnknownToken(token)
+        return (state + (token,))[self._tail]
 
 
-class ScriptedModel:
+class ScriptedModel(_TrailingTokens):
     """Deterministic test double driven by a rule table.
 
     Generate rules: {"match": str, "match_type": exact|prefix|contains,
@@ -113,7 +131,8 @@ class ScriptedModel:
     context ("<end>" names the END token); unlisted tokens sit at the
     floor log-probability. With no matching rule the distribution is
     uniform over the vocabulary minus SEP. A rule reads no more trailing
-    tokens than its context holds, so `window` is the longest rule context.
+    tokens than its context holds, so a state is the last tokens of the
+    context, as many as the longest rule context.
     Rule words are resolved to ids at construction, and one that is not in
     the vocabulary raises ConfigError.
     """
@@ -123,7 +142,6 @@ class ScriptedModel:
                  dist_rules: list[dict] | None = None):
         self.vocab = vocab
         self.generate_rules = generate_rules or []
-        self._v = len(vocab)
 
         def tid(word: str, rule: int) -> int:
             t = vocab.id_of(word)
@@ -134,11 +152,12 @@ class ScriptedModel:
 
         # Per distribution rule: its context ids and its distribution.
         self._dists = [
-            ([tid(w, i) for w in r["context"]],
+            (tuple(tid(w, i) for w in r["context"]),
              (FLOOR_LOGPROB, {tid(w, i): math.log(p)
                               for w, p in r["probs"].items()}))
             for i, r in enumerate(dist_rules or [])]
-        self.window = max((len(c) for c, _ in self._dists), default=0)
+        super().__init__(len(vocab),
+                         max((len(c) for c, _ in self._dists), default=0))
         # Uniform over the vocabulary with SEP masked.
         self._uniform = math.log(1.0 / (self._v - 1)), {SEP: FLOOR_LOGPROB}
         interiors = [_interior_tokens(r["match"]) for r in self.generate_rules]
@@ -199,27 +218,25 @@ class ScriptedModel:
                         if len(words) > max_tokens else rule["response"])
         return ""
 
-    def next_token_distribution(self, ctx: list[int]
+    def next_token_distribution(self, state: tuple[int, ...]
                                 ) -> tuple[float, dict[int, float]]:
-        _check_ctx(ctx, self._v)
         for pattern, dist in self._dists:
-            if not pattern or list(ctx[-len(pattern):]) == pattern:
+            if not pattern or state[-len(pattern):] == pattern:
                 return dist
         return self._uniform
 
 
-class NgramModel:
+class NgramModel(_TrailingTokens):
     """Order-n model with add-one smoothing, trained on prompt||target pairs.
 
-    The vocabulary size is read once, at construction. Distributions are
-    memoised per context key (the last order - 1 tokens) for trained
-    contexts only, so the memo never outgrows self.counts; a context's
-    count total is summed when its distribution is memoised, and train
-    clears the memo. Every untrained context gets one prebuilt uniform pair.
-    Callers share the returned overrides dicts and must not change them.
-    The key is the whole of what a distribution reads, so `window` is
-    order - 1, and generate carries only that many trailing tokens from
-    step to step.
+    The vocabulary size is read once, at construction. A state is the last
+    order - 1 tokens of the context, which is the whole of what a
+    distribution reads, and is the key of self.counts. Distributions are
+    memoised per state for trained contexts only, so the memo never
+    outgrows self.counts; a context's count total is summed when its
+    distribution is memoised, and train clears the memo. Every untrained
+    context gets one prebuilt uniform pair. Callers share the returned
+    overrides dicts and must not change them.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
@@ -229,12 +246,8 @@ class NgramModel:
         self.order = order
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
         self._memo: dict[tuple[int, ...], tuple[float, dict[int, float]]] = {}
-        self._v = len(vocab)
+        super().__init__(len(vocab), order - 1)
         self._unseen = math.log(1 / self._v), {}
-
-    @property
-    def window(self) -> int:
-        return self.order - 1
 
     def train(self, pairs: list[tuple[list[int], list[int]]]) -> None:
         """Count the n-grams of prompt||target for each pair in *pairs*; each
@@ -262,31 +275,26 @@ class NgramModel:
         """Count n-grams of prompt||target; target should end with END."""
         self.train([(prompt, target)])
 
-    def next_token_distribution(self, ctx: list[int]
+    def next_token_distribution(self, state: tuple[int, ...]
                                 ) -> tuple[float, dict[int, float]]:
-        _check_ctx(ctx, self._v)
-        key = tuple(ctx[max(0, len(ctx) - (self.order - 1)):])
-        dist = self._memo.get(key)
+        dist = self._memo.get(state)
         if dist is not None:
             return dist
-        counts = self.counts.get(key)
+        counts = self.counts.get(state)
         if counts is None:
             return self._unseen
         total = sum(counts.values()) + self._v
         dist = math.log(1 / total), {
             t: math.log((c + 1) / total) for t, c in counts.items()}
-        self._memo[key] = dist
+        self._memo[state] = dist
         return dist
 
     def generate(self, prompt: str, max_tokens: int) -> str:
-        # A distribution reads the last `window` tokens only; keep at least
-        # one, since del ctx[:-0] would keep everything.
-        w = max(self.window, 1)
-        ctx = self.vocab.encode(prompt, on_unknown="skip")[-w:]
+        state = self.start(self.vocab.encode(prompt, on_unknown="skip"))
         out: list[int] = []
         v = self._v
         for _ in range(max_tokens):
-            default, overrides = self.next_token_distribution(ctx)
+            default, overrides = self.next_token_distribution(state)
             # Highest score, ties to the smallest id: of the default-scored
             # tokens only the smallest can win.
             scores = dict(overrides)
@@ -297,8 +305,7 @@ class NgramModel:
             if best == END:
                 break
             out.append(best)
-            ctx.append(best)
-            del ctx[:-w]
+            state = self.step(state, best)
         return self.vocab.decode(out)
 
 
@@ -365,7 +372,8 @@ class RemoteModel:
 
 
 def sequence_logprob(model, prompt: list[int], target: list[int]) -> float:
-    """Sum of per-step log-probabilities of *target* given *prompt*.
+    """Sum of per-step log-probabilities of *target* given *prompt*, read
+    through start, step and next_token_distribution as the beam reads them.
 
     The target must terminate with END; the END factor is included.
     """
@@ -374,9 +382,9 @@ def sequence_logprob(model, prompt: list[int], target: list[int]) -> float:
     if not hasattr(model, "next_token_distribution"):
         raise NotSupported("model does not expose next-token distributions")
     total = 0.0
-    ctx = list(prompt)
+    state = model.start(prompt)
     for t in target:
-        default, overrides = model.next_token_distribution(ctx)
+        default, overrides = model.next_token_distribution(state)
         total += overrides.get(t, default)
-        ctx.append(t)
+        state = model.step(state, t)
     return total

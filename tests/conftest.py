@@ -110,11 +110,43 @@ def assert_same_model(batched, ref):
     assert list(batched.counts) == list(ref.counts)
     for ctx, bucket in ref.counts.items():
         assert list(batched.counts[ctx]) == list(bucket)
-        assert batched.next_token_distribution(list(ctx)) == \
-            ref.next_token_distribution(list(ctx))
+        assert dist_after(batched, ctx) == dist_after(ref, ctx)
 
 
-class TableModel:
+def dist_after(model, ctx):
+    """The model's (default, overrides) after the context *ctx*, read from
+    the state that start() gives for it."""
+    return model.next_token_distribution(model.start(ctx))
+
+
+def ref_logprob(m, prompt, target):
+    """Log-probability of *target* after *prompt* under the add-one n-gram
+    model *m*, from m.counts alone: each token is scored against the slice
+    of prompt||target that ends before it, order - 1 tokens long or all of
+    it. Never reads m's states, so it checks sequence_logprob and the beam
+    from outside."""
+    seq = list(prompt) + list(target)
+    v = len(m.vocab)
+    total = 0.0
+    for i in range(len(prompt), len(seq)):
+        bucket = m.counts.get(tuple(seq[max(0, i - (m.order - 1)):i]), {})
+        total += math.log((bucket.get(seq[i], 0) + 1)
+                          / (sum(bucket.values()) + v))
+    return total
+
+
+class WholeContext:
+    """start and step for a test double whose state is its whole context,
+    prompt included."""
+
+    def start(self, prompt_ids):
+        return tuple(prompt_ids)
+
+    def step(self, state, token):
+        return state + (token,)
+
+
+class TableModel(WholeContext):
     """Deterministic pseudo-random full-vocabulary distribution per context.
 
     A stand-in for arbitrary scripted distributions in the oracle trials:
@@ -126,16 +158,16 @@ class TableModel:
         self.vocab_size = vocab_size
         self.seed = seed
 
-    def next_token_distribution(self, ctx: list[int]
+    def next_token_distribution(self, ctx: tuple[int, ...]
                                 ) -> tuple[float, dict[int, float]]:
-        rng = random.Random((self.seed, tuple(ctx)).__hash__())
+        rng = random.Random((self.seed, ctx).__hash__())
         weights = [rng.random() + 1e-3 for _ in range(self.vocab_size)]
         total = sum(weights)
         return FLOOR_LOGPROB, {t: math.log(w / total)
                                for t, w in enumerate(weights)}
 
 
-class SparseTableModel:
+class SparseTableModel(WholeContext):
     """Deterministic pseudo-random sparse distribution per context.
 
     Per (seed, ctx), a random few tokens are overrides and the rest share
@@ -150,9 +182,9 @@ class SparseTableModel:
         self.vocab_size = vocab_size
         self.seed = seed
 
-    def next_token_distribution(self, ctx: list[int]
+    def next_token_distribution(self, ctx: tuple[int, ...]
                                 ) -> tuple[float, dict[int, float]]:
-        rng = random.Random((self.seed, tuple(ctx)).__hash__())
+        rng = random.Random((self.seed, ctx).__hash__())
         default = rng.choice(self.GRID)
         n = rng.randint(0, self.vocab_size // 2)
         return default, {t: rng.choice(self.GRID)
@@ -201,6 +233,20 @@ def random_record_index(rng: random.Random, n_records: int, vocab_words: int,
         records.append(DocIdRecord(f"d{i:03d}", toks, surface, "path"))
     vocab.freeze()
     return DocIdIndex(records, vocab)
+
+
+def random_dist_rules(rng, vocab):
+    """Scripted distribution rules whose contexts are 0 to 3 tokens long,
+    most specific first, so rules of every length fire."""
+    words = [vocab.word_of(t) for t in range(2, len(vocab))] + ["<end>"]
+    rules = []
+    for length in (3, 2, 1, 1, 0):
+        for _ in range(4 if length else 1):
+            rules.append({
+                "context": [rng.choice(words[:-1]) for _ in range(length)],
+                "probs": {w: rng.choice((0.1, 0.25, 0.5, 1.0))
+                          for w in rng.sample(words, 3)}})
+    return rules
 
 
 def random_text_corpus(rng: random.Random, n_docs: int,

@@ -213,16 +213,19 @@ class TestRetrieve:
         assert decoded == []
 
     @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
-    def test_ablation_refused_before_index_loads(self, workspace, capsys,
-                                                 monkeypatch, pipeline):
+    @pytest.mark.parametrize("flags, field", [
+        (("--ablation", "no_context"), "ablation"),
+        (("--t", "2"), "verify_depth"), (("--T", "2"), "round_budget")])
+    def test_r4r_settings_refused_before_index_loads(
+            self, workspace, capsys, monkeypatch, pipeline, flags, field):
         loaded = []
         monkeypatch.setattr(DocIdIndex, "load", loaded.append)
         rc = main(["retrieve", "--index", workspace["index"],
                    "--model", workspace["model"], "--pipeline", pipeline,
-                   "--ablation", "no_context", "--query", "which fruit"])
+                   *flags, "--query", "which fruit"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: ablation applies only to the r4r pipeline, "
+            f"error: {field} applies only to the r4r pipeline, "
             f"not {pipeline!r}"]
         assert loaded == []
 
@@ -289,15 +292,23 @@ class TestRun:
     @pytest.mark.parametrize("pipeline", ["standard", "direct_cot"])
     @pytest.mark.parametrize("flags, field", [
         (("--ablation", "no_context,no_verification"), "ablation"),
-        (("--sweep-t", "1,2"), "t_sweep"), (("--sweep-T", "1,2,3"), "T_sweep")])
+        (("--sweep-t", "1,2"), "t_sweep"),
+        (("--sweep-T", "1,2,3"), "T_sweep"),
+        (("--t", "1"), "verify_depth"), (("--T", "1"), "round_budget")])
     def test_r4r_settings_refused_on_other_pipelines(self, workspace, capsys,
-                                                     pipeline, flags, field):
+                                                     monkeypatch, pipeline,
+                                                     flags, field):
+        loaded = []
+        for name in ("load_corpus", "load_queries"):
+            monkeypatch.setattr(evaluation, name, loaded.append)
+        monkeypatch.setattr(DocIdIndex, "load", loaded.append)
         report, trace, argv = self.args(workspace, "x", flags)
         argv[argv.index("--pipeline") + 1] = pipeline
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {field} applies only to the r4r pipeline, "
             f"not {pipeline!r}"]
+        assert loaded == []
         assert not report.exists() and not trace.exists()
 
     def test_unknown_ablation_fails_before_loading(self, workspace, capsys,

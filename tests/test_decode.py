@@ -15,8 +15,9 @@ from gentrieval.errors import ConfigError, NoValidPath, UnknownToken
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
-                      SparseTableModel, TableModel, enumerate_accepted,
-                      make_index, random_record_index)
+                      SparseTableModel, TableModel, WholeContext, dist_after,
+                      enumerate_accepted, make_index, random_dist_rules,
+                      random_record_index, ref_logprob)
 
 
 def toy_setup():
@@ -154,15 +155,21 @@ class RecordingAutomaton:
 
 
 class RecordingModel:
-    """Passes calls through to *inner*, recording each ctx."""
+    """Passes calls through to *inner*, recording each state scored."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.contexts = []
+        self.states = []
 
-    def next_token_distribution(self, ctx):
-        self.contexts.append(tuple(ctx))
-        return self.inner.next_token_distribution(ctx)
+    def start(self, prompt_ids):
+        return self.inner.start(prompt_ids)
+
+    def step(self, state, token):
+        return self.inner.step(state, token)
+
+    def next_token_distribution(self, state):
+        self.states.append(state)
+        return self.inner.next_token_distribution(state)
 
 
 class TestPruneThenStep:
@@ -184,8 +191,8 @@ class TestPruneThenStep:
             expanded = [automaton.start()] + [n for _, _, n in automaton.steps]
             assert Counter(automaton.allowed_states) == Counter(expanded)
             # The model is called once per expanded state, with the prompt
-            # and that state's tokens as context.
-            assert Counter(model.contexts) == Counter(
+            # and that state's tokens as context (TableModel's state).
+            assert Counter(model.states) == Counter(
                 tuple(prompt) + tokens for _, tokens in expanded)
 
 
@@ -240,8 +247,9 @@ class TestBoundedPool:
 
 
 def dense_distribution(model, ctx, tokens):
-    """The sparse (default, overrides) form expanded over *tokens*."""
-    default, overrides = model.next_token_distribution(ctx)
+    """The sparse (default, overrides) form after the whole context *ctx*,
+    expanded over *tokens*."""
+    default, overrides = dist_after(model, ctx)
     return {t: overrides.get(t, default) for t in tokens}
 
 
@@ -327,49 +335,21 @@ class TestSparseMatchesDense:
                     model, prompt, automaton, width)
 
 
-class FullContext:
-    """Passes calls through to *inner* but hides its `window`, so the beam
-    gives it every context token."""
+class FullContext(WholeContext):
+    """Holds the whole context as its state and scores it by starting
+    *inner* from it, so *inner*'s own states are never stepped."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def next_token_distribution(self, ctx):
-        return self.inner.next_token_distribution(ctx)
+        return dist_after(self.inner, ctx)
 
 
-class WindowRecorder(FullContext):
-    """Passes calls through to *inner*, keeping its `window`, and records
-    the length of each ctx."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.window = inner.window
-        self.lengths = []
-
-    def next_token_distribution(self, ctx):
-        self.lengths.append(len(ctx))
-        return super().next_token_distribution(ctx)
-
-
-def random_dist_rules(rng, vocab):
-    """Scripted distribution rules whose contexts are 0 to 3 tokens long,
-    most specific first, so rules of every length fire."""
-    words = [vocab.word_of(t) for t in range(2, len(vocab))] + ["<end>"]
-    rules = []
-    for length in (3, 2, 1, 1, 0):
-        for _ in range(4 if length else 1):
-            rules.append({
-                "context": [rng.choice(words[:-1]) for _ in range(length)],
-                "probs": {w: rng.choice((0.1, 0.25, 0.5, 1.0))
-                          for w in rng.sample(words, 3)}})
-    return rules
-
-
-class TestModelWindow:
-    """A model that declares `window` is given only its trailing `window`
-    context tokens after the root call, and the beam returns exactly what
-    it returns with the whole context."""
+class TestModelState:
+    """The beam carries each model's own states, which hold no more tokens
+    than its distribution reads, and returns exactly what it returns when
+    every call is scored from the whole context."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -383,14 +363,14 @@ class TestModelWindow:
             prompts = [[]] + [[rng.randrange(2, len(index.vocab))
                                for _ in range(n)] for n in (1, 5)]
             for prompt, width in itertools.product(prompts, range(1, 9)):
-                windowed = WindowRecorder(model)
+                recorded = RecordingModel(model)
                 assert constrained_beam_search(
-                    windowed, prompt, automaton, width) == \
+                    recorded, prompt, automaton, width) == \
                     constrained_beam_search(
                         FullContext(model), prompt, automaton, width)
-                assert windowed.lengths[0] == len(prompt)
-                assert max(windowed.lengths[1:], default=1) <= max(order - 1,
-                                                                   1)
+                lengths = [len(state) for state in recorded.states]
+                assert lengths[0] == min(len(prompt), order - 1)
+                assert max(lengths) <= order - 1
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_scripted_rules_of_several_lengths(self, strategy):
@@ -401,21 +381,45 @@ class TestModelWindow:
             automaton = build(strategy, index)
             model = ScriptedModel(index.vocab, dist_rules=random_dist_rules(
                 rng, index.vocab))
-            assert model.window == 3
             prompts = [[], [rng.randrange(2, len(index.vocab))
                             for _ in range(6)]]
             for prompt, width in itertools.product(prompts, (1, 3, 8)):
+                recorded = RecordingModel(model)
                 assert constrained_beam_search(
-                    model, prompt, automaton, width) == \
+                    recorded, prompt, automaton, width) == \
                     constrained_beam_search(
                         FullContext(model), prompt, automaton, width)
+                lengths = [len(state) for state in recorded.states]
+                assert lengths[0] == min(len(prompt), 3)
+                assert max(lengths) <= 3
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_full_width_ngram_is_exhaustive(self, strategy, order):
+        # Scored from the model's counts alone, never through its states:
+        # at full width the beam returns every accepted sequence, ranked
+        # and scored exactly as ref_logprob ranks and scores it.
+        rng = random.Random(59 + order)
+        for trial in range(8):
+            index = random_record_index(rng, rng.randint(2, 10), 5,
+                                        max_len=3)
+            automaton = build(strategy, index)
+            model = trained_ngram(index, rng, order=order)
+            prompt = [rng.randrange(2, len(index.vocab))
+                      for _ in range(rng.choice((0, 1, 5)))]
+            hyps = constrained_beam_search(model, prompt, automaton, 200)
+            oracle = sorted(
+                ((ref_logprob(model, prompt, seq), seq)
+                 for seq, _ in enumerate_accepted(automaton, max_len=4)),
+                key=lambda e: (-e[0], e[1]))
+            assert [(h.score, h.tokens) for h in hyps] == oracle[:200]
 
     @pytest.mark.parametrize("make_model", [
         lambda vocab: NgramModel(vocab),
         lambda vocab: ScriptedModel(vocab, dist_rules=TOY_DIST_RULES)])
     def test_unknown_prompt_token(self, make_model):
-        # The bad token sits far outside the model's window: the root call
-        # sees the whole prompt and rejects it.
+        # The bad token sits far before the tokens a state keeps: start
+        # reads the whole prompt and rejects it.
         index, _ = toy_setup()
         model = make_model(index.vocab)
         prompt = [len(index.vocab)] + [index.vocab.id_of("food")] * 5

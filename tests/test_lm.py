@@ -21,8 +21,10 @@ from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
 from gentrieval.reasoning import PromptRegistry
 
 from conftest import (DEEP_JSON, PARSER_LIMITS, TOY_DIST_RULES,
-                      TOY_EXTRA_WORDS, TOY_SURFACES, assert_same_model,
-                      make_index, random_record_index, ref_train_pair)
+                      TOY_EXTRA_WORDS, TOY_SURFACES, SparseTableModel,
+                      TableModel, assert_same_model, dist_after, make_index,
+                      random_dist_rules, random_record_index, ref_logprob,
+                      ref_train_pair)
 
 
 def toy_model():
@@ -31,8 +33,9 @@ def toy_model():
 
 
 def dense(m, ctx):
-    """The sparse (default, overrides) form expanded over the vocabulary."""
-    default, overrides = m.next_token_distribution(ctx)
+    """The sparse (default, overrides) form after *ctx*, expanded over the
+    vocabulary."""
+    default, overrides = dist_after(m, ctx)
     return {t: overrides.get(t, default) for t in range(len(m.vocab))}
 
 
@@ -92,8 +95,7 @@ class TestScriptedGenerate:
         toy, _ = toy_model()
         for word in TOY_EXTRA_WORDS + ["food", "apple", "tech", "banana"]:
             ctx = [index.vocab.id_of(word)]
-            assert m.next_token_distribution(ctx) == \
-                toy.next_token_distribution(ctx)
+            assert dist_after(m, ctx) == dist_after(toy, ctx)
 
 
 def naive_generate(rules, prompt, max_tokens):
@@ -293,7 +295,9 @@ class TestScriptedDistribution:
     def test_unknown_context_token(self):
         m, index = toy_model()
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([len(index.vocab)])
+            m.start([len(index.vocab)])
+        with pytest.raises(UnknownToken):
+            m.step(m.start([]), len(index.vocab))
 
     @pytest.mark.parametrize("rules, index, word", [
         ([{"context": [], "probs": {"xyzzy": 1.0}}], 0, "xyzzy"),
@@ -316,19 +320,20 @@ class TestScriptedDistribution:
         m = ScriptedModel(vocab, dist_rules=[
             {"context": ["<sep>"], "probs": {"<end>": 1.0}},
             {"context": [], "probs": {"<sep>": 0.5}}])
-        assert m.next_token_distribution([SEP]) == (FLOOR_LOGPROB,
-                                                    {END: 0.0})
-        assert m.next_token_distribution([END]) == (
-            FLOOR_LOGPROB, {SEP: math.log(0.5)})
+        assert dist_after(m, [SEP]) == (FLOOR_LOGPROB, {END: 0.0})
+        assert dist_after(m, [END]) == (FLOOR_LOGPROB, {SEP: math.log(0.5)})
 
-    def test_window_is_longest_rule_context(self):
+    def test_state_keeps_longest_rule_context(self):
         vocab = make_index(TOY_SURFACES, TOY_EXTRA_WORDS).vocab
-        assert ScriptedModel(vocab).window == 0
-        assert ScriptedModel(vocab, dist_rules=TOY_DIST_RULES).window == 1
+        ctx = list(range(2, len(vocab)))
+        assert ScriptedModel(vocab).start(ctx) == ()
+        assert ScriptedModel(vocab, dist_rules=TOY_DIST_RULES).start(
+            ctx) == tuple(ctx[-1:])
         rules = [{"context": ["food", "apple", "<end>"], "probs": {}},
                  {"context": [], "probs": {}},
                  {"context": ["tech", "apple"], "probs": {}}]
-        assert ScriptedModel(vocab, dist_rules=rules).window == 3
+        assert ScriptedModel(vocab, dist_rules=rules).start(ctx) == \
+            tuple(ctx[-3:])
 
 
 class TestNgram:
@@ -366,8 +371,11 @@ class TestNgram:
     def test_unknown_context_token(self):
         vocab = Vocabulary()
         vocab.encode("a", on_unknown="grow")
+        m = NgramModel(vocab)
         with pytest.raises(UnknownToken):
-            NgramModel(vocab).next_token_distribution([99])
+            m.start([99])
+        with pytest.raises(UnknownToken):
+            m.step(m.start([]), 99)
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=6),
            st.lists(st.lists(st.integers(min_value=0, max_value=4), min_size=1,
@@ -389,7 +397,7 @@ class TestNgram:
         m = NgramModel(vocab, order=1)
         m.train_pair([a], [b, END])
         for ctx in ([], [b], [a, b]):
-            default, overrides = m.next_token_distribution(ctx)
+            default, overrides = dist_after(m, ctx)
             assert default == math.log(1 / 7)
             assert overrides == {a: math.log(2 / 7), b: math.log(2 / 7),
                                  END: math.log(2 / 7)}
@@ -400,16 +408,17 @@ class TestNgram:
         m = NgramModel(vocab, order=6)
         m.train_pair([a, b, c], [END])
         # The whole three-token context is the key, not its last tokens.
-        assert m.next_token_distribution([a, b, c])[1] == {
-            END: math.log(2 / 6)}
-        assert m.next_token_distribution([a, b])[1] == {c: math.log(2 / 6)}
-        assert m.next_token_distribution([b, c])[1] == {}
+        assert dist_after(m, [a, b, c])[1] == {END: math.log(2 / 6)}
+        assert dist_after(m, [a, b])[1] == {c: math.log(2 / 6)}
+        assert dist_after(m, [b, c])[1] == {}
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
-    def test_window_is_order_minus_one(self, order):
+    def test_state_is_last_order_minus_one_tokens(self, order):
         vocab = Vocabulary()
-        vocab.encode("a b c", on_unknown="grow")
-        assert NgramModel(vocab, order=order).window == order - 1
+        ctx = vocab.encode("a b c a b c", on_unknown="grow")
+        m = NgramModel(vocab, order=order)
+        assert m.start(ctx) == tuple(ctx[len(ctx) - (order - 1):])
+        assert m.start(ctx[:1]) == tuple(ctx[:min(1, order - 1)])
 
     @pytest.mark.parametrize("order", [0, -1, -5])
     def test_order_below_one_rejected(self, order):
@@ -466,7 +475,7 @@ class TestBatchTraining:
         m, ref = NgramModel(vocab), NgramModel(vocab)
         m.train(pairs[:2])
         for ctx in m.counts:
-            m.next_token_distribution(list(ctx))
+            dist_after(m, ctx)
         m.train(pairs[2:])
         for prompt, target in pairs:
             ref_train_pair(ref, prompt, target)
@@ -481,12 +490,13 @@ class TestBatchTraining:
 
 
 def full_context_generate(m, prompt, max_tokens):
-    """Greedy generation that passes the whole running context each step."""
+    """Greedy generation that starts the model from the whole running
+    context at each step, never stepping a state."""
     ctx = m.vocab.encode(prompt, on_unknown="skip")
     out = []
     v = len(m.vocab)
     for _ in range(max_tokens):
-        default, overrides = m.next_token_distribution(ctx + out)
+        default, overrides = dist_after(m, ctx + out)
         scores = dict(overrides)
         plain = next((t for t in range(v) if t not in overrides), None)
         if plain is not None:
@@ -501,7 +511,7 @@ def full_context_generate(m, prompt, max_tokens):
 class TestNgramGenerate:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     @pytest.mark.parametrize("seed", range(6))
-    def test_trailing_window_matches_full_context(self, order, seed):
+    def test_stepped_state_matches_full_context(self, order, seed):
         rng = random.Random(seed * 10 + order)
         vocab = Vocabulary()
         ids = vocab.encode("a b c d e f g", on_unknown="grow")
@@ -532,22 +542,21 @@ class TestNgramMemo:
         ctxs = [[], [a], [a, b], [b, c], [c, a], [a, b, c]]
         m = self.trained(vocab, pairs[:1])
         for ctx in ctxs:
-            m.next_token_distribution(ctx)
+            dist_after(m, ctx)
         for pair in pairs[1:]:
             m.train_pair(*pair)
         fresh = self.trained(vocab, pairs)
         for ctx in ctxs:
-            assert m.next_token_distribution(ctx) == \
-                fresh.next_token_distribution(ctx)
+            assert dist_after(m, ctx) == dist_after(fresh, ctx)
 
     def test_untrained_context_is_one_prebuilt_pair(self):
         vocab = Vocabulary()
         a, b, c = vocab.encode("a b c", on_unknown="grow")
         m = self.trained(vocab, [([a], [b, END])])
-        first = m.next_token_distribution([c])
+        first = dist_after(m, [c])
         assert first == (math.log(1 / len(vocab)), {})
         for ctx in ([c], [b], [b, c], [END, a, c]):
-            assert m.next_token_distribution(ctx) is first
+            assert dist_after(m, ctx) is first
         assert not m._memo.keys() & {(c,), (b,), (b, c), (a, c)}
 
     @pytest.mark.parametrize("make", [
@@ -558,26 +567,30 @@ class TestNgramMemo:
         vocab = Vocabulary()
         a, b = vocab.encode("a b", on_unknown="grow")
         m = make(vocab)
-        m.next_token_distribution([a, b])
+        dist_after(m, [a, b])
         [c] = vocab.encode("c", on_unknown="grow")
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([c])
+            m.start([c])
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([a, c])
+            m.start([a, c])
+        with pytest.raises(UnknownToken):
+            m.step(m.start([a]), c)
 
     def test_unknown_token_before_memoised_tail(self):
         vocab = Vocabulary()
         a, b = vocab.encode("a b", on_unknown="grow")
         m = self.trained(vocab, [([a], [b, END])])
-        hit = m.next_token_distribution([a, b])
-        assert m._memo and m.next_token_distribution([a, b]) is hit
+        hit = dist_after(m, [a, b])
+        assert m._memo and dist_after(m, [a, b]) is hit
         for bad in (99, -1):
-            with pytest.raises(UnknownToken):  # longer than the window
-                m.next_token_distribution([bad, a, b])
-            with pytest.raises(UnknownToken):  # no longer than the window
-                m.next_token_distribution([bad, a])
+            with pytest.raises(UnknownToken):  # longer than a state
+                m.start([bad, a, b])
+            with pytest.raises(UnknownToken):  # no longer than a state
+                m.start([bad, a])
             with pytest.raises(UnknownToken):
-                m.next_token_distribution([bad])
+                m.start([bad])
+            with pytest.raises(UnknownToken):  # stepped onto a memoised state
+                m.step(m.start([a]), bad)
 
     def test_memo_bounded_by_trained_contexts(self):
         rng = random.Random(17)
@@ -600,8 +613,9 @@ TOY_WORDS = sorted(set(TOY_EXTRA_WORDS) | {
 
 
 class TestSparseForm:
-    """next_token_distribution(ctx) -> (default, overrides), expanded over
-    the vocabulary, equals the dense distribution computed by hand."""
+    """next_token_distribution(start(ctx)) -> (default, overrides),
+    expanded over the vocabulary, equals the dense distribution computed by
+    hand."""
 
     @staticmethod
     def by_rule(m, words):
@@ -664,11 +678,83 @@ class TestSparseForm:
     def test_unknown_context_token(self):
         m, index = toy_model()
         with pytest.raises(UnknownToken):
-            m.next_token_distribution([len(index.vocab)])
+            m.start([len(index.vocab)])
         with pytest.raises(UnknownToken):
-            ScriptedModel(index.vocab).next_token_distribution([-1])
+            ScriptedModel(index.vocab).start([-1])
         with pytest.raises(UnknownToken):
-            NgramModel(index.vocab).next_token_distribution([99])
+            NgramModel(index.vocab).start([99])
+
+
+def state_models(rng):
+    """One random index's vocabulary, and every kind of scoring model over
+    it, each with the most tokens its states may hold (None: the whole
+    context, for the test doubles)."""
+    index = random_record_index(rng, 12, 6, max_len=4)
+    vocab = index.vocab
+    models = []
+    for order in (1, 2, 3, 4, 6):
+        m = NgramModel(vocab, order=order)
+        for rec in index.records[:6]:
+            m.train_pair([rng.randrange(2, len(vocab))
+                          for _ in range(rng.randint(0, 4))], list(rec.tokens))
+        models.append((m, order - 1))
+    models.append((ScriptedModel(vocab), 0))
+    models.append((ScriptedModel(
+        vocab, dist_rules=random_dist_rules(rng, vocab)), 3))
+    models.append((TableModel(len(vocab), seed=rng.random()), None))
+    models.append((SparseTableModel(len(vocab), seed=rng.random()), None))
+    return vocab, models
+
+
+class TestStateContract:
+    """Every scoring model is read like an automaton: stepping a state
+    token by token gives the state that starting from the whole context
+    gives, a state holds no more tokens than the model's distribution
+    reads, and start and step refuse an id outside the vocabulary."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stepping_equals_starting_from_whole_context(self, seed):
+        rng = random.Random(seed)
+        vocab, models = state_models(rng)
+        for m, keep in models:
+            for _ in range(10):
+                prompt = [rng.randrange(len(vocab))
+                          for _ in range(rng.randint(0, 8))]
+                tokens = [rng.randrange(len(vocab))
+                          for _ in range(rng.randint(0, 8))]
+                state = m.start(prompt)
+                for i, tok in enumerate(tokens, start=1):
+                    state = m.step(state, tok)
+                    assert state == m.start(prompt + tokens[:i])
+                    if keep is not None:
+                        assert len(state) == min(len(prompt) + i, keep)
+                assert m.next_token_distribution(state) == \
+                    dist_after(m, prompt + tokens)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_start_refuses_a_bad_id_anywhere(self, seed):
+        rng = random.Random(seed)
+        vocab, models = state_models(rng)
+        prompt = [rng.randrange(len(vocab)) for _ in range(8)]
+        for m, keep in models:
+            if keep is None:
+                continue
+            for i in range(len(prompt)):
+                for bad in (-1, len(vocab), len(vocab) + 7):
+                    with pytest.raises(UnknownToken):
+                        m.start(prompt[:i] + [bad] + prompt[i + 1:])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_step_refuses_a_bad_token(self, seed):
+        rng = random.Random(seed)
+        vocab, models = state_models(rng)
+        for m, keep in models:
+            if keep is None:
+                continue
+            state = m.start([rng.randrange(len(vocab)) for _ in range(8)])
+            for bad in (-1, len(vocab), len(vocab) + 7):
+                with pytest.raises(UnknownToken):
+                    m.step(state, bad)
 
 
 class TestSequenceLogprob:
@@ -712,6 +798,26 @@ class TestSequenceLogprob:
             expected += dense(m, ctx)[t]
             ctx.append(t)
         assert sequence_logprob(m, [ids[0]], target) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_counts_by_hand(self, order, seed):
+        # Prompts from empty to twice the longest state, so the score reads
+        # contexts shorter than a state, as long, and cut from longer ones.
+        rng = random.Random(seed * 10 + order)
+        vocab = Vocabulary()
+        ids = vocab.encode("a b c d e", on_unknown="grow")
+        m = NgramModel(vocab, order=order)
+        for _ in range(rng.randint(1, 8)):
+            m.train_pair([rng.choice(ids) for _ in range(rng.randint(0, 5))],
+                         [rng.choice(ids) for _ in range(rng.randint(0, 4))]
+                         + [END])
+        for n in range(2 * order + 1):
+            prompt = [rng.choice(ids) for _ in range(n)]
+            target = [rng.choice(ids + [END])
+                      for _ in range(rng.randint(0, 4))] + [END]
+            assert sequence_logprob(m, prompt, target) == \
+                ref_logprob(m, prompt, target)
 
 
 class _Handler(BaseHTTPRequestHandler):

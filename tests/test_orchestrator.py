@@ -67,8 +67,14 @@ class CountingModel:
         self.prompts.append(prompt)
         return self.inner.generate(prompt, max_tokens)
 
-    def next_token_distribution(self, ctx):
-        return self.inner.next_token_distribution(ctx)
+    def start(self, prompt_ids):
+        return self.inner.start(prompt_ids)
+
+    def step(self, state, token):
+        return self.inner.step(state, token)
+
+    def next_token_distribution(self, state):
+        return self.inner.next_token_distribution(state)
 
 
 class TestStandard:
