@@ -9,7 +9,7 @@ with a reasoner whose rules use every match mode} x
 {merge, no merge} x {path-only index, `--views ngram` index}, over
 `make_toy_data.py --docs 400 --queries 12 --seed 5` data. For each cell it
 keeps the `run` report, trace and stdout, plus `retrieve` output for the
-first two queries where the retrieval model is also the reasoner. Two
+first two queries, with the cell's reasoner where it has one. Two
 checkouts that rank identically give trees that `diff -r` finds equal, so
 an exactness claim is checked by running
 
@@ -148,12 +148,8 @@ def main() -> int:
                          "--report", str(cell / "report.json"),
                          "--trace", str(cell / "trace.jsonl")],
                         cell / "run.txt")
-                    # retrieve has no reasoner flag: its reasoner is the
-                    # retrieval model, so one r4r variant covers it.
-                    if rules in ("r4r-reject", "r4r-modes"):
-                        continue
                     for i, text in enumerate(texts[:RETRIEVED_QUERIES]):
-                        cli(["retrieve", *common, "--query", text],
+                        cli(["retrieve", *common, *reasoner, "--query", text],
                             cell / f"retrieve-{i}.txt")
     return 0
 

@@ -1,9 +1,12 @@
 """Command-line entry point: build-index, retrieve, run, stats.
 
+`retrieve` and `run` share their set-up flags, and set up through
+`evaluation.load_pipeline`.
+
 Every failure exits nonzero with a single `error: ...` diagnostic line;
 usage errors print help and exit 2 (argparse default). Nothing is random:
 `build-index --seed` salts the embedding hash, and `run --seed` is only
-recorded in the report, so artifacts are byte-reproducible.
+recorded in the report, so local-model artifacts are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -11,16 +14,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .constraint import STRATEGIES, build as build_automaton
+from .constraint import STRATEGIES
 from .corpus import Query, load_corpus, read_jsonl
-from .docid import VIEWS, DocIdIndex, build_index
-from .errors import GentrievalError
-from .evaluation import (ExperimentConfig, check_r4r_only,
-                         make_retrieve_model, run_experiment, run_pipeline,
-                         termination_stats)
-from .lm import RemoteModel
+from .docid import VIEWS, build_index
+from .errors import ConfigError, GentrievalError
+from .evaluation import (ExperimentConfig, check_r4r_only, load_pipeline,
+                         run_experiment, run_pipeline, termination_stats)
 from .orchestrator import ABLATIONS, PIPELINES, RefineConfig
-from .reasoning import DEFAULT_PROMPTS, PromptRegistry
+from .reasoning import DEFAULT_PROMPTS
 
 
 def bounded_int(low: int, high: int | None = None):
@@ -74,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"embedding width, at most {MAX_DIM}")
     p.add_argument("--views", type=names, default="",
                    help=f"comma list from {{{','.join(VIEWS)}}}")
-    p.add_argument("--ngram-m", type=positive_int, default=3)
-    p.add_argument("--ngram-n", type=positive_int, default=3)
     p.add_argument("--seed", type=bounded_int(0, 2 ** 64 - 1), default=0,
                    help="salt of the embedding hash; clustering is "
                         "deterministic given the embeddings")
@@ -89,6 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scripted-model JSON path, or 'ngram'")
     shared.add_argument("--train-queries",
                         help="query JSONL used to train the n-gram model")
+    shared.add_argument("--reason-model",
+                        help="scripted-rules JSON path, or the http(s) URL "
+                             "of a /generate endpoint; without it the "
+                             "retrieval model also reasons")
     shared.add_argument("--k", type=positive_int, default=20)
     shared.add_argument("--t", type=positive_int,
                         help="verify depth (r4r only; default "
@@ -104,15 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", parents=[shared],
                        help="rank docids for one query")
     p.add_argument("--query", required=True)
-    p.add_argument("--remote-url",
-                   help="reasoning endpoint; without it the retrieval model "
-                        "also reasons")
 
     p = sub.add_parser("run", parents=[shared],
                        help="batch experiment over a query file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--reason-model", help="scripted rules for the reason role")
     p.add_argument("--sweep-t", type=positive_ints, default="",
                    help="comma list of verify depths")
     p.add_argument("--sweep-T", type=positive_ints, default="",
@@ -136,7 +135,6 @@ def _cmd_build_index(args) -> int:
     index = build_index(
         corpus, levels=args.levels, branching=args.branching, dim=args.dim,
         seed=args.seed, views=args.views,
-        ngram_m=args.ngram_m, ngram_n=args.ngram_n,
         extra_vocab_texts=list(DEFAULT_PROMPTS.values()))
     index.save(args.out)
     n_path = sum(1 for r in index.records if r.view == "path")
@@ -156,18 +154,22 @@ def _refine_settings(args) -> dict:
     return settings
 
 
+def _pipeline_settings(args) -> dict:
+    """The shared set-up flags, as load_pipeline and ExperimentConfig name
+    them."""
+    return dict(
+        index_path=args.index, strategy=args.strategy, pipeline=args.pipeline,
+        scripted_model_path=None if args.model == "ngram" else args.model,
+        reason_model_path=args.reason_model,
+        ngram_train_queries_path=args.train_queries, prompts_path=args.prompts)
+
+
 def _cmd_retrieve(args) -> int:
     refine_cfg = RefineConfig(**_refine_settings(args),
                               ablation=args.ablation)
     check_r4r_only(args.pipeline, ablation=args.ablation)
-    index = DocIdIndex.load(args.index)
-    automaton = build_automaton(args.strategy, index)
-    reg = PromptRegistry.load(args.prompts)
-    retrieve_model = make_retrieve_model(
-        index, reg, None if args.model == "ngram" else args.model,
-        args.train_queries)
-    reason_model = (RemoteModel(args.remote_url) if args.remote_url
-                    else retrieve_model)
+    index, reg, automaton, retrieve_model, reason_model = load_pipeline(
+        **_pipeline_settings(args))
     ranked, _ = run_pipeline(
         Query(query_id="cli", text=args.query), args.pipeline, retrieve_model,
         reason_model, automaton, index, reg, args.k, refine_cfg,
@@ -178,17 +180,18 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    for flag, value, sweep in (("--t", args.t, args.sweep_t),
+                               ("--T", args.T, args.sweep_T)):
+        if value is not None and sweep:
+            raise ConfigError(f"{flag} is not run when --sweep-{flag[2:]} "
+                              "is given; pass one of them")
     cfg = ExperimentConfig(
         corpus_path=args.corpus, queries_path=args.queries,
-        index_path=args.index, strategy=args.strategy,
-        pipeline=args.pipeline, k=args.k, **_refine_settings(args),
+        **_pipeline_settings(args), k=args.k, **_refine_settings(args),
         t_sweep=args.sweep_t, T_sweep=args.sweep_T,
         ablation=args.ablation, merge=args.merge_views,
-        scripted_model_path=None if args.model == "ngram" else args.model,
-        reason_model_path=args.reason_model,
-        ngram_train_queries_path=args.train_queries,
-        prompts_path=args.prompts, report_path=args.report,
-        trace_path=args.trace, seed=args.seed, timing=args.timing)
+        report_path=args.report, trace_path=args.trace, seed=args.seed,
+        timing=args.timing)
     report = run_experiment(cfg)
     for row in report["rows"]:
         hits = " ".join(f"hits@{k}={v:.4f}" for k, v in row["hits"].items())

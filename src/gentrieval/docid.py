@@ -45,6 +45,7 @@ VIEW_NGRAM = "ngram"
 VIEW_PSEUDO_QUERY = "pseudo_query"
 # The views `build_index` can add to the path docids.
 VIEWS = (VIEW_TITLE, VIEW_NGRAM, VIEW_PSEUDO_QUERY)
+NGRAM_N, NGRAM_M = 3, 3  # the ngram view: top NGRAM_M word NGRAM_N-grams
 
 
 @dataclass(frozen=True)
@@ -426,7 +427,6 @@ class DocIdIndex:
 def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
                 dim: int = 64, seed: int = 0,
                 views: frozenset[str] = frozenset(),
-                ngram_m: int = 3, ngram_n: int = 3,
                 extra_vocab_texts: list[str] | None = None) -> DocIdIndex:
     """Build the full DocIdIndex: vocabulary, RQ path docids, optional views.
 
@@ -437,9 +437,6 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     bad = sorted(v for v in views if v not in VIEWS)
     if bad:
         raise ConfigError(f"unknown views: {', '.join(bad)}")
-    for name, value in (("ngram_n", ngram_n), ("ngram_m", ngram_m)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
     if not len(corpus):
         raise EmptyIndex("cannot build an index over an empty corpus")
     vocab = Vocabulary()
@@ -483,7 +480,7 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
         records.append(rec)
 
     if views:
-        ngrams = (_top_ngrams(words, ngram_n, ngram_m)
+        ngrams = (_top_ngrams(words, NGRAM_N, NGRAM_M)
                   if VIEW_NGRAM in views else {})
         # Per document, in VIEWS order; a text without words makes no record.
         for doc in corpus:

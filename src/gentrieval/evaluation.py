@@ -20,7 +20,7 @@ from .corpus import Corpus, Query, load_corpus, load_queries
 from .decode import RankedList
 from .docid import DocIdIndex
 from .errors import ConfigError, EmptyRuns
-from .lm import NgramModel, ScriptedModel, sequence_logprob
+from .lm import NgramModel, RemoteModel, ScriptedModel, sequence_logprob
 from .orchestrator import (PIPELINES, REASONS, R4RResult, RefineConfig,
                            retrieve_prompt_ids, run_direct_cot, run_r4r,
                            run_standard)
@@ -140,7 +140,7 @@ class ExperimentConfig:
     hits_ks: tuple[int, ...] = (1, 5, 20)
     mrr_ks: tuple[int, ...] = (10,)
     scripted_model_path: str | None = None
-    reason_model_path: str | None = None  # scripted rules for the reason role
+    reason_model_path: str | None = None  # scripted rules or a /generate URL
     ngram_train_queries_path: str | None = None  # train an n-gram retriever
     prompts_path: str | None = None
     report_path: str | None = None
@@ -182,6 +182,35 @@ def check_r4r_only(pipeline: str, **settings) -> None:
     if used and pipeline != "r4r":
         raise ConfigError(f"{used[0]} applies only to the r4r pipeline, "
                           f"not {pipeline!r}")
+
+
+def load_pipeline(index_path: str, strategy: str, pipeline: str,
+                  scripted_model_path: str | None = None,
+                  reason_model_path: str | None = None,
+                  ngram_train_queries_path: str | None = None,
+                  prompts_path: str | None = None):
+    """The index, prompt registry, automaton, retrieval model and reasoning
+    model a pipeline reads. The reasoning model is scripted rules, or a
+    RemoteModel if *reason_model_path* is an http(s) URL, or else the
+    retrieval model. Inputs that nothing would read are refused first."""
+    if scripted_model_path and ngram_train_queries_path:
+        raise ConfigError("training queries apply only to the n-gram model, "
+                          "not to scripted rules")
+    if reason_model_path and pipeline == "standard":
+        raise ConfigError("a reasoning model applies only to the direct_cot "
+                          "and r4r pipelines, not 'standard'")
+    index = DocIdIndex.load(index_path)
+    reg = PromptRegistry.load(prompts_path)
+    automaton = build_automaton(strategy, index)
+    retrieve = make_retrieve_model(index, reg, scripted_model_path,
+                                   ngram_train_queries_path)
+    if not reason_model_path:
+        reason = retrieve
+    elif reason_model_path.startswith(("http://", "https://")):
+        reason = RemoteModel(reason_model_path)
+    else:
+        reason = ScriptedModel.from_file(reason_model_path, index.vocab)
+    return index, reg, automaton, retrieve, reason
 
 
 def run_pipeline(q: Query, pipeline: str, model, reason_model, automaton,
@@ -250,15 +279,12 @@ def run_experiment(cfg: ExperimentConfig):
                    T_sweep=cfg.T_sweep)
     load_corpus(cfg.corpus_path)  # validates the referenced corpus file
     queries = load_queries(cfg.queries_path)
-    index = DocIdIndex.load(cfg.index_path)
     if not queries:
         raise EmptyRuns("query file is empty")
-    reg = PromptRegistry.load(cfg.prompts_path)
-    automaton = build_automaton(cfg.strategy, index)
-    retrieve = make_retrieve_model(index, reg, cfg.scripted_model_path,
-                                   cfg.ngram_train_queries_path)
-    reason = (ScriptedModel.from_file(cfg.reason_model_path, index.vocab)
-              if cfg.reason_model_path else retrieve)
+    index, reg, automaton, retrieve, reason = load_pipeline(
+        cfg.index_path, cfg.strategy, cfg.pipeline, cfg.scripted_model_path,
+        cfg.reason_model_path, cfg.ngram_train_queries_path,
+        cfg.prompts_path)
     _check_writable(cfg.report_path)
     _check_writable(cfg.trace_path)
 
@@ -313,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 __all__ = [
-    "ExperimentConfig", "NllReport", "check_r4r_only",
-    "hits_at_k", "make_retrieve_model", "mrr_at_k", "nll_losses",
+    "ExperimentConfig", "NllReport", "check_r4r_only", "hits_at_k",
+    "load_pipeline", "make_retrieve_model", "mrr_at_k", "nll_losses",
     "run_experiment", "run_pipeline", "termination_stats",
 ]

@@ -1,13 +1,17 @@
 """Shared fixtures: the three-record toy index, the generated toy corpora,
-scripted rule tables, and random-corpus helpers used by the oracle tests."""
+scripted rule tables, a local /generate endpoint, and random-corpus helpers
+used by the oracle tests."""
 
 from __future__ import annotations
 
+import json
 import math
 import pathlib
 import random
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -71,6 +75,61 @@ TOY_DIST_RULES = [
 @pytest.fixture
 def toy_index() -> DocIdIndex:
     return make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
+
+
+class GenerateHandler(BaseHTTPRequestHandler):
+    """A /generate endpoint on 127.0.0.1. It answers `respond(prompt,
+    max_tokens)`, by default "echo: <prompt>"; *fail_5xx* and *reply* (a
+    fixed status and body) override that."""
+    fail_5xx = False
+    reply: tuple[int, bytes] | None = None
+    respond = None
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        payload = json.loads(self.rfile.read(length) or b"{}")
+        if self.fail_5xx:
+            self.send_response(503)
+            self.end_headers()
+            return
+        if self.reply is not None:
+            self.send_response(self.reply[0])
+            self.end_headers()
+            self.wfile.write(self.reply[1])
+            return
+        if self.path == "/generate":
+            prompt = payload.get("prompt", "")
+            respond = type(self).respond  # a plain function, not bound
+            text = (respond(prompt, payload.get("max_tokens")) if respond
+                    else "echo: " + prompt)
+            body = json.dumps({"text": text})
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(body.encode())
+        else:
+            self.send_response(404)
+            self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_endpoint():
+    server = HTTPServer(("127.0.0.1", 0), GenerateHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    GenerateHandler.fail_5xx = False
+    GenerateHandler.reply = None
+    GenerateHandler.respond = None
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.fixture(scope="session")

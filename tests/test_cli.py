@@ -6,21 +6,23 @@ import math
 import os
 import pathlib
 import shlex
+import socket
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentrieval import evaluation
+from gentrieval import evaluation, lm
 from gentrieval.cli import build_parser, main
 from gentrieval.docid import DocIdIndex
 from gentrieval.errors import ConfigError
 from gentrieval.evaluation import ExperimentConfig
+from gentrieval.lm import ScriptedModel
 from gentrieval.orchestrator import PIPELINES
 
 from conftest import (PARSER_LIMITS, TOY_DIST_RULES, TOY_EXTRA_WORDS,
-                      TOY_SURFACES, make_index)
+                      TOY_SURFACES, GenerateHandler, make_index)
 
 
 def write_jsonl(path, rows):
@@ -229,6 +231,24 @@ class TestRetrieve:
             f"not {pipeline!r}"]
         assert loaded == []
 
+    @pytest.mark.parametrize("flags, error", [
+        (("--train-queries", "missing.jsonl"),
+         "training queries apply only to the n-gram model, not to scripted "
+         "rules"),
+        (("--reason-model", "missing.json"),
+         "a reasoning model applies only to the direct_cot and r4r "
+         "pipelines, not 'standard'")])
+    def test_unread_model_flag_refused_before_index_loads(
+            self, workspace, capsys, monkeypatch, flags, error):
+        loaded = []
+        monkeypatch.setattr(DocIdIndex, "load", loaded.append)
+        rc = main(["retrieve", "--index", workspace["index"],
+                   "--model", workspace["model"], *flags,
+                   "--query", "which fruit"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert loaded == []
+
     def test_ngram_model(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
                    "--model", "ngram", "--train-queries",
@@ -283,6 +303,9 @@ class TestRun:
                                                     pipeline):
         report, _, argv = self.args(workspace, pipeline, ("--timing",))
         argv[argv.index("--pipeline") + 1] = pipeline
+        if pipeline == "standard":  # which takes no reasoning model
+            i = argv.index("--reason-model")
+            del argv[i:i + 2]
         assert main(argv) == 0
         capsys.readouterr()
         rows = json.loads(report.read_text())["rows"]
@@ -308,6 +331,30 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {field} applies only to the r4r pipeline, "
             f"not {pipeline!r}"]
+        assert loaded == []
+        assert not report.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("flags, error", [
+        (("--train-queries", "missing.jsonl"),
+         "training queries apply only to the n-gram model, not to scripted "
+         "rules"),
+        (("--pipeline", "standard"),
+         "a reasoning model applies only to the direct_cot and r4r "
+         "pipelines, not 'standard'"),
+        (("--t", "2", "--sweep-t", "1,3"),
+         "--t is not run when --sweep-t is given; pass one of them"),
+        (("--T", "2", "--sweep-T", "1,3"),
+         "--T is not run when --sweep-T is given; pass one of them")],
+        ids=["train-queries", "reason-model", "t", "T"])
+    def test_unread_flag_refused(self, workspace, capsys, monkeypatch, flags,
+                                 error):
+        # Each flag here would be accepted and never read: refused before
+        # the index loads, leaving no report.
+        loaded = []
+        monkeypatch.setattr(DocIdIndex, "load", loaded.append)
+        report, trace, argv = self.args(workspace, "u", flags)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
         assert loaded == []
         assert not report.exists() and not trace.exists()
 
@@ -418,6 +465,76 @@ class TestRun:
             (1, 1), (1, 3), (2, 1), (2, 3)]
 
 
+class TestRemoteReasoner:
+    """--reason-model as the URL of a /generate endpoint, on both
+    commands."""
+
+    REJECT = [{"match": "Candidate identifier: ", "response": "irrelevant"},
+              {"match": "Irrelevant identifier: ",
+               "response": "<context>fruit calories</context>"
+                           "<explanation>e</explanation>"}]
+
+    def run_args(self, workspace, reasoner, tag):
+        report = workspace["dir"] / f"report-{tag}.json"
+        trace = workspace["dir"] / f"trace-{tag}.jsonl"
+        return report, trace, [
+            "run", "--corpus", workspace["corpus"],
+            "--queries", workspace["queries"], "--index", workspace["index"],
+            "--model", workspace["model"], "--reason-model", reasoner,
+            "--pipeline", "r4r", "--k", "3", "--T", "2",
+            "--report", str(report), "--trace", str(trace)]
+
+    def test_endpoint_reasons_as_its_rules_do(self, workspace, capsys,
+                                              http_endpoint):
+        # The endpoint answers with the rules a scripted reasoner reads, so
+        # run writes the same artifacts either way, and retrieve prints the
+        # last round of run's trace.
+        rules = workspace["dir"] / "reject.json"
+        rules.write_text(json.dumps(self.REJECT))
+        scripted = ScriptedModel.from_file(
+            str(rules), DocIdIndex.load(workspace["index"]).vocab)
+        prompts = []
+
+        def respond(prompt, max_tokens):
+            prompts.append(prompt)
+            return scripted.generate(prompt, max_tokens)
+        GenerateHandler.respond = respond
+        artifacts = []
+        for tag, reasoner in (("rules", str(rules)),
+                              ("remote", http_endpoint)):
+            report, trace, argv = self.run_args(workspace, reasoner, tag)
+            assert main(argv) == 0
+            artifacts.append((report.read_bytes(), trace.read_bytes()))
+        assert artifacts[0] == artifacts[1]
+        assert prompts
+        capsys.readouterr()
+        assert main(["retrieve", "--index", workspace["index"],
+                     "--model", workspace["model"],
+                     "--reason-model", http_endpoint + "/", "--pipeline",
+                     "r4r", "--k", "3", "--T", "2",
+                     "--query", "which fruit calories"]) == 0
+        topk = json.loads(artifacts[1][1].splitlines()[0])[
+            "rounds_detail"][-1]["topk"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{c['surface']}\t{c['score']:.6f}\t{c['doc']}" for c in topk]
+
+    @pytest.mark.parametrize("command", ["run", "retrieve"])
+    def test_closed_port_is_1(self, workspace, capsys, monkeypatch, command):
+        monkeypatch.setattr(lm.time, "sleep", lambda s: None)
+        with socket.socket() as sock:  # a port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        report, trace, argv = self.run_args(workspace, url, "closed")
+        if command == "retrieve":
+            argv = ["retrieve", "--index", workspace["index"],
+                    "--model", workspace["model"], "--reason-model", url,
+                    "--pipeline", "r4r", "--query", "which fruit"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not report.exists() and not trace.exists()
+
+
 def commands(block: str) -> list[str]:
     """The shell commands in *block*, continuation lines joined and
     whitespace collapsed."""
@@ -461,23 +578,13 @@ class TestToyScripts:
         assert set(readme) <= set(commands(
             workflow.read_text(encoding="utf-8")))
 
-    def test_artifact_matrix_reproducible(self, tmp_path):
-        script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
-                  / "artifact_matrix.py")
-        trees = []
-        for name in ("a", "b"):
-            subprocess.run([sys.executable, str(script), "--out",
-                            str(tmp_path / name), "--docs", "40"],
-                           check=True, capture_output=True)
-            root = tmp_path / name
-            trees.append({str(p.relative_to(root)): p.read_bytes()
-                          for p in sorted(root.rglob("*")) if p.is_file()})
-        assert trees[0] == trees[1]
-        files = trees[0]
+    def test_artifact_matrix_reproducible(self, matrix_trees):
+        assert matrix_trees[0] == matrix_trees[1]
+        files = matrix_trees[0]
         # 2 indexes x 3 strategies x 9 pipelines x 2 merge settings.
         assert sum(name.endswith("report.json") for name in files) == 108
-        # retrieve runs only for standard, direct_cot and r4r-accept.
-        assert sum("/retrieve-" in name for name in files) == 72
+        # retrieve runs in every cell, for the first two queries.
+        assert sum("/retrieve-" in name for name in files) == 216
         for name, content in files.items():
             if name.endswith(".txt"):
                 assert content.startswith(b"exit 0\n"), name
@@ -497,21 +604,55 @@ class TestToyScripts:
             ["overview digest", "report digest", "report digest"]]
         assert modes[1]["reason"] == "all_relevant"
 
+    def test_retrieve_prints_runs_last_round(self, matrix_trees):
+        # One set-up path: in every r4r cell, retrieve with the cell's
+        # reasoner prints what run's trace holds as the last round's
+        # ranking for that query.
+        files = matrix_trees[0]
+        cells = {name.rsplit("/", 1)[0] for name in files
+                 if "/r4r-" in name and name.endswith("trace.jsonl")}
+        assert len(cells) == 2 * 3 * 7 * 2
+        for cell in sorted(cells):
+            traces = files[f"{cell}/trace.jsonl"].splitlines()
+            for i in range(2):
+                topk = json.loads(traces[i])["rounds_detail"][-1]["topk"]
+                out = files[f"{cell}/retrieve-{i}.txt"].decode("utf-8")
+                assert out.split("--- stdout\n")[1].split("--- stderr")[0] \
+                    .splitlines() == [
+                        f"{c['surface']}\t{c['score']:.6f}\t{c['doc']}"
+                        for c in topk], (cell, i)
+
+
+@pytest.fixture(scope="module")
+def matrix_trees(tmp_path_factory):
+    """Two runs of scripts/artifact_matrix.py over 40 documents, each as a
+    {relative path: bytes} map."""
+    script = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+              / "artifact_matrix.py")
+    trees = []
+    for name in ("a", "b"):
+        root = tmp_path_factory.mktemp(f"matrix-{name}")
+        subprocess.run([sys.executable, str(script), "--out", str(root),
+                        "--docs", "40"], check=True, capture_output=True)
+        trees.append({str(p.relative_to(root)): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()})
+    return trees
+
 
 class TestOptionInventory:
     """Every knob, listed: adding or removing one changes this test."""
 
     FLAGS = {
         "build-index": {"--corpus", "--out", "--levels", "--branching",
-                        "--dim", "--views", "--ngram-m", "--ngram-n",
-                        "--seed"},
+                        "--dim", "--views", "--seed"},
         "retrieve": {"--index", "--strategy", "--pipeline", "--model",
-                     "--train-queries", "--k", "--t", "--T", "--ablation",
-                     "--merge-views", "--prompts", "--query", "--remote-url"},
+                     "--train-queries", "--reason-model", "--k", "--t",
+                     "--T", "--ablation", "--merge-views", "--prompts",
+                     "--query"},
         "run": {"--index", "--strategy", "--pipeline", "--model",
-                "--train-queries", "--k", "--t", "--T", "--ablation",
-                "--merge-views", "--prompts", "--corpus", "--queries",
-                "--reason-model", "--sweep-t", "--sweep-T", "--report",
+                "--train-queries", "--reason-model", "--k", "--t", "--T",
+                "--ablation", "--merge-views", "--prompts", "--corpus",
+                "--queries", "--sweep-t", "--sweep-T", "--report",
                 "--trace", "--timing", "--seed"},
         "stats": {"--trace"},
     }
@@ -617,8 +758,7 @@ class TestExitCodes:
         ("build-index", "--branching", "0"),
         ("build-index", "--dim", "1"),
         ("build-index", "--dim", "100000000000"),
-        ("build-index", "--ngram-m", "0"),
-        ("build-index", "--ngram-n", "0"), ("build-index", "--seed", "-1"),
+        ("build-index", "--seed", "-1"),
         ("build-index", "--seed", str(2 ** 64)), ("run", "--jobs", "1")])
     def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
         extra = (["--index", workspace["index"], "--model", workspace["model"],
@@ -633,6 +773,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("usage:") == 1
         errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("build-index", "--ngram-m", "0"), ("build-index", "--ngram-n", "0"),
+        ("retrieve", "--remote-url", "http://127.0.0.1:9")])
+    def test_deleted_flag_is_2(self, workspace, capsys, command, flag,
+                               value):
+        # The n-gram view's sizes are constants, and the reasoning endpoint
+        # is a --reason-model URL: the old flags are usage errors.
+        extra = (["--corpus", workspace["corpus"],
+                  "--out", str(workspace["dir"] / "i.json")]
+                 if command == "build-index" else
+                 ["--index", workspace["index"], "--model", workspace["model"],
+                  "--query", "which fruit"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, flag, value])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
         assert len(errors) == 1 and flag in errors[0]
 
     @pytest.mark.parametrize("content", [
@@ -882,6 +1041,7 @@ def fuzz_files(tmp_path_factory):
                  "title": "tech apple"},
                 {"id": "d3", "text": "food banana fruit"}])),
         "--queries": queries, "--train-queries": queries,
+        # --reason-model takes files only, so the reasoner stays local.
         "--index": str(index), "--model": model, "--reason-model": model,
         "--prompts": put("prompts.json", json.dumps({"P_r": "Find documents."})),
         "--trace": put("trace.jsonl",
@@ -916,8 +1076,7 @@ def argv_strategy(fuzz_files):
         "--report": st.sampled_from(outputs),
         "--levels": ints, "--branching": ints,
         "--dim": mostly(["2", "3"], ["1", "-1", "x", "", "100000000000"]),
-        "--ngram-m": ints, "--ngram-n": ints, "--k": ints, "--t": ints,
-        "--T": ints,
+        "--k": ints, "--t": ints, "--T": ints,
         "--seed": mostly(["0", "7"], ["-3", str(2 ** 64), "x"]),
         "--sweep-t": mostly(["", "1,2", "2"], ["0", "a"]),
         "--sweep-T": mostly(["", "1,2", "3"], ["-1", "a"]),
@@ -930,8 +1089,6 @@ def argv_strategy(fuzz_files):
                              ["bogus", "fm", "termset"]),
         "--pipeline": mostly(["standard", "direct_cot", "r4r"], ["bogus"]),
         "--query": st.sampled_from(["which fruit calories", "", "zzz qqq"]),
-        # Empty, so the reasoner stays local.
-        "--remote-url": st.just(""),
     }
     subparsers = build_parser()._subparsers._group_actions[0].choices
 

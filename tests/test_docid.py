@@ -11,9 +11,10 @@ from hypothesis import example, given, strategies as st
 from gentrieval import docid
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
                                words_of)
-from gentrieval.docid import (STOPWORDS, VIEWS, DocIdIndex, DocIdRecord,
-                              RQHierarchy, RQNode, TermStats, assign_keywords,
-                              build_index, build_rq_hierarchy, path_docid)
+from gentrieval.docid import (NGRAM_M, NGRAM_N, STOPWORDS, VIEWS, DocIdIndex,
+                              DocIdRecord, RQHierarchy, RQNode, TermStats,
+                              assign_keywords, build_index,
+                              build_rq_hierarchy, path_docid)
 from gentrieval.errors import (ConfigError, EmptyDocument, EmptyIndex,
                                MalformedIndex, UnknownDoc)
 
@@ -278,15 +279,16 @@ class TestViews:
     def test_top_bigram(self):
         # (fruit, nutrition) and (nutrition, facts) tie on TF-IDF; the
         # lexicographically smaller bigram wins.
-        got = self.views_of({"ngram"}, ngram_m=1, ngram_n=2)
-        assert got[0] == ("d1", "ngram", "fruit nutrition")
+        words = {d.doc_key: words_of(d.text) for d in self.make_corpus()}
+        assert docid._top_ngrams(words, 2, 1)["d1"] == ["fruit nutrition"]
 
     def test_order_within_a_document(self):
-        # Per document: title, then n-grams, then pseudo-queries.
-        got = self.views_of(VIEWS, ngram_m=1, ngram_n=3)
+        # Per document: title, then n-grams, then pseudo-queries. d1 has
+        # two trigrams, d2 and d3 one each.
+        got = self.views_of(VIEWS)
         assert [v for key, v, _ in got if key == "d1"] == [
-            "title", "ngram", "pseudo_query", "pseudo_query"]
-        assert [key for key, _, _ in got] == ["d1"] * 4 + ["d2", "d3"]
+            "title", "ngram", "ngram", "pseudo_query", "pseudo_query"]
+        assert [key for key, _, _ in got] == ["d1"] * 5 + ["d2", "d3"]
 
     @pytest.mark.parametrize("views", [(), ("title",), ("pseudo_query",)])
     def test_no_ngram_pass_without_ngram_view(self, monkeypatch, views):
@@ -302,9 +304,15 @@ class TestViews:
             n, m = rng.randint(1, 4), rng.randint(1, 5)
             views = frozenset(rng.sample(VIEWS, rng.randint(1, len(VIEWS))))
             index = build_index(corpus, levels=1, branching=4, dim=8,
-                                views=views, ngram_n=n, ngram_m=m)
+                                views=views)
             got = [r for r in index.records if r.view != "path"]
-            assert got == ref_view_records(corpus, views, n, m, index.vocab)
+            assert got == ref_view_records(corpus, views, NGRAM_N, NGRAM_M,
+                                           index.vocab)
+            # Other sizes, through the n-gram pass that build_index calls.
+            words = {doc.doc_key: words_of(doc.text) for doc in corpus}
+            assert docid._top_ngrams(words, n, m) == {
+                doc.doc_key: ref_top_ngrams(corpus, n, doc.text, m)
+                for doc in corpus}
 
 
 def random_view_corpus(rng: random.Random, n_docs: int) -> Corpus:
@@ -541,18 +549,6 @@ class TestIndexBuild:
         with pytest.raises(ConfigError) as exc:
             build_index(corpus, views=frozenset({"titel", "title"}))
         assert str(exc.value) == "unknown views: titel"
-
-    @pytest.mark.parametrize("corpus", [
-        Corpus([Document("d1", "alpha beta gamma delta"),
-                Document("d2", "beta gamma")]), Corpus([])])
-    @pytest.mark.parametrize("name, value", [
-        ("ngram_n", 0), ("ngram_n", -1), ("ngram_m", 0), ("ngram_m", -1)])
-    def test_ngram_sizes_below_one_refused(self, corpus, name, value):
-        # Checked before the corpus is, with or without the ngram view.
-        for views in (frozenset({"ngram"}), frozenset()):
-            with pytest.raises(ConfigError) as exc:
-                build_index(corpus, views=views, **{name: value})
-            assert str(exc.value) == f"{name} must be >= 1, got {value}"
 
     def test_every_doc_has_record(self):
         rng = random.Random(3)

@@ -1,9 +1,7 @@
 import json
 import math
 import random
-import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import requests
@@ -21,10 +19,10 @@ from gentrieval.lm import (FLOOR_LOGPROB, NgramModel, RemoteModel,
 from gentrieval.reasoning import PromptRegistry
 
 from conftest import (DEEP_JSON, PARSER_LIMITS, TOY_DIST_RULES,
-                      TOY_EXTRA_WORDS, TOY_SURFACES, SparseTableModel,
-                      TableModel, assert_same_model, dist_after, make_index,
-                      random_dist_rules, random_record_index, ref_logprob,
-                      ref_train_pair)
+                      TOY_EXTRA_WORDS, TOY_SURFACES, GenerateHandler,
+                      SparseTableModel, TableModel, assert_same_model,
+                      dist_after, make_index, random_dist_rules,
+                      random_record_index, ref_logprob, ref_train_pair)
 
 
 def toy_model():
@@ -820,50 +818,6 @@ class TestSequenceLogprob:
                 ref_logprob(m, prompt, target)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    fail_5xx = False
-    reply: tuple[int, bytes] | None = None  # fixed (status, body) override
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length) or b"{}")
-        if self.fail_5xx:
-            self.send_response(503)
-            self.end_headers()
-            return
-        if self.reply is not None:
-            self.send_response(self.reply[0])
-            self.end_headers()
-            self.wfile.write(self.reply[1])
-            return
-        if self.path == "/generate":
-            body = json.dumps({"text": "echo: " + payload.get("prompt", "")})
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(body.encode())
-        else:
-            self.send_response(404)
-            self.end_headers()
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.fail_5xx = False
-    _Handler.reply = None
-    try:
-        yield f"http://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        thread.join()
-
-
 class TestRemote:
     def test_generate_round_trip(self, http_endpoint):
         m = RemoteModel(base_url=http_endpoint)
@@ -885,7 +839,7 @@ class TestRemote:
             sequence_logprob(m, [1, 2], [END])
 
     def test_server_errors_exhaust_retries(self, http_endpoint):
-        _Handler.fail_5xx = True
+        GenerateHandler.fail_5xx = True
         m = RemoteModel(base_url=http_endpoint, max_retries=1)
         with pytest.raises(RemoteUnavailable):
             m.generate("hi", 256)
@@ -903,7 +857,7 @@ class TestRemote:
         (200, b"not json"), (200, b'{"txt": "hi"}'), (200, b"[1]"),
         (200, b'{"text": null}'), (400, b""), (200, DEEP_JSON.encode())])
     def test_malformed_response_is_typed(self, http_endpoint, reply):
-        _Handler.reply = reply
+        GenerateHandler.reply = reply
         m = RemoteModel(base_url=http_endpoint, max_retries=0)
         with pytest.raises(RemoteUnavailable):
             m.generate("hi", 256)
