@@ -8,14 +8,16 @@ sub-multisets (any ordering of a record's term multiset is accepted).
 
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
-outside the automaton's node table raises InvalidState. The trie is built
-whole; the FM and term-set nodes are made when step() first reaches them
-and keep their answers, so each node's allowed(), each of its step tokens
-and its complete() are worked out once per automaton, whatever the number
-of searches over it. complete() hands out a new list. `tokens` is a view
-the automaton keeps (the keys of a dict built in ascending token order): it
-iterates in ascending order, supports `in` and set comparison, and cannot be
-changed through it. Callers read it in place; it is never copied per call.
+outside the automaton's node table raises InvalidState. The trie's nodes are
+built whole; the FM and term-set nodes are made when step() first reaches
+them. Every node keeps its answers, made on its first visit, so each node's
+allowed(), each of its step tokens and its complete() are worked out once
+per automaton, whatever the number of searches over it. allowed() hands out
+the node's kept (tokens, end_ok) pair and complete() its kept tuple of
+records, the same objects on every call. `tokens` is a view (the keys of a
+dict built in ascending token order): it iterates in ascending order,
+supports `in` and set comparison, and cannot be changed through it. Callers
+read both in place; neither is copied per call.
 """
 
 from __future__ import annotations
@@ -34,18 +36,20 @@ def _body(record: DocIdRecord) -> tuple[int, ...]:
     return record.tokens[:-1]
 
 
-def _check_node(state: int, count: int, kind: str) -> None:
-    """Raise InvalidState unless *state* is one of *count* node ids."""
-    if not 0 <= state < count:
-        raise InvalidState(f"{kind} node {state}")
-
-
 class TrieAutomaton:
+    """A prefix trie over the record bodies.
+
+    The trie is built whole: per node id, `children` (token -> node id, in
+    ascending token order) and `terminal` (the records whose body ends
+    there, in index order). A node's allowed() pair and complete() tuple
+    are made on its first visit and kept in `moves` and `completions`, so
+    the build pays nothing for nodes no search reaches.
+    """
+
     def __init__(self, index: DocIdIndex):
-        self.records = list(index.records)
         self.children: list[dict[int, int]] = [{}]
-        self.terminal: list[list[int]] = [[]]
-        for ridx, rec in enumerate(self.records):
+        self.terminal: list[list[DocIdRecord]] = [[]]
+        for rec in index.records:
             node = 0
             for tok in _body(rec):
                 nxt = self.children[node].get(tok)
@@ -55,30 +59,44 @@ class TrieAutomaton:
                     self.children.append({})
                     self.terminal.append([])
                 node = nxt
-            self.terminal[node].append(ridx)
+            self.terminal[node].append(rec)
         # Ascending, so allowed() can hand out the keys as they are.
         self.children = [dict(sorted(c.items())) if len(c) > 1 else c
                          for c in self.children]
+        self.moves: list[tuple[KeysView[int], bool] | None] = \
+            [None] * len(self.children)
+        self.completions: list[tuple[DocIdRecord, ...] | None] = \
+            [None] * len(self.children)
 
     def start(self) -> int:
         return 0
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        _check_node(state, len(self.children), "trie")
-        return self.children[state].keys(), bool(self.terminal[state])
+        if not 0 <= state < len(self.moves):
+            raise InvalidState(f"trie node {state}")
+        moves = self.moves[state]
+        if moves is None:
+            moves = self.moves[state] = (self.children[state].keys(),
+                                         bool(self.terminal[state]))
+        return moves
 
     def step(self, state: int, token: int) -> int:
-        _check_node(state, len(self.children), "trie")
+        if not 0 <= state < len(self.children):
+            raise InvalidState(f"trie node {state}")
         nxt = self.children[state].get(token)
         if nxt is None:
             raise IllegalTransition(f"token {token} from node {state}")
         return nxt
 
-    def complete(self, state: int) -> list[DocIdRecord]:
-        _check_node(state, len(self.children), "trie")
-        if not self.terminal[state]:
+    def complete(self, state: int) -> tuple[DocIdRecord, ...]:
+        if not 0 <= state < len(self.completions):
+            raise InvalidState(f"trie node {state}")
+        records = self.completions[state]
+        if records is None:
+            records = self.completions[state] = tuple(self.terminal[state])
+        if not records:
             raise NotTerminal(f"trie node {state}")
-        return [self.records[i] for i in self.terminal[state]]
+        return records
 
 
 class _FmNode:
@@ -96,7 +114,7 @@ class _FmNode:
         self.window = window
         self.moves: tuple[KeysView[int], bool] | None = None
         self.children: dict[int, int] = {}
-        self.records: list[DocIdRecord] | None = None
+        self.records: tuple[DocIdRecord, ...] | None = None
 
 
 class FmIndexAutomaton:
@@ -135,13 +153,14 @@ class FmIndexAutomaton:
         # suffix: END is not allowed there, and it completes nothing.
         followers = self.fm.followers(start) - {SEP}
         self.nodes[0].moves = dict.fromkeys(sorted(followers)).keys(), False
-        self.nodes[0].records = []
+        self.nodes[0].records = ()
 
     def start(self) -> int:
         return 0
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        _check_node(state, len(self.nodes), "FM")
+        if not 0 <= state < len(self.nodes):
+            raise InvalidState(f"FM node {state}")
         node = self.nodes[state]
         moves = node.moves
         if moves is None:
@@ -153,7 +172,8 @@ class FmIndexAutomaton:
         return moves
 
     def step(self, state: int, token: int) -> int:
-        _check_node(state, len(self.nodes), "FM")
+        if not 0 <= state < len(self.nodes):
+            raise InvalidState(f"FM node {state}")
         node = self.nodes[state]
         nxt = node.children.get(token)
         if nxt is not None:
@@ -170,36 +190,39 @@ class FmIndexAutomaton:
         node.children[token] = nxt
         return nxt
 
-    def complete(self, state: int) -> list[DocIdRecord]:
-        _check_node(state, len(self.nodes), "FM")
+    def complete(self, state: int) -> tuple[DocIdRecord, ...]:
+        if not 0 <= state < len(self.nodes):
+            raise InvalidState(f"FM node {state}")
         node = self.nodes[state]
         records = node.records
         if records is None:
             rng = self.fm.extend(node.window, SEP)
-            records = node.records = [self.record_before[p] for p in
-                                      sorted(self.fm.locate(rng))]
+            records = node.records = tuple(self.record_before[p] for p in
+                                           sorted(self.fm.locate(rng)))
         if not records:
             raise NotTerminal("window does not abut SEP")
-        return list(records)
+        return records
 
 
 class _TermNode:
     """A sorted sub-multiset of emitted tokens and the records containing it.
 
     `follow` (token -> the live records of the child it leads to, in
-    ascending token order) and `terminal` (the records whose multiset is
-    exactly `key`, in index order) stay unset until the node is expanded.
-    `children` (token -> node id) holds the followers stepped into so far.
+    ascending token order), `terminal` (the records whose multiset is
+    exactly `key`, in index order) and `moves` (the allowed() pair) stay
+    unset until the node is expanded. `children` (token -> node id) holds
+    the followers stepped into so far.
     """
 
-    __slots__ = ("key", "live", "follow", "children", "terminal")
+    __slots__ = ("key", "live", "follow", "children", "terminal", "moves")
 
     def __init__(self, key: tuple[int, ...], live):
         self.key = key
         self.live = live  # ascending record indices, until expanded
         self.follow: dict[int, list[int]] | None = None
         self.children: dict[int, int] = {}
-        self.terminal: list[DocIdRecord] = []
+        self.terminal: tuple[DocIdRecord, ...] = ()
+        self.moves: tuple[KeysView[int], bool] | None = None
 
 
 class TermSetAutomaton:
@@ -229,7 +252,8 @@ class TermSetAutomaton:
         return 0
 
     def _expanded(self, state: int) -> _TermNode:
-        _check_node(state, len(self.nodes), "term-set")
+        if not 0 <= state < len(self.nodes):
+            raise InvalidState(f"term-set node {state}")
         node = self.nodes[state]
         if node.follow is None:
             self._expand(node)
@@ -251,15 +275,16 @@ class TermSetAutomaton:
                 if cnt > key.count(term):
                     follow.setdefault(term, []).append(ridx)
         node.live = ()  # read only by this expansion
-        node.terminal = terminal
+        node.terminal = tuple(terminal)
         node.follow = dict(sorted(follow.items()))
+        node.moves = node.follow.keys(), bool(terminal)
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        node = self._expanded(state)
-        return node.follow.keys(), bool(node.terminal)
+        return self._expanded(state).moves
 
     def step(self, state: int, token: int) -> int:
-        _check_node(state, len(self.nodes), "term-set")
+        if not 0 <= state < len(self.nodes):
+            raise InvalidState(f"term-set node {state}")
         node = self.nodes[state]
         nxt = node.children.get(token)
         if nxt is not None:
@@ -277,11 +302,11 @@ class TermSetAutomaton:
         node.children[token] = nxt
         return nxt
 
-    def complete(self, state: int) -> list[DocIdRecord]:
+    def complete(self, state: int) -> tuple[DocIdRecord, ...]:
         node = self._expanded(state)
         if not node.terminal:
             raise NotTerminal("generated set matches no record")
-        return list(node.terminal)
+        return node.terminal
 
 
 AUTOMATA = {"trie": TrieAutomaton, "fm_index": FmIndexAutomaton,

@@ -3,21 +3,23 @@
 The automaton masks the model: each live state asks next_token_distribution
 once for the whole distribution in sparse form, (default, overrides). Each
 depth heap-selects its width (the ranked list's k) survivors before it
-steps them, and the finished pool keeps only the top width, so losers are
-never built, sorted or completed. No length cap: the search stops when no
-state is live, as no automaton accepts a sequence longer than one record
-(an FM emission spans one body, since SEP is never allowed). Scores are
-raw model log-probabilities (no renormalization after masking), so a
-finished hypothesis scores exactly sequence_logprob of its token
-sequence; that identity is what the exhaustive-oracle tests lean on.
+steps them, and the finished pool keeps only the top width as plain
+(-score, tokens, state) entries: a Hypothesis is built, and the automaton's
+complete() asked, only for each one the search returns. No length cap: the
+search stops when no state is live, as no automaton accepts a sequence
+longer than one record (an FM emission spans one body, since SEP is never
+allowed). Scores are raw model log-probabilities (no renormalization after
+masking), so a finished hypothesis scores exactly sequence_logprob of its
+token sequence; that identity is what the exhaustive-oracle tests lean on.
 
 The model is read like the automaton: model.start(prompt) gives the root's
 model state, model.step(state, token) a child's, and
 next_token_distribution(state) reads one, so each beam entry carries an
 automaton state and a model state side by side. The automaton's
-allowed(state) returns (tokens, end_ok) where tokens is a kept, read-only
-set-like view that iterates in ascending order, so the beam reads it in
-place and never sorts or copies it.
+allowed(state) hands out a kept (tokens, end_ok) pair, where tokens is a
+read-only set-like view that iterates in ascending order, so the beam
+reads it in place and never sorts or copies it; complete(state) hands out
+a kept tuple of records, which the Hypothesis holds as it is.
 
 dedup_rank reads the finished hypotheses directly: it keeps the best
 (score, record) per document and makes a Candidate only for each of the k
@@ -71,10 +73,6 @@ class RankedList:
         return [c.doc_key for c in self.candidates]
 
 
-def _pool_key(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-    return -h.score, h.tokens
-
-
 def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                             width: int) -> list[Hypothesis]:
     """Beam search where each step only expands automaton-allowed tokens.
@@ -88,10 +86,12 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
     head is popped. Every live sequence has the same length, so (gen, token)
     orders exactly as gen + (token,), and no sequence is built for a token
     that cannot survive. Survivors are stepped in pop order, so only they
-    are stepped, and each state's allowed() runs once. Finished hypotheses
-    go to a pool bounded at the top width by (-score, tokens), and
-    complete() runs only for one that enters it. The pool is returned best
-    first. A survivor's model state is stepped with it.
+    are stepped, and each state's allowed() runs once. A finished sequence
+    goes to a pool of (-score, tokens, automaton state) entries bounded at
+    the top width; tokens are unique within one search, so states are never
+    compared. complete() runs and a Hypothesis is made only for each entry
+    the search returns, best first, never for one that later drops out. A
+    survivor's model state is stepped with it.
     """
     if width < 1:
         raise ConfigError(f"beam width must be >= 1, got {width}")
@@ -102,7 +102,7 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
 
     # (score, gen, automaton state, model state)
     live: list[tuple] = [(0.0, (), start, model.start(prompt_tokens))]
-    pool: list[Hypothesis] = []  # finished, best first
+    pool: list[tuple] = []  # (-score, tokens, automaton state), best first
     while live:
         # (-score, gen, token, parent state, parent model state, rest of the
         # run or None); the first three fields are unique, so the rest are
@@ -112,13 +112,10 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
             allowed, end_ok = automaton.allowed(state) if gen else start_moves
             default, overrides = model.next_token_distribution(mstate)
             if end_ok:
-                end_score = score + overrides.get(END, default)
-                key = (-end_score, gen + (END,))
-                if len(pool) < width or key < _pool_key(pool[-1]):
-                    bisect.insort(pool, Hypothesis(
-                        tokens=key[1], score=end_score,
-                        records=tuple(automaton.complete(state))),
-                        key=_pool_key)
+                entry = (-(score + overrides.get(END, default)),
+                         gen + (END,), state)
+                if len(pool) < width or entry < pool[-1]:
+                    bisect.insort(pool, entry)
                     del pool[width:]
             for tok, lp in overrides.items():
                 if tok in allowed:
@@ -139,7 +136,8 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
                 heapq.heapreplace(heap, (neg, gen, nxt, state, mstate, run))
             live.append((-neg, gen + (tok,), automaton.step(state, tok),
                          model.step(mstate, tok)))
-    return pool
+    return [Hypothesis(tokens, -neg, automaton.complete(state))
+            for neg, tokens, state in pool]
 
 
 def dedup_rank(hyps: list[Hypothesis], k: int) -> RankedList:
@@ -157,7 +155,7 @@ def dedup_rank(hyps: list[Hypothesis], k: int) -> RankedList:
                 best[rec.doc_key] = score, rec
     ranked = sorted(best.items(),
                     key=lambda e: (-e[1][0], e[1][1].surface, e[0]))
-    return RankedList([Candidate(record=rec, score=score)
+    return RankedList([Candidate(rec, score)
                        for _, (score, rec) in ranked[:k]])
 
 
@@ -178,6 +176,6 @@ def merge_views(hyps: list[Hypothesis], k: int) -> RankedList:
         m = max(s for s, _ in entries)
         agg = m + math.log(sum(math.exp(s - m) for s, _ in entries))
         best_rec = min(entries, key=lambda e: (-e[0], e[1].surface))[1]
-        ranked.append(Candidate(record=best_rec, score=agg))
+        ranked.append(Candidate(best_rec, agg))
     ranked.sort(key=lambda c: (-c.score, c.doc_key))
     return RankedList(ranked[:k])

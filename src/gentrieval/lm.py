@@ -95,7 +95,7 @@ class _TrailingTokens:
     """start and step for a scoring model over *v* token ids whose
     distribution reads at most the last *keep* tokens of a context: a state
     is the tuple of those tokens. Either call raises UnknownToken for an id
-    outside range(v)."""
+    outside range(v); start names the prompt's first such id."""
 
     def __init__(self, v: int, keep: int):
         self._v = v
@@ -103,9 +103,10 @@ class _TrailingTokens:
 
     def start(self, prompt_ids) -> tuple[int, ...]:
         v = self._v
-        for t in prompt_ids:
-            if not 0 <= t < v:
-                raise UnknownToken(t)
+        if prompt_ids and not (0 <= min(prompt_ids)
+                               and max(prompt_ids) < v):
+            raise UnknownToken(next(t for t in prompt_ids
+                                    if not 0 <= t < v))
         return tuple(prompt_ids[self._tail])
 
     def step(self, state: tuple[int, ...], token: int) -> tuple[int, ...]:

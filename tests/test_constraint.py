@@ -130,6 +130,41 @@ class TestTrie:
         with pytest.raises(InvalidState):
             TrieAutomaton(toy_index).allowed(999)
 
+    def test_answers_made_on_first_visit_in_any_order(self):
+        """Before any search, allowed() and complete() of every node id,
+        asked in shuffled order, equal a scan of the records, whichever of
+        the two reaches a node first."""
+        rng = random.Random(13)
+        for _ in range(10):
+            index = random_record_index(rng, rng.randint(2, 15), 6,
+                                        max_len=4)
+            a = TrieAutomaton(index)
+            # Node id -> the prefix that reaches it, walked with step()
+            # and the scan's tokens, so no node's answers are made yet.
+            prefix = {}
+            stack = [(a.start(), ())]
+            while stack:
+                state, emitted = stack.pop()
+                prefix[state] = emitted
+                stack.extend((a.step(state, t), emitted + (t,))
+                             for t in naive_allowed("trie", index, emitted))
+            assert sorted(prefix) == list(range(len(a.children)))
+            asks = [(state, op) for state in prefix
+                    for op in ("allowed", "complete")]
+            rng.shuffle(asks)
+            for state, op in asks:
+                emitted = prefix[state]
+                done = tuple(r for r in index.records
+                             if r.tokens[:-1] == emitted)
+                if op == "allowed":
+                    assert a.allowed(state) == (
+                        naive_allowed("trie", index, emitted), bool(done))
+                elif done:
+                    assert a.complete(state) == done
+                else:
+                    with pytest.raises(NotTerminal):
+                        a.complete(state)
+
     def test_language_is_exactly_the_records(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -219,15 +254,6 @@ class TestFmAutomaton:
             state += 1
         assert len(a.nodes) > 1
         assert {a.nodes[i].window: i for i in range(len(a.nodes))} == a.node_of
-
-    def test_complete_hands_out_a_new_list(self, toy_index):
-        a = FmIndexAutomaton(toy_index)
-        s = a.step(a.start(), tok(toy_index, "apple"))
-        first = a.complete(s)
-        expected = list(first)
-        first.clear()
-        assert a.complete(s) == expected
-        assert a.complete(s) is not a.complete(s)
 
     def test_language_is_record_suffixes(self):
         rng = random.Random(4)
@@ -353,7 +379,7 @@ def naive_term_set(index, emitted):
         if ms == gen:
             done.append(rec)
         allowed.update(t for t, c in ms.items() if c > gen[t])
-    return allowed, bool(done), done
+    return allowed, bool(done), tuple(done)
 
 
 def multiset_index(rng):
@@ -482,6 +508,49 @@ class TestAllowedView:
         with pytest.raises(TypeError):
             allowed[0] = 5
         assert list(a.allowed(state)[0]) == before
+
+
+def naive_complete(strategy, index, emitted):
+    """The records complete() lists after *emitted*, by a scan over the
+    record bodies, in index order."""
+    n = len(emitted)
+    if strategy == "trie":
+        return tuple(r for r in index.records if r.tokens[:-1] == emitted)
+    if strategy == "fm_index":
+        return tuple(r for r in index.records if n and len(r.tokens) > n
+                     and r.tokens[-1 - n:-1] == emitted)
+    return naive_term_set(index, emitted)[2]
+
+
+class TestKeptAnswers:
+    """allowed() hands out one kept pair and complete() one kept tuple per
+    node, the same objects on every call, equal to a scan of the
+    records."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_same_objects_equal_to_a_scan(self, strategy):
+        rng = random.Random(19)
+        for _ in range(10):
+            index = random_record_index(rng, rng.randint(2, 12), 6,
+                                        max_len=4)
+            a = build(strategy, index)
+            stack = [(a.start(), ())]
+            while stack:
+                state, emitted = stack.pop()
+                done = naive_complete(strategy, index, emitted)
+                moves = a.allowed(state)
+                assert a.allowed(state) is moves
+                assert moves == (naive_allowed(strategy, index, emitted),
+                                 bool(done))
+                if done:
+                    records = a.complete(state)
+                    assert type(records) is tuple and records == done
+                    assert a.complete(state) is records
+                else:
+                    with pytest.raises(NotTerminal):
+                        a.complete(state)
+                stack.extend((a.step(state, t), emitted + (t,))
+                             for t in moves[0])
 
 
 class TestFmMemo:

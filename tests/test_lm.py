@@ -742,6 +742,26 @@ class TestStateContract:
                     with pytest.raises(UnknownToken):
                         m.start(prompt[:i] + [bad] + prompt[i + 1:])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_start_names_the_first_bad_id(self, seed):
+        """In a 50-token prompt, start() raises UnknownToken for the first
+        out-of-range id, wherever it sits and whatever follows it."""
+        rng = random.Random(seed)
+        vocab, models = state_models(rng)
+        v = len(vocab)
+        for m, keep in models:
+            if keep is None:
+                continue
+            for bad, other in ((-1, v), (v, -1)):
+                for pos in (0, 25, 49):
+                    prompt = [rng.randrange(v) for _ in range(50)]
+                    prompt[pos] = bad
+                    if pos < 49:
+                        prompt[rng.randrange(pos + 1, 50)] = other
+                    with pytest.raises(UnknownToken,
+                                       match=rf"^token id {bad} outside"):
+                        m.start(prompt)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_step_refuses_a_bad_token(self, seed):
         rng = random.Random(seed)
