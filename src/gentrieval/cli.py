@@ -16,10 +16,11 @@ import sys
 
 from .constraint import STRATEGIES
 from .corpus import Query, load_corpus, read_jsonl
-from .docid import VIEWS, build_index
+from .docid import VIEWS, build_index, check_views
 from .errors import ConfigError, GentrievalError
-from .evaluation import (ExperimentConfig, check_r4r_only, load_pipeline,
-                         run_experiment, run_pipeline, termination_stats)
+from .evaluation import (ExperimentConfig, check_r4r_only, check_writable,
+                         load_pipeline, run_experiment, run_pipeline,
+                         termination_stats)
 from .orchestrator import ABLATIONS, PIPELINES, RefineConfig
 from .reasoning import DEFAULT_PROMPTS
 
@@ -131,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build_index(args) -> int:
+    # Refused before the corpus is read and the index built.
+    check_views(args.views)
+    check_writable(args.out)
     corpus = load_corpus(args.corpus)
     index = build_index(
         corpus, levels=args.levels, branching=args.branching, dim=args.dim,

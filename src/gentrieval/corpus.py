@@ -205,12 +205,14 @@ def read_jsonl(path):
     at *path*; a line that is not UTF-8 or does not parse raises
     MalformedRecord."""
     # Bytes that are not UTF-8 are read as lone surrogates, so that the
-    # strict decode below fails at their own line.
+    # strict decode below fails at their own line. An ASCII line holds
+    # none.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    if not line.isascii():
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
                     yield line_no, json.loads(line)
                 except (ValueError, RecursionError) as exc:
                     raise MalformedRecord(line_no, str(exc)) from exc
@@ -227,15 +229,18 @@ def load_corpus(path) -> Corpus:
             raise MalformedRecord(line_no, "'id' and 'text' must be strings")
         if not obj["id"] or not obj["text"]:
             raise MalformedRecord(line_no, "'id' and 'text' must be nonempty")
-        try:  # a lone surrogate parses, but no output can write it
-            obj["id"].encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise MalformedRecord(line_no, f"'id' is not UTF-8: {exc}") from exc
+        if not obj["id"].isascii():
+            try:  # a lone surrogate parses, but no output can write it
+                obj["id"].encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise MalformedRecord(line_no,
+                                      f"'id' is not UTF-8: {exc}") from exc
         title = obj.get("title")
         if title is not None and not isinstance(title, str):
             raise MalformedRecord(line_no, "'title' must be a string")
-        pseudo_queries = obj.get("pseudo_queries", [])
-        if not _is_str_list(pseudo_queries):
+        # No JSON value equals (), so only an absent field skips the check.
+        pseudo_queries = obj.get("pseudo_queries", ())
+        if pseudo_queries != () and not _is_str_list(pseudo_queries):
             raise MalformedRecord(line_no, "'pseudo_queries' must be a list of strings")
         corpus.append(Document(
             doc_key=obj["id"],

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -65,20 +64,18 @@ def _embeddings(docs: list[list[str]], dim: int, seed: int) -> np.ndarray:
     if dim < 2:
         raise ValueError("dim must be >= 2")
     salt = seed.to_bytes(8, "little")
-    codes: dict[str, tuple[int, float]] = {}  # word -> (bucket, sign)
-    cells = array("q")
-    signs = array("d")
-    for row, words in enumerate(docs):
-        base = row * dim
-        for w in words:
-            code = codes.get(w)
-            if code is None:
-                h = blake2b(w.encode("utf-8"), digest_size=8,
-                            salt=salt).digest()
-                val = int.from_bytes(h, "little")
-                code = codes[w] = (val % dim, 1.0 if (val >> 32) & 1 else -1.0)
-            cells.append(base + code[0])
-            signs.append(code[1])
+
+    def code(w: str) -> int:  # 2 * bucket, plus 1 for a + sign
+        val = int.from_bytes(blake2b(w.encode("utf-8"), digest_size=8,
+                                     salt=salt).digest(), "little")
+        return 2 * (val % dim) + ((val >> 32) & 1)
+    codes = {w: code(w) for w in set(chain.from_iterable(docs))}
+    lengths = np.fromiter(map(len, docs), np.intp, len(docs))
+    occurrences = np.fromiter(map(codes.__getitem__, chain.from_iterable(docs)),
+                              np.intp, int(lengths.sum()))
+    cells = np.repeat(np.arange(0, len(docs) * dim, dim), lengths)
+    cells += occurrences >> 1
+    signs = 2.0 * (occurrences & 1) - 1.0
     vecs = np.bincount(cells, weights=signs,
                        minlength=len(docs) * dim).reshape(len(docs), dim)
     norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
@@ -220,7 +217,7 @@ def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             return centroids, assign
         assign = new_assign
         for j in range(k):
-            members = points[assign == j]
+            members = np.compress(assign == j, points, axis=0)
             if len(members):
                 centroids[j] = members.mean(axis=0)
     # Not converged: the last update moved the centroids, so reassign to keep
@@ -277,31 +274,29 @@ class TermStats:
         n = len(words)
         self.idf = {w: math.log((1 + n) / (1 + d)) for w, d in df.items()}
 
-    def scored_terms(self, doc_keys: list[str]) -> list[str]:
-        """Terms of the documents ordered by TF-IDF (desc), then
-        lexicographically."""
-        tf = Counter(chain.from_iterable(self.terms[key] for key in doc_keys))
-        idf = self.idf
-        return [w for _, w in sorted((-(cnt * idf[w]), w)
-                                     for w, cnt in tf.items())]
-
 
 def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
     """Label every node with its best unused TF-IDF term; leaves holding more
-    than one document additionally get per-document disambiguation labels."""
+    than one document additionally get per-document disambiguation labels.
+    A term's score is (-TF-IDF, term), and the best is the lowest; when
+    every term is used, the label is the best term, or "doc" if there is
+    none, suffixed with the node's 1-based ordinal."""
+    idf = terms.idf
 
-    def pick(candidates: list[str], used: set[str], ordinal: int) -> str:
-        for term in candidates:
-            if term not in used:
-                return term
-        base = candidates[0] if candidates else "doc"
-        return f"{base}-{ordinal + 1}"
+    def pick(doc_keys: list[str], used: set[str], ordinal: int) -> str:
+        tf = Counter(chain.from_iterable(terms.terms[key] for key in doc_keys))
+        best = min(((-(cnt * idf[w]), w) for w, cnt in tf.items()
+                    if w not in used), default=None)
+        if best is None:  # every term is used
+            base = min(((-(cnt * idf[w]), w) for w, cnt in tf.items()),
+                       default=(0.0, "doc"))
+            return f"{base[1]}-{ordinal + 1}"
+        return best[1]
 
     def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
         taken = set(ancestors)
         for ordinal, node in enumerate(siblings):
-            node.label = pick(terms.scored_terms(node.doc_keys), taken,
-                              ordinal)
+            node.label = pick(node.doc_keys, taken, ordinal)
             taken.add(node.label)
         for node in siblings:
             if node.children:
@@ -309,7 +304,7 @@ def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
             elif len(node.doc_keys) > 1:
                 used = ancestors | {node.label}
                 for ordinal, key in enumerate(sorted(node.doc_keys)):
-                    lbl = pick(terms.scored_terms([key]), used, ordinal)
+                    lbl = pick([key], used, ordinal)
                     node.doc_labels[key] = lbl
                     used.add(lbl)
 
@@ -317,16 +312,26 @@ def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
     return h
 
 
-def path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary) -> DocIdRecord:
+def path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary,
+               label_tokens: dict[str, list[int]]) -> DocIdRecord:
+    """*doc_key*'s path record: its node labels from root to leaf, and its
+    leaf's label for it if it has one, joined by "-". Words never join
+    across a "-", so the tokens are the labels' tokens in order. A label
+    missing from *label_tokens* is encoded, growing *vocab*, and kept
+    there."""
     path = h.path_to(doc_key)
     labels = [node.label for node in path]
     leaf = path[-1]
     if doc_key in leaf.doc_labels:
         labels.append(leaf.doc_labels[doc_key])
-    surface = "-".join(labels)
-    tokens = tuple(vocab.encode(surface, on_unknown="grow")) + (END,)
-    return DocIdRecord(doc_key=doc_key, tokens=tokens, surface=surface,
-                       view=VIEW_PATH)
+    tokens: list[int] = []
+    for label in labels:
+        toks = label_tokens.get(label)
+        if toks is None:
+            toks = label_tokens[label] = vocab.encode(label, on_unknown="grow")
+        tokens += toks
+    tokens.append(END)
+    return DocIdRecord(doc_key, tuple(tokens), "-".join(labels), VIEW_PATH)
 
 
 def _top_ngrams(words: dict[str, list[str]], n: int,
@@ -424,6 +429,13 @@ class DocIdIndex:
             return cls.from_json(fh.read())
 
 
+def check_views(views: frozenset[str]) -> None:
+    """Raise ConfigError naming each of *views* that is not in VIEWS."""
+    bad = sorted(v for v in views if v not in VIEWS)
+    if bad:
+        raise ConfigError(f"unknown views: {', '.join(bad)}")
+
+
 def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
                 dim: int = 64, seed: int = 0,
                 views: frozenset[str] = frozenset(),
@@ -434,17 +446,21 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     templates) before freezing, so decoding and local models share one id
     space.
     """
-    bad = sorted(v for v in views if v not in VIEWS)
-    if bad:
-        raise ConfigError(f"unknown views: {', '.join(bad)}")
+    check_views(views)
     if not len(corpus):
         raise EmptyIndex("cannot build an index over an empty corpus")
     vocab = Vocabulary()
     # Each distinct word is held once, as the vocabulary's string: the word
     # lists, the term statistics and the labels all refer to it.
+    interned: dict[str, str] = {}
+
+    def intern(w: str) -> str:
+        s = interned[w] = vocab.word_of(vocab.add(w))
+        return s
+
     words: dict[str, list[str]] = {}
     for doc in corpus:
-        ws = words[doc.doc_key] = [vocab.word_of(vocab.add(w))
+        ws = words[doc.doc_key] = [interned.get(w) or intern(w)
                                    for w in words_of(doc.text)]
         if not ws:
             raise EmptyDocument(doc.doc_key)
@@ -464,8 +480,9 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
 
     records: list[DocIdRecord] = []
     seen_surfaces: set[str] = set()
+    label_tokens: dict[str, list[int]] = {}
     for doc in corpus:
-        rec = path_docid(doc.doc_key, hierarchy, vocab)
+        rec = path_docid(doc.doc_key, hierarchy, vocab, label_tokens)
         if rec.surface in seen_surfaces:
             # Label fallbacks can in principle collide across branches; keep
             # path surfaces unique corpus-wide with a stable ordinal suffix.

@@ -239,7 +239,7 @@ def run_pipeline(q: Query, pipeline: str, model, reason_model, automaton,
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
 
-def _check_writable(path: str | None) -> None:
+def check_writable(path: str | None) -> None:
     """Raise OSError unless *path* can be opened for writing. The path is
     left as it was: an existing file keeps its bytes, and a file the check
     creates is removed again."""
@@ -285,8 +285,8 @@ def run_experiment(cfg: ExperimentConfig):
         cfg.index_path, cfg.strategy, cfg.pipeline, cfg.scripted_model_path,
         cfg.reason_model_path, cfg.ngram_train_queries_path,
         cfg.prompts_path)
-    _check_writable(cfg.report_path)
-    _check_writable(cfg.trace_path)
+    check_writable(cfg.report_path)
+    check_writable(cfg.trace_path)
 
     sweep_rows = []
     all_traces: list[dict] = []
@@ -339,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 __all__ = [
-    "ExperimentConfig", "NllReport", "check_r4r_only", "hits_at_k",
-    "load_pipeline", "make_retrieve_model", "mrr_at_k", "nll_losses",
-    "run_experiment", "run_pipeline", "termination_stats",
+    "ExperimentConfig", "NllReport", "check_r4r_only", "check_writable",
+    "hits_at_k", "load_pipeline", "make_retrieve_model", "mrr_at_k",
+    "nll_losses", "run_experiment", "run_pipeline", "termination_stats",
 ]

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gentrieval.corpus import END, Corpus, Document, Vocabulary, load_corpus
+from gentrieval.corpus import (END, Corpus, Document, Query, Vocabulary,
+                               load_corpus)
+from gentrieval.errors import MalformedRecord
 from gentrieval.docid import DocIdIndex, DocIdRecord, RQHierarchy
 from gentrieval.lm import FLOOR_LOGPROB
 
@@ -54,6 +56,65 @@ LONG_INT_JSON = '{"n": ' + "1" * 5000 + "}"
 PARSER_LIMITS = [
     pytest.param(DEEP_JSON, "maximum recursion", id="nested-too-deep"),
     pytest.param(LONG_INT_JSON, "Exceeds the limit", id="long-int")]
+
+# The JSONL readers in their straightforward form: every line re-checked as
+# UTF-8, every id encoded, every list field type-checked. The readers must
+# return what these return, or raise what these raise.
+
+def ref_read_jsonl(path):
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    yield line_no, json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise MalformedRecord(line_no, str(exc)) from exc
+
+
+def _ref_is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def ref_load_corpus(path) -> Corpus:
+    corpus = Corpus()
+    for line_no, obj in ref_read_jsonl(path):
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise MalformedRecord(line_no, "missing required field 'id' or 'text'")
+        if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
+            raise MalformedRecord(line_no, "'id' and 'text' must be strings")
+        if not obj["id"] or not obj["text"]:
+            raise MalformedRecord(line_no, "'id' and 'text' must be nonempty")
+        try:
+            obj["id"].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecord(line_no, f"'id' is not UTF-8: {exc}") from exc
+        title = obj.get("title")
+        if title is not None and not isinstance(title, str):
+            raise MalformedRecord(line_no, "'title' must be a string")
+        pseudo_queries = obj.get("pseudo_queries", [])
+        if not _ref_is_str_list(pseudo_queries):
+            raise MalformedRecord(line_no, "'pseudo_queries' must be a list of strings")
+        corpus.append(Document(doc_key=obj["id"], text=obj["text"],
+                               title=title,
+                               pseudo_queries=tuple(pseudo_queries)))
+    return corpus
+
+
+def ref_load_queries(path) -> list[Query]:
+    queries: list[Query] = []
+    for line_no, obj in ref_read_jsonl(path):
+        if not isinstance(obj, dict) or "qid" not in obj or "text" not in obj:
+            raise MalformedRecord(line_no, "missing required field 'qid' or 'text'")
+        if not isinstance(obj["text"], str) or not obj["text"].strip():
+            raise MalformedRecord(line_no, "'text' must be a non-blank string")
+        relevant = obj.get("relevant", [])
+        if not _ref_is_str_list(relevant):
+            raise MalformedRecord(line_no, "'relevant' must be a list of strings")
+        queries.append(Query(query_id=str(obj["qid"]), text=obj["text"],
+                             relevant_keys=frozenset(relevant)))
+    return queries
+
 
 TOY_SURFACES = {"d1": "food-apple", "d2": "tech-apple", "d3": "food-banana"}
 

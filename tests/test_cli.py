@@ -13,7 +13,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentrieval import evaluation, lm
+from gentrieval import cli, evaluation, lm
 from gentrieval.cli import build_parser, main
 from gentrieval.docid import DocIdIndex
 from gentrieval.errors import ConfigError
@@ -80,14 +80,35 @@ class TestBuildIndex:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
-    def test_unknown_view_rejected(self, workspace, capsys):
+    def test_unknown_view_rejected(self, workspace, capsys, monkeypatch):
+        # Refused before the corpus is read.
+        loaded = []
+        monkeypatch.setattr(cli, "load_corpus", loaded.append)
         out = workspace["dir"] / "x.json"
         rc = main(["build-index", "--corpus", workspace["corpus"],
                    "--out", str(out), "--views", "title,titel,hologram"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: unknown views: hologram, titel"]
+        assert loaded == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("out, error", [
+        ("missing/index.json", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory")], ids=["missing-dir", "directory"])
+    def test_unwritable_out_refused_before_corpus_is_read(
+            self, workspace, capsys, monkeypatch, out, error):
+        loaded = []
+        monkeypatch.setattr(cli, "load_corpus", loaded.append)
+        before = sorted(workspace["dir"].rglob("*"))
+        out = str(workspace["dir"] / out)
+        rc = main(["build-index", "--corpus", workspace["corpus"],
+                   "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {error}: {out!r}"]
+        assert loaded == []
+        assert sorted(workspace["dir"].rglob("*")) == before
 
     @pytest.mark.parametrize("rows, error", [
         ([{"id": "d1", "text": "apple"}, {"id": "a", "text": "!!!"}],

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
-                               load_corpus, load_queries, normalize, words_of)
+                               load_corpus, load_queries, normalize,
+                               read_jsonl, words_of)
 from gentrieval.errors import (DuplicateKey, GentrievalError, MalformedRecord,
                                VocabularyFrozen)
 
-from conftest import JSON_VALUES, PARSER_LIMITS
+from conftest import (JSON_VALUES, PARSER_LIMITS, ref_load_corpus,
+                      ref_load_queries, ref_read_jsonl)
 
 # One line of a JSONL file: free text, any JSON value, or an object with
 # some of the fields either loader reads, each holding any JSON value.
@@ -20,6 +22,29 @@ LINES = (st.text(st.characters(blacklist_categories=("Cs",),
              | st.lists(st.text(max_size=3), max_size=2)
              for field in ("id", "qid", "text", "title", "pseudo_queries",
                            "relevant")}).map(json.dumps))
+
+# Strings with ASCII and non-ASCII characters and lone surrogates, which
+# json.dumps writes as "\\ud800"-style escapes.
+STRINGS = (st.text(max_size=4)
+           | st.text(st.characters(max_codepoint=127), min_size=1, max_size=4)
+           | st.sampled_from(["d1", "d\ud800", "\udcff", "é", "q\u2028"]))
+LISTS = (st.none() | st.just([]) | st.lists(STRINGS, max_size=2)
+         | st.lists(JSON_VALUES, min_size=1, max_size=2) | JSON_VALUES)
+RECORDS = st.fixed_dictionaries({}, optional={
+    "id": STRINGS | JSON_VALUES, "qid": STRINGS | JSON_VALUES,
+    "text": STRINGS | JSON_VALUES, "title": st.none() | STRINGS | JSON_VALUES,
+    "pseudo_queries": LISTS, "relevant": LISTS})
+# One line's bytes: a record written with or without ASCII escapes (a lone
+# surrogate then becomes bytes that are not UTF-8), a blank line, bytes
+# that are not UTF-8, or any bytes.
+LINE_BYTES = (
+    st.builds(lambda obj, ascii_only: json.dumps(
+        obj, ensure_ascii=ascii_only).encode("utf-8", "surrogatepass"),
+        RECORDS, st.booleans())
+    | st.sampled_from([b"", b"  ", b"\t", b"\xff\xfe", b"\x80",
+                       b'{"id": "d\xff", "text": "a"}'])
+    | st.binary(max_size=6))
+BOM = b"\xef\xbb\xbf"
 
 
 def write_jsonl(path, rows):
@@ -180,6 +205,48 @@ class TestLoaderContract:
         p.write_bytes(b'{"id": "d1", "qid": "q1", "text": "a"}' + eol + eol
                       + b'{"id": "d2", "qid": "q2", "text": "b"}' + eol)
         assert len(loader(p)) == 2
+
+
+class TestReadersMatchReference:
+    """Each reader returns what its reference in conftest returns for the
+    same bytes, or raises the same error with the same message."""
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            value = reader(path)
+            value = list(value.documents if isinstance(value, Corpus)
+                         else value)
+        except Exception as exc:
+            return type(exc), getattr(exc, "line_no", None), str(exc)
+        return repr(value)  # NaN parses, and only its repr equals itself
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              max_examples=300)
+    @given(lines=st.lists(LINE_BYTES, max_size=5),
+           eol=st.sampled_from([b"\n", b"\r\n", b"\r"]), bom=st.booleans())
+    @example(lines=[b'{"id": "d1", "qid": "q", "text": "a"}',
+                    b'{"id": "d\\ud800", "text": "a"}'], eol=b"\n", bom=False)
+    @example(lines=[b'{"id": "d1", "text": "a"}', b"", b"\xff\xfe"],
+             eol=b"\r\n", bom=False)
+    @example(lines=[b'{"id": "d1", "qid": "q", "text": "a"}'], eol=b"\n",
+             bom=True)
+    @example(lines=[b'{"id": "d%d", "text": "a", "pseudo_queries": %s}'
+                    % (i, value)
+                    for i, value in enumerate([b"[]", b'["q"]', b"null",
+                                               b'"q"', b"5", b"[5]"])],
+             eol=b"\r", bom=False)
+    @example(lines=[b'{"id": "\xc3\xa9", "qid": "\xc3\xa9", "text": "\xc3\xa9"}',
+                    b'{"id": "d2", "text": "a", "pseudo_queries": ["q"]}'],
+             eol=b"\n", bom=False)
+    def test_same_result_or_error(self, tmp_path, lines, eol, bom):
+        p = tmp_path / "lines.jsonl"
+        p.write_bytes((BOM if bom else b"") + b"".join(
+            line + eol for line in lines))
+        for reader, ref in ((read_jsonl, ref_read_jsonl),
+                            (load_corpus, ref_load_corpus),
+                            (load_queries, ref_load_queries)):
+            assert self.outcome(reader, p) == self.outcome(ref, p)
 
 
 class TestTokenizer:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ INDEX_TEXTS = st.text(max_size=20) | _some_of({
 # for `make_toy_data.py --docs N --seed 0`.
 TOY_INDEX_SHA256 = {
     400: "c6939fce9dc7e1f89bf280a2248a639a7a29f2684eb4d0741321f145b4cdb953",
+    1000: "f93dc3ab688d69bdc007564e3a4b77624e68e4db4f97954ac8ced3719fcf387d",
     2000: "2e20a3767f8f0df2143fbc90eea0f1258db2dde016546b99a1cce6f3fe7f126d",
 }
 
@@ -194,6 +196,13 @@ class TestKeywords:
         assert h.roots[0].label == "apple"
         assert h.roots[1].label == "apple-2"
 
+    def test_no_terms_fallback(self):
+        # A node of stopwords only has no term: "doc" and its ordinal.
+        corpus = Corpus([Document("d1", "apple"), Document("d2", "the of")])
+        h = assign_keywords(two_sibling_hierarchy([["d1"], ["d2"]]),
+                            terms_of(corpus))
+        assert [n.label for n in h.roots] == ["apple", "doc-2"]
+
     def test_stopwords_excluded(self):
         corpus = Corpus([Document("d1", "the the the orchard")])
         h = assign_keywords(two_sibling_hierarchy([["d1"]]),
@@ -211,7 +220,7 @@ class TestPathDocid:
         h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]),
                             terms_of(corpus))
         vocab = Vocabulary()
-        rec = path_docid("d3", h, vocab)
+        rec = path_docid("d3", h, vocab, {})
         assert rec.surface == h.roots[1].label
         assert rec.tokens[-1] == END
         assert vocab.decode(list(rec.tokens)) == rec.surface.replace("-", " ")
@@ -221,15 +230,32 @@ class TestPathDocid:
         h = assign_keywords(two_sibling_hierarchy([["d1", "d2"]]),
                             terms_of(corpus))
         vocab = Vocabulary()
-        r1 = path_docid("d1", h, vocab)
-        r2 = path_docid("d2", h, vocab)
+        label_tokens = {}
+        r1 = path_docid("d1", h, vocab, label_tokens)
+        r2 = path_docid("d2", h, vocab, label_tokens)
         assert r1.surface != r2.surface
         assert r1.surface.startswith(h.roots[0].label + "-")
 
     def test_unknown_doc(self):
         h = two_sibling_hierarchy([["d1"]])
         with pytest.raises(UnknownDoc):
-            path_docid("nope", h, Vocabulary())
+            path_docid("nope", h, Vocabulary(), {})
+
+    def test_each_label_encoded_once(self, monkeypatch):
+        # However many path records share a label, the build encodes it
+        # once; test_tokens_spell_surface checks what the records hold.
+        encoded = []
+        encode = Vocabulary.encode
+
+        def counted(self, text, on_unknown):
+            encoded.append(text)
+            return encode(self, text, on_unknown)
+        monkeypatch.setattr(Vocabulary, "encode", counted)
+        corpus = random_text_corpus(random.Random(13), 60, vocab_words=12,
+                                    words_per_doc=4)
+        index = build_index(corpus, levels=2, branching=3)
+        assert sorted(encoded) == sorted(set(encoded))
+        assert len(encoded) < len(index.records)
 
     def test_tokens_spell_surface(self):
         # Every record's tokens are its surface's words, fallback labels
@@ -561,11 +587,9 @@ class TestIndexBuild:
 # Reference implementations: the straightforward forms of the build steps,
 # kept here as oracles that the one-pass build must match exactly.
 
-def ref_embed_document(doc: Document, dim: int, seed: int) -> np.ndarray:
-    """Hash every word occurrence and add it into a fresh vector."""
-    words = words_of(doc.text)
-    if not words:
-        raise EmptyDocument(doc.doc_key)
+def ref_embed_words(words: list[str], dim: int, seed: int) -> np.ndarray:
+    """Hash every word occurrence and add it into a fresh vector; a vector
+    that stays zero, as an empty one does, becomes (1, 0, ..., 0)."""
     vec = np.zeros(dim, dtype=np.float64)
     for w in words:
         h = hashlib.blake2b(w.encode("utf-8"), digest_size=8,
@@ -577,6 +601,53 @@ def ref_embed_document(doc: Document, dim: int, seed: int) -> np.ndarray:
         vec[0] = 1.0
         norm = 1.0
     return vec / norm
+
+
+def ref_assign_keywords(h: RQHierarchy, corpus: Corpus) -> RQHierarchy:
+    """Sort each node's terms in full (`ref_scored_terms`) and take the
+    first one that no ancestor and no earlier sibling holds; when all are
+    held, the first term, or "doc" if there is none, with the node's
+    1-based ordinal. Siblings are labeled before their children, and a
+    leaf's documents in key order, each unlike the leaf's ancestors, the
+    leaf and the documents before it."""
+    def pick(candidates: list[str], used: set[str], ordinal: int) -> str:
+        for term in candidates:
+            if term not in used:
+                return term
+        return f"{candidates[0] if candidates else 'doc'}-{ordinal + 1}"
+
+    def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
+        taken = set(ancestors)
+        for ordinal, node in enumerate(siblings):
+            node.label = pick(ref_scored_terms(node.doc_keys, corpus), taken,
+                              ordinal)
+            taken.add(node.label)
+        for node in siblings:
+            if node.children:
+                label_siblings(node.children, ancestors | {node.label})
+            elif len(node.doc_keys) > 1:
+                used = ancestors | {node.label}
+                for ordinal, key in enumerate(sorted(node.doc_keys)):
+                    node.doc_labels[key] = pick(ref_scored_terms([key], corpus),
+                                                used, ordinal)
+                    used.add(node.doc_labels[key])
+
+    label_siblings(h.roots, set())
+    return h
+
+
+def ref_path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary,
+                   label_tokens: dict) -> DocIdRecord:
+    """Join the path's labels and encode the whole surface; *label_tokens*
+    is not read."""
+    path = h.path_to(doc_key)
+    labels = [node.label for node in path]
+    if doc_key in path[-1].doc_labels:
+        labels.append(path[-1].doc_labels[doc_key])
+    surface = "-".join(labels)
+    return DocIdRecord(doc_key,
+                       tuple(vocab.encode(surface, on_unknown="grow")) + (END,),
+                       surface, "path")
 
 
 def ref_kmeans(points: np.ndarray, k: int, max_iterations: int):
@@ -736,23 +807,23 @@ def tree_of(h: RQHierarchy) -> list:
 
 
 def build_with_references(monkeypatch, build, corpus=None):
-    """Run *build* with embedding, clustering, path lookup and term scoring
-    swapped for the reference implementations."""
+    """Run *build* with embedding, clustering, path lookup and path record
+    encoding swapped for the reference implementations, and, given the
+    *corpus*, labeling too."""
     cap = docid.KMEANS_MAX_ITERATIONS
 
     def embeddings(docs, dim, seed):
-        return np.stack([ref_embed_document(Document("-", " ".join(words)),
-                                            dim, seed)
-                         for words in docs])
+        return np.stack([ref_embed_words(words, dim, seed) for words in docs])
 
     with monkeypatch.context() as m:
         m.setattr(docid, "_embeddings", embeddings)
         m.setattr(docid, "_kmeans", lambda pts, k: ref_kmeans(pts, k, cap))
         m.setattr(docid, "build_rq_hierarchy", ref_build_rq_hierarchy)
         m.setattr(RQHierarchy, "path_to", ref_path_to)
+        m.setattr(docid, "path_docid", ref_path_docid)
         if corpus is not None:
-            m.setattr(TermStats, "scored_terms",
-                      lambda self, keys: ref_scored_terms(keys, corpus))
+            m.setattr(docid, "assign_keywords",
+                      lambda h, terms: ref_assign_keywords(h, corpus))
         return build()
 
 
@@ -856,16 +927,29 @@ class TestMatchesReference:
             assert np.array_equal(got_a, want_a)
 
     def test_embeddings(self):
+        # Rows of random words, plus empty rows and rows whose signs cancel
+        # (two words in one cell with opposite signs), at random places.
         rng = random.Random(4)
+        cancelling = 0
         for trial in range(30):
             corpus = random_text_corpus(rng, rng.randint(1, 20),
                                         vocab_words=rng.randint(1, 30),
                                         words_per_doc=rng.randint(1, 6))
             dim, seed = rng.choice([2, 3, 16, 64]), rng.choice([0, 1, 2**63])
-            rows = docid._embeddings([words_of(d.text) for d in corpus],
-                                     dim, seed)
-            for doc, row in zip(corpus, rows):
-                assert np.array_equal(row, ref_embed_document(doc, dim, seed))
+            docs = [words_of(d.text) for d in corpus]
+            pool = sorted({w for ws in docs for w in ws} | {"x", "y", "z"})
+            single = {w: ref_embed_words([w], dim, seed) for w in pool}
+            opposite = [[a, b] for a in pool for b in pool
+                        if np.array_equal(single[a], -single[b])]
+            extras = [[]] + opposite[:1] + [2 * p for p in opposite[1:2]]
+            cancelling += len(extras) - 1
+            for extra in extras:
+                docs.insert(rng.randint(0, len(docs)), extra)
+            rows = docid._embeddings(docs, dim, seed)
+            assert rows.shape == (len(docs), dim)
+            for words, row in zip(docs, rows):
+                assert np.array_equal(row, ref_embed_words(words, dim, seed))
+        assert cancelling > 0
 
     def test_hierarchy_and_paths(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -899,22 +983,29 @@ class TestMatchesReference:
         assert [n.node_id for n in h.path_to(key)] == want
 
     def test_scored_terms(self):
+        # Every node label and leaf document label is the first term of its
+        # documents' `ref_scored_terms` not already used, or the fallback.
         rng = random.Random(6)
+        labels = fallbacks = 0
         for trial in range(10):
             corpus = random_text_corpus(rng, rng.randint(2, 30),
                                         vocab_words=rng.randint(3, 40))
             corpus.append(Document("stop", "the and of " + corpus["d000"].text))
-            terms = terms_of(corpus)
-            h = assign_keywords(build_rq_hierarchy(
-                *sorted_rows({d.doc_key: embed(d.text, dim=8)
-                              for d in corpus}),
-                levels=2, branching=3), terms)
-            groups = [[k] for k in corpus.by_key]
-            groups += [n.doc_keys for n in h.roots]
-            groups += [c.doc_keys for n in h.roots for c in n.children]
-            for keys in groups:
-                assert terms.scored_terms(keys) == ref_scored_terms(keys,
-                                                                    corpus)
+            corpus.append(Document("stop-only", "the and of"))
+
+            def hierarchy():
+                return build_rq_hierarchy(
+                    *sorted_rows({d.doc_key: embed(d.text, dim=8)
+                                  for d in corpus}), levels=2, branching=3)
+            got = assign_keywords(hierarchy(), terms_of(corpus))
+            assert tree_of(got) == tree_of(ref_assign_keywords(hierarchy(),
+                                                               corpus))
+            nodes = got.roots + [c for n in got.roots for c in n.children]
+            for lbl in chain([n.label for n in nodes],
+                             *(n.doc_labels.values() for n in nodes)):
+                labels += 1
+                fallbacks += "-" in lbl
+        assert fallbacks and labels > fallbacks
 
     def test_index_json(self, monkeypatch, tmp_path):
         rng = random.Random(9)
@@ -939,3 +1030,18 @@ class TestMatchesReference:
             got.save(tmp_path / "i.json")
             assert DocIdIndex.load(tmp_path / "i.json").to_json() == \
                 got.to_json()
+
+    def test_index_json_non_ascii(self, monkeypatch):
+        # Words whose lowercasing depends on context (a final sigma) or
+        # grows (the dotted I): the labels' tokens still spell what the
+        # whole surface encodes to.
+        rng = random.Random(10)
+        pool = ["ΟΔΟΣ", "Σοφία", "straße", "İstanbul", "ǅemal", "ﬁle",
+                "naïve", "東京"]
+        corpus = Corpus([Document(f"d{i:02d}", " ".join(
+            rng.choice(pool) for _ in range(4))) for i in range(30)])
+
+        def build():
+            return build_index(corpus, levels=2, branching=3)
+        assert build().to_json() == build_with_references(
+            monkeypatch, build, corpus).to_json()
