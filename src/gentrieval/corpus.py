@@ -200,6 +200,9 @@ def read_json(path):
             raise ConfigError(f"{path}: not JSON: {exc}") from exc
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path):
     """Yield ``(line_no, value)`` for each non-blank line of the JSONL file
     at *path*; a line that is not UTF-8 or does not parse raises
@@ -213,7 +216,16 @@ def read_jsonl(path):
                 try:
                     if not line.isascii():
                         line.encode("utf-8", "surrogateescape").decode("utf-8")
-                    yield line_no, json.loads(line)
+                    # json.loads(line) is one value with only JSON
+                    # whitespace after it. The common line is decoded
+                    # once; any other goes to json.loads, so every value
+                    # and every error is json.loads' own.
+                    try:
+                        value, end = _raw_decode(line)
+                        parsed = not line[end:].strip(" \t\n\r")
+                    except (ValueError, RecursionError):
+                        parsed = False
+                    yield line_no, value if parsed else json.loads(line)
                 except (ValueError, RecursionError) as exc:
                     raise MalformedRecord(line_no, str(exc)) from exc
 

@@ -213,13 +213,23 @@ def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     assign = None
     for _ in range(KMEANS_MAX_ITERATIONS):
         new_assign = nearest()
-        if assign is not None and np.array_equal(new_assign, assign):
-            return centroids, assign
+        if assign is None:
+            moved = range(k)
+        else:
+            # Only a cluster that gained or lost a point has a new mean: any
+            # other holds the same rows in the same order as at its last
+            # update, and their mean has the same bits.
+            changed = np.flatnonzero(new_assign != assign)
+            if not len(changed):
+                return centroids, assign
+            moved = (set(assign[changed].tolist())
+                     | set(new_assign[changed].tolist()))
         assign = new_assign
-        for j in range(k):
+        for j in moved:
             members = np.compress(assign == j, points, axis=0)
             if len(members):
-                centroids[j] = members.mean(axis=0)
+                # The sum and division that members.mean(axis=0) does.
+                centroids[j] = np.add.reduce(members, axis=0) / len(members)
     # Not converged: the last update moved the centroids, so reassign to keep
     # the invariant that every point sits with its nearest centroid.
     return centroids, nearest()
@@ -275,12 +285,75 @@ class TermStats:
         self.idf = {w: math.log((1 + n) / (1 + d)) for w, d in df.items()}
 
 
+def _sorted_keys(keys: np.ndarray) -> np.ndarray:
+    """*keys*, non-negative ints, sorted 16 bits at a time from the lowest.
+    A stable argsort of uint16 is numpy's radix sort: its first call makes
+    about 0.06 MB of code resident, np.sort's about 0.25 MB."""
+    top, shift = int(keys.max()), 0
+    while top >> shift:
+        keys = keys[(keys >> shift).astype(np.uint16).argsort(kind="stable")]
+        shift += 16
+    return keys
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The indices at which the runs of equal values in *a* start."""
+    starts = np.empty(len(a), bool)
+    starts[:1] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
+
+
+def _best_terms(terms: TermStats) -> dict[str, str | None]:
+    """Each document's best term, as `assign_keywords` scores a node's terms:
+    the lowest (-(count * idf), term), or None for a document without
+    terms. One count table serves every document: the (document, term)
+    occurrences are sorted once and each run counted. The highest
+    count * idf is the lowest score, each product the same single multiply
+    Python does, and ties go to the term that sorts first by code point."""
+    ranked = sorted(terms.idf)
+    rank = {w: i for i, w in enumerate(ranked)}
+    bits = len(ranked).bit_length()  # every rank is below 2 ** bits
+    lengths = np.fromiter(map(len, terms.terms.values()), np.intp,
+                          len(terms.terms))
+    total = int(lengths.sum())
+    best = dict.fromkeys(terms.terms)
+    if not total:
+        return best
+    # Each occurrence keyed (document << bits) + term rank.
+    keys = np.fromiter(
+        map(rank.__getitem__, chain.from_iterable(terms.terms.values())),
+        np.intp, total)
+    keys += np.repeat(np.arange(0, len(lengths) << bits, 1 << bits), lengths)
+    keys = _sorted_keys(keys)
+    runs = _run_starts(keys)
+    term = keys[runs]
+    doc = term >> bits
+    term &= (1 << bits) - 1
+    tfidf = np.fromiter(map(terms.idf.__getitem__, ranked), np.float64,
+                        len(ranked))[term]
+    tfidf *= np.diff(runs, append=total)
+    # A document's runs are in term order, so its first top score wins.
+    heads = _run_starts(doc)
+    top = np.repeat(np.maximum.reduceat(tfidf, heads),
+                    np.diff(heads, append=len(doc)))
+    tied = np.flatnonzero(tfidf == top)
+    tied = tied[_run_starts(doc[tied])]
+    docs = list(terms.terms)
+    for d, t in zip(doc[tied].tolist(), term[tied].tolist()):
+        best[docs[d]] = ranked[t]
+    return best
+
+
 def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
     """Label every node with its best unused TF-IDF term; leaves holding more
     than one document additionally get per-document disambiguation labels.
     A term's score is (-TF-IDF, term), and the best is the lowest; when
     every term is used, the label is the best term, or "doc" if there is
-    none, suffixed with the node's 1-based ordinal."""
+    none, suffixed with the node's 1-based ordinal. A document's best term
+    comes from one count table over all documents (`_best_terms`); a node's
+    label, and a document's whose best term is used, comes from its own
+    counts."""
     idf = terms.idf
 
     def pick(doc_keys: list[str], used: set[str], ordinal: int) -> str:
@@ -293,6 +366,8 @@ def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
             return f"{base[1]}-{ordinal + 1}"
         return best[1]
 
+    doc_best = _best_terms(terms)
+
     def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
         taken = set(ancestors)
         for ordinal, node in enumerate(siblings):
@@ -304,7 +379,9 @@ def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
             elif len(node.doc_keys) > 1:
                 used = ancestors | {node.label}
                 for ordinal, key in enumerate(sorted(node.doc_keys)):
-                    lbl = pick([key], used, ordinal)
+                    lbl = doc_best[key]
+                    if lbl is None or lbl in used:
+                        lbl = pick([key], used, ordinal)
                     node.doc_labels[key] = lbl
                     used.add(lbl)
 

@@ -239,6 +239,15 @@ class TestReadersMatchReference:
     @example(lines=[b'{"id": "\xc3\xa9", "qid": "\xc3\xa9", "text": "\xc3\xa9"}',
                     b'{"id": "d2", "text": "a", "pseudo_queries": ["q"]}'],
              eol=b"\n", bom=False)
+    # JSON whitespace around a value; then whitespace that JSON does not
+    # allow after one (form feed, no-break space), and a second value.
+    @example(lines=[b' \t{"id": "d1", "text": "a"}',
+                    b'{"id": "d2", "text": "a"} \t '], eol=b"\r\n", bom=False)
+    @example(lines=[b'{"id": "d1", "text": "a"}\x0c'], eol=b"\n", bom=False)
+    @example(lines=[b'{"id": "d1", "text": "a"}\xc2\xa0'], eol=b"\n",
+             bom=False)
+    @example(lines=[b'{"id": "d1", "text": "a"} {"id": "d2", "text": "a"}'],
+             eol=b"\n", bom=False)
     def test_same_result_or_error(self, tmp_path, lines, eol, bom):
         p = tmp_path / "lines.jsonl"
         p.write_bytes((BOM if bom else b"") + b"".join(

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -50,6 +51,11 @@ TOY_INDEX_SHA256 = {
     1000: "f93dc3ab688d69bdc007564e3a4b77624e68e4db4f97954ac8ced3719fcf387d",
     2000: "2e20a3767f8f0df2143fbc90eea0f1258db2dde016546b99a1cce6f3fe7f126d",
 }
+# The same for `--docs 1000` built with levels=3, branching=4: labels three
+# levels deep, one leaf holding a single document, and document labels
+# that fall back to "term-N".
+DEEP_TOY_INDEX_SHA256 = \
+    "6b585eca7129d29bfced380395452537dc061a0f5407dc99128f0d52a3efdd09"
 
 
 def embed(text: str, dim: int = 64, seed: int = 0) -> np.ndarray:
@@ -208,6 +214,85 @@ class TestKeywords:
         h = assign_keywords(two_sibling_hierarchy([["d1"]]),
                             terms_of(corpus))
         assert h.roots[0].label == "orchard"
+
+
+# Words whose code-point order is neither their UTF-8 nor their UTF-16
+# order, stopwords, and any short text.
+TERM_WORDS = st.sampled_from(["e", "z", "é", "ω", "東京", "\uffff",
+                              "\U0001f600", "the", "of"]) | st.text(
+    min_size=1, max_size=2)
+# Words that words_of gives back as they are.
+TEXT_WORDS = st.sampled_from(["e", "z", "é", "ω", "東京", "x1", "the", "of"])
+
+
+@st.composite
+def term_lists(draw, words=TERM_WORDS) -> dict[str, list[str]]:
+    """Documents' word lists; in half of them one term is in every
+    document, so its IDF is 0 and its scores are -0.0."""
+    docs = {f"d{i:02d}": draw(st.lists(words, max_size=8))
+            for i in range(draw(st.integers(1, 12)))}
+    if draw(st.booleans()):
+        for ws in docs.values():
+            ws.append("every")
+    return docs
+
+
+def counter_best(terms: TermStats, key: str) -> str | None:
+    """The document's lowest (-(count * idf), term), from a Counter."""
+    tf = Counter(terms.terms[key])
+    return min(((-(cnt * terms.idf[w]), w) for w, cnt in tf.items()),
+               default=(0.0, None))[1]
+
+
+class TestLabelTable:
+    @given(term_lists())
+    # Equal scores, ordered by code point; a document without terms.
+    @example({"d0": ["b", "a", "b", "a"], "d1": ["é", "e", "z"],
+              "d2": ["\U0001f600", "\uffff"], "d3": ["the", "of"]})
+    # Only -0.0 scores: "aa" wins on code point, whatever the counts.
+    @example({"d0": ["zz", "zz", "aa"], "d1": ["zz", "aa"]})
+    def test_best_terms_match_counter(self, words):
+        terms = TermStats(words)
+        assert docid._best_terms(terms) == {
+            key: counter_best(terms, key) for key in words}
+
+    @given(st.data(), term_lists(TEXT_WORDS), st.sampled_from([1, 2, 3]),
+           st.integers(1, 3))
+    def test_labels_match_reference(self, data, words, levels, branching):
+        # Few distinct points, so leaves hold several documents.
+        corpus = Corpus([Document(key, " ".join(ws) or "the")
+                         for key, ws in words.items()])
+        points = np.array(data.draw(st.lists(
+            st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 3.0)]),
+            min_size=len(words), max_size=len(words))))
+
+        def hierarchy():
+            return build_rq_hierarchy(sorted(words), points, levels,
+                                      branching)
+        got = assign_keywords(hierarchy(), terms_of(corpus))
+        assert tree_of(got) == tree_of(ref_assign_keywords(hierarchy(),
+                                                           corpus))
+
+    def test_taken_and_missing_best_terms(self):
+        # The leaf takes "apple". d1's best term is then taken, so it gets
+        # its next; every term of d2 is taken, and d3 has none.
+        corpus = Corpus([Document("d1", "apple apple pear"),
+                         Document("d2", "apple"), Document("d3", "the of")])
+
+        def hierarchy():
+            return two_sibling_hierarchy([["d1", "d2", "d3"]])
+        got = assign_keywords(hierarchy(), terms_of(corpus))
+        assert got.roots[0].label == "apple"
+        assert got.roots[0].doc_labels == {"d1": "pear", "d2": "apple-2",
+                                           "d3": "doc-3"}
+        assert tree_of(got) == tree_of(ref_assign_keywords(hierarchy(),
+                                                           corpus))
+
+    @pytest.mark.parametrize("top", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 40,
+                                     2 ** 62])
+    def test_sorted_keys(self, top):
+        keys = np.random.default_rng(top % 97).integers(0, top + 1, size=300)
+        assert np.array_equal(docid._sorted_keys(keys), np.sort(keys))
 
 
 class TestPathDocid:
@@ -521,6 +606,11 @@ class TestIndexBuild:
         text = build_index(toy_corpus(docs)).to_json()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
             TOY_INDEX_SHA256[docs]
+
+    def test_deep_toy_index_bytes_pinned(self, toy_corpus):
+        text = build_index(toy_corpus(1000), levels=3, branching=4).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+            DEEP_TOY_INDEX_SHA256
 
     @pytest.mark.parametrize("records", ["built", "none", "escaped"])
     def test_save_writes_to_json_and_newline(self, tmp_path, records):
