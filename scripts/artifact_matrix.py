@@ -6,12 +6,15 @@ r4r with an accepting reasoner, r4r with a reasoner that rejects for three
 rounds, and that rejecting r4r under each of the `no_context`,
 `no_explanation` and `no_verification` ablations and under all three, r4r
 with a reasoner whose rules use every match mode} x
-{merge, no merge} x {path-only index, `--views ngram` index}, over
-`make_toy_data.py --docs 400 --queries 12 --seed 5` data. For each cell it
-keeps the `run` report, trace and stdout, plus `retrieve` output for the
-first two queries, with the cell's reasoner where it has one. Two
-checkouts that rank identically give trees that `diff -r` finds equal, so
-an exactness claim is checked by running
+{merge, no merge} x {path-only index, `--views ngram` index}, plus
+{trie, fm_index} x {standard, accepting r4r} without merge on a `--levels 8`
+index, whose docids run 8 to 12 tokens and make the `fm_index` automaton
+clone a quarter of its states, over `make_toy_data.py --docs 400 --queries
+12 --seed 5` data. For each cell it keeps the `run` report, trace and
+stdout, plus `retrieve` output for the first two queries, with the cell's
+reasoner where it has one. Two checkouts that rank identically give
+trees that `diff -r` finds equal, so an exactness claim is checked by
+running
 
     python scripts/artifact_matrix.py --out /tmp/new
 
@@ -39,7 +42,6 @@ from gentrieval.cli import main as cli_main  # noqa: E402
 from gentrieval.reasoning import PromptRegistry  # noqa: E402
 
 STRATEGIES = ("trie", "fm_index", "term_set")
-INDEXES = {"path": (), "ngram": ("--views", "ngram")}
 # Reasoner rules per r4r variant; first match wins. The accepting one has
 # no think rule, so think falls back to the raw query; the rejecting one
 # thinks with two different channels, so that each ablation shows.
@@ -66,6 +68,14 @@ ABLATIONS = {"r4r-no_context": "no_context",
              "r4r-ablate_all": "no_context,no_explanation,no_verification"}
 PIPELINES.update({cell: ("--T", "3", "--ablation", flags)
                   for cell, flags in ABLATIONS.items()})
+# Per index: its build-index flags, then the strategies, pipelines and
+# merge settings of its cells. The deep index runs four cells only, so the
+# matrix stays quick.
+INDEXES = {"path": ((), STRATEGIES, tuple(PIPELINES), (False, True)),
+           "ngram": (("--views", "ngram"), STRATEGIES, tuple(PIPELINES),
+                     (False, True)),
+           "deep": (("--levels", "8"), ("trie", "fm_index"),
+                    ("standard", "r4r-accept"), (False,))}
 RETRIEVED_QUERIES = 2
 
 
@@ -123,13 +133,15 @@ def main() -> int:
         pathlib.Path("data", f"{name}.json").write_text(
             json.dumps(rules, indent=2) + "\n", encoding="utf-8")
 
-    for index_name, view_args in INDEXES.items():
+    for index_name, (build_args, strategies, pipelines, merges) \
+            in INDEXES.items():
         index = f"data/index-{index_name}.json"
         cli(["build-index", "--corpus", "data/corpus.jsonl", "--out", index,
-             *view_args], pathlib.Path(f"data/build-{index_name}.txt"))
-        for strategy in STRATEGIES:
-            for pipeline, extra in PIPELINES.items():
-                for merge in (False, True):
+             *build_args], pathlib.Path(f"data/build-{index_name}.txt"))
+        for strategy in strategies:
+            for pipeline in pipelines:
+                extra = PIPELINES[pipeline]
+                for merge in merges:
                     cell = pathlib.Path(index_name, strategy, pipeline
                                         + ("-merge" if merge else ""))
                     cell.mkdir(parents=True, exist_ok=True)

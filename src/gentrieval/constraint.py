@@ -1,23 +1,24 @@
 """Constrained-decoding automata over a DocIdIndex.
 
 Three strategies restrict beam search to valid docids: a prefix trie (whole
-identifier sequences), an FM-index over the SEP-joined identifier sequence
-(any contiguous span that runs to the end of some identifier is accepted), and
-a term-set automaton over a lazily expanded, memoised DAG of sorted
-sub-multisets (any ordering of a record's term multiset is accepted).
+identifier sequences), the `fm_index` strategy's suffix automaton of the
+identifier bodies (any contiguous span of a body is emitted, and accepted
+when it runs to the body's end), and a term-set automaton over a lazily
+expanded, memoised DAG of sorted sub-multisets (any ordering of a record's
+term multiset is accepted).
 
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
-outside the automaton's node table raises InvalidState. The trie's nodes are
-built whole; the FM and term-set nodes are made when step() first reaches
-them. Every node keeps its answers, made on its first visit, so each node's
-allowed(), each of its step tokens and its complete() are worked out once
-per automaton, whatever the number of searches over it. allowed() hands out
-the node's kept (tokens, end_ok) pair and complete() its kept tuple of
-records, the same objects on every call. `tokens` is a view (the keys of a
-dict built in ascending token order): it iterates in ascending order,
-supports `in` and set comparison, and cannot be changed through it. Callers
-read both in place; neither is copied per call.
+outside the automaton's node table raises InvalidState. The trie's and the
+suffix automaton's nodes are built whole; the term-set nodes are made when
+step() first reaches them. Every node keeps its answers, made on its first
+visit, so each node's allowed(), each of its step tokens and its complete()
+are worked out once per automaton, whatever the number of searches over it.
+allowed() hands out the node's kept (tokens, end_ok) pair and complete() its
+kept tuple of records, the same objects on every call. `tokens` is a view
+(the keys of a dict built in ascending token order): it iterates in
+ascending order, supports `in` and set comparison, and cannot be changed
+through it. Callers read both in place; neither is copied per call.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import KeysView
 
-from .corpus import END, SEP
 from .docid import DocIdIndex, DocIdRecord
 from .errors import (ConfigError, EmptyIndex, IllegalTransition, InvalidState,
                      NotTerminal)
-from .fm_index import SequenceFMIndex
+
 
 def _body(record: DocIdRecord) -> tuple[int, ...]:
     """Record tokens without the trailing END."""
@@ -60,13 +60,19 @@ class TrieAutomaton:
                     self.terminal.append([])
                 node = nxt
             self.terminal[node].append(rec)
+        self._keep(self.children, self.terminal)
+
+    def _keep(self, children: list[dict[int, int]],
+              terminal: list[list[DocIdRecord]]) -> None:
+        """Hold the built tables, with empty slots for the kept answers."""
         # Ascending, so allowed() can hand out the keys as they are.
         self.children = [dict(sorted(c.items())) if len(c) > 1 else c
-                         for c in self.children]
+                         for c in children]
+        self.terminal = terminal
         self.moves: list[tuple[KeysView[int], bool] | None] = \
-            [None] * len(self.children)
+            [None] * len(children)
         self.completions: list[tuple[DocIdRecord, ...] | None] = \
-            [None] * len(self.children)
+            [None] * len(children)
 
     def start(self) -> int:
         return 0
@@ -99,109 +105,79 @@ class TrieAutomaton:
         return records
 
 
-class _FmNode:
-    """One FM window and the answers read off it so far.
+class FmIndexAutomaton(TrieAutomaton):
+    """Every span of a record body, accepted where it ends the body.
 
-    `moves` (the allowed view and end_ok) is made on the first allowed(),
-    `records` (the records the window ends, in sequence order; empty when
-    it abuts no SEP) on the first complete(). `children` (token -> node id)
-    holds the tokens stepped so far.
-    """
-
-    __slots__ = ("window", "moves", "children", "records")
-
-    def __init__(self, window: tuple[int, int]):
-        self.window = window
-        self.moves: tuple[KeysView[int], bool] | None = None
-        self.children: dict[int, int] = {}
-        self.records: tuple[DocIdRecord, ...] | None = None
-
-
-class FmIndexAutomaton:
-    """Windows over the sequence SEP || body_1 || SEP || ... || body_n || SEP.
-
-    States are node ids; node 0 is the start window, and `node_of` maps
-    each window reached so far to its node. A node's window is the FM window
-    (lo, hi) of the emitted token sequence; emission may start at any
-    position inside an identifier, and END becomes legal exactly when the
-    window abuts a SEP, i.e. the emitted sequence is a suffix of some
-    record. Only the empty emission has the start window: a non-empty
-    pattern occurs at most n times, the start window spans n + 1 rows.
-
-    A node is made when step() first reaches its window, and allowed(),
-    each step token and complete() are answered once per node, for every
-    search over the automaton. The windows of a sequence's patterns are the
-    nodes of its suffix tree, so there are fewer than 2 (n + 1) nodes.
-    Answers fill the shared table unguarded, so one automaton serves one
-    search at a time.
+    SEAL constrains decoding with an FM index of the documents (Bevilacqua
+    et al. 2022); here the same language comes from the generalized suffix
+    automaton of the record bodies (Blumer et al. 1985), built whole into
+    the trie's `children` and `terminal` tables, so it answers through the
+    trie's allowed/step/complete and keeps their answers the same way. A
+    state is the set of spans that end at the same body positions, so
+    n body tokens make at most 2n states, root included. Every span of
+    a body is allowed and SEP never is; END is allowed exactly where the
+    emitted span is a suffix of some body, never at the start, and
+    complete() lists those records in index order.
     """
 
     def __init__(self, index: DocIdIndex):
-        joined: list[int] = [SEP]
-        # record_before[p]: the record whose body ends just before SEP at p.
-        self.record_before: dict[int, DocIdRecord] = {}
+        children: list[dict[int, int]] = [{}]
+        length = [0]  # the longest span of each state
+        link = [-1]  # the state of its longest suffix in another state
+
+        def split(p: int, q: int, tok: int) -> int:
+            """A clone of q for its spans of length length[p] + 1 and
+            shorter, which p's suffix chain then enters on *tok*."""
+            clone = len(children)
+            children.append(dict(children[q]))
+            length.append(length[p] + 1)
+            link.append(link[q])
+            while p >= 0 and children[p].get(tok) == q:
+                children[p][tok] = clone
+                p = link[p]
+            link[q] = clone
+            return clone
+
+        # Per record, the state its whole body reaches; a later split
+        # leaves a state its longest span, so the state stays right.
+        ends = []
         for rec in index.records:
-            joined.extend(_body(rec))
-            self.record_before[len(joined)] = rec
-            joined.append(SEP)
-        self.joined = joined
-        self.fm = SequenceFMIndex(joined)
-        start = self.fm.start()
-        self.nodes = [_FmNode(start)]
-        self.node_of: dict[tuple[int, int], int] = {start: 0}
-        # SEP follows the empty emission, but that emission is no record's
-        # suffix: END is not allowed there, and it completes nothing.
-        followers = self.fm.followers(start) - {SEP}
-        self.nodes[0].moves = dict.fromkeys(sorted(followers)).keys(), False
-        self.nodes[0].records = ()
+            last = 0
+            for tok in _body(rec):
+                q = children[last].get(tok)
+                if q is not None:  # the span occurs in an earlier body
+                    last = (q if length[q] == length[last] + 1
+                            else split(last, q, tok))
+                    continue
+                cur = len(children)
+                children.append({})
+                length.append(length[last] + 1)
+                link.append(0)
+                p = last
+                while p >= 0 and tok not in children[p]:
+                    children[p][tok] = cur
+                    p = link[p]
+                if p >= 0:
+                    q = children[p][tok]
+                    link[cur] = (q if length[q] == length[p] + 1
+                                 else split(p, q, tok))
+                last = cur
+            ends.append(last)
+        # A state ends a body exactly when it lies on the suffix chain of
+        # that body's state; the root (the empty emission) ends none.
+        terminal: list[list[DocIdRecord]] = [[] for _ in children]
+        for rec, state in zip(index.records, ends):
+            while state > 0:
+                terminal[state].append(rec)
+                state = link[state]
+        self._keep(children, terminal)
 
-    def start(self) -> int:
-        return 0
-
-    def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"FM node {state}")
-        node = self.nodes[state]
-        moves = node.moves
-        if moves is None:
-            followers = self.fm.followers(node.window)
-            end_allowed = SEP in followers
-            followers.discard(SEP)
-            moves = node.moves = (dict.fromkeys(sorted(followers)).keys(),
-                                  end_allowed)
-        return moves
-
-    def step(self, state: int, token: int) -> int:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"FM node {state}")
-        node = self.nodes[state]
-        nxt = node.children.get(token)
-        if nxt is not None:
-            return nxt
-        if token == SEP or token == END:
-            raise IllegalTransition("reserved token")
-        rng = self.fm.extend(node.window, token)
-        if self.fm.count(rng) <= 0:
-            raise IllegalTransition(f"token {token} has no occurrence")
-        nxt = self.node_of.get(rng)
-        if nxt is None:
-            nxt = self.node_of[rng] = len(self.nodes)
-            self.nodes.append(_FmNode(rng))
-        node.children[token] = nxt
-        return nxt
-
-    def complete(self, state: int) -> tuple[DocIdRecord, ...]:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"FM node {state}")
-        node = self.nodes[state]
-        records = node.records
-        if records is None:
-            rng = self.fm.extend(node.window, SEP)
-            records = node.records = tuple(self.record_before[p] for p in
-                                           sorted(self.fm.locate(rng)))
-        if not records:
-            raise NotTerminal("window does not abut SEP")
-        return records
+    # Bound here as well as inherited, so that wrapping this class's own
+    # methods (perfbench/tracing.py looks them up in its __dict__) reaches
+    # them without touching the trie's.
+    allowed = TrieAutomaton.allowed
+    step = TrieAutomaton.step
+    complete = TrieAutomaton.complete
 
 
 class _TermNode:

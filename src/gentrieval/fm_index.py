@@ -11,6 +11,13 @@ Memory is O(n): the suffix array, the BWT, the C table and, per symbol, the
 sorted BWT rows that hold it. Rank is a bisection over those rows, followers
 are the distinct symbols of the window's BWT slice (O(window), not O(sigma)),
 and locate reads where each occurrence ends off the suffix array.
+
+No decoding path reads this module: the `fm_index` strategy decodes through
+`constraint.FmIndexAutomaton`, a suffix automaton that accepts the same
+language. Besides its own unit tests, only acceptance test 1, which checks
+it against naive scans, and `perfbench/tracing.py`, which patches
+`SequenceFMIndex.followers`, still import it. It goes, with its tests, once
+the tracer skips a patch point the library no longer has.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gentrieval.corpus import (END, Corpus, Document, Query, Vocabulary,
+from gentrieval.corpus import (END, SEP, Corpus, Document, Query, Vocabulary,
                                load_corpus)
 from gentrieval.errors import MalformedRecord
 from gentrieval.docid import DocIdIndex, DocIdRecord, RQHierarchy
@@ -353,6 +353,16 @@ def random_record_index(rng: random.Random, n_records: int, vocab_words: int,
         records.append(DocIdRecord(f"d{i:03d}", toks, surface, "path"))
     vocab.freeze()
     return DocIdIndex(records, vocab)
+
+
+def sep_joined(index: DocIdIndex) -> list[int]:
+    """SEP || body_1 || SEP || ... || body_n || SEP, the sequence an FM
+    index over the record bodies reads."""
+    joined = [SEP]
+    for rec in index.records:
+        joined.extend(rec.tokens[:-1])
+        joined.append(SEP)
+    return joined
 
 
 def random_dist_rules(rng, vocab):

@@ -16,6 +16,7 @@ from gentrieval.constraint import (FmIndexAutomaton, TermSetAutomaton,
 from gentrieval.corpus import END, Corpus, Document, Query
 from gentrieval.decode import constrained_beam_search
 from gentrieval.docid import build_index, build_rq_hierarchy
+from gentrieval.errors import NotTerminal
 from gentrieval.evaluation import hits_at_k, mrr_at_k, nll_losses
 from gentrieval.fm_index import SequenceFMIndex
 from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
@@ -28,7 +29,7 @@ from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       TableModel, enumerate_accepted, make_index,
                       random_record_index, random_text_corpus,
-                      reconstruction_error, sorted_rows)
+                      reconstruction_error, sep_joined, sorted_rows)
 
 
 def verdict(label):
@@ -46,7 +47,8 @@ def verdict(label):
 
 
 # --------------------------------------------------------------------------
-# 1. FM-index vs naive scan on 1,000 random docid corpora.
+# 1. FM-index and the fm_index automaton vs naive scans on 1,000 random docid
+#    corpora.
 
 def naive_count(seq, pattern):
     return sum(1 for i in range(len(seq) - len(pattern) + 1)
@@ -63,6 +65,24 @@ def naive_ends(seq, pattern):
             if seq[i:i + len(pattern)] == pattern]
 
 
+def naive_spans(index):
+    """Every span of every body, the empty one included: the tokens that
+    follow it somewhere and the records whose body it ends, in index
+    order."""
+    spans = {(): (set(), [])}
+    for rec in index.records:
+        body = rec.tokens[:-1]
+        for i in range(len(body)):
+            for j in range(i + 1, len(body) + 1):
+                follow, ends = spans.setdefault(body[i:j], (set(), []))
+                if j < len(body):
+                    follow.add(body[j])
+                else:
+                    ends.append(rec)
+        spans[()][0].update(body)
+    return spans
+
+
 @verdict("acceptance 1 (fm-index oracle, 1000 corpora)")
 def test_acceptance_1_fm_index_oracle():
     rng = random.Random(101)
@@ -70,7 +90,7 @@ def test_acceptance_1_fm_index_oracle():
         n_records = rng.randint(1, 200)
         vocab_words = rng.randint(2, 50)
         index = random_record_index(rng, n_records, vocab_words)
-        joined = FmIndexAutomaton(index).joined
+        joined = sep_joined(index)
         sfm = SequenceFMIndex(joined)
         patterns = []
         for _ in range(6):  # substrings guaranteed to occur
@@ -89,6 +109,26 @@ def test_acceptance_1_fm_index_oracle():
             if sfm.count(win) > 0:
                 assert sfm.followers(win) == naive_followers(joined, pattern)
                 assert sorted(sfm.locate(win)) == naive_ends(joined, pattern)
+        # The automaton: at every state that some span reaches, allowed,
+        # end_ok and complete equal the scan; no other emission is allowed.
+        spans = naive_spans(index)
+        a = FmIndexAutomaton(index)
+        reached = set()
+        stack = [(a.start(), ())]
+        while stack:
+            state, emitted = stack.pop()
+            reached.add(emitted)
+            follow, ends = spans[emitted]
+            allowed, end_ok = a.allowed(state)
+            assert list(allowed) == sorted(follow)
+            assert end_ok == bool(emitted and ends)
+            if end_ok:
+                assert a.complete(state) == tuple(ends)
+            else:
+                with pytest.raises(NotTerminal):
+                    a.complete(state)
+            stack.extend((a.step(state, t), emitted + (t,)) for t in allowed)
+        assert reached == set(spans)
 
 
 # --------------------------------------------------------------------------

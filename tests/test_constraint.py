@@ -1,4 +1,5 @@
 import itertools
+import math
 import pathlib
 import random
 import subprocess
@@ -17,7 +18,7 @@ from gentrieval.errors import (ConfigError, EmptyIndex, IllegalTransition,
 from gentrieval.fm_index import SENTINEL, SequenceFMIndex, suffix_array
 
 from conftest import (TableModel, enumerate_accepted, make_index,
-                      random_record_index)
+                      random_record_index, sep_joined)
 
 
 def naive_suffix_array(seq):
@@ -43,10 +44,10 @@ class TestFMIndex:
             seq = [rng.randint(0, 3) for _ in range(rng.randint(0, 40))]
             seqs.append(seq[::-1] + [SENTINEL])
         for _ in range(10):
-            joined = FmIndexAutomaton(random_record_index(
-                rng, rng.randint(1, 30), rng.randint(1, 6))).joined
+            joined = sep_joined(random_record_index(
+                rng, rng.randint(1, 30), rng.randint(1, 6)))
             seqs.append(joined[::-1] + [SENTINEL])
-        joined = FmIndexAutomaton(build_index(toy_corpus(400))).joined
+        joined = sep_joined(build_index(toy_corpus(400)))
         seqs.append(joined[::-1] + [SENTINEL])
         for seq in seqs:
             assert suffix_array(seq) == naive_suffix_array(seq)
@@ -179,7 +180,7 @@ class TestTrie:
                 assert sorted(r.doc_key for r in docs) == expected
 
 
-def check_second_search_adds_no_node(cls):
+def check_second_search_adds_no_node(cls, table):
     """A second search over one automaton makes no node and finds what the
     first found."""
     rng = random.Random(12)
@@ -188,14 +189,14 @@ def check_second_search_adds_no_node(cls):
         a = cls(index)
         model = TableModel(len(index.vocab), seed=trial)
         first = constrained_beam_search(model, [0, 1], a, 4)
-        nodes = len(a.nodes)
+        nodes = len(getattr(a, table))
         assert constrained_beam_search(model, [0, 1], a, 4) == first
-        assert len(a.nodes) == nodes
+        assert len(getattr(a, table)) == nodes
 
 
 class TestFmAutomaton:
     def test_second_search_adds_no_node(self):
-        check_second_search_adds_no_node(FmIndexAutomaton)
+        check_second_search_adds_no_node(FmIndexAutomaton, "children")
 
     def test_suffix_entry(self, toy_index):
         # "apple" alone is a valid suffix of two identifiers.
@@ -231,29 +232,55 @@ class TestFmAutomaton:
     def test_refused_calls_make_no_node(self, toy_index):
         a = FmIndexAutomaton(toy_index)
         food = a.step(a.start(), tok(toy_index, "food"))
-        nodes = len(a.nodes)
+        nodes = len(a.children)
+        children = dict(a.children[food])
         # "food" never follows itself; SEP and END are reserved.
         for t in (SEP, END, tok(toy_index, "food")):
             with pytest.raises(IllegalTransition):
                 a.step(food, t)
-        for _ in range(2):  # a refused window is refused again
+        for _ in range(2):  # a refused state is refused again
             with pytest.raises(NotTerminal):
                 a.complete(food)
-        assert len(a.nodes) == nodes == len(a.node_of)
-        assert a.nodes[food].children == {}
+        assert len(a.children) == nodes == len(a.terminal)
+        assert a.children[food] == children
 
-    def test_states_are_window_nodes(self, toy_index):
-        """Two emissions with one window share a node; node 0 is the start
-        window."""
-        a = FmIndexAutomaton(toy_index)
-        assert a.start() == 0 and a.node_of[a.fm.start()] == 0
-        state = 0
-        while state < len(a.nodes):  # every window the automaton reaches
-            for t in a.allowed(state)[0]:
-                a.step(state, t)
-            state += 1
-        assert len(a.nodes) > 1
-        assert {a.nodes[i].window: i for i in range(len(a.nodes))} == a.node_of
+    def test_states_are_end_position_classes(self):
+        """Two emissions share a state exactly when they end at the same
+        body positions, and every state is reached: the automaton is the
+        smallest that tells the spans apart."""
+        rng = random.Random(8)
+        for _ in range(30):
+            index = random_record_index(rng, rng.randint(1, 10),
+                                        rng.randint(1, 3), max_len=6)
+            bodies = [r.tokens[:-1] for r in index.records]
+            a = FmIndexAutomaton(index)
+            state_of = {}
+            stack = [(a.start(), ())]
+            while stack:
+                state, emitted = stack.pop()
+                state_of[emitted] = state
+                stack.extend((a.step(state, t), emitted + (t,))
+                             for t in a.allowed(state)[0])
+            ends = {span: frozenset(
+                (b, j) for b, body in enumerate(bodies)
+                for j in range(len(span), len(body) + 1)
+                if body[j - len(span):j] == span) for span in state_of}
+            class_of = {}
+            for span, state in state_of.items():
+                assert class_of.setdefault(ends[span], state) == state
+            assert len(class_of) == len(set(state_of.values())) \
+                == len(a.children)
+
+    def test_at_most_two_states_per_body_token(self):
+        """n body tokens make at most 2n states, root included. Few words
+        and long bodies make spans recur, so states get cloned."""
+        rng = random.Random(9)
+        for _ in range(300):
+            index = random_record_index(rng, rng.randint(1, 12),
+                                        rng.randint(1, 4), max_len=8)
+            n = sum(len(r.tokens) - 1 for r in index.records)
+            a = FmIndexAutomaton(index)
+            assert len(a.children) == len(a.terminal) <= 2 * n
 
     def test_language_is_record_suffixes(self):
         rng = random.Random(4)
@@ -274,6 +301,30 @@ class TestFmAutomaton:
                           if r.tokens[:-1][len(r.tokens) - 1 - len(suffix):]
                           == suffix]
                 assert list(docs) == oracle
+
+
+class TestLanguageInclusion:
+    def test_best_score_at_least_the_tries(self):
+        """The trie accepts only whole bodies, which both other automata
+        accept too, so at full width a document scores at least as high
+        under fm_index and term_set as under the trie."""
+        rng = random.Random(10)
+        for trial in range(30):
+            index = random_record_index(rng, rng.randint(2, 8), 5,
+                                        max_len=3)
+            model = TableModel(len(index.vocab), seed=trial)
+            best = {}
+            for strategy in STRATEGIES:
+                scores = best[strategy] = {}
+                for h in constrained_beam_search(
+                        model, [], build(strategy, index), 4000):
+                    for r in h.records:
+                        scores[r.doc_key] = max(
+                            h.score, scores.get(r.doc_key, -math.inf))
+            assert len(best["trie"]) == len(index.records)
+            for strategy in ("fm_index", "term_set"):
+                assert all(best[strategy][d] >= score
+                           for d, score in best["trie"].items())
 
 
 class TestTermSet:
@@ -442,12 +493,12 @@ class TestTermSetDag:
             assert len(a.nodes) == len(a.node_of)
 
     def test_second_search_adds_no_node(self):
-        check_second_search_adds_no_node(TermSetAutomaton)
+        check_second_search_adds_no_node(TermSetAutomaton, "nodes")
 
 
 class TestInvalidNode:
     @pytest.mark.parametrize("cls, table", [(TrieAutomaton, "children"),
-                                            (FmIndexAutomaton, "nodes"),
+                                            (FmIndexAutomaton, "children"),
                                             (TermSetAutomaton, "nodes")])
     def test_out_of_range(self, toy_index, cls, table):
         a = cls(toy_index)
@@ -555,8 +606,8 @@ class TestKeptAnswers:
 
 class TestFmMemo:
     def test_bounded_after_toy_run(self, tmp_path, monkeypatch):
-        """Decoding every query of a toy run makes at most 2 (n + 1) window
-        nodes, the suffix-tree node bound."""
+        """Decoding every query of a toy run adds no state, and keeps
+        answers for at most the 2n states of n body tokens."""
         from gentrieval import evaluation
         from gentrieval.cli import main
 
@@ -571,8 +622,8 @@ class TestFmMemo:
         built = []
 
         def build_and_keep(strategy, idx):
-            built.append(build(strategy, idx))
-            return built[-1]
+            built.append((idx, build(strategy, idx)))
+            return built[-1][1]
 
         monkeypatch.setattr(evaluation, "build_automaton", build_and_keep)
         queries = str(tmp_path / "queries.jsonl")
@@ -581,8 +632,10 @@ class TestFmMemo:
             index_path=index, strategy="fm_index", pipeline="r4r",
             reason_model_path=str(tmp_path / "reasoner.json"),
             ngram_train_queries_path=queries))
-        [a] = built
-        assert 30 < len(a.nodes) <= 2 * (a.fm.n + 1)
+        [(idx, a)] = built
+        n = sum(len(r.tokens) - 1 for r in idx.records)
+        kept = sum(moves is not None for moves in a.moves)
+        assert 30 < kept <= len(a.children) == len(a.moves) <= 2 * n
 
 
 class TestNoDeadEnds:
