@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output index JSON path")
     p.add_argument("--levels", type=bounded_int(1, MAX_LEVELS), default=2,
                    help=f"depth of the docid tree, at most {MAX_LEVELS}")
-    p.add_argument("--branching", type=positive_int, default=8)
+    p.add_argument("--branching", type=positive_int, default=8,
+                   help="clusters per tree node, at most the group size")
     p.add_argument("--dim", type=bounded_int(2, MAX_DIM), default=64,
                    help=f"embedding width, at most {MAX_DIM}")
     p.add_argument("--views", type=names, default="",
@@ -82,9 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Flags that retrieve and run share.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--index", required=True)
-    shared.add_argument("--strategy", choices=STRATEGIES, default="trie")
-    shared.add_argument("--pipeline", choices=PIPELINES, default="standard")
+    shared.add_argument("--index", required=True,
+                        help="index JSON path, as build-index writes it")
+    shared.add_argument("--strategy", choices=STRATEGIES, default="trie",
+                        help="how decoding is constrained to the docids")
+    shared.add_argument("--pipeline", choices=PIPELINES, default="standard",
+                        help="how reasoning and retrieval are combined")
     shared.add_argument("--model", required=True,
                         help="scripted-model JSON path, or 'ngram'")
     shared.add_argument("--train-queries",
@@ -93,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scripted-rules JSON path, or the http(s) URL "
                              "of a /generate endpoint; without it the "
                              "retrieval model also reasons")
-    shared.add_argument("--k", type=positive_int, default=20)
+    shared.add_argument("--k", type=positive_int, default=20,
+                        help="beam width and length of the ranked list")
     shared.add_argument("--t", type=positive_int,
                         help="verify depth (r4r only; default "
                              f"{RefineConfig.verify_depth})")
@@ -102,17 +107,22 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{RefineConfig.round_budget})")
     shared.add_argument("--ablation", type=names, default="",
                         help=f"comma list from {{{','.join(ABLATIONS)}}}")
-    shared.add_argument("--merge-views", action="store_true")
+    shared.add_argument("--merge-views", action="store_true",
+                        help="score each document by the log-sum-exp of "
+                             "its hypotheses' scores, not by its best one")
     shared.add_argument("--prompts", help="prompt-override JSON path")
 
     p = sub.add_parser("retrieve", parents=[shared],
                        help="rank docids for one query")
-    p.add_argument("--query", required=True)
+    p.add_argument("--query", required=True, help="query text")
 
     p = sub.add_parser("run", parents=[shared],
                        help="batch experiment over a query file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
+    p.add_argument("--corpus", required=True,
+                   help="corpus JSONL path; it is only read to check that "
+                        "it parses")
+    p.add_argument("--queries", required=True,
+                   help="query JSONL path, with relevant documents")
     p.add_argument("--sweep-t", type=positive_ints, default="",
                    help="comma list of verify depths")
     p.add_argument("--sweep-T", type=positive_ints, default="",
@@ -127,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed recorded in the report")
 
     p = sub.add_parser("stats", help="termination stats from a trace file")
-    p.add_argument("--trace", required=True)
+    p.add_argument("--trace", required=True,
+                   help="trace JSONL path, as run --trace writes it")
     return parser
 
 

@@ -10,9 +10,9 @@ term multiset is accepted).
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
 outside the automaton's node table raises InvalidState. The trie's and the
-suffix automaton's nodes are built whole; the term-set nodes are made when
-step() first reaches them. Every node keeps its answers, made on its first
-visit, so each node's allowed(), each of its step tokens and its complete()
+suffix automaton's nodes are built whole; the term-set root is expanded at
+construction and every other term-set node is made when step() first
+reaches it. Every node keeps its answers, made on its first visit, so each node's allowed(), each of its step tokens and its complete()
 are worked out once per automaton, whatever the number of searches over it.
 allowed() hands out the node's kept (tokens, end_ok) pair and complete() its
 kept tuple of records, the same objects on every call. `tokens` is a view
@@ -23,7 +23,6 @@ through it. Callers read both in place; neither is copied per call.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import KeysView
 
 from .docid import DocIdIndex, DocIdRecord
@@ -200,16 +199,27 @@ class _TermNode:
         self.terminal: tuple[DocIdRecord, ...] = ()
         self.moves: tuple[KeysView[int], bool] | None = None
 
+    def fill(self, terminal: list[DocIdRecord],
+             follow: dict[int, list[int]]) -> None:
+        """Expand the node: its terminal records, and per follower token
+        its live records."""
+        self.live = ()  # read only by the expansion
+        self.terminal = tuple(terminal)
+        self.follow = dict(sorted(follow.items()))
+        self.moves = self.follow.keys(), bool(terminal)
+
 
 class TermSetAutomaton:
     """Accepts any emission order of a record's term multiset.
 
     States are node ids in a DAG of sorted sub-multisets, shared by every
     search over the automaton: every emission order of one multiset reaches
-    the same node. A node is expanded the first time allowed, step or
-    complete touches it, in one pass over its live records that fills its
-    terminal records and each follower's live records; a child node is made
-    only when step enters it. Both are lazy because a record with d distinct
+    the same node. The root, which every search reads first, is expanded
+    at construction, in the pass over the records that counts their terms.
+    Any other node is expanded the first time allowed, step or complete
+    touches it, in one pass over its live records that fills its terminal
+    records and each follower's live records; a child node is made only
+    when step enters it. Both are lazy because a record with d distinct
     terms has 2^d sub-multisets, and a search enters few of the followers
     it is offered. Expansion mutates the shared DAG unguarded, so one
     automaton serves one search at a time.
@@ -217,11 +227,29 @@ class TermSetAutomaton:
 
     def __init__(self, index: DocIdIndex):
         self.records = list(index.records)
-        self.sizes = [len(_body(r)) for r in self.records]
+        self.sizes: list[int] = []
         # Per record, its (term, count) pairs.
-        self.multisets = [tuple(Counter(_body(r)).items())
-                          for r in self.records]
-        self.nodes = [_TermNode((), range(len(self.records)))]
+        self.multisets: list[tuple[tuple[int, int], ...]] = []
+        # The root's expansion, made in the same pass: every record is live
+        # there, an empty body ends at it, and every term follows it.
+        terminal: list[DocIdRecord] = []
+        follow: dict[int, list[int]] = {}
+        for ridx, rec in enumerate(self.records):
+            body = _body(rec)
+            counts: dict[int, int] = {}
+            for term in body:
+                if term in counts:
+                    counts[term] += 1
+                else:
+                    counts[term] = 1
+                    follow.setdefault(term, []).append(ridx)
+            if not body:
+                terminal.append(rec)
+            self.sizes.append(len(body))
+            self.multisets.append(tuple(counts.items()))
+        root = _TermNode((), ())
+        root.fill(terminal, follow)
+        self.nodes = [root]
         self.node_of: dict[tuple[int, ...], int] = {(): 0}
 
     def start(self) -> int:
@@ -250,10 +278,7 @@ class TermSetAutomaton:
             for term, cnt in self.multisets[ridx]:
                 if cnt > key.count(term):
                     follow.setdefault(term, []).append(ridx)
-        node.live = ()  # read only by this expansion
-        node.terminal = tuple(terminal)
-        node.follow = dict(sorted(follow.items()))
-        node.moves = node.follow.keys(), bool(terminal)
+        node.fill(terminal, follow)
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
         return self._expanded(state).moves

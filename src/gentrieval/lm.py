@@ -124,8 +124,10 @@ class ScriptedModel(_TrailingTokens):
     interior tokens (split() tokens with whitespace on both sides inside
     the match), which every prompt holding the match under any mode has
     among its own split() tokens. Rules with no interior token are tried
-    on every call. Candidates are tried in table order, so the first
-    match still wins. The index is built from the table at construction.
+    on every call. A call finds its anchors by one intersection of the
+    anchor set with the prompt's split() tokens, and tries the candidates
+    in table order, so the first match still wins. The index is built from
+    the table at construction.
 
     Distribution rules: {"context": [word, ...], "probs": {word: p, ...}},
     matched when the context token words are a suffix of the running
@@ -172,6 +174,7 @@ class ScriptedModel(_TrailingTokens):
                                           []).append(i)
             else:
                 self._always.append(i)
+        self._anchors = frozenset(self._by_token)
 
     @classmethod
     def from_file(cls, path, vocab: Vocabulary) -> "ScriptedModel":
@@ -203,8 +206,8 @@ class ScriptedModel(_TrailingTokens):
     def generate(self, prompt: str, max_tokens: int) -> str:
         by_token = self._by_token
         ids = list(self._always)
-        for tok in set(prompt.split()):
-            ids += by_token.get(tok, ())
+        for tok in self._anchors.intersection(prompt.split()):
+            ids += by_token[tok]
         ids.sort()
         for i in ids:
             rule = self.generate_rules[i]

@@ -8,6 +8,7 @@ a format reminder); Think can always fall back to the raw query.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -62,6 +63,14 @@ VERDICT_MAX_TOKENS = 16
 _SLOTS = ("query", "docid", "context", "explanation")
 _SLOT_RE = re.compile(r"\{(" + "|".join(_SLOTS) + r")\}")
 
+
+@functools.lru_cache(maxsize=64)
+def _split(template: str) -> tuple[str, ...]:
+    """*template* as literal text at even positions and slot names at odd
+    ones."""
+    return tuple(_SLOT_RE.split(template))
+
+
 _CONTEXT_RE = re.compile(r"<context>(.*?)</context>", re.DOTALL)
 _EXPLANATION_RE = re.compile(r"<explanation>(.*?)</explanation>", re.DOTALL)
 
@@ -107,12 +116,16 @@ class PromptRegistry:
     def render(self, name: str, **slots: str) -> str:
         """Template *name* with its slots filled in one pass, so slot text
         inside a value stays literal. Raises ValueError for a slot the
-        template uses but *slots* does not fill."""
-        def fill(m: re.Match) -> str:
-            if m[1] not in slots:
-                raise ValueError(f"unfilled slot {m[0]} in template {name}")
-            return slots[m[1]]
-        return _SLOT_RE.sub(fill, self.templates[name])
+        template uses but *slots* does not fill. The template is split
+        into literal text and slot names once per distinct text."""
+        parts = _split(self.templates[name])
+        out = list(parts)
+        for i in range(1, len(parts), 2):
+            if parts[i] not in slots:
+                raise ValueError(
+                    f"unfilled slot {{{parts[i]}}} in template {name}")
+            out[i] = slots[parts[i]]
+        return "".join(out)
 
 
 @dataclass(frozen=True)

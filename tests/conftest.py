@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -22,6 +23,17 @@ from gentrieval.corpus import (END, SEP, Corpus, Document, Query, Vocabulary,
 from gentrieval.errors import MalformedRecord
 from gentrieval.docid import DocIdIndex, DocIdRecord, RQHierarchy
 from gentrieval.lm import FLOOR_LOGPROB
+
+
+def ref_render(template: str, name: str, **slots: str) -> str:
+    """PromptRegistry.render in its straightforward form: one re.sub pass
+    whose callback fills each slot, so slot text inside a value stays
+    literal; an unfilled slot raises ValueError."""
+    def fill(m: re.Match) -> str:
+        if m[1] not in slots:
+            raise ValueError(f"unfilled slot {m[0]} in template {name}")
+        return slots[m[1]]
+    return re.sub(r"\{(query|docid|context|explanation)\}", fill, template)
 
 
 def make_index(surfaces: dict[str, str],

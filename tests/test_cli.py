@@ -687,6 +687,14 @@ class TestOptionInventory:
                  for command, parser in subparsers.items()}
         assert flags == self.FLAGS
 
+    def test_every_flag_has_help(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        silent = sorted(f"{command} {action.option_strings[-1]}"
+                        for command, parser in subparsers.items()
+                        for action in parser._actions
+                        if action.option_strings and not action.help)
+        assert silent == []
+
     def test_strategy_choices(self):
         subparsers = build_parser()._subparsers._group_actions[0].choices
         for command in ("retrieve", "run"):

@@ -496,6 +496,50 @@ class TestTermSetDag:
         check_second_search_adds_no_node(TermSetAutomaton, "nodes")
 
 
+class TestTermSetRoot:
+    """The root is expanded with the automaton, in its pass over the
+    records."""
+
+    def test_root_calls_expand_nothing(self, toy_index, monkeypatch):
+        a = TermSetAutomaton(toy_index)
+        expanded = []
+        expand = TermSetAutomaton._expand
+
+        def counted(self, node):
+            expanded.append(node.key)
+            expand(self, node)
+
+        monkeypatch.setattr(TermSetAutomaton, "_expand", counted)
+        allowed, end_ok = a.allowed(0)
+        assert (set(allowed), end_ok) == naive_term_set(toy_index, ())[:2]
+        children = {t: a.step(0, t) for t in allowed}
+        with pytest.raises(NotTerminal):
+            a.complete(0)
+        assert expanded == []
+        a.allowed(children[min(children)])
+        assert expanded == [(min(children),)]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_empty_body_at_the_root(self, strategy):
+        """A record with no body ends the empty emission under the trie and
+        the term set; the FM root never allows END."""
+        index = make_index({"d0": "x-y", "d1": "", "d2": "y-x-x"})
+        assert index.records[1].tokens == (END,)
+        a = build(strategy, index)
+        allowed, end_ok = a.allowed(a.start())
+        assert allowed == naive_allowed(strategy, index, ())
+        done = naive_complete(strategy, index, ())
+        if strategy == "fm_index":
+            assert not end_ok and done == ()
+            with pytest.raises(NotTerminal):
+                a.complete(a.start())
+        else:
+            assert end_ok and done == (index.records[1],)
+            assert a.complete(a.start()) == done
+        if strategy == "term_set":
+            assert (allowed, end_ok, done) == naive_term_set(index, ())
+
+
 class TestInvalidNode:
     @pytest.mark.parametrize("cls, table", [(TrieAutomaton, "children"),
                                             (FmIndexAutomaton, "children"),

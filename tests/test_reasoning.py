@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gentrieval.corpus import END, Query, Vocabulary
 from gentrieval.decode import Candidate
@@ -13,7 +14,7 @@ from gentrieval.reasoning import (DEFAULT_PROMPTS, FORMAT_REMINDER,
                                   ReasoningState, _parse_verdict, direct_cot,
                                   parse_structured, reflect, think, verify)
 
-from conftest import DEEP_JSON, LONG_INT_JSON
+from conftest import DEEP_JSON, LONG_INT_JSON, ref_render
 
 
 class CountingModel:
@@ -129,6 +130,39 @@ class TestRegistry:
         p.write_text(json.dumps({name: text}))
         with pytest.raises(ConfigError, match=name):
             PromptRegistry.from_file(p)
+
+    # Template pieces: every slot, near-miss braces around a slot name, and
+    # short free text.
+    PIECES = st.sampled_from([
+        "{query}", "{docid}", "{context}", "{explanation}", "{quer}",
+        "{{query}}", "{query", "query}", "{", "}", "{}", "\\1", " "]) | \
+        st.text(max_size=4)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(template=st.lists(PIECES, max_size=8).map("".join),
+           values=st.dictionaries(
+               st.sampled_from(["query", "docid", "context", "explanation"]),
+               st.lists(PIECES, max_size=3).map("".join)))
+    def test_render_matches_reference(self, template, values):
+        """render equals a re.sub pass over the template, or both raise
+        ValueError with the same message."""
+        reg = PromptRegistry({"P_x": template})
+        try:
+            want = ref_render(template, "P_x", **values)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                reg.render("P_x", **values)
+            assert str(got.value) == str(exc)
+        else:
+            assert reg.render("P_x", **values) == want
+            # The second render reads the kept split.
+            assert reg.render("P_x", **values) == want
+
+    def test_render_reads_the_current_template(self):
+        reg = PromptRegistry({"P_x": "a {query}"})
+        assert reg.render("P_x", query="q") == "a q"
+        reg.templates["P_x"] = "{query} b"
+        assert reg.render("P_x", query="q") == "q b"
 
     def test_defaults_have_no_stray_braces(self):
         reg = PromptRegistry.default()
