@@ -163,13 +163,20 @@ def merge_views(hyps: list[Hypothesis], k: int) -> RankedList:
     """Per-document log-sum-exp aggregation across view hypotheses, top k.
 
     Each document's aggregate is log sum_h exp(score_h) over its hypotheses in
-    the beam; the representative record is the best-scoring one. Ties order by
-    doc_key.
+    the beam, each hypothesis counted once however many of the document's
+    records it completes to; the representative record is the best-scoring
+    one, and at equal score the smaller surface. Ties order by doc_key.
     """
     contributions: dict[str, list[tuple[float, DocIdRecord]]] = {}
     for h in hyps:
+        # Per document, this hypothesis's smallest-surface record.
+        own: dict[str, DocIdRecord] = {}
         for rec in h.records:
-            contributions.setdefault(rec.doc_key, []).append((h.score, rec))
+            cur = own.get(rec.doc_key)
+            if cur is None or rec.surface < cur.surface:
+                own[rec.doc_key] = rec
+        for doc_key, rec in own.items():
+            contributions.setdefault(doc_key, []).append((h.score, rec))
     ranked: list[Candidate] = []
     for doc_key in sorted(contributions):
         entries = contributions[doc_key]

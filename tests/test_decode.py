@@ -510,6 +510,18 @@ class TestMergeViews:
         assert ranked[0].score == pytest.approx(math.log(0.5))
         assert ranked[1].score == pytest.approx(math.log(0.45))
 
+    def test_hypothesis_counted_once_per_document(self):
+        # One hypothesis completing to two records of A adds its mass once.
+        hyps = [
+            Hypothesis((END,), math.log(0.4), (rec("A", "a2", "ngram"),
+                                               rec("A", "a1", "path"))),
+            Hypothesis((END,), math.log(0.3), (rec("B", "b1", "path"),)),
+        ]
+        ranked = merge_views(hyps, k=10)
+        assert ranked.doc_keys() == ["A", "B"]
+        assert ranked[0].score == math.log(0.4)
+        assert ranked[0].record.surface == "a1"
+
     def test_representative_is_best_view(self):
         hyps = [
             Hypothesis((END,), math.log(0.1), (rec("A", "weak", "title"),)),
