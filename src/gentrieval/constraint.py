@@ -10,10 +10,11 @@ term multiset is accepted).
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
 outside the automaton's node table raises InvalidState. The trie's and the
-suffix automaton's nodes are built whole; the term-set root is expanded at
-construction and every other term-set node is made when step() first
-reaches it. Every node keeps its answers, made on its first visit, so each node's allowed(), each of its step tokens and its complete()
-are worked out once per automaton, whatever the number of searches over it.
+suffix automaton's nodes are built whole; the term-set nodes are made when
+step() first reaches them. Every node keeps its answers, made on its first
+visit (the term-set root's at construction), so each node's allowed(), each
+of its step tokens and its complete() are worked out once per automaton,
+whatever the number of searches over it.
 allowed() hands out the node's kept (tokens, end_ok) pair and complete() its
 kept tuple of records, the same objects on every call. `tokens` is a view
 (the keys of a dict built in ascending token order): it iterates in
