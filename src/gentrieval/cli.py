@@ -18,9 +18,9 @@ from .constraint import STRATEGIES
 from .corpus import Query, load_corpus, read_jsonl
 from .docid import VIEWS, build_index, check_views
 from .errors import ConfigError, GentrievalError
-from .evaluation import (ExperimentConfig, check_r4r_only, check_writable,
-                         load_pipeline, run_experiment, run_pipeline,
-                         termination_stats)
+from .evaluation import (ExperimentConfig, check_outputs, check_r4r_only,
+                         check_writable, load_pipeline, run_experiment,
+                         run_pipeline, termination_stats)
 from .orchestrator import ABLATIONS, PIPELINES, RefineConfig
 from .reasoning import DEFAULT_PROMPTS
 
@@ -145,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_build_index(args) -> int:
     # Refused before the corpus is read and the index built.
     check_views(args.views)
+    check_outputs({"corpus": args.corpus}, index=args.out)
     check_writable(args.out)
     corpus = load_corpus(args.corpus)
     index = build_index(

@@ -9,17 +9,18 @@ term multiset is accepted).
 
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
-outside the automaton's node table raises InvalidState. The trie's and the
-suffix automaton's nodes are built whole; the term-set nodes are made when
-step() first reaches them. Every node keeps its answers, made on its first
-visit (the term-set root's at construction), so each node's allowed(), each
-of its step tokens and its complete() are worked out once per automaton,
-whatever the number of searches over it.
-allowed() hands out the node's kept (tokens, end_ok) pair and complete() its
-kept tuple of records, the same objects on every call. `tokens` is a view
-(the keys of a dict built in ascending token order): it iterates in
-ascending order, supports `in` and set comparison, and cannot be changed
-through it. Callers read both in place; neither is copied per call.
+outside the automaton's node table raises InvalidState. The trie and the
+suffix automaton are built whole, answers included: per node, its children
+and the tuple of records complete() hands out, so no call does first-visit
+work. The term-set nodes are made, and expanded, when a search first
+reaches them (the root at construction), and each keeps its answers, so
+each is worked out once per automaton, whatever the number of searches
+over it.
+allowed()'s `tokens` is a view (the keys of the node's dict of children,
+built in ascending token order): it iterates in ascending order, supports
+`in` and set comparison, and cannot be changed through it. complete()
+hands out the node's kept tuple of records, the same object on every
+call. Callers read both in place; neither is copied per call.
 """
 
 from __future__ import annotations
@@ -39,52 +40,44 @@ def _body(record: DocIdRecord) -> tuple[int, ...]:
 class TrieAutomaton:
     """A prefix trie over the record bodies.
 
-    The trie is built whole: per node id, `children` (token -> node id, in
-    ascending token order) and `terminal` (the records whose body ends
-    there, in index order). A node's allowed() pair and complete() tuple
-    are made on its first visit and kept in `moves` and `completions`, so
-    the build pays nothing for nodes no search reaches.
+    The trie is built whole into two tables: per node id, `children`
+    (token -> node id, in ascending token order) and `completions` (the
+    records whose body ends there, in index order; `()` where none does).
+    allowed(), step() and complete() read them and make nothing.
     """
 
     def __init__(self, index: DocIdIndex):
-        self.children: list[dict[int, int]] = [{}]
-        self.terminal: list[list[DocIdRecord]] = [[]]
+        children: list[dict[int, int]] = [{}]
+        terminal: list[list[DocIdRecord]] = [[]]
         for rec in index.records:
             node = 0
             for tok in _body(rec):
-                nxt = self.children[node].get(tok)
+                nxt = children[node].get(tok)
                 if nxt is None:
-                    nxt = len(self.children)
-                    self.children[node][tok] = nxt
-                    self.children.append({})
-                    self.terminal.append([])
+                    nxt = len(children)
+                    children[node][tok] = nxt
+                    children.append({})
+                    terminal.append([])
                 node = nxt
-            self.terminal[node].append(rec)
-        self._keep(self.children, self.terminal)
+            terminal[node].append(rec)
+        self._keep(children, terminal)
 
     def _keep(self, children: list[dict[int, int]],
               terminal: list[list[DocIdRecord]]) -> None:
-        """Hold the built tables, with empty slots for the kept answers."""
+        """Hold the built tables, each node's records as a tuple."""
         # Ascending, so allowed() can hand out the keys as they are.
         self.children = [dict(sorted(c.items())) if len(c) > 1 else c
                          for c in children]
-        self.terminal = terminal
-        self.moves: list[tuple[KeysView[int], bool] | None] = \
-            [None] * len(children)
-        self.completions: list[tuple[DocIdRecord, ...] | None] = \
-            [None] * len(children)
+        self.completions: list[tuple[DocIdRecord, ...]] = [
+            tuple(t) for t in terminal]
 
     def start(self) -> int:
         return 0
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        if not 0 <= state < len(self.moves):
+        if not 0 <= state < len(self.children):
             raise InvalidState(f"trie node {state}")
-        moves = self.moves[state]
-        if moves is None:
-            moves = self.moves[state] = (self.children[state].keys(),
-                                         bool(self.terminal[state]))
-        return moves
+        return self.children[state].keys(), bool(self.completions[state])
 
     def step(self, state: int, token: int) -> int:
         if not 0 <= state < len(self.children):
@@ -98,8 +91,6 @@ class TrieAutomaton:
         if not 0 <= state < len(self.completions):
             raise InvalidState(f"trie node {state}")
         records = self.completions[state]
-        if records is None:
-            records = self.completions[state] = tuple(self.terminal[state])
         if not records:
             raise NotTerminal(f"trie node {state}")
         return records
@@ -111,13 +102,12 @@ class FmIndexAutomaton(TrieAutomaton):
     SEAL constrains decoding with an FM index of the documents (Bevilacqua
     et al. 2022); here the same language comes from the generalized suffix
     automaton of the record bodies (Blumer et al. 1985), built whole into
-    the trie's `children` and `terminal` tables, so it answers through the
-    trie's allowed/step/complete and keeps their answers the same way. A
-    state is the set of spans that end at the same body positions, so
-    n body tokens make at most 2n states, root included. Every span of
-    a body is allowed and SEP never is; END is allowed exactly where the
-    emitted span is a suffix of some body, never at the start, and
-    complete() lists those records in index order.
+    the trie's `children` and `completions` tables, so it answers through
+    the trie's allowed/step/complete. A state is the set of spans that end
+    at the same body positions, so n body tokens make at most 2n states,
+    root included. Every span of a body is allowed and SEP never is; END
+    is allowed exactly where the emitted span is a suffix of some body,
+    never at the start, and complete() lists those records in index order.
     """
 
     def __init__(self, index: DocIdIndex):
@@ -285,14 +275,10 @@ class TermSetAutomaton:
         return self._expanded(state).moves
 
     def step(self, state: int, token: int) -> int:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"term-set node {state}")
-        node = self.nodes[state]
+        node = self._expanded(state)
         nxt = node.children.get(token)
         if nxt is not None:
             return nxt
-        if node.follow is None:
-            self._expand(node)
         live = node.follow.get(token)
         if live is None:
             raise IllegalTransition(f"token {token} exhausts all candidates")

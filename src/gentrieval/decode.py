@@ -16,10 +16,10 @@ The model is read like the automaton: model.start(prompt) gives the root's
 model state, model.step(state, token) a child's, and
 next_token_distribution(state) reads one, so each beam entry carries an
 automaton state and a model state side by side. The automaton's
-allowed(state) hands out a kept (tokens, end_ok) pair, where tokens is a
-read-only set-like view that iterates in ascending order, so the beam
-reads it in place and never sorts or copies it; complete(state) hands out
-a kept tuple of records, which the Hypothesis holds as it is.
+allowed(state) gives a (tokens, end_ok) pair, where tokens is a read-only
+set-like view that iterates in ascending order, so the beam reads it in
+place and never sorts or copies it; complete(state) hands out a kept
+tuple of records, which the Hypothesis holds as it is.
 
 dedup_rank reads the finished hypotheses directly: it keeps the best
 (score, record) per document and makes a Candidate only for each of the k

@@ -239,6 +239,18 @@ def run_pipeline(q: Query, pipeline: str, model, reason_model, automaton,
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
 
+def check_outputs(inputs: dict[str, str | None], **outputs: str | None):
+    """Raise ConfigError if an output path names an input file or an
+    earlier output, as os.path.realpath resolves them. *inputs* and the
+    keywords map a role to its path; an unset path is skipped."""
+    seen: dict[str, str] = {}
+    for role, path in [*inputs.items(), *outputs.items()]:
+        if path:
+            other = seen.setdefault(os.path.realpath(path), role)
+            if other != role and role in outputs:
+                raise ConfigError(f"{other} and {role} are one file: {path}")
+
+
 def check_writable(path: str | None) -> None:
     """Raise OSError unless *path* can be opened for writing. The path is
     left as it was: an existing file keeps its bytes, and a file the check
@@ -254,9 +266,9 @@ def run_experiment(cfg: ExperimentConfig):
     """Run all queries, in order, through the configured pipeline (sweeping
     t/T when requested) and write the report and trace artifacts. The output
     paths are checked before the first query is decoded; the pipeline and
-    strategy names and k and the metric cutoffs are checked, the refine
-    configs built, and an ablation or sweep on a pipeline other than r4r
-    refused, before any file is read."""
+    strategy names, k, the metric cutoffs and the output paths against
+    the inputs are checked, the refine configs built, and an ablation or
+    sweep on a pipeline other than r4r refused, before any file is read."""
     if cfg.jobs != 1:
         raise ConfigError(f"jobs must be 1, got {cfg.jobs}")
     for name, values in (("k", (cfg.k,)), ("hits_ks", cfg.hits_ks),
@@ -267,9 +279,12 @@ def run_experiment(cfg: ExperimentConfig):
         raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
     if cfg.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {cfg.strategy!r}")
-    if (cfg.report_path and cfg.trace_path and os.path.realpath(
-            cfg.report_path) == os.path.realpath(cfg.trace_path)):
-        raise ConfigError(f"report and trace are one file: {cfg.trace_path}")
+    check_outputs({"corpus": cfg.corpus_path, "queries": cfg.queries_path,
+                   "index": cfg.index_path, "model": cfg.scripted_model_path,
+                   "reasoning model": cfg.reason_model_path,
+                   "training queries": cfg.ngram_train_queries_path,
+                   "prompts": cfg.prompts_path},
+                  report=cfg.report_path, trace=cfg.trace_path)
     t_values = cfg.t_sweep or (cfg.verify_depth,)
     T_values = cfg.T_sweep or (cfg.round_budget,)
     refine_cfgs = [RefineConfig(verify_depth=t, round_budget=T,
@@ -339,7 +354,8 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 __all__ = [
-    "ExperimentConfig", "NllReport", "check_r4r_only", "check_writable",
-    "hits_at_k", "load_pipeline", "make_retrieve_model", "mrr_at_k",
-    "nll_losses", "run_experiment", "run_pipeline", "termination_stats",
+    "ExperimentConfig", "NllReport", "check_outputs", "check_r4r_only",
+    "check_writable", "hits_at_k", "load_pipeline", "make_retrieve_model",
+    "mrr_at_k", "nll_losses", "run_experiment", "run_pipeline",
+    "termination_stats",
 ]

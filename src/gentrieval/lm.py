@@ -20,11 +20,11 @@ next-token distribution as (default, overrides), where overrides maps token
 -> log-probability and every other token scores default. Under add-one
 smoothing every token unseen in a context shares one score, so the pair is
 small, and constrained decoding can skip the default-scored tokens that
-cannot survive the beam's width. NgramModel memoises the pair per trained
-state, since beam steps and refine rounds ask for the same states again.
-NgramModel.train counts a batch of pairs in one pass: the positions every
-sequence shares from its start (the fixed retrieval template) are counted
-once, weighted by the number of pairs.
+cannot survive the beam's width. NgramModel.train counts a batch of pairs
+in one pass: the positions every sequence shares from its start (the fixed
+retrieval template) are counted once, weighted by the number of pairs. It
+then makes the pair of each context the batch counted, so a distribution
+call is one table lookup.
 
 A scoring model reads its vocabulary once, when it is built: NgramModel
 takes the vocabulary size then, and ScriptedModel resolves its rule words to
@@ -235,12 +235,11 @@ class NgramModel(_TrailingTokens):
 
     The vocabulary size is read once, at construction. A state is the last
     order - 1 tokens of the context, which is the whole of what a
-    distribution reads, and is the key of self.counts. Distributions are
-    memoised per state for trained contexts only, so the memo never
-    outgrows self.counts; a context's count total is summed when its
-    distribution is memoised, and train clears the memo. Every untrained
-    context gets one prebuilt uniform pair. Callers share the returned
-    overrides dicts and must not change them.
+    distribution reads, and is the key of self.counts. train makes the
+    distribution of every context it counts, so the table of distributions
+    has exactly the keys of self.counts, and every untrained context gets
+    one prebuilt uniform pair. Callers share the returned overrides dicts
+    and must not change them.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 3):
@@ -249,7 +248,8 @@ class NgramModel(_TrailingTokens):
         self.vocab = vocab
         self.order = order
         self.counts: dict[tuple[int, ...], dict[int, int]] = {}
-        self._memo: dict[tuple[int, ...], tuple[float, dict[int, float]]] = {}
+        self._dists: dict[tuple[int, ...],
+                          tuple[float, dict[int, float]]] = {}
         super().__init__(len(vocab), order - 1)
         self._unseen = math.log(1 / self._v), {}
 
@@ -258,22 +258,28 @@ class NgramModel(_TrailingTokens):
         target should end with END. A position that every sequence shares
         from its start has the same context and token in each, so it is
         counted once, len(pairs) times over; the first sequence counts it,
-        and the others start after it."""
+        and the others start after it. Then each context the batch counted
+        gets its distribution anew; the others' counts did not change."""
         seqs = [list(prompt) + list(target) for prompt, target in pairs]
         if not seqs:
             return
-        self._memo.clear()
         # Every sequence lies between the least and the greatest, so all of
         # them share exactly the prefix those two share.
         lo, hi = min(seqs), max(seqs)
         shared = next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b),
                       len(lo))
         n, w, counts = len(seqs), self.order - 1, self.counts
+        counted: dict[tuple[int, ...], dict[int, int]] = {}
         for j, seq in enumerate(seqs):
             for i in range(shared if j else 0, len(seq)):
-                bucket = counts.setdefault(tuple(seq[max(0, i - w):i]), {})
+                ctx = tuple(seq[max(0, i - w):i])
+                bucket = counted[ctx] = counts.setdefault(ctx, {})
                 bucket[seq[i]] = bucket.get(seq[i], 0) + (
                     n if i < shared else 1)
+        for ctx, bucket in counted.items():
+            total = sum(bucket.values()) + self._v
+            self._dists[ctx] = math.log(1 / total), {
+                t: math.log((c + 1) / total) for t, c in bucket.items()}
 
     def train_pair(self, prompt: list[int], target: list[int]) -> None:
         """Count n-grams of prompt||target; target should end with END."""
@@ -281,17 +287,7 @@ class NgramModel(_TrailingTokens):
 
     def next_token_distribution(self, state: tuple[int, ...]
                                 ) -> tuple[float, dict[int, float]]:
-        dist = self._memo.get(state)
-        if dist is not None:
-            return dist
-        counts = self.counts.get(state)
-        if counts is None:
-            return self._unseen
-        total = sum(counts.values()) + self._v
-        dist = math.log(1 / total), {
-            t: math.log((c + 1) / total) for t, c in counts.items()}
-        self._memo[state] = dist
-        return dist
+        return self._dists.get(state, self._unseen)
 
     def generate(self, prompt: str, max_tokens: int) -> str:
         state = self.start(self.vocab.encode(prompt, on_unknown="skip"))

@@ -226,8 +226,8 @@ def toy_corpus(tmp_path_factory):
 
 def ref_train_pair(m, prompt, target):
     """Count every position of prompt||target with its own context: the
-    pair-by-pair loop that batched training must match."""
-    m._memo.clear()
+    pair-by-pair loop that batched training must match. Writes m.counts
+    and nothing else."""
     seq = list(prompt) + list(target)
     for i in range(len(seq)):
         ctx = tuple(seq[max(0, i - (m.order - 1)):i])
@@ -235,14 +235,25 @@ def ref_train_pair(m, prompt, target):
         bucket[seq[i]] = bucket.get(seq[i], 0) + 1
 
 
+def add_one_pair(m, ctx):
+    """The (default, overrides) pair of the add-one n-gram model *m* after
+    the trained context *ctx*, from m.counts alone, by the formula
+    ref_logprob uses."""
+    bucket = m.counts[ctx]
+    total = sum(bucket.values()) + len(m.vocab)
+    return math.log(1 / total), {t: math.log((c + 1) / total)
+                                 for t, c in bucket.items()}
+
+
 def assert_same_model(batched, ref):
-    """Equal counts, in the same insertion order, and equal distributions
-    for every trained context."""
+    """Equal counts, in the same insertion order, and for every trained
+    context the batched model's distribution equal to the add-one pair of
+    the reference's counts."""
     assert batched.counts == ref.counts
     assert list(batched.counts) == list(ref.counts)
     for ctx, bucket in ref.counts.items():
         assert list(batched.counts[ctx]) == list(bucket)
-        assert dist_after(batched, ctx) == dist_after(ref, ctx)
+        assert dist_after(batched, ctx) == add_one_pair(ref, ctx)
 
 
 def dist_after(model, ctx):

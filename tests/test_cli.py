@@ -110,6 +110,25 @@ class TestBuildIndex:
         assert loaded == []
         assert sorted(workspace["dir"].rglob("*")) == before
 
+    @pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+    def test_out_naming_the_corpus_refused(self, workspace, capsys,
+                                           monkeypatch, spelling):
+        loaded = []
+        monkeypatch.setattr(cli, "load_corpus", loaded.append)
+        corpus = pathlib.Path(workspace["corpus"])
+        before = corpus.read_bytes()
+        out = {"same": corpus,
+               "dot": workspace["dir"] / "." / corpus.name,
+               "symlink": workspace["dir"] / "link.jsonl"}[spelling]
+        if spelling == "symlink":
+            out.symlink_to(corpus)
+        rc = main(["build-index", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: corpus and index are one file: {out}"]
+        assert loaded == []
+        assert corpus.read_bytes() == before
+
     @pytest.mark.parametrize("rows, error", [
         ([{"id": "d1", "text": "apple"}, {"id": "a", "text": "!!!"}],
          "error: document 'a' has no words to embed"),
@@ -425,6 +444,40 @@ class TestRun:
             f"error: report and trace are one file: {trace}"]
         assert decoded == []
         assert not report.exists()
+
+    INPUT_ROLES = {"--corpus": "corpus", "--queries": "queries",
+                   "--index": "index", "--model": "model",
+                   "--reason-model": "reasoning model",
+                   "--train-queries": "training queries",
+                   "--prompts": "prompts"}
+
+    @pytest.mark.parametrize("output", ["--report", "--trace"])
+    @pytest.mark.parametrize("source", list(INPUT_ROLES))
+    def test_output_naming_an_input_refused(self, workspace, capsys,
+                                            monkeypatch, output, source):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        _, _, argv = self.args(workspace, "in")
+        if source == "--train-queries":
+            argv[argv.index("--model") + 1] = "ngram"
+            argv += [source, workspace["queries"]]
+        if source == "--prompts":
+            prompts = workspace["dir"] / "prompts.json"
+            prompts.write_text(json.dumps({"P_r": "Rank the documents"}))
+            argv += [source, str(prompts)]
+        # A file of its own, so that no other flag names it.
+        i = argv.index(source) + 1
+        path = workspace["dir"] / f"input{source}"
+        path.write_bytes(pathlib.Path(argv[i]).read_bytes())
+        before = path.read_bytes()
+        argv[i] = argv[argv.index(output) + 1] = str(path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {self.INPUT_ROLES[source]} and {output[2:]} are one "
+            f"file: {path}"]
+        assert decoded == []
+        assert path.read_bytes() == before
 
     def test_unknown_rule_word_fails_before_decoding(self, workspace, capsys,
                                                      monkeypatch):

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import math
 import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -241,7 +243,7 @@ class TestFmAutomaton:
         for _ in range(2):  # a refused state is refused again
             with pytest.raises(NotTerminal):
                 a.complete(food)
-        assert len(a.children) == nodes == len(a.terminal)
+        assert len(a.children) == nodes == len(a.completions)
         assert a.children[food] == children
 
     def test_states_are_end_position_classes(self):
@@ -280,7 +282,7 @@ class TestFmAutomaton:
                                         rng.randint(1, 4), max_len=8)
             n = sum(len(r.tokens) - 1 for r in index.records)
             a = FmIndexAutomaton(index)
-            assert len(a.children) == len(a.terminal) <= 2 * n
+            assert len(a.children) == len(a.completions) <= 2 * n
 
     def test_language_is_record_suffixes(self):
         rng = random.Random(4)
@@ -618,9 +620,10 @@ def naive_complete(strategy, index, emitted):
 
 
 class TestKeptAnswers:
-    """allowed() hands out one kept pair and complete() one kept tuple per
-    node, the same objects on every call, equal to a scan of the
-    records."""
+    """allowed() hands out the node's own tokens (the trie's and the suffix
+    automaton's dict of children, the term-set node's kept pair) and
+    complete() one kept tuple per node, the same objects on every call,
+    equal to a scan of the records."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_same_objects_equal_to_a_scan(self, strategy):
@@ -634,7 +637,11 @@ class TestKeptAnswers:
                 state, emitted = stack.pop()
                 done = naive_complete(strategy, index, emitted)
                 moves = a.allowed(state)
-                assert a.allowed(state) is moves
+                if strategy == "term_set":
+                    assert a.allowed(state) is moves
+                else:  # a view of the kept dict itself, not of a copy
+                    [kept] = gc.get_referents(moves[0])
+                    assert kept is a.children[state]
                 assert moves == (naive_allowed(strategy, index, emitted),
                                  bool(done))
                 if done:
@@ -650,8 +657,8 @@ class TestKeptAnswers:
 
 class TestFmMemo:
     def test_bounded_after_toy_run(self, tmp_path, monkeypatch):
-        """Decoding every query of a toy run adds no state, and keeps
-        answers for at most the 2n states of n body tokens."""
+        """Decoding every query of a toy run leaves the tables as they were
+        built, at most the 2n states of n body tokens."""
         from gentrieval import evaluation
         from gentrieval.cli import main
 
@@ -665,9 +672,15 @@ class TestFmMemo:
                      "--out", index, "--views", "ngram"]) == 0
         built = []
 
+        read = set()
+
         def build_and_keep(strategy, idx):
-            built.append((idx, build(strategy, idx)))
-            return built[-1][1]
+            a = build(strategy, idx)
+            built.append((idx, a, [dict(c) for c in a.children],
+                          list(a.completions)))
+            allowed = a.allowed
+            a.allowed = lambda state: read.add(state) or allowed(state)
+            return a
 
         monkeypatch.setattr(evaluation, "build_automaton", build_and_keep)
         queries = str(tmp_path / "queries.jsonl")
@@ -676,10 +689,37 @@ class TestFmMemo:
             index_path=index, strategy="fm_index", pipeline="r4r",
             reason_model_path=str(tmp_path / "reasoner.json"),
             ngram_train_queries_path=queries))
-        [(idx, a)] = built
+        [(idx, a, children, completions)] = built
         n = sum(len(r.tokens) - 1 for r in idx.records)
-        kept = sum(moves is not None for moves in a.moves)
-        assert 30 < kept <= len(a.children) == len(a.moves) <= 2 * n
+        assert 30 < len(read)
+        assert a.children == children and a.completions == completions
+        assert len(a.children) == len(a.completions) <= 2 * n
+
+
+class TestBuiltMemory:
+    """Memory held after the build, on the 1000-doc toy corpus at 8 levels,
+    where docids run 8 to 12 tokens and suffix-automaton states get cloned.
+    The trie holds about 1.75 MB and the suffix automaton about 2.6 MB: per
+    node its dict of children and its tuple of records. A kept allowed()
+    pair per node, or a list of records per node beside the tuples, makes
+    either exceed its bound."""
+
+    @pytest.fixture(scope="class")
+    def deep_index(self, toy_corpus):
+        return build_index(toy_corpus(1000), levels=8)
+
+    @pytest.mark.parametrize("automaton, bound_mb", [
+        (TrieAutomaton, 2.0), (FmIndexAutomaton, 2.9)], ids=["trie", "fm"])
+    def test_held_after_build(self, deep_index, automaton, bound_mb):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            a = automaton(deep_index)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(a.children) > 7000
+        assert held <= bound_mb * 1e6
 
 
 class TestNoDeadEnds:

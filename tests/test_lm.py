@@ -20,9 +20,10 @@ from gentrieval.reasoning import PromptRegistry
 
 from conftest import (DEEP_JSON, PARSER_LIMITS, TOY_DIST_RULES,
                       TOY_EXTRA_WORDS, TOY_SURFACES, GenerateHandler,
-                      SparseTableModel, TableModel, assert_same_model,
-                      dist_after, make_index, random_dist_rules,
-                      random_record_index, ref_logprob, ref_train_pair)
+                      SparseTableModel, TableModel, add_one_pair,
+                      assert_same_model, dist_after, make_index,
+                      random_dist_rules, random_record_index, ref_logprob,
+                      ref_train_pair)
 
 
 def toy_model():
@@ -555,7 +556,8 @@ class TestNgramMemo:
         assert first == (math.log(1 / len(vocab)), {})
         for ctx in ([c], [b], [b, c], [END, a, c]):
             assert dist_after(m, ctx) is first
-        assert not m._memo.keys() & {(c,), (b,), (b, c), (a, c)}
+        assert m._dists.keys() == m.counts.keys()
+        assert not m._dists.keys() & {(c,), (b,), (b, c), (a, c)}
 
     @pytest.mark.parametrize("make", [
         lambda vocab: NgramModel(vocab),
@@ -579,7 +581,8 @@ class TestNgramMemo:
         a, b = vocab.encode("a b", on_unknown="grow")
         m = self.trained(vocab, [([a], [b, END])])
         hit = dist_after(m, [a, b])
-        assert m._memo and dist_after(m, [a, b]) is hit
+        assert m._dists.keys() == m.counts.keys()
+        assert m._dists[(a, b)] is hit and dist_after(m, [a, b]) is hit
         for bad in (99, -1):
             with pytest.raises(UnknownToken):  # longer than a state
                 m.start([bad, a, b])
@@ -587,23 +590,46 @@ class TestNgramMemo:
                 m.start([bad, a])
             with pytest.raises(UnknownToken):
                 m.start([bad])
-            with pytest.raises(UnknownToken):  # stepped onto a memoised state
+            with pytest.raises(UnknownToken):  # stepped onto a trained state
                 m.step(m.start([a]), bad)
 
     def test_memo_bounded_by_trained_contexts(self):
+        """The table holds one pair per trained context, made by train:
+        searching adds and replaces none."""
         rng = random.Random(17)
         index = random_record_index(rng, 30, 12, max_len=4)
         m = NgramModel(index.vocab)
         for rec in index.records[:10]:
             prompt = [rng.randrange(2, len(index.vocab))]
             m.train_pair(prompt, list(rec.tokens))
+        assert m._dists.keys() == m.counts.keys()
+        table = dict(m._dists)
         for strategy in STRATEGIES:
             for _ in range(5):
                 prompt = [rng.randrange(2, len(index.vocab)) for _ in range(2)]
                 constrained_beam_search(m, prompt, build(strategy, index), 4)
-        assert m._memo
-        assert len(m._memo) <= len(m.counts)
-        assert m._memo.keys() <= m.counts.keys()
+        assert m._dists.keys() == table.keys()
+        assert all(m._dists[ctx] is dist for ctx, dist in table.items())
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.lists(pair_batches(), max_size=4),
+           st.lists(st.lists(_TOK, max_size=4), max_size=8))
+    def test_table_after_any_trainings(self, order, batches, probes):
+        """After each train call every counted context reads the add-one
+        pair of its counts, and every other state the one unseen pair."""
+        vocab = Vocabulary()
+        vocab.encode("a b c d", on_unknown="grow")  # ids 0..5
+        m = NgramModel(vocab, order)
+        unseen = dist_after(m, [])
+        assert unseen == (math.log(1 / len(vocab)), {})
+        for batch in batches:
+            m.train(batch)
+            for ctx in m.counts:
+                assert m.next_token_distribution(ctx) == add_one_pair(m, ctx)
+            for probe in probes:
+                state = m.start(probe)
+                if state not in m.counts:
+                    assert m.next_token_distribution(state) is unseen
 
 
 TOY_WORDS = sorted(set(TOY_EXTRA_WORDS) | {
