@@ -7,10 +7,11 @@ rounds, and that rejecting r4r under each of the `no_context`,
 `no_explanation` and `no_verification` ablations and under all three, r4r
 with a reasoner whose rules use every match mode} x
 {merge, no merge} x {path-only index, `--views ngram` index}, plus
-{trie, fm_index} x {standard, accepting r4r} without merge on a `--levels 8`
-index, whose docids run 8 to 12 tokens and make the `fm_index` automaton
-clone a quarter of its states, over `make_toy_data.py --docs 400 --queries
-12 --seed 5` data. For each cell it keeps the `run` report, trace and
+the three strategies x {standard, accepting r4r} without merge on a
+`--levels 8` index, whose docids run 8 to 12 tokens: the `fm_index`
+automaton clones a quarter of its states, and `term_set` searches expand
+DAG nodes that deep. The data is `make_toy_data.py --docs 400 --queries 12
+--seed 5`. For each cell it keeps the `run` report, trace and
 stdout, plus `retrieve` output for the first two queries, with the cell's
 reasoner where it has one. Two checkouts that rank identically give
 trees that `diff -r` finds equal, so an exactness claim is checked by
@@ -69,13 +70,13 @@ ABLATIONS = {"r4r-no_context": "no_context",
 PIPELINES.update({cell: ("--T", "3", "--ablation", flags)
                   for cell, flags in ABLATIONS.items()})
 # Per index: its build-index flags, then the strategies, pipelines and
-# merge settings of its cells. The deep index runs four cells only, so the
+# merge settings of its cells. The deep index runs six cells only, so the
 # matrix stays quick.
 INDEXES = {"path": ((), STRATEGIES, tuple(PIPELINES), (False, True)),
            "ngram": (("--views", "ngram"), STRATEGIES, tuple(PIPELINES),
                      (False, True)),
-           "deep": (("--levels", "8"), ("trie", "fm_index"),
-                    ("standard", "r4r-accept"), (False,))}
+           "deep": (("--levels", "8"), STRATEGIES, ("standard", "r4r-accept"),
+                    (False,))}
 RETRIEVED_QUERIES = 2
 
 

@@ -9,13 +9,14 @@ term multiset is accepted).
 
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
-outside the automaton's node table raises InvalidState. The trie and the
-suffix automaton are built whole, answers included: per node, its children
-and the tuple of records complete() hands out, so no call does first-visit
-work. The term-set nodes are made, and expanded, when a search first
-reaches them (the root at construction), and each keeps its answers, so
-each is worked out once per automaton, whatever the number of searches
-over it.
+outside the automaton's node table raises InvalidState. All three answer
+from the same two tables: per node, `children` (token -> node id) and
+`completions` (the tuple of records complete() hands out). The trie and the
+suffix automaton are built whole into them, so no call does first-visit
+work. A term-set node's slots are filled when a search first reaches it
+(the root at construction), once per automaton, whatever the number of
+searches over it; until the first step on a token, that token's entry
+holds the live records of the child it leads to instead of the child's id.
 allowed()'s `tokens` is a view (the keys of the node's dict of children,
 built in ascending token order): it iterates in ascending order, supports
 `in` and set comparison, and cannot be changed through it. complete()
@@ -170,50 +171,21 @@ class FmIndexAutomaton(TrieAutomaton):
     complete = TrieAutomaton.complete
 
 
-class _TermNode:
-    """A sorted sub-multiset of emitted tokens and the records containing it.
-
-    `follow` (token -> the live records of the child it leads to, in
-    ascending token order), `terminal` (the records whose multiset is
-    exactly `key`, in index order) and `moves` (the allowed() pair) stay
-    unset until the node is expanded. `children` (token -> node id) holds
-    the followers stepped into so far.
-    """
-
-    __slots__ = ("key", "live", "follow", "children", "terminal", "moves")
-
-    def __init__(self, key: tuple[int, ...], live):
-        self.key = key
-        self.live = live  # ascending record indices, until expanded
-        self.follow: dict[int, list[int]] | None = None
-        self.children: dict[int, int] = {}
-        self.terminal: tuple[DocIdRecord, ...] = ()
-        self.moves: tuple[KeysView[int], bool] | None = None
-
-    def fill(self, terminal: list[DocIdRecord],
-             follow: dict[int, list[int]]) -> None:
-        """Expand the node: its terminal records, and per follower token
-        its live records."""
-        self.live = ()  # read only by the expansion
-        self.terminal = tuple(terminal)
-        self.follow = dict(sorted(follow.items()))
-        self.moves = self.follow.keys(), bool(terminal)
-
-
-class TermSetAutomaton:
+class TermSetAutomaton(TrieAutomaton):
     """Accepts any emission order of a record's term multiset.
 
     States are node ids in a DAG of sorted sub-multisets, shared by every
     search over the automaton: every emission order of one multiset reaches
-    the same node. The root, which every search reads first, is expanded
-    at construction, in the pass over the records that counts their terms.
-    Any other node is expanded the first time allowed, step or complete
-    touches it, in one pass over its live records that fills its terminal
-    records and each follower's live records; a child node is made only
-    when step enters it. Both are lazy because a record with d distinct
-    terms has 2^d sub-multisets, and a search enters few of the followers
-    it is offered. Expansion mutates the shared DAG unguarded, so one
-    automaton serves one search at a time.
+    the same node. Per node, `keys` holds the sub-multiset and `live` the
+    indices of the records containing it, None once the node is expanded:
+    one pass over them fills its `completions` slot and its `children`
+    slot, ascending, from each follower token to the live records of the
+    child it leads to. The first step on a token makes that child, or finds
+    it in `node_of`, and writes its id over the list, which leaves the keys
+    view as it was. The root is expanded at construction, in the pass that
+    counts the records' terms; any other node on its first visit, as a
+    record with d distinct terms has 2^d sub-multisets. Expansion mutates
+    the shared DAG unguarded, so one automaton serves one search at a time.
     """
 
     def __init__(self, index: DocIdIndex):
@@ -238,28 +210,17 @@ class TermSetAutomaton:
                 terminal.append(rec)
             self.sizes.append(len(body))
             self.multisets.append(tuple(counts.items()))
-        root = _TermNode((), ())
-        root.fill(terminal, follow)
-        self.nodes = [root]
+        self._keep([follow], [terminal])
+        self.keys: list[tuple[int, ...]] = [()]
+        self.live: list[list[int] | None] = [None]
         self.node_of: dict[tuple[int, ...], int] = {(): 0}
 
-    def start(self) -> int:
-        return 0
-
-    def _expanded(self, state: int) -> _TermNode:
-        if not 0 <= state < len(self.nodes):
-            raise InvalidState(f"term-set node {state}")
-        node = self.nodes[state]
-        if node.follow is None:
-            self._expand(node)
-        return node
-
-    def _expand(self, node: _TermNode) -> None:
-        key = node.key
+    def _expand(self, state: int) -> None:
+        key = self.keys[state]
         size = len(key)
         terminal: list[DocIdRecord] = []
         follow: dict[int, list[int]] = {}
-        for ridx in node.live:
+        for ridx in self.live[state]:
             # A live record contains the node's multiset; at equal size the
             # two are equal and nothing is left to emit.
             if self.sizes[ridx] == size:
@@ -269,32 +230,51 @@ class TermSetAutomaton:
             for term, cnt in self.multisets[ridx]:
                 if cnt > key.count(term):
                     follow.setdefault(term, []).append(ridx)
-        node.fill(terminal, follow)
+        self.live[state] = None
+        self.completions[state] = tuple(terminal)
+        self.children[state] = dict(sorted(follow.items()))
 
+    # Defined here, since perfbench/tracing.py wraps them through this
+    # class's __dict__; each checks and expands inline, as a helper call
+    # per read costs more than the check.
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        return self._expanded(state).moves
+        if not 0 <= state < len(self.children):
+            raise InvalidState(f"term-set node {state}")
+        if self.live[state] is not None:
+            self._expand(state)
+        return self.children[state].keys(), bool(self.completions[state])
 
     def step(self, state: int, token: int) -> int:
-        node = self._expanded(state)
-        nxt = node.children.get(token)
-        if nxt is not None:
-            return nxt
-        live = node.follow.get(token)
-        if live is None:
+        if not 0 <= state < len(self.children):
+            raise InvalidState(f"term-set node {state}")
+        if self.live[state] is not None:
+            self._expand(state)
+        children = self.children[state]
+        entry = children.get(token)
+        if entry is None:
             raise IllegalTransition(f"token {token} exhausts all candidates")
-        key = tuple(sorted(node.key + (token,)))
-        nxt = self.node_of.get(key)
-        if nxt is None:
-            nxt = self.node_of[key] = len(self.nodes)
-            self.nodes.append(_TermNode(key, live))
-        node.children[token] = nxt
-        return nxt
+        if type(entry) is int:
+            return entry
+        key = tuple(sorted(self.keys[state] + (token,)))
+        child = self.node_of.get(key)
+        if child is None:
+            child = self.node_of[key] = len(self.children)
+            self.keys.append(key)
+            self.live.append(entry)
+            self.children.append(None)
+            self.completions.append(())
+        children[token] = child
+        return child
 
     def complete(self, state: int) -> tuple[DocIdRecord, ...]:
-        node = self._expanded(state)
-        if not node.terminal:
+        if not 0 <= state < len(self.children):
+            raise InvalidState(f"term-set node {state}")
+        if self.live[state] is not None:
+            self._expand(state)
+        records = self.completions[state]
+        if not records:
             raise NotTerminal("generated set matches no record")
-        return node.terminal
+        return records
 
 
 AUTOMATA = {"trie": TrieAutomaton, "fm_index": FmIndexAutomaton,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Corpus, Query, load_corpus, load_queries
 from .decode import RankedList
-from .docid import DocIdIndex
+from .docid import DocIdIndex, DocIdRecord
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, RemoteModel, ScriptedModel, sequence_logprob
 from .orchestrator import (PIPELINES, REASONS, R4RResult, RefineConfig,
@@ -71,39 +71,46 @@ def mrr_at_k(runs: list[tuple[RankedList, frozenset[str]]], k: int) -> float:
     return total / len(runs)
 
 
+def _path_record(index: DocIdIndex, doc_key: str) -> DocIdRecord | None:
+    """*doc_key*'s path docid record, or None if it has none."""
+    return next((r for r in index.by_doc.get(doc_key, ())
+                 if r.view == "path"), None)
+
+
 def nll_losses(model, corpus: Corpus, pairs: list[tuple[Query, str]],
                index: DocIdIndex, mode: str = "standard",
                reg: PromptRegistry | None = None) -> NllReport:
     """Summed negative log-likelihood of gold path docids: indexing term over
-    every document, retrieval term over the (query, doc) pairs. Diagnostic
-    only; nothing is trained here. A model that cannot score tokens raises
-    NotSupported at the first sequence scored."""
+    every document, retrieval term over the (query, doc) pairs. In
+    instruction mode a document is prompted with P_i, a newline and its
+    text, and a query with the retrieval prompt that training and decoding
+    encode (retrieve_prompt_ids); in standard mode each with its text
+    alone. Diagnostic only; nothing is trained here. A model that cannot
+    score tokens raises NotSupported at the first sequence scored."""
     if mode not in ("standard", "instruction"):
         raise ConfigError(f"unknown nll mode {mode!r}")
     reg = reg or PromptRegistry.default()
     vocab = index.vocab
+    instruction = mode == "instruction"
 
-    def gold_record(doc_key: str):
-        recs = [r for r in index.by_doc.get(doc_key, []) if r.view == "path"]
-        if not recs:
+    def gold_tokens(doc_key: str) -> list[int]:
+        rec = _path_record(index, doc_key)
+        if rec is None:
             raise ConfigError(f"no path docid for {doc_key!r}")
-        return recs[0]
-
-    def prompt_ids(instruction: str, body: str) -> list[int]:
-        if mode == "instruction":
-            body = instruction + "\n" + body
-        return vocab.encode(body, on_unknown="skip")
+        return list(rec.tokens)
 
     indexing = 0.0
     for doc in corpus:
-        rec = gold_record(doc.doc_key)
+        text = (reg.templates["P_i"] + "\n" + doc.text if instruction
+                else doc.text)
         indexing -= sequence_logprob(
-            model, prompt_ids(reg.templates["P_i"], doc.text), list(rec.tokens))
+            model, vocab.encode(text, on_unknown="skip"),
+            gold_tokens(doc.doc_key))
     retrieval = 0.0
     for q, doc_key in pairs:
-        rec = gold_record(doc_key)
-        retrieval -= sequence_logprob(
-            model, prompt_ids(reg.templates["P_r"], q.text), list(rec.tokens))
+        prompt = (retrieve_prompt_ids(reg, vocab, q.text) if instruction
+                  else vocab.encode(q.text, on_unknown="skip"))
+        retrieval -= sequence_logprob(model, prompt, gold_tokens(doc_key))
     return NllReport(indexing_loss=indexing, retrieval_loss=retrieval, mode=mode)
 
 
@@ -166,10 +173,9 @@ def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
     for q in load_queries(train_queries_path):
         prompt = retrieve_prompt_ids(reg, index.vocab, q.text)
         for doc_key in sorted(q.relevant_keys):
-            recs = [r for r in index.by_doc.get(doc_key, [])
-                    if r.view == "path"]
-            if recs:
-                pairs.append((prompt, recs[0].tokens))
+            rec = _path_record(index, doc_key)
+            if rec is not None:
+                pairs.append((prompt, rec.tokens))
     model = NgramModel(index.vocab)
     model.train(pairs)
     return model

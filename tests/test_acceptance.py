@@ -437,16 +437,21 @@ def test_acceptance_7_refinement_gain():
 
 
 # --------------------------------------------------------------------------
-# 8. NLL sanity: training decreases loss; instruction mode only prepends.
+# 8. NLL sanity: training decreases loss; instruction mode scores the prompt
+# that training and decoding encode.
 
 @verdict("acceptance 8 (nll decreases with training; instruction prefix exact)")
 def test_acceptance_8_nll_sanity():
-    index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS)
+    # "phrases", P_r's last word, is in the vocabulary, so a one-word query
+    # read without the prompt's "Query:" line meets a context it was never
+    # trained on.
+    index = make_index(TOY_SURFACES, TOY_EXTRA_WORDS + ["phrases"])
     corpus = Corpus([Document("d1", "food apple calories fruit"),
                      Document("d2", "tech apple company details"),
                      Document("d3", "food banana fruit")])
     queries = [Query("q1", "which fruit calories", frozenset({"d1"})),
-               Query("q2", "company details", frozenset({"d2"}))]
+               Query("q2", "company details", frozenset({"d2"})),
+               Query("q3", "fruit", frozenset({"d3"}))]
     pairs = [(q, next(iter(q.relevant_keys))) for q in queries]
 
     untrained = NgramModel(index.vocab)
@@ -462,23 +467,26 @@ def test_acceptance_8_nll_sanity():
     assert after.retrieval_loss < before.retrieval_loss
 
     # Instruction mode must equal the standard computation with the template
-    # token-prepended, and nothing else.
-    model = ScriptedModel(index.vocab, dist_rules=TOY_DIST_RULES)
-    ins = nll_losses(model, corpus, pairs, index, mode="instruction")
-    manual_idx = -sum(sequence_logprob(
-        model,
-        index.vocab.encode(DEFAULT_PROMPTS["P_i"] + "\n" + d.text,
-                           on_unknown="skip"),
-        list(index.by_doc[d.doc_key][0].tokens)) for d in corpus)
-    manual_ret = -sum(sequence_logprob(
-        model,
-        index.vocab.encode(pr + "\n" + q.text, on_unknown="skip"),
-        list(index.by_doc[doc_key][0].tokens)) for q, doc_key in pairs)
-    assert ins.indexing_loss == pytest.approx(manual_idx)
-    assert ins.retrieval_loss == pytest.approx(manual_ret)
+    # token-prepended: P_i and a newline before a document, and for a query
+    # the retrieval prompt, P_r + "\nQuery: " + the query.
+    scripted = ScriptedModel(index.vocab, dist_rules=TOY_DIST_RULES)
+    for model in (scripted, trained):
+        ins = nll_losses(model, corpus, pairs, index, mode="instruction")
+        manual_idx = -sum(sequence_logprob(
+            model,
+            index.vocab.encode(DEFAULT_PROMPTS["P_i"] + "\n" + d.text,
+                               on_unknown="skip"),
+            list(index.by_doc[d.doc_key][0].tokens)) for d in corpus)
+        manual_ret = -sum(sequence_logprob(
+            model,
+            index.vocab.encode(pr + "\nQuery: " + q.text, on_unknown="skip"),
+            list(index.by_doc[doc_key][0].tokens)) for q, doc_key in pairs)
+        assert ins.indexing_loss == manual_idx
+        assert ins.retrieval_loss == manual_ret
     for q, _ in pairs:
-        with_prefix = index.vocab.encode(pr + "\n" + q.text, on_unknown="skip")
-        prefix = index.vocab.encode(pr, on_unknown="skip")
+        with_prefix = index.vocab.encode(pr + "\nQuery: " + q.text,
+                                         on_unknown="skip")
+        prefix = index.vocab.encode(pr + "\nQuery: ", on_unknown="skip")
         bare = index.vocab.encode(q.text, on_unknown="skip")
         assert with_prefix == prefix + bare
 

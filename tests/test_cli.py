@@ -656,10 +656,10 @@ class TestToyScripts:
         assert matrix_trees[0] == matrix_trees[1]
         files = matrix_trees[0]
         # 2 indexes x 3 strategies x 9 pipelines x 2 merge settings, plus
-        # the deep index's 2 strategies x 2 pipelines.
-        assert sum(name.endswith("report.json") for name in files) == 112
+        # the deep index's 3 strategies x 2 pipelines.
+        assert sum(name.endswith("report.json") for name in files) == 114
         # retrieve runs in every cell, for the first two queries.
-        assert sum("/retrieve-" in name for name in files) == 224
+        assert sum("/retrieve-" in name for name in files) == 228
         for name, content in files.items():
             if name.endswith(".txt"):
                 assert content.startswith(b"exit 0\n"), name
@@ -686,7 +686,7 @@ class TestToyScripts:
         files = matrix_trees[0]
         cells = {name.rsplit("/", 1)[0] for name in files
                  if "/r4r-" in name and name.endswith("trace.jsonl")}
-        assert len(cells) == 2 * 3 * 7 * 2 + 2
+        assert len(cells) == 2 * 3 * 7 * 2 + 3
         for cell in sorted(cells):
             traces = files[f"{cell}/trace.jsonl"].splitlines()
             for i in range(2):

@@ -18,6 +18,7 @@ from gentrieval.docid import DocIdIndex, build_index
 from gentrieval.errors import (ConfigError, EmptyIndex, IllegalTransition,
                                InvalidState, NotTerminal)
 from gentrieval.fm_index import SENTINEL, SequenceFMIndex, suffix_array
+from gentrieval.lm import NgramModel
 
 from conftest import (TableModel, enumerate_accepted, make_index,
                       random_record_index, sep_joined)
@@ -492,10 +493,11 @@ class TestTermSetDag:
 
             walk(a.start(), ())
             assert len(set(node_of.values())) == len(node_of)
-            assert len(a.nodes) == len(a.node_of)
+            assert len(a.children) == len(a.completions) == len(a.keys) \
+                == len(a.live) == len(a.node_of)
 
     def test_second_search_adds_no_node(self):
-        check_second_search_adds_no_node(TermSetAutomaton, "nodes")
+        check_second_search_adds_no_node(TermSetAutomaton, "children")
 
 
 class TestTermSetRoot:
@@ -507,9 +509,9 @@ class TestTermSetRoot:
         expanded = []
         expand = TermSetAutomaton._expand
 
-        def counted(self, node):
-            expanded.append(node.key)
-            expand(self, node)
+        def counted(self, state):
+            expanded.append(self.keys[state])
+            expand(self, state)
 
         monkeypatch.setattr(TermSetAutomaton, "_expand", counted)
         allowed, end_ok = a.allowed(0)
@@ -545,7 +547,7 @@ class TestTermSetRoot:
 class TestInvalidNode:
     @pytest.mark.parametrize("cls, table", [(TrieAutomaton, "children"),
                                             (FmIndexAutomaton, "children"),
-                                            (TermSetAutomaton, "nodes")])
+                                            (TermSetAutomaton, "children")])
     def test_out_of_range(self, toy_index, cls, table):
         a = cls(toy_index)
         food = tok(toy_index, "food")
@@ -595,6 +597,28 @@ class TestAllowedView:
                              for t in allowed)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stepping_while_iterating(self, strategy):
+        """As the beam does, step each token of a fresh node's view while
+        the view is still being iterated: the term set writes a new child's
+        id into the very dict the view reads, which must neither raise nor
+        change the tokens or their order."""
+        rng = random.Random(23)
+        for _ in range(10):
+            index = random_record_index(rng, rng.randint(2, 12), 6,
+                                        max_len=4)
+            a = build(strategy, index)
+            stack = [(a.start(), ())]
+            while stack:
+                state, emitted = stack.pop()
+                allowed, _ = a.allowed(state)
+                got = []
+                for t in allowed:
+                    got.append(t)
+                    stack.append((a.step(state, t), emitted + (t,)))
+                assert got == sorted(naive_allowed(strategy, index, emitted))
+                assert list(a.allowed(state)[0]) == got
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_read_only(self, toy_index, strategy):
         a = build(strategy, toy_index)
         state = a.start()
@@ -620,8 +644,7 @@ def naive_complete(strategy, index, emitted):
 
 
 class TestKeptAnswers:
-    """allowed() hands out the node's own tokens (the trie's and the suffix
-    automaton's dict of children, the term-set node's kept pair) and
+    """allowed() hands out a view of the node's own dict of children and
     complete() one kept tuple per node, the same objects on every call,
     equal to a scan of the records."""
 
@@ -637,11 +660,9 @@ class TestKeptAnswers:
                 state, emitted = stack.pop()
                 done = naive_complete(strategy, index, emitted)
                 moves = a.allowed(state)
-                if strategy == "term_set":
-                    assert a.allowed(state) is moves
-                else:  # a view of the kept dict itself, not of a copy
-                    [kept] = gc.get_referents(moves[0])
-                    assert kept is a.children[state]
+                # A view of the kept dict itself, not of a copy.
+                [kept] = gc.get_referents(moves[0])
+                assert kept is a.children[state]
                 assert moves == (naive_allowed(strategy, index, emitted),
                                  bool(done))
                 if done:
@@ -697,12 +718,15 @@ class TestFmMemo:
 
 
 class TestBuiltMemory:
-    """Memory held after the build, on the 1000-doc toy corpus at 8 levels,
-    where docids run 8 to 12 tokens and suffix-automaton states get cloned.
-    The trie holds about 1.75 MB and the suffix automaton about 2.6 MB: per
-    node its dict of children and its tuple of records. A kept allowed()
-    pair per node, or a list of records per node beside the tuples, makes
-    either exceed its bound."""
+    """Memory held on the 1000-doc toy corpus at 8 levels, where docids run
+    8 to 12 tokens and suffix-automaton states get cloned. The trie holds
+    about 1.75 MB and the suffix automaton about 2.6 MB after the build:
+    per node its dict of children and its tuple of records. A kept
+    allowed() pair per node, or a list of records per node beside the
+    tuples, makes either exceed its bound. The term set grows as searches
+    reach its nodes, so it is measured after decoding 50 fixed queries:
+    about 5.2 MB, where a node object per node, with a second dict of
+    stepped children and a kept allowed() pair, held 6.25 MB."""
 
     @pytest.fixture(scope="class")
     def deep_index(self, toy_corpus):
@@ -720,6 +744,29 @@ class TestBuiltMemory:
             tracemalloc.stop()
         assert len(a.children) > 7000
         assert held <= bound_mb * 1e6
+
+    def test_term_set_held_after_decoding(self, deep_index, toy_corpus):
+        # Each query is the first 8 known words of a document's text; the
+        # model is trained to answer it with that document's path docid.
+        pairs = []
+        for doc in list(toy_corpus(1000))[:50]:
+            [rec] = [r for r in deep_index.by_doc[doc.doc_key]
+                     if r.view == "path"]
+            pairs.append((deep_index.vocab.encode(
+                doc.text, on_unknown="skip")[:8], rec.tokens))
+        model = NgramModel(deep_index.vocab)
+        model.train(pairs)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            a = TermSetAutomaton(deep_index)
+            for prompt, _ in pairs:
+                constrained_beam_search(model, prompt, a, 10)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(a.children) > 2000
+        assert held <= 5.7e6
 
 
 class TestNoDeadEnds:
