@@ -3,20 +3,22 @@
 Three strategies restrict beam search to valid docids: a prefix trie (whole
 identifier sequences), the `fm_index` strategy's suffix automaton of the
 identifier bodies (any contiguous span of a body is emitted, and accepted
-when it runs to the body's end), and a term-set automaton over a lazily
-expanded, memoised DAG of sorted sub-multisets (any ordering of a record's
-term multiset is accepted).
+when it runs to the body's end), and a term-set automaton over a memoised
+DAG of sorted sub-multisets, made as steps reach them (any ordering of a
+record's term multiset is accepted).
 
 Each automaton has start(), allowed(state) -> (tokens, end_ok),
 step(state, token) and complete(state). States are int node ids, and an id
 outside the automaton's node table raises InvalidState. All three answer
 from the same two tables: per node, `children` (token -> node id) and
-`completions` (the tuple of records complete() hands out). The trie and the
-suffix automaton are built whole into them, so no call does first-visit
-work. A term-set node's slots are filled when a search first reaches it
-(the root at construction), once per automaton, whatever the number of
-searches over it; until the first step on a token, that token's entry
-holds the live records of the child it leads to instead of the child's id.
+`completions` (the tuple of records complete() hands out), and all three
+through the trie's allowed() and complete(). The trie and the suffix
+automaton are built whole into them. A term-set node is made whole, both
+slots filled, by the step that first enters its multiset (the root at
+construction), once per automaton, whatever the number of searches over
+it; so no automaton does first-visit work in allowed() or complete().
+Until the first step on a token, that token's entry holds the live
+records of the child it leads to instead of the child's id.
 allowed()'s `tokens` is a view (the keys of the node's dict of children,
 built in ascending token order): it iterates in ascending order, supports
 `in` and set comparison, and cannot be changed through it. complete()
@@ -77,12 +79,12 @@ class TrieAutomaton:
 
     def allowed(self, state: int) -> tuple[KeysView[int], bool]:
         if not 0 <= state < len(self.children):
-            raise InvalidState(f"trie node {state}")
+            raise InvalidState(f"{type(self).__name__} node {state}")
         return self.children[state].keys(), bool(self.completions[state])
 
     def step(self, state: int, token: int) -> int:
         if not 0 <= state < len(self.children):
-            raise InvalidState(f"trie node {state}")
+            raise InvalidState(f"{type(self).__name__} node {state}")
         nxt = self.children[state].get(token)
         if nxt is None:
             raise IllegalTransition(f"token {token} from node {state}")
@@ -90,10 +92,10 @@ class TrieAutomaton:
 
     def complete(self, state: int) -> tuple[DocIdRecord, ...]:
         if not 0 <= state < len(self.completions):
-            raise InvalidState(f"trie node {state}")
+            raise InvalidState(f"{type(self).__name__} node {state}")
         records = self.completions[state]
         if not records:
-            raise NotTerminal(f"trie node {state}")
+            raise NotTerminal(f"{type(self).__name__} node {state}")
         return records
 
 
@@ -176,16 +178,16 @@ class TermSetAutomaton(TrieAutomaton):
 
     States are node ids in a DAG of sorted sub-multisets, shared by every
     search over the automaton: every emission order of one multiset reaches
-    the same node. Per node, `keys` holds the sub-multiset and `live` the
-    indices of the records containing it, None once the node is expanded:
-    one pass over them fills its `completions` slot and its `children`
-    slot, ascending, from each follower token to the live records of the
-    child it leads to. The first step on a token makes that child, or finds
-    it in `node_of`, and writes its id over the list, which leaves the keys
-    view as it was. The root is expanded at construction, in the pass that
-    counts the records' terms; any other node on its first visit, as a
-    record with d distinct terms has 2^d sub-multisets. Expansion mutates
-    the shared DAG unguarded, so one automaton serves one search at a time.
+    the same node, and `keys` holds each node's sub-multiset. A node is
+    made whole, in one pass over the records that contain its multiset: it
+    fills the node's `completions` slot and its `children` slot, ascending,
+    from each follower token to the live records of the child it leads to.
+    So the trie's allowed() and complete() answer for it. The root is made
+    at construction; any other node when a step first enters its multiset,
+    as a record with d distinct terms has 2^d sub-multisets. That step
+    makes the child, or finds it in `node_of`, and writes its id over the
+    list, which leaves the keys view as it was. Steps mutate the shared
+    DAG unguarded, so one automaton serves one search at a time.
     """
 
     def __init__(self, index: DocIdIndex):
@@ -193,34 +195,26 @@ class TermSetAutomaton(TrieAutomaton):
         self.sizes: list[int] = []
         # Per record, its (term, count) pairs.
         self.multisets: list[tuple[tuple[int, int], ...]] = []
-        # The root's expansion, made in the same pass: every record is live
-        # there, an empty body ends at it, and every term follows it.
-        terminal: list[DocIdRecord] = []
-        follow: dict[int, list[int]] = {}
-        for ridx, rec in enumerate(self.records):
+        for rec in self.records:
             body = _body(rec)
             counts: dict[int, int] = {}
             for term in body:
-                if term in counts:
-                    counts[term] += 1
-                else:
-                    counts[term] = 1
-                    follow.setdefault(term, []).append(ridx)
-            if not body:
-                terminal.append(rec)
+                counts[term] = counts.get(term, 0) + 1
             self.sizes.append(len(body))
             self.multisets.append(tuple(counts.items()))
-        self._keep([follow], [terminal])
-        self.keys: list[tuple[int, ...]] = [()]
-        self.live: list[list[int] | None] = [None]
-        self.node_of: dict[tuple[int, ...], int] = {(): 0}
+        self.children: list[dict[int, int | list[int]]] = []
+        self.completions: list[tuple[DocIdRecord, ...]] = []
+        self.keys: list[tuple[int, ...]] = []
+        self.node_of: dict[tuple[int, ...], int] = {}
+        self._make((), range(len(self.records)))
 
-    def _expand(self, state: int) -> None:
-        key = self.keys[state]
+    def _make(self, key: tuple[int, ...], live) -> int:
+        """The id of a new node for the sorted sub-multiset *key*, whose
+        live records (the indices of those containing it) are *live*."""
         size = len(key)
         terminal: list[DocIdRecord] = []
         follow: dict[int, list[int]] = {}
-        for ridx in self.live[state]:
+        for ridx in live:
             # A live record contains the node's multiset; at equal size the
             # two are equal and nothing is left to emit.
             if self.sizes[ridx] == size:
@@ -230,25 +224,20 @@ class TermSetAutomaton(TrieAutomaton):
             for term, cnt in self.multisets[ridx]:
                 if cnt > key.count(term):
                     follow.setdefault(term, []).append(ridx)
-        self.live[state] = None
-        self.completions[state] = tuple(terminal)
-        self.children[state] = dict(sorted(follow.items()))
+        node = self.node_of[key] = len(self.children)
+        self.keys.append(key)
+        self.completions.append(tuple(terminal))
+        self.children.append(dict(sorted(follow.items())))
+        return node
 
-    # Defined here, since perfbench/tracing.py wraps them through this
-    # class's __dict__; each checks and expands inline, as a helper call
-    # per read costs more than the check.
-    def allowed(self, state: int) -> tuple[KeysView[int], bool]:
-        if not 0 <= state < len(self.children):
-            raise InvalidState(f"term-set node {state}")
-        if self.live[state] is not None:
-            self._expand(state)
-        return self.children[state].keys(), bool(self.completions[state])
+    # Bound here, since perfbench/tracing.py wraps them through this
+    # class's __dict__.
+    allowed = TrieAutomaton.allowed
+    complete = TrieAutomaton.complete
 
     def step(self, state: int, token: int) -> int:
         if not 0 <= state < len(self.children):
-            raise InvalidState(f"term-set node {state}")
-        if self.live[state] is not None:
-            self._expand(state)
+            raise InvalidState(f"{type(self).__name__} node {state}")
         children = self.children[state]
         entry = children.get(token)
         if entry is None:
@@ -258,23 +247,9 @@ class TermSetAutomaton(TrieAutomaton):
         key = tuple(sorted(self.keys[state] + (token,)))
         child = self.node_of.get(key)
         if child is None:
-            child = self.node_of[key] = len(self.children)
-            self.keys.append(key)
-            self.live.append(entry)
-            self.children.append(None)
-            self.completions.append(())
+            child = self._make(key, entry)
         children[token] = child
         return child
-
-    def complete(self, state: int) -> tuple[DocIdRecord, ...]:
-        if not 0 <= state < len(self.children):
-            raise InvalidState(f"term-set node {state}")
-        if self.live[state] is not None:
-            self._expand(state)
-        records = self.completions[state]
-        if not records:
-            raise NotTerminal("generated set matches no record")
-        return records
 
 
 AUTOMATA = {"trie": TrieAutomaton, "fm_index": FmIndexAutomaton,

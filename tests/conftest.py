@@ -230,16 +230,18 @@ def ref_train_pair(m, prompt, target):
     and nothing else."""
     seq = list(prompt) + list(target)
     for i in range(len(seq)):
-        ctx = tuple(seq[max(0, i - (m.order - 1)):i])
-        bucket = m.counts.setdefault(ctx, {})
-        bucket[seq[i]] = bucket.get(seq[i], 0) + 1
+        # The context lengths counted at a position: the full window only.
+        for n in (min(i, m.order - 1),):
+            bucket = m.counts.setdefault(tuple(seq[i - n:i]), {})
+            bucket[seq[i]] = bucket.get(seq[i], 0) + 1
 
 
-def add_one_pair(m, ctx):
+def ref_dist(m, ctx):
     """The (default, overrides) pair of the add-one n-gram model *m* after
-    the trained context *ctx*, from m.counts alone, by the formula
-    ref_logprob uses."""
-    bucket = m.counts[ctx]
+    the context *ctx*, from m.counts alone: the one formula that
+    ref_logprob and assert_same_model score with. An uncounted context
+    has no overrides."""
+    bucket = m.counts.get(ctx, {})
     total = sum(bucket.values()) + len(m.vocab)
     return math.log(1 / total), {t: math.log((c + 1) / total)
                                  for t, c in bucket.items()}
@@ -253,7 +255,7 @@ def assert_same_model(batched, ref):
     assert list(batched.counts) == list(ref.counts)
     for ctx, bucket in ref.counts.items():
         assert list(batched.counts[ctx]) == list(bucket)
-        assert dist_after(batched, ctx) == add_one_pair(ref, ctx)
+        assert dist_after(batched, ctx) == ref_dist(ref, ctx)
 
 
 def dist_after(model, ctx):
@@ -269,12 +271,11 @@ def ref_logprob(m, prompt, target):
     it. Never reads m's states, so it checks sequence_logprob and the beam
     from outside."""
     seq = list(prompt) + list(target)
-    v = len(m.vocab)
     total = 0.0
     for i in range(len(prompt), len(seq)):
-        bucket = m.counts.get(tuple(seq[max(0, i - (m.order - 1)):i]), {})
-        total += math.log((bucket.get(seq[i], 0) + 1)
-                          / (sum(bucket.values()) + v))
+        default, overrides = ref_dist(
+            m, tuple(seq[max(0, i - (m.order - 1)):i]))
+        total += overrides.get(seq[i], default)
     return total
 
 

@@ -436,12 +436,13 @@ def naive_term_set(index, emitted):
     return allowed, bool(done), tuple(done)
 
 
-def multiset_index(rng):
+def multiset_index(rng, max_words=4):
     """Random records over three words, so terms repeat, and some records
     reorder an earlier record's words, so records share a multiset."""
     surfaces = {}
     for i in range(rng.randint(2, 8)):
-        words = [rng.choice("xyz") for _ in range(rng.randint(1, 4))]
+        words = [rng.choice("xyz")
+                 for _ in range(rng.randint(1, max_words))]
         surfaces[f"d{i}"] = "-".join(words)
         if rng.random() < 0.4:
             rng.shuffle(words)
@@ -494,34 +495,77 @@ class TestTermSetDag:
             walk(a.start(), ())
             assert len(set(node_of.values())) == len(node_of)
             assert len(a.children) == len(a.completions) == len(a.keys) \
-                == len(a.live) == len(a.node_of)
+                == len(a.node_of)
 
     def test_second_search_adds_no_node(self):
         check_second_search_adds_no_node(TermSetAutomaton, "children")
 
+    def test_beam_searches_leave_every_node_made(self):
+        """Every node a step returns has its slots filled already, and
+        after the searches the DAG is the root plus exactly the sorted
+        multisets they stepped into."""
+        rng = random.Random(5)
+        for trial in range(30):
+            # Every other index has records of up to 8 terms, 8 levels deep.
+            index = multiset_index(rng, 8 if trial % 2 else 4)
+            a = TermSetAutomaton(index)
+            stepped = set()
+            step = a.step
+
+            def spied(state, token):
+                child = step(state, token)
+                stepped.add(tuple(sorted(a.keys[state] + (token,))))
+                assert type(a.children[child]) is dict
+                return child
+
+            a.step = spied
+            model = TableModel(len(index.vocab), seed=trial)
+            for width in (1, 3, 8):
+                constrained_beam_search(model, [0, 1], a, width)
+            assert all(type(c) is dict for c in a.children)
+            assert len(a.children) == 1 + len(stepped)
+            assert set(a.node_of) == stepped | {()}
+
 
 class TestTermSetRoot:
-    """The root is expanded with the automaton, in its pass over the
-    records."""
+    """The root is made with the automaton; any other node by the first
+    step into its multiset, and by no other call."""
 
     def test_root_calls_expand_nothing(self, toy_index, monkeypatch):
         a = TermSetAutomaton(toy_index)
-        expanded = []
-        expand = TermSetAutomaton._expand
+        made = []
+        make = TermSetAutomaton._make
 
-        def counted(self, state):
-            expanded.append(self.keys[state])
-            expand(self, state)
+        def counted(self, key, live):
+            made.append(key)
+            return make(self, key, live)
 
-        monkeypatch.setattr(TermSetAutomaton, "_expand", counted)
+        monkeypatch.setattr(TermSetAutomaton, "_make", counted)
         allowed, end_ok = a.allowed(0)
         assert (set(allowed), end_ok) == naive_term_set(toy_index, ())[:2]
-        children = {t: a.step(0, t) for t in allowed}
         with pytest.raises(NotTerminal):
             a.complete(0)
-        assert expanded == []
-        a.allowed(children[min(children)])
-        assert expanded == [(min(children),)]
+        assert made == []
+        food, apple = tok(toy_index, "food"), tok(toy_index, "apple")
+        assert apple > food
+        # A first step onto a new multiset makes it once, under its sorted
+        # key; the same step again finds the id written over the list.
+        after_apple = a.step(0, apple)
+        assert made == [(apple,)]
+        assert a.step(0, apple) == after_apple
+        both = a.step(after_apple, food)
+        assert made == [(apple,), (food, apple)]
+        # The other order reaches the same node through node_of.
+        assert a.step(a.step(0, food), apple) == both
+        assert made == [(apple,), (food, apple), (food,)]
+        for state in range(len(a.children)):
+            a.allowed(state)
+            try:
+                a.complete(state)
+            except NotTerminal:
+                pass
+        assert made == [(apple,), (food, apple), (food,)]
+        assert a.complete(both) == (toy_index.records[0],)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_empty_body_at_the_root(self, strategy):
@@ -553,13 +597,18 @@ class TestInvalidNode:
         food = tok(toy_index, "food")
         a.step(a.start(), food)
         nodes = len(getattr(a, table))
+        # The message names the automaton's class, whichever class's
+        # method raised it.
         for state in (-1, nodes):
-            with pytest.raises(InvalidState):
+            message = f"{cls.__name__} node {state}"
+            with pytest.raises(InvalidState, match=f"^{message}$"):
                 a.allowed(state)
-            with pytest.raises(InvalidState):
+            with pytest.raises(InvalidState, match=f"^{message}$"):
                 a.step(state, food)
-            with pytest.raises(InvalidState):
+            with pytest.raises(InvalidState, match=f"^{message}$"):
                 a.complete(state)
+        with pytest.raises(NotTerminal, match=f"^{cls.__name__} node 0$"):
+            a.complete(a.start())
         assert len(getattr(a, table)) == nodes
 
 

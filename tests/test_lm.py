@@ -20,9 +20,9 @@ from gentrieval.reasoning import PromptRegistry
 
 from conftest import (DEEP_JSON, PARSER_LIMITS, TOY_DIST_RULES,
                       TOY_EXTRA_WORDS, TOY_SURFACES, GenerateHandler,
-                      SparseTableModel, TableModel, add_one_pair,
-                      assert_same_model, dist_after, make_index,
-                      random_dist_rules, random_record_index, ref_logprob,
+                      SparseTableModel, TableModel, assert_same_model,
+                      dist_after, make_index, random_dist_rules,
+                      random_record_index, ref_dist, ref_logprob,
                       ref_train_pair)
 
 
@@ -625,7 +625,7 @@ class TestNgramMemo:
         for batch in batches:
             m.train(batch)
             for ctx in m.counts:
-                assert m.next_token_distribution(ctx) == add_one_pair(m, ctx)
+                assert m.next_token_distribution(ctx) == ref_dist(m, ctx)
             for probe in probes:
                 state = m.start(probe)
                 if state not in m.counts:
