@@ -16,7 +16,7 @@ import sys
 
 from .constraint import STRATEGIES
 from .corpus import Query, load_corpus, read_jsonl
-from .docid import VIEWS, build_index, check_views
+from .docid import VIEW_PATH, VIEWS, build_index, check_views
 from .errors import ConfigError, GentrievalError
 from .evaluation import (ExperimentConfig, check_outputs, check_r4r_only,
                          check_writable, load_pipeline, run_experiment,
@@ -41,9 +41,6 @@ def bounded_int(low: int, high: int | None = None):
 
 
 positive_int = bounded_int(1)
-# Embedding width cap: an index holds one float per dimension for each
-# document's vector while it is built, and for every centroid it stores.
-MAX_DIM = 4096
 # Tree depth cap: a path docid holds one label per level, and the tree is
 # built and labeled one recursive call per level.
 MAX_LEVELS = 64
@@ -73,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"depth of the docid tree, at most {MAX_LEVELS}")
     p.add_argument("--branching", type=positive_int, default=8,
                    help="clusters per tree node, at most the group size")
-    p.add_argument("--dim", type=bounded_int(2, MAX_DIM), default=64,
-                   help=f"embedding width, at most {MAX_DIM}")
     p.add_argument("--views", type=names, default="",
                    help=f"comma list from {{{','.join(VIEWS)}}}")
     p.add_argument("--seed", type=bounded_int(0, 2 ** 64 - 1), default=0,
@@ -149,11 +144,10 @@ def _cmd_build_index(args) -> int:
     check_writable(args.out)
     corpus = load_corpus(args.corpus)
     index = build_index(
-        corpus, levels=args.levels, branching=args.branching, dim=args.dim,
-        seed=args.seed, views=args.views,
-        extra_vocab_texts=list(DEFAULT_PROMPTS.values()))
+        corpus, levels=args.levels, branching=args.branching, seed=args.seed,
+        views=args.views, extra_vocab_texts=list(DEFAULT_PROMPTS.values()))
     index.save(args.out)
-    n_path = sum(1 for r in index.records if r.view == "path")
+    n_path = sum(1 for r in index.records if r.view == VIEW_PATH)
     print(f"wrote {args.out}: {len(index.records)} records "
           f"({n_path} path docids), vocab {len(index.vocab)}")
     return 0

@@ -92,11 +92,6 @@ class Vocabulary:
         return " ".join(self._id_to_word[t] for t in tokens
                         if t not in (END, SEP))
 
-    def ingest(self, text: str) -> None:
-        """Grow the vocabulary from *text* without returning ids."""
-        for w in words_of(text):
-            self.add(w)
-
     def to_dict(self) -> dict[str, str]:
         return {str(i): w for i, w in enumerate(self._id_to_word)}
 
@@ -177,12 +172,6 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.documents)
-
-    def __getitem__(self, key: str) -> Document:
-        return self.documents[self.by_key[key]]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.by_key
 
 
 def _is_str_list(value) -> bool:

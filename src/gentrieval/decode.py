@@ -21,9 +21,9 @@ set-like view that iterates in ascending order, so the beam reads it in
 place and never sorts or copies it; complete(state) hands out a kept
 tuple of records, which the Hypothesis holds as it is.
 
-dedup_rank reads the finished hypotheses directly: it keeps the best
-(score, record) per document and makes a Candidate only for each of the k
-it returns.
+dedup_rank and merge_views read the finished hypotheses directly. Both
+show each document by one representative record, which `_representatives`
+picks, and make a Candidate only for each of the k they return.
 """
 
 from __future__ import annotations
@@ -140,11 +140,11 @@ def constrained_beam_search(model, prompt_tokens: list[int], automaton,
             for neg, tokens, state in pool]
 
 
-def dedup_rank(hyps: list[Hypothesis], k: int) -> RankedList:
-    """Best-scoring record per doc_key over the hypotheses' records, ordered
-    (score desc, surface asc), truncated to k. At equal score the smaller
-    surface represents its document. Candidates are made only for the k
-    returned."""
+def _representatives(hyps: list[Hypothesis]
+                     ) -> dict[str, tuple[float, DocIdRecord]]:
+    """Per doc_key, its representative (score, record) over the hypotheses'
+    records: the highest score, then the smaller surface; on a full tie the
+    first met stays. Both rankers show this record."""
     best: dict[str, tuple[float, DocIdRecord]] = {}
     for h in hyps:
         score = h.score
@@ -153,7 +153,13 @@ def dedup_rank(hyps: list[Hypothesis], k: int) -> RankedList:
             if cur is None or score > cur[0] or (
                     score == cur[0] and rec.surface < cur[1].surface):
                 best[rec.doc_key] = score, rec
-    ranked = sorted(best.items(),
+    return best
+
+
+def dedup_rank(hyps: list[Hypothesis], k: int) -> RankedList:
+    """Each document's representative, ordered (score desc, surface asc),
+    truncated to k. Candidates are made only for the k returned."""
+    ranked = sorted(_representatives(hyps).items(),
                     key=lambda e: (-e[1][0], e[1][1].surface, e[0]))
     return RankedList([Candidate(rec, score)
                        for _, (score, rec) in ranked[:k]])
@@ -164,25 +170,17 @@ def merge_views(hyps: list[Hypothesis], k: int) -> RankedList:
 
     Each document's aggregate is log sum_h exp(score_h) over its hypotheses in
     the beam, each hypothesis counted once however many of the document's
-    records it completes to; the representative record is the best-scoring
-    one, and at equal score the smaller surface. Ties order by doc_key.
+    records it completes to, summed in beam order; its record is its
+    representative. Ties order by doc_key.
     """
-    contributions: dict[str, list[tuple[float, DocIdRecord]]] = {}
+    scores: dict[str, list[float]] = {}
     for h in hyps:
-        # Per document, this hypothesis's smallest-surface record.
-        own: dict[str, DocIdRecord] = {}
-        for rec in h.records:
-            cur = own.get(rec.doc_key)
-            if cur is None or rec.surface < cur.surface:
-                own[rec.doc_key] = rec
-        for doc_key, rec in own.items():
-            contributions.setdefault(doc_key, []).append((h.score, rec))
+        for doc_key in {rec.doc_key for rec in h.records}:
+            scores.setdefault(doc_key, []).append(h.score)
     ranked: list[Candidate] = []
-    for doc_key in sorted(contributions):
-        entries = contributions[doc_key]
-        m = max(s for s, _ in entries)
-        agg = m + math.log(sum(math.exp(s - m) for s, _ in entries))
-        best_rec = min(entries, key=lambda e: (-e[0], e[1].surface))[1]
-        ranked.append(Candidate(best_rec, agg))
+    for doc_key, (m, rec) in _representatives(hyps).items():
+        # m, the representative's score, is the best of scores[doc_key].
+        agg = m + math.log(sum(math.exp(s - m) for s in scores[doc_key]))
+        ranked.append(Candidate(rec, agg))
     ranked.sort(key=lambda c: (-c.score, c.doc_key))
     return RankedList(ranked[:k])

@@ -519,9 +519,9 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
                 extra_vocab_texts: list[str] | None = None) -> DocIdIndex:
     """Build the full DocIdIndex: vocabulary, RQ path docids, optional views.
 
-    The vocabulary ingests all corpus text (plus any extra texts, e.g. prompt
-    templates) before freezing, so decoding and local models share one id
-    space.
+    The vocabulary grows from all corpus text (plus any extra texts, e.g.
+    prompt templates) before freezing, so decoding and local models share
+    one id space.
     """
     check_views(views)
     if not len(corpus):
@@ -542,11 +542,11 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
         if not ws:
             raise EmptyDocument(doc.doc_key)
         if doc.title:
-            vocab.ingest(doc.title)
+            vocab.encode(doc.title, on_unknown="grow")
         for pq in doc.pseudo_queries:
-            vocab.ingest(pq)
+            vocab.encode(pq, on_unknown="grow")
     for text in extra_vocab_texts or []:
-        vocab.ingest(text)
+        vocab.encode(text, on_unknown="grow")
 
     keys = sorted(words)
     hierarchy = assign_keywords(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .constraint import STRATEGIES, build as build_automaton
 from .corpus import Corpus, Query, load_corpus, load_queries
 from .decode import RankedList
-from .docid import DocIdIndex, DocIdRecord
+from .docid import VIEW_PATH, DocIdIndex, DocIdRecord
 from .errors import ConfigError, EmptyRuns
 from .lm import NgramModel, RemoteModel, ScriptedModel, sequence_logprob
 from .orchestrator import (PIPELINES, REASONS, R4RResult, RefineConfig,
@@ -74,7 +74,7 @@ def mrr_at_k(runs: list[tuple[RankedList, frozenset[str]]], k: int) -> float:
 def _path_record(index: DocIdIndex, doc_key: str) -> DocIdRecord | None:
     """*doc_key*'s path docid record, or None if it has none."""
     return next((r for r in index.by_doc.get(doc_key, ())
-                 if r.view == "path"), None)
+                 if r.view == VIEW_PATH), None)
 
 
 def nll_losses(model, corpus: Corpus, pairs: list[tuple[Query, str]],
@@ -206,7 +206,8 @@ def load_pipeline(index_path: str, strategy: str, pipeline: str,
         raise ConfigError("a reasoning model applies only to the direct_cot "
                           "and r4r pipelines, not 'standard'")
     index = DocIdIndex.load(index_path)
-    reg = PromptRegistry.load(prompts_path)
+    reg = (PromptRegistry.from_file(prompts_path) if prompts_path
+           else PromptRegistry.default())
     automaton = build_automaton(strategy, index)
     retrieve = make_retrieve_model(index, reg, scripted_model_path,
                                    ngram_train_queries_path)

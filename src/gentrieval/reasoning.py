@@ -2,8 +2,10 @@
 
 Structured reasoning travels as two tagged blocks, <context>...</context> and
 <explanation>...</explanation>: robust to free-text preambles and trivial to
-parse. Each operation issues at most two generations (one minimal retry with
-a format reminder); Think can always fall back to the raw query.
+parse. Think, Verify and Reflect ask through one helper, `_ask`: it parses
+the answer and, when that fails, asks once more with a reminder, so each
+issues at most two generations; each passes its own parser, reminder and
+token cap. Think can always fall back to the raw query.
 """
 
 from __future__ import annotations
@@ -107,12 +109,6 @@ class PromptRegistry:
             merged[name] = text
         return cls(merged)
 
-    @classmethod
-    def load(cls, path=None) -> "PromptRegistry":
-        """The defaults with the overrides in *path*, or the defaults alone
-        when no path is given."""
-        return cls.from_file(path) if path else cls.default()
-
     def render(self, name: str, **slots: str) -> str:
         """Template *name* with its slots filled in one pass, so slot text
         inside a value stays literal. Raises ValueError for a slot the
@@ -146,20 +142,21 @@ def parse_structured(text: str) -> tuple[str, str] | None:
     return context, exp.group(1).strip()
 
 
-def _structured(model, prompt: str) -> tuple[str, str] | None:
-    """Parsed <context>/<explanation> answer to *prompt*, asking once more
-    with a format reminder; None when both answers fail to parse."""
-    parsed = parse_structured(model.generate(prompt, REASONING_MAX_TOKENS))
+def _ask(model, prompt: str, parse, reminder: str, max_tokens: int):
+    """*parse* of the model's answer to *prompt*, asking once more with
+    *reminder* appended when it gives None; None when both answers fail to
+    parse. Each generation is capped at *max_tokens*."""
+    parsed = parse(model.generate(prompt, max_tokens))
     if parsed is None:
-        parsed = parse_structured(model.generate(prompt + FORMAT_REMINDER,
-                                                 REASONING_MAX_TOKENS))
+        parsed = parse(model.generate(prompt + reminder, max_tokens))
     return parsed
 
 
 def think(model, q: Query, reg: PromptRegistry) -> ReasoningState:
     """Initial structured reasoning; falls back to the raw query after a
     failed retry, so the result always has a nonempty context."""
-    parsed = _structured(model, reg.render("P_t", query=q.text))
+    parsed = _ask(model, reg.render("P_t", query=q.text), parse_structured,
+                  FORMAT_REMINDER, REASONING_MAX_TOKENS)
     if parsed is None:
         return ReasoningState(context=q.text, explanation="")
     return ReasoningState(*parsed)
@@ -183,11 +180,9 @@ def verify(model, q: Query, candidate: Candidate, reg: PromptRegistry) -> str:
     """Binary relevance verdict, "relevant" or "irrelevant"; an unparseable
     answer after one retry defaults to relevant (terminating on ambiguity
     avoids reflection drift)."""
-    prompt = reg.render("P_v", query=q.text, docid=candidate.record.surface)
-    verdict = _parse_verdict(model.generate(prompt, VERDICT_MAX_TOKENS))
-    if verdict is None:
-        verdict = _parse_verdict(model.generate(prompt + VERDICT_REMINDER,
-                                                VERDICT_MAX_TOKENS))
+    verdict = _ask(
+        model, reg.render("P_v", query=q.text, docid=candidate.record.surface),
+        _parse_verdict, VERDICT_REMINDER, VERDICT_MAX_TOKENS)
     return verdict or "relevant"
 
 
@@ -195,9 +190,10 @@ def reflect(model, q: Query, docid_f: Candidate, state: ReasoningState,
             reg: PromptRegistry) -> ReasoningState | None:
     """Edit the reasoning given the first irrelevant docid; None on parse
     failure after the single retry (the caller terminates the loop)."""
-    parsed = _structured(model, reg.render(
+    parsed = _ask(model, reg.render(
         "P_f", query=q.text, docid=docid_f.record.surface,
-        context=state.context, explanation=state.explanation))
+        context=state.context, explanation=state.explanation),
+        parse_structured, FORMAT_REMINDER, REASONING_MAX_TOKENS)
     return None if parsed is None else ReasoningState(*parsed)
 
 

@@ -4,6 +4,7 @@ used by the oracle tests."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import pathlib
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from itertools import filterfalse
 
 import numpy as np
 import pytest
@@ -428,4 +430,56 @@ def enumerate_accepted(automaton, max_len: int):
             walk(automaton.step(state, tok), prefix + (tok,))
 
     walk(automaton.start(), ())
+    return out
+
+
+def exact_top_k(model, prompt, automaton, k: int, max_pops: int = 100_000):
+    """The model's exact top k accepted sequences after *prompt*, as
+    (score, tokens) pairs ranked (score desc, tokens asc), END included:
+    best-first search over (automaton state, model state) pairs.
+
+    Entries are keyed (-score, tokens). A popped prefix pushes its END entry
+    when it may end, each allowed override as its own entry, and its
+    default-scored allowed tokens as one run, ascending, keyed by its head,
+    as the beam does; popping a run's head pushes its next token. Every
+    log-probability is <= 0, so an entry's descendants never outrank it,
+    and the first k finished entries popped are the top k. Independent of
+    beam search; raises RuntimeError past *max_pops* pops."""
+    heap: list[tuple] = []
+
+    def expand(score, gen, state, mstate):
+        allowed, end_ok = automaton.allowed(state)
+        default, overrides = model.next_token_distribution(mstate)
+        assert default <= 0 and all(lp <= 0 for lp in overrides.values())
+        if end_ok:
+            heapq.heappush(heap, (-(score + overrides.get(END, default)),
+                                  gen + (END,), state, mstate, None))
+        for tok, lp in overrides.items():
+            if tok in allowed:
+                heapq.heappush(heap, (-(score + lp), gen + (tok,), state,
+                                      mstate, None))
+        run = filterfalse(overrides.__contains__, allowed)
+        head = next(run, None)
+        if head is not None:
+            heapq.heappush(heap, (-(score + default), gen + (head,), state,
+                                  mstate, run))
+
+    expand(0.0, (), automaton.start(), model.start(prompt))
+    out = []
+    pops = 0
+    while heap and len(out) < k:
+        pops += 1
+        if pops > max_pops:
+            raise RuntimeError(f"exact search passed {max_pops} pops")
+        # (-score, tokens) is unique, so states are never compared.
+        neg, tokens, state, mstate, run = heapq.heappop(heap)
+        nxt = None if run is None else next(run, None)
+        if nxt is not None:
+            heapq.heappush(heap, (neg, tokens[:-1] + (nxt,), state, mstate,
+                                  run))
+        if tokens[-1] == END:
+            out.append((-neg, tokens))
+        else:
+            expand(-neg, tokens, automaton.step(state, tokens[-1]),
+                   model.step(mstate, tokens[-1]))
     return out

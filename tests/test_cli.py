@@ -719,7 +719,7 @@ class TestOptionInventory:
 
     FLAGS = {
         "build-index": {"--corpus", "--out", "--levels", "--branching",
-                        "--dim", "--views", "--seed"},
+                        "--views", "--seed"},
         "retrieve": {"--index", "--strategy", "--pipeline", "--model",
                      "--train-queries", "--reason-model", "--k", "--t",
                      "--T", "--ablation", "--merge-views", "--prompts",
@@ -839,8 +839,6 @@ class TestExitCodes:
         ("build-index", "--levels", "0"), ("build-index", "--levels", "65"),
         ("build-index", "--levels", "1200"),
         ("build-index", "--branching", "0"),
-        ("build-index", "--dim", "1"),
-        ("build-index", "--dim", "100000000000"),
         ("build-index", "--seed", "-1"),
         ("build-index", "--seed", str(2 ** 64)), ("run", "--jobs", "1")])
     def test_bad_size_flag_is_2(self, workspace, capsys, command, flag, value):
@@ -860,11 +858,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,flag,value", [
         ("build-index", "--ngram-m", "0"), ("build-index", "--ngram-n", "0"),
+        ("build-index", "--dim", "64"),
         ("retrieve", "--remote-url", "http://127.0.0.1:9")])
     def test_deleted_flag_is_2(self, workspace, capsys, command, flag,
                                value):
-        # The n-gram view's sizes are constants, and the reasoning endpoint
-        # is a --reason-model URL: the old flags are usage errors.
+        # The n-gram view's sizes and the embedding width are constants, and
+        # the reasoning endpoint is a --reason-model URL: the old flags are
+        # usage errors.
         extra = (["--corpus", workspace["corpus"],
                   "--out", str(workspace["dir"] / "i.json")]
                  if command == "build-index" else
@@ -1158,7 +1158,6 @@ def argv_strategy(fuzz_files):
         **files, "--out": st.sampled_from(outputs),
         "--report": st.sampled_from(outputs),
         "--levels": ints, "--branching": ints,
-        "--dim": mostly(["2", "3"], ["1", "-1", "x", "", "100000000000"]),
         "--k": ints, "--t": ints, "--T": ints,
         "--seed": mostly(["0", "7"], ["-3", str(2 ** 64), "x"]),
         "--sweep-t": mostly(["", "1,2", "2"], ["0", "a"]),

@@ -108,7 +108,8 @@ class TestLoadCorpus:
         p = tmp_path / "c.jsonl"
         write_jsonl(p, [{"id": "d1", "text": "body", "title": "T",
                          "pseudo_queries": ["q1", "q2"]}])
-        doc = load_corpus(p)["d1"]
+        [doc] = load_corpus(p)
+        assert doc.doc_key == "d1"
         assert doc.title == "T"
         assert doc.pseudo_queries == ("q1", "q2")
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gentrieval.constraint import STRATEGIES, TrieAutomaton, build
 from gentrieval.corpus import END
@@ -16,8 +17,8 @@ from gentrieval.lm import NgramModel, ScriptedModel, sequence_logprob
 
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       SparseTableModel, TableModel, WholeContext, dist_after,
-                      enumerate_accepted, make_index, random_dist_rules,
-                      random_record_index, ref_logprob)
+                      enumerate_accepted, exact_top_k, make_index,
+                      random_dist_rules, random_record_index, ref_logprob)
 
 
 def toy_setup():
@@ -340,6 +341,24 @@ class TestSparseMatchesDense:
                     model, prompt, automaton, width)
 
 
+def ngram_oracle_cases(strategy, order):
+    """Eight (model, prompt, automaton, oracle) cases: a trained n-gram
+    model on a random index, and every accepted sequence as a (score,
+    tokens) pair scored by ref_logprob, ranked (score desc, tokens asc)."""
+    rng = random.Random(59 + order)
+    for trial in range(8):
+        index = random_record_index(rng, rng.randint(2, 10), 5, max_len=3)
+        automaton = build(strategy, index)
+        model = trained_ngram(index, rng, order=order)
+        prompt = [rng.randrange(2, len(index.vocab))
+                  for _ in range(rng.choice((0, 1, 5)))]
+        oracle = sorted(
+            ((ref_logprob(model, prompt, seq), seq)
+             for seq, _ in enumerate_accepted(automaton, max_len=4)),
+            key=lambda e: (-e[0], e[1]))
+        yield model, prompt, automaton, oracle
+
+
 class FullContext(WholeContext):
     """Holds the whole context as its state and scores it by starting
     *inner* from it, so *inner*'s own states are never stepped."""
@@ -404,19 +423,9 @@ class TestModelState:
         # Scored from the model's counts alone, never through its states:
         # at full width the beam returns every accepted sequence, ranked
         # and scored exactly as ref_logprob ranks and scores it.
-        rng = random.Random(59 + order)
-        for trial in range(8):
-            index = random_record_index(rng, rng.randint(2, 10), 5,
-                                        max_len=3)
-            automaton = build(strategy, index)
-            model = trained_ngram(index, rng, order=order)
-            prompt = [rng.randrange(2, len(index.vocab))
-                      for _ in range(rng.choice((0, 1, 5)))]
+        for model, prompt, automaton, oracle in ngram_oracle_cases(strategy,
+                                                                   order):
             hyps = constrained_beam_search(model, prompt, automaton, 200)
-            oracle = sorted(
-                ((ref_logprob(model, prompt, seq), seq)
-                 for seq, _ in enumerate_accepted(automaton, max_len=4)),
-                key=lambda e: (-e[0], e[1]))
             assert [(h.score, h.tokens) for h in hyps] == oracle[:200]
 
     @pytest.mark.parametrize("make_model", [
@@ -431,6 +440,44 @@ class TestModelState:
         with pytest.raises(UnknownToken):
             constrained_beam_search(model, prompt, TrieAutomaton(index),
                                     3)
+
+
+class TestExactTopK:
+    """conftest.exact_top_k, the best-first oracle, returns the head of the
+    exhaustive ranking for every k."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_exhaustive_ngram(self, strategy, order):
+        for model, prompt, automaton, oracle in ngram_oracle_cases(strategy,
+                                                                   order):
+            for k in (1, 2, 5, len(oracle), len(oracle) + 3):
+                assert exact_top_k(model, prompt, automaton, k) == oracle[:k]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_exhaustive_with_ties(self, strategy):
+        # Grid scores tie siblings and cousins, and defaults cover most
+        # tokens, so runs and the (score, tokens) order are both exercised.
+        rng = random.Random(61)
+        for trial in range(20):
+            index = random_record_index(rng, rng.randint(2, 12), 6,
+                                        max_len=3)
+            automaton = build(strategy, index)
+            model = SparseTableModel(len(index.vocab), seed=trial)
+            oracle = sorted(
+                ((sequence_logprob(model, [], list(seq)), seq)
+                 for seq, _ in enumerate_accepted(automaton, max_len=4)),
+                key=lambda e: (-e[0], e[1]))
+            for k in (1, 3, len(oracle)):
+                assert exact_top_k(model, [], automaton, k) == oracle[:k]
+
+    def test_pops_are_bounded(self):
+        index, model = toy_setup()
+        automaton = TrieAutomaton(index)
+        everything = exact_top_k(model, [], automaton, 10)
+        assert len(everything) == len(index.records)
+        with pytest.raises(RuntimeError, match="passed 2 pops"):
+            exact_top_k(model, [], automaton, 10, max_pops=2)
 
 
 def rec(key, surface, view="path"):
@@ -494,6 +541,53 @@ class TestDedupRank:
                     for _ in range(rng.randint(0, 12))]
             k = rng.randint(1, 8)
             assert dedup_rank(hyps, k) == two_step_dedup(hyps, k)
+
+
+# Few keys, surfaces and views, so equal records that are distinct objects
+# are common; a hypothesis may name a record that another one names too.
+RECORD_POOLS = st.lists(
+    st.builds(rec, st.sampled_from(["d0", "d1", "d2"]),
+              st.sampled_from(["a", "b", "a-b"]),
+              st.sampled_from(["path", "title"])),
+    min_size=1, max_size=8)
+
+
+@st.composite
+def hypothesis_lists(draw):
+    pool = draw(RECORD_POOLS)
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4)
+    return [hyp(score, *(pool[i] for i in draw(picks)))
+            for score in draw(st.lists(
+                st.sampled_from([-0.5, -1.0, -1.5, -3.0]), max_size=10))]
+
+
+class TestRepresentative:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(hypothesis_lists())
+    def test_both_rankers_show_one_record(self, hyps):
+        # Each document's record is the first met of its highest-scored,
+        # then smallest-surface records, the same object in both rankers;
+        # merge_views scores it by the log-sum-exp of the hypotheses that
+        # reach it, each once.
+        docs = {r.doc_key for h in hyps for r in h.records}
+        merged = {c.doc_key: c for c in merge_views(hyps, len(docs))}
+        deduped = {c.doc_key: c for c in dedup_rank(hyps, len(docs))}
+        assert merged.keys() == deduped.keys() == docs
+        lse = {}
+        for doc in docs:
+            met = [(h.score, r) for h in hyps for r in h.records
+                   if r.doc_key == doc]
+            want = min(met, key=lambda e: (-e[0], e[1].surface))
+            assert merged[doc].record is want[1]
+            assert deduped[doc].record is want[1]
+            assert deduped[doc].score == want[0]
+            scores = [h.score for h in hyps
+                      if any(r.doc_key == doc for r in h.records)]
+            m = max(scores)
+            lse[doc] = m + math.log(sum(math.exp(s - m) for s in scores))
+            assert merged[doc].score == lse[doc]
+        assert merge_views(hyps, len(docs)).doc_keys() == sorted(
+            docs, key=lambda d: (-lse[d], d))
 
 
 class TestMergeViews:

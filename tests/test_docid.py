@@ -818,13 +818,14 @@ def ref_path_to(h: RQHierarchy, doc_key: str) -> list[RQNode]:
 def ref_scored_terms(doc_keys: list[str], corpus: Corpus) -> list[str]:
     """Re-tokenize the corpus for document frequencies and every document
     under the node for term counts, computing each IDF where it is used."""
+    text = {doc.doc_key: doc.text for doc in corpus}
     df: dict[str, int] = {}
     for doc in corpus:
         for w in set(words_of(doc.text)):
             df[w] = df.get(w, 0) + 1
     tf: dict[str, int] = {}
     for key in doc_keys:
-        for w in words_of(corpus[key].text):
+        for w in words_of(text[key]):
             if w not in STOPWORDS:
                 tf[w] = tf.get(w, 0) + 1
     n = len(corpus)
@@ -956,7 +957,7 @@ class TestMatchesReference:
         assert exact_rows[0] > 0
 
     def test_kmeans_widest(self):
-        # The --dim cap.
+        # A 4096-wide embedding, 64 times the width build_index uses.
         rng = np.random.default_rng(4096)
         points = wide_points(rng, 4096)
         got_c, got_a = docid._kmeans(points, 16)
@@ -1080,7 +1081,8 @@ class TestMatchesReference:
         for trial in range(10):
             corpus = random_text_corpus(rng, rng.randint(2, 30),
                                         vocab_words=rng.randint(3, 40))
-            corpus.append(Document("stop", "the and of " + corpus["d000"].text))
+            text = {d.doc_key: d.text for d in corpus}
+            corpus.append(Document("stop", "the and of " + text["d000"]))
             corpus.append(Document("stop-only", "the and of"))
 
             def hierarchy():

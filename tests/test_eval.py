@@ -266,7 +266,7 @@ class TestMakeRetrieveModel:
         if p_r is not None:
             prompts = tmp_path / "prompts.json"
             prompts.write_text(json.dumps({"P_r": p_r}))
-            reg = PromptRegistry.load(str(prompts))
+            reg = PromptRegistry.from_file(str(prompts))
         model = make_retrieve_model(index, reg, None, str(queries_path))
         ref = NgramModel(index.vocab)
         for q in load_queries(queries_path):

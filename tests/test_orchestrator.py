@@ -145,7 +145,7 @@ class TestRetrievePromptIds:
     def test_matches_one_piece_encoding_property(self, p_r, text, auxiliary,
                                                  known):
         vocab = Vocabulary()
-        vocab.ingest(known + " query context")
+        vocab.encode(known + " query context", on_unknown="grow")
         reg = registry(p_r)
         for _ in range(2):
             assert retrieve_prompt_ids(reg, vocab, text, auxiliary) == \
@@ -153,7 +153,7 @@ class TestRetrievePromptIds:
 
     def test_growing_vocabulary_reencodes_template(self):
         vocab = Vocabulary()
-        vocab.ingest("which query fruit")
+        vocab.encode("which query fruit", on_unknown="grow")
         reg = registry("plugh which")
         assert retrieve_prompt_ids(reg, vocab, "fruit") == \
             full_prompt_ids(reg, vocab, "fruit")
@@ -165,8 +165,8 @@ class TestRetrievePromptIds:
     def test_one_registry_many_vocabularies(self):
         reg = registry("plugh which")
         small, big = Vocabulary(), Vocabulary()
-        small.ingest("query fruit")
-        big.ingest("plugh which query fruit")
+        small.encode("query fruit", on_unknown="grow")
+        big.encode("plugh which query fruit", on_unknown="grow")
         for vocab in (small, big, small):
             assert retrieve_prompt_ids(reg, vocab, "fruit") == \
                 full_prompt_ids(reg, vocab, "fruit")

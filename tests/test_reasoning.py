@@ -194,7 +194,8 @@ class TestThink:
         state = think(m, QUERY, PromptRegistry.default())
         assert state.context == "c"
         assert m.calls == 2
-        assert FORMAT_REMINDER in m.prompts[1]
+        assert m.prompts[1] == m.prompts[0] + FORMAT_REMINDER
+        assert m.caps == [256, 256]
 
     def test_fallback_to_query(self):
         m = CountingModel([{"match": "Query:", "response": "still no tags"}])
@@ -202,6 +203,7 @@ class TestThink:
         assert state.context == QUERY.text
         assert state.explanation == ""
         assert m.calls == 2
+        assert m.caps == [256, 256]
 
 
 class TestVerify:
@@ -226,7 +228,8 @@ class TestVerify:
         assert verify(m, QUERY, cand(), PromptRegistry.default()) \
             == "relevant"
         assert m.calls == 2
-        assert m.prompts[1].endswith(VERDICT_REMINDER)
+        assert m.prompts[1] == m.prompts[0] + VERDICT_REMINDER
+        assert m.caps == [16, 16]
 
     @pytest.mark.parametrize("answer,verdict", [
         ("irrelevant", "irrelevant"),
@@ -284,7 +287,8 @@ class TestReflect:
                       PromptRegistry.default())
         assert out is None
         assert m.calls == 2
-        assert m.prompts[1].endswith(FORMAT_REMINDER)
+        assert m.prompts[1] == m.prompts[0] + FORMAT_REMINDER
+        assert m.caps == [256, 256]
 
 
 class TestDirectCot:
