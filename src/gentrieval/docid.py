@@ -2,15 +2,16 @@
 
 Default docids are keyword paths through a residual-quantization hierarchy:
 documents are embedded (hashed bag-of-words), clustered level by level on the
-residual left by ancestor centroids, every node is labeled with its most
+residual left by ancestor centroids, one walk labels every node with its most
 TF-IDF-distinctive unused term, and a document's identifier is the hyphen-join
-of the labels from root to leaf. Title, distinctive-ngram, and pseudo-query
+of its labels from root to leaf. Title, distinctive-ngram, and pseudo-query
 views are available for multi-view retrieval; `build_index` takes the
 n-grams from the word lists the embeddings and labels read.
 
-The tree is built in memory only, to make the path docids. An index file
-holds the vocabulary and the docid records; older files that also carry a
-"hierarchy" key still load, as the key is not read.
+The tree, each node a centroid, its documents and its children, is built in
+memory only, to hand each document its labels. An index file holds the
+vocabulary and the docid records; older files that also carry a "hierarchy"
+key still load, as the key is not read.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from .corpus import END, SEP, Corpus, Vocabulary, normalize, words_of
-from .errors import (ConfigError, EmptyDocument, EmptyIndex, MalformedIndex,
-                     UnknownDoc)
+from .errors import ConfigError, EmptyDocument, EmptyIndex, MalformedIndex
 
 try:  # hashlib would also load _hashlib and libcrypto for the same function
     from _blake2 import blake2b
@@ -88,27 +88,9 @@ def _embeddings(docs: list[list[str]], dim: int, seed: int) -> np.ndarray:
 
 @dataclass
 class RQNode:
-    node_id: int
     centroid: np.ndarray
     doc_keys: list[str]
-    label: str | None = None
     children: list["RQNode"] = field(default_factory=list)
-    # Per-document disambiguation labels, filled for leaves holding >1 docs.
-    doc_labels: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class RQHierarchy:
-    levels: int
-    roots: list[RQNode]
-    # Each document's nodes from root to leaf, recorded while the tree is
-    # built.
-    paths: dict[str, tuple[RQNode, ...]]
-
-    def path_to(self, doc_key: str) -> list[RQNode]:
-        if doc_key not in self.paths:
-            raise UnknownDoc(doc_key)
-        return list(self.paths[doc_key])
 
 
 # Lloyd iterations before k-means stops without converging.
@@ -236,41 +218,32 @@ def _kmeans(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_rq_hierarchy(keys: list[str], points: np.ndarray, levels: int,
-                       branching: int) -> RQHierarchy:
+                       branching: int) -> list[RQNode]:
     """Cluster the rows of *points*, row i being keys[i]'s vector, level by
     level on residuals (vector minus the sum of ancestor centroids), in the
-    order given; branching is clamped to the group size."""
+    order given, into a tree *levels* deep, and return its roots; branching
+    is clamped to the group size."""
     if levels < 1 or branching < 1 or not keys:
         raise ValueError("levels >= 1, branching >= 1, and >= 1 vector required")
-    next_id = [0]
-    paths: dict[str, tuple[RQNode, ...]] = {}
 
-    def split(group: list[str], residuals: np.ndarray, depth: int,
-              ancestors: tuple[RQNode, ...]) -> list[RQNode]:
+    def split(group: list[str], residuals: np.ndarray,
+              depth: int) -> list[RQNode]:
         centroids, assign = _kmeans(residuals, branching)
         rows: list[list[int]] = [[] for _ in centroids]
         for i, j in enumerate(assign.tolist()):
             rows[j].append(i)
         nodes = []
         for j, members in enumerate(rows):
-            if not members:
-                continue
-            node = RQNode(node_id=next_id[0], centroid=centroids[j].copy(),
-                          doc_keys=[group[i] for i in members])
-            next_id[0] += 1
-            path = ancestors + (node,)
-            if depth < levels:
-                node.children = split(node.doc_keys,
-                                      residuals[members] - centroids[j],
-                                      depth + 1, path)
-            else:
-                for key in node.doc_keys:
-                    paths[key] = path
-            nodes.append(node)
+            if members:
+                node = RQNode(centroids[j].copy(), [group[i] for i in members])
+                if depth < levels:
+                    node.children = split(node.doc_keys,
+                                          residuals[members] - centroids[j],
+                                          depth + 1)
+                nodes.append(node)
         return nodes
 
-    roots = split(keys, np.asarray(points, dtype=np.float64), 1, ())
-    return RQHierarchy(levels=levels, roots=roots, paths=paths)
+    return split(keys, np.asarray(points, dtype=np.float64), 1)
 
 
 class TermStats:
@@ -345,15 +318,17 @@ def _best_terms(terms: TermStats) -> dict[str, str | None]:
     return best
 
 
-def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
-    """Label every node with its best unused TF-IDF term; leaves holding more
-    than one document additionally get per-document disambiguation labels.
-    A term's score is (-TF-IDF, term), and the best is the lowest; when
-    every term is used, the label is the best term, or "doc" if there is
-    none, suffixed with the node's 1-based ordinal. A document's best term
-    comes from one count table over all documents (`_best_terms`); a node's
-    label, and a document's whose best term is used, comes from its own
-    counts."""
+def assign_keywords(roots: list[RQNode],
+                    terms: TermStats) -> dict[str, list[str]]:
+    """Each document's labels from root to leaf: each node's best unused
+    TF-IDF term, then, in a leaf holding more than one document, the
+    document's own. A term's score is (-TF-IDF, term), and the best is the
+    lowest; when every term is used, the label is the best term, or "doc"
+    if there is none, suffixed with the 1-based ordinal. A document's best
+    term comes from one count table over all documents (`_best_terms`); a
+    node's label, and a document's whose best term is used, comes from its
+    own counts. A label reads only its ancestors' and earlier siblings'
+    labels, so a subtree is labeled as soon as its root is."""
     idf = terms.idf
 
     def pick(doc_keys: list[str], used: set[str], ordinal: int) -> str:
@@ -367,40 +342,36 @@ def assign_keywords(h: RQHierarchy, terms: TermStats) -> RQHierarchy:
         return best[1]
 
     doc_best = _best_terms(terms)
+    labels: dict[str, list[str]] = {}
 
-    def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
-        taken = set(ancestors)
+    def label(siblings: list[RQNode], path: list[str]) -> None:
+        taken = set(path)
         for ordinal, node in enumerate(siblings):
-            node.label = pick(node.doc_keys, taken, ordinal)
-            taken.add(node.label)
-        for node in siblings:
+            here = path + [pick(node.doc_keys, taken, ordinal)]
+            taken.add(here[-1])
             if node.children:
-                label_siblings(node.children, ancestors | {node.label})
-            elif len(node.doc_keys) > 1:
-                used = ancestors | {node.label}
-                for ordinal, key in enumerate(sorted(node.doc_keys)):
-                    lbl = doc_best[key]
-                    if lbl is None or lbl in used:
-                        lbl = pick([key], used, ordinal)
-                    node.doc_labels[key] = lbl
-                    used.add(lbl)
+                label(node.children, here)
+            elif len(node.doc_keys) == 1:
+                labels[node.doc_keys[0]] = here
+            else:
+                used = set(here)
+                for i, key in enumerate(sorted(node.doc_keys)):
+                    own = doc_best[key]
+                    if own is None or own in used:
+                        own = pick([key], used, i)
+                    used.add(own)
+                    labels[key] = here + [own]
 
-    label_siblings(h.roots, set())
-    return h
+    label(roots, [])
+    return labels
 
 
-def path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary,
+def path_docid(doc_key: str, labels: list[str], vocab: Vocabulary,
                label_tokens: dict[str, list[int]]) -> DocIdRecord:
-    """*doc_key*'s path record: its node labels from root to leaf, and its
-    leaf's label for it if it has one, joined by "-". Words never join
+    """*doc_key*'s path record: its *labels* joined by "-". Words never join
     across a "-", so the tokens are the labels' tokens in order. A label
     missing from *label_tokens* is encoded, growing *vocab*, and kept
     there."""
-    path = h.path_to(doc_key)
-    labels = [node.label for node in path]
-    leaf = path[-1]
-    if doc_key in leaf.doc_labels:
-        labels.append(leaf.doc_labels[doc_key])
     tokens: list[int] = []
     for label in labels:
         toks = label_tokens.get(label)
@@ -549,7 +520,7 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
         vocab.encode(text, on_unknown="grow")
 
     keys = sorted(words)
-    hierarchy = assign_keywords(
+    labels = assign_keywords(
         build_rq_hierarchy(keys, _embeddings([words[k] for k in keys], dim,
                                              seed),
                            levels=levels, branching=branching),
@@ -559,17 +530,17 @@ def build_index(corpus: Corpus, levels: int = 2, branching: int = 8,
     seen_surfaces: set[str] = set()
     label_tokens: dict[str, list[int]] = {}
     for doc in corpus:
-        rec = path_docid(doc.doc_key, hierarchy, vocab, label_tokens)
+        path = labels[doc.doc_key]
+        rec = path_docid(doc.doc_key, path, vocab, label_tokens)
         if rec.surface in seen_surfaces:
-            # Label fallbacks can in principle collide across branches; keep
-            # path surfaces unique corpus-wide with a stable ordinal suffix.
+            # A fallback label can join to another branch's surface (labels
+            # "c", "4-2" and "c", "4", "2"); keep path surfaces unique
+            # corpus-wide with a stable ordinal suffix.
             ordinal = 2
             while f"{rec.surface}-{ordinal}" in seen_surfaces:
                 ordinal += 1
-            surface = f"{rec.surface}-{ordinal}"
-            rec = DocIdRecord(doc.doc_key,
-                              tuple(vocab.encode(surface, on_unknown="grow")) + (END,),
-                              surface, VIEW_PATH)
+            rec = path_docid(doc.doc_key, path + [str(ordinal)], vocab,
+                             label_tokens)
         seen_surfaces.add(rec.surface)
         records.append(rec)
 

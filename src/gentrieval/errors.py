@@ -37,12 +37,6 @@ class MalformedIndex(GentrievalError):
     pass
 
 
-class UnknownDoc(GentrievalError):
-    def __init__(self, doc_key: str):
-        self.doc_key = doc_key
-        super().__init__(f"unknown doc_key {doc_key!r}")
-
-
 # --- lm -------------------------------------------------------------------
 
 class NotSupported(GentrievalError):

@@ -163,7 +163,8 @@ def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
     """The retrieval model: scripted rules from *scripted_path*, or an n-gram
     model trained on the queries in *train_queries_path*, each paired with
     the path docid of every relevant document. Training encodes the same
-    retrieval prompt that decoding does."""
+    retrieval prompt that decoding does. A query file that gives no such
+    pair, and so would leave the model untrained, raises ConfigError."""
     if scripted_path:
         return ScriptedModel.from_file(scripted_path, index.vocab)
     if not train_queries_path:
@@ -176,6 +177,9 @@ def make_retrieve_model(index: DocIdIndex, reg: PromptRegistry,
             rec = _path_record(index, doc_key)
             if rec is not None:
                 pairs.append((prompt, rec.tokens))
+    if not pairs:
+        raise ConfigError(f"no training pair in {train_queries_path}: no "
+                          "query has a relevant document with a path docid")
     model = NgramModel(index.vocab)
     model.train(pairs)
     return model

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from gentrieval.corpus import (END, SEP, Corpus, Document, Query, Vocabulary,
                                load_corpus)
 from gentrieval.errors import MalformedRecord
-from gentrieval.docid import DocIdIndex, DocIdRecord, RQHierarchy
+from gentrieval.docid import DocIdIndex, DocIdRecord, RQNode
 from gentrieval.lm import FLOOR_LOGPROB
 
 
@@ -347,14 +347,31 @@ def sorted_rows(vectors: dict[str, np.ndarray]
                            for k in keys])
 
 
-def reconstruction_error(h: RQHierarchy, keys: list[str],
+def ref_path_to(roots: list[RQNode], doc_key: str) -> list[RQNode]:
+    """Descend level by level to the first node listing the document, from
+    the roots to a leaf; a document the tree does not list raises
+    KeyError."""
+    path: list[RQNode] = []
+    nodes = roots
+    while nodes:
+        for node in nodes:
+            if doc_key in node.doc_keys:
+                path.append(node)
+                nodes = node.children
+                break
+        else:
+            raise KeyError(doc_key)
+    return path
+
+
+def reconstruction_error(roots: list[RQNode], keys: list[str],
                          points: np.ndarray) -> float:
     """Mean squared residual after quantizing each row of *points* (row i
     being keys[i]'s vector) by its path centroids."""
     total = 0.0
     for key, vec in zip(keys, np.asarray(points, dtype=np.float64)):
         approx = np.zeros_like(vec)
-        for node in h.path_to(key):
+        for node in ref_path_to(roots, key):
             approx += node.centroid
         total += float(np.sum((vec - approx) ** 2))
     return total / len(keys)

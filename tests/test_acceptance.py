@@ -29,7 +29,8 @@ from gentrieval.reasoning import DEFAULT_PROMPTS, PromptRegistry
 from conftest import (TOY_DIST_RULES, TOY_EXTRA_WORDS, TOY_SURFACES,
                       TableModel, enumerate_accepted, make_index,
                       random_record_index, random_text_corpus,
-                      reconstruction_error, sep_joined, sorted_rows)
+                      reconstruction_error, ref_path_to, sep_joined,
+                      sorted_rows)
 
 
 def verdict(label):
@@ -176,15 +177,16 @@ def test_acceptance_3_rq_oracle():
         vectors = {f"d{i:02d}": rng.normal(size=dim) for i in range(n)}
         levels = int(rng.integers(1, 4))
         branching = int(rng.integers(2, 5))
-        h = build_rq_hierarchy(*sorted_rows(vectors), levels=levels,
-                               branching=branching)
+        roots = build_rq_hierarchy(*sorted_rows(vectors), levels=levels,
+                                   branching=branching)
         for key, vec in vectors.items():
             residual = np.asarray(vec, dtype=float)
-            siblings = h.roots
-            for node in h.path_to(key):
-                d2 = {n_.node_id: float(np.sum((residual - n_.centroid) ** 2))
+            siblings = roots
+            for node in ref_path_to(roots, key):
+                # Keyed by identity: every node is alive while d2 is.
+                d2 = {id(n_): float(np.sum((residual - n_.centroid) ** 2))
                       for n_ in siblings}
-                assert d2[node.node_id] <= min(d2.values()) + 1e-9
+                assert d2[id(node)] <= min(d2.values()) + 1e-9
                 residual = residual - node.centroid
                 siblings = node.children
         if trial % 5 == 0:

@@ -225,14 +225,19 @@ class TestRetrieve:
         # A lone surrogate is valid JSON in an index's doc_key, but no
         # output encoding can print it. build-index refuses such an id, so
         # the index is written by hand.
+        # The training query names the document, so the model trains and
+        # the failure is the printing.
         index = workspace["dir"] / "lone-index.json"
         make_index({"d\ud800": "which-fruit"}).save(index)
+        train = workspace["dir"] / "lone-train.jsonl"
+        write_jsonl(train, [{"qid": "q1", "text": "which fruit",
+                             "relevant": ["d\ud800"]}])
         rc = main(["retrieve", "--index", str(index), "--model", "ngram",
-                   "--train-queries", workspace["queries"],
-                   "--query", "which fruit"])
+                   "--train-queries", str(train), "--query", "which fruit"])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert "surrogates not allowed" in err[0]
 
     def test_ngram_requires_training_queries(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],
@@ -410,6 +415,18 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == [
             "error: unknown ablation flags: no_contxt"]
         assert loaded == []
+        assert not report.exists() and not trace.exists()
+
+    def test_empty_queries_file_is_1(self, workspace, capsys, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        pathlib.Path(workspace["queries"]).write_text("")
+        report, trace, argv = self.args(workspace, "e")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: query file is empty"]
+        assert decoded == []
         assert not report.exists() and not trace.exists()
 
     @pytest.mark.parametrize("flag", ["--report", "--trace"])
@@ -898,6 +915,40 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("rows", [
+        [], [{"qid": "q1", "text": "which fruit", "relevant": ["d9"]}]],
+        ids=["empty", "relevant-not-indexed"])
+    @pytest.mark.parametrize("command", ["retrieve", "run"])
+    def test_no_training_pair_is_1(self, workspace, capsys, monkeypatch,
+                                   command, rows):
+        # Refused before any query is decoded, so run leaves no report and
+        # no trace, and retrieve prints no ranking of an untrained model.
+        decoded = []
+        monkeypatch.setattr(evaluation, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda *args, **kw: decoded.append(args))
+        train = workspace["dir"] / "train.jsonl"
+        write_jsonl(train, rows)
+        report = workspace["dir"] / "report.json"
+        trace = workspace["dir"] / "trace.jsonl"
+        setup = ["--index", workspace["index"], "--model", "ngram",
+                 "--train-queries", str(train)]
+        if command == "run":
+            argv = ["run", *setup, "--corpus", workspace["corpus"],
+                    "--queries", workspace["queries"],
+                    "--report", str(report), "--trace", str(trace)]
+        else:
+            argv = ["retrieve", *setup, "--query", "which fruit"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: no training pair in {train}: no query has a relevant "
+            "document with a path docid"]
+        assert decoded == []
+        assert not report.exists() and not trace.exists()
 
     def test_bad_ablation_flag_is_1(self, workspace, capsys):
         rc = main(["retrieve", "--index", workspace["index"],

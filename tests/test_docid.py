@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -14,14 +13,15 @@ from gentrieval import docid
 from gentrieval.corpus import (END, SEP, Corpus, Document, Vocabulary,
                                words_of)
 from gentrieval.docid import (NGRAM_M, NGRAM_N, STOPWORDS, VIEWS, DocIdIndex,
-                              DocIdRecord, RQHierarchy, RQNode, TermStats,
+                              DocIdRecord, RQNode, TermStats,
                               assign_keywords, build_index,
                               build_rq_hierarchy, path_docid)
 from gentrieval.errors import (ConfigError, EmptyDocument, EmptyIndex,
-                               MalformedIndex, UnknownDoc)
+                               MalformedIndex)
 
 from conftest import (DEEP_JSON, JSON_VALUES, TOY_SURFACES, make_index,
-                      random_text_corpus, reconstruction_error, sorted_rows)
+                      random_text_corpus, reconstruction_error, ref_path_to,
+                      sorted_rows)
 
 
 def _some_of(fields: dict) -> st.SearchStrategy:
@@ -96,40 +96,49 @@ class TestRQHierarchy:
         # unique k-means optimum: centroids 0.5 and 10.5.
         vectors = {"d1": np.array([0.0]), "d2": np.array([1.0]),
                    "d3": np.array([10.0]), "d4": np.array([11.0])}
-        h = build_rq_hierarchy(*sorted_rows(vectors), levels=1, branching=2)
-        groups = sorted(sorted(n.doc_keys) for n in h.roots)
+        roots = build_rq_hierarchy(*sorted_rows(vectors), levels=1,
+                                   branching=2)
+        groups = sorted(sorted(n.doc_keys) for n in roots)
         assert groups == [["d1", "d2"], ["d3", "d4"]]
-        centroids = sorted(float(n.centroid[0]) for n in h.roots)
+        centroids = sorted(float(n.centroid[0]) for n in roots)
         assert centroids == pytest.approx([0.5, 10.5])
 
     def test_single_cluster_mean(self):
         vectors = {"d1": np.array([1.0, 0.0]), "d2": np.array([3.0, 2.0])}
-        h = build_rq_hierarchy(*sorted_rows(vectors), levels=1, branching=1)
-        assert len(h.roots) == 1
-        assert h.roots[0].centroid == pytest.approx([2.0, 1.0])
+        roots = build_rq_hierarchy(*sorted_rows(vectors), levels=1,
+                                   branching=1)
+        assert len(roots) == 1
+        assert roots[0].centroid == pytest.approx([2.0, 1.0])
 
     def test_branching_clamped(self):
         vectors = {"d1": np.array([0.0]), "d2": np.array([5.0])}
-        h = build_rq_hierarchy(*sorted_rows(vectors), levels=1, branching=8)
-        assert len(h.roots) == 2
+        roots = build_rq_hierarchy(*sorted_rows(vectors), levels=1,
+                                   branching=8)
+        assert len(roots) == 2
 
     def test_every_doc_assigned_once(self):
         rng = np.random.default_rng(3)
         vectors = {f"d{i}": rng.normal(size=8) for i in range(30)}
-        h = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=3)
-        assert set(h.paths) == set(vectors)
+        roots = build_rq_hierarchy(*sorted_rows(vectors), levels=2,
+                                   branching=3)
+        leaf_keys = [key for root in roots for leaf in root.children
+                     for key in leaf.doc_keys]
+        assert sorted(leaf_keys) == sorted(vectors)
+        assert all(not leaf.children for root in roots
+                   for leaf in root.children)
 
     def test_assignment_is_nearest_centroid(self):
         rng = np.random.default_rng(11)
         vectors = {f"d{i:02d}": rng.normal(size=4) for i in range(40)}
-        h = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=4)
+        roots = build_rq_hierarchy(*sorted_rows(vectors), levels=2,
+                                   branching=4)
         for key, vec in vectors.items():
             residual = np.asarray(vec, dtype=float)
-            siblings = h.roots
-            for node in h.path_to(key):
-                dists = {n.node_id: float(np.sum((residual - n.centroid) ** 2))
+            siblings = roots
+            for node in ref_path_to(roots, key):
+                dists = {id(n): float(np.sum((residual - n.centroid) ** 2))
                          for n in siblings}
-                assert dists[node.node_id] == pytest.approx(min(dists.values()))
+                assert dists[id(node)] == pytest.approx(min(dists.values()))
                 residual = residual - node.centroid
                 siblings = node.children
 
@@ -148,22 +157,20 @@ class TestRQHierarchy:
     def test_deterministic_rebuild(self):
         rng = np.random.default_rng(9)
         vectors = {f"d{i}": rng.normal(size=4) for i in range(20)}
-        h1 = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=3)
-        h2 = build_rq_hierarchy(*sorted_rows(vectors), levels=2, branching=3)
-        a1 = {k: v[-1].node_id for k, v in h1.paths.items()}
-        a2 = {k: v[-1].node_id for k, v in h2.paths.items()}
-        assert a1 == a2
+        rows = sorted_rows(vectors)
+        assert tree_of(build_rq_hierarchy(*rows, levels=2, branching=3)) == \
+            tree_of(build_rq_hierarchy(*rows, levels=2, branching=3))
 
 
-def two_sibling_hierarchy(groups: list[list[str]]) -> RQHierarchy:
-    roots = []
-    paths = {}
-    for i, g in enumerate(groups):
-        node = RQNode(node_id=i, centroid=np.zeros(2), doc_keys=list(g))
-        for k in g:
-            paths[k] = (node,)
-        roots.append(node)
-    return RQHierarchy(levels=1, roots=roots, paths=paths)
+def two_sibling_hierarchy(groups: list[list[str]]) -> list[RQNode]:
+    """One level of sibling leaves, one per group of doc keys."""
+    return [RQNode(np.zeros(2), list(g)) for g in groups]
+
+
+def sibling_labels(labels: dict[str, list[str]],
+                   roots: list[RQNode]) -> list[str]:
+    """Each root's label: the first label of any of its documents."""
+    return [labels[node.doc_keys[0]][0] for node in roots]
 
 
 def terms_of(corpus: Corpus) -> TermStats:
@@ -179,9 +186,9 @@ class TestKeywords:
             Document("d2", "banana fruit recipes"),
             Document("d3", "tech gadget apple banana"),
         ])
-        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]),
-                            terms_of(corpus))
-        assert h.roots[0].label == "fruit"
+        labels = assign_keywords(
+            two_sibling_hierarchy([["d1", "d2"], ["d3"]]), terms_of(corpus))
+        assert labels["d1"][0] == labels["d2"][0] == "fruit"
 
     def test_sibling_collision_next_best(self):
         corpus = Corpus([
@@ -189,31 +196,30 @@ class TestKeywords:
             Document("d2", "zebra zebra zebra banana"),
             Document("d3", "filler words"),
         ])
-        h = assign_keywords(
+        labels = assign_keywords(
             two_sibling_hierarchy([["d1"], ["d2"], ["d3"]]), terms_of(corpus))
-        assert h.roots[0].label == "zebra"
-        assert h.roots[1].label != "zebra"
-        assert h.roots[1].label == "banana"
+        assert labels["d1"] == ["zebra"]
+        assert labels["d2"] != ["zebra"]
+        assert labels["d2"] == ["banana"]
 
     def test_exhaustion_fallback(self):
         corpus = Corpus([Document("d1", "apple"), Document("d2", "apple")])
-        h = assign_keywords(two_sibling_hierarchy([["d1"], ["d2"]]),
-                            terms_of(corpus))
-        assert h.roots[0].label == "apple"
-        assert h.roots[1].label == "apple-2"
+        labels = assign_keywords(two_sibling_hierarchy([["d1"], ["d2"]]),
+                                 terms_of(corpus))
+        assert labels == {"d1": ["apple"], "d2": ["apple-2"]}
 
     def test_no_terms_fallback(self):
         # A node of stopwords only has no term: "doc" and its ordinal.
         corpus = Corpus([Document("d1", "apple"), Document("d2", "the of")])
-        h = assign_keywords(two_sibling_hierarchy([["d1"], ["d2"]]),
-                            terms_of(corpus))
-        assert [n.label for n in h.roots] == ["apple", "doc-2"]
+        roots = two_sibling_hierarchy([["d1"], ["d2"]])
+        labels = assign_keywords(roots, terms_of(corpus))
+        assert sibling_labels(labels, roots) == ["apple", "doc-2"]
 
     def test_stopwords_excluded(self):
         corpus = Corpus([Document("d1", "the the the orchard")])
-        h = assign_keywords(two_sibling_hierarchy([["d1"]]),
-                            terms_of(corpus))
-        assert h.roots[0].label == "orchard"
+        labels = assign_keywords(two_sibling_hierarchy([["d1"]]),
+                                 terms_of(corpus))
+        assert labels == {"d1": ["orchard"]}
 
 
 # Words whose code-point order is neither their UTF-8 nor their UTF-16
@@ -269,9 +275,8 @@ class TestLabelTable:
         def hierarchy():
             return build_rq_hierarchy(sorted(words), points, levels,
                                       branching)
-        got = assign_keywords(hierarchy(), terms_of(corpus))
-        assert tree_of(got) == tree_of(ref_assign_keywords(hierarchy(),
-                                                           corpus))
+        assert assign_keywords(hierarchy(), terms_of(corpus)) == \
+            ref_assign_keywords(hierarchy(), corpus)
 
     def test_taken_and_missing_best_terms(self):
         # The leaf takes "apple". d1's best term is then taken, so it gets
@@ -282,11 +287,9 @@ class TestLabelTable:
         def hierarchy():
             return two_sibling_hierarchy([["d1", "d2", "d3"]])
         got = assign_keywords(hierarchy(), terms_of(corpus))
-        assert got.roots[0].label == "apple"
-        assert got.roots[0].doc_labels == {"d1": "pear", "d2": "apple-2",
-                                           "d3": "doc-3"}
-        assert tree_of(got) == tree_of(ref_assign_keywords(hierarchy(),
-                                                           corpus))
+        assert got == {"d1": ["apple", "pear"], "d2": ["apple", "apple-2"],
+                       "d3": ["apple", "doc-3"]}
+        assert got == ref_assign_keywords(hierarchy(), corpus)
 
     @pytest.mark.parametrize("top", [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 40,
                                      2 ** 62])
@@ -302,29 +305,24 @@ class TestPathDocid:
             Document("d2", "banana fruit recipes"),
             Document("d3", "tech gadget apple banana"),
         ])
-        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"], ["d3"]]),
-                            terms_of(corpus))
+        labels = assign_keywords(
+            two_sibling_hierarchy([["d1", "d2"], ["d3"]]), terms_of(corpus))
         vocab = Vocabulary()
-        rec = path_docid("d3", h, vocab, {})
-        assert rec.surface == h.roots[1].label
+        rec = path_docid("d3", labels["d3"], vocab, {})
+        assert [rec.surface] == labels["d3"]
         assert rec.tokens[-1] == END
         assert vocab.decode(list(rec.tokens)) == rec.surface.replace("-", " ")
 
     def test_shared_leaf_disambiguated(self):
         corpus = Corpus([Document("d1", "apple pie"), Document("d2", "apple tart")])
-        h = assign_keywords(two_sibling_hierarchy([["d1", "d2"]]),
-                            terms_of(corpus))
+        roots = two_sibling_hierarchy([["d1", "d2"]])
+        labels = assign_keywords(roots, terms_of(corpus))
         vocab = Vocabulary()
         label_tokens = {}
-        r1 = path_docid("d1", h, vocab, label_tokens)
-        r2 = path_docid("d2", h, vocab, label_tokens)
+        r1 = path_docid("d1", labels["d1"], vocab, label_tokens)
+        r2 = path_docid("d2", labels["d2"], vocab, label_tokens)
         assert r1.surface != r2.surface
-        assert r1.surface.startswith(h.roots[0].label + "-")
-
-    def test_unknown_doc(self):
-        h = two_sibling_hierarchy([["d1"]])
-        with pytest.raises(UnknownDoc):
-            path_docid("nope", h, Vocabulary(), {})
+        assert r1.surface.startswith(sibling_labels(labels, roots)[0] + "-")
 
     def test_each_label_encoded_once(self, monkeypatch):
         # However many path records share a label, the build encodes it
@@ -494,6 +492,29 @@ class TestIndexBuild:
             surfaces = [r.surface for r in index.records if r.view == "path"]
             assert len(surfaces) == len(set(surfaces))
             assert len(surfaces) == len(corpus)
+
+    def test_path_surface_collision_suffixed(self, monkeypatch):
+        # d5's leaf falls back to "4-2", as "4" is its sibling's, and d7's
+        # own label in that sibling is "2": both join to "c-4-2", so d7,
+        # later in corpus order, takes the suffix.
+        texts = {"d0": "b b b", "d1": "c a 4", "d2": "3 2 b", "d3": "b 4 2 b",
+                 "d4": "c a a b", "d5": "4", "d6": "b 4 c a",
+                 "d7": "4 c 3 2", "d8": "4 3 b"}
+        corpus = Corpus([Document(k, t) for k, t in texts.items()])
+
+        def build():
+            return build_index(corpus, levels=2, branching=2, dim=8, seed=0)
+        index = build()
+        surfaces = [r.surface for r in index.records]
+        assert surfaces == ["b-2-b-1", "c-4-c-1", "b-3-2", "b-2-4", "c-4-b",
+                            "c-4-2", "c-4-c-3", "c-4-2-2", "b-3-4"]
+        assert len(set(surfaces)) == len(surfaces)
+        suffixed = index.records[surfaces.index("c-4-2-2")]
+        assert index.vocab.decode(list(suffixed.tokens)) == "c 4 2 2"
+        assert suffixed.tokens == tuple(index.vocab.encode(
+            suffixed.surface, on_unknown="skip")) + (END,)
+        assert index.to_json() == build_with_references(
+            monkeypatch, build, corpus).to_json()
 
     def test_serialization_byte_identical(self):
         rng = random.Random(1)
@@ -693,47 +714,50 @@ def ref_embed_words(words: list[str], dim: int, seed: int) -> np.ndarray:
     return vec / norm
 
 
-def ref_assign_keywords(h: RQHierarchy, corpus: Corpus) -> RQHierarchy:
-    """Sort each node's terms in full (`ref_scored_terms`) and take the
-    first one that no ancestor and no earlier sibling holds; when all are
-    held, the first term, or "doc" if there is none, with the node's
-    1-based ordinal. Siblings are labeled before their children, and a
-    leaf's documents in key order, each unlike the leaf's ancestors, the
-    leaf and the documents before it."""
+def ref_assign_keywords(roots: list[RQNode],
+                        corpus: Corpus) -> dict[str, list[str]]:
+    """Each document's labels from root to leaf. Sort each node's terms in
+    full (`ref_scored_terms`) and take the first one that no ancestor and
+    no earlier sibling holds; when all are held, the first term, or "doc"
+    if there is none, with the node's 1-based ordinal. Siblings are labeled
+    before their children, and a leaf's documents in key order, each unlike
+    the leaf's ancestors, the leaf and the documents before it."""
     def pick(candidates: list[str], used: set[str], ordinal: int) -> str:
         for term in candidates:
             if term not in used:
                 return term
         return f"{candidates[0] if candidates else 'doc'}-{ordinal + 1}"
 
-    def label_siblings(siblings: list[RQNode], ancestors: set[str]) -> None:
+    out: dict[str, list[str]] = {}
+
+    def label_siblings(siblings: list[RQNode], ancestors: list[str]) -> None:
         taken = set(ancestors)
+        names = []
         for ordinal, node in enumerate(siblings):
-            node.label = pick(ref_scored_terms(node.doc_keys, corpus), taken,
-                              ordinal)
-            taken.add(node.label)
-        for node in siblings:
+            names.append(pick(ref_scored_terms(node.doc_keys, corpus), taken,
+                              ordinal))
+            taken.add(names[-1])
+        for node, name in zip(siblings, names):
+            path = ancestors + [name]
             if node.children:
-                label_siblings(node.children, ancestors | {node.label})
+                label_siblings(node.children, path)
             elif len(node.doc_keys) > 1:
-                used = ancestors | {node.label}
+                used = set(path)
                 for ordinal, key in enumerate(sorted(node.doc_keys)):
-                    node.doc_labels[key] = pick(ref_scored_terms([key], corpus),
-                                                used, ordinal)
-                    used.add(node.doc_labels[key])
+                    out[key] = path + [pick(ref_scored_terms([key], corpus),
+                                            used, ordinal)]
+                    used.add(out[key][-1])
+            else:
+                out[node.doc_keys[0]] = path
 
-    label_siblings(h.roots, set())
-    return h
+    label_siblings(roots, [])
+    return out
 
 
-def ref_path_docid(doc_key: str, h: RQHierarchy, vocab: Vocabulary,
+def ref_path_docid(doc_key: str, labels: list[str], vocab: Vocabulary,
                    label_tokens: dict) -> DocIdRecord:
-    """Join the path's labels and encode the whole surface; *label_tokens*
-    is not read."""
-    path = h.path_to(doc_key)
-    labels = [node.label for node in path]
-    if doc_key in path[-1].doc_labels:
-        labels.append(path[-1].doc_labels[doc_key])
+    """Join the labels and encode the whole surface; *label_tokens* is not
+    read."""
     surface = "-".join(labels)
     return DocIdRecord(doc_key,
                        tuple(vocab.encode(surface, on_unknown="grow")) + (END,),
@@ -770,13 +794,12 @@ def ref_kmeans(points: np.ndarray, k: int, max_iterations: int):
 
 
 def ref_build_rq_hierarchy(keys: list[str], points: np.ndarray, levels: int,
-                           branching: int) -> RQHierarchy:
+                           branching: int) -> list[RQNode]:
     """Split each group by scanning the assignment once per cluster, keeping
     residuals per document, from the documents in sorted-key order whatever
-    order the rows come in. The hierarchy records no paths."""
+    order the rows come in."""
     vectors = dict(zip(keys, points))
     keys = sorted(vectors)
-    next_id = [0]
 
     def split(group, residuals, depth):
         pts = np.stack([residuals[k] for k in group])
@@ -786,33 +809,15 @@ def ref_build_rq_hierarchy(keys: list[str], points: np.ndarray, levels: int,
             members = [group[i] for i in range(len(group)) if assign[i] == j]
             if not members:
                 continue
-            node = RQNode(node_id=next_id[0], centroid=centroids[j].copy(),
-                          doc_keys=members)
-            next_id[0] += 1
+            node = RQNode(centroid=centroids[j].copy(), doc_keys=members)
             if depth < levels:
                 child_res = {m: residuals[m] - centroids[j] for m in members}
                 node.children = split(members, child_res, depth + 1)
             nodes.append(node)
         return nodes
 
-    roots = split(keys, {k: np.asarray(vectors[k], dtype=np.float64)
-                         for k in keys}, 1)
-    return RQHierarchy(levels=levels, roots=roots, paths={})
-
-
-def ref_path_to(h: RQHierarchy, doc_key: str) -> list[RQNode]:
-    """Descend level by level to the first node listing the document."""
-    path: list[RQNode] = []
-    nodes = h.roots
-    for _ in range(h.levels):
-        for node in nodes:
-            if doc_key in node.doc_keys:
-                path.append(node)
-                nodes = node.children
-                break
-        else:
-            raise UnknownDoc(doc_key)
-    return path
+    return split(keys, {k: np.asarray(vectors[k], dtype=np.float64)
+                        for k in keys}, 1)
 
 
 def ref_scored_terms(doc_keys: list[str], corpus: Corpus) -> list[str]:
@@ -887,20 +892,19 @@ def count_exact_calls(monkeypatch) -> list[int]:
     return rows
 
 
-def tree_of(h: RQHierarchy) -> list:
-    """Every node's label, centroid (as exact float hex), doc keys, doc
-    labels and children, nested as the tree is."""
+def tree_of(roots: list[RQNode]) -> list:
+    """Every node's centroid (as exact float hex), doc keys and children,
+    nested as the tree is."""
     def walk(node: RQNode) -> tuple:
-        return (node.label, [x.hex() for x in node.centroid.tolist()],
-                node.doc_keys, node.doc_labels,
+        return ([x.hex() for x in node.centroid.tolist()], node.doc_keys,
                 [walk(c) for c in node.children])
-    return [walk(n) for n in h.roots]
+    return [walk(n) for n in roots]
 
 
 def build_with_references(monkeypatch, build, corpus=None):
-    """Run *build* with embedding, clustering, path lookup and path record
-    encoding swapped for the reference implementations, and, given the
-    *corpus*, labeling too."""
+    """Run *build* with embedding, clustering and path record encoding
+    swapped for the reference implementations, and, given the *corpus*,
+    labeling too."""
     cap = docid.KMEANS_MAX_ITERATIONS
 
     def embeddings(docs, dim, seed):
@@ -910,11 +914,10 @@ def build_with_references(monkeypatch, build, corpus=None):
         m.setattr(docid, "_embeddings", embeddings)
         m.setattr(docid, "_kmeans", lambda pts, k: ref_kmeans(pts, k, cap))
         m.setattr(docid, "build_rq_hierarchy", ref_build_rq_hierarchy)
-        m.setattr(RQHierarchy, "path_to", ref_path_to)
         m.setattr(docid, "path_docid", ref_path_docid)
         if corpus is not None:
             m.setattr(docid, "assign_keywords",
-                      lambda h, terms: ref_assign_keywords(h, corpus))
+                      lambda roots, terms: ref_assign_keywords(roots, corpus))
         return build()
 
 
@@ -1058,20 +1061,10 @@ class TestMatchesReference:
                     monkeypatch,
                     lambda: docid.build_rq_hierarchy(keys, points, levels,
                                                      branching))
-                assert got.levels == want.levels
                 assert tree_of(got) == tree_of(want)
-                for key in [*keys, "nope"]:
-                    self.assert_same_path(got, key)
-
-    @staticmethod
-    def assert_same_path(h: RQHierarchy, key: str) -> None:
-        try:
-            want = [n.node_id for n in ref_path_to(h, key)]
-        except UnknownDoc:
-            with pytest.raises(UnknownDoc):
-                h.path_to(key)
-            return
-        assert [n.node_id for n in h.path_to(key)] == want
+                # Every document reaches a leaf *levels* deep.
+                for key in keys:
+                    assert len(ref_path_to(got, key)) == levels
 
     def test_scored_terms(self):
         # Every node label and leaf document label is the first term of its
@@ -1090,13 +1083,14 @@ class TestMatchesReference:
                     *sorted_rows({d.doc_key: embed(d.text, dim=8)
                                   for d in corpus}), levels=2, branching=3)
             got = assign_keywords(hierarchy(), terms_of(corpus))
-            assert tree_of(got) == tree_of(ref_assign_keywords(hierarchy(),
-                                                               corpus))
-            nodes = got.roots + [c for n in got.roots for c in n.children]
-            for lbl in chain([n.label for n in nodes],
-                             *(n.doc_labels.values() for n in nodes)):
+            assert got == ref_assign_keywords(hierarchy(), corpus)
+            # Each node's label and each leaf document's own label, once:
+            # sibling labels differ, so each ends one distinct path prefix.
+            prefixes = {tuple(path[:i]) for path in got.values()
+                        for i in range(1, len(path) + 1)}
+            for prefix in prefixes:
                 labels += 1
-                fallbacks += "-" in lbl
+                fallbacks += "-" in prefix[-1]
         assert fallbacks and labels > fallbacks
 
     def test_index_json(self, monkeypatch, tmp_path):

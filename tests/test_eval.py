@@ -280,6 +280,22 @@ class TestMakeRetrieveModel:
         assert ref.counts
         assert_same_model(model, ref)
 
+    @pytest.mark.parametrize("rows", [
+        [], [{"qid": "q1", "text": "which fruit"}],
+        [{"qid": "q1", "text": "which fruit", "relevant": ["d9", "nope"]}]],
+        ids=["empty", "no-relevant", "relevant-not-indexed"])
+    def test_no_training_pair_refused(self, tmp_path, rows):
+        # An untrained model would rank every docid alike; the file is
+        # refused instead, by name.
+        train = tmp_path / "train.jsonl"
+        train.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(ConfigError) as exc:
+            make_retrieve_model(make_index(TOY_SURFACES),
+                                PromptRegistry.default(), None, str(train))
+        assert str(exc.value) == (
+            f"no training pair in {train}: no query has a relevant document "
+            "with a path docid")
+
 
 class TestRunExperiment:
     def test_standard_metrics(self, experiment_files, tmp_path):
